@@ -1,14 +1,21 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test lint smoke bench bench-quick figures
+.PHONY: check test bench-asserts lint smoke bench bench-quick figures
 
-## The CI gate: tier-1 tests + lint + a functional cross-backend smoke run
-## + a quick batched-vs-sequential perf smoke (asserts batched >= sequential).
-check: test lint smoke bench-quick
+## The CI gate: tier-1 tests + the figure benches' assertions + lint + a
+## functional cross-backend smoke run + a quick batched-vs-sequential perf
+## smoke (asserts batched >= sequential).
+check: test bench-asserts lint smoke bench-quick
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+## The figure/ablation benches carry assertions (cost orderings, block
+## accounting, the WRAM argument) but tier-1 does not collect bench_*.py;
+## with timing disabled each body runs once (~1 s total).
+bench-asserts:
+	$(PYTHON) -m pytest benchmarks/bench_*.py --benchmark-disable -q
 
 lint:
 	$(PYTHON) tools/lint.py src tools

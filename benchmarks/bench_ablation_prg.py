@@ -22,7 +22,9 @@ class TestBackendWallClock:
         benchmark(dpf.eval_full_bits, key0)
 
     def test_aes_backend_full_eval_small_domain(self, benchmark):
-        dpf = DPF(domain_bits=7, prg=make_prg("aes"), seed=1)
+        # 2^10 points = 8 leaf blocks: the smallest domain where the pure-
+        # Python AES still walks a tree (2^7 would be one conversion).
+        dpf = DPF(domain_bits=10, prg=make_prg("aes"), seed=1)
         key0, _ = dpf.gen(100, 1)
         benchmark(dpf.eval_full_bits, key0)
 
@@ -45,7 +47,7 @@ class TestBlockAccountingAgreement:
             counts = {}
             for backend in ("numpy", "aes"):
                 prg = make_prg(backend)
-                dpf = DPF(domain_bits=6, prg=prg, seed=9)
+                dpf = DPF(domain_bits=10, prg=prg, seed=9)
                 key0, _ = dpf.gen(11, 1)
                 prg.reset_counters()
                 dpf.eval_full(key0)
@@ -54,4 +56,6 @@ class TestBlockAccountingAgreement:
 
         counts = benchmark(count_blocks)
         assert counts["numpy"] == counts["aes"]
-        assert counts["numpy"] == 2 * (2**6 - 1)
+        # 8 leaf blocks: two AES blocks per internal node, one per leaf conversion.
+        blocks = 2**10 // 128
+        assert counts["numpy"] == 2 * (blocks - 1) + blocks

@@ -1,8 +1,9 @@
 """Ablation — DPF full-domain traversal strategies (paper §3.2, Fig. 7).
 
 Not a figure in the paper, but the design discussion it quantifies: the
-branch-parallel traversal recomputes every root-to-leaf path (N log N PRG
-calls and a per-leaf working set that does not fit in a DPU's 64 KB WRAM),
+branch-parallel traversal recomputes every root-to-leaf path (L log L PRG
+calls over the L = N/128 leaf blocks of the early-terminated tree, and a
+per-leaf working set that does not fit in a DPU's 64 KB WRAM),
 the level-by-level traversal is PRG-optimal but needs the whole level in
 memory, and the memory-bounded traversal trades a little recomputation for a
 bounded working set — the reason IM-PIR keeps evaluation on the host CPU.
@@ -21,7 +22,11 @@ from repro.dpf.traversal import (
 )
 from repro.pim.config import DPUConfig
 
-DOMAIN_BITS = 13
+#: 2^19 points = 4096 leaf blocks: the smallest domain whose full level of
+#: (seed, control bit) nodes — 4096 x 17 B — exceeds a DPU's 64 KB WRAM.
+DOMAIN_BITS = 19
+#: Memory-bounded chunk, in points: 16384 points = 128 leaf blocks.
+CHUNK_POINTS = 16384
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +45,7 @@ class TestTraversalWallClock:
         dpf, key = dpf_and_key
         benchmark(BranchParallelTraversal().eval_full, dpf, key)
 
-    @pytest.mark.parametrize("chunk", [256, 1024])
+    @pytest.mark.parametrize("chunk", [4096, CHUNK_POINTS])
     def test_memory_bounded(self, benchmark, dpf_and_key, chunk):
         dpf, key = dpf_and_key
         benchmark(MemoryBoundedTraversal(chunk_leaves=chunk).eval_full, dpf, key)
@@ -55,7 +60,7 @@ class TestTraversalCostProfile:
             rows = {}
             for name, strategy in (
                 ("level_by_level", LevelByLevelTraversal()),
-                ("memory_bounded(1024)", MemoryBoundedTraversal(chunk_leaves=1024)),
+                ("memory_bounded", MemoryBoundedTraversal(chunk_leaves=CHUNK_POINTS)),
                 ("branch_parallel", BranchParallelTraversal()),
             ):
                 stats = TraversalStats()
@@ -73,9 +78,13 @@ class TestTraversalCostProfile:
                 f"peak_memory={stats.peak_memory_bytes:>9} B ({fits} 64 KB WRAM)  "
                 f"redundancy={stats.redundancy_factor:.2f}x"
             )
-        assert rows["branch_parallel"].prg_calls > rows["level_by_level"].prg_calls
-        assert rows["memory_bounded(1024)"].peak_memory_bytes < rows["level_by_level"].peak_memory_bytes
+        assert (
+            rows["level_by_level"].prg_calls
+            < rows["memory_bounded"].prg_calls
+            < rows["branch_parallel"].prg_calls
+        )
+        assert rows["memory_bounded"].peak_memory_bytes < rows["level_by_level"].peak_memory_bytes
         # The paper's WRAM argument: a full level at this domain size already
         # exceeds a DPU's WRAM, while the bounded traversal stays inside it.
         assert rows["level_by_level"].peak_memory_bytes > wram
-        assert rows["memory_bounded(1024)"].peak_memory_bytes <= wram
+        assert rows["memory_bounded"].peak_memory_bytes <= wram

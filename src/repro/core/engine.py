@@ -38,7 +38,7 @@ from repro.common.errors import ProtocolError
 from repro.common.events import PhaseTimer
 from repro.core.results import PHASE_EVAL, IMPIRBatchResult, IMPIRQueryResult
 from repro.core.scheduler import BatchScheduler, QueryTask
-from repro.dpf.dpf import DPF
+from repro.dpf.dpf import DPF, DPFKey
 from repro.dpf.prf import LengthDoublingPRG
 from repro.pir.database import Database
 from repro.pir.messages import DPFQuery, NaiveQuery, PIRAnswer
@@ -254,34 +254,39 @@ class QueryEngine:
         if isinstance(query, NaiveQuery):
             # Already the right dtype (NaiveShare normalises to uint8): no copy.
             return query.share.bits
-        dpf = self._dpf((query.key.domain_bits, query.key.output_bits))
-        eval_stats = getattr(self.stats, "eval", None)
-        values = dpf.eval_full(query.key, num_points=query.num_records, stats=eval_stats)
-        return values.astype(np.uint8, copy=False)
+        return self._dpf_selectors([query.key], query.num_records)[0]
 
-    def _dpf(self, params: Tuple[int, int]) -> DPF:
-        """The cached DPF evaluator for ``(domain_bits, output_bits)``."""
+    def _dpf_selectors(self, keys: Sequence[DPFKey], num_records: int) -> np.ndarray:
+        """``(len(keys), num_records)`` uint8 selector rows of same-shaped keys.
+
+        One batched tree walk to the 128-bit leaf blocks, one
+        ``np.unpackbits`` from blocks to selector bytes (see
+        :meth:`~repro.dpf.dpf.DPF.eval_full_bits_many`).
+        """
+        params = (keys[0].domain_bits, keys[0].output_bits)
         dpf = self._dpf_cache.get(params)
         if dpf is None:
             dpf = DPF(params[0], output_bits=params[1], prg=self._prg)
             self._dpf_cache[params] = dpf
-        return dpf
+        return dpf.eval_full_bits_many(
+            keys, num_records, stats=getattr(self.stats, "eval", None)
+        )
 
     def selector_matrix(self, queries: Sequence[Query]) -> np.ndarray:
         """Stack every query's selector share into one ``(B, N)`` uint8 matrix.
 
         The batched half of the eval stage: DPF queries sharing key
-        parameters expand through one :meth:`~repro.dpf.dpf.DPF.eval_full_many`
-        sweep (the PRG sees ``B x 2^level`` seeds per level instead of
-        ``2^level`` seeds ``B`` times); naive shares are written straight in.
-        The matrix comes from a per-engine checkout pool so steady-state
-        flushes of one shape reuse one preallocated buffer; every row is
-        fully overwritten, so stale contents can never leak.  Hand the buffer
-        back with :meth:`_recycle_selector_matrix` once the batch is served.
+        parameters expand through one tree walk (the PRG sees ``B x 2^level``
+        seeds per level instead of ``2^level`` seeds ``B`` times) whose
+        128-bit leaf blocks unpack straight into selector bytes; naive shares
+        are written straight in.  The matrix comes from a per-engine checkout
+        pool so steady-state flushes of one shape reuse one preallocated
+        buffer; every row is fully overwritten, so stale contents can never
+        leak.  Hand the buffer back with :meth:`_recycle_selector_matrix`
+        once the batch is served.
         """
         num_records = self.database.num_records
         buffer = self._take_selector_buffer((len(queries), num_records))
-        eval_stats = getattr(self.stats, "eval", None)
         dpf_groups: Dict[Tuple[int, int], List[int]] = {}
         for position, query in enumerate(queries):
             if isinstance(query, NaiveQuery):
@@ -289,21 +294,10 @@ class QueryEngine:
             else:
                 params = (query.key.domain_bits, query.key.output_bits)
                 dpf_groups.setdefault(params, []).append(position)
-        for params, positions in dpf_groups.items():
-            dpf = self._dpf(params)
-            if len(positions) == 1:
-                query = queries[positions[0]]
-                buffer[positions[0]] = dpf.eval_full(
-                    query.key, num_points=num_records, stats=eval_stats
-                )
-                continue
-            values = dpf.eval_full_many(
-                [queries[position].key for position in positions],
-                num_points=num_records,
-                stats=eval_stats,
+        for positions in dpf_groups.values():
+            buffer[positions] = self._dpf_selectors(
+                [queries[position].key for position in positions], num_records
             )
-            for row, position in enumerate(positions):
-                buffer[position] = values[row]
         return buffer
 
     def _take_selector_buffer(self, shape: Tuple[int, int]) -> np.ndarray:

@@ -2,9 +2,17 @@
 
 This is the construction of Boyle, Gilboa and Ishai (CCS'16) as deployed by
 Google's ``distributed_point_functions`` library (the paper's CPU baseline)
-and by Lam et al. (the GPU baseline): keys consist of a random root seed plus
-one correction word per tree level and a final output correction word.  Each
-key individually is pseudorandom and hides both the target index ``alpha`` and
+and by Lam et al. (the GPU baseline), including their *early termination*:
+the GGM tree stops ``k`` levels above the points, and every leaf is turned
+into one 128-bit block that packs the outputs of ``2**k`` consecutive points
+(``k = floor(log2(128 // output_bits))`` — 7 for the 1-bit PIR selectors, so
+a leaf carries 128 selector bits).  A key is therefore
+
+    root seed  +  (log2 N - k) correction words  +  one 128-bit final block
+
+and a full-domain evaluation costs ``N / 2**k - 1`` PRG expansions plus one
+leaf conversion per block, instead of ``N - 1`` expansions.  Each key
+individually is pseudorandom and hides both the target index ``alpha`` and
 the payload ``beta``; XORing the two parties' evaluations yields the point
 function
 
@@ -13,12 +21,19 @@ function
 The payload lives in the XOR group of ``output_bits``-bit strings (1 bit by
 default, which is what the PIR selector vectors need; up to 64 bits are
 supported so the same code covers payload-carrying DPFs).
+
+Block layout: a block is two little-endian 64-bit lanes of ``2**(k-1)``
+slots each; point ``x`` lives in block ``x >> k``, slot ``j = x mod 2**k``,
+i.e. bits ``[(j mod 2**(k-1)) * w, ... + w)`` of lane ``j >> (k-1)``.  For
+``w = 1`` that is simply bit ``j`` of the block, which is why the selector
+path is a single ``np.unpackbits(..., bitorder="little")``.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,19 +43,31 @@ from repro.dpf.ggm import CorrectionWord, expand_level, expand_level_many
 from repro.dpf.prf import SEED_BYTES, LengthDoublingPRG, make_prg
 
 MAX_OUTPUT_BITS = 64
+BLOCK_BITS = 8 * SEED_BYTES
+
+#: Wire layout of a key, shared with :mod:`repro.pir.serialization` so the
+#: accounted size and the serialized size cannot drift apart: this header
+#: (magic, version, party, domain_bits, output_bits), the root seed,
+#: ``tree_depth`` correction words and the final correction block.
+KEY_HEADER = struct.Struct("<2sBBBB")
+CORRECTION_WORD_BYTES = SEED_BYTES + 2  # seed correction + two control-bit corrections
 
 
-def _convert(seeds: np.ndarray, output_bits: int) -> np.ndarray:
-    """Map seeds to elements of the output group (low ``output_bits`` bits).
+def slot_bits(output_bits: int) -> int:
+    """``k``: a leaf block packs ``2**k`` outputs of ``output_bits`` bits."""
+    if not 1 <= output_bits <= MAX_OUTPUT_BITS:
+        raise ValueError("output_bits must be in [1, 64]")
+    return (BLOCK_BITS // output_bits).bit_length() - 1
 
-    ``seeds`` is ``(m, 16)`` uint8; the result is ``(m,)`` uint64.
-    """
-    lanes = np.ascontiguousarray(seeds, dtype=np.uint8).view(np.uint64).reshape(-1, 2)
-    values = lanes[:, 0]
-    if output_bits >= 64:
-        return values.copy()
-    mask = np.uint64((1 << output_bits) - 1)
-    return values & mask
+
+def tree_depth(domain_bits: int, output_bits: int) -> int:
+    """Levels the GGM tree expands: it stops ``slot_bits`` above the points."""
+    return max(0, domain_bits - slot_bits(output_bits))
+
+
+def key_wire_bytes(levels: int) -> int:
+    """Serialized size of a key carrying ``levels`` correction words."""
+    return KEY_HEADER.size + SEED_BYTES + levels * CORRECTION_WORD_BYTES + SEED_BYTES
 
 
 @dataclass(frozen=True)
@@ -56,10 +83,11 @@ class DPFKey:
     root_seed:
         This party's 16-byte root seed.
     correction_words:
-        One :class:`~repro.dpf.ggm.CorrectionWord` per tree level.
+        One :class:`~repro.dpf.ggm.CorrectionWord` per *expanded* tree level
+        (:attr:`tree_depth` of them).
     final_correction:
-        Output-group correction applied at the leaves when the control bit is
-        set.
+        16-byte block XORed into a converted leaf when its control bit is
+        set; carries ``beta`` in the target's slot.
     output_bits:
         Width of the payload group in bits (1..64).
     """
@@ -68,7 +96,7 @@ class DPFKey:
     domain_bits: int
     root_seed: bytes
     correction_words: Tuple[CorrectionWord, ...]
-    final_correction: int
+    final_correction: bytes
     output_bits: int = 1
 
     def __post_init__(self) -> None:
@@ -78,10 +106,14 @@ class DPFKey:
             raise ValueError("domain_bits must be non-negative")
         if len(self.root_seed) != SEED_BYTES:
             raise ValueError("root seed must be 16 bytes")
-        if len(self.correction_words) != self.domain_bits:
-            raise ValueError("need exactly one correction word per level")
-        if not 1 <= self.output_bits <= MAX_OUTPUT_BITS:
-            raise ValueError("output_bits must be in [1, 64]")
+        if len(self.correction_words) != self.tree_depth:
+            raise ValueError(
+                f"need exactly one correction word per expanded level "
+                f"({self.tree_depth} for {self.domain_bits} domain bits and "
+                f"{self.output_bits}-bit outputs), got {len(self.correction_words)}"
+            )
+        if len(self.final_correction) != SEED_BYTES:
+            raise ValueError("final correction must be a 16-byte block")
 
     @property
     def domain_size(self) -> int:
@@ -89,14 +121,18 @@ class DPFKey:
         return 1 << self.domain_bits
 
     @property
+    def tree_depth(self) -> int:
+        """Expanded GGM levels (see :func:`tree_depth`)."""
+        return tree_depth(self.domain_bits, self.output_bits)
+
+    @property
     def size_bytes(self) -> int:
-        """Serialized key size: seed + per-level correction words + final word.
+        """Exact serialized key size (``len(serialize_key(key))``).
 
         Matches the paper's observation that keys are O(lambda * log N) — the
         quantity shipped from the client to each server.
         """
-        per_level = SEED_BYTES + 2  # seed correction + two control-bit corrections
-        return SEED_BYTES + 1 + len(self.correction_words) * per_level + 8
+        return key_wire_bytes(len(self.correction_words))
 
     def root_seed_array(self) -> np.ndarray:
         """Root seed as a ``(16,)`` uint8 array."""
@@ -105,7 +141,12 @@ class DPFKey:
 
 @dataclass
 class EvalStats:
-    """Operation counts gathered during a full-domain evaluation."""
+    """Operation counts gathered during a full-domain evaluation.
+
+    ``aes_block_equivalents`` is ``2 * prg_expansions + 1 * leaf
+    conversions``; ``peak_nodes_in_memory`` counts tree nodes (one per leaf
+    block at the widest level), ``leaves_evaluated`` counts domain points.
+    """
 
     prg_expansions: int = 0
     aes_block_equivalents: int = 0
@@ -132,19 +173,26 @@ class DPF:
     ) -> None:
         if domain_bits < 0:
             raise ValueError("domain_bits must be non-negative")
-        if not 1 <= output_bits <= MAX_OUTPUT_BITS:
-            raise ValueError("output_bits must be in [1, 64]")
         self.domain_bits = domain_bits
         self.output_bits = output_bits
+        #: ``k``: points per leaf block is ``2**slot_bits``.
+        self.slot_bits = slot_bits(output_bits)
+        self.slots_per_block = 1 << self.slot_bits
+        #: Levels the GGM tree actually expands.
+        self.tree_depth = tree_depth(domain_bits, output_bits)
         self.prg = prg if prg is not None else make_prg("numpy")
         self._rng = make_rng(seed)
-
-    # -- key generation -----------------------------------------------------
 
     @property
     def domain_size(self) -> int:
         """Number of points in the DPF domain."""
         return 1 << self.domain_bits
+
+    def num_blocks(self, num_points: int) -> int:
+        """Leaf blocks covering the first ``num_points`` points."""
+        return -(-num_points // self.slots_per_block)
+
+    # -- key generation -----------------------------------------------------
 
     def gen(self, alpha: int, beta: int = 1) -> Tuple[DPFKey, DPFKey]:
         """Generate the two keys hiding the point function ``P_{alpha,beta}``.
@@ -160,71 +208,49 @@ class DPF:
         if beta >= (1 << self.output_bits):
             raise ValueError(f"beta={beta} does not fit in {self.output_bits} bits")
 
-        seed0 = self._rng.integers(0, 256, size=SEED_BYTES, dtype=np.uint8)
-        seed1 = self._rng.integers(0, 256, size=SEED_BYTES, dtype=np.uint8)
-        s = [seed0.copy(), seed1.copy()]
-        t = [0, 1]
-
-        correction_words: List[CorrectionWord] = []
-        for level in range(self.domain_bits):
+        # Both parties' path nodes ride in one two-row array, so a level is
+        # one PRG call.  Invariant: exactly one row's control bit is set.
+        roots = self._rng.integers(0, 256, size=(2, SEED_BYTES), dtype=np.uint8)
+        seeds = roots
+        controls = np.asarray([0, 1], dtype=np.uint8)
+        correction_words = []
+        for level in range(self.tree_depth):
             bit = (alpha >> (self.domain_bits - 1 - level)) & 1
-            expansions = []
-            for b in (0, 1):
-                left, right, t_left, t_right = self.prg.expand(s[b].reshape(1, SEED_BYTES))
-                expansions.append((left[0], right[0], int(t_left[0]), int(t_right[0])))
+            left, right, t_left, t_right = self.prg.expand(seeds)
+            keep, lose = (right, left) if bit else (left, right)
+            seed_cw = lose[0] ^ lose[1]
+            t_left_cw = int(t_left[0] ^ t_left[1]) ^ bit ^ 1
+            t_right_cw = int(t_right[0] ^ t_right[1]) ^ bit
+            correction_words.append(CorrectionWord(seed_cw.tobytes(), t_left_cw, t_right_cw))
+            seeds = keep ^ (controls[:, None] * seed_cw)
+            controls = (t_right if bit else t_left) ^ (
+                controls * np.uint8(t_right_cw if bit else t_left_cw)
+            )
 
-            if bit == 0:
-                keep, lose = "left", "right"
-            else:
-                keep, lose = "right", "left"
-
-            def _part(b: int, side: str) -> Tuple[np.ndarray, int]:
-                left, right, t_left, t_right = expansions[b]
-                if side == "left":
-                    return left, t_left
-                return right, t_right
-
-            s0_lose, _ = _part(0, lose)
-            s1_lose, _ = _part(1, lose)
-            seed_cw = (s0_lose ^ s1_lose).astype(np.uint8)
-
-            _, t0_left = _part(0, "left")
-            _, t1_left = _part(1, "left")
-            _, t0_right = _part(0, "right")
-            _, t1_right = _part(1, "right")
-            t_left_cw = t0_left ^ t1_left ^ bit ^ 1
-            t_right_cw = t0_right ^ t1_right ^ bit
-            correction = CorrectionWord(seed_cw.tobytes(), t_left_cw, t_right_cw)
-            correction_words.append(correction)
-
-            t_keep_cw = t_left_cw if keep == "left" else t_right_cw
-            for b in (0, 1):
-                s_keep, t_keep = _part(b, keep)
-                if t[b]:
-                    s[b] = (s_keep ^ seed_cw).astype(np.uint8)
-                    t[b] = t_keep ^ t_keep_cw
-                else:
-                    s[b] = s_keep.astype(np.uint8).copy()
-                    t[b] = t_keep
-
-        convert0 = int(_convert(s[0].reshape(1, SEED_BYTES), self.output_bits)[0])
-        convert1 = int(_convert(s[1].reshape(1, SEED_BYTES), self.output_bits)[0])
-        final_correction = convert0 ^ convert1 ^ beta
-
-        keys = tuple(
+        blocks = self.prg.convert(seeds)
+        final_correction = (blocks[0] ^ blocks[1] ^ self._payload_block(alpha, beta)).tobytes()
+        key0, key1 = (
             DPFKey(
-                party=b,
+                party=party,
                 domain_bits=self.domain_bits,
-                root_seed=(seed0 if b == 0 else seed1).tobytes(),
+                root_seed=roots[party].tobytes(),
                 correction_words=tuple(correction_words),
                 final_correction=final_correction,
                 output_bits=self.output_bits,
             )
-            for b in (0, 1)
+            for party in (0, 1)
         )
-        return keys[0], keys[1]
+        return key0, key1
 
-    # -- point evaluation ----------------------------------------------------
+    def _payload_block(self, alpha: int, beta: int) -> np.ndarray:
+        """The all-zero block with ``beta`` in ``alpha``'s slot, as ``(16,)`` uint8."""
+        slots_per_lane = self.slots_per_block // 2
+        slot = alpha % self.slots_per_block
+        lanes = np.zeros(2, dtype=np.uint64)
+        lanes[slot // slots_per_lane] = beta << ((slot % slots_per_lane) * self.output_bits)
+        return lanes.view(np.uint8)
+
+    # -- tree walks -----------------------------------------------------------
 
     def _check_key(self, key: DPFKey) -> None:
         if key.domain_bits != self.domain_bits or key.output_bits != self.output_bits:
@@ -234,79 +260,151 @@ class DPF:
                 f"instance: {self.domain_bits} bits/{self.output_bits}-bit output)"
             )
 
+    @staticmethod
+    def roots(keys: Sequence[DPFKey]) -> Tuple[np.ndarray, np.ndarray]:
+        """The level-0 front of ``keys``: ``(B, 16)`` seeds and ``(B,)`` control bits."""
+        seeds = np.stack([key.root_seed_array() for key in keys])
+        controls = np.asarray([key.party for key in keys], dtype=np.uint8)
+        return seeds, controls
+
+    def expand_front(
+        self,
+        keys: Sequence[DPFKey],
+        seeds: np.ndarray,
+        controls: np.ndarray,
+        first_level: int = 0,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Expand a key-major node front breadth-first down to the leaves.
+
+        ``seeds``/``controls`` hold each key's sibling-ordered nodes at
+        ``first_level`` (:meth:`roots` for the whole tree, a subtree root for
+        a chunked walk).  This is the only level loop of full-domain
+        evaluation: :meth:`eval_full`, :meth:`eval_full_many`,
+        :meth:`eval_full_bits`, the engine's selector path and the
+        :mod:`repro.dpf.traversal` strategies all read its leaves.  Every
+        level is one :func:`~repro.dpf.ggm.expand_level_many` call, so the
+        PRG sees ``B x 2^level`` seeds per level instead of ``2^level`` seeds
+        ``B`` times.
+        """
+        nodes_per_key = seeds.shape[0] // len(keys)
+        for level in range(first_level, self.tree_depth):
+            seeds, controls = expand_level_many(
+                self.prg,
+                seeds,
+                controls,
+                [key.correction_words[level] for key in keys],
+                nodes_per_key,
+            )
+            nodes_per_key *= 2
+        return seeds, controls
+
+    def descend(
+        self, key: DPFKey, nodes: np.ndarray, depth: Optional[int] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Walk one independent root-to-node path per entry of ``nodes``.
+
+        ``nodes`` are node indices at level ``depth`` (default: leaf-block
+        indices).  Every path re-expands its own ancestors — ``len(nodes) *
+        depth`` PRG expansions — which is what point evaluation and the
+        branch-parallel / memory-bounded traversals want.
+        """
+        depth = self.tree_depth if depth is None else depth
+        nodes = np.asarray(nodes, dtype=np.int64)
+        count = nodes.shape[0]
+        seeds = np.repeat(key.root_seed_array().reshape(1, SEED_BYTES), count, axis=0)
+        controls = np.full(count, key.party, dtype=np.uint8)
+        even = np.arange(count, dtype=np.int64) * 2
+        for level in range(depth):
+            children, child_controls = expand_level(
+                self.prg, seeds, controls, key.correction_words[level]
+            )
+            pick = even + ((nodes >> (depth - 1 - level)) & 1)
+            seeds, controls = children[pick], child_controls[pick]
+        return seeds, controls
+
+    # -- leaves to outputs -----------------------------------------------------
+
+    def leaf_blocks(
+        self, keys: Sequence[DPFKey], seeds: np.ndarray, controls: np.ndarray
+    ) -> np.ndarray:
+        """Convert key-major leaf nodes into corrected ``(B, M, 16)`` output blocks."""
+        num_keys = len(keys)
+        blocks = self.prg.convert(seeds).reshape(num_keys, -1, SEED_BYTES)
+        finals = np.stack(
+            [np.frombuffer(key.final_correction, dtype=np.uint8) for key in keys]
+        )
+        blocks ^= controls.reshape(num_keys, -1, 1) * finals[:, None, :]
+        return blocks
+
+    def slot_values(self, blocks: np.ndarray, num_points: int) -> np.ndarray:
+        """Unpack ``(B, M, 16)`` blocks into the ``(B, num_points)`` uint64 outputs."""
+        lanes = np.ascontiguousarray(blocks).view(np.uint64)
+        shifts = np.arange(self.slots_per_block // 2, dtype=np.uint64) * np.uint64(
+            self.output_bits
+        )
+        values = lanes[..., None] >> shifts
+        if self.output_bits < 64:
+            values &= np.uint64((1 << self.output_bits) - 1)
+        return np.ascontiguousarray(values.reshape(blocks.shape[0], -1)[:, :num_points])
+
+    # -- point evaluation ----------------------------------------------------
+
     def eval(self, key: DPFKey, x: int) -> int:
         """Evaluate one party's share at a single point ``x``."""
-        self._check_key(key)
-        if not 0 <= x < self.domain_size:
-            raise ValueError(f"x={x} outside domain of size {self.domain_size}")
-
-        seed = key.root_seed_array().copy()
-        control = key.party
-        for level in range(self.domain_bits):
-            bit = (x >> (self.domain_bits - 1 - level)) & 1
-            seeds, bits = expand_level(
-                self.prg,
-                seed.reshape(1, SEED_BYTES),
-                np.asarray([control], dtype=np.uint8),
-                key.correction_words[level],
-            )
-            seed = seeds[bit].copy()
-            control = int(bits[bit])
-
-        value = int(_convert(seed.reshape(1, SEED_BYTES), self.output_bits)[0])
-        if control:
-            value ^= key.final_correction
-        return value
+        return int(self.eval_points(key, [x])[0])
 
     def eval_points(self, key: DPFKey, points: Sequence[int]) -> np.ndarray:
         """Evaluate one party's share at several points (returns uint64 array)."""
-        return np.asarray([self.eval(key, int(x)) for x in points], dtype=np.uint64)
+        self._check_key(key)
+        points = np.asarray(points, dtype=np.int64).reshape(-1)
+        if points.size and not (0 <= points.min() and points.max() < self.domain_size):
+            raise ValueError(f"point outside domain of size {self.domain_size}")
+        seeds, controls = self.descend(key, points >> self.slot_bits)
+        blocks = self.leaf_blocks([key], seeds, controls)
+        slots = self.slot_values(blocks, blocks.shape[1] * self.slots_per_block)
+        picked = np.arange(points.size) * self.slots_per_block + (
+            points & (self.slots_per_block - 1)
+        )
+        return slots[0, picked]
 
     # -- full-domain evaluation ----------------------------------------------
 
-    def eval_full(
+    def _eval_blocks(
         self,
-        key: DPFKey,
-        num_points: Optional[int] = None,
-        stats: Optional[EvalStats] = None,
-    ) -> np.ndarray:
-        """Evaluate the share on the whole domain (level-by-level traversal).
-
-        Returns a uint64 array of length ``num_points`` (default: the full
-        domain).  This is the host-side "Eval" step of Algorithm 1; the
-        strategies discussed in §3.2 are available through
-        :mod:`repro.dpf.traversal`.
-        """
-        self._check_key(key)
+        keys: Sequence[DPFKey],
+        num_points: Optional[int],
+        stats: Optional[EvalStats],
+    ) -> Tuple[np.ndarray, int]:
+        """One batched walk: the ``(B, ceil(num_points / 2^k), 16)`` leaf blocks."""
+        keys = list(keys)
+        if not keys:
+            raise ValueError("full-domain evaluation needs at least one key")
+        for key in keys:
+            self._check_key(key)
         if num_points is None:
             num_points = self.domain_size
         if not 0 <= num_points <= self.domain_size:
             raise ValueError("num_points outside the DPF domain")
 
-        before = self.prg.expand_calls
-        seeds = key.root_seed_array().reshape(1, SEED_BYTES).copy()
-        controls = np.asarray([key.party], dtype=np.uint8)
-        peak_nodes = 1
-        for level in range(self.domain_bits):
-            seeds, controls = expand_level(self.prg, seeds, controls, key.correction_words[level])
-            peak_nodes = max(peak_nodes, seeds.shape[0])
-
-        values = _convert(seeds, self.output_bits)
-        if controls.any():
-            values = values ^ (controls.astype(np.uint64) * np.uint64(key.final_correction))
-        values = values[:num_points]
-
+        expansions_before = self.prg.expand_calls
+        blocks_before = self.prg.blocks_consumed
+        seeds, controls = self.expand_front(keys, *self.roots(keys))
+        needed = self.num_blocks(num_points)
+        blocks = self.leaf_blocks(
+            keys,
+            seeds.reshape(len(keys), -1, SEED_BYTES)[:, :needed].reshape(-1, SEED_BYTES),
+            controls.reshape(len(keys), -1)[:, :needed],
+        )
         if stats is not None:
-            expansions = self.prg.expand_calls - before
             stats.merge(
                 EvalStats(
-                    prg_expansions=expansions,
-                    aes_block_equivalents=expansions * self.prg.blocks_per_expand,
-                    peak_nodes_in_memory=peak_nodes,
-                    leaves_evaluated=num_points,
+                    prg_expansions=self.prg.expand_calls - expansions_before,
+                    aes_block_equivalents=self.prg.blocks_consumed - blocks_before,
+                    peak_nodes_in_memory=1 << self.tree_depth,
+                    leaves_evaluated=len(keys) * num_points,
                 )
             )
-        return values.astype(np.uint64, copy=False)
+        return blocks, num_points
 
     def eval_full_many(
         self,
@@ -316,75 +414,51 @@ class DPF:
     ) -> np.ndarray:
         """Evaluate several keys' shares over the whole domain in one sweep.
 
-        The batched counterpart of :meth:`eval_full`: the ``B`` keys' node
-        fronts are stacked key-major and every level runs through one
-        :func:`~repro.dpf.ggm.expand_level_many` call, so the PRG sees
-        ``B x 2^level`` seeds per level instead of ``2^level`` seeds ``B``
-        times.  Returns a ``(B, num_points)`` uint64 matrix whose row ``i``
-        is bit-identical to ``eval_full(keys[i], num_points)``.
+        The ``B`` keys' node fronts are stacked key-major and walked together
+        (:meth:`expand_front`).  Returns a ``(B, num_points)`` uint64 matrix
+        (default: the full domain); row ``i`` is what ``eval_full(keys[i])``
+        returns.  This is the host-side "Eval" step of Algorithm 1; the
+        strategies discussed in §3.2 are available through
+        :mod:`repro.dpf.traversal`.
 
         ``stats`` is charged exactly what ``B`` sequential evaluations
-        charge: the PRG expansion counters are seed-counted (identical
-        either way) and ``peak_nodes_in_memory`` keeps the per-key meaning
-        (sequential calls max-merge to the same value) — batching is a
+        charge: the PRG counters are seed-counted (identical either way) and
+        ``peak_nodes_in_memory`` keeps the per-key meaning — batching is a
         wall-clock optimisation, not a cost-model change.
         """
-        keys = list(keys)
-        if not keys:
-            raise ValueError("eval_full_many needs at least one key")
-        for key in keys:
-            self._check_key(key)
-        if num_points is None:
-            num_points = self.domain_size
-        if not 0 <= num_points <= self.domain_size:
-            raise ValueError("num_points outside the DPF domain")
+        blocks, num_points = self._eval_blocks(keys, num_points, stats)
+        return self.slot_values(blocks, num_points)
 
-        before = self.prg.expand_calls
-        seeds = np.stack([key.root_seed_array() for key in keys])
-        controls = np.asarray([key.party for key in keys], dtype=np.uint8)
-        nodes_per_key = 1
-        peak_nodes = 1
-        for level in range(self.domain_bits):
-            seeds, controls = expand_level_many(
-                self.prg,
-                seeds,
-                controls,
-                [key.correction_words[level] for key in keys],
-                nodes_per_key,
-            )
-            nodes_per_key *= 2
-            peak_nodes = max(peak_nodes, nodes_per_key)
+    def eval_full(
+        self,
+        key: DPFKey,
+        num_points: Optional[int] = None,
+        stats: Optional[EvalStats] = None,
+    ) -> np.ndarray:
+        """One key's share over the whole domain: a ``(num_points,)`` uint64 array."""
+        return self.eval_full_many([key], num_points, stats)[0]
 
-        values = _convert(seeds, self.output_bits).reshape(len(keys), -1)
-        controls = controls.reshape(len(keys), -1)
-        if controls.any():
-            finals = np.asarray(
-                [key.final_correction for key in keys], dtype=np.uint64
-            )
-            values = values ^ (controls.astype(np.uint64) * finals[:, None])
-        values = np.ascontiguousarray(values[:, :num_points])
+    def eval_full_bits_many(
+        self,
+        keys: Sequence[DPFKey],
+        num_points: Optional[int] = None,
+        stats: Optional[EvalStats] = None,
+    ) -> np.ndarray:
+        """Full-domain evaluation as a ``(B, num_points)`` uint8 0/1 selector matrix.
 
-        if stats is not None:
-            expansions = self.prg.expand_calls - before
-            stats.merge(
-                EvalStats(
-                    prg_expansions=expansions,
-                    aes_block_equivalents=expansions * self.prg.blocks_per_expand,
-                    peak_nodes_in_memory=peak_nodes,
-                    leaves_evaluated=len(keys) * num_points,
-                )
-            )
-        return values.astype(np.uint64, copy=False)
-
-    def eval_full_bits(self, key: DPFKey, num_points: Optional[int] = None) -> np.ndarray:
-        """Full-domain evaluation returned as a uint8 0/1 selector vector.
-
-        Only valid for single-bit payloads; this is the representation shipped
-        to the DPUs for the dpXOR stage.
+        Only valid for single-bit payloads, where a leaf block *is* 128
+        selector bits; this is the representation the dpXOR scan consumes.
         """
         if self.output_bits != 1:
             raise KeyMismatchError("selector vectors require a 1-bit output group")
-        return self.eval_full(key, num_points=num_points).astype(np.uint8)
+        blocks, num_points = self._eval_blocks(keys, num_points, stats)
+        return np.unpackbits(
+            blocks.reshape(blocks.shape[0], -1), axis=1, count=num_points, bitorder="little"
+        )
+
+    def eval_full_bits(self, key: DPFKey, num_points: Optional[int] = None) -> np.ndarray:
+        """One key's uint8 0/1 selector vector (see :meth:`eval_full_bits_many`)."""
+        return self.eval_full_bits_many([key], num_points)[0]
 
 
 def verify_keys(dpf: DPF, key0: DPFKey, key1: DPFKey, alpha: int, beta: int = 1) -> bool:
@@ -393,9 +467,7 @@ def verify_keys(dpf: DPF, key0: DPFKey, key1: DPFKey, alpha: int, beta: int = 1)
     Intended for tests and examples; a real client never holds both keys of a
     deployed server pair.
     """
-    full0 = dpf.eval_full(key0)
-    full1 = dpf.eval_full(key1)
-    combined = full0 ^ full1
+    combined = dpf.eval_full(key0) ^ dpf.eval_full(key1)
     expected = np.zeros(dpf.domain_size, dtype=np.uint64)
     expected[alpha] = beta
     return bool(np.array_equal(combined, expected))

@@ -6,10 +6,14 @@ and expanding a node with the length-doubling PRG yields its two children.
 Correction words (one per level, part of the DPF key) are conditionally mixed
 into the children depending on the parent's control bit.
 
-This module provides the vectorised "expand one level" primitive that the
-correction-word DPF (:mod:`repro.dpf.dpf`) and the traversal strategies
-(:mod:`repro.dpf.traversal`) both build on, plus a small :class:`GGMTree`
-convenience used in tests and analysis to reason about node counts and depths.
+This module provides the vectorised "expand one level" primitive
+(:func:`expand_level_many`; :func:`expand_level` is its one-key form) that
+every walk of the correction-word DPF (:mod:`repro.dpf.dpf`) is built on,
+plus a small :class:`GGMTree` convenience used in tests and analysis to
+reason about node counts and depths.  The DPF's tree is early-terminated —
+its leaves are 128-bit output blocks, so a domain of ``2**n`` one-bit points
+has a tree of depth ``n - 7`` — and ``GGMTree(depth)`` describes a tree by
+that depth, whatever a leaf stands for.
 """
 
 from __future__ import annotations
@@ -78,33 +82,7 @@ def expand_level(
         leaf order equals natural index order when bits are consumed MSB
         first.
     """
-    seeds = np.ascontiguousarray(seeds, dtype=np.uint8)
-    control_bits = np.ascontiguousarray(control_bits, dtype=np.uint8)
-    if seeds.ndim != 2 or seeds.shape[1] != SEED_BYTES:
-        raise ValueError("seeds must have shape (m, 16)")
-    if control_bits.shape != (seeds.shape[0],):
-        raise ValueError("control_bits must have shape (m,)")
-
-    left, right, t_left, t_right = prg.expand(seeds)
-
-    mask = control_bits.astype(bool)
-    if mask.any():
-        cw_seed = correction.seed_array()
-        left[mask] ^= cw_seed
-        right[mask] ^= cw_seed
-        t_left = t_left.copy()
-        t_right = t_right.copy()
-        t_left[mask] ^= np.uint8(correction.t_left)
-        t_right[mask] ^= np.uint8(correction.t_right)
-
-    count = seeds.shape[0]
-    child_seeds = np.empty((2 * count, SEED_BYTES), dtype=np.uint8)
-    child_bits = np.empty(2 * count, dtype=np.uint8)
-    child_seeds[0::2] = left
-    child_seeds[1::2] = right
-    child_bits[0::2] = t_left
-    child_bits[1::2] = t_right
-    return child_seeds, child_bits
+    return expand_level_many(prg, seeds, control_bits, [correction], len(seeds))
 
 
 def expand_level_many(
@@ -123,15 +101,15 @@ def expand_level_many(
     node of every key (``B x 2^level`` seeds instead of ``2^level`` seeds
     ``B`` times), with each key's correction broadcast over its rows.
 
-    Children come back key-major with the same sibling interleave as
-    :func:`expand_level`, so each key's slice of the output is bit-identical
-    to expanding that key alone.
+    Children come back key-major, each key's interleaved as
+    ``[node0.left, node0.right, node1.left, node1.right, ...]``, so each
+    key's slice of the output is bit-identical to expanding that key alone.
     """
     seeds = np.ascontiguousarray(seeds, dtype=np.uint8)
     control_bits = np.ascontiguousarray(control_bits, dtype=np.uint8)
     num_keys = len(corrections)
-    if nodes_per_key <= 0:
-        raise ValueError("nodes_per_key must be positive")
+    if nodes_per_key < 0:
+        raise ValueError("nodes_per_key must be non-negative")
     if seeds.ndim != 2 or seeds.shape[1] != SEED_BYTES:
         raise ValueError("seeds must have shape (m, 16)")
     if seeds.shape[0] != num_keys * nodes_per_key:

@@ -17,6 +17,9 @@ Both backends expand a 128-bit seed into two 128-bit child seeds plus two
 control bits, which is exactly the ``G`` used in the correction-word DPF of
 Boyle-Gilboa-Ishai as deployed by Google's ``distributed_point_functions``
 library and by Lam et al. (the GPU-PIR baseline the paper compares against).
+A third, independent output — :meth:`LengthDoublingPRG.convert` — turns a
+*leaf* seed into the 128-bit output block of the early-terminated DPF
+(:mod:`repro.dpf.dpf`); it costs one AES block and is counted separately.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ import numpy as np
 SEED_BYTES = 16
 #: AES blocks consumed by one length-doubling expansion (two 128-bit outputs).
 BLOCKS_PER_EXPAND = 2
+#: AES blocks consumed by one leaf conversion (one 128-bit output).
+BLOCKS_PER_CONVERT = 1
 
 # ---------------------------------------------------------------------------
 # Pure-Python AES-128 (FIPS-197).
@@ -134,27 +139,43 @@ def aes128_encrypt_block(key: bytes, block: bytes) -> bytes:
 # ---------------------------------------------------------------------------
 
 
+def _as_seeds(seeds: np.ndarray) -> np.ndarray:
+    """``seeds`` as a C-contiguous ``(k, 16)`` uint8 array, or ``ValueError``."""
+    seeds = np.ascontiguousarray(seeds, dtype=np.uint8)
+    if seeds.ndim != 2 or seeds.shape[1] != SEED_BYTES:
+        raise ValueError("seeds must have shape (k, 16)")
+    return seeds
+
+
 class LengthDoublingPRG:
     """Expands 128-bit seeds into two 128-bit child seeds plus two bits.
 
     Implementations must be deterministic and stateless apart from the
-    ``expand_calls`` / ``blocks_consumed`` counters used by the cost model.
+    ``expand_calls`` / ``convert_calls`` / ``blocks_consumed`` counters used
+    by the cost model.
     """
 
     #: AES-block equivalents charged per seed expansion by the cost model.
     blocks_per_expand = BLOCKS_PER_EXPAND
+    #: AES-block equivalents charged per leaf conversion.
+    blocks_per_convert = BLOCKS_PER_CONVERT
 
     def __init__(self) -> None:
         self.expand_calls = 0
+        self.convert_calls = 0
 
     @property
     def blocks_consumed(self) -> int:
         """Total AES-block equivalents consumed so far."""
-        return self.expand_calls * self.blocks_per_expand
+        return (
+            self.expand_calls * self.blocks_per_expand
+            + self.convert_calls * self.blocks_per_convert
+        )
 
     def reset_counters(self) -> None:
         """Zero the expansion counters (useful between benchmark runs)."""
         self.expand_calls = 0
+        self.convert_calls = 0
 
     def expand(self, seeds: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Expand a batch of seeds.
@@ -172,6 +193,15 @@ class LengthDoublingPRG:
         """
         raise NotImplementedError
 
+    def convert(self, seeds: np.ndarray) -> np.ndarray:
+        """Turn leaf seeds into 128-bit output blocks.
+
+        ``seeds`` is ``(k, 16)`` uint8 and so is the result.  The blocks are
+        a PRG output independent of both children :meth:`expand` derives
+        from the same seed, so no output bit coincides with a control bit.
+        """
+        raise NotImplementedError
+
     def expand_one(self, seed: bytes) -> Tuple[bytes, bytes, int, int]:
         """Expand a single seed given as 16 raw bytes."""
         array = np.frombuffer(seed, dtype=np.uint8).reshape(1, SEED_BYTES)
@@ -182,33 +212,40 @@ class LengthDoublingPRG:
 class AESPRG(LengthDoublingPRG):
     """GGM expansion built on the pure-Python AES-128 above.
 
-    The seed acts as the AES key; the left/right children are the encryptions
-    of the constant blocks ``0`` and ``1`` (a standard PRG-from-PRF
-    construction).  The control bits are taken from the children's *second*
-    64-bit lane so they stay independent of the bits the DPF's ``Convert``
-    step outputs (which come from the first lane) — reusing the same bit would
-    correlate each party's share with its control bit and visibly bias the
+    The seed acts as the AES key; the left/right children and the leaf
+    output block are the encryptions of the constant blocks ``0``, ``1`` and
+    ``2`` (a standard PRG-from-PRF construction).  Control bits are bit 64 of
+    each child; every bit of a DPF share comes from the dedicated
+    :meth:`convert` block — reading shares out of a child seed instead would
+    correlate a party's share with its control bit and visibly bias the
     share vector.
     """
 
     _LEFT_BLOCK = bytes(16)
     _RIGHT_BLOCK = bytes([1] + [0] * 15)
+    _CONVERT_BLOCK = bytes([2] + [0] * 15)
+
+    @staticmethod
+    def _encrypt_under(seeds: np.ndarray, block: bytes) -> np.ndarray:
+        """AES-encrypt the constant ``block`` under every seed as key."""
+        out = np.empty_like(seeds)
+        for i in range(seeds.shape[0]):
+            out[i] = np.frombuffer(aes128_encrypt_block(seeds[i].tobytes(), block), dtype=np.uint8)
+        return out
 
     def expand(self, seeds: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        seeds = np.ascontiguousarray(seeds, dtype=np.uint8)
-        if seeds.ndim != 2 or seeds.shape[1] != SEED_BYTES:
-            raise ValueError("seeds must have shape (k, 16)")
-        count = seeds.shape[0]
-        left = np.empty_like(seeds)
-        right = np.empty_like(seeds)
-        for i in range(count):
-            key = seeds[i].tobytes()
-            left[i] = np.frombuffer(aes128_encrypt_block(key, self._LEFT_BLOCK), dtype=np.uint8)
-            right[i] = np.frombuffer(aes128_encrypt_block(key, self._RIGHT_BLOCK), dtype=np.uint8)
+        seeds = _as_seeds(seeds)
+        left = self._encrypt_under(seeds, self._LEFT_BLOCK)
+        right = self._encrypt_under(seeds, self._RIGHT_BLOCK)
         t_left = (left[:, 8] & 1).astype(np.uint8)
         t_right = (right[:, 8] & 1).astype(np.uint8)
-        self.expand_calls += count
+        self.expand_calls += seeds.shape[0]
         return left, right, t_left, t_right
+
+    def convert(self, seeds: np.ndarray) -> np.ndarray:
+        seeds = _as_seeds(seeds)
+        self.convert_calls += seeds.shape[0]
+        return self._encrypt_under(seeds, self._CONVERT_BLOCK)
 
 
 class NumpyPRG(LengthDoublingPRG):
@@ -224,6 +261,7 @@ class NumpyPRG(LengthDoublingPRG):
 
     _GAMMA_LEFT = np.uint64(0x9E3779B97F4A7C15)
     _GAMMA_RIGHT = np.uint64(0xC2B2AE3D27D4EB4F)
+    _GAMMA_CONVERT = np.uint64(0x165667B19E3779F9)
     _ROUND_2 = np.uint64(0xD6E8FEB86659FD93)
     _ROUND_3 = np.uint64(0xA0761D6478BD642F)
     _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -248,22 +286,29 @@ class NumpyPRG(LengthDoublingPRG):
         left ^= self._mix(right + self._ROUND_3)
         return np.stack([left, right], axis=1)
 
-    def expand(self, seeds: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        seeds = np.ascontiguousarray(seeds, dtype=np.uint8)
-        if seeds.ndim != 2 or seeds.shape[1] != SEED_BYTES:
-            raise ValueError("seeds must have shape (k, 16)")
+    def _children(self, seeds: np.ndarray, *gammas: np.uint64) -> Tuple[np.ndarray, ...]:
+        """One ``(k, 16)`` uint8 output per gamma constant."""
         lanes = seeds.view(np.uint64).reshape(-1, 2)
         with np.errstate(over="ignore"):
-            left_lanes = self._child(lanes, self._GAMMA_LEFT)
-            right_lanes = self._child(lanes, self._GAMMA_RIGHT)
-        # _child returns fresh C-contiguous uint64 lanes, so a view suffices;
-        # astype here would silently copy 16 bytes per child seed.
-        left = left_lanes.view(np.uint8).reshape(-1, SEED_BYTES)
-        right = right_lanes.view(np.uint8).reshape(-1, SEED_BYTES)
+            # _child returns fresh C-contiguous uint64 lanes, so a view
+            # suffices; astype here would silently copy 16 bytes per seed.
+            return tuple(
+                self._child(lanes, gamma).view(np.uint8).reshape(-1, SEED_BYTES)
+                for gamma in gammas
+            )
+
+    def expand(self, seeds: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        seeds = _as_seeds(seeds)
+        left, right = self._children(seeds, self._GAMMA_LEFT, self._GAMMA_RIGHT)
         t_left = (left[:, 8] & 1).astype(np.uint8, copy=False)
         t_right = (right[:, 8] & 1).astype(np.uint8, copy=False)
         self.expand_calls += seeds.shape[0]
         return left, right, t_left, t_right
+
+    def convert(self, seeds: np.ndarray) -> np.ndarray:
+        seeds = _as_seeds(seeds)
+        self.convert_calls += seeds.shape[0]
+        return self._children(seeds, self._GAMMA_CONVERT)[0]
 
 
 def make_prg(backend: str = "numpy") -> LengthDoublingPRG:

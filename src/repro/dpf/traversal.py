@@ -4,33 +4,38 @@ The paper contrasts three ways of evaluating every leaf of the GGM tree:
 
 * **branch-parallel** — each worker recomputes the full root-to-leaf path of
   its leaves.  Maximally parallel and needs almost no shared state, but every
-  level is recomputed once per leaf (``N * log N`` PRG calls) and the working
-  set per worker is the whole path.  The paper rules it out for UPMEM DPUs
-  because the per-DPU WRAM (64 KB) cannot hold the needed buffers.
+  level is recomputed once per leaf (``L * log L`` PRG calls for ``L`` leaves)
+  and the working set per worker is the whole path.  The paper rules it out
+  for UPMEM DPUs because the per-DPU WRAM (64 KB) cannot hold the needed
+  buffers.
 * **level-by-level** — expand the tree breadth-first, keeping one whole level
-  in memory (``N - 1`` PRG calls but ``O(N * lambda)`` intermediate memory and
+  in memory (``L - 1`` PRG calls but ``O(L * lambda)`` intermediate memory and
   a synchronisation barrier per level).  On UPMEM this would require
   inter-DPU communication through the host, which the paper shows is
   prohibitive.
 * **memory-bounded** — the hybrid used by Lam et al.: split the leaf range
   into fixed-size chunks, descend from the root to each chunk's subtree root,
   then expand that subtree level by level.  Memory is bounded by the chunk
-  size at the cost of re-descending ``log(N / chunk)`` levels per chunk.
+  size at the cost of re-descending ``log(L / chunk)`` levels per chunk.
 
-All three produce bit-identical outputs; they differ only in PRG-call count
-and peak memory, which :class:`TraversalStats` captures so the trade-off can
-be demonstrated quantitatively (see ``benchmarks/bench_ablation_traversal.py``).
+The tree is the early-terminated one of :mod:`repro.dpf.dpf`: a leaf is a
+128-bit block of ``dpf.slots_per_block`` points, so ``L = N /
+slots_per_block``.  The strategies only choose *which nodes to expand in
+which order* — the walks themselves (:meth:`DPF.expand_front`,
+:meth:`DPF.descend`) and the leaf-to-output step live in the DPF.  All three
+produce bit-identical outputs; they differ only in PRG-call count and peak
+memory, which :class:`TraversalStats` captures so the trade-off can be
+demonstrated quantitatively (see ``benchmarks/bench_ablation_traversal.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Type
+from typing import Dict, Optional, Tuple, Type
 
 import numpy as np
 
-from repro.dpf.dpf import DPF, DPFKey, _convert
-from repro.dpf.ggm import expand_level
+from repro.dpf.dpf import DPF, DPFKey
 from repro.dpf.prf import SEED_BYTES
 
 
@@ -40,7 +45,10 @@ class TraversalStats:
 
     prg_calls: int = 0
     peak_nodes_in_memory: int = 0
+    #: Domain points produced.
     leaves_evaluated: int = 0
+    #: Tree leaves (128-bit blocks) those points were read from.
+    leaf_nodes: int = 0
 
     @property
     def peak_memory_bytes(self) -> int:
@@ -49,8 +57,8 @@ class TraversalStats:
 
     @property
     def redundancy_factor(self) -> float:
-        """PRG calls relative to the level-by-level optimum (``leaves - 1``)."""
-        optimum = max(1, self.leaves_evaluated - 1)
+        """PRG calls relative to the level-by-level optimum (``leaf_nodes - 1``)."""
+        optimum = max(1, self.leaf_nodes - 1)
         return self.prg_calls / optimum
 
 
@@ -67,19 +75,24 @@ class TraversalStrategy:
         stats: Optional[TraversalStats] = None,
     ) -> np.ndarray:
         """Return the uint64 share vector of length ``num_points``."""
-        raise NotImplementedError
+        num_points = dpf.domain_size if num_points is None else num_points
+        num_blocks = dpf.num_blocks(num_points)
+        before = dpf.prg.expand_calls
+        seeds, controls, peak = self._leaves(dpf, key, num_blocks)
+        blocks = dpf.leaf_blocks([key], seeds[:num_blocks], controls[:num_blocks])
+        if stats is not None:
+            stats.prg_calls += dpf.prg.expand_calls - before
+            stats.peak_nodes_in_memory = max(stats.peak_nodes_in_memory, peak)
+            stats.leaves_evaluated += num_points
+            stats.leaf_nodes += num_blocks
+        return dpf.slot_values(blocks, num_points)[0]
 
-    def _finalize(
-        self,
-        dpf: DPF,
-        key: DPFKey,
-        seeds: np.ndarray,
-        controls: np.ndarray,
-    ) -> np.ndarray:
-        """Convert leaf seeds/controls into output-group values."""
-        values = _convert(seeds, dpf.output_bits)
-        correction = np.uint64(key.final_correction)
-        return (values ^ (controls.astype(np.uint64) * correction)).astype(np.uint64)
+    def _leaves(
+        self, dpf: DPF, key: DPFKey, num_blocks: int
+    ) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Leaf ``(seeds, controls)`` of at least the first ``num_blocks`` blocks,
+        and the most tree nodes the walk held at once."""
+        raise NotImplementedError
 
 
 class LevelByLevelTraversal(TraversalStrategy):
@@ -87,27 +100,9 @@ class LevelByLevelTraversal(TraversalStrategy):
 
     name = "level_by_level"
 
-    def eval_full(
-        self,
-        dpf: DPF,
-        key: DPFKey,
-        num_points: Optional[int] = None,
-        stats: Optional[TraversalStats] = None,
-    ) -> np.ndarray:
-        num_points = dpf.domain_size if num_points is None else num_points
-        before = dpf.prg.expand_calls
-        seeds = key.root_seed_array().reshape(1, SEED_BYTES).copy()
-        controls = np.asarray([key.party], dtype=np.uint8)
-        peak = 1
-        for level in range(dpf.domain_bits):
-            seeds, controls = expand_level(dpf.prg, seeds, controls, key.correction_words[level])
-            peak = max(peak, seeds.shape[0])
-        values = self._finalize(dpf, key, seeds, controls)[:num_points]
-        if stats is not None:
-            stats.prg_calls += dpf.prg.expand_calls - before
-            stats.peak_nodes_in_memory = max(stats.peak_nodes_in_memory, peak)
-            stats.leaves_evaluated += num_points
-        return values
+    def _leaves(self, dpf, key, num_blocks):
+        seeds, controls = dpf.expand_front([key], *dpf.roots([key]))
+        return seeds, controls, seeds.shape[0]
 
 
 class BranchParallelTraversal(TraversalStrategy):
@@ -121,38 +116,18 @@ class BranchParallelTraversal(TraversalStrategy):
 
     name = "branch_parallel"
 
-    def eval_full(
-        self,
-        dpf: DPF,
-        key: DPFKey,
-        num_points: Optional[int] = None,
-        stats: Optional[TraversalStats] = None,
-    ) -> np.ndarray:
-        num_points = dpf.domain_size if num_points is None else num_points
-        before = dpf.prg.expand_calls
-        leaves = np.arange(num_points, dtype=np.uint64)
-        seeds = np.repeat(key.root_seed_array().reshape(1, SEED_BYTES), num_points, axis=0).copy()
-        controls = np.full(num_points, key.party, dtype=np.uint8)
-        peak = num_points
-        for level in range(dpf.domain_bits):
-            child_seeds, child_controls = expand_level(
-                dpf.prg, seeds, controls, key.correction_words[level]
-            )
-            bits = ((leaves >> np.uint64(dpf.domain_bits - 1 - level)) & np.uint64(1)).astype(np.int64)
-            pick = np.arange(num_points, dtype=np.int64) * 2 + bits
-            seeds = child_seeds[pick]
-            controls = child_controls[pick]
-            peak = max(peak, child_seeds.shape[0])
-        values = self._finalize(dpf, key, seeds, controls)
-        if stats is not None:
-            stats.prg_calls += dpf.prg.expand_calls - before
-            stats.peak_nodes_in_memory = max(stats.peak_nodes_in_memory, peak)
-            stats.leaves_evaluated += num_points
-        return values
+    def _leaves(self, dpf, key, num_blocks):
+        seeds, controls = dpf.descend(key, np.arange(num_blocks))
+        # Each level materialises both children of every path before picking.
+        return seeds, controls, num_blocks * (2 if dpf.tree_depth else 1)
 
 
 class MemoryBoundedTraversal(TraversalStrategy):
-    """Chunked traversal bounding peak memory to ``chunk_leaves`` nodes."""
+    """Chunked traversal bounding peak memory to one chunk's leaves.
+
+    ``chunk_leaves`` is counted in domain points; a chunk never shrinks below
+    one leaf block.
+    """
 
     name = "memory_bounded"
 
@@ -163,54 +138,21 @@ class MemoryBoundedTraversal(TraversalStrategy):
             raise ValueError("chunk_leaves must be a power of two")
         self.chunk_leaves = chunk_leaves
 
-    def eval_full(
-        self,
-        dpf: DPF,
-        key: DPFKey,
-        num_points: Optional[int] = None,
-        stats: Optional[TraversalStats] = None,
-    ) -> np.ndarray:
-        num_points = dpf.domain_size if num_points is None else num_points
-        before = dpf.prg.expand_calls
-        chunk = min(self.chunk_leaves, dpf.domain_size)
-        chunk_depth = chunk.bit_length() - 1
-        descent_depth = dpf.domain_bits - chunk_depth
-
-        output = np.zeros(num_points, dtype=np.uint64)
-        peak = 0
-        num_chunks = -(-num_points // chunk)
+    def _leaves(self, dpf, key, num_blocks):
+        chunk_blocks = min(max(1, self.chunk_leaves // dpf.slots_per_block), 1 << dpf.tree_depth)
+        descent_depth = dpf.tree_depth - (chunk_blocks.bit_length() - 1)
+        num_chunks = -(-num_blocks // chunk_blocks)
+        seeds = np.empty((num_chunks * chunk_blocks, SEED_BYTES), dtype=np.uint8)
+        controls = np.empty(num_chunks * chunk_blocks, dtype=np.uint8)
         for chunk_index in range(num_chunks):
-            start = chunk_index * chunk
-            stop = min(start + chunk, num_points)
-
-            # Descend from the root to the chunk's subtree root along one path.
-            seed = key.root_seed_array().copy()
-            control = np.uint8(key.party)
-            for level in range(descent_depth):
-                bit = (chunk_index >> (descent_depth - 1 - level)) & 1
-                child_seeds, child_controls = expand_level(
-                    dpf.prg,
-                    seed.reshape(1, SEED_BYTES),
-                    np.asarray([control], dtype=np.uint8),
-                    key.correction_words[level],
-                )
-                seed = child_seeds[bit].copy()
-                control = child_controls[bit]
-
-            # Expand the subtree level by level.
-            seeds = seed.reshape(1, SEED_BYTES)
-            controls = np.asarray([control], dtype=np.uint8)
-            for level in range(descent_depth, dpf.domain_bits):
-                seeds, controls = expand_level(dpf.prg, seeds, controls, key.correction_words[level])
-            peak = max(peak, seeds.shape[0])
-            values = self._finalize(dpf, key, seeds, controls)
-            output[start:stop] = values[: stop - start]
-
-        if stats is not None:
-            stats.prg_calls += dpf.prg.expand_calls - before
-            stats.peak_nodes_in_memory = max(stats.peak_nodes_in_memory, peak)
-            stats.leaves_evaluated += num_points
-        return output
+            # Descend to the chunk's subtree root along one path, then expand
+            # the subtree level by level.
+            root = dpf.descend(key, [chunk_index], depth=descent_depth)
+            span = slice(chunk_index * chunk_blocks, (chunk_index + 1) * chunk_blocks)
+            seeds[span], controls[span] = dpf.expand_front(
+                [key], *root, first_level=descent_depth
+            )
+        return seeds, controls, chunk_blocks
 
 
 _STRATEGIES: Dict[str, Type[TraversalStrategy]] = {

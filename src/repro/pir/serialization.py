@@ -4,7 +4,10 @@ In a real deployment the client and the two servers are separate processes on
 separate machines; everything they exchange must cross a network.  This module
 defines a compact, versioned binary encoding for the protocol messages:
 
-* DPF keys — root seed, per-level correction words, final correction word;
+* DPF keys — root seed, one correction word per expanded tree level, one
+  16-byte final correction block (wire version 2: the early-terminated
+  construction of :mod:`repro.dpf.dpf`; version-1 blobs are rejected, keys
+  are per-request and never persisted);
 * DPF/naive queries — header plus key or packed selector share;
 * answers — header plus the XOR sub-result.
 
@@ -21,25 +24,38 @@ from typing import Tuple, Union
 import numpy as np
 
 from repro.common.errors import ProtocolError
-from repro.dpf.dpf import DPFKey
+from repro.dpf.dpf import (
+    CORRECTION_WORD_BYTES,
+    KEY_HEADER,
+    MAX_OUTPUT_BITS,
+    DPFKey,
+    key_wire_bytes,
+    tree_depth,
+)
 from repro.dpf.ggm import CorrectionWord
 from repro.dpf.naive import NaiveShare
 from repro.dpf.prf import SEED_BYTES
 from repro.pir.messages import DPFQuery, NaiveQuery, PIRAnswer
 
 #: Format-version byte embedded in every message.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 _MAGIC_KEY = b"DK"
 _MAGIC_DPF_QUERY = b"DQ"
 _MAGIC_NAIVE_QUERY = b"NQ"
 _MAGIC_ANSWER = b"PA"
 
-_KEY_HEADER = struct.Struct("<2sBBBBQ")       # magic, version, party, domain_bits, output_bits, final_cw
 _QUERY_HEADER = struct.Struct("<2sBBIQ")      # magic, version, server_id, query_id, num_records
 _ANSWER_HEADER = struct.Struct("<2sBBIQI")    # magic, version, server_id, query_id, sim_ns, payload_len
 
 Query = Union[DPFQuery, NaiveQuery]
+
+
+def _require_version(version: int) -> None:
+    if version != WIRE_VERSION:
+        raise ProtocolError(
+            f"unsupported wire version {version}, expected version {WIRE_VERSION}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -48,55 +64,52 @@ Query = Union[DPFQuery, NaiveQuery]
 
 
 def serialize_key(key: DPFKey) -> bytes:
-    """Encode a DPF key into its wire representation."""
+    """Encode a DPF key into its wire representation (``key.size_bytes`` bytes)."""
     parts = [
-        _KEY_HEADER.pack(
-            _MAGIC_KEY,
-            WIRE_VERSION,
-            key.party,
-            key.domain_bits,
-            key.output_bits,
-            key.final_correction,
-        ),
+        KEY_HEADER.pack(_MAGIC_KEY, WIRE_VERSION, key.party, key.domain_bits, key.output_bits),
         key.root_seed,
     ]
     for correction in key.correction_words:
         parts.append(correction.seed)
         parts.append(bytes([correction.t_left, correction.t_right]))
+    parts.append(key.final_correction)
     return b"".join(parts)
 
 
 def deserialize_key(blob: bytes) -> DPFKey:
     """Decode a DPF key from its wire representation."""
-    if len(blob) < _KEY_HEADER.size + SEED_BYTES:
+    if len(blob) < KEY_HEADER.size:
         raise ProtocolError("DPF key blob is truncated")
-    magic, version, party, domain_bits, output_bits, final_correction = _KEY_HEADER.unpack_from(blob)
+    magic, version, party, domain_bits, output_bits = KEY_HEADER.unpack_from(blob)
     if magic != _MAGIC_KEY:
         raise ProtocolError(f"not a DPF key blob (magic {magic!r})")
-    if version != WIRE_VERSION:
-        raise ProtocolError(f"unsupported wire version {version}")
-    offset = _KEY_HEADER.size
-    root_seed = blob[offset:offset + SEED_BYTES]
-    offset += SEED_BYTES
-
-    per_level = SEED_BYTES + 2
-    expected = offset + domain_bits * per_level
+    _require_version(version)
+    if not 1 <= output_bits <= MAX_OUTPUT_BITS:
+        raise ProtocolError(
+            f"DPF key has output_bits={output_bits}, expected 1..{MAX_OUTPUT_BITS}"
+        )
+    levels = tree_depth(domain_bits, output_bits)
+    expected = key_wire_bytes(levels)
     if len(blob) != expected:
         raise ProtocolError(
-            f"DPF key blob has {len(blob)} bytes, expected {expected} for {domain_bits} levels"
+            f"DPF key blob has {len(blob)} bytes, expected {expected}: {levels} "
+            f"correction words for a {domain_bits}-bit domain with {output_bits}-bit outputs"
         )
+    offset = KEY_HEADER.size
+    root_seed = blob[offset:offset + SEED_BYTES]
+    offset += SEED_BYTES
     corrections = []
-    for _ in range(domain_bits):
+    for _ in range(levels):
         seed = blob[offset:offset + SEED_BYTES]
         t_left, t_right = blob[offset + SEED_BYTES], blob[offset + SEED_BYTES + 1]
         corrections.append(CorrectionWord(seed, t_left, t_right))
-        offset += per_level
+        offset += CORRECTION_WORD_BYTES
     return DPFKey(
         party=party,
         domain_bits=domain_bits,
         root_seed=root_seed,
         correction_words=tuple(corrections),
-        final_correction=final_correction,
+        final_correction=blob[offset:],
         output_bits=output_bits,
     )
 
@@ -127,8 +140,7 @@ def deserialize_query(blob: bytes) -> Query:
     if len(blob) < _QUERY_HEADER.size:
         raise ProtocolError("query blob is truncated")
     magic, version, server_id, query_id, num_records = _QUERY_HEADER.unpack_from(blob)
-    if version != WIRE_VERSION:
-        raise ProtocolError(f"unsupported wire version {version}")
+    _require_version(version)
     body = blob[_QUERY_HEADER.size:]
     if magic == _MAGIC_DPF_QUERY:
         key = deserialize_key(body)
@@ -171,8 +183,7 @@ def deserialize_answer(blob: bytes) -> PIRAnswer:
     magic, version, server_id, query_id, simulated_ns, payload_len = _ANSWER_HEADER.unpack_from(blob)
     if magic != _MAGIC_ANSWER:
         raise ProtocolError(f"not an answer blob (magic {magic!r})")
-    if version != WIRE_VERSION:
-        raise ProtocolError(f"unsupported wire version {version}")
+    _require_version(version)
     payload = blob[_ANSWER_HEADER.size:]
     if len(payload) != payload_len:
         raise ProtocolError(f"answer payload has {len(payload)} bytes, header says {payload_len}")

@@ -5,23 +5,37 @@ import pytest
 
 from repro.common.errors import KeyMismatchError
 from repro.dpf.dpf import DPF, DPFKey, EvalStats, verify_keys
+from repro.dpf.ggm import CorrectionWord
 from repro.dpf.prf import make_prg
 
 
 class TestGen:
     def test_keys_have_expected_structure(self):
-        dpf = DPF(domain_bits=8, seed=1)
+        dpf = DPF(domain_bits=12, seed=1)
         key0, key1 = dpf.gen(37, 1)
         assert key0.party == 0 and key1.party == 1
-        assert len(key0.correction_words) == 8
+        # One correction word per *expanded* level: the tree stops 7 levels
+        # above the points and a leaf block carries 128 of them.
+        assert dpf.tree_depth == key0.tree_depth == 12 - 7
+        assert len(key0.correction_words) == 12 - 7
         assert key0.correction_words == key1.correction_words
+        assert key0.final_correction == key1.final_correction
+        assert len(key0.final_correction) == 16
         assert key0.root_seed != key1.root_seed
 
+    @pytest.mark.parametrize(
+        "output_bits,slot_bits", [(1, 7), (2, 6), (7, 4), (8, 4), (13, 3), (32, 2), (64, 1)]
+    )
+    def test_tree_depth_follows_output_width(self, output_bits, slot_bits):
+        assert DPF(domain_bits=10, output_bits=output_bits).tree_depth == 10 - slot_bits
+        assert DPF(domain_bits=1, output_bits=output_bits).tree_depth == 0
+
     def test_key_size_grows_logarithmically(self):
-        small = DPF(domain_bits=8, seed=1).gen(3)[0].size_bytes
-        large = DPF(domain_bits=20, seed=1).gen(3)[0].size_bytes
+        small = DPF(domain_bits=12, seed=1).gen(3)[0].size_bytes
+        large = DPF(domain_bits=24, seed=1).gen(3)[0].size_bytes
         assert large > small
-        assert large < 4 * small  # log-scale growth, not linear
+        assert large < 4 * small  # log-scale growth (domain grew 4096x), not linear
+        assert large - small == 12 * 18  # one 18-byte correction word per doubling
 
     def test_alpha_out_of_domain_rejected(self):
         with pytest.raises(ValueError):
@@ -102,14 +116,15 @@ class TestFullDomainEval:
             dpf.eval_full_bits(key0)
 
     def test_stats_accumulation(self):
-        dpf = DPF(domain_bits=8, seed=1)
+        dpf = DPF(domain_bits=12, seed=1)
         key0, _ = dpf.gen(7)
         stats = EvalStats()
         dpf.eval_full(key0, stats=stats)
-        assert stats.leaves_evaluated == 256
-        assert stats.prg_expansions == 255  # level-by-level: one per internal node
-        assert stats.aes_block_equivalents == 2 * 255
-        assert stats.peak_nodes_in_memory == 256
+        blocks = 4096 // 128
+        assert stats.leaves_evaluated == 4096
+        assert stats.prg_expansions == blocks - 1  # one per internal node of the block tree
+        assert stats.aes_block_equivalents == 2 * (blocks - 1) + blocks  # + one conversion per leaf
+        assert stats.peak_nodes_in_memory == blocks
 
     def test_domain_bits_zero(self):
         dpf = DPF(domain_bits=0, seed=1)
@@ -161,11 +176,25 @@ class TestKeyValidation:
             )
 
     def test_key_rejects_wrong_correction_count(self):
-        with pytest.raises(ValueError):
+        word = CorrectionWord(bytes(16), 0, 0)
+        # A 10-bit domain expands 3 levels, a 3-bit one none: neither zero
+        # words, nor the old one-per-domain-bit count, is accepted.
+        for domain_bits, count in ((10, 0), (10, 10), (3, 3)):
+            with pytest.raises(ValueError, match="per expanded level"):
+                DPFKey(
+                    party=0,
+                    domain_bits=domain_bits,
+                    root_seed=bytes(16),
+                    correction_words=(word,) * count,
+                    final_correction=bytes(16),
+                )
+
+    def test_key_rejects_wrong_final_block_length(self):
+        with pytest.raises(ValueError, match="16-byte block"):
             DPFKey(
                 party=0,
                 domain_bits=3,
                 root_seed=bytes(16),
                 correction_words=(),
-                final_correction=0,
+                final_correction=bytes(8),
             )

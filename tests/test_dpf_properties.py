@@ -3,11 +3,16 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.dpf.dpf import DPF
+from repro.dpf.dpf import DPF, EvalStats
 from repro.dpf.naive import NaiveXorQueryScheme, xor_select
-from repro.dpf.traversal import make_traversal
+from repro.dpf.prf import make_prg
+from repro.dpf.traversal import TraversalStats, make_traversal
 
 _SETTINGS = dict(max_examples=30, deadline=None)
+
+#: Output widths covering every slots-per-block shape: 128 (1 bit), 64, 16
+#: with 16 unused bits (7), 16 (8), 8 with 24 unused bits (13), 4 and 2.
+_OUTPUT_BITS = st.sampled_from([1, 2, 7, 8, 13, 32, 64])
 
 
 class TestDPFProperties:
@@ -57,19 +62,143 @@ class TestDPFProperties:
 
     @settings(**_SETTINGS)
     @given(
-        domain_bits=st.integers(min_value=2, max_value=9),
+        domain_bits=st.integers(min_value=2, max_value=12),
         seed=st.integers(min_value=0, max_value=2**31),
-        chunk_exp=st.integers(min_value=0, max_value=5),
+        chunk_exp=st.integers(min_value=0, max_value=13),
+        short_by=st.integers(min_value=0, max_value=200),
     )
-    def test_traversals_agree(self, domain_bits, seed, chunk_exp):
+    def test_traversals_agree(self, domain_bits, seed, chunk_exp, short_by):
+        """Same outputs, ordered costs; ``chunk_leaves`` is counted in points,
+        so chunks range from below one 128-point block to above the domain."""
         dpf = DPF(domain_bits, seed=seed)
         alpha = dpf.domain_size - 1
         key0, _ = dpf.gen(alpha, 1)
-        reference = make_traversal("level_by_level").eval_full(dpf, key0)
-        branch = make_traversal("branch_parallel").eval_full(dpf, key0)
-        bounded = make_traversal("memory_bounded", chunk_leaves=2**chunk_exp).eval_full(dpf, key0)
+        num_points = max(1, dpf.domain_size - short_by)
+        stats = {name: TraversalStats() for name in ("level", "bounded", "branch")}
+        reference = make_traversal("level_by_level").eval_full(
+            dpf, key0, num_points, stats=stats["level"]
+        )
+        branch = make_traversal("branch_parallel").eval_full(
+            dpf, key0, num_points, stats=stats["branch"]
+        )
+        bounded = make_traversal("memory_bounded", chunk_leaves=2**chunk_exp).eval_full(
+            dpf, key0, num_points, stats=stats["bounded"]
+        )
+        assert np.array_equal(reference, dpf.eval_full(key0, num_points))
         assert np.array_equal(reference, branch)
         assert np.array_equal(reference, bounded)
+        if num_points == dpf.domain_size:
+            assert (
+                stats["level"].prg_calls
+                <= stats["bounded"].prg_calls
+                <= stats["branch"].prg_calls
+            )
+        chunk_blocks = max(1, 2**chunk_exp // 128)
+        assert stats["bounded"].peak_nodes_in_memory <= chunk_blocks
+        assert stats["level"].peak_nodes_in_memory == max(1, dpf.domain_size // 128)
+
+
+class TestEarlyTerminatedConstruction:
+    """The 128-bit-leaf construction, at every block shape and tree depth."""
+
+    @settings(**_SETTINGS)
+    @given(
+        domain_bits=st.integers(min_value=0, max_value=12),
+        output_bits=_OUTPUT_BITS,
+        alpha_fraction=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        beta_seed=st.integers(min_value=0, max_value=2**64 - 1),
+        short_by=st.integers(min_value=0, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_shares_xor_to_point_function_on_every_read_path(
+        self, domain_bits, output_bits, alpha_fraction, beta_seed, short_by, seed
+    ):
+        dpf = DPF(domain_bits, output_bits=output_bits, seed=seed)
+        alpha = int(alpha_fraction * dpf.domain_size)
+        beta = beta_seed % ((1 << output_bits) - 1) + 1
+        keys = dpf.gen(alpha, beta)
+        # Rarely a multiple of the block size; sometimes cuts alpha off.
+        num_points = max(1, dpf.domain_size - short_by)
+
+        many = dpf.eval_full_many(keys, num_points)
+        assert many.shape == (2, num_points) and many.dtype == np.uint64
+        expected = np.zeros(num_points, dtype=np.uint64)
+        if alpha < num_points:
+            expected[alpha] = beta
+        assert np.array_equal(many[0] ^ many[1], expected)
+
+        assert dpf.eval(keys[0], alpha) ^ dpf.eval(keys[1], alpha) == beta
+        probes = sorted({0, min(alpha, num_points - 1), num_points - 1, num_points // 2})
+        for row, key in enumerate(keys):
+            assert np.array_equal(many[row], dpf.eval_full(key, num_points))
+            assert np.array_equal(many[row][probes], dpf.eval_points(key, probes))
+            assert int(many[row][probes[-1]]) == dpf.eval(key, probes[-1])
+        if output_bits == 1:
+            bits = dpf.eval_full_bits_many(keys, num_points)
+            assert bits.dtype == np.uint8 and np.array_equal(bits, many)
+            assert np.array_equal(bits[1], dpf.eval_full_bits(keys[1], num_points))
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        domain_bits=st.integers(min_value=0, max_value=9),
+        output_bits=_OUTPUT_BITS,
+        short_by=st.integers(min_value=0, max_value=100),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_numpy_and_aes_prgs_charge_identical_counts(
+        self, domain_bits, output_bits, short_by, seed
+    ):
+        """Cost accounting is a property of the tree, not of the PRG behind it."""
+        charged = {}
+        for backend in ("numpy", "aes"):
+            prg = make_prg(backend)
+            dpf = DPF(domain_bits, output_bits=output_bits, prg=prg, seed=seed)
+            num_points = max(1, dpf.domain_size - short_by)
+            keys = dpf.gen(dpf.domain_size // 2, 1)
+            assert (prg.expand_calls, prg.convert_calls) == (2 * dpf.tree_depth, 2)
+            prg.reset_counters()
+            stats = EvalStats()
+            combined = np.bitwise_xor.reduce(dpf.eval_full_many(keys, num_points, stats=stats))
+            assert int(combined.sum()) == (1 if dpf.domain_size // 2 < num_points else 0)
+            charged[backend] = (
+                prg.expand_calls,
+                prg.convert_calls,
+                prg.blocks_consumed,
+                stats.prg_expansions,
+                stats.aes_block_equivalents,
+                stats.peak_nodes_in_memory,
+                stats.leaves_evaluated,
+            )
+        assert charged["numpy"] == charged["aes"]
+        expansions, conversions, blocks, *_ = charged["numpy"]
+        assert expansions == 2 * ((1 << dpf.tree_depth) - 1)
+        assert conversions == 2 * dpf.num_blocks(num_points)
+        assert blocks == 2 * expansions + conversions
+
+    def test_every_in_block_position_is_balanced(self):
+        """Over many keys each of the 128 positions of a leaf block is a fair
+        coin, and a share bit says nothing about its leaf's control bit.
+
+        Position 64 is singled out because the control bit *is* bit 64 of the
+        leaf seed: a construction that read shares out of the seed itself
+        (instead of out of a dedicated ``prg.convert`` block) would tie the
+        two together.
+        """
+        dpf = DPF(domain_bits=10, seed=2024)  # 8 blocks per key
+        keys = [dpf.gen(int(alpha), 1)[alpha & 1] for alpha in range(0, 1024, 3)]
+        assert len(keys) >= 256
+        seeds, controls = dpf.expand_front(keys, *dpf.roots(keys))
+        blocks = dpf.leaf_blocks(keys, seeds, controls)
+        bits = np.unpackbits(blocks, axis=-1, bitorder="little").reshape(-1, 128)
+        assert np.array_equal(
+            bits.reshape(len(keys), -1), dpf.eval_full_bits_many(keys)
+        )
+        frequency = bits.mean(axis=0)
+        assert frequency.shape == (128,)
+        assert np.all(np.abs(frequency - 0.5) <= 0.1)
+        assert 0.4 <= controls.mean() <= 0.6
+        agreement = float((bits[:, 64] == controls).mean())
+        assert abs(agreement - 0.5) <= 0.1
 
 
 class TestNaiveSchemeProperties:

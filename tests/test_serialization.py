@@ -1,5 +1,7 @@
 """Wire serialization: round-trips and malformed-input handling."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from repro.dpf.dpf import DPF
 from repro.dpf.naive import NaiveShare
 from repro.pir.messages import DPFQuery, NaiveQuery, PIRAnswer
 from repro.pir.serialization import (
+    WIRE_VERSION,
     deserialize_answer,
     deserialize_key,
     deserialize_query,
@@ -37,10 +40,18 @@ class TestKeyRoundTrip:
         combined = dpf.eval_full(restored0) ^ dpf.eval_full(restored1)
         assert combined[300] == 1 and int(combined.sum()) == 1
 
-    def test_serialized_size_matches_key_estimate(self, dpf_key):
-        blob = serialize_key(dpf_key)
-        # The in-memory estimate and the wire size agree to within the header.
-        assert abs(len(blob) - dpf_key.size_bytes) < 32
+    def test_serialized_size_matches_key_estimate(self):
+        """``size_bytes`` (what ``ClientStats.upload_bytes`` adds up) is the
+        wire size exactly, at every tree depth including the zero-level ones."""
+        for domain_bits in range(0, 21):
+            for output_bits in (1, 8, 64):
+                key0, key1 = DPF(domain_bits, output_bits=output_bits, seed=domain_bits).gen(0, 1)
+                for key in (key0, key1):
+                    assert len(serialize_key(key)) == key.size_bytes
+                    query = DPFQuery(query_id=0, server_id=key.party, key=key, num_records=1)
+                    assert query.upload_bytes == key.size_bytes
+        # 6-byte header + root seed + (20 - 7) 18-byte words + 16-byte final block.
+        assert DPF(20, seed=0).gen(0)[0].size_bytes == 6 + 16 + 13 * 18 + 16
 
     def test_truncated_blob_rejected(self, dpf_key):
         blob = serialize_key(dpf_key)
@@ -48,6 +59,40 @@ class TestKeyRoundTrip:
             deserialize_key(blob[:10])
         with pytest.raises(ProtocolError):
             deserialize_key(blob[:-3])
+
+    def test_version_1_blob_rejected(self, dpf_key):
+        """No v1 decode path: the old header (8-byte final word, one
+        correction word per domain bit) fails on its version byte."""
+        v1_header = struct.pack("<2sBBBBQ", b"DK", 1, 0, 12, 1, 1)
+        v1_blob = v1_header + bytes(16) + bytes(18) * 12
+        with pytest.raises(ProtocolError, match="wire version 1, expected version 2"):
+            deserialize_key(v1_blob)
+        relabelled = bytearray(serialize_key(dpf_key))
+        relabelled[2] = 1
+        with pytest.raises(ProtocolError, match="expected version 2"):
+            deserialize_key(bytes(relabelled))
+        assert WIRE_VERSION == 2
+
+    def test_level_count_must_match_tree_depth(self, dpf_key):
+        blob = serialize_key(dpf_key)
+        assert dpf_key.tree_depth == 5
+        one_too_many = blob[:-16] + bytes(18) + blob[-16:]
+        one_too_few = blob[:-16 - 18] + blob[-16:]
+        for bad in (one_too_many, one_too_few):
+            with pytest.raises(ProtocolError, match="5 correction words for a 12-bit domain"):
+                deserialize_key(bad)
+        # A header claiming another domain makes the same body the wrong length.
+        wider = bytearray(blob)
+        wider[4] = 13
+        with pytest.raises(ProtocolError, match="6 correction words for a 13-bit domain"):
+            deserialize_key(bytes(wider))
+
+    @pytest.mark.parametrize("output_bits", [0, 65, 255])
+    def test_output_bits_out_of_range_rejected(self, dpf_key, output_bits):
+        blob = bytearray(serialize_key(dpf_key))
+        blob[5] = output_bits
+        with pytest.raises(ProtocolError, match="expected 1..64"):
+            deserialize_key(bytes(blob))
 
     def test_wrong_magic_rejected(self, dpf_key):
         blob = bytearray(serialize_key(dpf_key))
@@ -136,6 +181,13 @@ class TestEndToEndOverTheWire:
             wire_answers.append(serialize_answer(servers[query.server_id].answer(query)))
         answers = [deserialize_answer(blob) for blob in wire_answers]
         assert client.reconstruct(answers) == small_db.record(index)
+
+    def test_client_upload_accounting_is_the_wire_key_size(self, small_db):
+        from repro.pir.client import PIRClient
+
+        client = PIRClient(small_db.num_records, small_db.record_size, seed=5)
+        queries = [query for index in (0, 7, 444) for query in client.query(index)]
+        assert client.stats.upload_bytes == sum(len(serialize_key(q.key)) for q in queries)
 
     def test_wire_sizes_helper(self, dpf_key):
         query = DPFQuery(query_id=0, server_id=0, key=dpf_key, num_records=4000)
