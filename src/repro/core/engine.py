@@ -280,10 +280,10 @@ class QueryEngine:
         seeds per level instead of ``2^level`` seeds ``B`` times) whose
         128-bit leaf blocks unpack straight into selector bytes; naive shares
         are written straight in.  The matrix comes from a per-engine checkout
-        pool so steady-state flushes of one shape reuse one preallocated
-        buffer; every row is fully overwritten, so stale contents can never
-        leak.  Hand the buffer back with :meth:`_recycle_selector_matrix`
-        once the batch is served.
+        pool so steady-state flushes of up to the tallest batch seen reuse one
+        preallocated buffer; every row is fully overwritten, so stale contents
+        can never leak.  Hand the buffer back with
+        :meth:`_recycle_selector_matrix` once the batch is served.
         """
         num_records = self.database.num_records
         buffer = self._take_selector_buffer((len(queries), num_records))
@@ -301,18 +301,25 @@ class QueryEngine:
         return buffer
 
     def _take_selector_buffer(self, shape: Tuple[int, int]) -> np.ndarray:
+        """A C-contiguous ``shape`` view of the pooled buffer's leading rows.
+
+        Dedup and cache hits make the flush size vary from one flush to the
+        next, so the pooled buffer is kept whenever it has *at least*
+        ``shape[0]`` rows; only a taller batch or another record count
+        reallocates.
+        """
         try:
             buffer = self._selector_pool.pop()
         except IndexError:
             buffer = None
-        if buffer is None or buffer.shape != shape:
+        if buffer is None or buffer.shape[0] < shape[0] or buffer.shape[1] != shape[1]:
             buffer = np.empty(shape, dtype=np.uint8)
-        return buffer
+        return buffer[: shape[0]]
 
     def _recycle_selector_matrix(self, buffer: np.ndarray) -> None:
         """Return a :meth:`selector_matrix` buffer to the checkout pool."""
         if not self._selector_pool:
-            self._selector_pool.append(buffer)
+            self._selector_pool.append(buffer.base)
 
     # -- single-query path (latency mode) -----------------------------------------
 

@@ -309,6 +309,49 @@ class TestBatchedScanLint:
             "per-query Python loop" in message for _, message in findings
         )
 
+    def test_scan_kernel_module_flagged(self, tmp_path):
+        # The per-row half-pass dpxor_many used to run must not come back.
+        findings = self._check(
+            tmp_path,
+            "src/repro/pir/xor_ops.py",
+            "def dpxor_many(batch):\n"
+            "    for row in range(batch):\n"
+            "        pass\n",
+        )
+        assert any(
+            "per-query Python loop" in message for _, message in findings
+        )
+
+    def test_scan_kernel_group_walk_is_legal(self, tmp_path):
+        findings = self._check(
+            tmp_path,
+            "src/repro/pir/xor_ops.py",
+            "def dpxor_many(batch):\n"
+            "    for group in range(0, batch, 8):\n"
+            "        pass\n",
+        )
+        assert not findings
+
+    def test_scan_kernel_noqa_suppresses(self, tmp_path):
+        findings = self._check(
+            tmp_path,
+            "src/repro/pir/xor_ops.py",
+            "def dpxor_many(batch):\n"
+            "    for row in range(batch):  # noqa\n"
+            "        pass\n",
+        )
+        assert not findings
+
+    def test_rest_of_pir_package_unaffected(self, tmp_path):
+        findings = self._check(
+            tmp_path,
+            "src/repro/pir/frontend.py",
+            "def drain(batch):\n"
+            "    for i in range(batch):\n"
+            "        pass\n",
+        )
+        assert not findings
+
     def test_attribute_bound_flagged(self, tmp_path):
         findings = self._check(
             tmp_path,

@@ -266,6 +266,69 @@ class TestDpxorMany:
         assert np.array_equal(dpxor_many(database, selectors), expected)
 
 
+class TestPatternBucketedScan:
+    """The batched kernel against an oracle written here, not in the library."""
+
+    ROW_KINDS = ("random", "zeros", "ones", "duplicate", "nonbinary")
+
+    @staticmethod
+    def _oracle(database, selectors):
+        return np.stack(
+            [np.bitwise_xor.reduce(database[row.astype(bool)], axis=0) for row in selectors]
+        )
+
+    @given(
+        num_records=st.sampled_from([0, 1, 7, 255, 256, 257, 1000]),
+        record_size=st.sampled_from([1, 3, 8, 24, 32, 520, 8192]),
+        row_kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=20),
+        margins=st.tuples(st.integers(0, 9), st.integers(0, 9)),
+        window=st.sampled_from([None, 1, 3, "N-1", "N+5"]),
+        stale_out=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_row_oracle(
+        self, num_records, record_size, row_kinds, margins, window, stale_out, seed
+    ):
+        rng = np.random.default_rng(seed)
+        batch = len(row_kinds)  # 1..20 crosses the 8/9 and 16/17 group seams
+        database = rng.integers(0, 256, size=(num_records, record_size), dtype=np.uint8)
+        # Column view of a wider matrix, as the sharded split passes them.
+        left, right = margins
+        matrix = rng.integers(0, 2, size=(batch, left + num_records + right), dtype=np.uint8)
+        selectors = matrix[:, left : left + num_records]
+        for row, kind in enumerate(row_kinds):
+            if kind == "zeros":
+                selectors[row] = 0
+            elif kind == "ones":
+                selectors[row] = 1
+            elif kind == "duplicate":
+                selectors[row] = selectors[0]
+            elif kind == "nonbinary":  # any non-zero byte selects
+                selectors[row] *= rng.integers(1, 256, size=num_records, dtype=np.uint8)
+        chunk_records = {"N-1": max(1, num_records - 1), "N+5": num_records + 5}.get(
+            window, window
+        )
+        out = np.full((batch, record_size), 0xA5, dtype=np.uint8) if stale_out else None
+        stats = DpXorStats()
+        got = dpxor_many(database, selectors, stats=stats, chunk_records=chunk_records, out=out)
+        assert np.array_equal(got, self._oracle(database, selectors))
+        if stale_out:
+            assert got is out
+        # What ``batch`` sequential full scans charge, spelled out.
+        assert stats == DpXorStats(
+            records_scanned=batch * num_records,
+            records_selected=int(np.count_nonzero(selectors)),
+            db_bytes_read=batch * num_records * record_size,
+            selector_bytes_read=batch * num_records,
+            output_bytes_written=batch * record_size,
+        )
+        sequential = DpXorStats()
+        for row in selectors:
+            dpxor(database, row, stats=sequential)
+        assert stats == sequential
+
+
 class TestWordFastPaths:
     @pytest.mark.parametrize("size", [1, 3, 7, 8, 15, 16, 24, 32])
     def test_xor_bytes_all_sizes(self, size):

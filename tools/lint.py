@@ -35,9 +35,11 @@ AST pass instead.  It flags:
   remain legal;
 * per-query Python loops over the batch dimension (single-argument
   ``for ... in range(batch)`` / ``range(batch_size)``) under
-  ``src/repro/shard/`` and ``src/repro/pim/`` — the batched scan and kernel
+  ``src/repro/shard/`` and ``src/repro/pim/`` and in the scan kernels
+  themselves (``src/repro/pir/xor_ops.py``) — the batched scan and kernel
   paths exist precisely so nothing walks a batch query by query in Python;
-  as with the per-record rule, chunked ranges stay legal;
+  as with the per-record rule, chunked ranges (``dpxor_many``'s group walk
+  ``range(0, batch, GROUP_ROWS)``) stay legal;
 * bare ``print(`` anywhere under ``src/repro/`` — library code reports
   through the structured event log (:mod:`repro.obs.events`) or returns
   strings for the CLI layer to print; only the CLI entry points
@@ -201,11 +203,17 @@ def _is_per_record_loop(node: ast.AST) -> bool:
 #: (``DpXorManyKernel`` via ``run_dpu_pipeline_many``) exist to amortise.
 BATCHED_SCAN_PACKAGES = ("shard", "pim")
 
+#: The one module outside those packages held to the same rule: the scan
+#: kernels, whose per-row half-pass (every record gathered once per query)
+#: the pattern-bucketed ``dpxor_many`` replaced.
+BATCHED_SCAN_MODULE = ("pir", "xor_ops.py")
+
 
 def _is_batched_scan_only(path: Path) -> bool:
     parts = path.parts
     return any(
-        parts[i] == "repro" and parts[i + 1] in BATCHED_SCAN_PACKAGES
+        parts[i] == "repro"
+        and (parts[i + 1] in BATCHED_SCAN_PACKAGES or parts[i + 1 :] == BATCHED_SCAN_MODULE)
         for i in range(len(parts) - 1)
     )
 
@@ -330,8 +338,8 @@ def check_file(path: Path) -> List[Tuple[int, str]]:
                     node.lineno,
                     "per-query Python loop over the batch dimension "
                     "(for ... in range(batch[_size])) under a batched-scan "
-                    "package (src/repro/{shard,pim}/) — use the batched "
-                    "worker/kernel paths or a chunked range",
+                    "package (src/repro/{shard,pim}/, src/repro/pir/xor_ops.py) "
+                    "— use the batched worker/kernel paths or a chunked range",
                 )
             )
         if (
