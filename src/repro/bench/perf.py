@@ -355,7 +355,8 @@ def run_bench(
     database = Database.random(num_records, record_size, seed=seed)
     client = PIRClient(num_records, record_size, seed=seed + 1, prg=make_prg("numpy"))
     engine = create_server("reference", database, server_id=0).engine
-    queries = [client.query(i % num_records)[0] for i in range(batch_size)]
+    indices = [i % num_records for i in range(batch_size)]
+    queries = [per_server[0] for per_server in client.query_batch(indices)]
 
     # Correctness gate before timing anything: the batched path must return
     # the same bytes as the sequential one, query for query.

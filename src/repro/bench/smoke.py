@@ -1082,9 +1082,8 @@ def batched_smoke(
 
     database = Database.random(num_records, record_size, seed=seed)
     client = PIRClient(num_records, record_size, seed=seed + 1, prg=make_prg("numpy"))
-    queries = [
-        client.query((i * 97) % num_records)[0] for i in range(batch_size)
-    ]
+    indices = [(i * 97) % num_records for i in range(batch_size)]
+    queries = [per_server[0] for per_server in client.query_batch(indices)]
 
     variants: List[tuple] = []
     for name in available_backends():

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -195,59 +195,101 @@ class DPF:
     # -- key generation -----------------------------------------------------
 
     def gen(self, alpha: int, beta: int = 1) -> Tuple[DPFKey, DPFKey]:
-        """Generate the two keys hiding the point function ``P_{alpha,beta}``.
+        """Generate the two keys hiding the point function ``P_{alpha,beta}``."""
+        return self.gen_many([alpha], beta)[0]
 
-        ``alpha`` must lie in the domain and ``beta`` must fit in
+    def gen_many(self, alphas: Sequence[int], beta: int = 1) -> List[Tuple[DPFKey, DPFKey]]:
+        """One key pair per entry of ``alphas``, generated in a single walk.
+
+        Every ``alpha`` must lie in the domain and ``beta`` must fit in
         ``output_bits`` bits (and be non-zero, otherwise the function is
         identically zero and reconstruction becomes ambiguous).
+
+        A path holds two nodes per level, so walking one query at a time is
+        all call overhead; here the ``B`` queries' paths ride in one
+        ``2B``-row front (rows ``2q`` and ``2q + 1`` are query ``q``'s two
+        parties) and a level is one PRG call.  All roots come from one draw,
+        which consumes the generator exactly as ``B`` successive two-row
+        draws do: the result equals ``[gen(alpha, beta) for alpha in alphas]``
+        on a same-seeded instance, bit for bit.
         """
-        if not 0 <= alpha < self.domain_size:
-            raise ValueError(f"alpha={alpha} outside domain of size {self.domain_size}")
+        alphas = [int(alpha) for alpha in alphas]
+        for alpha in alphas:
+            if not 0 <= alpha < self.domain_size:
+                raise ValueError(f"alpha={alpha} outside domain of size {self.domain_size}")
         if beta == 0:
             raise ValueError("beta must be non-zero")
         if beta >= (1 << self.output_bits):
             raise ValueError(f"beta={beta} does not fit in {self.output_bits} bits")
+        count, depth = len(alphas), self.tree_depth
+        if not count:
+            return []
 
-        # Both parties' path nodes ride in one two-row array, so a level is
-        # one PRG call.  Invariant: exactly one row's control bit is set.
-        roots = self._rng.integers(0, 256, size=(2, SEED_BYTES), dtype=np.uint8)
-        seeds = roots
-        controls = np.asarray([0, 1], dtype=np.uint8)
-        correction_words = []
-        for level in range(self.tree_depth):
-            bit = (alpha >> (self.domain_bits - 1 - level)) & 1
-            left, right, t_left, t_right = self.prg.expand(seeds)
-            keep, lose = (right, left) if bit else (left, right)
-            seed_cw = lose[0] ^ lose[1]
-            t_left_cw = int(t_left[0] ^ t_left[1]) ^ bit ^ 1
-            t_right_cw = int(t_right[0] ^ t_right[1]) ^ bit
-            correction_words.append(CorrectionWord(seed_cw.tobytes(), t_left_cw, t_right_cw))
-            seeds = keep ^ (controls[:, None] * seed_cw)
-            controls = (t_right if bit else t_left) ^ (
-                controls * np.uint8(t_right_cw if bit else t_left_cw)
+        paths = np.asarray(alphas, dtype=np.int64)
+        roots = self._rng.integers(0, 256, size=(2 * count, SEED_BYTES), dtype=np.uint8)
+        # Invariant: exactly one of a query's two rows has its control bit set.
+        seeds = roots.reshape(count, 2, SEED_BYTES)
+        controls = np.tile(np.asarray([0, 1], dtype=np.uint8), (count, 1))
+        seed_cws = np.empty((count, depth, SEED_BYTES), dtype=np.uint8)
+        bit_cws = np.empty((count, depth, 2), dtype=np.uint8)
+        for level in range(depth):
+            # One path bit per query (1 = turn right), as a ``(B, 1)`` column;
+            # the PRG's outputs as ``(B, 2, 16)`` seeds, ``(B, 2, 1)`` bits.
+            bits = ((paths >> (self.domain_bits - 1 - level)) & 1).astype(np.uint8)[:, None]
+            left, right, t_left, t_right = (
+                part.reshape(count, 2, -1)
+                for part in self.prg.expand(seeds.reshape(-1, SEED_BYTES))
+            )
+            keep = np.where(bits[:, :, None], right, left)
+            lose = np.where(bits[:, :, None], left, right)
+            seed_cw = lose[:, 0] ^ lose[:, 1]
+            t_left_cw = t_left[:, 0] ^ t_left[:, 1] ^ bits ^ 1
+            t_right_cw = t_right[:, 0] ^ t_right[:, 1] ^ bits
+            seed_cws[:, level] = seed_cw
+            bit_cws[:, level, :1] = t_left_cw
+            bit_cws[:, level, 1:] = t_right_cw
+            seeds = keep ^ (controls[:, :, None] * seed_cw[:, None, :])
+            controls = np.where(bits, t_right[:, :, 0], t_left[:, :, 0]) ^ (
+                controls * np.where(bits, t_right_cw, t_left_cw)
             )
 
-        blocks = self.prg.convert(seeds)
-        final_correction = (blocks[0] ^ blocks[1] ^ self._payload_block(alpha, beta)).tobytes()
-        key0, key1 = (
-            DPFKey(
-                party=party,
-                domain_bits=self.domain_bits,
-                root_seed=roots[party].tobytes(),
-                correction_words=tuple(correction_words),
-                final_correction=final_correction,
-                output_bits=self.output_bits,
-            )
-            for party in (0, 1)
-        )
-        return key0, key1
+        blocks = self.prg.convert(seeds.reshape(-1, SEED_BYTES)).reshape(count, 2, SEED_BYTES)
+        finals = blocks[:, 0] ^ blocks[:, 1] ^ self._payload_blocks(paths, beta)
 
-    def _payload_block(self, alpha: int, beta: int) -> np.ndarray:
-        """The all-zero block with ``beta`` in ``alpha``'s slot, as ``(16,)`` uint8."""
+        def rows(array: np.ndarray) -> List[bytes]:
+            data = array.tobytes()
+            return [data[at:at + SEED_BYTES] for at in range(0, len(data), SEED_BYTES)]
+
+        root_rows, cw_rows, final_rows = rows(roots), rows(seed_cws), rows(finals)
+        cw_bits = bit_cws.tolist()
+        pairs = []
+        for query in range(count):
+            words = tuple(
+                CorrectionWord(cw_rows[query * depth + level], *cw_bits[query][level])
+                for level in range(depth)
+            )
+            pairs.append(
+                tuple(
+                    DPFKey(
+                        party=party,
+                        domain_bits=self.domain_bits,
+                        root_seed=root_rows[2 * query + party],
+                        correction_words=words,
+                        final_correction=final_rows[query],
+                        output_bits=self.output_bits,
+                    )
+                    for party in (0, 1)
+                )
+            )
+        return pairs
+
+    def _payload_blocks(self, alphas: np.ndarray, beta: int) -> np.ndarray:
+        """Per alpha, the all-zero block with ``beta`` in its slot: ``(B, 16)`` uint8."""
         slots_per_lane = self.slots_per_block // 2
-        slot = alpha % self.slots_per_block
-        lanes = np.zeros(2, dtype=np.uint64)
-        lanes[slot // slots_per_lane] = beta << ((slot % slots_per_lane) * self.output_bits)
+        slots = alphas % self.slots_per_block
+        lanes = np.zeros((alphas.shape[0], 2), dtype=np.uint64)
+        shifts = ((slots % slots_per_lane) * self.output_bits).astype(np.uint64)
+        lanes[np.arange(alphas.shape[0]), slots // slots_per_lane] = np.uint64(beta) << shifts
         return lanes.view(np.uint8)
 
     # -- tree walks -----------------------------------------------------------

@@ -47,7 +47,6 @@ from repro.pir.frontend import (
     collect_answers,
     collect_update_appliers,
     count_cache_hits,
-    dedup_leaders,
     fanout_dedup,
     fold_metrics,
     notify_flush_observers,
@@ -55,6 +54,7 @@ from repro.pir.frontend import (
     reconstruct_scanned,
     require_dedup_for_cache,
     require_no_orphans,
+    select_scanned,
     wants_flush_observation,
 )
 
@@ -213,16 +213,12 @@ class AsyncPIRFrontend:
         the max-wait timer fires for the batch's oldest request.  A protocol
         fault anywhere in the batch rejects every awaiting submitter.
         """
+        # Reject a bad index before registering, so the error surfaces here
+        # and no orphan pending entry is left behind; keys are generated per
+        # flush (:func:`~repro.pir.frontend.select_scanned`), not here.
+        self.client.check_index(index)
         loop = asyncio.get_running_loop()
-        # Query generation may reject the index; do it before registering so
-        # the error surfaces here and no orphan pending entry is left behind.
-        queries = [] if self.dedup else self.client.query(index)
-        request = PendingRequest(
-            request_id=self._allocate_request_id(),
-            index=index,
-            arrival_seconds=loop.time(),
-            queries=queries,
-        )
+        request = PendingRequest(self._allocate_request_id(), index, loop.time())
         future: "asyncio.Future[bytes]" = loop.create_future()
         self._pending.append(request)
         self._futures[request.request_id] = future
@@ -344,10 +340,9 @@ class AsyncPIRFrontend:
     async def _run_flush(self, batch: List[PendingRequest], reason: str) -> None:
         """The flush pipeline proper (already holding a reader slot)."""
         try:
-            if self.dedup:
-                scanned, cached = dedup_leaders(batch, self.client, self.cache)
-            else:
-                scanned, cached = batch, {}
+            # Key generation stays on the loop thread: the client's RNG and
+            # counters are unsynchronised and flushes overlap.
+            scanned, cached = select_scanned(batch, self.client, self.dedup, self.cache)
             per_server = per_server_queries(scanned, len(self.replicas))
             # The replicas are independent machines running blocking numpy
             # scans: one worker thread each, gathered concurrently.  A batch

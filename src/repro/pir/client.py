@@ -36,6 +36,11 @@ class ClientStats:
 class PIRClient:
     """Generates per-server queries for an index and reconstructs the record.
 
+    Ownership: the RNG, the query-id counter and :attr:`stats` are
+    unsynchronised, so one thread generates.  The frontends call
+    :meth:`query_batch` once per flush from the flush's calling thread (the
+    event-loop thread on the asyncio frontend), never from a worker.
+
     Parameters
     ----------
     num_records, record_size:
@@ -91,35 +96,40 @@ class PIRClient:
 
     # -- query generation -----------------------------------------------------
 
-    def query(self, index: int) -> List[Query]:
-        """Encode a private query for ``index``: one message per server."""
+    def check_index(self, index: int) -> None:
+        """Raise :class:`ProtocolError` unless ``index`` names a record."""
         if not 0 <= index < self.num_records:
             raise ProtocolError(f"index {index} out of range [0, {self.num_records})")
-        query_id = self._allocate_query_id()
-        if self.scheme == SCHEME_DPF:
-            key0, key1 = self._dpf.gen(index, 1)
-            queries: List[Query] = [
-                DPFQuery(query_id=query_id, server_id=0, key=key0, num_records=self.num_records),
-                DPFQuery(query_id=query_id, server_id=1, key=key1, num_records=self.num_records),
-            ]
-        else:
-            shares = self._naive.share(index)
-            queries = [
-                NaiveQuery(
-                    query_id=query_id,
-                    server_id=share.server_id,
-                    share=share,
-                    num_records=self.num_records,
-                )
-                for share in shares
-            ]
-        self.stats.queries_generated += 1
-        self.stats.upload_bytes += sum(q.upload_bytes for q in queries)
-        return queries
+
+    def query(self, index: int) -> List[Query]:
+        """Encode a private query for ``index``: one message per server."""
+        return self.query_batch([index])[0]
 
     def query_batch(self, indices: Sequence[int]) -> List[List[Query]]:
-        """Encode a batch of queries; returns one per-server list per index."""
-        return [self.query(index) for index in indices]
+        """Encode a batch of queries; returns one per-server list per index.
+
+        Every index is checked before any randomness is drawn, and the whole
+        batch's DPF keys come from one :meth:`~repro.dpf.dpf.DPF.gen_many`
+        walk; query ids and :class:`ClientStats` advance in index order.
+        """
+        indices = list(indices)
+        for index in indices:
+            self.check_index(index)
+        if self.scheme == SCHEME_DPF:
+            message, shares = DPFQuery, self._dpf.gen_many(indices, 1)
+        else:
+            message, shares = NaiveQuery, [self._naive.share(index) for index in indices]
+        batch: List[List[Query]] = []
+        for per_server in shares:
+            query_id = self._allocate_query_id()
+            queries = [
+                message(query_id, server_id, share, self.num_records)
+                for server_id, share in enumerate(per_server)
+            ]
+            self.stats.queries_generated += 1
+            self.stats.upload_bytes += sum(q.upload_bytes for q in queries)
+            batch.append(queries)
+        return batch
 
     # -- reconstruction ---------------------------------------------------------
 

@@ -321,20 +321,15 @@ class PIRFrontend:
         the oldest pending request exceeded its max wait) or immediately
         after (the batch reached ``max_batch_size``).
         """
+        # Reject a bad index before anything moves (clock, ids, pending);
+        # keys are generated per flush (:func:`select_scanned`), not here.
+        self.client.check_index(index)
         now = self._advance_clock(arrival_seconds)
         if self._pending and now - self._pending[0].arrival_seconds >= self.policy.max_wait_seconds:
             self._flush(FLUSH_ON_WAIT)
         request_id = self._next_request_id
         self._next_request_id += 1
-        request = PendingRequest(
-            request_id=request_id,
-            index=index,
-            arrival_seconds=now,
-            # With dedup enabled, query generation is deferred to flush time
-            # so only one query set is produced per distinct index in a batch.
-            queries=[] if self.dedup else self.client.query(index),
-        )
-        self._pending.append(request)
+        self._pending.append(PendingRequest(request_id, index, arrival_seconds=now))
         if len(self._pending) >= self.policy.max_batch_size:
             self._flush(FLUSH_ON_SIZE)
         return request_id
@@ -389,10 +384,7 @@ class PIRFrontend:
 
     def _flush(self, reason: str) -> None:
         batch, self._pending = self._pending, []
-        if self.dedup:
-            scanned, cached = dedup_leaders(batch, self.client, self.cache)
-        else:
-            scanned, cached = batch, {}
+        scanned, cached = select_scanned(batch, self.client, self.dedup, self.cache)
         per_server = per_server_queries(scanned, len(self.replicas))
         # Route through each replica's public batch surface, so attached cost
         # models (CPU/GPU analytic estimates, IM-PIR schedules) are honoured.
@@ -495,31 +487,43 @@ def check_replicas(client: PIRClient, replicas: Sequence) -> List:
     return replicas
 
 
-def dedup_leaders(
-    batch: Sequence[PendingRequest], client: PIRClient, cache=None
+def select_scanned(
+    batch: Sequence[PendingRequest], client: PIRClient, dedup: bool, cache=None
 ) -> Tuple[List[PendingRequest], Dict[int, bytes]]:
-    """Pick one leader per distinct index; leaders generate (and owe) queries.
+    """Pick the requests that reach the replicas and generate their queries.
 
-    Returns ``(leaders to scan, records served from cache by index)``.  A
-    distinct index resident in ``cache`` is served from it instead of
-    electing a leader — no queries are generated, no replica sees it (the
-    whole point of the cache tier) — and the dedup fan-out
+    Returns ``(requests to scan, records served from cache by index)``.
+    Without ``dedup`` the whole batch is scanned.  With it, one leader per
+    distinct index is; a distinct index resident in ``cache`` is served from
+    it instead of electing a leader — no queries are generated, no replica
+    sees it (the whole point of the cache tier) — and the dedup fan-out
     (:func:`fanout_dedup`) delivers the cached record to every request that
     asked for it.  Other followers are satisfied from their leader's
     reconstruction the same way.
+
+    The scanned requests' queries come from **one** ``client.query_batch``
+    call, on the calling thread — this is the only place either frontend
+    generates keys.
     """
-    leaders: Dict[int, PendingRequest] = {}
     cached: Dict[int, bytes] = {}
-    for request in batch:
-        if request.index in leaders or request.index in cached:
-            continue
-        record = cache.get(request.index) if cache is not None else None
-        if record is not None:
-            cached[request.index] = record
-            continue
-        request.queries = client.query(request.index)
-        leaders[request.index] = request
-    return list(leaders.values()), cached
+    if dedup:
+        leaders: Dict[int, PendingRequest] = {}
+        for request in batch:
+            if request.index in leaders or request.index in cached:
+                continue
+            record = cache.get(request.index) if cache is not None else None
+            if record is not None:
+                cached[request.index] = record
+            else:
+                leaders[request.index] = request
+        scanned = list(leaders.values())
+    else:
+        scanned = list(batch)
+    if scanned:
+        generated = client.query_batch([request.index for request in scanned])
+        for request, queries in zip(scanned, generated):
+            request.queries = queries
+    return scanned, cached
 
 
 def collect_update_appliers(replicas: Sequence) -> List:

@@ -6,7 +6,8 @@ import pytest
 from repro.common.errors import KeyMismatchError
 from repro.dpf.dpf import DPF, DPFKey, EvalStats, verify_keys
 from repro.dpf.ggm import CorrectionWord
-from repro.dpf.prf import make_prg
+from repro.dpf.prf import SEED_BYTES, make_prg
+from repro.pir.serialization import serialize_key
 
 
 class TestGen:
@@ -52,6 +53,96 @@ class TestGen:
     def test_invalid_output_bits_rejected(self):
         with pytest.raises(ValueError):
             DPF(domain_bits=4, output_bits=65)
+
+
+def _sequential_gen(dpf, alpha, beta=1):
+    """The two-row walk ``DPF.gen`` ran before ``gen_many``: one query, one
+    ``(2, 16)`` root draw, scalar path bits.  Kept as the loop reference the
+    batched walk must reproduce bit for bit."""
+    roots = dpf._rng.integers(0, 256, size=(2, SEED_BYTES), dtype=np.uint8)
+    seeds, controls = roots, np.asarray([0, 1], dtype=np.uint8)
+    words = []
+    for level in range(dpf.tree_depth):
+        bit = (alpha >> (dpf.domain_bits - 1 - level)) & 1
+        left, right, t_left, t_right = dpf.prg.expand(seeds)
+        keep, lose = (right, left) if bit else (left, right)
+        seed_cw = lose[0] ^ lose[1]
+        t_left_cw = int(t_left[0] ^ t_left[1]) ^ bit ^ 1
+        t_right_cw = int(t_right[0] ^ t_right[1]) ^ bit
+        words.append(CorrectionWord(seed_cw.tobytes(), t_left_cw, t_right_cw))
+        seeds = keep ^ (controls[:, None] * seed_cw)
+        controls = (t_right if bit else t_left) ^ (
+            controls * np.uint8(t_right_cw if bit else t_left_cw)
+        )
+    blocks = dpf.prg.convert(seeds)
+    slots_per_lane = dpf.slots_per_block // 2
+    slot = alpha % dpf.slots_per_block
+    payload = [0, 0]
+    payload[slot // slots_per_lane] = beta << ((slot % slots_per_lane) * dpf.output_bits)
+    final = (blocks[0] ^ blocks[1] ^ np.asarray(payload, dtype=np.uint64).view(np.uint8)).tobytes()
+    return tuple(
+        DPFKey(party, dpf.domain_bits, roots[party].tobytes(), tuple(words), final, dpf.output_bits)
+        for party in (0, 1)
+    )
+
+
+class TestGenMany:
+    @pytest.mark.parametrize("output_bits", [1, 8, 64])
+    @pytest.mark.parametrize("domain_bits", range(21))
+    def test_batch_is_bit_identical_to_the_sequential_walk(self, domain_bits, output_bits):
+        """Covers ``tree_depth == 0`` (small domains, wide outputs) and the
+        one-draw root layout: a *following* call must stay aligned with the
+        sequential stream too."""
+        beta = (1 << output_bits) - 1
+        picks = np.random.default_rng(domain_bits).integers(0, 1 << domain_bits, size=19)
+        alphas = [0, (1 << domain_bits) - 1] + [int(alpha) for alpha in picks]
+        reference, batched, one_by_one = (
+            DPF(domain_bits, output_bits, seed=77) for _ in range(3)
+        )
+        expected = [_sequential_gen(reference, alpha, beta) for alpha in alphas]
+        assert batched.gen_many(alphas, beta) == expected
+        assert [one_by_one.gen(alpha, beta) for alpha in alphas] == expected
+        follow_up = [_sequential_gen(reference, alpha, beta) for alpha in alphas[:3]]
+        assert batched.gen_many(alphas[:3], beta) == follow_up
+
+    def test_empty_batch_draws_nothing(self):
+        dpf, fresh = DPF(domain_bits=9, seed=5), DPF(domain_bits=9, seed=5)
+        assert dpf.gen_many([]) == []
+        assert dpf.gen(3) == fresh.gen(3)
+
+    @pytest.mark.parametrize(
+        "alphas,beta,message",
+        [
+            ([3, 16, 5], 1, "alpha=16 outside domain of size 16"),
+            ([3, -1], 1, "alpha=-1 outside domain of size 16"),
+            ([3, 5], 0, "beta must be non-zero"),
+            ([3, 5], 16, "beta=16 does not fit in 4 bits"),
+        ],
+    )
+    def test_bad_input_raises_before_any_randomness_is_drawn(self, alphas, beta, message):
+        dpf, fresh = (DPF(domain_bits=4, output_bits=4, seed=1) for _ in range(2))
+        with pytest.raises(ValueError, match=message):
+            dpf.gen_many(alphas, beta)
+        with pytest.raises(ValueError, match=message):
+            dpf.gen(alphas[1], beta)
+        assert dpf.prg.expand_calls == dpf.prg.convert_calls == 0
+        assert dpf.gen_many([3, 5], 7) == fresh.gen_many([3, 5], 7)
+
+    def test_no_two_rows_of_a_batch_share_a_root_seed(self):
+        pairs = DPF(domain_bits=12, seed=3).gen_many([9] * 40 + list(range(24)))
+        roots = [key.root_seed for pair in pairs for key in pair]
+        assert len(set(roots)) == len(roots) == 128
+        assert all(key0.root_seed != key1.root_seed for key0, key1 in pairs)
+        assert all((key0.party, key1.party) == (0, 1) for key0, key1 in pairs)
+
+    @pytest.mark.parametrize("domain_bits,output_bits", [(0, 1), (7, 1), (12, 1), (20, 1), (9, 8)])
+    def test_batch_made_keys_account_their_wire_size(self, domain_bits, output_bits):
+        dpf = DPF(domain_bits, output_bits, seed=11)
+        alphas = [0, dpf.domain_size - 1, dpf.domain_size // 3]
+        for alpha, (key0, key1) in zip(alphas, dpf.gen_many(alphas)):
+            assert verify_keys(dpf, key0, key1, alpha)
+            for key in (key0, key1):
+                assert key.size_bytes == len(serialize_key(key))
 
 
 class TestPointEval:

@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.dpf.dpf import DPF, EvalStats
+from repro.dpf.dpf import DPF, EvalStats, verify_keys
 from repro.dpf.naive import NaiveXorQueryScheme, xor_select
 from repro.dpf.prf import make_prg
 from repro.dpf.traversal import TraversalStats, make_traversal
@@ -138,6 +138,41 @@ class TestEarlyTerminatedConstruction:
             assert bits.dtype == np.uint8 and np.array_equal(bits, many)
             assert np.array_equal(bits[1], dpf.eval_full_bits(keys[1], num_points))
 
+    @settings(**_SETTINGS)
+    @given(
+        domain_bits=st.integers(min_value=0, max_value=12),
+        output_bits=_OUTPUT_BITS,
+        alpha_fractions=st.lists(
+            st.floats(min_value=0.0, max_value=1.0, exclude_max=True), min_size=1, max_size=9
+        ),
+        beta_seed=st.integers(min_value=0, max_value=2**64 - 1),
+        short_by=st.integers(min_value=0, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_gen_many_rows_xor_to_their_own_point_functions(
+        self, domain_bits, output_bits, alpha_fractions, beta_seed, short_by, seed
+    ):
+        """Mixed alphas (repeats included) in one batch: every row pair is a
+        correct, independent key pair on every read path."""
+        dpf = DPF(domain_bits, output_bits=output_bits, seed=seed)
+        alphas = [int(fraction * dpf.domain_size) for fraction in alpha_fractions]
+        beta = beta_seed % ((1 << output_bits) - 1) + 1
+        pairs = dpf.gen_many(alphas, beta)
+        assert len(pairs) == len(alphas)
+        num_points = max(1, dpf.domain_size - short_by)
+        # All 2B keys in one evaluation sweep, as a flush's queries are.
+        many = dpf.eval_full_many([key for pair in pairs for key in pair], num_points)
+        for row, (alpha, keys) in enumerate(zip(alphas, pairs)):
+            assert verify_keys(dpf, *keys, alpha, beta)
+            expected = np.zeros(num_points, dtype=np.uint64)
+            if alpha < num_points:
+                expected[alpha] = beta
+            assert np.array_equal(many[2 * row] ^ many[2 * row + 1], expected)
+            assert dpf.eval(keys[0], alpha) ^ dpf.eval(keys[1], alpha) == beta
+            if output_bits == 1:
+                bits = dpf.eval_full_bits_many(keys, num_points)
+                assert np.array_equal(bits, many[2 * row:2 * row + 2])
+
     @settings(max_examples=12, deadline=None)
     @given(
         domain_bits=st.integers(min_value=0, max_value=9),
@@ -199,6 +234,21 @@ class TestEarlyTerminatedConstruction:
         assert 0.4 <= controls.mean() <= 0.6
         agreement = float((bits[:, 64] == controls).mean())
         assert abs(agreement - 0.5) <= 0.1
+
+
+    def test_every_in_block_position_is_balanced_across_one_batch(self):
+        """The same coin-fairness over the rows of a single ``gen_many`` call
+        (mixed alphas, alternating parties): batching must not correlate the
+        rows of one walk with each other."""
+        dpf = DPF(domain_bits=10, seed=2025)
+        alphas = list(range(0, 1024, 3))
+        keys = [pair[alpha & 1] for alpha, pair in zip(alphas, dpf.gen_many(alphas))]
+        seeds, controls = dpf.expand_front(keys, *dpf.roots(keys))
+        blocks = dpf.leaf_blocks(keys, seeds, controls)
+        bits = np.unpackbits(blocks, axis=-1, bitorder="little").reshape(-1, 128)
+        assert np.all(np.abs(bits.mean(axis=0) - 0.5) <= 0.1)
+        assert 0.4 <= controls.mean() <= 0.6
+        assert abs(float((bits[:, 64] == controls).mean()) - 0.5) <= 0.1
 
 
 class TestNaiveSchemeProperties:

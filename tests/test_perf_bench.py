@@ -352,6 +352,22 @@ class TestBatchedScanLint:
         )
         assert not findings
 
+    @pytest.mark.parametrize("module", ["frontend.py", "async_frontend.py"])
+    def test_per_request_key_generation_in_a_frontend_flagged(self, tmp_path, module):
+        # Keys are generated once per flush (client.query_batch); a
+        # client.query call in a frontend is one GGM walk per request again.
+        source = "def submit(self, index):\n    return self.client.query(index){}\n"
+        flagged = self._check(tmp_path, f"src/repro/pir/{module}", source.format(""))
+        assert any("per-request key generation" in message for _, message in flagged)
+        assert not self._check(tmp_path, f"src/repro/pir/{module}", source.format("  # noqa"))
+        # query_batch is the sanctioned call, and other modules may call query.
+        assert not self._check(
+            tmp_path,
+            f"src/repro/pir/{module}",
+            "def flush(client, indices):\n    return client.query_batch(indices)\n",
+        )
+        assert not self._check(tmp_path, "src/repro/pir/protocol.py", source.format(""))
+
     def test_attribute_bound_flagged(self, tmp_path):
         findings = self._check(
             tmp_path,

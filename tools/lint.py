@@ -40,6 +40,10 @@ AST pass instead.  It flags:
   paths exist precisely so nothing walks a batch query by query in Python;
   as with the per-record rule, chunked ranges (``dpxor_many``'s group walk
   ``range(0, batch, GROUP_ROWS)``) stay legal;
+* any ``<x>.query(...)`` call in the frontends (``src/repro/pir/frontend.py``,
+  ``src/repro/pir/async_frontend.py``) — keys are generated once per flush
+  through ``client.query_batch``; a ``query`` call there is per-request key
+  generation creeping back;
 * bare ``print(`` anywhere under ``src/repro/`` — library code reports
   through the structured event log (:mod:`repro.obs.events`) or returns
   strings for the CLI layer to print; only the CLI entry points
@@ -223,6 +227,28 @@ def _is_per_query_batch_loop(node: ast.AST) -> bool:
     return _is_single_arg_range_over(node, {"batch", "batch_size"})
 
 
+#: The frontends generate keys once per flush (``client.query_batch`` in
+#: ``select_scanned``); ``client.query`` there is one GGM walk per request.
+PER_FLUSH_KEYGEN_MODULES = (("pir", "frontend.py"), ("pir", "async_frontend.py"))
+
+
+def _is_per_flush_keygen_only(path: Path) -> bool:
+    parts = path.parts
+    return any(
+        parts[i] == "repro" and parts[i + 1 :] in PER_FLUSH_KEYGEN_MODULES
+        for i in range(len(parts) - 1)
+    )
+
+
+def _is_query_call(node: ast.AST) -> bool:
+    """True for ``<x>.query(...)``."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "query"
+    )
+
+
 def check_file(path: Path) -> List[Tuple[int, str]]:
     source = path.read_text(encoding="utf-8")
     try:
@@ -234,6 +260,7 @@ def check_file(path: Path) -> List[Tuple[int, str]]:
     vectorized_scan_only = _is_vectorized_scan_only(path)
     batched_scan_only = _is_batched_scan_only(path)
     print_banned = _is_print_banned(path)
+    per_flush_keygen_only = _is_per_flush_keygen_only(path)
 
     imports: List[Tuple[int, str, str]] = []  # (lineno, bound name, description)
     wildcards: List[Tuple[int, str]] = []
@@ -340,6 +367,15 @@ def check_file(path: Path) -> List[Tuple[int, str]]:
                     "(for ... in range(batch[_size])) under a batched-scan "
                     "package (src/repro/{shard,pim}/, src/repro/pir/xor_ops.py) "
                     "— use the batched worker/kernel paths or a chunked range",
+                )
+            )
+        if per_flush_keygen_only and _is_query_call(node):
+            deprecated.append(
+                (
+                    node.lineno,
+                    "per-request key generation (<x>.query(...)) in a frontend "
+                    "(src/repro/pir/{frontend,async_frontend}.py) — keys are "
+                    "generated once per flush through client.query_batch",
                 )
             )
         if (
