@@ -1,12 +1,12 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test bench-asserts lint smoke bench bench-quick figures
+.PHONY: check test bench-asserts lint smoke figures
 
 ## The CI gate: tier-1 tests + the figure benches' assertions + lint + a
-## functional cross-backend smoke run + a quick batched-vs-sequential perf
-## smoke (asserts batched >= sequential).
-check: test bench-asserts lint smoke bench-quick
+## functional cross-backend smoke run.  Wall-clock performance is measured by
+## `python3 benchmarks/e2e/run.py` (BENCHMARK.json), not gated here.
+check: test bench-asserts lint smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -48,22 +48,6 @@ smoke:
 	$(PYTHON) -m repro.bench.cli smoke --traced
 	$(PYTHON) -m repro.bench.cli smoke --autoscale
 	$(PYTHON) -m repro.bench.cli smoke --slo
-
-## Wall-clock benchmark of the batched one-pass scan path against the
-## sequential per-query path on the reference backend (records/sec, batched
-## QPS, speedup, simulated p50/p99 latency, the shard-count x executor x
-## batch crossover sweep with ScanTuner verdicts, and the host hardware
-## context); archives the run to benchmarks/history/BENCH_<git-sha>.json —
-## its only artifact.  Compare two runs with
-## `python tools/bench_compare.py OLD.json NEW.json`, or the whole
-## trajectory with `python tools/bench_compare.py benchmarks/history`.
-bench:
-	$(PYTHON) -m repro.bench.cli bench
-
-## Small-shape variant for `make check`: no JSON artifact, asserts the
-## batched path is no slower than the sequential one.
-bench-quick:
-	$(PYTHON) -m repro.bench.cli bench --quick
 
 figures:
 	$(PYTHON) -m repro.bench.cli all

@@ -14,9 +14,7 @@ wall-clock :class:`~repro.pir.async_frontend.AsyncPIRFrontend` instead:
 2. a lone straggler flushes on the *real* max-wait timer, with no follow-up
    arrival needed;
 3. the same request stream through the simulated-clock frontend returns
-   bit-identical records (both frontends share one flush pipeline);
-4. the replicas are sharded fleets running the ``threads`` executor, so the
-   per-shard scans inside each replica overlap too.
+   bit-identical records (both frontends share one flush pipeline).
 
 Run:  python examples/async_frontend.py
 """
@@ -59,10 +57,7 @@ def make_client(database: Database, seed: int) -> PIRClient:
 
 
 def make_fleets(database: Database):
-    return [
-        ShardedServer(database, server_id=i, num_shards=4, executor="threads")
-        for i in (0, 1)
-    ]
+    return [ShardedServer(database, server_id=i, num_shards=4) for i in (0, 1)]
 
 
 def main() -> None:
@@ -71,7 +66,7 @@ def main() -> None:
     straggler = 512
     print(
         f"database: {database.num_records} records of {database.record_size} B, "
-        f"two sharded fleets (threads executor) behind an asyncio frontend\n"
+        f"two sharded fleets behind an asyncio frontend\n"
     )
 
     replicas = [RecordingReplica(fleet) for fleet in make_fleets(database)]

@@ -24,11 +24,6 @@ from repro.bench.figures import (
     fig11_clustering,
     fig12_gpu_comparison,
 )
-from repro.bench.perf import (
-    DEFAULT_HISTORY_DIR,
-    render_bench,
-    run_bench,
-)
 from repro.bench.smoke import (
     async_backend_smoke,
     autoscale_smoke,
@@ -92,7 +87,7 @@ def main(argv=None) -> int:
         "target",
         nargs="?",
         default="all",
-        help="one of: %s, bench, report, all, list (default: all)" % ", ".join(_TARGETS),
+        help="one of: %s, report, all, list (default: all)" % ", ".join(_TARGETS),
     )
     parser.add_argument(
         "--async",
@@ -152,13 +147,6 @@ def main(argv=None) -> int:
         "records, float-exact span/PhaseTimer agreement, and visible "
         "rebalance + cache activity",
     )
-    parser.add_argument(
-        "--quick",
-        dest="use_quick",
-        action="store_true",
-        help="with the bench target: a small shape without the JSON "
-        "artifact, asserting the batched path is no slower than sequential",
-    )
     args = parser.parse_args(argv)
 
     smoke_flags = {
@@ -198,26 +186,12 @@ def main(argv=None) -> int:
             print(batched_smoke())
         return 0
 
-    if args.use_quick and args.target != "bench":
-        print("--quick applies to the bench target only", file=sys.stderr)
-        return 2
-    if args.target == "bench":
-        metrics = run_bench(
-            quick=args.use_quick,
-            output_path=None,
-            history_dir=None if args.use_quick else DEFAULT_HISTORY_DIR,
-        )
-        print(render_bench(metrics))
-        if not args.use_quick:
-            print(f"\narchived to {metrics['archived_to']}")
-        return 0
-
     if args.target == "report":
         print(observability_report())
         return 0
 
     if args.target == "list":
-        print("\n".join(list(_TARGETS) + ["bench", "report", "all"]))
+        print("\n".join(list(_TARGETS) + ["report", "all"]))
         return 0
     if args.target == "all":
         for name in _TARGETS:

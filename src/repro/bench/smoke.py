@@ -936,7 +936,7 @@ def async_backend_smoke(
     indices: Sequence[int] = (0, 7, 255, 511),
     seed: int = 9,
 ) -> str:
-    """The ``--async`` smoke: asyncio frontend over thread-parallel fleets.
+    """The ``--async`` smoke: asyncio frontend over sharded replica fleets.
 
     Exercises the wall-clock path end to end: concurrent submitters split
     into size batches, every flush fans out to both replica fleets at the
@@ -950,12 +950,8 @@ def async_backend_smoke(
     stream = indices + [indices[0]]
 
     def make_replicas():
-        # Sharded fleets with the thread executor, so per-shard scans overlap
-        # inside each replica while the frontend overlaps the replicas.
         return [
-            create_server(
-                "sharded", database, server_id=i, num_shards=4, executor="threads"
-            )
+            create_server("sharded", database, server_id=i, num_shards=4)
             for i in (0, 1)
         ]
 
@@ -1001,7 +997,7 @@ def async_backend_smoke(
 
     return "\n".join(
         [
-            "Async frontend smoke: wall-clock batching over thread-parallel fleets",
+            "Async frontend smoke: wall-clock batching over sharded replica fleets",
             f"database: {num_records} records x {record_size} B, stream {stream}",
             "",
             f"records verified against the sync frontend: {len(got)}/{len(stream)}",
@@ -1023,12 +1019,11 @@ def batched_smoke(
 ) -> str:
     """The ``--batched`` smoke: one-pass batch scans against per-query answers.
 
-    For every registered backend — plus the sharded backend's ``threads``
-    executor, whose workers scan in parallel — this answers the same query
-    batch twice: once through the sequential :meth:`QueryEngine.answer` loop,
-    once through the batched :meth:`QueryEngine.answer_many` /
-    ``execute_many`` path.  It asserts the documented cost contract of the
-    batched fast path, per backend kind:
+    For every registered backend this answers the same query batch twice:
+    once through the sequential :meth:`QueryEngine.answer` loop, once
+    through the batched :meth:`QueryEngine.answer_many` / ``execute_many``
+    path.  It asserts the documented cost contract of the batched fast path,
+    per backend kind:
 
     * the answer payloads are bit-identical, everywhere;
     * on **host-side** backends every simulated phase except ``eval`` charges
@@ -1085,19 +1080,15 @@ def batched_smoke(
     indices = [(i * 97) % num_records for i in range(batch_size)]
     queries = [per_server[0] for per_server in client.query_batch(indices)]
 
-    variants: List[tuple] = []
-    for name in available_backends():
-        kwargs = {"segment_records": segment_records} if name == "im-pir-streamed" else {}
-        variants.append((name, name, kwargs))
-    variants.append(("sharded/threads", "sharded", {"executor": "threads"}))
-
+    names = available_backends()
     lines: List[str] = [
         "Batched smoke: execute_many against the sequential per-query path",
         f"database: {num_records} records x {record_size} B, batch of {batch_size}",
         "",
         f"{'backend':>16} {'payloads':>9} {'phases':>10} {'fallback':>10}",
     ]
-    for label, name, kwargs in variants:
+    for name in names:
+        kwargs = {"segment_records": segment_records} if name == "im-pir-streamed" else {}
         engine = create_server(name, database, server_id=0, **kwargs).engine
         is_pim = name in pim_kinds
 
@@ -1107,10 +1098,10 @@ def batched_smoke(
             s.answer.payload != b.answer.payload
             for s, b in zip(sequential, batched.results)
         ):
-            raise AssertionError(f"backend {label!r}: batched payloads drifted")
+            raise AssertionError(f"backend {name!r}: batched payloads drifted")
         if is_pim:
             check_amortized(
-                label,
+                name,
                 [s.breakdown for s in sequential],
                 [b.breakdown for b in batched.results],
             )
@@ -1118,7 +1109,7 @@ def batched_smoke(
             for s, b in zip(sequential, batched.results):
                 if non_eval(s.breakdown) != non_eval(b.breakdown):
                     raise AssertionError(
-                        f"backend {label!r}: batched simulated phases drifted: "
+                        f"backend {name!r}: batched simulated phases drifted: "
                         f"{non_eval(s.breakdown)} vs {non_eval(b.breakdown)}"
                     )
 
@@ -1132,23 +1123,23 @@ def batched_smoke(
         )
         if not np.array_equal(got, want):
             raise AssertionError(
-                f"backend {label!r}: execute_many override drifted from fallback"
+                f"backend {name!r}: execute_many override drifted from fallback"
             )
         if is_pim:
-            check_amortized(label, fallback_timers, override_timers)
+            check_amortized(name, fallback_timers, override_timers)
         elif any(
             a.durations != b.durations
             for a, b in zip(override_timers, fallback_timers)
         ):
             raise AssertionError(
-                f"backend {label!r}: execute_many override charges different phases"
+                f"backend {name!r}: execute_many override charges different phases"
             )
         verdict = "amortized" if is_pim else "equal"
-        lines.append(f"{label:>16} {'ok':>9} {verdict:>10} {'ok':>10}")
+        lines.append(f"{name:>16} {'ok':>9} {verdict:>10} {'ok':>10}")
 
     lines.append("")
     lines.append(
-        f"{len(variants)} backend variants answer batches bit-identically to "
+        f"{len(names)} backends answer batches bit-identically to "
         f"the per-query path (host-side costs unchanged; PIM per-dispatch "
         f"charges amortized once per batch)."
     )

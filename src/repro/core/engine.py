@@ -474,16 +474,13 @@ class ReferenceBackend(PIRBackend):
         )
 
     def scan_many_into(
-        self,
-        selector_matrix: np.ndarray,
-        out: np.ndarray,
-        chunk_records: Optional[int] = None,
+        self, selector_matrix: np.ndarray, out: np.ndarray
     ) -> np.ndarray:
         """One-pass batched scan straight into a caller-owned accumulator.
 
-        The sharded executors' hot path: a shard worker scans its column
-        block into its preallocated slab of the fleet-wide accumulator with
-        no per-query Python and no allocation in the worker (see
+        The sharded backend's hot path: each shard's column block is
+        scanned into its preallocated slab of the fleet-wide accumulator
+        with no per-query Python and no allocation (see
         ``ShardedBackend.execute_many``).  Stats are charged exactly like
         :meth:`execute_many`.
         """
@@ -491,7 +488,6 @@ class ReferenceBackend(PIRBackend):
             self._database.records,
             selector_matrix,
             stats=self._dpxor_stats,
-            chunk_records=chunk_records,
             out=out,
         )
 
@@ -544,64 +540,73 @@ def _ensure_default_backends() -> None:
     def register_default(name: str, builder: ServerBuilder) -> None:
         _BACKEND_BUILDERS.setdefault(name, builder)
 
-    register_default(
-        "reference",
-        lambda db, server_id=0, **kw: PIRServer(
-            db, server_id=server_id, prg=kw.get("prg", make_prg("numpy"))
-        ),
-    )
-    register_default(
-        "cpu",
-        lambda db, server_id=0, **kw: CPUPIRServer(
+    # Every builder names the options its backend takes: a misspelt or
+    # unsupported keyword must raise (naming it), not be dropped.  ``None``
+    # means "the registry default" (a fresh numpy PRG per server, a
+    # scaled-down PIM config).
+
+    def default_prg(prg):
+        return prg if prg is not None else make_prg("numpy")
+
+    def build_reference(db, server_id=0, prg=None):
+        return PIRServer(db, server_id=server_id, prg=default_prg(prg))
+
+    def build_cpu(db, server_id=0, config=None, prg=None):
+        return CPUPIRServer(
+            db, server_id=server_id, config=config, prg=default_prg(prg)
+        )
+
+    def build_gpu(db, server_id=0, config=None, prg=None):
+        return GPUPIRServer(
+            db, server_id=server_id, config=config, prg=default_prg(prg)
+        )
+
+    def build_impir(db, server_id=0, config=None):
+        return IMPIRServer(
             db,
+            config=config if config is not None else default_config(),
             server_id=server_id,
-            config=kw.get("config"),
-            prg=kw.get("prg", make_prg("numpy")),
-        ),
-    )
-    register_default(
-        "gpu",
-        lambda db, server_id=0, **kw: GPUPIRServer(
+        )
+
+    def build_impir_streamed(db, server_id=0, config=None, segment_records=None):
+        return StreamedIMPIRServer(
             db,
+            config=config if config is not None else default_config(num_dpus=4),
             server_id=server_id,
-            config=kw.get("config"),
-            prg=kw.get("prg", make_prg("numpy")),
-        ),
-    )
-    register_default(
-        "im-pir",
-        lambda db, server_id=0, **kw: IMPIRServer(
-            db, config=kw.get("config", default_config()), server_id=server_id
-        ),
-    )
-    register_default(
-        "im-pir-streamed",
-        lambda db, server_id=0, **kw: StreamedIMPIRServer(
-            db,
-            config=kw.get("config", default_config(num_dpus=4)),
-            server_id=server_id,
-            segment_records=kw.get("segment_records"),
-        ),
-    )
+            segment_records=segment_records,
+        )
 
     from repro.shard.backend import ShardedServer
 
-    register_default(
-        "sharded",
-        lambda db, server_id=0, **kw: ShardedServer(
+    def build_sharded(
+        db,
+        server_id=0,
+        num_shards=2,
+        child_kind="reference",
+        block_records=1,
+        plan=None,
+        config=None,
+        segment_records=None,
+        prg=None,
+    ):
+        return ShardedServer(
             db,
             server_id=server_id,
-            num_shards=kw.get("num_shards", 2),
-            child_kind=kw.get("child_kind", "reference"),
-            block_records=kw.get("block_records", 1),
-            plan=kw.get("plan"),
-            config=kw.get("config"),
-            segment_records=kw.get("segment_records"),
-            executor=kw.get("executor", "serial"),
-            tuner=kw.get("tuner"),
-            prg=kw.get("prg", make_prg("numpy")),
-        ),
-    )
+            num_shards=num_shards,
+            child_kind=child_kind,
+            block_records=block_records,
+            plan=plan,
+            config=config,
+            segment_records=segment_records,
+            prg=default_prg(prg),
+        )
+
+    register_default("reference", build_reference)
+    register_default("cpu", build_cpu)
+    register_default("gpu", build_gpu)
+    register_default("im-pir", build_impir)
+    register_default("im-pir-streamed", build_impir_streamed)
+    register_default("sharded", build_sharded)
 
 
 def available_backends() -> Tuple[str, ...]:

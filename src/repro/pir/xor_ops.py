@@ -253,9 +253,9 @@ def dpxor_many(
 
     ``out``, when given, is a caller-owned C-contiguous ``(B, record_size)``
     uint8 accumulator block the scan writes into (and returns) instead of
-    allocating — what lets the sharded threads executor's workers land their
-    shard's sub-results straight into one preallocated slab.  It is zeroed
-    first, so reuse across batches needs no caller-side reset.
+    allocating — what lets the sharded backend land each shard's
+    sub-results straight into its slab of one preallocated array.  It is
+    zeroed first, so reuse across batches needs no caller-side reset.
     """
     database, selectors = _validate_many(database, selectors)
     num_records, record_size = database.shape

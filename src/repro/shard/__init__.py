@@ -17,9 +17,6 @@ bit-identical throughout).
 
 from repro.shard.backend import (
     BARE_BACKEND_KINDS,
-    EXECUTOR_SERIAL,
-    EXECUTOR_THREADS,
-    SHARD_EXECUTORS,
     ShardBackendFactory,
     ShardedBackend,
     ShardedServer,
@@ -38,9 +35,6 @@ from repro.shard.plan import ShardPlan, ShardSpec, TopologyChange
 
 __all__ = [
     "BARE_BACKEND_KINDS",
-    "EXECUTOR_SERIAL",
-    "EXECUTOR_THREADS",
-    "SHARD_EXECUTORS",
     "ShardBackendFactory",
     "ShardedBackend",
     "ShardedServer",

@@ -27,7 +27,6 @@ streamed IM-PIR for cold ones (see :mod:`repro.shard.fleet`).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,7 +38,6 @@ from repro.core.engine import BackendCapabilities, PIRBackend, QueryEngine
 from repro.core.partitioning import fold_partials
 from repro.pir.database import Database
 from repro.shard.plan import ShardPlan, ShardSpec, TopologyChange
-from repro.shard.tuner import ScanTuner, default_tuner
 
 #: A callable building the bare execution backend for one shard.
 ShardBackendFactory = Callable[[ShardSpec], PIRBackend]
@@ -110,14 +108,6 @@ BARE_BACKEND_KINDS: Tuple[str, ...] = (
     "im-pir-streamed",
 )
 
-#: How a :class:`ShardedBackend` runs its per-shard ``execute`` calls.
-#: ``auto`` defers the serial-vs-threads decision to a measured
-#: :class:`~repro.shard.tuner.ScanTuner` crossover, per batch shape.
-EXECUTOR_SERIAL = "serial"
-EXECUTOR_THREADS = "threads"
-EXECUTOR_AUTO = "auto"
-SHARD_EXECUTORS: Tuple[str, ...] = (EXECUTOR_SERIAL, EXECUTOR_THREADS, EXECUTOR_AUTO)
-
 
 def default_child_config() -> IMPIRConfig:
     """The per-shard PIM configuration used when none is supplied.
@@ -184,30 +174,10 @@ class ShardedBackend(PIRBackend):
         plan: Optional[ShardPlan] = None,
         block_records: int = 1,
         name: str = "sharded",
-        executor: str = EXECUTOR_SERIAL,
-        tuner: Optional[ScanTuner] = None,
     ) -> None:
         if num_shards <= 0:
             raise ConfigurationError("num_shards must be positive")
-        if executor not in SHARD_EXECUTORS:
-            raise ConfigurationError(
-                f"unknown shard executor {executor!r}; known: {', '.join(SHARD_EXECUTORS)}"
-            )
         self._child_factory = child_factory
-        #: ``serial`` scans shards one after another on the calling thread;
-        #: ``threads`` overlaps the children's blocking numpy scans in a
-        #: thread pool — what lets a fleet's shards genuinely run in parallel
-        #: under the asyncio frontend.  ``auto`` keeps the pool warm and asks
-        #: the :class:`~repro.shard.tuner.ScanTuner`'s measured crossover per
-        #: batch whether threads actually beat serial at that shape.
-        #: Simulated time is identical in every mode (timers fold per-phase
-        #: max in shard order regardless).
-        self.executor = executor
-        self._tuner = (
-            tuner
-            if tuner is not None
-            else (default_tuner() if executor == EXECUTOR_AUTO else None)
-        )
         self._num_shards = plan.num_shards if plan is not None else num_shards
         self._block_records = plan.block_records if plan is not None else block_records
         self._requested_plan = plan
@@ -231,13 +201,6 @@ class ShardedBackend(PIRBackend):
         #: pays one identity check per fold.
         self.events = None
         self.tracer = None
-        #: Persistent scan pool for the ``threads`` executor, (re)built at
-        #: prepare — spawning threads per ``execute`` call would put
-        #: ms-scale thread churn on the per-query hot path.  Sized with
-        #: headroom over the prepare-time member count because an online
-        #: split can grow the fleet without a re-prepare; scans beyond the
-        #: width queue (still correct, just less overlapped).
-        self._pool: Optional[ThreadPoolExecutor] = None
 
     @property
     def plan(self) -> Optional[ShardPlan]:
@@ -281,42 +244,25 @@ class ShardedBackend(PIRBackend):
             if report is not None:
                 timer.merge_parallel(report)
             members.append((shard, child, child.capabilities().lanes))
-        # A re-prepare replaces the children wholesale; release the old
-        # generation's resources (scan pools of nested fleets, etc.) so
-        # repeated re-prepares never accumulate leaked threads.
+        # A re-prepare replaces the children wholesale; close the old
+        # generation (a child may hold resources of its own).
         if self._topology is not None:
             _close_children(self._topology.members)
         self._topology = _Topology(plan, tuple(members))
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self.executor in (EXECUTOR_THREADS, EXECUTOR_AUTO):
-            # Width headroom (+4) over the prepare-time member count: online
-            # splits grow the fleet without re-preparing, and the pool is
-            # deliberately kept for the backend's whole life — swapping pools
-            # mid-reshape could hand an in-flight execute a shut-down pool.
-            self._pool = ThreadPoolExecutor(
-                max_workers=len(members) + 4, thread_name_prefix="shard-scan"
-            )
         return timer if timer.durations else None
 
     def close(self) -> None:
-        """Release the scan resources of a backend that will never serve again.
+        """Close the children of a backend that will never serve again.
 
         The drain path for elastic replicas: a drained member is detached
-        under the reconfigure gate, so no scan is in flight and the pool's
-        idle threads can be dropped without waiting.  Closing propagates to
-        every child exposing ``close`` (a nested sharded fleet, a future
-        pooled child), so a fleet drain releases the whole subtree's thread
-        pools — long-lived deployments reshape replicas for their entire
-        life and must never leak executor threads generation over
-        generation.  The backend stays structurally intact (children,
-        topology) — only future ``execute`` calls fall back to sequential
-        scans if it is ever revived.
+        under the reconfigure gate, so no scan is in flight.  Closing
+        propagates to every child exposing ``close`` (a nested sharded
+        fleet, a child holding a resource of its own), so a fleet drain
+        releases the whole subtree — long-lived deployments reshape
+        replicas for their entire life and must not leak a generation of
+        children per reshape.  The backend itself holds nothing to release
+        and stays structurally intact (children, topology).
         """
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
-            self._pool = None
         snapshot = self._topology
         if snapshot is not None:
             _close_children(snapshot.members)
@@ -426,35 +372,21 @@ class ShardedBackend(PIRBackend):
         snapshot = self._topology
         if self._database is None or snapshot is None:
             raise ProtocolError("sharded backend has no prepared database")
-
-        def scan_shard(job) -> Tuple[np.ndarray, PhaseTimer]:
-            (shard, child, child_lanes), selector_slice = job
+        accumulator = np.zeros(self._database.record_size, dtype=np.uint8)
+        combined = PhaseTimer()
+        # One read of the topology snapshot: a live migration swapping a
+        # child mid-scan — or a reshape swapping the whole plan — must not
+        # tear this walk (the snapshot pairs the plan with its members, and
+        # each triple pairs the child with its lane count).
+        for (shard, child, child_lanes), selector_slice in zip(
+            snapshot.members, snapshot.plan.split_selector(selector_bits)
+        ):
             child_timer = PhaseTimer()
             # The engine bounds lane by the fleet minimum, but members keep
             # serving if a caller drives a bare backend with a larger lane.
             child_lane = min(lane, child_lanes - 1)
             sub = child.execute(selector_slice, child_timer, lane=child_lane)
-            return np.asarray(sub, dtype=np.uint8).reshape(-1), child_timer
-
-        # One read of the topology snapshot: a live migration swapping a
-        # child mid-batch — or a reshape swapping the whole plan — must not
-        # tear this job list (the snapshot pairs the plan with its members,
-        # and each triple pairs the child with its lane count).
-        jobs = list(
-            zip(snapshot.members, snapshot.plan.split_selector(selector_bits))
-        )
-        if self._pool is not None and len(jobs) > 1:
-            # Children are independent machines with independent state, so
-            # their blocking scans can genuinely overlap; results come back
-            # in shard order, keeping the fold below deterministic.
-            scans = list(self._pool.map(scan_shard, jobs))
-        else:
-            scans = [scan_shard(job) for job in jobs]
-
-        accumulator = np.zeros(self._database.record_size, dtype=np.uint8)
-        combined = PhaseTimer()
-        for (shard, _, _), (sub, child_timer) in zip(snapshot.members, scans):
-            accumulator ^= sub
+            accumulator ^= np.asarray(sub, dtype=np.uint8).reshape(-1)
             combined.merge_parallel(child_timer)
             if self.tracer is not None:
                 self.tracer.record_shard_scan(breakdown, shard.index, child_timer)
@@ -477,23 +409,19 @@ class ShardedBackend(PIRBackend):
         """Batched sharded scan: split once, scan slabs, word-fold across shards.
 
         The selector matrix is split into zero-copy per-shard column views
-        **once per batch** (not once per query), and each shard job runs one
-        batched scan with **no per-query Python in the worker**: children
-        exposing ``scan_many_into`` (the reference-substrate kinds) scan
-        their column block straight into a preallocated per-shard slab of
-        one ``(num_shards, B, record_size)`` accumulator array; other kinds
+        **once per batch** (not once per query), and each shard runs one
+        batched scan with **no per-query Python**: children exposing
+        ``scan_many_into`` (the reference-substrate kinds) scan their
+        column block straight into a preallocated per-shard slab of one
+        ``(num_shards, B, record_size)`` accumulator array; other kinds
         serve the block through their own ``execute_many``.  The slabs then
         XOR-fold across shards through the uint64 word path of
         :func:`~repro.core.partitioning.fold_partials`.
 
-        Under the ``threads`` executor the shard jobs overlap in the
-        persistent scan pool; ``auto`` asks the
-        :class:`~repro.shard.tuner.ScanTuner` per flush whether threads beat
-        serial at this shape's measured crossover (and with which chunk
-        size).  Simulated time is identical in every mode: child timers
-        still fold with per-phase max per query, exactly like the
-        sequential path (fast-path children record no phases, also exactly
-        like their sequential scans).
+        Shards are walked in plan order on the calling thread; they stand
+        for independent machines, so child timers fold with per-phase max
+        per query, exactly like :meth:`execute` (fast-path children record
+        no phases, also exactly like their per-query scans).
         """
         snapshot = self._topology
         if self._database is None or snapshot is None:
@@ -503,49 +431,23 @@ class ShardedBackend(PIRBackend):
         record_size = self._database.record_size
         members = snapshot.members
         blocks = snapshot.plan.split_selector_many(selector_matrix)
-        num_jobs = len(members)
-        #: One slab per shard; fast-path workers write into their slab
+        #: One slab per shard; fast-path children write into their slab
         #: in place, so nothing is allocated or marshalled per query.
-        partials = np.zeros((num_jobs, batch, record_size), dtype=np.uint8)
-
-        chunk_records = None
-        use_pool = self._pool is not None and num_jobs > 1
-        if self.executor == EXECUTOR_AUTO and self._tuner is not None:
-            calibration = self._tuner.choose(
-                self._database.num_records, record_size, batch
-            )
-            chunk_records = calibration.chunk_records
-            use_pool = use_pool and calibration.executor == EXECUTOR_THREADS
-
-        def scan_shard_batch(index: int) -> Optional[List[PhaseTimer]]:
-            (shard, child, child_lanes), block = members[index], blocks[index]
-            scan_into = getattr(child, "scan_many_into", None)
-            if scan_into is not None:
-                scan_into(block, partials[index], chunk_records=chunk_records)
-                return None
-            child_timers = [PhaseTimer() for _ in breakdowns]
-            child_query_lanes = [min(lane, child_lanes - 1) for lane in lanes]
-            subs = child.execute_many(block, child_timers, child_query_lanes)
-            partials[index] = np.asarray(subs, dtype=np.uint8).reshape(
-                batch, record_size
-            )
-            return child_timers
-
-        if use_pool:
-            timers_per_shard = list(self._pool.map(scan_shard_batch, range(num_jobs)))
-        else:
-            timers_per_shard = [scan_shard_batch(index) for index in range(num_jobs)]
-
-        # Cross-shard fold through the same uint64 word path as the
-        # single-query pipeline (one flattened fold, B * record_size bytes
-        # per shard, bit-identical to per-query byte folds).
-        accumulators = fold_partials(
-            [slab.reshape(-1) for slab in partials], batch * record_size
-        ).reshape(batch, record_size)
+        partials = np.zeros((len(members), batch, record_size), dtype=np.uint8)
 
         combined = [PhaseTimer() for _ in breakdowns]
-        for (shard, _, _), child_timers in zip(members, timers_per_shard):
-            if child_timers is not None:
+        for (shard, child, child_lanes), block, slab in zip(members, blocks, partials):
+            scan_into = getattr(child, "scan_many_into", None)
+            if scan_into is not None:
+                scan_into(block, slab)
+                child_timers = None
+            else:
+                child_timers = [PhaseTimer() for _ in breakdowns]
+                child_query_lanes = [min(lane, child_lanes - 1) for lane in lanes]
+                subs = child.execute_many(block, child_timers, child_query_lanes)
+                slab[...] = np.asarray(subs, dtype=np.uint8).reshape(
+                    batch, record_size
+                )
                 for query_combined, child_timer in zip(combined, child_timers):
                     query_combined.merge_parallel(child_timer)
             if self.tracer is not None:
@@ -570,7 +472,12 @@ class ShardedBackend(PIRBackend):
                 )
         for breakdown, query_combined in zip(breakdowns, combined):
             breakdown.merge(query_combined)
-        return accumulators
+        # Cross-shard fold through the same uint64 word path as the
+        # single-query pipeline (one flattened fold, B * record_size bytes
+        # per shard, bit-identical to per-query byte folds).
+        return fold_partials(
+            [slab.reshape(-1) for slab in partials], batch * record_size
+        ).reshape(batch, record_size)
 
     # -- views for facades/tests ----------------------------------------------------
 
@@ -633,10 +540,10 @@ class ShardedBackend(PIRBackend):
         replaced = list(members)
         outgoing = replaced[position]
         replaced[position] = (shard, child, child.capabilities().lanes)
-        # Single reference assignment: an execute() running concurrently (the
-        # threads executor under the asyncio frontend) reads either the old
-        # snapshot or the new one, never a child paired with a stale lane
-        # count or a stale plan.
+        # Single reference assignment: an execute() running concurrently (on
+        # one of the asyncio frontend's replica worker threads) reads either
+        # the old snapshot or the new one, never a child paired with a stale
+        # lane count or a stale plan.
         self._topology = _Topology(plan, tuple(replaced))
         # Migrations run under the control plane's reconfigure gate, so the
         # outgoing child has no scan in flight; release its resources now or
@@ -714,7 +621,7 @@ class ShardedBackend(PIRBackend):
     def commit_topology(self, staged: "StagedTopology") -> Optional[PhaseTimer]:
         """Install a staged reshape: one reference assignment, cannot fail.
 
-        Threaded in-flight ``execute`` calls finish against the old
+        ``execute`` calls in flight on another thread finish against the old
         snapshot and the next query sees the new topology whole; retrievals
         are bit-identical throughout (both topologies tile the same
         database bytes).  Returns the staging's preload report (the
@@ -739,7 +646,7 @@ class ShardedBackend(PIRBackend):
         self._requested_plan = staged.topology.plan
         # Children the reshape did not carry forward are done serving
         # (commits happen under the reconfigure gate); close them so repeated
-        # reshapes never accumulate leaked scan pools.
+        # reshapes never accumulate a generation of dead children.
         _close_children(
             outgoing.members, keep=[child for _, child, _ in staged.topology.members]
         )
@@ -786,8 +693,6 @@ class ShardedServer:
         block_records: int = 1,
         config: Optional[IMPIRConfig] = None,
         segment_records: Optional[int] = None,
-        executor: str = EXECUTOR_SERIAL,
-        tuner: Optional[ScanTuner] = None,
         prg=None,
     ) -> None:
         if child_factory is None:
@@ -799,8 +704,6 @@ class ShardedServer:
             num_shards=num_shards,
             plan=plan,
             block_records=block_records,
-            executor=executor,
-            tuner=tuner,
         )
         self.engine = QueryEngine(self.backend, server_id=server_id, prg=prg)
         self.engine.prepare(database)

@@ -49,7 +49,6 @@ from repro.shard.backend import (
     default_child_config,
 )
 from repro.shard.plan import ShardPlan, ShardSpec, TopologyChange
-from repro.shard.tuner import ScanTuner
 
 
 @dataclass(frozen=True)
@@ -436,8 +435,6 @@ class FleetRouter(PIRFrontend):
         child_config: Optional[IMPIRConfig] = None,
         policy: Optional[BatchingPolicy] = None,
         dedup: bool = False,
-        executor: str = "serial",
-        tuner: Optional[ScanTuner] = None,
         observers: Sequence = (),
         cache=None,
         initial_replicas: int = 1,
@@ -475,13 +472,9 @@ class FleetRouter(PIRFrontend):
             )(shard)
 
         # Remembered for elasticity: a staged replica member must be built
-        # exactly like the construction-time ones (same live kind map, same
-        # executor and tuner), or the group's members would stop being
-        # interchangeable.  One shared tuner across the fleet: every member
-        # serves from this machine, so one measured crossover serves all.
+        # exactly like the construction-time ones (same live kind map), or
+        # the group's members would stop being interchangeable.
         self._child_factory = child_factory
-        self._executor = executor
-        self._tuner = tuner
         replicas = [
             ReplicaGroup(
                 server_id,
@@ -491,8 +484,6 @@ class FleetRouter(PIRFrontend):
                         server_id=server_id,
                         plan=plan,
                         child_factory=child_factory,
-                        executor=executor,
-                        tuner=tuner,
                     )
                     for _ in range(initial_replicas)
                 ],
@@ -547,8 +538,6 @@ class FleetRouter(PIRFrontend):
                         server_id=group.server_id,
                         plan=plan,
                         child_factory=self._child_factory,
-                        executor=self._executor,
-                        tuner=self._tuner,
                     )
                 )
         except Exception:
@@ -627,8 +616,8 @@ class FleetRouter(PIRFrontend):
         The reconfigure gate is what "waits out in-flight flushes": by the
         time the mutator runs no flush is in flight (structurally on the
         sync frontend, via the writer-preferring quiesce on the async one),
-        so the drained members are idle and their scan pools can be shut
-        down immediately.  Returns the drained members.
+        so the drained members are idle and can be closed immediately.
+        Returns the drained members.
         """
         if self.replica_count <= 1:
             raise ConfigurationError(

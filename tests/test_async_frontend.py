@@ -347,7 +347,7 @@ class TestEquivalenceWithSyncFrontend:
         assert async_records == sync_records
         assert async_records == [database.record(i) for i in stream]
 
-    def test_equivalence_over_threaded_sharded_fleets(self, database):
+    def test_equivalence_over_sharded_fleets(self, database):
         stream = [10, 20, 30, 40]
 
         def fleets():
@@ -356,7 +356,6 @@ class TestEquivalenceWithSyncFrontend:
                     database,
                     server_id=i,
                     num_shards=3,
-                    executor="threads",
                     prg=make_prg("numpy"),
                 )
                 for i in (0, 1)

@@ -142,15 +142,6 @@ class TestEdgeShapes:
         batched = engine.answer_many(queries)
         assert [r.answer.payload for r in batched.results] == sequential
 
-    def test_sharded_threads_executor(self):
-        database, queries = _batch(128, 32, 6)
-        engine = create_server(
-            "sharded", database, server_id=0, num_shards=4, executor="threads"
-        ).engine
-        sequential = [engine.answer(query).answer.payload for query in queries]
-        batched = engine.answer_many(queries)
-        assert [r.answer.payload for r in batched.results] == sequential
-
     def test_all_zero_naive_share(self):
         # An all-zero selector share is a legal additive share; the batched
         # accumulator row must stay zero, not inherit a neighbour's XOR.

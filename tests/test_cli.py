@@ -169,16 +169,9 @@ class TestMain:
         assert main(["list"]) == 0
         assert "report" in capsys.readouterr().out
 
-    def test_bench_quick(self, capsys):
-        assert main(["bench", "--quick"]) == 0
-        out = capsys.readouterr().out
-        assert "Batched scan benchmark (quick mode)" in out
-        assert "speedup" in out
-
-    def test_quick_flag_rejected_for_other_targets(self, capsys):
-        assert main(["fig9", "--quick"]) == 2
-        assert "bench" in capsys.readouterr().err
-
-    def test_bench_listed(self, capsys):
-        assert main(["list"]) == 0
-        assert "bench" in capsys.readouterr().out
+    def test_bench_target_is_gone(self, capsys):
+        # The wall-clock benchmark is benchmarks/e2e/run.py; the CLI has none.
+        assert main(["bench"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown target 'bench'" in err
+        assert all(target in err for target in available_targets())

@@ -230,6 +230,25 @@ class TestRegistry:
         with pytest.raises(ProtocolError):
             create_server("tpu", Database.random(4, 4, seed=1))
 
+    @pytest.mark.parametrize("name", sorted(available_backends()))
+    def test_unknown_option_raises_naming_it(self, name):
+        # A misspelt option must raise, not be dropped silently.
+        with pytest.raises(TypeError, match="num_shard_typo"):
+            create_server(name, Database.random(8, 4, seed=1), num_shard_typo=4)
+
+    def test_removed_shard_walk_option_raises_everywhere(self):
+        from repro.shard import FleetRouter, ShardedServer, ShardPlan
+
+        database = Database.random(8, 4, seed=1)
+        client = PIRClient(8, 4, seed=2, prg=make_prg("numpy"))
+        plan = ShardPlan.uniform(8, 2)
+        with pytest.raises(TypeError, match="executor"):
+            create_server("sharded", database, executor="threads")
+        with pytest.raises(TypeError, match="executor"):
+            ShardedServer(database, executor="threads")
+        with pytest.raises(TypeError, match="executor"):
+            FleetRouter(client, database, plan, [1.0, 1.0], executor="threads")
+
     def test_custom_backend_registration(self):
         calls = []
 

@@ -515,92 +515,6 @@ class TestShardedRegistry:
         assert server.shard_for_record(59).index == 3
         assert sum(server.shard_utilization().values()) == 60
 
-    def test_registry_builder_forwards_executor(self):
-        database = Database.random(32, 8, seed=23)
-        server = create_server("sharded", database, num_shards=2, executor="threads")
-        assert server.backend.executor == "threads"
-
-
-class TestShardExecutors:
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ConfigurationError, match="executor"):
-            ShardedBackend(bare_backend_factory("reference"), executor="processes")
-        with pytest.raises(ConfigurationError, match="executor"):
-            ShardedServer(
-                Database.random(8, 4, seed=1), executor="greenlets", prg=make_prg("numpy")
-            )
-
-    def test_threads_executor_is_bit_identical_with_identical_simulated_time(self):
-        """The executor changes wall-clock overlap only, never results/timers."""
-        database = Database.random(96, 16, seed=31)
-        serial = ShardedServer(
-            database, num_shards=3, child_kind="im-pir", prg=make_prg("numpy")
-        )
-        threaded = ShardedServer(
-            database,
-            num_shards=3,
-            child_kind="im-pir",
-            executor="threads",
-            prg=make_prg("numpy"),
-        )
-        client = make_client(database, seed=33)
-        for index in (0, 50, 95):
-            query = client.query(index)[0]
-            serial_result = serial.engine.answer(query)
-            threaded_result = threaded.engine.answer(query)
-            assert serial_result.answer.payload == threaded_result.answer.payload
-            assert (
-                serial_result.breakdown.durations == threaded_result.breakdown.durations
-            )
-
-    def test_threads_executor_overlaps_child_scans(self):
-        """Per-shard execute calls genuinely run at the same wall-clock time."""
-        import time
-
-        windows = []
-
-        def slow_factory(shard):
-            inner = bare_backend_factory("reference")(shard)
-
-            class _SlowChild:
-                def prepare(self, shard_db):
-                    return inner.prepare(shard_db)
-
-                def capabilities(self):
-                    return inner.capabilities()
-
-                def latency_eval_seconds(self, num_records):
-                    return 0.0
-
-                def batch_eval_seconds(self, num_records):
-                    return 0.0
-
-                def execute(self, selector_bits, breakdown, lane=0):
-                    start = time.monotonic()
-                    time.sleep(0.03)
-                    result = inner.execute(selector_bits, breakdown, lane=lane)
-                    windows.append((start, time.monotonic()))
-                    return result
-
-            return _SlowChild()
-
-        database = Database.random(64, 8, seed=35)
-        sharded = ShardedServer(
-            database,
-            num_shards=2,
-            child_factory=slow_factory,
-            executor="threads",
-            prg=make_prg("numpy"),
-        )
-        client = make_client(database, seed=37)
-        query = client.query(11)[0]
-        payload = sharded.engine.answer(query).answer.payload
-        reference = create_server("reference", database)
-        assert payload == reference.engine.answer(query).answer.payload
-        assert len(windows) == 2
-        (start_a, end_a), (start_b, end_b) = windows
-        assert max(start_a, start_b) < min(end_a, end_b)
-
 
 class _ClosableChild:
     """Delegating child that records ``close`` calls."""
@@ -618,7 +532,7 @@ class _ClosableChild:
 
 class TestClosePropagation:
     """Every path that retires a child must release it — a long-lived fleet
-    reshapes for its whole life and must never leak scan pools."""
+    reshapes for its whole life and must never leak retired children."""
 
     @staticmethod
     def _tracked_factory(children):
@@ -631,16 +545,12 @@ class TestClosePropagation:
 
         return build
 
-    def test_close_closes_every_child_and_the_pool(self):
+    def test_close_closes_every_child(self):
         database = Database.random(64, 8, seed=21)
         children = []
-        backend = ShardedBackend(
-            self._tracked_factory(children), num_shards=3, executor="threads"
-        )
+        backend = ShardedBackend(self._tracked_factory(children), num_shards=3)
         backend.prepare(database)
-        assert backend._pool is not None
         backend.close()
-        assert backend._pool is None
         assert [child.closed for child in children] == [1, 1, 1]
 
     def test_swap_child_closes_only_the_outgoing_member(self):

@@ -1,20 +1,11 @@
-"""The PR 6/7 perf tooling: bench harness, history archive, diff tool, lints."""
+"""The repo's own tooling: ``tools/bench_compare.py`` and the ``tools/lint.py`` rules."""
 
 import importlib.util
 import json
-import os
 import sys
 from pathlib import Path
 
 import pytest
-
-from repro.bench.perf import (
-    archive_metrics,
-    bench_tag,
-    dpu_pipeline_model,
-    render_bench,
-    run_bench,
-)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -27,122 +18,6 @@ def _load_tool(name):
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
-
-
-class TestRunBench:
-    def test_quick_mode_structure_and_assertion(self, tmp_path):
-        out = tmp_path / "bench.json"
-        metrics = run_bench(quick=True, output_path=str(out))
-        assert metrics["mode"] == "quick"
-        wall = metrics["wall_clock"]
-        # Quick mode only returns if its internal batched >= sequential
-        # assertion held.
-        assert wall["batched_vs_sequential_speedup"] >= 1.0
-        assert wall["records_per_second"] > 0
-        simulated = metrics["simulated_impir"]
-        assert 0 < simulated["p50_latency_seconds"] <= simulated["p99_latency_seconds"]
-        written = json.loads(out.read_text())
-        assert written["shape"]["backend"] == "reference"
-        assert written["wall_clock"]["batched_seconds"] > 0
-
-    def test_render_mentions_speedup_and_percentiles(self):
-        metrics = run_bench(quick=True, output_path=None)
-        text = render_bench(metrics)
-        assert "speedup" in text
-        assert "p50" in text and "p99" in text
-        assert "records/s" in text
-
-    def test_simulated_percentiles_are_deterministic(self):
-        first = run_bench(quick=True, output_path=None)["simulated_impir"]
-        second = run_bench(quick=True, output_path=None)["simulated_impir"]
-        assert first == second
-
-
-class TestBenchArchive:
-    def test_bench_tag_is_a_short_nonempty_token(self):
-        tag = bench_tag()
-        assert tag and " " not in tag
-
-    def test_archive_metrics_writes_a_tagged_artifact(self, tmp_path):
-        history = tmp_path / "history"
-        path = archive_metrics({"a": 1}, str(history), tag="abc123")
-        assert path == str(history / "BENCH_abc123.json")
-        written = json.loads(Path(path).read_text())
-        assert written == {"a": 1, "tag": "abc123"}
-
-    def test_run_bench_archives_into_history_dir(self, tmp_path):
-        history = tmp_path / "history"
-        metrics = run_bench(
-            quick=True, output_path=None, history_dir=str(history), tag="t1"
-        )
-        archived = Path(metrics["archived_to"])
-        assert archived == history / "BENCH_t1.json"
-        payload = json.loads(archived.read_text())
-        assert payload["tag"] == "t1"
-        # The archived payload is the pre-archive snapshot: no self-reference.
-        assert "archived_to" not in payload
-        assert payload["wall_clock"] == metrics["wall_clock"]
-
-
-def _write_history(tmp_path, runs):
-    """Write tagged quick-shaped artifacts with strictly increasing mtimes."""
-    history = tmp_path / "history"
-    history.mkdir()
-    for order, (tag, qps) in enumerate(runs):
-        payload = {
-            "tag": tag,
-            "wall_clock": {
-                "batched_qps": qps,
-                "batched_vs_sequential_speedup": 2.0,
-                "records_per_second": qps * 100,
-            },
-            "simulated_impir": {
-                "p50_latency_seconds": 1e-4,
-                "p99_latency_seconds": 2e-4,
-            },
-        }
-        path = history / f"BENCH_{tag}.json"
-        path.write_text(json.dumps(payload))
-        stamp = 1_000_000_000 + order
-        os.utime(path, (stamp, stamp))
-    return history
-
-
-class TestBenchTrajectory:
-    def test_load_history_orders_by_mtime_and_labels_by_tag(self, tmp_path):
-        compare = _load_tool("bench_compare")
-        history = _write_history(tmp_path, [("new", 900.0), ("old", 400.0)])
-        # "old" was written second, so it is the newest run despite its name.
-        loaded = compare.load_history(str(history))
-        assert [label for label, _ in loaded] == ["new", "old"]
-        assert loaded[0][1]["wall_clock.batched_qps"] == 900.0
-
-    def test_render_trajectory_one_row_per_run(self, tmp_path):
-        compare = _load_tool("bench_compare")
-        history = _write_history(tmp_path, [("aaa", 400.0), ("bbb", 900.0)])
-        text = compare.render_trajectory(compare.load_history(str(history)))
-        lines = text.splitlines()
-        assert "batched q/s" in lines[0] and "p99 us" in lines[0]
-        assert lines[1].startswith("aaa") and lines[2].startswith("bbb")
-        assert "900.00" in lines[2]
-
-    def test_main_directory_mode_prints_trajectory_and_full_diff(
-        self, tmp_path, capsys
-    ):
-        compare = _load_tool("bench_compare")
-        history = _write_history(tmp_path, [("first", 400.0), ("last", 900.0)])
-        assert compare.main([str(history)]) == 0
-        out = capsys.readouterr().out
-        assert "first" in out and "last" in out
-        assert "full diff, first -> last:" in out
-        assert "+125.0%" in out  # 400 -> 900 qps
-
-    def test_main_empty_directory_is_an_error(self, tmp_path, capsys):
-        compare = _load_tool("bench_compare")
-        empty = tmp_path / "empty"
-        empty.mkdir()
-        assert compare.main([str(empty)]) == 1
-        assert "no BENCH_" in capsys.readouterr().err
 
 
 class TestBenchCompare:
@@ -515,93 +390,3 @@ class TestEventLoopClockLint:
             "    return asyncio.get_running_loop().time()  # noqa\n",
         )
         assert not findings
-
-
-class TestBackendSurveyAndDpuModel:
-    def test_quick_metrics_include_survey_and_pipeline_rows(self):
-        metrics = run_bench(quick=True, output_path=None)
-
-        survey = metrics["backend_survey"]
-        assert [row["backend"] for row in survey] == [
-            "reference",
-            "sharded",
-            "im-pir-streamed",
-        ]
-        assert survey[0]["cores"] == 1
-        for row in survey:
-            assert row["records_per_second"] > 0
-            assert row["records_per_second_per_core"] == pytest.approx(
-                row["records_per_second"] / row["cores"]
-            )
-
-        pipeline = metrics["dpu_pipeline"]
-        assert [(row["backend"], row["num_dpus"]) for row in pipeline] == [
-            ("im-pir", 8),
-            ("im-pir-streamed", 4),
-        ]
-        stage_keys = {
-            "broadcast_seconds",
-            "launch_seconds",
-            "kernel_seconds",
-            "gather_seconds",
-            "fold_seconds",
-        }
-        for row in pipeline:
-            assert row["records_per_second_per_dpu"] > 0
-            assert set(row["stages"]) == stage_keys
-            assert row["per_query_seconds"] == pytest.approx(
-                sum(row["stages"].values())
-            )
-
-        text = render_bench(metrics)
-        assert "backend survey" in text
-        assert "DPU pipeline cost model" in text
-
-    def test_dpu_pipeline_model_is_deterministic(self):
-        assert dpu_pipeline_model(2048, 64) == dpu_pipeline_model(2048, 64)
-
-    def test_dpu_pipeline_batched_view_amortizes(self):
-        for row in dpu_pipeline_model(2048, 64, batch_size=16):
-            batched = row["batched"]
-            assert batched["batch_size"] == 16
-            # Fixed per-dispatch charges amortise; per-row work never does,
-            # so the per-query cost drops but stays above the kernel+fold floor.
-            assert batched["per_query_seconds"] < row["per_query_seconds"]
-            floor = (
-                row["stages"]["kernel_seconds"] + row["stages"]["fold_seconds"]
-            )
-            assert batched["per_query_seconds"] > floor
-            assert batched["amortized_speedup"] > 1.0
-
-
-class TestCrossoverSweep:
-    def test_quick_metrics_include_sweep_and_hardware(self):
-        metrics = run_bench(quick=True, output_path=None)
-
-        hardware = metrics["hardware"]
-        assert hardware["cpu_count"] >= 1
-        assert hardware["numpy_version"]
-        assert isinstance(hardware["thread_env"], dict)
-
-        sweep = metrics["crossover_sweep"]
-        grid = sweep["grid"]
-        seen = {(row["num_shards"], row["executor"]) for row in grid}
-        assert seen == {
-            (shards, executor)
-            for shards in (1, 2, 4)
-            for executor in ("serial", "threads")
-        }
-        for row in grid:
-            assert row["scan_seconds"] > 0
-            assert row["records_per_second"] > 0
-
-        calibrations = sweep["scan_tuner"]
-        assert calibrations, "the sweep must record at least one calibration"
-        for calibration in calibrations:
-            assert calibration["executor"] in ("serial", "threads")
-            assert calibration["num_workers"] >= 2
-            assert calibration["threads_speedup"] > 0
-
-        text = render_bench(metrics)
-        assert "crossover sweep" in text
-        assert "tuner verdict" in text

@@ -1,32 +1,25 @@
 #!/usr/bin/env python3
-"""Diff benchmark JSON artifacts, or print a whole history's trajectory.
+"""Diff two benchmark JSON artifacts.
 
 Usage::
 
     python tools/bench_compare.py BASELINE.json CANDIDATE.json
-    python tools/bench_compare.py benchmarks/history
 
-With two files, every numeric leaf shared by both is printed side by side
-with its relative change; leaves present in only one file are listed
-separately so a schema drift is visible instead of silently ignored.  If the
-two runs disagree on their ``shape`` or ``hardware`` context (different
-database shape, core count, numpy version or thread-cap env), a warning is
-printed to stderr first — wall-clock numbers from different shapes or
-machines diff apples against oranges.
-
-With a directory (the ``make bench`` archive), every ``BENCH_*.json`` in it
-is listed oldest first — one row of headline metrics per run — followed by
-the full first-vs-last diff.  Exit code is 0 unless inputs cannot be read
-or share no numeric leaves.
+Every numeric leaf shared by both files is printed side by side with its
+relative change; leaves present in only one file are listed separately so a
+schema drift is visible instead of silently ignored.  If the two runs
+disagree on their ``shape`` or ``hardware`` context (different database
+shape, core count, numpy version or thread-cap env), a warning is printed to
+stderr first — wall-clock numbers from different shapes or machines diff
+apples against oranges.  Exit code is 0 unless inputs cannot be read or
+share no numeric leaves.
 """
 
 from __future__ import annotations
 
-import glob
 import json
-import os
 import sys
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 
 def flatten_numeric(value: object, prefix: str = "") -> Dict[str, float]:
@@ -95,75 +88,8 @@ def compare(baseline: Dict[str, float], candidate: Dict[str, float]) -> str:
     return "\n".join(lines)
 
 
-#: Headline columns for the trajectory table: (heading, dotted path, scale).
-_HEADLINE: Tuple[Tuple[str, str, float], ...] = (
-    ("batched q/s", "wall_clock.batched_qps", 1.0),
-    ("speedup", "wall_clock.batched_vs_sequential_speedup", 1.0),
-    ("records/s", "wall_clock.records_per_second", 1.0),
-    ("p50 us", "simulated_impir.p50_latency_seconds", 1e6),
-    ("p99 us", "simulated_impir.p99_latency_seconds", 1e6),
-)
-
-
-def load_history(directory: str) -> List[Tuple[str, Dict[str, float]]]:
-    """The ``BENCH_*.json`` artifacts in ``directory``, oldest first.
-
-    Ordered by file modification time (ties broken by name): archives are
-    written as runs happen, so mtime order is the run order.  Returns
-    ``(label, flattened metrics)`` pairs; unreadable files raise.
-    """
-    paths = sorted(
-        glob.glob(os.path.join(directory, "BENCH_*.json")),
-        key=lambda path: (os.path.getmtime(path), path),
-    )
-    history = []
-    for path in paths:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        label = data.get("tag") or os.path.basename(path)
-        history.append((str(label), flatten_numeric(data)))
-    return history
-
-
-def render_trajectory(history: List[Tuple[str, Dict[str, float]]]) -> str:
-    """One headline-metrics row per archived run, oldest first."""
-    width = max(max(len(label) for label, _ in history), len("run"))
-    header = f"{'run':<{width}}" + "".join(
-        f" {heading:>14}" for heading, _, _ in _HEADLINE
-    )
-    lines = [header]
-    for label, flat in history:
-        cells = []
-        for _, path, scale in _HEADLINE:
-            value = flat.get(path)
-            cells.append(
-                f" {value * scale:>14,.2f}" if value is not None else f" {'-':>14}"
-            )
-        lines.append(f"{label:<{width}}" + "".join(cells))
-    return "\n".join(lines)
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if len(argv) == 1 and os.path.isdir(argv[0]):
-        try:
-            history = load_history(argv[0])
-        except (OSError, ValueError) as error:
-            print(f"cannot read history in {argv[0]}: {error}", file=sys.stderr)
-            return 2
-        if not history:
-            print(f"no BENCH_*.json artifacts in {argv[0]}", file=sys.stderr)
-            return 1
-        try:
-            print(render_trajectory(history))
-            if len(history) > 1:
-                first, last = history[0], history[-1]
-                print()
-                print(f"full diff, {first[0]} -> {last[0]}:")
-                print(compare(first[1], last[1]))
-        except BrokenPipeError:
-            return 0
-        return 0
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
