@@ -14,7 +14,7 @@ import pytest
 from repro.common.units import MIB
 from repro.pim.config import DPUConfig, UPMEM_PAPER_CONFIG
 from repro.pim.dpu import DPU
-from repro.pim.kernels import DB_BUFFER, SELECTOR_BUFFER, DpXorKernel
+from repro.pim.kernels import DB_BUFFER, SELECTOR_BUFFER, DpXorManyKernel
 from repro.pim.timing import PIMTimingModel
 
 TASKLET_SWEEP = (1, 2, 4, 8, 11, 16, 24)
@@ -52,6 +52,6 @@ class TestTaskletSweepFunctional:
         dpu.store(DB_BUFFER, database.reshape(-1))
         dpu.store(SELECTOR_BUFFER, np.packbits(selector, bitorder="big"))
         report = benchmark(
-            dpu.launch, DpXorKernel(), num_records=num_records, record_size=32
+            dpu.launch, DpXorManyKernel(), batch=1, num_records=num_records, record_size=32
         )
         assert report.tasklets_used == tasklets

@@ -18,7 +18,7 @@ from repro.cpu.cpu_pir import CPUPIRServer
 from repro.dpf.prf import make_prg
 from repro.pim.dpu import DPU
 from repro.pim.config import DPUConfig
-from repro.pim.kernels import DB_BUFFER, SELECTOR_BUFFER, DpXorKernel
+from repro.pim.kernels import DB_BUFFER, SELECTOR_BUFFER, DpXorManyKernel
 from repro.pir.client import PIRClient
 
 
@@ -61,6 +61,6 @@ class TestFunctionalPhases:
         dpu.store(DB_BUFFER, database.reshape(-1))
         dpu.store(SELECTOR_BUFFER, np.packbits(selector, bitorder="big"))
         report = benchmark(
-            dpu.launch, DpXorKernel(), num_records=num_records, record_size=record_size
+            dpu.launch, DpXorManyKernel(), batch=1, num_records=num_records, record_size=record_size
         )
         assert report.simulated_seconds > 0

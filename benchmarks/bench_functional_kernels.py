@@ -17,17 +17,13 @@ from repro.dpf.prf import make_prg
 from repro.pir.client import PIRClient
 from repro.pir.database import Database
 from repro.pir.protocol import MultiServerPIRProtocol
-from repro.pir.xor_ops import dpxor, dpxor_two_stage
+from repro.pir.xor_ops import dpxor
 
 
 class TestXorKernels:
     def test_dpxor_4096x32(self, benchmark, bench_db):
         selector = np.random.default_rng(1).integers(0, 2, bench_db.num_records, dtype=np.uint8)
         benchmark(dpxor, bench_db.records, selector)
-
-    def test_dpxor_two_stage_16_workers(self, benchmark, bench_db):
-        selector = np.random.default_rng(2).integers(0, 2, bench_db.num_records, dtype=np.uint8)
-        benchmark(dpxor_two_stage, bench_db.records, selector, 16)
 
     def test_dpxor_wide_records(self, benchmark):
         db = Database.random(1024, 256, seed=3)

@@ -9,7 +9,8 @@ module combines:
   caught; and
 * **figure regeneration** runs that evaluate the calibrated cost models at the
   paper's database/batch sizes and print the same rows/series the paper
-  reports (run with ``-s`` to see them; EXPERIMENTS.md snapshots the output).
+  reports (run with ``-s`` to see them; ``python -m repro.bench.cli all``
+  prints the same series without the timing harness).
 """
 
 from __future__ import annotations

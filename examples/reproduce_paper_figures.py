@@ -3,9 +3,9 @@
 
 Prints the data series behind Fig. 3, Fig. 9, Fig. 10 / Table 1, Fig. 11 and
 Fig. 12, produced by the calibrated cost models at the paper's database and
-batch sizes, side by side with the paper's reported headline numbers.  See
-EXPERIMENTS.md for the recorded paper-vs-measured comparison and the list of
-known deviations.
+batch sizes, side by side with the paper's reported headline numbers.  No
+paper-vs-measured comparison is recorded in the repo yet: ``python -m
+repro.bench.cli all`` prints the same series on demand.
 
 Run:  python examples/reproduce_paper_figures.py
 """

@@ -1,8 +1,8 @@
-"""Setuptools shim so ``pip install -e .`` works without the ``wheel`` package.
+"""Bare setuptools entry point; nothing here needs installing.
 
-All project metadata lives in ``pyproject.toml``; this file only enables the
-legacy editable-install path on environments whose setuptools/wheel combo
-cannot build PEP 660 editable wheels.
+The repo ships no ``pyproject.toml`` or ``setup.cfg`` and this call declares no
+metadata and no packages: the tests, the CLI and the benchmark all run from
+the source tree with ``PYTHONPATH=src`` (see the README's quickstart).
 """
 
 from setuptools import setup

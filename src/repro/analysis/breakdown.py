@@ -91,8 +91,8 @@ def compare_fraction_tables(
 ) -> Dict[str, float]:
     """Absolute difference (in percentage points) between two fraction tables.
 
-    Used by EXPERIMENTS.md / the Table 1 benchmark to report how far the
-    reproduction's phase shares land from the paper's.
+    Used by the Table 1 benchmark (``python -m repro.bench.cli table1``) to
+    report how far the reproduction's phase shares land from the paper's.
     """
     phases = set(measured) | set(reference)
     return {

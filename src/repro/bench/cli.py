@@ -134,9 +134,10 @@ def main(argv=None) -> int:
         "--batched",
         dest="use_batched",
         action="store_true",
-        help="with the smoke target: answer the same batch through the "
-        "sequential per-query path and the batched execute_many path on "
-        "every backend, asserting bit-identical payloads and simulated costs",
+        help="with the smoke target: answer the same batch through one-row "
+        "execute_many dispatches and through one batched dispatch on every "
+        "backend, asserting bit-identical payloads and the documented "
+        "simulated-cost contract",
     )
     parser.add_argument(
         "--traced",

@@ -58,25 +58,6 @@ class IMPIREstimator:
 
     # -- per-query DPU-side chain --------------------------------------------------------
 
-    def dpu_chain_breakdown(self, spec: DatabaseSpec, dpus: Optional[int] = None) -> PhaseTimer:
-        """Phases ➌–➏ for one query served by ``dpus`` DPUs holding the full DB."""
-        dpus = self.config.pim.num_dpus if dpus is None else dpus
-        if dpus <= 0:
-            raise ConfigurationError("dpus must be positive")
-        timer = PhaseTimer()
-
-        records_per_dpu = -(-spec.num_records // dpus)
-        selector_bytes = dpus * ((records_per_dpu + 7) // 8)
-        timer.record(PHASE_COPY_IN, self.timing.host_to_dpu_seconds(selector_bytes))
-
-        chunk_bytes = records_per_dpu * spec.record_size
-        kernel = self.timing.dpu_dpxor_cost(chunk_bytes, spec.record_size)
-        timer.record(PHASE_DPXOR, self.timing.launch_seconds(dpus) + kernel.total_seconds)
-
-        timer.record(PHASE_COPY_OUT, self.timing.dpu_to_host_seconds(dpus * spec.record_size))
-        timer.record(PHASE_AGGREGATE, self.timing.host_aggregate_xor_seconds(dpus, spec.record_size))
-        return timer
-
     def batched_dpu_chain_breakdown(
         self, spec: DatabaseSpec, batch_rows: int, dpus: Optional[int] = None
     ) -> PhaseTimer:
@@ -87,8 +68,8 @@ class IMPIREstimator:
         gather serve the whole sub-batch, so the fixed per-dispatch charges
         (transfer latency, launch overhead) split evenly across its rows
         while per-row bandwidth, kernel compute and the host fold stay
-        per-query.  ``batch_rows == 1`` is exactly
-        :meth:`dpu_chain_breakdown`.
+        per-query.  ``batch_rows == 1`` is one query paying its own
+        dispatch, served by ``dpus`` DPUs holding the full DB.
         """
         dpus = self.config.pim.num_dpus if dpus is None else dpus
         if dpus <= 0:
@@ -132,7 +113,9 @@ class IMPIREstimator:
                 threads=self.config.effective_latency_threads,
             ),
         )
-        timer.merge(self.dpu_chain_breakdown(spec, dpus=self.config.pim.num_dpus))
+        timer.merge(
+            self.batched_dpu_chain_breakdown(spec, 1, dpus=self.config.pim.num_dpus)
+        )
         return timer
 
     def single_query_latency(self, spec: DatabaseSpec) -> float:

@@ -2,8 +2,8 @@
 
 Exact data tables are not published; values read off figures are approximate
 and marked as such.  They are used only to *report* how close the
-reproduction lands (EXPERIMENTS.md, Table-1 benchmark output), never to tune
-results at run time.
+reproduction lands (the output of ``python -m repro.bench.cli all``), never to
+tune results at run time.
 """
 
 from __future__ import annotations

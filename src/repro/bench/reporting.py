@@ -2,7 +2,8 @@
 
 The benchmark modules call these helpers to print the rows/series the paper
 reports, so running ``pytest benchmarks/ --benchmark-only -s`` reproduces the
-evaluation section as console output (and EXPERIMENTS.md snapshots it).
+evaluation section as console output (``python -m repro.bench.cli all`` prints
+the same tables without the timing harness).
 """
 
 from __future__ import annotations

@@ -1017,20 +1017,19 @@ def batched_smoke(
     seed: int = 9,
     segment_records: Optional[int] = 128,
 ) -> str:
-    """The ``--batched`` smoke: one-pass batch scans against per-query answers.
+    """The ``--batched`` smoke: one batch dispatch against one-row dispatches.
 
     For every registered backend this answers the same query batch twice:
-    once through the sequential :meth:`QueryEngine.answer` loop, once
-    through the batched :meth:`QueryEngine.answer_many` / ``execute_many``
-    path.  It asserts the documented cost contract of the batched fast path,
-    per backend kind:
+    once through a :meth:`QueryEngine.answer` loop (``execute_many`` with one
+    row per dispatch), once through :meth:`QueryEngine.answer_many` (one
+    dispatch for the whole batch).  It asserts the documented cost contract
+    of batching, per backend kind:
 
     * the answer payloads are bit-identical, everywhere;
     * on **host-side** backends every simulated phase except ``eval`` charges
-      exactly the same seconds, and the ``execute_many`` override agrees
-      byte-for-byte *and* phase-for-phase with the generic per-row fallback
-      (``eval`` legitimately differs: the batch path uses the backend's batch
-      cost model, the per-query path its latency model);
+      exactly the same seconds (``eval`` legitimately differs: the batch path
+      uses the backend's batch cost model, the per-query path its latency
+      model);
     * on the **PIM** backends (``im-pir``, ``im-pir-streamed``) the batched
       path pays its fixed per-dispatch charges — transfer latency, launch
       overhead, the streamed segment copy — once per batch instead of once
@@ -1040,11 +1039,6 @@ def batched_smoke(
       :func:`~repro.core.partitioning.run_dpu_pipeline_many` for the
       formula; scan work itself is never discounted).
     """
-    import numpy as np
-
-    from repro.common.events import PhaseTimer
-    from repro.core.engine import PIRBackend
-
     pim_kinds = {"im-pir", "im-pir-streamed"}
 
     def amortizable(phases):
@@ -1082,10 +1076,10 @@ def batched_smoke(
 
     names = available_backends()
     lines: List[str] = [
-        "Batched smoke: execute_many against the sequential per-query path",
+        "Batched smoke: one execute_many dispatch against one-row dispatches",
         f"database: {num_records} records x {record_size} B, batch of {batch_size}",
         "",
-        f"{'backend':>16} {'payloads':>9} {'phases':>10} {'fallback':>10}",
+        f"{'backend':>16} {'payloads':>9} {'phases':>10}",
     ]
     for name in names:
         kwargs = {"segment_records": segment_records} if name == "im-pir-streamed" else {}
@@ -1113,29 +1107,8 @@ def batched_smoke(
                         f"{non_eval(s.breakdown)} vs {non_eval(b.breakdown)}"
                     )
 
-        selectors = engine.selector_matrix(queries)
-        lanes = [0] * batch_size
-        override_timers = [PhaseTimer() for _ in queries]
-        fallback_timers = [PhaseTimer() for _ in queries]
-        got = engine.backend.execute_many(selectors, override_timers, lanes)
-        want = PIRBackend.execute_many(
-            engine.backend, selectors, fallback_timers, lanes
-        )
-        if not np.array_equal(got, want):
-            raise AssertionError(
-                f"backend {name!r}: execute_many override drifted from fallback"
-            )
-        if is_pim:
-            check_amortized(name, fallback_timers, override_timers)
-        elif any(
-            a.durations != b.durations
-            for a, b in zip(override_timers, fallback_timers)
-        ):
-            raise AssertionError(
-                f"backend {name!r}: execute_many override charges different phases"
-            )
         verdict = "amortized" if is_pim else "equal"
-        lines.append(f"{name:>16} {'ok':>9} {verdict:>10} {'ok':>10}")
+        lines.append(f"{name:>16} {'ok':>9} {verdict:>10}")
 
     lines.append("")
     lines.append(

@@ -16,8 +16,6 @@ from repro.core.partitioning import (
     DatabasePartitioner,
     PartitionLayout,
     fold_partials,
-    kwargs_for_kernel,
-    run_dpu_pipeline,
 )
 from repro.core.results import (
     ALL_PHASES,
@@ -52,8 +50,6 @@ __all__ = [
     "DatabasePartitioner",
     "PartitionLayout",
     "fold_partials",
-    "kwargs_for_kernel",
-    "run_dpu_pipeline",
     "ALL_PHASES",
     "PHASE_AGGREGATE",
     "PHASE_COPY_IN",

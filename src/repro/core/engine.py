@@ -6,13 +6,13 @@ protocol-shaped logic: query validation, host-side DPF key evaluation,
 selector generation, answer assembly and phase bookkeeping.  The engine owns
 all of that exactly once; what remains per variant is a :class:`PIRBackend` —
 the architecture-specific execution substrate that scans the prepared
-database under a selector vector and charges simulated time to a
-:class:`~repro.common.events.PhaseTimer`.
+database under a batch of selector vectors and charges simulated time to
+each query's :class:`~repro.common.events.PhaseTimer`.
 
 Layering (bottom-up)::
 
-    PIRBackend        "where the dpXOR runs": prepare(db) + execute(selector)
-    QueryEngine       the protocol: validate -> eval key -> execute -> answer
+    PIRBackend        "where the dpXOR runs": prepare(db) + execute_many(selectors)
+    QueryEngine       the protocol: validate -> eval keys -> execute_many -> answers
     server facades    PIRServer / IMPIRServer / ... : public API + cost models
     PIRFrontend       request batching/routing across replicas (repro.pir.frontend)
 
@@ -42,7 +42,7 @@ from repro.dpf.dpf import DPF, DPFKey
 from repro.dpf.prf import LengthDoublingPRG
 from repro.pir.database import Database
 from repro.pir.messages import DPFQuery, NaiveQuery, PIRAnswer
-from repro.pir.xor_ops import dpxor, dpxor_many
+from repro.pir.xor_ops import dpxor_many
 
 Query = Union[DPFQuery, NaiveQuery]
 
@@ -77,15 +77,10 @@ class PIRBackend(ABC):
     """Execution substrate behind a :class:`QueryEngine`.
 
     Implementations provide only the architecture-specific pieces — loading
-    the database into their execution memory and scanning it under a selector
-    vector.  Everything protocol-shaped (validation, key evaluation, answer
-    assembly) is supplied once by the engine, which also gives every backend
-    the uniform ``answer``/``answer_many`` surface below.
+    the database into their execution memory and scanning it under a batch of
+    selector vectors.  Everything protocol-shaped (validation, key
+    evaluation, answer assembly) is supplied once by the engine.
     """
-
-    #: Set by :meth:`QueryEngine.prepare`; backends may read it but should
-    #: treat the engine as the owner.
-    engine: Optional["QueryEngine"] = None
 
     @abstractmethod
     def prepare(self, database: Database) -> Optional[PhaseTimer]:
@@ -101,16 +96,6 @@ class PIRBackend(ABC):
         """Capability/capacity metadata for this backend."""
 
     @abstractmethod
-    def execute(
-        self, selector_bits: np.ndarray, breakdown: PhaseTimer, lane: int = 0
-    ) -> np.ndarray:
-        """Scan the prepared database under ``selector_bits`` (the dpXOR).
-
-        Records the architecture's simulated phase costs into ``breakdown``
-        and returns the XOR sub-result as a uint8 array of ``record_size``
-        bytes.
-        """
-
     def execute_many(
         self,
         selector_matrix: np.ndarray,
@@ -121,29 +106,20 @@ class PIRBackend(ABC):
 
         ``selector_matrix`` is ``(B, num_records)`` with one selector share
         per row; ``breakdowns`` and ``lanes`` carry one entry per row.
-        Returns the ``(B, record_size)`` uint8 matrix of sub-results.
+        Records the architecture's simulated phase costs into each row's
+        breakdown and returns the ``(B, record_size)`` uint8 matrix of
+        sub-results (the dpXOR).
 
-        This default serves the rows through :meth:`execute` one by one, so
-        every backend supports the batched surface; backends with a one-pass
-        batched kernel override it.  Overrides must stay bit-identical to the
-        sequential path.  Host-side backends also charge each row's breakdown
-        the same simulated costs (batching is a wall-clock optimisation
-        only); the PIM backends batch at kernel level, paying fixed
-        per-dispatch charges (transfer latency, launch overhead, streamed
-        segment copies) once per batch and splitting them evenly across the
-        rows — per-row kernel costs and scan bytes are never discounted (see
+        The only scan hook: a single query is a batch of one.  Host-side
+        backends charge each row the same simulated costs whatever ``B`` is
+        (batching is a wall-clock optimisation only); the PIM backends batch
+        at kernel level, paying fixed per-dispatch charges (transfer latency,
+        launch overhead, streamed segment copies) once per batch and
+        splitting them evenly across the rows — per-row kernel costs and scan
+        bytes are never discounted (see
         :func:`repro.core.partitioning.run_dpu_pipeline_many` for the
         documented amortisation formula).
         """
-        rows = [
-            np.asarray(
-                self.execute(selector_matrix[position], breakdowns[position],
-                             lane=lanes[position]),
-                dtype=np.uint8,
-            ).reshape(-1)
-            for position in range(selector_matrix.shape[0])
-        ]
-        return np.stack(rows)
 
     # -- timing hooks (cost-model backends override; functional-only ones don't) --
 
@@ -154,25 +130,6 @@ class PIRBackend(ABC):
     def batch_eval_seconds(self, num_records: int) -> float:
         """Simulated host DPF-eval time in batch mode (one worker thread)."""
         return 0.0
-
-    # -- uniform protocol surface (shared engine logic) ---------------------------
-
-    def answer(self, query: Query, lane: int = 0) -> Tuple[bytes, PhaseTimer]:
-        """Answer one query; returns ``(payload, breakdown)``."""
-        result = self._require_engine().answer(query, lane=lane)
-        return result.answer.payload, result.breakdown
-
-    def answer_many(self, queries: Sequence[Query]) -> List[Tuple[bytes, PhaseTimer]]:
-        """Answer a batch; returns one ``(payload, breakdown)`` pair per query."""
-        batch = self._require_engine().answer_many(queries)
-        return [(r.answer.payload, r.breakdown) for r in batch.results]
-
-    def _require_engine(self) -> "QueryEngine":
-        if self.engine is None:
-            raise ProtocolError(
-                f"backend {self.capabilities().name!r} is not attached to a QueryEngine"
-            )
-        return self.engine
 
 
 class QueryEngine:
@@ -209,7 +166,6 @@ class QueryEngine:
         #: wired by the observability hub.  ``None`` keeps the hot path at a
         #: single identity check — the uninstrumented engine is the default.
         self.events = None
-        backend.engine = self
 
     # -- database lifecycle -------------------------------------------------------
 
@@ -248,13 +204,6 @@ class QueryEngine:
             )
 
     # -- selector generation (host-side DPF evaluation, Algorithm 1 step 2) -------
-
-    def selector_bits(self, query: Query) -> np.ndarray:
-        """Expand the query into the per-record selector-bit share."""
-        if isinstance(query, NaiveQuery):
-            # Already the right dtype (NaiveShare normalises to uint8): no copy.
-            return query.share.bits
-        return self._dpf_selectors([query.key], query.num_records)[0]
 
     def _dpf_selectors(self, keys: Sequence[DPFKey], num_records: int) -> np.ndarray:
         """``(len(keys), num_records)`` uint8 selector rows of same-shaped keys.
@@ -330,11 +279,12 @@ class QueryEngine:
         if not 0 <= lane < caps.lanes:
             raise ProtocolError(f"lane {lane} out of range [0, {caps.lanes})")
         breakdown = PhaseTimer()
-        selector = self.selector_bits(query)
+        selectors = self.selector_matrix([query])
         eval_seconds = self.backend.latency_eval_seconds(query.num_records)
         if eval_seconds > 0:
             breakdown.record(PHASE_EVAL, eval_seconds)
-        payload = self.backend.execute(selector, breakdown, lane=lane)
+        payload = self.backend.execute_many(selectors, [breakdown], [lane])[0]
+        self._recycle_selector_matrix(selectors)
         result = self._assemble(query, payload, breakdown, lane)
         if self.events is not None:
             self.events.emit(
@@ -455,11 +405,6 @@ class ReferenceBackend(PIRBackend):
             preloaded=True,
             description="full-domain scan in host DRAM (numpy)",
         )
-
-    def execute(
-        self, selector_bits: np.ndarray, breakdown: PhaseTimer, lane: int = 0
-    ) -> np.ndarray:
-        return dpxor(self._database.records, selector_bits, stats=self._dpxor_stats)
 
     def execute_many(
         self,

@@ -37,15 +37,13 @@ from repro.core.engine import BackendCapabilities, PIRBackend, QueryEngine
 from repro.core.partitioning import (
     DatabasePartitioner,
     PartitionLayout,
-    fold_partials,
     reset_pipeline_buffers,
-    run_dpu_pipeline,
     run_dpu_pipeline_many,
 )
 from repro.core.results import PHASE_AGGREGATE, IMPIRBatchResult, IMPIRQueryResult
 from repro.dpf.prf import make_prg
 from repro.pim.cluster import DPUCluster, make_clusters
-from repro.pim.kernels import DB_BUFFER, DpXorKernel, DpXorManyKernel
+from repro.pim.kernels import DB_BUFFER, DpXorManyKernel
 from repro.pim.system import UPMEMSystem
 from repro.pir.database import Database
 from repro.pir.messages import DPFQuery
@@ -65,7 +63,6 @@ class PIMClusterBackend(PIRBackend):
         self.config = config
         self.system = system
         self.timing = system.timing
-        self._kernel = DpXorKernel()
         self._batch_kernel = DpXorManyKernel()
         self._dpu_set = system.allocate(config.pim.num_dpus)
         self._clusters: List[DPUCluster] = make_clusters(self._dpu_set, config.num_clusters)
@@ -91,7 +88,7 @@ class PIMClusterBackend(PIRBackend):
                 reserve_fraction=self.config.mram_reserve_fraction,
             )
             reset_pipeline_buffers(cluster.dpu_set)
-            cluster.dpu_set.load_program(self._kernel.name)
+            cluster.dpu_set.load_program(self._batch_kernel.name)
             chunks = self._partitioner.database_chunks(layout)
             report = cluster.dpu_set.scatter(DB_BUFFER, chunks)
             timer.record("preload_db", report.simulated_seconds)
@@ -164,23 +161,7 @@ class PIMClusterBackend(PIRBackend):
             num_records, blocks_per_leaf=self.config.blocks_per_leaf, threads=1
         )
 
-    # -- DPU pipeline for one query on one cluster (phases ➌–➏) -----------------------
-
-    def execute(
-        self, selector_bits: np.ndarray, breakdown: PhaseTimer, lane: int = 0
-    ) -> np.ndarray:
-        cluster = self._clusters[lane]
-        layout = self._layouts[lane]
-        shares = self._partitioner.selector_chunks(layout, selector_bits)
-        partials = run_dpu_pipeline(
-            cluster.dpu_set, self._kernel, layout, shares, breakdown
-        )
-        result = fold_partials(partials, layout.record_size)
-        breakdown.record(
-            PHASE_AGGREGATE,
-            self.timing.host_aggregate_xor_seconds(len(partials), layout.record_size),
-        )
-        return result
+    # -- DPU pipeline for a batch, one dispatch per cluster (phases ➌–➏) -------------
 
     def execute_many(
         self,
@@ -194,11 +175,10 @@ class PIMClusterBackend(PIRBackend):
         round-robin across clusters) and each cluster serves its rows through
         :func:`~repro.core.partitioning.run_dpu_pipeline_many` — one selector
         scatter, one batched kernel launch, one result gather per cluster per
-        flush, instead of one of each per query.  Payloads stay bit-identical
-        to the sequential path; the fixed per-dispatch charges amortise
-        across the cluster's rows per the pipeline's documented cost model,
-        while per-row kernel costs and the host-side fold (phase ➏) are still
-        charged per query.
+        flush, instead of one of each per query.  The fixed per-dispatch
+        charges amortise across the cluster's rows per the pipeline's
+        documented cost model, while per-row kernel costs and the host-side
+        fold (phase ➏) are still charged per query.
         """
         selector_matrix = np.asarray(selector_matrix, dtype=np.uint8)
         out = np.zeros(

@@ -89,7 +89,7 @@ class DatabasePartitioner:
         """Flattened per-DPU database blocks, in layout order.
 
         A DPU with no records (more DPUs than records) still receives a
-        one-byte placeholder, mirroring :meth:`selector_chunks` — MRAM
+        one-byte placeholder, mirroring :meth:`selector_chunks_many` — MRAM
         buffers must be non-empty, and the kernel skips the scan when its
         ``num_records`` argument is zero.
         """
@@ -102,39 +102,16 @@ class DatabasePartitioner:
         return chunks
 
     @staticmethod
-    def selector_chunks(layout: PartitionLayout, selector_bits: np.ndarray) -> List[np.ndarray]:
-        """Per-DPU packed selector-share buffers, in layout order.
-
-        ``selector_bits`` is the full-domain DPF evaluation (0/1 per record);
-        each DPU receives the packed bits covering its record range.
-        """
-        selector_bits = np.asarray(selector_bits, dtype=np.uint8)
-        if selector_bits.shape != (layout.num_records,):
-            raise ConfigurationError(
-                f"selector length {selector_bits.shape} does not match layout "
-                f"({layout.num_records} records)"
-            )
-        chunks = []
-        for start, stop in layout.bounds:
-            bits = selector_bits[start:stop]
-            if bits.size == 0:
-                chunks.append(np.zeros(1, dtype=np.uint8))
-            else:
-                chunks.append(np.packbits(bits, bitorder="big"))
-        return chunks
-
-    @staticmethod
     def selector_chunks_many(
         layout: PartitionLayout, selector_matrix: np.ndarray
     ) -> List[np.ndarray]:
         """Per-DPU packed selector buffers for a whole batch, in layout order.
 
-        The batched counterpart of :meth:`selector_chunks`:
-        ``selector_matrix`` is ``(B, num_records)`` of 0/1 values and each
-        DPU receives ``B`` packed slices back to back — row ``b`` of a DPU's
-        ``(B, slice_bytes)`` buffer is exactly the buffer
-        :meth:`selector_chunks` would ship it for query ``b``.  Empty DPUs
-        keep the one-byte placeholder.
+        ``selector_matrix`` is ``(B, num_records)`` of 0/1 values — the
+        full-domain DPF evaluations, one query per row — and each DPU
+        receives ``B`` packed slices back to back: row ``b`` of a DPU's
+        ``(B, slice_bytes)`` buffer is the packed bits of query ``b`` over
+        the DPU's record range.  Empty DPUs keep the one-byte placeholder.
         """
         selector_matrix = np.asarray(selector_matrix, dtype=np.uint8)
         if selector_matrix.ndim != 2 or selector_matrix.shape[1] != layout.num_records:
@@ -190,14 +167,6 @@ def aligned_chunk_bounds(
     return bounds
 
 
-def kwargs_for_kernel(layout: PartitionLayout) -> List[dict]:
-    """Per-DPU keyword arguments for :class:`~repro.pim.kernels.DpXorKernel`."""
-    return [
-        {"num_records": stop - start, "record_size": layout.record_size}
-        for start, stop in layout.bounds
-    ]
-
-
 def kwargs_for_kernel_many(layout: PartitionLayout, batch: int) -> List[dict]:
     """Per-DPU keyword arguments for :class:`~repro.pim.kernels.DpXorManyKernel`."""
     return [
@@ -229,45 +198,6 @@ def _pipeline_phases() -> Tuple[str, str, str]:
     return PHASE_COPY_IN, PHASE_COPY_OUT, PHASE_DPXOR
 
 
-def run_dpu_pipeline(
-    dpu_set,
-    kernel,
-    layout: PartitionLayout,
-    selector_chunks: Sequence[np.ndarray],
-    breakdown,
-    *,
-    db_chunks: Optional[Sequence[np.ndarray]] = None,
-    db_copy_phase: Optional[str] = None,
-) -> List[np.ndarray]:
-    """Phases 3-5 of Algorithm 1 on one DPU set: copy in, dpXOR, copy out.
-
-    The single parameterised pipeline behind both the preloaded per-cluster
-    path and the streamed per-segment path: pass ``db_chunks`` (with a
-    ``db_copy_phase`` name) to also stream the database blocks in, as the
-    oversized-database mode must on every pass.  Phase costs are recorded
-    into ``breakdown``; the per-DPU partial results are returned for the
-    caller to fold (phase 6 is charged by the caller, whose aggregation
-    fan-in differs between modes).
-    """
-    PHASE_COPY_IN, PHASE_COPY_OUT, PHASE_DPXOR = _pipeline_phases()
-
-    if db_chunks is not None:
-        if db_copy_phase is None:
-            raise ConfigurationError("db_copy_phase is required when streaming db_chunks")
-        db_report = dpu_set.scatter(DB_BUFFER, db_chunks)
-        breakdown.record(db_copy_phase, db_report.simulated_seconds)
-
-    copy_in = dpu_set.scatter(SELECTOR_BUFFER, selector_chunks)
-    breakdown.record(PHASE_COPY_IN, copy_in.simulated_seconds)
-
-    launch = dpu_set.launch(kernel, per_dpu_kwargs=kwargs_for_kernel(layout))
-    breakdown.record(PHASE_DPXOR, launch.simulated_seconds)
-
-    partials, copy_out = dpu_set.gather(RESULT_BUFFER, layout.record_size)
-    breakdown.record(PHASE_COPY_OUT, copy_out.simulated_seconds)
-    return partials
-
-
 def run_dpu_pipeline_many(
     dpu_set,
     kernel,
@@ -280,12 +210,14 @@ def run_dpu_pipeline_many(
 ) -> List[np.ndarray]:
     """Algorithm 1 phases 3-5 for a whole batch in one DPU dispatch.
 
-    The batched counterpart of :func:`run_dpu_pipeline` and the heart of the
+    The single parameterised pipeline behind both the preloaded per-cluster
+    path and the streamed per-segment path, and the heart of the
     kernel-level batching: the batch pays **one** selector scatter, **one**
     launch of the batched dpXOR (whose batch loop runs inside the DPUs) and
     **one** result gather, instead of one of each per query — and, when
-    ``db_chunks`` streams the database in, **one** segment copy per batch
-    instead of per query.
+    ``db_chunks`` (with a ``db_copy_phase`` name) streams the database in, as
+    the oversized-database mode must on every pass, **one** segment copy per
+    batch instead of per query.
 
     Simulated cost model (the documented amortisation, for a batch of ``B``
     rows over ``P`` DPUs)::
@@ -306,7 +238,8 @@ def run_dpu_pipeline_many(
     ``selector_chunks`` comes from
     :meth:`DatabasePartitioner.selector_chunks_many`; the per-DPU partials
     are returned as ``(B, record_size)`` blocks for the caller to fold per
-    row (phase 6 stays a per-query charge, as in the sequential pipeline).
+    row (phase 6 is charged by the caller, per query; its aggregation fan-in
+    differs between modes).
     """
     PHASE_COPY_IN, PHASE_COPY_OUT, PHASE_DPXOR = _pipeline_phases()
 

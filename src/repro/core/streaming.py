@@ -36,14 +36,12 @@ from repro.core.engine import BackendCapabilities, PIRBackend, QueryEngine
 from repro.core.partitioning import (
     DatabasePartitioner,
     PartitionLayout,
-    fold_partials,
     reset_pipeline_buffers,
-    run_dpu_pipeline,
     run_dpu_pipeline_many,
 )
 from repro.core.results import PHASE_AGGREGATE, IMPIRQueryResult
 from repro.dpf.prf import make_prg
-from repro.pim.kernels import DpXorKernel, DpXorManyKernel
+from repro.pim.kernels import DpXorManyKernel
 from repro.pim.system import UPMEMSystem
 from repro.pir.database import Database
 from repro.pir.messages import DPFQuery
@@ -79,10 +77,9 @@ class StreamedPIMBackend(PIRBackend):
         self.config = config
         self.system = system
         self.timing = system.timing
-        self._kernel = DpXorKernel()
         self._batch_kernel = DpXorManyKernel()
         self._dpu_set = system.allocate(config.pim.num_dpus)
-        self._dpu_set.load_program(self._kernel.name)
+        self._dpu_set.load_program(self._batch_kernel.name)
         self._requested_segment_records = segment_records
         self.segment_records = 0
         self._segments: List[_Segment] = []
@@ -170,32 +167,6 @@ class StreamedPIMBackend(PIRBackend):
 
     # -- the multi-pass dpXOR ----------------------------------------------------------
 
-    def execute(
-        self, selector_bits: np.ndarray, breakdown: PhaseTimer, lane: int = 0
-    ) -> np.ndarray:
-        accumulator = np.zeros(self.database.record_size, dtype=np.uint8)
-        for segment in self._segments:
-            shares = segment.partitioner.selector_chunks(
-                segment.layout, selector_bits[segment.start : segment.stop]
-            )
-            partials = run_dpu_pipeline(
-                self._dpu_set,
-                self._kernel,
-                segment.layout,
-                shares,
-                breakdown,
-                db_chunks=segment.db_chunks,
-                db_copy_phase=PHASE_COPY_DB,
-            )
-            accumulator ^= fold_partials(partials, segment.layout.record_size)
-        breakdown.record(
-            PHASE_AGGREGATE,
-            self.timing.host_aggregate_xor_seconds(
-                self.num_segments, self.database.record_size
-            ),
-        )
-        return accumulator
-
     def execute_many(
         self,
         selector_bits_matrix: np.ndarray,
@@ -208,10 +179,9 @@ class StreamedPIMBackend(PIRBackend):
         segment is copied toward the DPUs **once per batch** (instead of once
         per query), every row's selector slice for the segment ships in one
         scatter, and one launch of the batched dpXOR runs the batch loop
-        inside the DPUs.  Answer bytes are bit-identical to the sequential
-        walk; the simulated per-query cost drops by the amortised
+        inside the DPUs.  The simulated per-query cost drops by the amortised
         per-dispatch charges — above all the segment copy, the dominant
-        charge of the streamed mode, now split evenly across the batch (see
+        charge of the streamed mode, split evenly across the batch (see
         :func:`~repro.core.partitioning.run_dpu_pipeline_many` for the
         documented cost model).
         """

@@ -25,7 +25,6 @@ from repro.pim.kernels import (
     DB_BUFFER,
     RESULT_BUFFER,
     SELECTOR_BUFFER,
-    DpXorKernel,
     MramFillKernel,
 )
 from repro.pim.module import PIMChip, PIMModule, PIMRank, build_topology
@@ -59,7 +58,6 @@ __all__ = [
     "DB_BUFFER",
     "RESULT_BUFFER",
     "SELECTOR_BUFFER",
-    "DpXorKernel",
     "MramFillKernel",
     "PIMChip",
     "PIMModule",

@@ -1,13 +1,13 @@
 """DPU-side kernels.
 
-:class:`DpXorKernel` is the Python analogue of the paper's ~200 LoC C kernel:
-it scans the DPU's MRAM-resident database block, XORs the records whose
-selector bit is set into per-tasklet accumulators (Algorithm 1, TASKLETXOR),
-and lets the master tasklet fold the partials into the DPU's sub-result
-(MASTERXOR).  The functional result is computed with numpy on the real
-buffers; the simulated duration comes from the shared cost formula in
-:mod:`repro.pim.timing`, parameterised by the *actual* selected fraction and
-tasklet count of the launch.
+:class:`DpXorManyKernel` is the Python analogue of the paper's ~200 LoC C
+kernel: for every query of the batch it scans the DPU's MRAM-resident database
+block, XORs the records whose selector bit is set into per-tasklet
+accumulators (Algorithm 1, TASKLETXOR), and lets the master tasklet fold the
+partials into the DPU's sub-result (MASTERXOR).  The functional result is
+computed with numpy on the real buffers; the simulated duration comes from the
+shared cost formula in :mod:`repro.pim.timing`, parameterised by each query's
+*actual* selected fraction and the tasklet count of the launch.
 """
 
 from __future__ import annotations
@@ -36,116 +36,18 @@ RESULT_BUFFER = "result"
 WRAM_BLOCK_BYTES = 2048
 
 
-class DpXorKernel(Kernel):
-    """Two-stage parallel-reduction dpXOR over one DPU's database block."""
-
-    name = "dpxor"
-
-    def run(
-        self,
-        dpu: DPU,
-        num_records: int,
-        record_size: int,
-        tasklets: Optional[int] = None,
-        db_buffer: str = DB_BUFFER,
-        selector_buffer: str = SELECTOR_BUFFER,
-        result_buffer: str = RESULT_BUFFER,
-        **_: Any,
-    ) -> DPUExecutionReport:
-        if num_records < 0 or record_size <= 0:
-            raise KernelError("num_records must be >= 0 and record_size > 0")
-        tasklets = dpu.config.tasklets if tasklets is None else tasklets
-        if not 1 <= tasklets <= dpu.config.hardware_threads:
-            raise KernelError(
-                f"tasklets must be in [1, {dpu.config.hardware_threads}], got {tasklets}"
-            )
-
-        # WRAM working set: one staging block + one accumulator per tasklet,
-        # plus the packed selector slice shared by all tasklets.
-        selector_bytes = (num_records + 7) // 8
-        dpu.wram.reserve("dpxor:blocks", max(1, tasklets * WRAM_BLOCK_BYTES))
-        dpu.wram.reserve("dpxor:accumulators", max(1, tasklets * record_size))
-        dpu.wram.reserve(
-            "dpxor:selector", max(1, min(selector_bytes, dpu.wram.free_bytes // 2 or 1))
-        )
-
-        # Stage 0: pull the operands out of MRAM (the real kernel streams them;
-        # the functional simulator reads them wholesale and charges DMA below).
-        db_bytes = num_records * record_size
-        database = np.zeros((0, record_size), dtype=np.uint8)
-        selector = np.zeros(0, dtype=np.uint8)
-        if num_records:
-            database = dpu.load(db_buffer, size_bytes=db_bytes).reshape(num_records, record_size)
-            packed = dpu.load(selector_buffer, size_bytes=selector_bytes)
-            selector = np.unpackbits(packed, bitorder="big")[:num_records]
-
-        # Stage 1: TASKLETXOR — each tasklet scans its contiguous share.
-        group = TaskletGroup(num_tasklets=tasklets)
-        partials = np.zeros((tasklets, record_size), dtype=np.uint8)
-        for report, (start, stop) in zip(group.reports, group.partition(num_records)):
-            if start < stop:
-                chunk = database[start:stop]
-                bits = selector[start:stop]
-                mask = bits.astype(bool)
-                if mask.any():
-                    partials[report.tasklet_id] = np.bitwise_xor.reduce(chunk[mask], axis=0)
-                report.records_processed = stop - start
-                report.records_selected = int(mask.sum())
-                words = -(-record_size // 8)
-                report.instructions = (
-                    (stop - start) * INSTRUCTIONS_PER_RECORD_OVERHEAD
-                    + report.records_selected * words * INSTRUCTIONS_PER_XOR_WORD
-                )
-                report.dma_bytes = (stop - start) * (words * 8) + (stop - start + 7) // 8
-
-        # Stage 2: MASTERXOR — tasklet 0 folds the partial results.
-        result = np.zeros(record_size, dtype=np.uint8)
-        for partial in partials:
-            result ^= partial
-
-        dpu.store(result_buffer, result)
-
-        selected_fraction = (
-            group.total_records_selected / num_records if num_records else 0.0
-        )
-        cost = dpxor_kernel_cost(
-            dpu.config,
-            chunk_bytes=db_bytes,
-            record_size=record_size,
-            selected_fraction=selected_fraction,
-            tasklets=tasklets,
-        )
-        return DPUExecutionReport(
-            dpu_id=dpu.dpu_id,
-            kernel_name=self.name,
-            simulated_seconds=cost.total_seconds,
-            instructions=group.total_instructions,
-            dma_bytes=group.total_dma_bytes,
-            tasklets_used=tasklets,
-            result=result,
-            details={
-                "records": num_records,
-                "records_selected": group.total_records_selected,
-                "dma_seconds": cost.dma_seconds,
-                "compute_seconds": cost.compute_seconds,
-                "reduction_seconds": cost.reduction_seconds,
-            },
-        )
-
-
 class DpXorManyKernel(Kernel):
-    """Batched dpXOR: one launch scans the DPU's block for a whole batch.
+    """Two-stage parallel-reduction dpXOR over one DPU's database block.
 
-    The batched entry point of the same kernel binary as :class:`DpXorKernel`
-    (hence the shared ``name``): the selector buffer carries ``batch`` packed
-    selector slices back to back, the batch loop runs *inside* the launch via
-    the one-pass :func:`~repro.pir.xor_ops.dpxor_many` per tasklet share, and
-    the result buffer returns ``batch`` sub-results.  Fixed per-dispatch
-    charges (scatter latency, launch overhead) are paid once per batch by the
-    caller; the scan itself is still priced per query — each row adds exactly
-    the kernel cost its own sequential launch would, with its own measured
-    selected fraction, so batching never discounts scan work (the
-    all-for-one principle).
+    One launch scans the block for a whole batch: the selector buffer carries
+    ``batch`` packed selector slices back to back, the batch loop runs
+    *inside* the launch via the one-pass :func:`~repro.pir.xor_ops.dpxor_many`
+    per tasklet share, and the result buffer returns ``batch`` sub-results.
+    Fixed per-dispatch charges (scatter latency, launch overhead) are paid
+    once per batch by the caller; the scan itself is still priced per query —
+    each row adds exactly the kernel cost a launch of its own would, with its
+    own measured selected fraction, so batching never discounts scan work
+    (the all-for-one principle).
     """
 
     name = "dpxor"
@@ -172,8 +74,9 @@ class DpXorManyKernel(Kernel):
                 f"tasklets must be in [1, {dpu.config.hardware_threads}], got {tasklets}"
             )
 
-        # Same WRAM working set as the sequential kernel: the batch reuses the
-        # staging blocks and accumulators query by query inside the launch.
+        # WRAM working set: one staging block + one accumulator per tasklet,
+        # plus the packed selector slice shared by all tasklets; the batch
+        # reuses them query by query inside the launch.
         selector_bytes = (num_records + 7) // 8
         dpu.wram.reserve("dpxor:blocks", max(1, tasklets * WRAM_BLOCK_BYTES))
         dpu.wram.reserve("dpxor:accumulators", max(1, tasklets * record_size))

@@ -25,11 +25,8 @@ from repro.pir.server import PIRServer, ServerStats
 from repro.pir.xor_ops import (
     DpXorStats,
     dpxor,
-    dpxor_chunked,
-    dpxor_two_stage,
     inner_product_mod,
     xor_bytes,
-    xor_fold,
 )
 
 __all__ = [
@@ -61,9 +58,6 @@ __all__ = [
     "ServerStats",
     "DpXorStats",
     "dpxor",
-    "dpxor_chunked",
-    "dpxor_two_stage",
     "inner_product_mod",
     "xor_bytes",
-    "xor_fold",
 ]

@@ -63,8 +63,6 @@ class PIRServer:
         return self.engine.answer(query).answer
 
     def answer_batch(self, queries: Sequence[Query]) -> List[PIRAnswer]:
-        """Answer several queries sequentially (the reference server has no
-        batching optimisations — that is what IM-PIR adds)."""
-        if not queries:
-            return []
+        """Answer several queries through one eval sweep and one batched scan
+        (no cost model attached — that is what the other servers add)."""
         return [result.answer for result in self.engine.answer_many(queries).results]

@@ -6,16 +6,15 @@ and the XOR accumulation "dpXOR".  For an XOR-group database the operation is
     r = XOR_{j : v[j] = 1}  D[j]
 
 which every PIR server must evaluate over the *entire* database for every
-query (the all-for-one principle).  This module provides the reference numpy
-implementations plus the chunked/two-stage variants mirroring how the work is
-split across DPUs and tasklets, and a small operation counter used by the
-cost models.
+query (the all-for-one principle).  This module provides the numpy scan —
+:func:`dpxor_many`, with :func:`dpxor` as its one-row form — and a small
+operation counter used by the cost models.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -126,59 +125,6 @@ def dpxor(
     """
     database, selector = _validate(database, selector)
     return dpxor_many(database, selector[None], stats=stats)[0]
-
-
-def dpxor_chunked(
-    database: np.ndarray,
-    selector: np.ndarray,
-    num_chunks: int,
-    stats: Optional[DpXorStats] = None,
-) -> np.ndarray:
-    """dpXOR evaluated as ``num_chunks`` partial scans folded together.
-
-    Mirrors the distribution of the database across DPUs: each chunk produces
-    a partial result and the partials are XOR-folded, which is exactly the
-    aggregation step ➏ of Algorithm 1.  The result is bit-identical to
-    :func:`dpxor`.
-    """
-    database, selector = _validate(database, selector)
-    if num_chunks <= 0:
-        raise DatabaseError("num_chunks must be positive")
-    partials = []
-    bounds = np.linspace(0, database.shape[0], num_chunks + 1, dtype=np.int64)
-    for chunk_index in range(num_chunks):
-        start, stop = int(bounds[chunk_index]), int(bounds[chunk_index + 1])
-        partials.append(dpxor(database[start:stop], selector[start:stop], stats=stats))
-    return xor_fold(partials)
-
-
-def dpxor_two_stage(
-    database: np.ndarray,
-    selector: np.ndarray,
-    num_workers: int,
-    stats: Optional[DpXorStats] = None,
-) -> np.ndarray:
-    """Two-stage parallel reduction (Algorithm 1, TASKLETXOR + MASTERXOR).
-
-    Stage 1 splits the chunk across ``num_workers`` tasklets that each produce
-    a partial result; stage 2 has the master tasklet XOR-fold the partials.
-    Functionally identical to :func:`dpxor`; kept separate so the DPU kernel
-    and its tests exercise the exact structure of the paper's kernel.
-    """
-    database, selector = _validate(database, selector)
-    if num_workers <= 0:
-        raise DatabaseError("num_workers must be positive")
-    partials = []
-    num_records = database.shape[0]
-    per_worker = -(-num_records // num_workers) if num_records else 0
-    for worker in range(num_workers):
-        start = min(worker * per_worker, num_records)
-        stop = min(start + per_worker, num_records)
-        if start == stop:
-            partials.append(np.zeros(database.shape[1], dtype=np.uint8))
-            continue
-        partials.append(dpxor(database[start:stop], selector[start:stop], stats=stats))
-    return xor_fold(partials)
 
 
 def _bucket_window(
@@ -309,92 +255,6 @@ def dpxor_many(
     return out
 
 
-def dpxor_many_chunked(
-    database: np.ndarray,
-    selectors: np.ndarray,
-    num_chunks: int,
-    stats: Optional[DpXorStats] = None,
-) -> np.ndarray:
-    """Batched :func:`dpxor_chunked`: per-chunk batched scans, folded.
-
-    Splits the records exactly like :func:`dpxor_chunked` (so the PIM/CPU/GPU
-    cost models charge the same simulated bytes per chunk) and serves the
-    whole batch within each chunk via :func:`dpxor_many`.
-    """
-    database, selectors = _validate_many(database, selectors)
-    if num_chunks <= 0:
-        raise DatabaseError("num_chunks must be positive")
-    result = np.zeros((selectors.shape[0], database.shape[1]), dtype=np.uint8)
-    bounds = np.linspace(0, database.shape[0], num_chunks + 1, dtype=np.int64)
-    for chunk_index in range(num_chunks):
-        start, stop = int(bounds[chunk_index]), int(bounds[chunk_index + 1])
-        _xor_into(
-            result,
-            dpxor_many(database[start:stop], selectors[:, start:stop], stats=stats),
-        )
-    return result
-
-
-def dpxor_many_two_stage(
-    database: np.ndarray,
-    selectors: np.ndarray,
-    num_workers: int,
-    stats: Optional[DpXorStats] = None,
-) -> np.ndarray:
-    """Batched :func:`dpxor_two_stage`: per-tasklet batched partials, folded.
-
-    Stage 1 splits the records across ``num_workers`` exactly like the
-    sequential kernel; each worker serves the whole batch over its slice in
-    one pass, and stage 2 XOR-folds the ``(B, record_size)`` partials.
-    """
-    database, selectors = _validate_many(database, selectors)
-    if num_workers <= 0:
-        raise DatabaseError("num_workers must be positive")
-    result = np.zeros((selectors.shape[0], database.shape[1]), dtype=np.uint8)
-    num_records = database.shape[0]
-    per_worker = -(-num_records // num_workers) if num_records else 0
-    for worker in range(num_workers):
-        start = min(worker * per_worker, num_records)
-        stop = min(start + per_worker, num_records)
-        if start == stop:
-            continue
-        _xor_into(
-            result,
-            dpxor_many(database[start:stop], selectors[:, start:stop], stats=stats),
-        )
-    return result
-
-
-def _xor_into(accumulator: np.ndarray, partial: np.ndarray) -> None:
-    """XOR ``partial`` into ``accumulator`` in place, word-wide when possible."""
-    acc_words = word_view(accumulator)
-    part_words = word_view(partial)
-    if acc_words is not None and part_words is not None:
-        acc_words ^= part_words
-    else:
-        accumulator ^= partial
-
-
-def xor_fold(partials: Sequence[np.ndarray]) -> np.ndarray:
-    """XOR-fold a sequence of equal-length byte vectors into one."""
-    if len(partials) == 0:
-        raise DatabaseError("cannot fold an empty list of partial results")
-    arrays = [np.asarray(p, dtype=np.uint8) for p in partials]
-    length = arrays[0].shape[0]
-    for i, array in enumerate(arrays):
-        if array.ndim != 1 or array.shape[0] != length:
-            raise DatabaseError(f"partial result {i} has mismatched shape {array.shape}")
-    result = np.zeros(length, dtype=np.uint8)
-    result_words = word_view(result)
-    for array in arrays:
-        array_words = word_view(array)
-        if result_words is not None and array_words is not None:
-            result_words ^= array_words
-        else:
-            result ^= array
-    return result
-
-
 def xor_bytes(left: bytes, right: bytes) -> bytes:
     """XOR two equal-length byte strings (client-side reconstruction step)."""
     if len(left) != len(right):
@@ -444,8 +304,3 @@ def inner_product_mod(
             )
         )
     return accumulator.astype(np.uint64)
-
-
-def partial_results_to_list(partials: Sequence[np.ndarray]) -> List[bytes]:
-    """Convert partial-result arrays to raw bytes (what DPUs ship to the host)."""
-    return [np.asarray(p, dtype=np.uint8).tobytes() for p in partials]

@@ -7,10 +7,10 @@ delegating to one child backend per (non-empty) shard of a
 * ``prepare`` slices the database along the plan and hands each child its
   shard (children preload concurrently, so their preload timers fold with
   per-phase max);
-* ``execute`` splits the engine's full-domain selector vector per shard,
-  lets every child scan its slice (schedule-wise in parallel — child phase
-  timers fold with per-phase max) and XOR-folds the sub-payloads into one
-  answer that is bit-identical to the unsharded scan;
+* ``execute_many`` splits the engine's full-domain selector matrix per
+  shard, lets every child scan its column block (schedule-wise in parallel —
+  child phase timers fold with per-phase max) and XOR-folds the sub-payloads
+  into answers that are bit-identical to the unsharded scan;
 * ``apply_updates`` routes dirty records to the owning shard only, leaving
   every other child's buffers untouched;
 * ``swap_child`` / ``apply_topology`` are the control plane's live
@@ -68,7 +68,7 @@ class _Topology:
     """One immutable snapshot of the fleet's distribution state.
 
     The plan and the member triples must be read *together*: a concurrent
-    ``execute`` that paired an old member tuple with a new plan (or vice
+    ``execute_many`` that paired an old member tuple with a new plan (or vice
     versa) would zip a selector split against the wrong children and
     silently mis-fold the XOR.  Bundling them in one object — always
     replaced by a single reference assignment, never mutated — makes every
@@ -185,7 +185,7 @@ class ShardedBackend(PIRBackend):
         #: The plan and the ``(shard, child, lanes)`` member triples, bundled
         #: in one immutable :class:`_Topology` snapshot that is only ever
         #: replaced by a single reference assignment.  A live migration
-        #: (:meth:`swap_child`) must never let a concurrent ``execute`` pair
+        #: (:meth:`swap_child`) must never let a concurrent ``execute_many`` pair
         #: a new child with a stale lane count, and an online reshape
         #: (:meth:`apply_topology`) must never let it pair a new plan's
         #: selector split with the old member tuple — both invariants fall
@@ -360,46 +360,6 @@ class ShardedBackend(PIRBackend):
 
     # -- the sharded dpXOR ---------------------------------------------------------
 
-    def execute(
-        self, selector_bits: np.ndarray, breakdown: PhaseTimer, lane: int = 0
-    ) -> np.ndarray:
-        """Split the selector per shard, scan children, XOR-fold sub-payloads.
-
-        Shards run on independent machines, so the children's phase timers
-        combine with per-phase max (schedule-wise parallel) before being
-        charged to the query's breakdown.
-        """
-        snapshot = self._topology
-        if self._database is None or snapshot is None:
-            raise ProtocolError("sharded backend has no prepared database")
-        accumulator = np.zeros(self._database.record_size, dtype=np.uint8)
-        combined = PhaseTimer()
-        # One read of the topology snapshot: a live migration swapping a
-        # child mid-scan — or a reshape swapping the whole plan — must not
-        # tear this walk (the snapshot pairs the plan with its members, and
-        # each triple pairs the child with its lane count).
-        for (shard, child, child_lanes), selector_slice in zip(
-            snapshot.members, snapshot.plan.split_selector(selector_bits)
-        ):
-            child_timer = PhaseTimer()
-            # The engine bounds lane by the fleet minimum, but members keep
-            # serving if a caller drives a bare backend with a larger lane.
-            child_lane = min(lane, child_lanes - 1)
-            sub = child.execute(selector_slice, child_timer, lane=child_lane)
-            accumulator ^= np.asarray(sub, dtype=np.uint8).reshape(-1)
-            combined.merge_parallel(child_timer)
-            if self.tracer is not None:
-                self.tracer.record_shard_scan(breakdown, shard.index, child_timer)
-            if self.events is not None:
-                self.events.emit(
-                    "shard.scan",
-                    shard=shard.index,
-                    records=shard.num_records,
-                    seconds=child_timer.total,
-                )
-        breakdown.merge(combined)
-        return accumulator
-
     def execute_many(
         self,
         selector_matrix: np.ndarray,
@@ -420,8 +380,14 @@ class ShardedBackend(PIRBackend):
 
         Shards are walked in plan order on the calling thread; they stand
         for independent machines, so child timers fold with per-phase max
-        per query, exactly like :meth:`execute` (fast-path children record
-        no phases, also exactly like their per-query scans).
+        (schedule-wise parallel) before being charged to each query's
+        breakdown (fast-path children record no phases).  The walk reads the
+        topology snapshot once: a live migration swapping a child mid-scan —
+        or a reshape swapping the whole plan — must not tear it (the snapshot
+        pairs the plan with its members, and each triple pairs the child with
+        its lane count).  The engine bounds lanes by the fleet minimum, but
+        members keep serving if a caller drives a bare backend with a larger
+        lane.
         """
         snapshot = self._topology
         if self._database is None or snapshot is None:
@@ -472,9 +438,9 @@ class ShardedBackend(PIRBackend):
                 )
         for breakdown, query_combined in zip(breakdowns, combined):
             breakdown.merge(query_combined)
-        # Cross-shard fold through the same uint64 word path as the
-        # single-query pipeline (one flattened fold, B * record_size bytes
-        # per shard, bit-identical to per-query byte folds).
+        # Cross-shard fold through the uint64 word path (one flattened fold,
+        # B * record_size bytes per shard, bit-identical to per-query byte
+        # folds).
         return fold_partials(
             [slab.reshape(-1) for slab in partials], batch * record_size
         ).reshape(batch, record_size)
@@ -540,7 +506,7 @@ class ShardedBackend(PIRBackend):
         replaced = list(members)
         outgoing = replaced[position]
         replaced[position] = (shard, child, child.capabilities().lanes)
-        # Single reference assignment: an execute() running concurrently (on
+        # Single reference assignment: an execute_many() running concurrently (on
         # one of the asyncio frontend's replica worker threads) reads either
         # the old snapshot or the new one, never a child paired with a stale
         # lane count or a stale plan.
@@ -621,7 +587,7 @@ class ShardedBackend(PIRBackend):
     def commit_topology(self, staged: "StagedTopology") -> Optional[PhaseTimer]:
         """Install a staged reshape: one reference assignment, cannot fail.
 
-        ``execute`` calls in flight on another thread finish against the old
+        ``execute_many`` calls in flight on another thread finish against the old
         snapshot and the next query sees the new topology whole; retrievals
         are bit-identical throughout (both topologies tile the same
         database bytes).  Returns the staging's preload report (the

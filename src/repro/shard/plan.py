@@ -193,28 +193,12 @@ class ShardPlan:
             self.slice_shard(database, shard) for shard in self.non_empty_shards
         ]
 
-    def split_selector(self, selector_bits: np.ndarray) -> List[np.ndarray]:
-        """Per-shard slices of a full-domain selector vector.
-
-        Returned in the order of :attr:`non_empty_shards`, so they pair with
-        :meth:`slice_database` output one-to-one.
-        """
-        selector_bits = np.asarray(selector_bits)
-        if selector_bits.shape != (self.num_records,):
-            raise ConfigurationError(
-                f"selector length {selector_bits.shape} does not match plan "
-                f"({self.num_records} records)"
-            )
-        return [
-            selector_bits[shard.start : shard.stop] for shard in self.non_empty_shards
-        ]
-
     def split_selector_many(self, selector_matrix: np.ndarray) -> List[np.ndarray]:
         """Per-shard column blocks of a ``(B, num_records)`` selector matrix.
 
-        The batched counterpart of :meth:`split_selector`: the matrix is
-        split **once per batch** into zero-copy column views (one per
-        non-empty shard, in :attr:`non_empty_shards` order), not once per
+        The matrix is split **once per batch** into zero-copy column views
+        (one per non-empty shard, in :attr:`non_empty_shards` order, so they
+        pair with :meth:`slice_database` output one-to-one), not once per
         query.
         """
         selector_matrix = np.asarray(selector_matrix)

@@ -1,7 +1,7 @@
-"""Batched execute_many path: bit-equivalence with the sequential path.
+"""``execute_many``: one batched dispatch against one-row dispatches.
 
-These tests pin the invariants that make the batched path safe to enable
-everywhere:
+``answer`` serves its query as a batch of one through the same hook
+``answer_many`` uses, so these tests pin what batching may and may not change:
 
 * **payload equivalence** — ``answer_many`` returns exactly the bytes the
   ``answer`` loop returns, on every registered backend and on adversarial
@@ -10,8 +10,8 @@ everywhere:
 * **simulated-cost equivalence** on host-side backends — every phase except
   ``eval`` charges the same seconds (``eval`` differs by design: the batch
   path prices the backend's batch cost model, the per-query path its
-  latency model), and the ``execute_many`` override matches the generic
-  per-row fallback both in bytes and in per-query phase charges;
+  latency model), and a batch of one charges float-exactly what ``answer``
+  does on every backend;
 * the **documented amortisation** on the PIM backends — one DPU dispatch
   serves the whole batch, so per-dispatch fixed charges (transfer latency,
   launch overhead, streamed segment copies) shrink the batch's total for
@@ -24,8 +24,7 @@ everywhere:
 import numpy as np
 import pytest
 
-from repro.common.events import PhaseTimer
-from repro.core.engine import PIRBackend, available_backends, create_server
+from repro.core.engine import available_backends, create_server
 from repro.dpf.dpf import DPF, EvalStats
 from repro.dpf.prf import make_prg
 from repro.pir.client import PIRClient
@@ -94,30 +93,18 @@ class TestEveryBackend:
                 [r.breakdown for r in batched.results],
             )
 
-    def test_execute_many_override_matches_generic_fallback(self, backend):
-        database, queries = _batch(256, 32, 5)
-        engine = self._engine(backend, database)
-        selectors = engine.selector_matrix(queries)
-        lanes = [0] * len(queries)
-        override_timers = [PhaseTimer() for _ in queries]
-        fallback_timers = [PhaseTimer() for _ in queries]
-        got = engine.backend.execute_many(selectors, override_timers, lanes)
-        want = PIRBackend.execute_many(
-            engine.backend, selectors, fallback_timers, lanes
-        )
-        assert np.array_equal(got, want)
-        if backend in PIM_KINDS:
-            _assert_amortized(fallback_timers, override_timers)
-        else:
-            for a, b in zip(override_timers, fallback_timers):
-                assert a.durations == b.durations
-
     def test_batch_of_one(self, backend):
         database, queries = _batch(64, 32, 1)
         engine = self._engine(backend, database)
-        expected = engine.answer(queries[0]).answer.payload
+        single = engine.answer(queries[0])
+        expected = single.answer.payload
         batched = engine.answer_many(queries)
         assert [r.answer.payload for r in batched.results] == [expected]
+        # One scan path: ``answer`` is a one-row dispatch, so every phase but
+        # ``eval`` is charged float-exactly what a batch of one is charged.
+        assert {k: v.hex() for k, v in _non_eval(single.breakdown).items()} == {
+            k: v.hex() for k, v in _non_eval(batched.results[0].breakdown).items()
+        }
 
 
 class TestEdgeShapes:

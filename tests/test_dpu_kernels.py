@@ -6,9 +6,19 @@ import pytest
 from repro.common.errors import KernelError
 from repro.pim.config import DPUConfig
 from repro.pim.dpu import DPU
-from repro.pim.kernels import DB_BUFFER, RESULT_BUFFER, SELECTOR_BUFFER, DpXorKernel, MramFillKernel
+from repro.pim.kernels import (
+    DB_BUFFER,
+    RESULT_BUFFER,
+    SELECTOR_BUFFER,
+    DpXorManyKernel,
+    MramFillKernel,
+)
 from repro.pim.tasklet import TaskletGroup
-from repro.pir.xor_ops import dpxor
+
+
+def selected_xor(database, selector):
+    """The oracle, written here and not in the library: XOR of the selected rows."""
+    return np.bitwise_xor.reduce(database[selector.astype(bool)], axis=0)
 
 
 @pytest.fixture()
@@ -86,13 +96,13 @@ class TestDPU:
 class TestDpXorKernel:
     def test_matches_reference_dpxor(self, loaded_dpu):
         dpu, database, selector = loaded_dpu
-        report = dpu.launch(DpXorKernel(), num_records=128, record_size=16)
-        assert np.array_equal(report.result, dpxor(database, selector))
-        assert np.array_equal(dpu.load(RESULT_BUFFER), dpxor(database, selector))
+        report = dpu.launch(DpXorManyKernel(), batch=1, num_records=128, record_size=16)
+        assert np.array_equal(report.result[0], selected_xor(database, selector))
+        assert np.array_equal(dpu.load(RESULT_BUFFER), selected_xor(database, selector))
 
     def test_report_accounting(self, loaded_dpu):
         dpu, database, selector = loaded_dpu
-        report = dpu.launch(DpXorKernel(), num_records=128, record_size=16)
+        report = dpu.launch(DpXorManyKernel(), batch=1, num_records=128, record_size=16)
         assert report.kernel_name == "dpxor"
         assert report.tasklets_used == 4
         assert report.details["records"] == 128
@@ -106,32 +116,32 @@ class TestDpXorKernel:
         database = np.ones((16, 8), dtype=np.uint8)
         dpu.store(DB_BUFFER, database.reshape(-1))
         dpu.store(SELECTOR_BUFFER, np.packbits(np.zeros(16, dtype=np.uint8)))
-        report = dpu.launch(DpXorKernel(), num_records=16, record_size=8)
-        assert np.array_equal(report.result, np.zeros(8, dtype=np.uint8))
+        report = dpu.launch(DpXorManyKernel(), batch=1, num_records=16, record_size=8)
+        assert np.array_equal(report.result[0], np.zeros(8, dtype=np.uint8))
 
     def test_empty_block(self):
         dpu = DPU(0)
-        report = dpu.launch(DpXorKernel(), num_records=0, record_size=8)
-        assert np.array_equal(report.result, np.zeros(8, dtype=np.uint8))
+        report = dpu.launch(DpXorManyKernel(), batch=1, num_records=0, record_size=8)
+        assert np.array_equal(report.result[0], np.zeros(8, dtype=np.uint8))
         assert report.instructions == 0
 
     def test_tasklet_count_override(self, loaded_dpu):
         dpu, database, selector = loaded_dpu
-        one = dpu.launch(DpXorKernel(), num_records=128, record_size=16, tasklets=1)
-        many = dpu.launch(DpXorKernel(), num_records=128, record_size=16, tasklets=16)
-        assert np.array_equal(one.result, many.result)
+        one = dpu.launch(DpXorManyKernel(), batch=1, num_records=128, record_size=16, tasklets=1)
+        many = dpu.launch(DpXorManyKernel(), batch=1, num_records=128, record_size=16, tasklets=16)
+        assert np.array_equal(one.result[0], many.result[0])
         # More tasklets -> better pipeline utilisation -> faster kernel.
         assert many.simulated_seconds < one.simulated_seconds
 
     def test_rejects_too_many_tasklets(self, loaded_dpu):
         dpu, _, _ = loaded_dpu
         with pytest.raises(KernelError):
-            dpu.launch(DpXorKernel(), num_records=128, record_size=16, tasklets=32)
+            dpu.launch(DpXorManyKernel(), batch=1, num_records=128, record_size=16, tasklets=32)
 
     def test_rejects_negative_records(self, loaded_dpu):
         dpu, _, _ = loaded_dpu
         with pytest.raises(KernelError):
-            dpu.launch(DpXorKernel(), num_records=-1, record_size=16)
+            dpu.launch(DpXorManyKernel(), batch=1, num_records=-1, record_size=16)
 
     def test_varied_record_sizes(self):
         rng = np.random.default_rng(9)
@@ -141,8 +151,8 @@ class TestDpXorKernel:
             dpu = DPU(0, config=DPUConfig(tasklets=3))
             dpu.store(DB_BUFFER, database.reshape(-1))
             dpu.store(SELECTOR_BUFFER, np.packbits(selector, bitorder="big"))
-            report = dpu.launch(DpXorKernel(), num_records=64, record_size=record_size)
-            assert np.array_equal(report.result, dpxor(database, selector))
+            report = dpu.launch(DpXorManyKernel(), batch=1, num_records=64, record_size=record_size)
+            assert np.array_equal(report.result[0], selected_xor(database, selector))
 
 
 class TestMramFillKernel:

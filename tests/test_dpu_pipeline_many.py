@@ -11,7 +11,7 @@ totals at or below sequential totals); this file pins the *formula* from the
 
 — each charged exactly once per batch and split evenly across the ``B``
 breakdowns — plus bit-identity of the per-DPU partials against ``B``
-sequential :func:`run_dpu_pipeline` calls, including the edge shapes
+one-row dispatches of the same pipeline, including the edge shapes
 (batch of one, a single DPU, fewer records than DPUs).
 """
 
@@ -20,15 +20,11 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.common.events import PhaseTimer
-from repro.core.partitioning import (
-    DatabasePartitioner,
-    run_dpu_pipeline,
-    run_dpu_pipeline_many,
-)
+from repro.core.partitioning import DatabasePartitioner, run_dpu_pipeline_many
 from repro.core.results import PHASE_COPY_IN, PHASE_COPY_OUT, PHASE_DPXOR
 from repro.core.streaming import PHASE_COPY_DB
 from repro.pim.config import scaled_down_config
-from repro.pim.kernels import DB_BUFFER, DpXorKernel, DpXorManyKernel
+from repro.pim.kernels import DB_BUFFER, DpXorManyKernel
 from repro.pim.system import UPMEMSystem
 from repro.pim.timing import dpxor_kernel_cost
 
@@ -65,13 +61,10 @@ def _run_sequential(dpu_set, partitioner, layout, selectors, **kwargs):
     partials_per_row = []
     breakdowns = []
     for row in selectors:
-        breakdown = PhaseTimer()
-        chunks = partitioner.selector_chunks(layout, row)
-        partials_per_row.append(
-            run_dpu_pipeline(
-                dpu_set, DpXorKernel(), layout, chunks, breakdown, **kwargs
-            )
+        blocks, (breakdown,) = _run_many(
+            dpu_set, partitioner, layout, row[None], **kwargs
         )
+        partials_per_row.append(blocks)
         breakdowns.append(breakdown)
     return partials_per_row, breakdowns
 

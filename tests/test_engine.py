@@ -12,6 +12,7 @@ from repro.common.errors import ProtocolError
 from repro.core.config import IMPIRConfig
 from repro.core.engine import (
     BackendCapabilities,
+    PIRBackend,
     QueryEngine,
     ReferenceBackend,
     available_backends,
@@ -134,6 +135,11 @@ class TestSharedValidation:
             with pytest.raises(ProtocolError):
                 server.engine.answer_many([])
 
+    @pytest.mark.parametrize("name", available_backends())
+    def test_facade_empty_batch_is_the_same_protocol_error(self, servers, name):
+        with pytest.raises(ProtocolError, match="needs at least one query"):
+            servers[name].answer_batch([])
+
     def test_unsupported_query_type_rejected(self, servers):
         for name, server in servers.items():
             with pytest.raises(ProtocolError):
@@ -183,30 +189,26 @@ class TestCapabilities:
 
 
 class TestBackendSurface:
-    """The PIRBackend protocol surface: prepare / answer / answer_many."""
+    """The PIRBackend protocol surface: prepare / capabilities / execute_many."""
 
-    def test_backend_answer_returns_payload_and_timer(self):
-        database = Database.random(64, 8, seed=12)
-        client = PIRClient(64, 8, seed=13, prg=make_prg("numpy"))
-        server = create_server("im-pir", database)
-        query = client.query(5)[0]
-        payload, breakdown = server.backend.answer(query)
-        assert payload == server.engine.answer(query).answer.payload
-        assert breakdown.total > 0
-
-    def test_backend_answer_many(self):
-        database = Database.random(64, 8, seed=14)
-        client = PIRClient(64, 8, seed=15, prg=make_prg("numpy"))
-        server = create_server("reference", database)
-        pairs = server.backend.answer_many([client.query(i)[0] for i in (1, 2)])
-        assert len(pairs) == 2
-        for payload, breakdown in pairs:
-            assert len(payload) == 8
-
-    def test_detached_backend_rejected(self):
-        backend = ReferenceBackend()
-        with pytest.raises(ProtocolError):
-            backend.answer(None)
+    def test_execute_many_is_the_only_scan_hook(self):
+        assert PIRBackend.__abstractmethods__ == {
+            "prepare",
+            "capabilities",
+            "execute_many",
+        }
+        assert {name for name in vars(PIRBackend) if not name.startswith("_")} == {
+            "prepare",
+            "capabilities",
+            "execute_many",
+            "latency_eval_seconds",
+            "batch_eval_seconds",
+        }
+        database = Database.random(16, 4, seed=12)
+        for name in available_backends():
+            backend_class = type(create_server(name, database).engine.backend)
+            for gone in ("execute", "answer", "answer_many"):
+                assert not hasattr(backend_class, gone), (name, gone)
 
     def test_engine_requires_prepared_database(self):
         backend = ReferenceBackend()

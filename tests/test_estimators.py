@@ -32,8 +32,8 @@ class TestIMPIREstimator:
         assert fractions[PHASE_EVAL] > fractions[PHASE_DPXOR]
 
     def test_dpu_chain_scales_with_fewer_dpus(self, estimator):
-        full = estimator.dpu_chain_breakdown(SPEC_1GIB, dpus=2048).get(PHASE_DPXOR)
-        quarter = estimator.dpu_chain_breakdown(SPEC_1GIB, dpus=512).get(PHASE_DPXOR)
+        full = estimator.batched_dpu_chain_breakdown(SPEC_1GIB, 1, dpus=2048).get(PHASE_DPXOR)
+        quarter = estimator.batched_dpu_chain_breakdown(SPEC_1GIB, 1, dpus=512).get(PHASE_DPXOR)
         assert quarter > full
 
     def test_batch_throughput_improves_with_batch_size(self, estimator):

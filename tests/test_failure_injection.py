@@ -15,7 +15,7 @@ from repro.core.partitioning import DatabasePartitioner, PartitionLayout
 from repro.pim.cluster import plan_clusters
 from repro.pim.config import DPUConfig, PIMConfig, scaled_down_config
 from repro.pim.dpu import DPU
-from repro.pim.kernels import DB_BUFFER, SELECTOR_BUFFER, DpXorKernel
+from repro.pim.kernels import DB_BUFFER, SELECTOR_BUFFER, DpXorManyKernel
 from repro.pim.system import UPMEMSystem
 from repro.pir.database import Database
 
@@ -103,7 +103,7 @@ class TestWRAMOverflowPaths:
         dpu.store(DB_BUFFER, database.reshape(-1))
         dpu.store(SELECTOR_BUFFER, np.packbits(np.ones(num_records, dtype=np.uint8)))
         with pytest.raises(CapacityError):
-            dpu.launch(DpXorKernel(), num_records=num_records, record_size=record_size)
+            dpu.launch(DpXorManyKernel(), batch=1, num_records=num_records, record_size=record_size)
 
     def test_same_records_fit_with_fewer_tasklets(self):
         dpu = DPU(0, config=DPUConfig(tasklets=4))
@@ -112,8 +112,10 @@ class TestWRAMOverflowPaths:
         database = np.arange(num_records * record_size, dtype=np.uint8).reshape(num_records, record_size)
         dpu.store(DB_BUFFER, database.reshape(-1))
         dpu.store(SELECTOR_BUFFER, np.packbits(np.ones(num_records, dtype=np.uint8)))
-        report = dpu.launch(DpXorKernel(), num_records=num_records, record_size=record_size, tasklets=2)
-        assert report.result.shape == (record_size,)
+        report = dpu.launch(
+            DpXorManyKernel(), batch=1, num_records=num_records, record_size=record_size, tasklets=2
+        )
+        assert report.result[0].shape == (record_size,)
 
 
 class TestConfigurationBoundaries:

@@ -9,7 +9,7 @@ from repro.common.units import MIB
 from repro.core.partitioning import (
     DatabasePartitioner,
     fold_partials,
-    kwargs_for_kernel,
+    kwargs_for_kernel_many,
 )
 from repro.pir.database import Database
 
@@ -67,11 +67,11 @@ class TestChunks:
     def test_selector_chunks_pack_bits(self, partitioner, small_db):
         layout = partitioner.layout(5)
         selector = np.random.default_rng(0).integers(0, 2, small_db.num_records, dtype=np.uint8)
-        chunks = partitioner.selector_chunks(layout, selector)
+        chunks = partitioner.selector_chunks_many(layout, selector[None])
         assert len(chunks) == 5
         rebuilt = np.concatenate(
             [
-                np.unpackbits(chunk, bitorder="big")[: stop - start]
+                np.unpackbits(chunk[0], bitorder="big")[: stop - start]
                 for chunk, (start, stop) in zip(chunks, layout.bounds)
             ]
         )
@@ -80,7 +80,7 @@ class TestChunks:
     def test_selector_length_mismatch_rejected(self, partitioner):
         layout = partitioner.layout(2)
         with pytest.raises(ConfigurationError):
-            partitioner.selector_chunks(layout, np.zeros(10, dtype=np.uint8))
+            partitioner.selector_chunks_many(layout, np.zeros((1, 10), dtype=np.uint8))
 
     def test_packed_selector_bytes(self, partitioner):
         layout = partitioner.layout(4)
@@ -89,7 +89,7 @@ class TestChunks:
 
     def test_kwargs_for_kernel(self, partitioner, small_db):
         layout = partitioner.layout(3)
-        kwargs = kwargs_for_kernel(layout)
+        kwargs = kwargs_for_kernel_many(layout, 1)
         assert len(kwargs) == 3
         assert all(kw["record_size"] == small_db.record_size for kw in kwargs)
         assert sum(kw["num_records"] for kw in kwargs) == small_db.num_records

@@ -6,13 +6,13 @@ import pytest
 from repro.common.errors import CapacityError, ConfigurationError, KernelError, TransferError
 from repro.pim.config import DPUS_PER_CHIP, DPUS_PER_RANK, PIMConfig, scaled_down_config
 from repro.pim.dpu import DPU
-from repro.pim.kernels import DB_BUFFER, SELECTOR_BUFFER, DpXorKernel
+from repro.pim.kernels import DB_BUFFER, SELECTOR_BUFFER, DpXorManyKernel
 from repro.pim.module import build_topology
 from repro.pim.system import DPUSet, UPMEMSystem
 from repro.pim.timing import PIMTimingModel
 from repro.pim.transfer import TransferEngine
 from repro.pir.database import Database
-from repro.pir.xor_ops import dpxor, xor_fold
+from repro.pir.xor_ops import dpxor
 
 
 @pytest.fixture()
@@ -126,10 +126,12 @@ class TestCollectiveLaunch:
         dpu_set.scatter(DB_BUFFER, [db.chunk(a, b).reshape(-1) for a, b in bounds])
         dpu_set.scatter(SELECTOR_BUFFER, [np.packbits(selector[a:b], bitorder="big") for a, b in bounds])
         launch = dpu_set.launch(
-            DpXorKernel(),
-            per_dpu_kwargs=[{"num_records": b - a, "record_size": 32} for a, b in bounds],
+            DpXorManyKernel(),
+            per_dpu_kwargs=[
+                {"num_records": b - a, "record_size": 32, "batch": 1} for a, b in bounds
+            ],
         )
-        combined = xor_fold(launch.results())
+        combined = np.bitwise_xor.reduce(np.stack(launch.results()), axis=0)[0]
         assert np.array_equal(combined, dpxor(db.records, selector))
 
     def test_launch_report_structure(self, system):
@@ -142,8 +144,10 @@ class TestCollectiveLaunch:
             [np.packbits(np.ones(b - a, dtype=np.uint8), bitorder="big") for a, b in bounds],
         )
         launch = dpu_set.launch(
-            DpXorKernel(),
-            per_dpu_kwargs=[{"num_records": b - a, "record_size": 16} for a, b in bounds],
+            DpXorManyKernel(),
+            per_dpu_kwargs=[
+                {"num_records": b - a, "record_size": 16, "batch": 1} for a, b in bounds
+            ],
         )
         assert launch.num_dpus == 4
         assert len(launch.reports) == 4
@@ -154,7 +158,7 @@ class TestCollectiveLaunch:
     def test_per_dpu_kwargs_length_checked(self, system):
         dpu_set = system.allocate(4)
         with pytest.raises(KernelError):
-            dpu_set.launch(DpXorKernel(), per_dpu_kwargs=[{}] * 3)
+            dpu_set.launch(DpXorManyKernel(), per_dpu_kwargs=[{}] * 3)
 
     def test_empty_dpu_set_rejected(self, system):
         with pytest.raises(ConfigurationError):

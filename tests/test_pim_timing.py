@@ -134,7 +134,7 @@ class TestCrossConsistency:
         import numpy as np
 
         from repro.pim.dpu import DPU
-        from repro.pim.kernels import DB_BUFFER, SELECTOR_BUFFER, DpXorKernel
+        from repro.pim.kernels import DB_BUFFER, SELECTOR_BUFFER, DpXorManyKernel
 
         config = DPUConfig(tasklets=8)
         rng = np.random.default_rng(3)
@@ -145,7 +145,9 @@ class TestCrossConsistency:
         dpu = DPU(0, config=config)
         dpu.store(DB_BUFFER, database.reshape(-1))
         dpu.store(SELECTOR_BUFFER, np.packbits(selector, bitorder="big"))
-        report = dpu.launch(DpXorKernel(), num_records=num_records, record_size=record_size)
+        report = dpu.launch(
+            DpXorManyKernel(), batch=1, num_records=num_records, record_size=record_size
+        )
 
         expected = dpxor_kernel_cost(
             config,

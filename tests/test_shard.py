@@ -92,10 +92,10 @@ class TestShardPlan:
         database = Database.random(37, 4, seed=5)
         plan = ShardPlan.uniform(37, 5)
         selector = np.arange(37, dtype=np.uint8)
-        slices = plan.split_selector(selector)
+        slices = plan.split_selector_many(selector[None])
         shards_db = plan.slice_database(database)
         assert len(slices) == len(shards_db) == len(plan.non_empty_shards)
-        reassembled = np.concatenate(slices)
+        reassembled = np.concatenate(slices, axis=1)[0]
         assert np.array_equal(reassembled, selector)
         for shard, shard_db in zip(plan.non_empty_shards, shards_db):
             assert shard_db.num_records == shard.num_records
@@ -109,7 +109,7 @@ class TestShardPlan:
             ShardPlan(num_records=10, shards=())
         with pytest.raises(ConfigurationError):
             plan = ShardPlan.uniform(10, 2)
-            plan.split_selector(np.zeros(9, dtype=np.uint8))
+            plan.split_selector_many(np.zeros((1, 9), dtype=np.uint8))
 
     def test_wrong_database_shape_rejected(self):
         plan = ShardPlan.uniform(10, 2)
@@ -251,7 +251,7 @@ class TestShardedCapabilitiesAndTiming:
         backend = ShardedBackend(bare_backend_factory("reference"), num_shards=2)
         assert backend.capabilities().name == "sharded"
         with pytest.raises(ProtocolError):
-            backend.execute(np.zeros(4, dtype=np.uint8), PhaseTimer())
+            backend.execute_many(np.zeros((1, 4), dtype=np.uint8), [PhaseTimer()], [0])
         with pytest.raises(ProtocolError):
             backend.apply_updates(Database.random(4, 4, seed=1), [0])
 
@@ -344,8 +344,8 @@ class _CountingBackend:
     def capabilities(self):
         return self._inner.capabilities()
 
-    def execute(self, selector_bits, breakdown, lane=0):
-        return self._inner.execute(selector_bits, breakdown, lane=lane)
+    def execute_many(self, selector_matrix, breakdowns, lanes):
+        return self._inner.execute_many(selector_matrix, breakdowns, lanes)
 
     def latency_eval_seconds(self, num_records):
         return self._inner.latency_eval_seconds(num_records)

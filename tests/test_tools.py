@@ -243,6 +243,30 @@ class TestBatchedScanLint:
         )
         assert not self._check(tmp_path, "src/repro/pir/protocol.py", source.format(""))
 
+    def test_per_query_scan_hook_flagged(self, tmp_path):
+        # execute_many is the one backend hook; a class growing an `execute`
+        # method is the per-query twin coming back.
+        source = (
+            "class Backend:\n"
+            "    def {}(self, selector_matrix, breakdowns, lanes):{}\n"
+            "        return selector_matrix\n"
+        )
+        flagged = self._check(
+            tmp_path, "src/repro/core/backend.py", source.format("execute", "")
+        )
+        assert any("per-query scan hook" in message for _, message in flagged)
+        assert not self._check(
+            tmp_path, "src/repro/core/backend.py", source.format("execute", "  # noqa")
+        )
+        assert not self._check(
+            tmp_path, "src/repro/core/backend.py", source.format("execute_many", "")
+        )
+        # Module-level functions and code outside the library are not hooks.
+        assert not self._check(
+            tmp_path, "src/repro/core/run.py", "def execute(plan):\n    return plan\n"
+        )
+        assert not self._check(tmp_path, "tools/runner.py", source.format("execute", ""))
+
     def test_attribute_bound_flagged(self, tmp_path):
         findings = self._check(
             tmp_path,

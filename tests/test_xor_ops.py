@@ -1,22 +1,18 @@
-"""dpXOR kernels: reference, chunked and two-stage variants."""
+"""dpXOR kernels: the batched scan and its one-row form."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.errors import DatabaseError
+from repro.common.errors import ConfigurationError, DatabaseError
+from repro.core.partitioning import fold_partials
 from repro.pir.xor_ops import (
     DpXorStats,
     dpxor,
-    dpxor_chunked,
     dpxor_many,
-    dpxor_many_chunked,
-    dpxor_many_two_stage,
-    dpxor_two_stage,
     inner_product_mod,
     word_view,
     xor_bytes,
-    xor_fold,
 )
 
 
@@ -61,48 +57,18 @@ class TestDpxor:
             dpxor(np.zeros((4, 2), dtype=np.uint8), np.zeros(3, dtype=np.uint8))
 
 
-class TestChunkedAndTwoStage:
-    @pytest.mark.parametrize("num_chunks", [1, 2, 3, 7, 200, 300])
-    def test_chunked_equals_reference(self, db_and_selector, num_chunks):
-        database, selector = db_and_selector
-        assert np.array_equal(
-            dpxor_chunked(database, selector, num_chunks), dpxor(database, selector)
-        )
-
-    @pytest.mark.parametrize("num_workers", [1, 2, 5, 16, 200, 250])
-    def test_two_stage_equals_reference(self, db_and_selector, num_workers):
-        database, selector = db_and_selector
-        assert np.array_equal(
-            dpxor_two_stage(database, selector, num_workers), dpxor(database, selector)
-        )
-
-    def test_chunked_rejects_zero_chunks(self, db_and_selector):
-        database, selector = db_and_selector
-        with pytest.raises(DatabaseError):
-            dpxor_chunked(database, selector, 0)
-
-    def test_two_stage_rejects_zero_workers(self, db_and_selector):
-        database, selector = db_and_selector
-        with pytest.raises(DatabaseError):
-            dpxor_two_stage(database, selector, 0)
-
-
 class TestXorFold:
     def test_fold_is_xor(self):
         parts = [np.array([1, 2], dtype=np.uint8), np.array([3, 4], dtype=np.uint8)]
-        assert np.array_equal(xor_fold(parts), np.array([2, 6], dtype=np.uint8))
+        assert np.array_equal(fold_partials(parts, 2), np.array([2, 6], dtype=np.uint8))
 
     def test_fold_identity(self):
         part = np.array([9, 9], dtype=np.uint8)
-        assert np.array_equal(xor_fold([part]), part)
-
-    def test_fold_rejects_empty(self):
-        with pytest.raises(DatabaseError):
-            xor_fold([])
+        assert np.array_equal(fold_partials([part], 2), part)
 
     def test_fold_rejects_mismatched(self):
-        with pytest.raises(DatabaseError):
-            xor_fold([np.zeros(2, dtype=np.uint8), np.zeros(3, dtype=np.uint8)])
+        with pytest.raises(ConfigurationError):
+            fold_partials([np.zeros(2, dtype=np.uint8), np.zeros(3, dtype=np.uint8)], 2)
 
 
 class TestXorBytes:
@@ -147,21 +113,6 @@ class TestInnerProductMod:
 
 
 class TestDpxorProperties:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        num_records=st.integers(min_value=1, max_value=128),
-        record_size=st.integers(min_value=1, max_value=40),
-        num_chunks=st.integers(min_value=1, max_value=16),
-        seed=st.integers(min_value=0, max_value=2**31),
-    )
-    def test_chunking_invariance(self, num_records, record_size, num_chunks, seed):
-        rng = np.random.default_rng(seed)
-        database = rng.integers(0, 256, size=(num_records, record_size), dtype=np.uint8)
-        selector = rng.integers(0, 2, size=num_records, dtype=np.uint8)
-        reference = dpxor(database, selector)
-        assert np.array_equal(dpxor_chunked(database, selector, num_chunks), reference)
-        assert np.array_equal(dpxor_two_stage(database, selector, num_chunks), reference)
-
     @settings(max_examples=25, deadline=None)
     @given(
         num_records=st.integers(min_value=1, max_value=100),
@@ -225,33 +176,6 @@ class TestDpxorMany:
             dpxor_many(np.zeros((4, 2), dtype=np.uint8), np.zeros((3,), dtype=np.uint8))
         with pytest.raises(DatabaseError):
             dpxor_many(np.zeros((4, 2), dtype=np.uint8), np.zeros((2, 5), dtype=np.uint8))
-
-    @pytest.mark.parametrize("num_chunks", [1, 3, 7])
-    def test_chunked_variant(self, num_chunks):
-        # Bit-identical to the one-pass kernel; stats identical to running the
-        # *sequential chunked* kernel once per batch row (each chunk charges
-        # its own partial output, exactly as on real per-DPU hardware).
-        database, selectors = self._random_case(90, 24, 5, seed=26)
-        expected = dpxor_many(database, selectors)
-        stats = DpXorStats()
-        got = dpxor_many_chunked(database, selectors, num_chunks, stats=stats)
-        assert np.array_equal(got, expected)
-        baseline = DpXorStats()
-        for row in selectors:
-            dpxor_chunked(database, row, num_chunks, stats=baseline)
-        assert stats == baseline
-
-    @pytest.mark.parametrize("num_workers", [1, 2, 5, 16])
-    def test_two_stage_variant(self, num_workers):
-        database, selectors = self._random_case(90, 24, 5, seed=27)
-        expected = dpxor_many(database, selectors)
-        stats = DpXorStats()
-        got = dpxor_many_two_stage(database, selectors, num_workers, stats=stats)
-        assert np.array_equal(got, expected)
-        baseline = DpXorStats()
-        for row in selectors:
-            dpxor_two_stage(database, row, num_workers, stats=baseline)
-        assert stats == baseline
 
     @given(
         num_records=st.integers(min_value=1, max_value=80),
@@ -347,7 +271,7 @@ class TestWordFastPaths:
         expected = np.zeros(size, dtype=np.uint8)
         for array in arrays:
             expected ^= array
-        assert np.array_equal(xor_fold(arrays), expected)
+        assert np.array_equal(fold_partials(arrays, size), expected)
 
     def test_word_view_word_aligned(self):
         aligned = np.zeros((4, 16), dtype=np.uint8)

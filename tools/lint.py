@@ -44,6 +44,9 @@ AST pass instead.  It flags:
   ``src/repro/pir/async_frontend.py``) — keys are generated once per flush
   through ``client.query_batch``; a ``query`` call there is per-request key
   generation creeping back;
+* a method named ``execute`` defined in any class under ``src/repro/`` — the
+  backend protocol has one scan hook, ``execute_many`` (a single query is a
+  batch of one); an ``execute`` method is the per-query twin creeping back;
 * bare ``print(`` anywhere under ``src/repro/`` — library code reports
   through the structured event log (:mod:`repro.obs.events`) or returns
   strings for the CLI layer to print; only the CLI entry points
@@ -165,12 +168,14 @@ def _is_vectorized_scan_only(path: Path) -> bool:
 PRINT_EXEMPT_BASENAMES = {"cli.py", "__main__.py"}
 
 
-def _is_print_banned(path: Path) -> bool:
-    if path.name in PRINT_EXEMPT_BASENAMES:
-        return False
+def _is_library_code(path: Path) -> bool:
     # The ``repro`` path part marks library code (src/repro/...); tools/ and
-    # tests/ never contain it, so they stay free to print.
+    # tests/ never contain it.
     return "repro" in path.parts
+
+
+def _is_print_banned(path: Path) -> bool:
+    return path.name not in PRINT_EXEMPT_BASENAMES and _is_library_code(path)
 
 
 def _is_single_arg_range_over(node: ast.AST, bound_names: set) -> bool:
@@ -249,6 +254,18 @@ def _is_query_call(node: ast.AST) -> bool:
     )
 
 
+def _per_query_scan_hooks(node: ast.AST) -> List[int]:
+    """Line numbers of ``def execute`` methods when ``node`` is a class."""
+    if not isinstance(node, ast.ClassDef):
+        return []
+    return [
+        item.lineno
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and item.name == "execute"
+    ]
+
+
 def check_file(path: Path) -> List[Tuple[int, str]]:
     source = path.read_text(encoding="utf-8")
     try:
@@ -260,6 +277,7 @@ def check_file(path: Path) -> List[Tuple[int, str]]:
     vectorized_scan_only = _is_vectorized_scan_only(path)
     batched_scan_only = _is_batched_scan_only(path)
     print_banned = _is_print_banned(path)
+    library_code = _is_library_code(path)
     per_flush_keygen_only = _is_per_flush_keygen_only(path)
 
     imports: List[Tuple[int, str, str]] = []  # (lineno, bound name, description)
@@ -378,6 +396,16 @@ def check_file(path: Path) -> List[Tuple[int, str]]:
                     "generated once per flush through client.query_batch",
                 )
             )
+        if library_code:
+            for lineno in _per_query_scan_hooks(node):
+                deprecated.append(
+                    (
+                        lineno,
+                        "per-query scan hook creeping back (a method named "
+                        "execute in a class under src/repro/); implement "
+                        "execute_many",
+                    )
+                )
         if (
             isinstance(node, ast.Attribute)
             and node.attr == "get_event_loop"
