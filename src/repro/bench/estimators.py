@@ -6,7 +6,11 @@ the *same cost formulas the functional simulators use*, evaluated on computed
 byte/op counts.  Every duration produced here flows through
 :class:`~repro.pim.timing.PIMTimingModel`, :class:`~repro.cpu.model.CPUModel`
 or :class:`~repro.gpu.model.GPUModel` — the functional path and the analytic
-path cannot disagree about the model because they share the code.
+path cannot disagree about the model because they share the code.  On the
+PIM side the functional servers charge the dpXOR kernel from *measured*
+selector popcounts (:func:`~repro.pim.timing.dpxor_launch_seconds`, the
+kernel executed only as the tests' reference); the estimators evaluate the
+same formula at the *expected* fraction of 1/2.
 """
 
 from __future__ import annotations
@@ -64,8 +68,8 @@ class IMPIREstimator:
         """Per-query share of phases ➌–➏ when ``batch_rows`` queries share one dispatch.
 
         Mirrors :func:`~repro.core.partitioning.run_dpu_pipeline_many`'s cost
-        model: one selector broadcast, one kernel launch and one result
-        gather serve the whole sub-batch, so the fixed per-dispatch charges
+        model at expected popcounts: one selector broadcast, one kernel
+        launch and one result gather serve the whole sub-batch, so the fixed per-dispatch charges
         (transfer latency, launch overhead) split evenly across its rows
         while per-row bandwidth, kernel compute and the host fold stay
         per-query.  ``batch_rows == 1`` is one query paying its own

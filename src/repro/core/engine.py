@@ -183,9 +183,9 @@ class QueryEngine:
 
     # -- shared query validation --------------------------------------------------
 
-    def validate(self, query: Query) -> None:
-        """Reject queries this replica must not answer (one copy of the rules)."""
-        caps = self.backend.capabilities()
+    def validate(self, query: Query, caps: BackendCapabilities) -> None:
+        """Reject queries this replica must not answer (one copy of the rules);
+        ``caps`` is read once per flush, not per query."""
         if isinstance(query, NaiveQuery):
             if not caps.supports_naive:
                 raise ProtocolError(f"{caps.name} serves DPF-encoded queries")
@@ -274,8 +274,8 @@ class QueryEngine:
 
     def answer(self, query: Query, lane: int = 0) -> IMPIRQueryResult:
         """Answer one query on execution lane ``lane``."""
-        self.validate(query)
         caps = self.backend.capabilities()
+        self.validate(query, caps)
         if not 0 <= lane < caps.lanes:
             raise ProtocolError(f"lane {lane} out of range [0, {caps.lanes})")
         breakdown = PhaseTimer()
@@ -312,9 +312,9 @@ class QueryEngine:
         """
         if not queries:
             raise ProtocolError("answer_batch needs at least one query")
-        for query in queries:
-            self.validate(query)
         caps = self.backend.capabilities()
+        for query in queries:
+            self.validate(query, caps)
         scheduler = batch_scheduler_for(caps, len(queries))
         eval_seconds = self.backend.batch_eval_seconds(self.database.num_records)
 

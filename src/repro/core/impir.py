@@ -12,6 +12,10 @@ two-server protocol.  Its responsibilities, following Figure 5:
 ➎ gather the per-DPU sub-results back to the host;
 ➏ XOR-fold them into the server's sub-result, which is returned to the client.
 
+Steps ➌–➏ are charged, not executed: the answer is one
+:func:`~repro.pir.xor_ops.dpxor_many` over the database, and
+:func:`~repro.core.partitioning.run_dpu_pipeline_many` charges the phases.
+
 The protocol half of those steps (validation, key evaluation, answer
 assembly) is supplied by the shared :class:`~repro.core.engine.QueryEngine`;
 this module contributes :class:`PIMClusterBackend` — the DPU-cluster
@@ -20,7 +24,7 @@ together with the paper's cost model.
 
 The database itself is preloaded into MRAM once, ahead of query processing,
 exactly as in the paper (its transfer time is reported separately and not
-charged to queries).
+charged to queries).  MRAM is capacity and cost state: serving never reads it.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from repro.pim.kernels import DB_BUFFER, DpXorManyKernel
 from repro.pim.system import UPMEMSystem
 from repro.pir.database import Database
 from repro.pir.messages import DPFQuery
+from repro.pir.xor_ops import dpxor_many
 
 #: Phase name under which partial MRAM re-transfers of bulk updates are billed.
 PHASE_UPDATE_COPY = "update_copy"
@@ -63,13 +68,9 @@ class PIMClusterBackend(PIRBackend):
         self.config = config
         self.system = system
         self.timing = system.timing
-        self._batch_kernel = DpXorManyKernel()
         self._dpu_set = system.allocate(config.pim.num_dpus)
         self._clusters: List[DPUCluster] = make_clusters(self._dpu_set, config.num_clusters)
         self._layouts: List[PartitionLayout] = []
-        # One partitioner per database generation: the hot path must not
-        # rebuild it per query.
-        self._partitioner: Optional[DatabasePartitioner] = None
         self.database: Optional[Database] = None
 
     # -- database lifecycle (not charged to queries) ------------------------------
@@ -77,23 +78,21 @@ class PIMClusterBackend(PIRBackend):
     def prepare(self, database: Database) -> PhaseTimer:
         """Partition the database across each cluster's DPUs and load MRAM."""
         self.database = database
-        self._partitioner = DatabasePartitioner(database)
+        partitioner = DatabasePartitioner(database)
         timer = PhaseTimer()
         self._layouts = []
         for cluster in self._clusters:
-            layout = self._partitioner.layout(cluster.num_dpus)
-            self._partitioner.check_capacity(
+            layout = partitioner.layout(cluster.num_dpus)
+            partitioner.check_capacity(
                 layout,
                 mram_bytes_per_dpu=self.config.pim.dpu.mram_bytes,
                 reserve_fraction=self.config.mram_reserve_fraction,
             )
-            reset_pipeline_buffers(cluster.dpu_set)
-            cluster.dpu_set.load_program(self._batch_kernel.name)
-            chunks = self._partitioner.database_chunks(layout)
+            reset_pipeline_buffers(cluster.dpu_set, layout)
+            cluster.dpu_set.load_program(DpXorManyKernel.name)
+            chunks = partitioner.database_chunks(layout)
             report = cluster.dpu_set.scatter(DB_BUFFER, chunks)
             timer.record("preload_db", report.simulated_seconds)
-            cluster.preloaded_records = layout.num_records
-            cluster.record_size = layout.record_size
             self._layouts.append(layout)
         return timer
 
@@ -106,7 +105,6 @@ class PIMClusterBackend(PIRBackend):
         contents and cost nothing.
         """
         self.database = database
-        self._partitioner = DatabasePartitioner(database)
         timer = PhaseTimer()
         for cluster, layout in zip(self._clusters, self._layouts):
             starts = [start for start, _ in layout.bounds]
@@ -169,16 +167,14 @@ class PIMClusterBackend(PIRBackend):
         breakdowns: Sequence[PhaseTimer],
         lanes: Sequence[int],
     ) -> np.ndarray:
-        """Batched dpXOR: one DPU dispatch per cluster serves its whole share.
+        """Batched dpXOR: one scan and one DPU dispatch charged per cluster.
 
         Rows are grouped by execution lane (the engine assigns lanes
-        round-robin across clusters) and each cluster serves its rows through
-        :func:`~repro.core.partitioning.run_dpu_pipeline_many` — one selector
-        scatter, one batched kernel launch, one result gather per cluster per
-        flush, instead of one of each per query.  The fixed per-dispatch
-        charges amortise across the cluster's rows per the pipeline's
-        documented cost model, while per-row kernel costs and the host-side
-        fold (phase ➏) are still charged per query.
+        round-robin across clusters); each cluster's rows are answered by one
+        :func:`~repro.pir.xor_ops.dpxor_many` over the database and charged
+        one selector scatter, one batched kernel launch and one result
+        gather through :func:`~repro.core.partitioning.run_dpu_pipeline_many`.
+        Per-row kernel costs and the host-side fold (phase ➏) stay per query.
         """
         selector_matrix = np.asarray(selector_matrix, dtype=np.uint8)
         out = np.zeros(
@@ -189,24 +185,16 @@ class PIMClusterBackend(PIRBackend):
             rows_by_lane.setdefault(lane, []).append(position)
         for lane in sorted(rows_by_lane):
             positions = rows_by_lane[lane]
-            cluster = self._clusters[lane]
             layout = self._layouts[lane]
-            chunks = self._partitioner.selector_chunks_many(
-                layout, selector_matrix[positions]
-            )
-            partials = run_dpu_pipeline_many(
-                cluster.dpu_set,
-                self._batch_kernel,
-                layout,
-                chunks,
-                [breakdowns[position] for position in positions],
-            )
-            out[positions] = np.bitwise_xor.reduce(np.stack(partials), axis=0)
+            rows = selector_matrix[positions]
+            timers = [breakdowns[position] for position in positions]
+            out[positions] = dpxor_many(self.database.records, rows)
+            run_dpu_pipeline_many(self._clusters[lane].dpu_set, layout, rows, timers)
             aggregate_seconds = self.timing.host_aggregate_xor_seconds(
-                len(partials), layout.record_size
+                layout.num_dpus, layout.record_size
             )
-            for position in positions:
-                breakdowns[position].record(PHASE_AGGREGATE, aggregate_seconds)
+            for timer in timers:
+                timer.record(PHASE_AGGREGATE, aggregate_seconds)
         return out
 
     # -- public views for the facade ----------------------------------------------

@@ -5,6 +5,8 @@ contiguous block ``[i * B_d, (i+1) * B_d)`` of records, with
 ``B_d = ceil(N / P)``.  The DPF evaluation results (selector bits) are split
 the same way and shipped as packed bit vectors, which is what keeps the
 per-query CPU->DPU traffic to ``N/8`` bytes.
+The layout is cost policy, not the answer: :func:`run_dpu_pipeline_many`
+charges per-DPU costs from selector popcounts at its bounds.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.common.errors import CapacityError, ConfigurationError
-from repro.pim.kernels import DB_BUFFER, RESULT_BUFFER, SELECTOR_BUFFER
+from repro.core.results import PHASE_COPY_IN, PHASE_COPY_OUT, PHASE_DPXOR
+from repro.pim.kernels import DB_BUFFER, RESULT_BUFFER, SELECTOR_BUFFER, reserve_dpxor_wram
+from repro.pim.timing import dpxor_launch_seconds
 from repro.pir.database import Database
 
 
@@ -129,13 +133,16 @@ class DatabasePartitioner:
         return chunks
 
     @staticmethod
-    def packed_selector_bytes(layout: PartitionLayout) -> int:
-        """Total bytes shipped to the DPUs for one query's selector shares."""
-        total = 0
-        for start, stop in layout.bounds:
-            records = stop - start
-            total += (records + 7) // 8 if records else 1
-        return total
+    def packed_selector_bytes(layout: PartitionLayout, batch: int) -> int:
+        """Bytes :meth:`selector_chunks_many` ships for ``batch`` selector rows.
+
+        ``batch`` packed slices per DPU, except that an empty DPU receives one
+        placeholder byte per dispatch, not per row.
+        """
+        return sum(
+            batch * ((stop - start + 7) // 8) if stop > start else 1
+            for start, stop in layout.bounds
+        )
 
 
 def aligned_chunk_bounds(
@@ -175,101 +182,99 @@ def kwargs_for_kernel_many(layout: PartitionLayout, batch: int) -> List[dict]:
     ]
 
 
-def reset_pipeline_buffers(dpu_set) -> None:
-    """Free the pipeline's MRAM buffers so a re-prepare can re-size them.
+def reset_pipeline_buffers(dpu_set, layout: PartitionLayout) -> None:
+    """Free the MRAM buffers and reserve the kernel's WRAM for ``layout``.
 
-    Buffer sizes depend on the database shape; a second ``prepare`` with a
-    different shape must not write into last generation's allocations.
+    A re-prepare with another database shape must not write into last
+    generation's allocations; serving never launches the kernel, so a WRAM
+    working set that does not fit raises :class:`CapacityError` here.
     """
-    for dpu in dpu_set.dpus:
+    for dpu, (start, stop) in zip(dpu_set.dpus, layout.bounds):
         for name in (DB_BUFFER, SELECTOR_BUFFER, RESULT_BUFFER):
             if dpu.mram.has_buffer(name):
                 dpu.mram.free(name)
-
-
-def _pipeline_phases() -> Tuple[str, str, str]:
-    """The copy-in / dpXOR / copy-out phase names, imported lazily.
-
-    ``repro.core.results`` cannot be imported at module scope here:
-    ``repro.core.__init__`` imports this module first.
-    """
-    from repro.core.results import PHASE_COPY_IN, PHASE_COPY_OUT, PHASE_DPXOR
-
-    return PHASE_COPY_IN, PHASE_COPY_OUT, PHASE_DPXOR
+        dpu.wram.release_all()
+        reserve_dpxor_wram(dpu, stop - start, layout.record_size, dpu.config.tasklets)
 
 
 def run_dpu_pipeline_many(
     dpu_set,
-    kernel,
     layout: PartitionLayout,
-    selector_chunks: Sequence[np.ndarray],
+    selector_matrix: np.ndarray,
     breakdowns: Sequence,
     *,
-    db_chunks: Optional[Sequence[np.ndarray]] = None,
+    db_bytes: Optional[int] = None,
     db_copy_phase: Optional[str] = None,
-) -> List[np.ndarray]:
-    """Algorithm 1 phases 3-5 for a whole batch in one DPU dispatch.
+) -> None:
+    """Charge Algorithm 1 phases 3-5 for a whole batch in one DPU dispatch.
 
-    The single parameterised pipeline behind both the preloaded per-cluster
-    path and the streamed per-segment path, and the heart of the
-    kernel-level batching: the batch pays **one** selector scatter, **one**
-    launch of the batched dpXOR (whose batch loop runs inside the DPUs) and
-    **one** result gather, instead of one of each per query — and, when
-    ``db_chunks`` (with a ``db_copy_phase`` name) streams the database in, as
-    the oversized-database mode must on every pass, **one** segment copy per
-    batch instead of per query.
+    The one cost path of both PIM backends.  It charges, float-exactly, what
+    scattering the selectors, launching :class:`~repro.pim.kernels.
+    DpXorManyKernel` on every DPU and gathering the results costs, without
+    running them (XOR is associative: the caller's one scan of the database
+    is the payload).  Per-DPU costs come from the ``(B, P)`` popcounts of
+    ``selector_matrix`` (``(B, num_records)`` rows of 0/1) at the layout's
+    bounds; DPU ``busy_seconds`` / ``launches`` and the transfer byte
+    counters move as executing would move them (the tests' oracle).
 
     Simulated cost model (the documented amortisation, for a batch of ``B``
     rows over ``P`` DPUs)::
 
-        copy_in  = transfer_latency + B * packed_selector_bytes / host_to_dpu_bw
+        copy_in  = transfer_latency + packed_selector_bytes(layout, B) / host_to_dpu_bw
         dpxor    = launch_overhead(P) + max_dpu( sum_rows kernel_cost(dpu, row) )
         copy_out = transfer_latency + B * record_size * P / dpu_to_host_bw
         copy_db  = transfer_latency + db_bytes / host_to_dpu_bw   (streamed mode)
 
-    — each charged **once per batch**.  Only the fixed per-dispatch charges
-    (transfer latency, launch overhead, the per-batch segment copy) amortise;
-    selector/result bytes and per-row kernel costs still scale with ``B``
-    (the all-for-one principle never discounts scan work).  Each phase's
-    batch total is split evenly across the ``B`` breakdowns, so the
-    per-query breakdowns sum to exactly the batch total and batch makespans
-    show the amortisation directly.
-
-    ``selector_chunks`` comes from
-    :meth:`DatabasePartitioner.selector_chunks_many`; the per-DPU partials
-    are returned as ``(B, record_size)`` blocks for the caller to fold per
-    row (phase 6 is charged by the caller, per query; its aggregation fan-in
-    differs between modes).
+    — each charged **once per batch** (``copy_db`` when ``db_bytes`` with a
+    ``db_copy_phase`` name streams the database in).  Only the fixed
+    per-dispatch charges (transfer latency, launch overhead, the segment
+    copy) amortise; selector/result bytes and per-row kernel costs scale
+    with ``B`` (the all-for-one principle never discounts scan work).  Each
+    batch total is split evenly across the ``B`` breakdowns.  Phase 6 (the
+    host fold) is charged by the caller; its fan-in differs between modes.
     """
-    PHASE_COPY_IN, PHASE_COPY_OUT, PHASE_DPXOR = _pipeline_phases()
-
     batch = len(breakdowns)
     if batch <= 0:
         raise ConfigurationError("run_dpu_pipeline_many needs at least one breakdown")
+    if np.shape(selector_matrix) != (batch, layout.num_records):
+        raise ConfigurationError(
+            f"selector matrix shape {np.shape(selector_matrix)} does not match "
+            f"(batch, records) = ({batch}, {layout.num_records})"
+        )
 
     def charge(phase: str, total_seconds: float) -> None:
         share = total_seconds / batch
         for breakdown in breakdowns:
             breakdown.record(phase, share)
 
-    if db_chunks is not None:
+    num_dpus = len(dpu_set.dpus)
+    transfer = dpu_set.transfer
+    if db_bytes is not None:
         if db_copy_phase is None:
-            raise ConfigurationError("db_copy_phase is required when streaming db_chunks")
-        db_report = dpu_set.scatter(DB_BUFFER, db_chunks)
-        charge(db_copy_phase, db_report.simulated_seconds)
+            raise ConfigurationError("db_copy_phase is required when streaming db_bytes")
+        charge(db_copy_phase, transfer.charge_scatter(db_bytes, num_dpus).simulated_seconds)
 
-    copy_in = dpu_set.scatter(SELECTOR_BUFFER, selector_chunks)
-    charge(PHASE_COPY_IN, copy_in.simulated_seconds)
+    selector_bytes = DatabasePartitioner.packed_selector_bytes(layout, batch)
+    charge(PHASE_COPY_IN, transfer.charge_scatter(selector_bytes, num_dpus).simulated_seconds)
 
-    launch = dpu_set.launch(kernel, per_dpu_kwargs=kwargs_for_kernel_many(layout, batch))
-    charge(PHASE_DPXOR, launch.simulated_seconds)
+    bounds = np.array(layout.bounds, dtype=np.int64).reshape(-1, 2)
+    records = bounds[:, 1] - bounds[:, 0]
+    # reduceat returns the element at an empty segment's start: count occupied DPUs only.
+    occupied = records > 0
+    selected = np.zeros((batch, num_dpus), dtype=np.int64)
+    selected[:, occupied] = np.add.reduceat(
+        selector_matrix, bounds[occupied, 0], axis=1, dtype=np.int64
+    )
+    per_dpu = dpxor_launch_seconds(
+        dpu_set.dpus[0].config, records, layout.record_size, selected
+    ).tolist()
+    for dpu, seconds in zip(dpu_set.dpus, per_dpu):
+        dpu.busy_seconds += seconds
+        dpu.launches += 1
+    charge(PHASE_DPXOR, dpu_set.timing.launch_seconds(num_dpus) + max(per_dpu))
 
-    blocks, copy_out = dpu_set.gather(RESULT_BUFFER, batch * layout.record_size)
-    charge(PHASE_COPY_OUT, copy_out.simulated_seconds)
-    return [
-        np.asarray(block, dtype=np.uint8).reshape(batch, layout.record_size)
-        for block in blocks
-    ]
+    result_bytes = batch * layout.record_size * num_dpus
+    charge(PHASE_COPY_OUT, transfer.charge_gather(result_bytes, num_dpus).simulated_seconds)
 
 
 def fold_partials(partials: Sequence[np.ndarray], record_size: int) -> np.ndarray:

@@ -10,20 +10,21 @@ adaptation as :class:`StreamedPIMBackend` behind the shared
 
 * the database is divided into *segments*, each small enough for the DPU
   population's usable MRAM;
-* for every query, the backend walks the segments: copy the segment into MRAM,
-  copy the matching selector slice, run the dpXOR kernel, fold the partial
-  results — then move on to the next segment;
+* for every batch, the backend walks the segments: copy the segment into
+  MRAM, copy the matching selector slices, run the dpXOR kernel, fold the
+  partial results — then move on to the next segment;
 * the per-query cost therefore includes the database transfer (unlike the
   preloaded path), which is exactly the penalty the paper's capacity
   discussion anticipates.
 
-The streamed server answers queries bit-identically to the preloaded one; the
-extra cost is visible in the ``copy_db_segment`` phase of its breakdown.
+That walk is charged, not executed (one ``dpxor_many`` over the database
+answers).  The streamed server answers queries bit-identically to the
+preloaded one; the extra cost is visible in the ``copy_db_segment`` phase of
+its breakdown.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -45,6 +46,7 @@ from repro.pim.kernels import DpXorManyKernel
 from repro.pim.system import UPMEMSystem
 from repro.pir.database import Database
 from repro.pir.messages import DPFQuery
+from repro.pir.xor_ops import dpxor_many
 
 #: Phase name for the per-query database-segment transfers (streamed mode only).
 PHASE_COPY_DB = "copy_db_segment"
@@ -52,17 +54,15 @@ PHASE_COPY_DB = "copy_db_segment"
 
 @dataclass(frozen=True)
 class _Segment:
-    """One precomputed pass over the database: its layout and MRAM chunks.
+    """One precomputed pass over the database: its layout and MRAM bytes.
 
-    Built once at prepare time so the per-query path re-partitions nothing —
-    the chunks are read-only views into the backing array, not copies.
+    Built once at prepare time so the per-batch path re-partitions nothing.
     """
 
     start: int
     stop: int
-    partitioner: DatabasePartitioner
     layout: PartitionLayout
-    db_chunks: List[np.ndarray]
+    db_bytes: int
 
 
 class StreamedPIMBackend(PIRBackend):
@@ -77,9 +77,8 @@ class StreamedPIMBackend(PIRBackend):
         self.config = config
         self.system = system
         self.timing = system.timing
-        self._batch_kernel = DpXorManyKernel()
         self._dpu_set = system.allocate(config.pim.num_dpus)
-        self._dpu_set.load_program(self._batch_kernel.name)
+        self._dpu_set.load_program(DpXorManyKernel.name)
         self._requested_segment_records = segment_records
         self.segment_records = 0
         self._segments: List[_Segment] = []
@@ -88,9 +87,9 @@ class StreamedPIMBackend(PIRBackend):
     # -- database lifecycle ---------------------------------------------------------
 
     def prepare(self, database: Database) -> Optional[PhaseTimer]:
-        """Size the segments and precompute each pass's layout and chunks.
+        """Size the segments and precompute each pass's layout and bytes.
 
-        Nothing is preloaded: segments are (re-)copied per query, which is the
+        Nothing is preloaded: segments are (re-)copied per batch, which is the
         whole point of the streamed mode's cost profile.
         """
         self.database = database
@@ -115,22 +114,14 @@ class StreamedPIMBackend(PIRBackend):
                 f"but only {usable_per_dpu} are usable"
             )
 
-        reset_pipeline_buffers(self._dpu_set)
         self._segments = []
         for start in range(0, database.num_records, self.segment_records):
             stop = min(start + self.segment_records, database.num_records)
-            segment_db = Database(database.chunk(start, stop))
-            partitioner = DatabasePartitioner(segment_db)
+            partitioner = DatabasePartitioner(Database(database.chunk(start, stop)))
             layout = partitioner.layout(self._dpu_set.num_dpus)
-            self._segments.append(
-                _Segment(
-                    start=start,
-                    stop=stop,
-                    partitioner=partitioner,
-                    layout=layout,
-                    db_chunks=partitioner.database_chunks(layout),
-                )
-            )
+            db_bytes = sum(chunk.size for chunk in partitioner.database_chunks(layout))
+            self._segments.append(_Segment(start, stop, layout, db_bytes))
+        reset_pipeline_buffers(self._dpu_set, self._segments[0].layout)
         return None
 
     @property
@@ -173,7 +164,7 @@ class StreamedPIMBackend(PIRBackend):
         breakdowns: Sequence[PhaseTimer],
         lanes: Sequence[int],
     ) -> np.ndarray:
-        """One batched DPU dispatch per segment serves the whole batch.
+        """One scan answers the batch; one DPU dispatch per segment is charged.
 
         §3.3's batched adaptation taken to the kernel level: each database
         segment is copied toward the DPUs **once per batch** (instead of once
@@ -186,31 +177,21 @@ class StreamedPIMBackend(PIRBackend):
         documented cost model).
         """
         selector_bits_matrix = np.asarray(selector_bits_matrix, dtype=np.uint8)
-        batch = selector_bits_matrix.shape[0]
-        accumulators = np.zeros(
-            (batch, self.database.record_size), dtype=np.uint8
-        )
         for segment in self._segments:
-            chunks = segment.partitioner.selector_chunks_many(
+            run_dpu_pipeline_many(
+                self._dpu_set,
                 segment.layout,
                 selector_bits_matrix[:, segment.start : segment.stop],
-            )
-            partials = run_dpu_pipeline_many(
-                self._dpu_set,
-                self._batch_kernel,
-                segment.layout,
-                chunks,
                 breakdowns,
-                db_chunks=segment.db_chunks,
+                db_bytes=segment.db_bytes,
                 db_copy_phase=PHASE_COPY_DB,
             )
-            accumulators ^= np.bitwise_xor.reduce(np.stack(partials), axis=0)
         aggregate_seconds = self.timing.host_aggregate_xor_seconds(
             self.num_segments, self.database.record_size
         )
         for breakdown in breakdowns:
             breakdown.record(PHASE_AGGREGATE, aggregate_seconds)
-        return accumulators
+        return dpxor_many(self.database.records, selector_bits_matrix)
 
 
 class StreamedIMPIRServer:
@@ -256,7 +237,7 @@ class StreamedIMPIRServer:
     @property
     def num_segments(self) -> int:
         """Passes needed to cover the whole database."""
-        return math.ceil(self.database.num_records / self.segment_records)
+        return self.backend.num_segments
 
     def answer(self, query: DPFQuery) -> IMPIRQueryResult:
         """Answer one query in ``num_segments`` passes over the database."""

@@ -38,8 +38,6 @@ class DPUCluster:
     def __init__(self, cluster_id: int, dpu_set: DPUSet) -> None:
         self.cluster_id = cluster_id
         self.dpu_set = dpu_set
-        self.preloaded_records = 0
-        self.record_size = 0
 
     @property
     def num_dpus(self) -> int:

@@ -8,6 +8,10 @@ partials into the DPU's sub-result (MASTERXOR).  The functional result is
 computed with numpy on the real buffers; the simulated duration comes from the
 shared cost formula in :mod:`repro.pim.timing`, parameterised by each query's
 *actual* selected fraction and the tasklet count of the launch.
+
+The serving backends charge it without launching it
+(:func:`~repro.core.partitioning.run_dpu_pipeline_many`); it is the reference
+the tests hold that charging to, and what the kernel-level benches run.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from repro.pim.tasklet import TaskletGroup
 from repro.pim.timing import (
     INSTRUCTIONS_PER_RECORD_OVERHEAD,
     INSTRUCTIONS_PER_XOR_WORD,
-    dpxor_kernel_cost,
+    dpxor_launch_seconds,
 )
 from repro.pir.xor_ops import dpxor_many
 
@@ -34,6 +38,20 @@ RESULT_BUFFER = "result"
 #: WRAM staging block per tasklet (database records are streamed in blocks of
 #: this size, as in the real kernel's DMA loop).
 WRAM_BLOCK_BYTES = 2048
+
+
+def reserve_dpxor_wram(dpu: DPU, num_records: int, record_size: int, tasklets: int) -> None:
+    """Reserve the dpXOR working set in WRAM (``CapacityError`` on overflow).
+
+    One staging block + one accumulator per tasklet, plus the packed selector
+    slice shared by all tasklets; a batched launch reuses them row by row.
+    """
+    selector_bytes = (num_records + 7) // 8
+    dpu.wram.reserve("dpxor:blocks", max(1, tasklets * WRAM_BLOCK_BYTES))
+    dpu.wram.reserve("dpxor:accumulators", max(1, tasklets * record_size))
+    dpu.wram.reserve(
+        "dpxor:selector", max(1, min(selector_bytes, dpu.wram.free_bytes // 2 or 1))
+    )
 
 
 class DpXorManyKernel(Kernel):
@@ -74,16 +92,8 @@ class DpXorManyKernel(Kernel):
                 f"tasklets must be in [1, {dpu.config.hardware_threads}], got {tasklets}"
             )
 
-        # WRAM working set: one staging block + one accumulator per tasklet,
-        # plus the packed selector slice shared by all tasklets; the batch
-        # reuses them query by query inside the launch.
+        reserve_dpxor_wram(dpu, num_records, record_size, tasklets)
         selector_bytes = (num_records + 7) // 8
-        dpu.wram.reserve("dpxor:blocks", max(1, tasklets * WRAM_BLOCK_BYTES))
-        dpu.wram.reserve("dpxor:accumulators", max(1, tasklets * record_size))
-        dpu.wram.reserve(
-            "dpxor:selector", max(1, min(selector_bytes, dpu.wram.free_bytes // 2 or 1))
-        )
-
         db_bytes = num_records * record_size
         database = np.zeros((0, record_size), dtype=np.uint8)
         selectors = np.zeros((batch, 0), dtype=np.uint8)
@@ -120,23 +130,12 @@ class DpXorManyKernel(Kernel):
         # Per-query kernel cost, summed: the batched launch charges exactly
         # what ``batch`` sequential launches would on this DPU, each with its
         # own row's selected fraction.
-        if num_records:
-            selected_per_row = selectors.sum(axis=1, dtype=np.int64)
-        else:
-            selected_per_row = np.zeros(batch, dtype=np.int64)
-        simulated = dma = compute = reduction = 0.0
-        for selected in selected_per_row.tolist():
-            cost = dpxor_kernel_cost(
-                dpu.config,
-                chunk_bytes=db_bytes,
-                record_size=record_size,
-                selected_fraction=selected / num_records if num_records else 0.0,
-                tasklets=tasklets,
-            )
-            simulated += cost.total_seconds
-            dma += cost.dma_seconds
-            compute += cost.compute_seconds
-            reduction += cost.reduction_seconds
+        selected = selectors.sum(axis=1, dtype=np.int64)
+        simulated = float(
+            dpxor_launch_seconds(
+                dpu.config, [num_records], record_size, selected[:, None], tasklets
+            )[0]
+        )
         return DPUExecutionReport(
             dpu_id=dpu.dpu_id,
             kernel_name=self.name,
@@ -149,9 +148,6 @@ class DpXorManyKernel(Kernel):
                 "batch": batch,
                 "records": num_records,
                 "records_selected": group.total_records_selected,
-                "dma_seconds": dma,
-                "compute_seconds": compute,
-                "reduction_seconds": reduction,
             },
         )
 

@@ -80,13 +80,3 @@ class TaskletGroup:
     def total_records_selected(self) -> int:
         """Records whose selector bit was set, across all tasklets."""
         return sum(report.records_selected for report in self.reports)
-
-    @property
-    def total_records_processed(self) -> int:
-        """Records scanned across all tasklets."""
-        return sum(report.records_processed for report in self.reports)
-
-    @property
-    def max_tasklet_instructions(self) -> int:
-        """Instruction count of the busiest tasklet (the critical path)."""
-        return max((report.instructions for report in self.reports), default=0)

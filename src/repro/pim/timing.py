@@ -1,9 +1,10 @@
 """Cost formulas for the PIM simulator.
 
 Every simulated second reported by :mod:`repro.pim` is computed here, so the
-functional simulator (which executes kernels on real buffers) and the analytic
-estimators in :mod:`repro.bench.estimators` (which evaluate the same formulas
-at paper-scale database sizes) can never disagree about the model.
+serving path (which charges from selector popcounts), the functional kernel
+and the analytic estimators in :mod:`repro.bench.estimators` (which evaluate
+the same formulas at paper-scale database sizes) can never disagree about the
+model.
 
 The dpXOR kernel cost is the maximum of two terms, mirroring how a DPU
 overlaps DMA with computation:
@@ -26,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.common.errors import ConfigurationError
 from repro.pim.config import DPUConfig, PIMConfig
 
@@ -42,7 +45,8 @@ INSTRUCTIONS_PER_REDUCE_WORD = 8
 
 @dataclass
 class DpuKernelCost:
-    """Breakdown of one DPU's dpXOR kernel execution."""
+    """Breakdown of one DPU's dpXOR kernel execution (arrays, per row and DPU,
+    inside :func:`dpxor_launch_seconds`)."""
 
     dma_seconds: float
     compute_seconds: float
@@ -63,8 +67,9 @@ def dpxor_kernel_cost(
 ) -> DpuKernelCost:
     """Cost of one DPU running the dpXOR kernel over ``chunk_bytes`` of database.
 
-    Shared by the functional kernel (:mod:`repro.pim.kernels`), the system-level
-    timing model and the analytic estimators so all three agree by construction.
+    The 1 x 1 case of :func:`dpxor_launch_seconds`' formula, used by the
+    system-level timing model and the analytic estimators (which price
+    expected, not measured, selected fractions).
     """
     if chunk_bytes < 0 or record_size <= 0:
         raise ConfigurationError("chunk_bytes must be >= 0 and record_size > 0")
@@ -73,9 +78,40 @@ def dpxor_kernel_cost(
     tasklets = dpu.tasklets if tasklets is None else tasklets
     if tasklets <= 0:
         raise ConfigurationError("tasklets must be positive")
+    return _dpxor_cost_terms(
+        dpu, chunk_bytes // record_size, record_size, selected_fraction, tasklets
+    )
 
-    num_records = chunk_bytes // record_size if record_size else 0
 
+def dpxor_launch_seconds(
+    dpu: DPUConfig,
+    records_per_dpu: np.ndarray,
+    record_size: int,
+    selected: np.ndarray,
+    tasklets: int | None = None,
+) -> np.ndarray:
+    """Per-DPU kernel seconds of one batched dpXOR launch, from popcounts.
+
+    ``records_per_dpu`` is ``(P,)``, ``selected`` the ``(B, P)`` set-bit
+    counts.  The ``(P,)`` result is float-exactly :func:`dpxor_kernel_cost`
+    added row by row (fraction 0 on an empty DPU): same float64 operations,
+    same order.
+    """
+    tasklets = dpu.tasklets if tasklets is None else tasklets
+    records = np.asarray(records_per_dpu, dtype=np.int64)
+    fraction = np.divide(
+        selected, records, out=np.zeros(np.shape(selected)), where=records > 0
+    )
+    cost = _dpxor_cost_terms(dpu, records, record_size, fraction, tasklets)
+    rows = np.maximum(cost.dma_seconds, cost.compute_seconds) + cost.reduction_seconds
+    # cumsum adds row after row; ndarray.sum is pairwise and would round differently.
+    return np.cumsum(rows, axis=0)[-1]
+
+
+def _dpxor_cost_terms(
+    dpu: DPUConfig, num_records, record_size: int, selected_fraction, tasklets: int
+) -> DpuKernelCost:
+    """The dpXOR cost formula, for scalars or broadcasting numpy arrays alike."""
     granularity = dpu.dma_granularity_bytes
     record_transfer = -(-record_size // granularity) * granularity
     selector_transfer_per_record = 1  # selectors are staged in WRAM in bulk

@@ -14,7 +14,7 @@ sustained bandwidths:
 
 Each call performs the functional copy into/out of the DPUs' MRAM and returns
 a :class:`TransferReport` carrying the simulated duration from the shared
-timing model.
+timing model; the ``charge_*`` methods are that accounting alone.
 """
 
 from __future__ import annotations
@@ -72,13 +72,16 @@ class TransferEngine:
             flat = np.ascontiguousarray(array, dtype=np.uint8).reshape(-1)
             dpu.store(buffer_name, flat)
             total_bytes += int(flat.size)
-        seconds = self.timing.host_to_dpu_seconds(total_bytes)
+        return self.charge_scatter(total_bytes, len(dpus))
+
+    def charge_scatter(self, total_bytes: int, num_dpus: int) -> TransferReport:
+        """Account a ``total_bytes`` host->DPU scatter without moving data."""
         self.bytes_to_dpus += total_bytes
         return TransferReport(
             direction="host_to_dpu",
             total_bytes=total_bytes,
-            num_dpus=len(dpus),
-            simulated_seconds=seconds,
+            num_dpus=num_dpus,
+            simulated_seconds=self.timing.host_to_dpu_seconds(total_bytes),
         )
 
     def broadcast(
@@ -120,13 +123,14 @@ class TransferEngine:
         arrays: List[np.ndarray] = []
         for dpu in dpus:
             arrays.append(dpu.load(buffer_name, size_bytes=size_bytes))
-        total_bytes = size_bytes * len(dpus)
-        seconds = self.timing.dpu_to_host_seconds(total_bytes)
+        return arrays, self.charge_gather(size_bytes * len(dpus), len(dpus))
+
+    def charge_gather(self, total_bytes: int, num_dpus: int) -> TransferReport:
+        """Account a ``total_bytes`` DPU->host gather without moving data."""
         self.bytes_from_dpus += total_bytes
-        report = TransferReport(
+        return TransferReport(
             direction="dpu_to_host",
             total_bytes=total_bytes,
-            num_dpus=len(dpus),
-            simulated_seconds=seconds,
+            num_dpus=num_dpus,
+            simulated_seconds=self.timing.dpu_to_host_seconds(total_bytes),
         )
-        return arrays, report

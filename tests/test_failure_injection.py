@@ -11,6 +11,7 @@ import pytest
 from repro.common.errors import CapacityError, KernelError, TransferError
 from repro.common.units import GIB, MIB
 from repro.core.config import IMPIRConfig
+from repro.core.engine import create_server
 from repro.core.partitioning import DatabasePartitioner, PartitionLayout
 from repro.pim.cluster import plan_clusters
 from repro.pim.config import DPUConfig, PIMConfig, scaled_down_config
@@ -116,6 +117,15 @@ class TestWRAMOverflowPaths:
             DpXorManyKernel(), batch=1, num_records=num_records, record_size=record_size, tasklets=2
         )
         assert report.result[0].shape == (record_size,)
+
+    @pytest.mark.parametrize("kind", ["im-pir", "im-pir-streamed"])
+    def test_server_construction_checks_the_working_set(self, kind):
+        """Serving never launches the kernel, so prepare reserves its WRAM
+        working set: 4 tasklets x (2 KB block + 16 KB accumulator) > 64 KB."""
+        with pytest.raises(CapacityError):
+            create_server(kind, Database.random(8, 16384, seed=1))
+        server = create_server(kind, Database.random(8, 8192, seed=1))
+        assert server.database.record_size == 8192
 
 
 class TestConfigurationBoundaries:

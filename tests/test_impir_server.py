@@ -15,6 +15,7 @@ from repro.core.results import (
 )
 from repro.dpf.prf import make_prg
 from repro.pim.config import scaled_down_config
+from repro.pim.kernels import DB_BUFFER
 from repro.pir.client import PIRClient
 from repro.pir.database import Database
 from repro.pir.server import PIRServer
@@ -152,6 +153,40 @@ class TestClustering:
         single = IMPIRServer(small_db, config=base, server_id=0).answer_batch(queries)
         clustered = IMPIRServer(small_db, config=base.with_clusters(4), server_id=0).answer_batch(queries)
         assert clustered.latency_seconds <= single.latency_seconds * 1.001
+
+
+class TestMramStaysHonest:
+    """Serving answers from one scan of the database and never reads MRAM,
+    so the preload and the updates' partial re-copy are checked here."""
+
+    @staticmethod
+    def _assert_db_buffers_match(server):
+        for cluster_index, cluster in enumerate(server.clusters):
+            layout = server.layout_for_cluster(cluster_index)
+            for dpu, bounds in zip(cluster.dpu_set.dpus, layout.bounds):
+                expected = np.ascontiguousarray(server.database.chunk(*bounds)).reshape(-1)
+                assert np.array_equal(dpu.load(DB_BUFFER), expected)
+
+    def test_db_buffers_follow_prepare_and_updates(self, small_db):
+        config = IMPIRConfig(pim=scaled_down_config(num_dpus=8, tasklets=2), num_clusters=2)
+        server = IMPIRServer(small_db, config=config, server_id=0)
+        self._assert_db_buffers_match(server)
+
+        client = PIRClient(small_db.num_records, small_db.record_size, seed=6, prg=make_prg("numpy"))
+        hot = 77
+        server.answer(client.query(hot)[0])
+        cold = small_db.num_records - 3
+        boundary = server.layout_for_cluster(0).bounds[3][0]
+        rng = np.random.default_rng(8)
+        updates = [
+            (index, rng.integers(0, 256, small_db.record_size, dtype=np.uint8).tobytes())
+            for index in (hot, cold, boundary)
+        ]
+        timer = server.apply_updates(updates)
+        assert timer.get("update_copy") > 0
+        self._assert_db_buffers_match(server)
+        for index, record in updates:
+            assert server.database.record(index) == record
 
 
 class TestDeployment:

@@ -84,7 +84,7 @@ class TestChunks:
 
     def test_packed_selector_bytes(self, partitioner):
         layout = partitioner.layout(4)
-        total = partitioner.packed_selector_bytes(layout)
+        total = partitioner.packed_selector_bytes(layout, 1)
         assert total == 4 * (256 // 8)
 
     def test_kwargs_for_kernel(self, partitioner, small_db):

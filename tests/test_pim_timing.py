@@ -5,7 +5,7 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.common.units import MIB
 from repro.pim.config import DPUConfig, PIMConfig, UPMEM_PAPER_CONFIG
-from repro.pim.timing import PIMTimingModel, dpxor_kernel_cost
+from repro.pim.timing import PIMTimingModel, dpxor_kernel_cost, dpxor_launch_seconds
 
 
 @pytest.fixture(scope="module")
@@ -157,3 +157,25 @@ class TestCrossConsistency:
             tasklets=8,
         ).total_seconds
         assert report.simulated_seconds == pytest.approx(expected)
+
+    @pytest.mark.parametrize("record_size,tasklets", [(8, 1), (13, 11), (32, 16), (64, 24)])
+    def test_launch_seconds_is_the_scalar_formula_row_by_row(self, record_size, tasklets):
+        """The vectorised per-DPU launch cost equals adding the scalar cost
+        row after row, float-exactly (empty DPUs priced at fraction 0)."""
+        import numpy as np
+
+        config = DPUConfig(tasklets=tasklets)
+        rng = np.random.default_rng(record_size)
+        records = np.array([0, 1, 7, 100, 513, 0, 4096])
+        selected = rng.integers(0, records + 1, size=(17, records.size))
+        per_dpu = dpxor_launch_seconds(config, records, record_size, selected)
+        for column, num_records in enumerate(records.tolist()):
+            expected = 0.0
+            for count in selected[:, column].tolist():
+                expected += dpxor_kernel_cost(
+                    config,
+                    chunk_bytes=num_records * record_size,
+                    record_size=record_size,
+                    selected_fraction=count / num_records if num_records else 0.0,
+                ).total_seconds
+            assert float(per_dpu[column]).hex() == expected.hex()

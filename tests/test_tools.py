@@ -267,6 +267,38 @@ class TestBatchedScanLint:
         )
         assert not self._check(tmp_path, "tools/runner.py", source.format("execute", ""))
 
+    def test_per_row_tolist_loop_in_pim_flagged(self, tmp_path):
+        # The kernel's old scalar cost loop, one dpxor_kernel_cost per row.
+        source = (
+            "def cost(selected_per_row):\n"
+            "    total = 0.0\n"
+            "    for selected in selected_per_row.tolist():{}\n"
+            "        total += selected\n"
+            "    return total\n"
+        )
+        flagged = self._check(tmp_path, "src/repro/pim/kernels.py", source.format(""))
+        assert any("per-row Python loop" in message for _, message in flagged)
+        assert not self._check(tmp_path, "src/repro/pim/kernels.py", source.format("  # noqa"))
+
+    def test_tolist_outside_a_loop_or_outside_pim_is_legal(self, tmp_path):
+        # Converting once (zip over a .tolist(), a return value) and loops in
+        # other packages stay legal: only `for ... in <expr>.tolist()` in pim.
+        assert not self._check(
+            tmp_path,
+            "src/repro/pim/system.py",
+            "def charge(dpus, seconds):\n"
+            "    for dpu, value in zip(dpus, seconds.tolist()):\n"
+            "        dpu.busy_seconds += value\n"
+            "    return seconds.tolist()\n",
+        )
+        assert not self._check(
+            tmp_path,
+            "src/repro/core/partitioning.py",
+            "def cost(counts):\n"
+            "    for count in counts.tolist():\n"
+            "        pass\n",
+        )
+
     def test_attribute_bound_flagged(self, tmp_path):
         findings = self._check(
             tmp_path,

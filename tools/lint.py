@@ -40,6 +40,10 @@ AST pass instead.  It flags:
   paths exist precisely so nothing walks a batch query by query in Python;
   as with the per-record rule, chunked ranges (``dpxor_many``'s group walk
   ``range(0, batch, GROUP_ROWS)``) stay legal;
+* per-row Python loops over an array's elements (``for ... in
+  <expr>.tolist()``) under ``src/repro/pim/`` — the same per-query loop in
+  another spelling: simulated costs are priced for a whole ``(B, P)``
+  popcount matrix at once (``timing.dpxor_launch_seconds``);
 * any ``<x>.query(...)`` call in the frontends (``src/repro/pir/frontend.py``,
   ``src/repro/pir/async_frontend.py``) — keys are generated once per flush
   through ``client.query_batch``; a ``query`` call there is per-request key
@@ -138,14 +142,13 @@ def _is_loop_getter_call(node: ast.AST) -> bool:
     )
 
 
-def _is_simulated_clock_only(path: Path) -> bool:
+def _under_packages(path: Path, packages: Tuple[str, ...]) -> bool:
     # The consecutive repro/<package> pair, not the two names anywhere in
     # the path: a checkout living under a directory called "control" or
-    # "shard" must not sweep the whole library into the simulated-clock ban.
+    # "shard" must not sweep the whole library into a package's ban.
     parts = path.parts
     return any(
-        parts[i] == "repro" and parts[i + 1] in SIMULATED_CLOCK_PACKAGES
-        for i in range(len(parts) - 1)
+        parts[i] == "repro" and parts[i + 1] in packages for i in range(len(parts) - 1)
     )
 
 
@@ -153,14 +156,6 @@ def _is_simulated_clock_only(path: Path) -> bool:
 #: loop over the whole database re-introduces the O(N) interpreter cost the
 #: batched numpy kernels (``dpxor_many`` and friends) exist to remove.
 VECTORIZED_SCAN_PACKAGES = ("pir", "core")
-
-
-def _is_vectorized_scan_only(path: Path) -> bool:
-    parts = path.parts
-    return any(
-        parts[i] == "repro" and parts[i + 1] in VECTORIZED_SCAN_PACKAGES
-        for i in range(len(parts) - 1)
-    )
 
 
 #: CLI entry-point modules: printing is their job, everywhere else in the
@@ -232,6 +227,22 @@ def _is_per_query_batch_loop(node: ast.AST) -> bool:
     return _is_single_arg_range_over(node, {"batch", "batch_size"})
 
 
+#: Packages whose per-row costs are priced as whole arrays: a loop over
+#: ``<array>.tolist()`` is the per-query loop again (142 216 scalar kernel-cost
+#: calls per 600 fleet rounds before the simulator priced popcounts).
+ARRAY_PRICED_PACKAGES = ("pim",)
+
+
+def _is_tolist_loop(node: ast.AST) -> bool:
+    """True for ``for ... in <expr>.tolist()``."""
+    return (
+        isinstance(node, ast.For)
+        and isinstance(node.iter, ast.Call)
+        and isinstance(node.iter.func, ast.Attribute)
+        and node.iter.func.attr == "tolist"
+    )
+
+
 #: The frontends generate keys once per flush (``client.query_batch`` in
 #: ``select_scanned``); ``client.query`` there is one GGM walk per request.
 PER_FLUSH_KEYGEN_MODULES = (("pir", "frontend.py"), ("pir", "async_frontend.py"))
@@ -273,9 +284,10 @@ def check_file(path: Path) -> List[Tuple[int, str]]:
     except SyntaxError as error:
         return [(error.lineno or 0, f"syntax error: {error.msg}")]
     noqa = _noqa_lines(source)
-    simulated_clock_only = _is_simulated_clock_only(path)
-    vectorized_scan_only = _is_vectorized_scan_only(path)
+    simulated_clock_only = _under_packages(path, SIMULATED_CLOCK_PACKAGES)
+    vectorized_scan_only = _under_packages(path, VECTORIZED_SCAN_PACKAGES)
     batched_scan_only = _is_batched_scan_only(path)
+    array_priced_only = _under_packages(path, ARRAY_PRICED_PACKAGES)
     print_banned = _is_print_banned(path)
     library_code = _is_library_code(path)
     per_flush_keygen_only = _is_per_flush_keygen_only(path)
@@ -385,6 +397,15 @@ def check_file(path: Path) -> List[Tuple[int, str]]:
                     "(for ... in range(batch[_size])) under a batched-scan "
                     "package (src/repro/{shard,pim}/, src/repro/pir/xor_ops.py) "
                     "— use the batched worker/kernel paths or a chunked range",
+                )
+            )
+        if array_priced_only and _is_tolist_loop(node):
+            deprecated.append(
+                (
+                    node.lineno,
+                    "per-row Python loop (for ... in <expr>.tolist()) under "
+                    "src/repro/pim/ — price the whole array at once (see "
+                    "timing.dpxor_launch_seconds)",
                 )
             )
         if per_flush_keygen_only and _is_query_call(node):
