@@ -208,9 +208,10 @@ class QueryEngine:
     def _dpf_selectors(self, keys: Sequence[DPFKey], num_records: int) -> np.ndarray:
         """``(len(keys), num_records)`` uint8 selector rows of same-shaped keys.
 
-        One batched tree walk to the 128-bit leaf blocks, one
-        ``np.unpackbits`` from blocks to selector bytes (see
-        :meth:`~repro.dpf.dpf.DPF.eval_full_bits_many`).
+        The keys' rows are stacked into one :class:`~repro.dpf.dpf.DPFKeys`
+        batch once per flush, then one batched tree walk reaches the 128-bit
+        leaf blocks and one ``np.unpackbits`` turns them into selector bytes
+        (see :meth:`~repro.dpf.dpf.DPF.eval_full_bits_many`).
         """
         params = (keys[0].domain_bits, keys[0].output_bits)
         dpf = self._dpf_cache.get(params)

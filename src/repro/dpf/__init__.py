@@ -1,7 +1,7 @@
 """Distributed point functions: PRF/PRG backends, GGM tree, DPF, traversals."""
 
-from repro.dpf.dpf import DPF, DPFKey, EvalStats, verify_keys
-from repro.dpf.ggm import CorrectionWord, GGMTree, descend_one, expand_level
+from repro.dpf.dpf import DPF, DPFKey, DPFKeyPairs, DPFKeys, EvalStats, verify_keys
+from repro.dpf.ggm import GGMTree, expand_level
 from repro.dpf.naive import NaiveShare, NaiveXorQueryScheme, xor_select
 from repro.dpf.prf import (
     BLOCKS_PER_EXPAND,
@@ -25,11 +25,11 @@ from repro.dpf.traversal import (
 __all__ = [
     "DPF",
     "DPFKey",
+    "DPFKeyPairs",
+    "DPFKeys",
     "EvalStats",
     "verify_keys",
-    "CorrectionWord",
     "GGMTree",
-    "descend_one",
     "expand_level",
     "NaiveShare",
     "NaiveXorQueryScheme",

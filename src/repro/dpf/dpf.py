@@ -27,20 +27,28 @@ slots each; point ``x`` lives in block ``x >> k``, slot ``j = x mod 2**k``,
 i.e. bits ``[(j mod 2**(k-1)) * w, ... + w)`` of lane ``j >> (k-1)``.  For
 ``w = 1`` that is simply bit ``j`` of the block, which is why the selector
 path is a single ``np.unpackbits(..., bitorder="little")``.
+
+Keys are arrays.  A :class:`DPFKeys` batch of ``B`` keys is ``roots (B, 16)``,
+``parties (B,)``, ``cw_seeds (B, depth, 16)``, ``cw_bits (B, depth, 2)`` and
+``finals (B, 16)``; :meth:`DPF.gen_many` returns one (wrapped as
+:class:`DPFKeyPairs`), every walk reads its correction words straight from
+those arrays, and a :class:`DPFKey` is a one-row view of a batch — what a
+query message carries and the wire codec encodes.
 """
 
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.common.errors import KeyMismatchError
 from repro.common.rng import make_rng
-from repro.dpf.ggm import CorrectionWord, expand_level, expand_level_many
-from repro.dpf.prf import SEED_BYTES, LengthDoublingPRG, make_prg
+from repro.dpf.ggm import expand_level, gated
+from repro.dpf.prf import SEED_BYTES, LengthDoublingPRG, control_bits, make_prg
 
 MAX_OUTPUT_BITS = 64
 BLOCK_BITS = 8 * SEED_BYTES
@@ -70,60 +78,131 @@ def key_wire_bytes(levels: int) -> int:
     return KEY_HEADER.size + SEED_BYTES + levels * CORRECTION_WORD_BYTES + SEED_BYTES
 
 
-@dataclass(frozen=True)
-class DPFKey:
-    """One party's DPF key.
+@dataclass(frozen=True, eq=False)
+class DPFKeys(SequenceABC):
+    """``B`` keys of one DPF shape as uint8 arrays; row ``i`` is one key.
 
     Attributes
     ----------
-    party:
-        0 or 1; evaluation is symmetric but the two keys differ.
-    domain_bits:
-        The domain is ``[0, 2**domain_bits)``.
-    root_seed:
-        This party's 16-byte root seed.
-    correction_words:
-        One :class:`~repro.dpf.ggm.CorrectionWord` per *expanded* tree level
-        (:attr:`tree_depth` of them).
-    final_correction:
-        16-byte block XORed into a converted leaf when its control bit is
-        set; carries ``beta`` in the target's slot.
-    output_bits:
-        Width of the payload group in bits (1..64).
+    domain_bits, output_bits:
+        The domain is ``[0, 2**domain_bits)``, outputs are ``output_bits``
+        wide (1..64); every row shares them.
+    roots:
+        ``(B, 16)`` root seeds.
+    parties:
+        ``(B,)`` parties (0 or 1), which are also the roots' control bits.
+    cw_seeds, cw_bits:
+        ``(B, depth, 16)`` seed corrections and ``(B, depth, 2)`` (left,
+        right) control-bit corrections, one word per *expanded* tree level.
+    finals:
+        ``(B, 16)`` blocks XORed into a converted leaf when its control bit is
+        set; they carry ``beta`` in the target's slot.
+
+    Indexing gives a :class:`DPFKey` view of one row.
     """
 
-    party: int
     domain_bits: int
-    root_seed: bytes
-    correction_words: Tuple[CorrectionWord, ...]
-    final_correction: bytes
-    output_bits: int = 1
+    output_bits: int
+    roots: np.ndarray
+    parties: np.ndarray
+    cw_seeds: np.ndarray
+    cw_bits: np.ndarray
+    finals: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.party not in (0, 1):
-            raise ValueError("party must be 0 or 1")
         if self.domain_bits < 0:
             raise ValueError("domain_bits must be non-negative")
-        if len(self.root_seed) != SEED_BYTES:
+        depth = tree_depth(self.domain_bits, self.output_bits)
+        arrays = (self.roots, self.parties, self.cw_seeds, self.cw_bits, self.finals)
+        if any(array.dtype != np.uint8 for array in arrays):
+            raise ValueError("key arrays must be uint8")
+        count = self.parties.shape[0]
+        if self.parties.shape != (count,) or self.parties.max(initial=0) > 1:
+            raise ValueError("party must be 0 or 1")
+        if self.roots.shape != (count, SEED_BYTES):
             raise ValueError("root seed must be 16 bytes")
-        if len(self.correction_words) != self.tree_depth:
+        if self.cw_seeds.shape[:2] != (count, depth) or self.cw_bits.shape[:2] != (count, depth):
             raise ValueError(
                 f"need exactly one correction word per expanded level "
-                f"({self.tree_depth} for {self.domain_bits} domain bits and "
-                f"{self.output_bits}-bit outputs), got {len(self.correction_words)}"
+                f"({depth} for {self.domain_bits} domain bits and "
+                f"{self.output_bits}-bit outputs), got {self.cw_seeds.shape[1:2]}"
             )
-        if len(self.final_correction) != SEED_BYTES:
+        if self.cw_seeds.shape[2:] != (SEED_BYTES,):
+            raise ValueError("correction word seed must be 16 bytes")
+        if self.cw_bits.shape[2:] != (2,) or self.cw_bits.max(initial=0) > 1:
+            raise ValueError("control-bit corrections must be 0 or 1")
+        if self.finals.shape != (count, SEED_BYTES):
             raise ValueError("final correction must be a 16-byte block")
+
+    @classmethod
+    def stack(cls, keys: Sequence["DPFKey"]) -> "DPFKeys":
+        """One batch holding ``keys``' rows in order (they must share a shape).
+
+        A flush's keys are usually views of one :meth:`DPF.gen_many` batch,
+        so the distinct batches are concatenated (a copy of the one) and the
+        rows gathered with one fancy index per array.
+        """
+        batches = {id(key.batch): key.batch for key in keys}
+        shapes = {(batch.domain_bits, batch.output_bits) for batch in batches.values()}
+        if len(shapes) != 1:
+            raise KeyMismatchError(f"one key batch needs one DPF shape, got {sorted(shapes)}")
+        starts = np.cumsum([0] + [len(batch) for batch in batches.values()]).tolist()
+        first_row = dict(zip(batches, starts))
+        rows = [first_row[id(key.batch)] + key.row for key in keys]
+        return cls(
+            *shapes.pop(),
+            *(
+                np.concatenate([getattr(batch, name) for batch in batches.values()])[rows]
+                for name in ("roots", "parties", "cw_seeds", "cw_bits", "finals")
+            ),
+        )
+
+    def __len__(self) -> int:
+        return self.parties.shape[0]
+
+    def __getitem__(self, row: int) -> "DPFKey":
+        return DPFKey(self, range(len(self))[row])
+
+
+class DPFKey:
+    """One party's DPF key: row :attr:`row` of the :class:`DPFKeys` :attr:`batch`.
+
+    Equal keys hold equal bytes, whichever batch they view.
+    """
+
+    __slots__ = ("batch", "row")
+
+    def __init__(self, batch: DPFKeys, row: int) -> None:
+        self.batch = batch
+        self.row = row
+
+    @property
+    def party(self) -> int:
+        """0 or 1; evaluation is symmetric but the two keys differ."""
+        return int(self.batch.parties[self.row])
+
+    @property
+    def domain_bits(self) -> int:
+        return self.batch.domain_bits
+
+    @property
+    def output_bits(self) -> int:
+        return self.batch.output_bits
 
     @property
     def domain_size(self) -> int:
         """Number of points in the DPF domain."""
-        return 1 << self.domain_bits
+        return 1 << self.batch.domain_bits
 
     @property
     def tree_depth(self) -> int:
         """Expanded GGM levels (see :func:`tree_depth`)."""
-        return tree_depth(self.domain_bits, self.output_bits)
+        return self.batch.cw_seeds.shape[1]
+
+    @property
+    def root_seed(self) -> bytes:
+        """This party's 16-byte root seed."""
+        return self.batch.roots[self.row].tobytes()
 
     @property
     def size_bytes(self) -> int:
@@ -132,11 +211,56 @@ class DPFKey:
         Matches the paper's observation that keys are O(lambda * log N) — the
         quantity shipped from the client to each server.
         """
-        return key_wire_bytes(len(self.correction_words))
+        return key_wire_bytes(self.tree_depth)
 
-    def root_seed_array(self) -> np.ndarray:
-        """Root seed as a ``(16,)`` uint8 array."""
-        return np.frombuffer(self.root_seed, dtype=np.uint8)
+    def _contents(self) -> tuple:
+        batch, row = self.batch, self.row
+        return (batch.domain_bits, batch.output_bits) + tuple(
+            array[row].tobytes()
+            for array in (batch.parties, batch.roots, batch.cw_seeds, batch.cw_bits, batch.finals)
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DPFKey):
+            return NotImplemented
+        return self._contents() == other._contents()
+
+    def __hash__(self) -> int:
+        return hash(self._contents())
+
+
+class DPFKeyPairs(SequenceABC):
+    """:meth:`DPF.gen_many`'s ``Q`` key pairs over one ``2Q``-row :attr:`keys`.
+
+    Rows ``2q`` and ``2q + 1`` are query ``q``'s parties 0 and 1; item ``q``
+    is that ``(key0, key1)`` pair, and a pair sequence equals any sequence of
+    equal pairs.
+    """
+
+    __slots__ = ("keys",)
+
+    def __init__(self, keys: DPFKeys) -> None:
+        self.keys = keys
+
+    def __len__(self) -> int:
+        return len(self.keys) // 2
+
+    def __getitem__(self, query: int) -> Tuple[DPFKey, DPFKey]:
+        query = range(len(self))[query]
+        return self.keys[2 * query], self.keys[2 * query + 1]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SequenceABC):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+KeysLike = Union[DPFKeys, Sequence[DPFKey]]
+
+
+def key_batch(keys: KeysLike) -> DPFKeys:
+    """``keys`` as one :class:`DPFKeys` (stacked once if given as views)."""
+    return keys if isinstance(keys, DPFKeys) else DPFKeys.stack(keys)
 
 
 @dataclass
@@ -198,7 +322,7 @@ class DPF:
         """Generate the two keys hiding the point function ``P_{alpha,beta}``."""
         return self.gen_many([alpha], beta)[0]
 
-    def gen_many(self, alphas: Sequence[int], beta: int = 1) -> List[Tuple[DPFKey, DPFKey]]:
+    def gen_many(self, alphas: Sequence[int], beta: int = 1) -> DPFKeyPairs:
         """One key pair per entry of ``alphas``, generated in a single walk.
 
         Every ``alpha`` must lie in the domain and ``beta`` must fit in
@@ -206,82 +330,58 @@ class DPF:
         identically zero and reconstruction becomes ambiguous).
 
         A path holds two nodes per level, so walking one query at a time is
-        all call overhead; here the ``B`` queries' paths ride in one
-        ``2B``-row front (rows ``2q`` and ``2q + 1`` are query ``q``'s two
-        parties) and a level is one PRG call.  All roots come from one draw,
-        which consumes the generator exactly as ``B`` successive two-row
-        draws do: the result equals ``[gen(alpha, beta) for alpha in alphas]``
-        on a same-seeded instance, bit for bit.
+        all call overhead; here the ``Q`` queries' paths ride in one
+        ``(Q, 2)`` front (column ``p`` is party ``p``, and both parties share
+        their query's correction word) and a level is one
+        :meth:`~repro.dpf.prf.LengthDoublingPRG.children` call.  The
+        correction words land in the result's arrays as they are derived;
+        nothing is cut into per-key objects.  All roots come from one draw,
+        which consumes the generator exactly as ``Q`` successive two-row
+        draws do: the result equals ``[gen(alpha, beta) for alpha in
+        alphas]`` on a same-seeded instance, bit for bit.
         """
         alphas = [int(alpha) for alpha in alphas]
+        size = self.domain_size
         for alpha in alphas:
-            if not 0 <= alpha < self.domain_size:
-                raise ValueError(f"alpha={alpha} outside domain of size {self.domain_size}")
+            if not 0 <= alpha < size:
+                raise ValueError(f"alpha={alpha} outside domain of size {size}")
         if beta == 0:
             raise ValueError("beta must be non-zero")
         if beta >= (1 << self.output_bits):
             raise ValueError(f"beta={beta} does not fit in {self.output_bits} bits")
         count, depth = len(alphas), self.tree_depth
-        if not count:
-            return []
 
         paths = np.asarray(alphas, dtype=np.int64)
+        queries = np.arange(count)
         roots = self._rng.integers(0, 256, size=(2 * count, SEED_BYTES), dtype=np.uint8)
-        # Invariant: exactly one of a query's two rows has its control bit set.
-        seeds = roots.reshape(count, 2, SEED_BYTES)
-        controls = np.tile(np.asarray([0, 1], dtype=np.uint8), (count, 1))
-        seed_cws = np.empty((count, depth, SEED_BYTES), dtype=np.uint8)
-        bit_cws = np.empty((count, depth, 2), dtype=np.uint8)
+        parties = np.tile(np.asarray([0, 1], dtype=np.uint8), count)
+        # Invariant: exactly one of a query's two nodes has its control bit set.
+        seeds, controls = roots.reshape(count, 2, SEED_BYTES), parties.reshape(count, 2)
+        cw_seeds = np.empty((count, depth, SEED_BYTES), dtype=np.uint8)
+        cw_bits = np.empty((count, depth, 2), dtype=np.uint8)
         for level in range(depth):
-            # One path bit per query (1 = turn right), as a ``(B, 1)`` column;
-            # the PRG's outputs as ``(B, 2, 16)`` seeds, ``(B, 2, 1)`` bits.
-            bits = ((paths >> (self.domain_bits - 1 - level)) & 1).astype(np.uint8)[:, None]
-            left, right, t_left, t_right = (
-                part.reshape(count, 2, -1)
-                for part in self.prg.expand(seeds.reshape(-1, SEED_BYTES))
+            # The child on each query's path (1 = right), and the ``(Q,
+            # party, child, 16)`` children with their control bits.
+            keep = (paths >> (self.domain_bits - 1 - level)) & 1
+            children = self.prg.children(seeds.reshape(-1, SEED_BYTES)).reshape(
+                count, 2, 2, SEED_BYTES
             )
-            keep = np.where(bits[:, :, None], right, left)
-            lose = np.where(bits[:, :, None], left, right)
-            seed_cw = lose[:, 0] ^ lose[:, 1]
-            t_left_cw = t_left[:, 0] ^ t_left[:, 1] ^ bits ^ 1
-            t_right_cw = t_right[:, 0] ^ t_right[:, 1] ^ bits
-            seed_cws[:, level] = seed_cw
-            bit_cws[:, level, :1] = t_left_cw
-            bit_cws[:, level, 1:] = t_right_cw
-            seeds = keep ^ (controls[:, :, None] * seed_cw[:, None, :])
-            controls = np.where(bits, t_right[:, :, 0], t_left[:, :, 0]) ^ (
-                controls * np.where(bits, t_right_cw, t_left_cw)
+            child_controls = control_bits(children)
+            lose = children[queries, :, 1 - keep]
+            np.bitwise_xor(lose[:, 0], lose[:, 1], out=cw_seeds[:, level])
+            np.bitwise_xor(child_controls[:, 0], child_controls[:, 1], out=cw_bits[:, level])
+            cw_bits[queries, level, keep] ^= 1
+            # The parent whose control bit is set corrects its kept child.
+            seeds = children[queries, :, keep] ^ controls[..., None] * cw_seeds[:, level, None]
+            controls = child_controls[queries, :, keep] ^ (
+                controls * cw_bits[queries, level, keep][:, None]
             )
 
         blocks = self.prg.convert(seeds.reshape(-1, SEED_BYTES)).reshape(count, 2, SEED_BYTES)
         finals = blocks[:, 0] ^ blocks[:, 1] ^ self._payload_blocks(paths, beta)
-
-        def rows(array: np.ndarray) -> List[bytes]:
-            data = array.tobytes()
-            return [data[at:at + SEED_BYTES] for at in range(0, len(data), SEED_BYTES)]
-
-        root_rows, cw_rows, final_rows = rows(roots), rows(seed_cws), rows(finals)
-        cw_bits = bit_cws.tolist()
-        pairs = []
-        for query in range(count):
-            words = tuple(
-                CorrectionWord(cw_rows[query * depth + level], *cw_bits[query][level])
-                for level in range(depth)
-            )
-            pairs.append(
-                tuple(
-                    DPFKey(
-                        party=party,
-                        domain_bits=self.domain_bits,
-                        root_seed=root_rows[2 * query + party],
-                        correction_words=words,
-                        final_correction=final_rows[query],
-                        output_bits=self.output_bits,
-                    )
-                    for party in (0, 1)
-                )
-            )
-        return pairs
+        # Both parties of a query carry its correction words and final block.
+        shared = (np.repeat(array, 2, axis=0) for array in (cw_seeds, cw_bits, finals))
+        return DPFKeyPairs(DPFKeys(self.domain_bits, self.output_bits, roots, parties, *shared))
 
     def _payload_blocks(self, alphas: np.ndarray, beta: int) -> np.ndarray:
         """Per alpha, the all-zero block with ``beta`` in its slot: ``(B, 16)`` uint8."""
@@ -294,24 +394,17 @@ class DPF:
 
     # -- tree walks -----------------------------------------------------------
 
-    def _check_key(self, key: DPFKey) -> None:
-        if key.domain_bits != self.domain_bits or key.output_bits != self.output_bits:
+    def _check_keys(self, keys: DPFKeys) -> None:
+        if keys.domain_bits != self.domain_bits or keys.output_bits != self.output_bits:
             raise KeyMismatchError(
                 "key parameters do not match this DPF instance "
-                f"(key: {key.domain_bits} bits/{key.output_bits}-bit output, "
+                f"(key: {keys.domain_bits} bits/{keys.output_bits}-bit output, "
                 f"instance: {self.domain_bits} bits/{self.output_bits}-bit output)"
             )
 
-    @staticmethod
-    def roots(keys: Sequence[DPFKey]) -> Tuple[np.ndarray, np.ndarray]:
-        """The level-0 front of ``keys``: ``(B, 16)`` seeds and ``(B,)`` control bits."""
-        seeds = np.stack([key.root_seed_array() for key in keys])
-        controls = np.asarray([key.party for key in keys], dtype=np.uint8)
-        return seeds, controls
-
     def expand_front(
         self,
-        keys: Sequence[DPFKey],
+        keys: DPFKeys,
         seeds: np.ndarray,
         controls: np.ndarray,
         first_level: int = 0,
@@ -319,63 +412,59 @@ class DPF:
         """Expand a key-major node front breadth-first down to the leaves.
 
         ``seeds``/``controls`` hold each key's sibling-ordered nodes at
-        ``first_level`` (:meth:`roots` for the whole tree, a subtree root for
-        a chunked walk).  This is the only level loop of full-domain
-        evaluation: :meth:`eval_full`, :meth:`eval_full_many`,
-        :meth:`eval_full_bits`, the engine's selector path and the
-        :mod:`repro.dpf.traversal` strategies all read its leaves.  Every
-        level is one :func:`~repro.dpf.ggm.expand_level_many` call, so the
-        PRG sees ``B x 2^level`` seeds per level instead of ``2^level`` seeds
-        ``B`` times.
+        ``first_level`` (``keys.roots`` / ``keys.parties`` for the whole
+        tree, a subtree root for a chunked walk) and come back as the
+        ``(B * leaves, 16)`` / ``(B * leaves,)`` leaf front.  This is the only
+        level loop of full-domain evaluation: :meth:`eval_full`,
+        :meth:`eval_full_many`, :meth:`eval_full_bits`, the engine's selector
+        path and the :mod:`repro.dpf.traversal` strategies all read its
+        leaves.  Every level is one :func:`~repro.dpf.ggm.expand_level` call,
+        so the PRG sees ``B x 2^level`` seeds per level instead of
+        ``2^level`` seeds ``B`` times, and each key's correction word comes
+        straight out of ``keys.cw_seeds`` / ``keys.cw_bits``.
         """
-        nodes_per_key = seeds.shape[0] // len(keys)
+        seeds = seeds.reshape(len(keys), -1, SEED_BYTES)
+        controls = controls.reshape(len(keys), -1)
         for level in range(first_level, self.tree_depth):
-            seeds, controls = expand_level_many(
-                self.prg,
-                seeds,
-                controls,
-                [key.correction_words[level] for key in keys],
-                nodes_per_key,
+            children, child_controls = expand_level(
+                self.prg, seeds, controls, keys.cw_seeds[:, level], keys.cw_bits[:, level]
             )
-            nodes_per_key *= 2
-        return seeds, controls
+            seeds = children.reshape(len(keys), -1, SEED_BYTES)
+            controls = child_controls.reshape(len(keys), -1)
+        return seeds.reshape(-1, SEED_BYTES), controls.reshape(-1)
 
     def descend(
-        self, key: DPFKey, nodes: np.ndarray, depth: Optional[int] = None
+        self, keys: DPFKeys, nodes: np.ndarray, depth: Optional[int] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Walk one independent root-to-node path per entry of ``nodes``.
+        """Walk one independent root-to-node path per key and entry of ``nodes``.
 
         ``nodes`` are node indices at level ``depth`` (default: leaf-block
-        indices).  Every path re-expands its own ancestors — ``len(nodes) *
-        depth`` PRG expansions — which is what point evaluation and the
-        branch-parallel / memory-bounded traversals want.
+        indices).  Every path re-expands its own ancestors — ``B *
+        len(nodes) * depth`` PRG expansions — which is what point evaluation
+        and the branch-parallel / memory-bounded traversals want.  Returns
+        key-major ``(B * len(nodes), 16)`` seeds and control bits.
         """
         depth = self.tree_depth if depth is None else depth
         nodes = np.asarray(nodes, dtype=np.int64)
-        count = nodes.shape[0]
-        seeds = np.repeat(key.root_seed_array().reshape(1, SEED_BYTES), count, axis=0)
-        controls = np.full(count, key.party, dtype=np.uint8)
-        even = np.arange(count, dtype=np.int64) * 2
+        if nodes.size and not (0 <= nodes.min() and nodes.max() < 1 << depth):
+            raise ValueError(f"node index outside level {depth} of the tree")
+        paths = np.arange(nodes.shape[0])
+        seeds = np.repeat(keys.roots[:, None, :], nodes.shape[0], axis=1)
+        controls = np.repeat(keys.parties[:, None], nodes.shape[0], axis=1)
         for level in range(depth):
             children, child_controls = expand_level(
-                self.prg, seeds, controls, key.correction_words[level]
+                self.prg, seeds, controls, keys.cw_seeds[:, level], keys.cw_bits[:, level]
             )
-            pick = even + ((nodes >> (depth - 1 - level)) & 1)
-            seeds, controls = children[pick], child_controls[pick]
-        return seeds, controls
+            pick = (nodes >> (depth - 1 - level)) & 1
+            seeds, controls = children[:, paths, pick], child_controls[:, paths, pick]
+        return seeds.reshape(-1, SEED_BYTES), controls.reshape(-1)
 
     # -- leaves to outputs -----------------------------------------------------
 
-    def leaf_blocks(
-        self, keys: Sequence[DPFKey], seeds: np.ndarray, controls: np.ndarray
-    ) -> np.ndarray:
+    def leaf_blocks(self, keys: DPFKeys, seeds: np.ndarray, controls: np.ndarray) -> np.ndarray:
         """Convert key-major leaf nodes into corrected ``(B, M, 16)`` output blocks."""
-        num_keys = len(keys)
-        blocks = self.prg.convert(seeds).reshape(num_keys, -1, SEED_BYTES)
-        finals = np.stack(
-            [np.frombuffer(key.final_correction, dtype=np.uint8) for key in keys]
-        )
-        blocks ^= controls.reshape(num_keys, -1, 1) * finals[:, None, :]
+        blocks = self.prg.convert(seeds).reshape(len(keys), -1, SEED_BYTES)
+        blocks ^= gated(controls.reshape(len(keys), -1), keys.finals, (SEED_BYTES,))
         return blocks
 
     def slot_values(self, blocks: np.ndarray, num_points: int) -> np.ndarray:
@@ -397,12 +486,13 @@ class DPF:
 
     def eval_points(self, key: DPFKey, points: Sequence[int]) -> np.ndarray:
         """Evaluate one party's share at several points (returns uint64 array)."""
-        self._check_key(key)
+        keys = key_batch([key])
+        self._check_keys(keys)
         points = np.asarray(points, dtype=np.int64).reshape(-1)
         if points.size and not (0 <= points.min() and points.max() < self.domain_size):
             raise ValueError(f"point outside domain of size {self.domain_size}")
-        seeds, controls = self.descend(key, points >> self.slot_bits)
-        blocks = self.leaf_blocks([key], seeds, controls)
+        seeds, controls = self.descend(keys, points >> self.slot_bits)
+        blocks = self.leaf_blocks(keys, seeds, controls)
         slots = self.slot_values(blocks, blocks.shape[1] * self.slots_per_block)
         picked = np.arange(points.size) * self.slots_per_block + (
             points & (self.slots_per_block - 1)
@@ -413,16 +503,15 @@ class DPF:
 
     def _eval_blocks(
         self,
-        keys: Sequence[DPFKey],
+        keys: KeysLike,
         num_points: Optional[int],
         stats: Optional[EvalStats],
     ) -> Tuple[np.ndarray, int]:
         """One batched walk: the ``(B, ceil(num_points / 2^k), 16)`` leaf blocks."""
-        keys = list(keys)
-        if not keys:
+        if not len(keys):
             raise ValueError("full-domain evaluation needs at least one key")
-        for key in keys:
-            self._check_key(key)
+        keys = key_batch(keys)
+        self._check_keys(keys)
         if num_points is None:
             num_points = self.domain_size
         if not 0 <= num_points <= self.domain_size:
@@ -430,7 +519,7 @@ class DPF:
 
         expansions_before = self.prg.expand_calls
         blocks_before = self.prg.blocks_consumed
-        seeds, controls = self.expand_front(keys, *self.roots(keys))
+        seeds, controls = self.expand_front(keys, keys.roots, keys.parties)
         needed = self.num_blocks(num_points)
         blocks = self.leaf_blocks(
             keys,
@@ -450,7 +539,7 @@ class DPF:
 
     def eval_full_many(
         self,
-        keys: Sequence[DPFKey],
+        keys: KeysLike,
         num_points: Optional[int] = None,
         stats: Optional[EvalStats] = None,
     ) -> np.ndarray:
@@ -482,7 +571,7 @@ class DPF:
 
     def eval_full_bits_many(
         self,
-        keys: Sequence[DPFKey],
+        keys: KeysLike,
         num_points: Optional[int] = None,
         stats: Optional[EvalStats] = None,
     ) -> np.ndarray:

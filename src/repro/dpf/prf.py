@@ -17,9 +17,13 @@ Both backends expand a 128-bit seed into two 128-bit child seeds plus two
 control bits, which is exactly the ``G`` used in the correction-word DPF of
 Boyle-Gilboa-Ishai as deployed by Google's ``distributed_point_functions``
 library and by Lam et al. (the GPU-PIR baseline the paper compares against).
-A third, independent output — :meth:`LengthDoublingPRG.convert` — turns a
-*leaf* seed into the 128-bit output block of the early-terminated DPF
-(:mod:`repro.dpf.dpf`); it costs one AES block and is counted separately.
+:meth:`LengthDoublingPRG.children` is the one level kernel every tree walk
+calls: ``m`` seeds in, their ``(m, 2, 16)`` children out, already in tree
+order, with each child's control bit in bit 0 of its byte 8
+(:func:`control_bits`).  A third, independent output —
+:meth:`LengthDoublingPRG.convert` — turns a *leaf* seed into the 128-bit
+output block of the early-terminated DPF (:mod:`repro.dpf.dpf`); it costs one
+AES block and is counted separately.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from typing import Tuple
 import numpy as np
 
 SEED_BYTES = 16
+#: A child's control bit is bit 0 of this byte of the child (bit 64 of the block).
+CONTROL_BYTE = 8
 #: AES blocks consumed by one length-doubling expansion (two 128-bit outputs).
 BLOCKS_PER_EXPAND = 2
 #: AES blocks consumed by one leaf conversion (one 128-bit output).
@@ -147,12 +153,19 @@ def _as_seeds(seeds: np.ndarray) -> np.ndarray:
     return seeds
 
 
+def control_bits(children: np.ndarray) -> np.ndarray:
+    """The control bits of ``(..., 16)`` child seeds: bit 0 of byte 8, as uint8."""
+    return children[..., CONTROL_BYTE] & 1
+
+
 class LengthDoublingPRG:
     """Expands 128-bit seeds into two 128-bit child seeds plus two bits.
 
     Implementations must be deterministic and stateless apart from the
     ``expand_calls`` / ``convert_calls`` / ``blocks_consumed`` counters used
-    by the cost model.
+    by the cost model.  A backend implements :meth:`children` and
+    :meth:`convert`; :meth:`expand` and :meth:`expand_one` are views of
+    :meth:`children`.
     """
 
     #: AES-block equivalents charged per seed expansion by the cost model.
@@ -177,27 +190,30 @@ class LengthDoublingPRG:
         self.expand_calls = 0
         self.convert_calls = 0
 
-    def expand(self, seeds: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Expand a batch of seeds.
+    def children(self, seeds: np.ndarray) -> np.ndarray:
+        """Expand ``(m, 16)`` uint8 seeds into their ``(m, 2, 16)`` children.
 
-        Parameters
-        ----------
-        seeds:
-            ``(k, 16)`` uint8 array of 128-bit seeds.
-
-        Returns
-        -------
-        (left_seeds, right_seeds, t_left, t_right):
-            ``left_seeds``/``right_seeds`` are ``(k, 16)`` uint8 arrays and
-            ``t_left``/``t_right`` are ``(k,)`` uint8 arrays of control bits.
+        ``[:, 0]`` is each seed's left child and ``[:, 1]`` its right one, so
+        reshaping the result to ``(2m, 16)`` is the next tree level in order.
+        Counts ``m`` expansions.
         """
         raise NotImplementedError
+
+    def expand(self, seeds: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`children` split into ``(left, right, t_left, t_right)``.
+
+        ``left``/``right`` are ``(k, 16)`` uint8 arrays and
+        ``t_left``/``t_right`` ``(k,)`` uint8 arrays of control bits.
+        """
+        children = self.children(seeds)
+        bits = control_bits(children)
+        return children[:, 0], children[:, 1], bits[:, 0], bits[:, 1]
 
     def convert(self, seeds: np.ndarray) -> np.ndarray:
         """Turn leaf seeds into 128-bit output blocks.
 
         ``seeds`` is ``(k, 16)`` uint8 and so is the result.  The blocks are
-        a PRG output independent of both children :meth:`expand` derives
+        a PRG output independent of both children :meth:`children` derives
         from the same seed, so no output bit coincides with a control bit.
         """
         raise NotImplementedError
@@ -233,14 +249,13 @@ class AESPRG(LengthDoublingPRG):
             out[i] = np.frombuffer(aes128_encrypt_block(seeds[i].tobytes(), block), dtype=np.uint8)
         return out
 
-    def expand(self, seeds: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def children(self, seeds: np.ndarray) -> np.ndarray:
         seeds = _as_seeds(seeds)
-        left = self._encrypt_under(seeds, self._LEFT_BLOCK)
-        right = self._encrypt_under(seeds, self._RIGHT_BLOCK)
-        t_left = (left[:, 8] & 1).astype(np.uint8)
-        t_right = (right[:, 8] & 1).astype(np.uint8)
         self.expand_calls += seeds.shape[0]
-        return left, right, t_left, t_right
+        return np.stack(
+            [self._encrypt_under(seeds, block) for block in (self._LEFT_BLOCK, self._RIGHT_BLOCK)],
+            axis=1,
+        )
 
     def convert(self, seeds: np.ndarray) -> np.ndarray:
         seeds = _as_seeds(seeds)
@@ -251,64 +266,61 @@ class AESPRG(LengthDoublingPRG):
 class NumpyPRG(LengthDoublingPRG):
     """Vectorised splitmix64-based expansion for large-domain evaluation.
 
-    Each 128-bit seed is viewed as two 64-bit lanes and each child is produced
+    Each 128-bit seed is viewed as two 64-bit lanes and each output is produced
     by a short Feistel-like network whose round function is the splitmix64
-    finaliser keyed by a per-child constant.  The construction is not a
-    cryptographic PRF, but three rounds of cross-lane mixing are enough to
-    remove the tree-structured correlations a single mixing pass leaves behind
-    (the DPF property tests check share balance explicitly).
+    finaliser keyed by a per-output constant (``gamma``).  The construction is
+    not a cryptographic PRF, but three rounds of cross-lane mixing are enough
+    to remove the tree-structured correlations a single mixing pass leaves
+    behind (the DPF property tests check share balance explicitly).
+    :meth:`_feistel` computes both children (or the :meth:`convert` block) in
+    one pass over a gamma axis, ~30 in-place ``out=`` ufuncs whatever the width.
     """
 
-    _GAMMA_LEFT = np.uint64(0x9E3779B97F4A7C15)
-    _GAMMA_RIGHT = np.uint64(0xC2B2AE3D27D4EB4F)
-    _GAMMA_CONVERT = np.uint64(0x165667B19E3779F9)
+    _EXPAND_GAMMAS = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F], dtype=np.uint64)
+    _CONVERT_GAMMAS = np.array([0x165667B19E3779F9], dtype=np.uint64)
     _ROUND_2 = np.uint64(0xD6E8FEB86659FD93)
     _ROUND_3 = np.uint64(0xA0761D6478BD642F)
     _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
     _MIX_2 = np.uint64(0x94D049BB133111EB)
 
-    @staticmethod
-    def _mix(values: np.ndarray) -> np.ndarray:
-        z = values.copy()
-        z ^= z >> np.uint64(30)
-        z *= NumpyPRG._MIX_1
-        z ^= z >> np.uint64(27)
-        z *= NumpyPRG._MIX_2
-        z ^= z >> np.uint64(31)
-        return z
+    @classmethod
+    def _mix(cls, z: np.ndarray, scratch: np.ndarray) -> None:
+        """splitmix64's finaliser, in place on ``z`` (``scratch`` is clobbered)."""
+        z ^= np.right_shift(z, 30, out=scratch)
+        z *= cls._MIX_1
+        z ^= np.right_shift(z, 27, out=scratch)
+        z *= cls._MIX_2
+        z ^= np.right_shift(z, 31, out=scratch)
 
-    def _child(self, lanes: np.ndarray, gamma: np.uint64) -> np.ndarray:
-        left = lanes[:, 0].copy()
-        right = lanes[:, 1].copy()
-        # Three Feistel rounds with splitmix64 as the keyed round function.
-        left ^= self._mix(right + gamma)
-        right ^= self._mix(left + self._ROUND_2)
-        left ^= self._mix(right + self._ROUND_3)
-        return np.stack([left, right], axis=1)
+    def _feistel(self, seeds: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+        """One ``(m, len(gammas), 16)`` uint8 output per seed and gamma."""
+        lanes = _as_seeds(seeds).view(np.uint64).reshape(-1, 1, 2)
+        out = np.empty((lanes.shape[0], gammas.shape[0], 2), dtype=np.uint64)
+        z = np.empty(out.shape[:2], dtype=np.uint64)
+        scratch = np.empty_like(z)
+        left, right = out[..., 0], out[..., 1]
+        # Three Feistel rounds with splitmix64 as the keyed round function;
+        # broadcasting the seed lanes over the gamma axis keys round one.
+        np.add(lanes[..., 1], gammas, out=z)
+        self._mix(z, scratch)
+        np.bitwise_xor(lanes[..., 0], z, out=left)
+        np.add(left, self._ROUND_2, out=z)
+        self._mix(z, scratch)
+        np.bitwise_xor(lanes[..., 1], z, out=right)
+        np.add(right, self._ROUND_3, out=z)
+        self._mix(z, scratch)
+        np.bitwise_xor(left, z, out=left)
+        return out.view(np.uint8)
 
-    def _children(self, seeds: np.ndarray, *gammas: np.uint64) -> Tuple[np.ndarray, ...]:
-        """One ``(k, 16)`` uint8 output per gamma constant."""
-        lanes = seeds.view(np.uint64).reshape(-1, 2)
-        with np.errstate(over="ignore"):
-            # _child returns fresh C-contiguous uint64 lanes, so a view
-            # suffices; astype here would silently copy 16 bytes per seed.
-            return tuple(
-                self._child(lanes, gamma).view(np.uint8).reshape(-1, SEED_BYTES)
-                for gamma in gammas
-            )
-
-    def expand(self, seeds: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        seeds = _as_seeds(seeds)
-        left, right = self._children(seeds, self._GAMMA_LEFT, self._GAMMA_RIGHT)
-        t_left = (left[:, 8] & 1).astype(np.uint8, copy=False)
-        t_right = (right[:, 8] & 1).astype(np.uint8, copy=False)
-        self.expand_calls += seeds.shape[0]
-        return left, right, t_left, t_right
+    def children(self, seeds: np.ndarray) -> np.ndarray:
+        children = self._feistel(seeds, self._EXPAND_GAMMAS)
+        self.expand_calls += children.shape[0]
+        return children
 
     def convert(self, seeds: np.ndarray) -> np.ndarray:
-        seeds = _as_seeds(seeds)
-        self.convert_calls += seeds.shape[0]
-        return self._children(seeds, self._GAMMA_CONVERT)[0]
+        blocks = self._feistel(seeds, self._CONVERT_GAMMAS)
+        self.convert_calls += blocks.shape[0]
+        return blocks.reshape(-1, SEED_BYTES)
 
 
 def make_prg(backend: str = "numpy") -> LengthDoublingPRG:

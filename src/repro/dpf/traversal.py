@@ -35,7 +35,7 @@ from typing import Dict, Optional, Tuple, Type
 
 import numpy as np
 
-from repro.dpf.dpf import DPF, DPFKey
+from repro.dpf.dpf import DPF, DPFKey, DPFKeys, key_batch
 from repro.dpf.prf import SEED_BYTES
 
 
@@ -77,9 +77,10 @@ class TraversalStrategy:
         """Return the uint64 share vector of length ``num_points``."""
         num_points = dpf.domain_size if num_points is None else num_points
         num_blocks = dpf.num_blocks(num_points)
+        keys = key_batch([key])
         before = dpf.prg.expand_calls
-        seeds, controls, peak = self._leaves(dpf, key, num_blocks)
-        blocks = dpf.leaf_blocks([key], seeds[:num_blocks], controls[:num_blocks])
+        seeds, controls, peak = self._leaves(dpf, keys, num_blocks)
+        blocks = dpf.leaf_blocks(keys, seeds[:num_blocks], controls[:num_blocks])
         if stats is not None:
             stats.prg_calls += dpf.prg.expand_calls - before
             stats.peak_nodes_in_memory = max(stats.peak_nodes_in_memory, peak)
@@ -88,10 +89,11 @@ class TraversalStrategy:
         return dpf.slot_values(blocks, num_points)[0]
 
     def _leaves(
-        self, dpf: DPF, key: DPFKey, num_blocks: int
+        self, dpf: DPF, keys: DPFKeys, num_blocks: int
     ) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Leaf ``(seeds, controls)`` of at least the first ``num_blocks`` blocks,
-        and the most tree nodes the walk held at once."""
+        """Leaf ``(seeds, controls)`` of at least the first ``num_blocks`` blocks
+        of the one key in ``keys``, and the most tree nodes the walk held at
+        once."""
         raise NotImplementedError
 
 
@@ -100,8 +102,8 @@ class LevelByLevelTraversal(TraversalStrategy):
 
     name = "level_by_level"
 
-    def _leaves(self, dpf, key, num_blocks):
-        seeds, controls = dpf.expand_front([key], *dpf.roots([key]))
+    def _leaves(self, dpf, keys, num_blocks):
+        seeds, controls = dpf.expand_front(keys, keys.roots, keys.parties)
         return seeds, controls, seeds.shape[0]
 
 
@@ -116,8 +118,8 @@ class BranchParallelTraversal(TraversalStrategy):
 
     name = "branch_parallel"
 
-    def _leaves(self, dpf, key, num_blocks):
-        seeds, controls = dpf.descend(key, np.arange(num_blocks))
+    def _leaves(self, dpf, keys, num_blocks):
+        seeds, controls = dpf.descend(keys, np.arange(num_blocks))
         # Each level materialises both children of every path before picking.
         return seeds, controls, num_blocks * (2 if dpf.tree_depth else 1)
 
@@ -138,7 +140,7 @@ class MemoryBoundedTraversal(TraversalStrategy):
             raise ValueError("chunk_leaves must be a power of two")
         self.chunk_leaves = chunk_leaves
 
-    def _leaves(self, dpf, key, num_blocks):
+    def _leaves(self, dpf, keys, num_blocks):
         chunk_blocks = min(max(1, self.chunk_leaves // dpf.slots_per_block), 1 << dpf.tree_depth)
         descent_depth = dpf.tree_depth - (chunk_blocks.bit_length() - 1)
         num_chunks = -(-num_blocks // chunk_blocks)
@@ -147,10 +149,10 @@ class MemoryBoundedTraversal(TraversalStrategy):
         for chunk_index in range(num_chunks):
             # Descend to the chunk's subtree root along one path, then expand
             # the subtree level by level.
-            root = dpf.descend(key, [chunk_index], depth=descent_depth)
+            root = dpf.descend(keys, [chunk_index], depth=descent_depth)
             span = slice(chunk_index * chunk_blocks, (chunk_index + 1) * chunk_blocks)
             seeds[span], controls[span] = dpf.expand_front(
-                [key], *root, first_level=descent_depth
+                keys, *root, first_level=descent_depth
             )
         return seeds, controls, chunk_blocks
 

@@ -7,7 +7,8 @@ defines a compact, versioned binary encoding for the protocol messages:
 * DPF keys — root seed, one correction word per expanded tree level, one
   16-byte final correction block (wire version 2: the early-terminated
   construction of :mod:`repro.dpf.dpf`; version-1 blobs are rejected, keys
-  are per-request and never persisted);
+  are per-request and never persisted), read from and decoded into one row
+  of a :class:`~repro.dpf.dpf.DPFKeys` batch;
 * DPF/naive queries — header plus key or packed selector share;
 * answers — header plus the XOR sub-result.
 
@@ -29,10 +30,10 @@ from repro.dpf.dpf import (
     KEY_HEADER,
     MAX_OUTPUT_BITS,
     DPFKey,
+    DPFKeys,
     key_wire_bytes,
     tree_depth,
 )
-from repro.dpf.ggm import CorrectionWord
 from repro.dpf.naive import NaiveShare
 from repro.dpf.prf import SEED_BYTES
 from repro.pir.messages import DPFQuery, NaiveQuery, PIRAnswer
@@ -65,15 +66,11 @@ def _require_version(version: int) -> None:
 
 def serialize_key(key: DPFKey) -> bytes:
     """Encode a DPF key into its wire representation (``key.size_bytes`` bytes)."""
-    parts = [
-        KEY_HEADER.pack(_MAGIC_KEY, WIRE_VERSION, key.party, key.domain_bits, key.output_bits),
-        key.root_seed,
-    ]
-    for correction in key.correction_words:
-        parts.append(correction.seed)
-        parts.append(bytes([correction.t_left, correction.t_right]))
-    parts.append(key.final_correction)
-    return b"".join(parts)
+    keys, row = key.batch, key.row
+    header = KEY_HEADER.pack(_MAGIC_KEY, WIRE_VERSION, key.party, key.domain_bits, key.output_bits)
+    # Each correction word is its 16-byte seed then its (left, right) bits.
+    words = np.concatenate((keys.cw_seeds[row], keys.cw_bits[row]), axis=1)
+    return header + keys.roots[row].tobytes() + words.tobytes() + keys.finals[row].tobytes()
 
 
 def deserialize_key(blob: bytes) -> DPFKey:
@@ -95,23 +92,18 @@ def deserialize_key(blob: bytes) -> DPFKey:
             f"DPF key blob has {len(blob)} bytes, expected {expected}: {levels} "
             f"correction words for a {domain_bits}-bit domain with {output_bits}-bit outputs"
         )
-    offset = KEY_HEADER.size
-    root_seed = blob[offset:offset + SEED_BYTES]
-    offset += SEED_BYTES
-    corrections = []
-    for _ in range(levels):
-        seed = blob[offset:offset + SEED_BYTES]
-        t_left, t_right = blob[offset + SEED_BYTES], blob[offset + SEED_BYTES + 1]
-        corrections.append(CorrectionWord(seed, t_left, t_right))
-        offset += CORRECTION_WORD_BYTES
-    return DPFKey(
-        party=party,
-        domain_bits=domain_bits,
-        root_seed=root_seed,
-        correction_words=tuple(corrections),
-        final_correction=blob[offset:],
-        output_bits=output_bits,
+    body = np.frombuffer(blob, dtype=np.uint8, offset=KEY_HEADER.size)[None]
+    words = body[:, SEED_BYTES:-SEED_BYTES].reshape(1, levels, CORRECTION_WORD_BYTES)
+    keys = DPFKeys(
+        domain_bits,
+        output_bits,
+        roots=body[:, :SEED_BYTES],
+        parties=np.asarray([party], dtype=np.uint8),
+        cw_seeds=words[..., :SEED_BYTES],
+        cw_bits=words[..., SEED_BYTES:],
+        finals=body[:, -SEED_BYTES:],
     )
+    return keys[0]
 
 
 # ---------------------------------------------------------------------------

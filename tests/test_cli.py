@@ -42,6 +42,14 @@ class TestMain:
         for marker in ("Figure 3", "Figure 9", "Table 1", "Figure 11", "Figure 12"):
             assert marker in out
 
+    def test_all_prints_table1_once(self, capsys):
+        # fig10 renders Table 1 with Figure 10; `all` must not repeat it
+        # through the explicit table1 target, which stays available.
+        header = run_target("table1").splitlines()[0]
+        assert main(["all"]) == 0
+        assert capsys.readouterr().out.count(header) == 1
+        assert "table1" in available_targets()
+
     def test_async_smoke(self, capsys):
         assert main(["smoke", "--async"]) == 0
         out = capsys.readouterr().out

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import KeyMismatchError
-from repro.dpf.dpf import DPF, DPFKey, EvalStats, verify_keys
-from repro.dpf.ggm import CorrectionWord
+from repro.dpf.dpf import DPF, DPFKeys, EvalStats, verify_keys
 from repro.dpf.prf import SEED_BYTES, make_prg
 from repro.pir.serialization import serialize_key
 
@@ -18,10 +17,15 @@ class TestGen:
         # One correction word per *expanded* level: the tree stops 7 levels
         # above the points and a leaf block carries 128 of them.
         assert dpf.tree_depth == key0.tree_depth == 12 - 7
-        assert len(key0.correction_words) == 12 - 7
-        assert key0.correction_words == key1.correction_words
-        assert key0.final_correction == key1.final_correction
-        assert len(key0.final_correction) == 16
+        # Both keys are rows of one array batch and share its correction
+        # words and final block.
+        keys = key0.batch
+        assert key1.batch is keys and (key0.row, key1.row) == (0, 1)
+        assert keys.cw_seeds.shape == (2, 12 - 7, 16) and keys.cw_bits.shape == (2, 12 - 7, 2)
+        assert np.array_equal(keys.cw_seeds[0], keys.cw_seeds[1])
+        assert np.array_equal(keys.cw_bits[0], keys.cw_bits[1])
+        assert keys.finals.shape == (2, 16)
+        assert np.array_equal(keys.finals[0], keys.finals[1])
         assert key0.root_seed != key1.root_seed
 
     @pytest.mark.parametrize(
@@ -60,8 +64,10 @@ def _sequential_gen(dpf, alpha, beta=1):
     ``(2, 16)`` root draw, scalar path bits.  Kept as the loop reference the
     batched walk must reproduce bit for bit."""
     roots = dpf._rng.integers(0, 256, size=(2, SEED_BYTES), dtype=np.uint8)
-    seeds, controls = roots, np.asarray([0, 1], dtype=np.uint8)
-    words = []
+    parties = np.asarray([0, 1], dtype=np.uint8)
+    seeds, controls = roots, parties
+    cw_seeds = np.zeros((dpf.tree_depth, SEED_BYTES), dtype=np.uint8)
+    cw_bits = np.zeros((dpf.tree_depth, 2), dtype=np.uint8)
     for level in range(dpf.tree_depth):
         bit = (alpha >> (dpf.domain_bits - 1 - level)) & 1
         left, right, t_left, t_right = dpf.prg.expand(seeds)
@@ -69,7 +75,7 @@ def _sequential_gen(dpf, alpha, beta=1):
         seed_cw = lose[0] ^ lose[1]
         t_left_cw = int(t_left[0] ^ t_left[1]) ^ bit ^ 1
         t_right_cw = int(t_right[0] ^ t_right[1]) ^ bit
-        words.append(CorrectionWord(seed_cw.tobytes(), t_left_cw, t_right_cw))
+        cw_seeds[level], cw_bits[level] = seed_cw, (t_left_cw, t_right_cw)
         seeds = keep ^ (controls[:, None] * seed_cw)
         controls = (t_right if bit else t_left) ^ (
             controls * np.uint8(t_right_cw if bit else t_left_cw)
@@ -79,11 +85,9 @@ def _sequential_gen(dpf, alpha, beta=1):
     slot = alpha % dpf.slots_per_block
     payload = [0, 0]
     payload[slot // slots_per_lane] = beta << ((slot % slots_per_lane) * dpf.output_bits)
-    final = (blocks[0] ^ blocks[1] ^ np.asarray(payload, dtype=np.uint64).view(np.uint8)).tobytes()
-    return tuple(
-        DPFKey(party, dpf.domain_bits, roots[party].tobytes(), tuple(words), final, dpf.output_bits)
-        for party in (0, 1)
-    )
+    final = blocks[0] ^ blocks[1] ^ np.asarray(payload, dtype=np.uint64).view(np.uint8)
+    shared = (np.stack([row, row]) for row in (cw_seeds, cw_bits, final))
+    return tuple(DPFKeys(dpf.domain_bits, dpf.output_bits, roots, parties, *shared))
 
 
 class TestGenMany:
@@ -245,47 +249,79 @@ class TestAESBackedDPF:
         assert np.array_equal(combined, expected)
 
 
+def _key_arrays(domain_bits, output_bits=1, **overrides):
+    """A valid one-row :class:`DPFKeys` argument set, with ``overrides``."""
+    depth = DPF(domain_bits, output_bits).tree_depth
+    arrays = dict(
+        roots=np.zeros((1, SEED_BYTES), dtype=np.uint8),
+        parties=np.zeros(1, dtype=np.uint8),
+        cw_seeds=np.zeros((1, depth, SEED_BYTES), dtype=np.uint8),
+        cw_bits=np.zeros((1, depth, 2), dtype=np.uint8),
+        finals=np.zeros((1, SEED_BYTES), dtype=np.uint8),
+    )
+    arrays.update(overrides)
+    return dict(domain_bits=domain_bits, output_bits=output_bits, **arrays)
+
+
 class TestKeyValidation:
     def test_key_rejects_wrong_seed_length(self):
-        with pytest.raises(ValueError):
-            DPFKey(
-                party=0,
-                domain_bits=0,
-                root_seed=b"short",
-                correction_words=(),
-                final_correction=0,
-            )
+        with pytest.raises(ValueError, match="root seed must be 16 bytes"):
+            DPFKeys(**_key_arrays(0, roots=np.zeros((1, 5), dtype=np.uint8)))
 
     def test_key_rejects_bad_party(self):
-        with pytest.raises(ValueError):
-            DPFKey(
-                party=2,
-                domain_bits=0,
-                root_seed=bytes(16),
-                correction_words=(),
-                final_correction=0,
-            )
+        with pytest.raises(ValueError, match="party must be 0 or 1"):
+            DPFKeys(**_key_arrays(0, parties=np.asarray([2], dtype=np.uint8)))
 
     def test_key_rejects_wrong_correction_count(self):
-        word = CorrectionWord(bytes(16), 0, 0)
         # A 10-bit domain expands 3 levels, a 3-bit one none: neither zero
         # words, nor the old one-per-domain-bit count, is accepted.
         for domain_bits, count in ((10, 0), (10, 10), (3, 3)):
+            words = dict(
+                cw_seeds=np.zeros((1, count, SEED_BYTES), dtype=np.uint8),
+                cw_bits=np.zeros((1, count, 2), dtype=np.uint8),
+            )
             with pytest.raises(ValueError, match="per expanded level"):
-                DPFKey(
-                    party=0,
-                    domain_bits=domain_bits,
-                    root_seed=bytes(16),
-                    correction_words=(word,) * count,
-                    final_correction=bytes(16),
-                )
+                DPFKeys(**_key_arrays(domain_bits, **words))
 
     def test_key_rejects_wrong_final_block_length(self):
         with pytest.raises(ValueError, match="16-byte block"):
-            DPFKey(
-                party=0,
-                domain_bits=3,
-                root_seed=bytes(16),
-                correction_words=(),
-                final_correction=bytes(8),
-            )
+            DPFKeys(**_key_arrays(3, finals=np.zeros((1, 8), dtype=np.uint8)))
+
+    def test_key_rejects_non_uint8_arrays_and_negative_domains(self):
+        with pytest.raises(ValueError, match="uint8"):
+            DPFKeys(**_key_arrays(3, parties=np.zeros(1, dtype=np.int64)))
+        with pytest.raises(ValueError, match="non-negative"):
+            DPFKeys(**dict(_key_arrays(0), domain_bits=-1))
+
+
+class TestKeyViews:
+    def test_keys_compare_and_hash_by_content_across_batches(self):
+        dpf = DPF(domain_bits=11, seed=4)
+        pairs, other = dpf.gen_many([5, 700, 5]), dpf.gen_many([9])
+        key = pairs[1][0]
+        restacked = DPFKeys.stack([pairs[2][1], other[0][1], key])
+        assert restacked[2] == key and hash(restacked[2]) == hash(key)
+        assert restacked[0] == pairs[2][1] != pairs[0][1]
+        assert restacked[1] == other[0][1]
+        assert len({key, restacked[2]}) == 1
+        assert np.array_equal(
+            dpf.eval_full_bits_many(restacked),
+            dpf.eval_full_bits_many([pairs[2][1], other[0][1], key]),
+        )
+
+    def test_pairs_index_like_a_sequence(self):
+        pairs = DPF(domain_bits=9, seed=8).gen_many([1, 2, 3])
+        assert len(pairs) == 3 and len(pairs.keys) == 6
+        assert pairs[-1] == pairs[2] == (pairs.keys[4], pairs.keys[5])
+        assert pairs != [pairs[0]] and pairs != "abc"
+        with pytest.raises(IndexError):
+            pairs[3]
+        with pytest.raises(IndexError):
+            pairs.keys[6]
+
+    def test_stack_rejects_mixed_shapes(self):
+        small, wide = DPF(domain_bits=9, seed=1).gen(3), DPF(domain_bits=10, seed=1).gen(3)
+        with pytest.raises(KeyMismatchError):
+            DPFKeys.stack([small[0], wide[0]])
+        with pytest.raises(KeyMismatchError):
+            DPF(domain_bits=10).eval_full_many([small[0]])

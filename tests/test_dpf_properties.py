@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.dpf.dpf import DPF, EvalStats, verify_keys
+from repro.dpf.dpf import DPF, EvalStats, key_batch, verify_keys
 from repro.dpf.naive import NaiveXorQueryScheme, xor_select
 from repro.dpf.prf import make_prg
 from repro.dpf.traversal import TraversalStats, make_traversal
@@ -220,9 +220,9 @@ class TestEarlyTerminatedConstruction:
         two together.
         """
         dpf = DPF(domain_bits=10, seed=2024)  # 8 blocks per key
-        keys = [dpf.gen(int(alpha), 1)[alpha & 1] for alpha in range(0, 1024, 3)]
+        keys = key_batch([dpf.gen(int(alpha), 1)[alpha & 1] for alpha in range(0, 1024, 3)])
         assert len(keys) >= 256
-        seeds, controls = dpf.expand_front(keys, *dpf.roots(keys))
+        seeds, controls = dpf.expand_front(keys, keys.roots, keys.parties)
         blocks = dpf.leaf_blocks(keys, seeds, controls)
         bits = np.unpackbits(blocks, axis=-1, bitorder="little").reshape(-1, 128)
         assert np.array_equal(
@@ -242,8 +242,8 @@ class TestEarlyTerminatedConstruction:
         rows of one walk with each other."""
         dpf = DPF(domain_bits=10, seed=2025)
         alphas = list(range(0, 1024, 3))
-        keys = [pair[alpha & 1] for alpha, pair in zip(alphas, dpf.gen_many(alphas))]
-        seeds, controls = dpf.expand_front(keys, *dpf.roots(keys))
+        keys = key_batch([pair[alpha & 1] for alpha, pair in zip(alphas, dpf.gen_many(alphas))])
+        seeds, controls = dpf.expand_front(keys, keys.roots, keys.parties)
         blocks = dpf.leaf_blocks(keys, seeds, controls)
         bits = np.unpackbits(blocks, axis=-1, bitorder="little").reshape(-1, 128)
         assert np.all(np.abs(bits.mean(axis=0) - 0.5) <= 0.1)

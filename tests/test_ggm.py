@@ -1,82 +1,120 @@
-"""GGM tree helpers: correction words, level expansion, tree arithmetic."""
+"""GGM tree helpers: correction-word arrays, level expansion, tree arithmetic."""
 
 import numpy as np
 import pytest
 
-from repro.dpf.ggm import CorrectionWord, GGMTree, descend_one, expand_level
+from repro.dpf.dpf import DPF, DPFKeys
+from repro.dpf.ggm import GGMTree, expand_level
 from repro.dpf.prf import SEED_BYTES, NumpyPRG
 
 
-def _cw(seed_byte: int = 0, t_left: int = 0, t_right: int = 0) -> CorrectionWord:
-    return CorrectionWord(bytes([seed_byte] * SEED_BYTES), t_left, t_right)
+def _cw(seed_byte: int = 0, t_left: int = 0, t_right: int = 0, keys: int = 1):
+    """One level's ``(keys, 16)`` seed and ``(keys, 2)`` bit corrections."""
+    return (
+        np.full((keys, SEED_BYTES), seed_byte, dtype=np.uint8),
+        np.tile(np.asarray([t_left, t_right], dtype=np.uint8), (keys, 1)),
+    )
+
+
+def _one_key(domain_bits: int, party: int, cw_seeds, cw_bits) -> DPFKeys:
+    """A one-row batch rooted at ``arange(16)`` with the given word arrays."""
+    return DPFKeys(
+        domain_bits,
+        1,
+        roots=np.arange(SEED_BYTES, dtype=np.uint8)[None],
+        parties=np.asarray([party], dtype=np.uint8),
+        cw_seeds=np.asarray(cw_seeds, dtype=np.uint8)[None],
+        cw_bits=np.asarray(cw_bits, dtype=np.uint8)[None],
+        finals=np.zeros((1, SEED_BYTES), dtype=np.uint8),
+    )
 
 
 class TestCorrectionWord:
+    """Correction words are rows of a key batch's ``cw_seeds`` / ``cw_bits``."""
+
     def test_valid_construction(self):
-        cw = _cw(7, 1, 0)
-        assert cw.t_left == 1 and cw.t_right == 0
-        assert cw.seed_array().shape == (SEED_BYTES,)
+        seeds = np.full((3, SEED_BYTES), 7, dtype=np.uint8)
+        keys = _one_key(10, 0, seeds, [[0, 0], [1, 0], [0, 1]])
+        assert keys.cw_bits[0, 1].tolist() == [1, 0]
+        assert keys.cw_seeds[0].shape == (3, SEED_BYTES)
+        assert keys[0].tree_depth == 3 and keys[0].party == 0
 
     def test_rejects_short_seed(self):
-        with pytest.raises(ValueError):
-            CorrectionWord(b"short", 0, 0)
+        with pytest.raises(ValueError, match="correction word seed must be 16 bytes"):
+            _one_key(10, 0, np.zeros((3, 8)), np.zeros((3, 2)))
 
     def test_rejects_non_bit_corrections(self):
-        with pytest.raises(ValueError):
-            CorrectionWord(bytes(SEED_BYTES), 2, 0)
+        with pytest.raises(ValueError, match="0 or 1"):
+            _one_key(10, 0, np.zeros((3, SEED_BYTES)), [[0, 0], [2, 0], [0, 0]])
 
 
 class TestExpandLevel:
     def test_output_shapes(self):
-        prg = NumpyPRG()
-        seeds = np.zeros((3, SEED_BYTES), dtype=np.uint8)
-        bits = np.zeros(3, dtype=np.uint8)
-        child_seeds, child_bits = expand_level(prg, seeds, bits, _cw())
-        assert child_seeds.shape == (6, SEED_BYTES)
-        assert child_bits.shape == (6,)
+        seeds = np.zeros((2, 3, SEED_BYTES), dtype=np.uint8)
+        children, child_bits = expand_level(
+            NumpyPRG(), seeds, np.zeros((2, 3), dtype=np.uint8), *_cw(keys=2)
+        )
+        assert children.shape == (2, 3, 2, SEED_BYTES)
+        assert child_bits.shape == (2, 3, 2)
 
     def test_children_are_interleaved(self):
         prg = NumpyPRG()
-        seeds = np.arange(2 * SEED_BYTES, dtype=np.uint8).reshape(2, SEED_BYTES)
-        bits = np.zeros(2, dtype=np.uint8)
-        child_seeds, _ = expand_level(prg, seeds, bits, _cw())
-        left, right, _, _ = NumpyPRG().expand(seeds)
+        seeds = np.arange(2 * SEED_BYTES, dtype=np.uint8).reshape(1, 2, SEED_BYTES)
+        children, _ = expand_level(prg, seeds, np.zeros((1, 2), dtype=np.uint8), *_cw())
+        child_seeds = children.reshape(-1, SEED_BYTES)
+        left, right, _, _ = NumpyPRG().expand(seeds[0])
         assert np.array_equal(child_seeds[0], left[0])
         assert np.array_equal(child_seeds[1], right[0])
         assert np.array_equal(child_seeds[2], left[1])
         assert np.array_equal(child_seeds[3], right[1])
+        assert prg.expand_calls == 2
 
     def test_correction_applied_only_when_control_set(self):
-        prg_a, prg_b = NumpyPRG(), NumpyPRG()
-        seeds = np.arange(SEED_BYTES, dtype=np.uint8).reshape(1, SEED_BYTES)
-        correction = _cw(seed_byte=0xFF, t_left=1, t_right=1)
-        plain_seeds, plain_bits = expand_level(prg_a, seeds, np.asarray([0], dtype=np.uint8), correction)
-        fixed_seeds, fixed_bits = expand_level(prg_b, seeds, np.asarray([1], dtype=np.uint8), correction)
-        assert np.array_equal(plain_seeds ^ 0xFF, fixed_seeds)
-        assert np.array_equal(plain_bits ^ 1, fixed_bits)
+        seeds = np.arange(2 * SEED_BYTES, dtype=np.uint8).reshape(2, 1, SEED_BYTES)
+        # Key 0 carries 0xFF / (1, 1), key 1 0x0F / (0, 1): each key's own word.
+        cw_seeds = np.asarray([[0xFF] * SEED_BYTES, [0x0F] * SEED_BYTES], dtype=np.uint8)
+        cw_bits = np.asarray([[1, 1], [0, 1]], dtype=np.uint8)
+        plain = expand_level(NumpyPRG(), seeds, np.zeros((2, 1), np.uint8), cw_seeds, cw_bits)
+        fixed = expand_level(NumpyPRG(), seeds, np.ones((2, 1), np.uint8), cw_seeds, cw_bits)
+        mixed = expand_level(NumpyPRG(), seeds, np.asarray([[1], [0]], np.uint8), cw_seeds, cw_bits)
+        assert np.array_equal(plain[0][0] ^ 0xFF, fixed[0][0])
+        assert np.array_equal(plain[0][1] ^ 0x0F, fixed[0][1])
+        assert np.array_equal(plain[1] ^ cw_bits[:, None, :], fixed[1])
+        assert np.array_equal(mixed[0][0], fixed[0][0]) and np.array_equal(mixed[0][1], plain[0][1])
+        assert np.array_equal(mixed[1], np.stack([fixed[1][0], plain[1][1]]))
 
     def test_rejects_mismatched_control_bits(self):
         with pytest.raises(ValueError):
             expand_level(
                 NumpyPRG(),
-                np.zeros((2, SEED_BYTES), dtype=np.uint8),
-                np.zeros(3, dtype=np.uint8),
-                _cw(),
+                np.zeros((1, 2, SEED_BYTES), dtype=np.uint8),
+                np.zeros((1, 3), dtype=np.uint8),
+                *_cw(),
             )
 
     def test_descend_one_matches_expand_level(self):
-        prg = NumpyPRG()
-        seed = np.arange(SEED_BYTES, dtype=np.uint8)
-        correction = _cw(3, 1, 0)
+        """One level of :meth:`DPF.descend` keeps the chosen child of
+        :func:`expand_level`, corrections included."""
+        keys = _one_key(8, 1, np.full((1, SEED_BYTES), 3), [[1, 0]])
+        dpf = DPF(8)
+        children, child_bits = expand_level(
+            NumpyPRG(),
+            keys.roots[:, None],
+            keys.parties[:, None],
+            keys.cw_seeds[:, 0],
+            keys.cw_bits[:, 0],
+        )
         for direction in (0, 1):
-            child_seed, child_bit = descend_one(NumpyPRG(), seed, 1, correction, direction)
-            seeds, bits = expand_level(prg, seed.reshape(1, -1), np.asarray([1], dtype=np.uint8), correction)
-            assert np.array_equal(child_seed, seeds[direction])
-            assert child_bit == int(bits[direction])
+            seeds, bits = dpf.descend(keys, [direction])
+            assert np.array_equal(seeds[0], children[0, 0, direction])
+            assert int(bits[0]) == int(child_bits[0, 0, direction])
 
     def test_descend_one_rejects_bad_direction(self):
-        with pytest.raises(ValueError):
-            descend_one(NumpyPRG(), np.zeros(SEED_BYTES, dtype=np.uint8), 0, _cw(), 2)
+        keys = _one_key(8, 0, np.zeros((1, SEED_BYTES)), [[0, 0]])
+        with pytest.raises(ValueError, match="outside level 1"):
+            DPF(8).descend(keys, [2])
+        with pytest.raises(ValueError, match="outside level 1"):
+            DPF(8).descend(keys, [-1])
 
 
 class TestGGMTree:

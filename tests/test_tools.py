@@ -299,6 +299,38 @@ class TestBatchedScanLint:
             "        pass\n",
         )
 
+    @pytest.mark.parametrize("bound", ["count", "num_keys", "self.num_keys"])
+    def test_per_key_loop_in_the_dpf_package_flagged(self, tmp_path, bound):
+        # The per-key cut-up of a key batch into key objects must not return.
+        source = (
+            "def cut(self, count, num_keys):\n"
+            f"    for row in range({bound}):{{}}\n"
+            "        pass\n"
+        )
+        flagged = self._check(tmp_path, "src/repro/dpf/dpf.py", source.format(""))
+        assert any("per-key Python loop" in message for _, message in flagged)
+        assert not self._check(tmp_path, "src/repro/dpf/dpf.py", source.format("  # noqa"))
+
+    def test_chunked_or_other_loops_over_a_key_count_are_legal(self, tmp_path):
+        # Chunk walks and other bounds in the dpf package, and loops over a
+        # count in other packages, stay legal.
+        assert not self._check(
+            tmp_path,
+            "src/repro/dpf/traversal.py",
+            "def walk(count, num_chunks):\n"
+            "    for start in range(0, count, 8):\n"
+            "        pass\n"
+            "    for chunk in range(num_chunks):\n"
+            "        pass\n",
+        )
+        assert not self._check(
+            tmp_path,
+            "src/repro/core/engine.py",
+            "def walk(count):\n"
+            "    for row in range(count):\n"
+            "        pass\n",
+        )
+
     def test_attribute_bound_flagged(self, tmp_path):
         findings = self._check(
             tmp_path,

@@ -40,6 +40,11 @@ AST pass instead.  It flags:
   paths exist precisely so nothing walks a batch query by query in Python;
   as with the per-record rule, chunked ranges (``dpxor_many``'s group walk
   ``range(0, batch, GROUP_ROWS)``) stay legal;
+* per-key Python loops over a key batch (single-argument ``for ... in
+  range(count)`` / ``range(num_keys)``) under ``src/repro/dpf/`` — keys are
+  arrays (``DPFKeys``) and every walk is one call per level for the whole
+  batch; a loop over the key count is the per-key cut-up into key objects
+  coming back;
 * per-row Python loops over an array's elements (``for ... in
   <expr>.tolist()``) under ``src/repro/pim/`` — the same per-query loop in
   another spelling: simulated costs are priced for a whole ``(B, P)``
@@ -227,6 +232,16 @@ def _is_per_query_batch_loop(node: ast.AST) -> bool:
     return _is_single_arg_range_over(node, {"batch", "batch_size"})
 
 
+#: Packages whose keys are batches of arrays: a loop over the key count is
+#: the per-key cut-up (one key object per row) the array keys replaced.
+KEY_BATCH_PACKAGES = ("dpf",)
+
+
+def _is_per_key_loop(node: ast.AST) -> bool:
+    """True for ``for ... in range(count)`` / ``range(num_keys)``."""
+    return _is_single_arg_range_over(node, {"count", "num_keys"})
+
+
 #: Packages whose per-row costs are priced as whole arrays: a loop over
 #: ``<array>.tolist()`` is the per-query loop again (142 216 scalar kernel-cost
 #: calls per 600 fleet rounds before the simulator priced popcounts).
@@ -288,6 +303,7 @@ def check_file(path: Path) -> List[Tuple[int, str]]:
     vectorized_scan_only = _under_packages(path, VECTORIZED_SCAN_PACKAGES)
     batched_scan_only = _is_batched_scan_only(path)
     array_priced_only = _under_packages(path, ARRAY_PRICED_PACKAGES)
+    key_batched_only = _under_packages(path, KEY_BATCH_PACKAGES)
     print_banned = _is_print_banned(path)
     library_code = _is_library_code(path)
     per_flush_keygen_only = _is_per_flush_keygen_only(path)
@@ -397,6 +413,15 @@ def check_file(path: Path) -> List[Tuple[int, str]]:
                     "(for ... in range(batch[_size])) under a batched-scan "
                     "package (src/repro/{shard,pim}/, src/repro/pir/xor_ops.py) "
                     "— use the batched worker/kernel paths or a chunked range",
+                )
+            )
+        if key_batched_only and _is_per_key_loop(node):
+            deprecated.append(
+                (
+                    node.lineno,
+                    "per-key Python loop over a key batch (for ... in "
+                    "range(count | num_keys)) under src/repro/dpf/ — walk the "
+                    "DPFKeys arrays as a whole",
                 )
             )
         if array_priced_only and _is_tolist_loop(node):
