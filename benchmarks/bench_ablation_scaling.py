@@ -16,7 +16,8 @@ import pytest
 
 from repro.bench.estimators import IMPIREstimator
 from repro.core.config import IMPIRConfig
-from repro.core.streaming import PHASE_COPY_DB, StreamedIMPIRServer
+from repro.core.engine import create_server
+from repro.core.streaming import PHASE_COPY_DB
 from repro.dpf.prf import make_prg
 from repro.pim.config import PIMConfig, scaled_down_config
 from repro.pir.client import PIRClient
@@ -65,7 +66,9 @@ class TestDPUPopulationScaling:
 class TestStreamedOversizedDatabase:
     def test_streamed_query(self, benchmark, bench_db):
         config = IMPIRConfig(pim=scaled_down_config(num_dpus=4, tasklets=4))
-        server = StreamedIMPIRServer(bench_db, config=config, server_id=0, segment_records=1024)
+        server = create_server(
+            "im-pir-streamed", bench_db, config=config, server_id=0, segment_records=1024
+        )
         client = PIRClient(bench_db.num_records, bench_db.record_size, seed=1, prg=make_prg("numpy"))
         query = client.query(1000)[0]
         result = benchmark(server.answer, query)
@@ -79,11 +82,10 @@ class TestStreamedOversizedDatabase:
         query = client.query(5)[0]
 
         def compare():
-            from repro.core.impir import IMPIRServer
 
-            preloaded = IMPIRServer(database, config=config, server_id=0).answer(query)
-            streamed = StreamedIMPIRServer(
-                database, config=config, server_id=0, segment_records=512
+            preloaded = create_server("im-pir", database, config=config, server_id=0).answer(query)
+            streamed = create_server(
+                "im-pir-streamed", database, config=config, server_id=0, segment_records=512
             ).answer(query)
             return preloaded.latency_seconds, streamed.latency_seconds
 

@@ -12,8 +12,7 @@ import pytest
 from repro.bench import paper_reference as paper
 from repro.bench.figures import fig9_throughput_latency
 from repro.bench.reporting import render_fig9
-from repro.core.impir import IMPIRServer
-from repro.cpu.cpu_pir import CPUPIRServer
+from repro.core.engine import create_server
 from repro.dpf.prf import make_prg
 from repro.pir.client import PIRClient
 
@@ -37,21 +36,21 @@ class TestFunctionalBatch:
     """Measured wall-clock of batch answering on the functional simulators."""
 
     def test_impir_batch_of_8(self, benchmark, bench_db, bench_impir_config):
-        server = IMPIRServer(bench_db, config=bench_impir_config, server_id=0)
+        server = create_server("im-pir", bench_db, config=bench_impir_config, server_id=0)
         client = PIRClient(bench_db.num_records, bench_db.record_size, seed=1, prg=make_prg("numpy"))
         queries = [client.query(i * 97 % bench_db.num_records)[0] for i in range(8)]
         result = benchmark(server.answer_batch, queries)
         assert result.batch_size == 8
 
     def test_cpu_batch_of_8(self, benchmark, bench_db):
-        server = CPUPIRServer(bench_db, server_id=0, prg=make_prg("numpy"))
+        server = create_server("cpu", bench_db, server_id=0, prg=make_prg("numpy"))
         client = PIRClient(bench_db.num_records, bench_db.record_size, seed=2, prg=make_prg("numpy"))
         queries = [client.query(i * 31 % bench_db.num_records)[0] for i in range(8)]
         result = benchmark(server.answer_batch, queries)
         assert len(result.answers) == 8
 
     def test_impir_single_query(self, benchmark, bench_db, bench_impir_config):
-        server = IMPIRServer(bench_db, config=bench_impir_config, server_id=0)
+        server = create_server("im-pir", bench_db, config=bench_impir_config, server_id=0)
         client = PIRClient(bench_db.num_records, bench_db.record_size, seed=3, prg=make_prg("numpy"))
         query = client.query(777)[0]
         result = benchmark(server.answer, query)

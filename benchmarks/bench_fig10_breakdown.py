@@ -12,9 +12,8 @@ import pytest
 
 from repro.bench.figures import fig10_breakdown
 from repro.bench.reporting import render_fig10
-from repro.core.impir import IMPIRServer
+from repro.core.engine import create_server
 from repro.core.results import PHASE_DPXOR, PHASE_EVAL
-from repro.cpu.cpu_pir import CPUPIRServer
 from repro.dpf.prf import make_prg
 from repro.pim.dpu import DPU
 from repro.pim.config import DPUConfig
@@ -37,7 +36,7 @@ class TestFunctionalPhases:
     """Measured wall-clock of the individual pipeline phases."""
 
     def test_impir_query_breakdown_phases_present(self, benchmark, bench_db, bench_impir_config):
-        server = IMPIRServer(bench_db, config=bench_impir_config, server_id=0)
+        server = create_server("im-pir", bench_db, config=bench_impir_config, server_id=0)
         client = PIRClient(bench_db.num_records, bench_db.record_size, seed=5, prg=make_prg("numpy"))
         query = client.query(123)[0]
         result = benchmark(server.answer, query)
@@ -45,11 +44,14 @@ class TestFunctionalPhases:
         assert result.breakdown.get(PHASE_DPXOR) > 0
 
     def test_cpu_query_breakdown(self, benchmark, bench_db):
-        server = CPUPIRServer(bench_db, server_id=0, prg=make_prg("numpy"))
+        server = create_server("cpu", bench_db, server_id=0, prg=make_prg("numpy"))
         client = PIRClient(bench_db.num_records, bench_db.record_size, seed=6, prg=make_prg("numpy"))
         query = client.query(55)[0]
-        result = benchmark(server.answer_with_breakdown, query)
-        assert result.breakdown.get("dpxor") > 0
+        benchmark(server.answer, query)
+        breakdown = server.backend.model.single_query_breakdown(
+            bench_db.num_records, bench_db.record_size
+        )
+        assert breakdown.get("dpxor") > 0
 
     def test_dpu_kernel_phase(self, benchmark):
         """The simulated DPU-side dpXOR kernel on a 1 MB MRAM block."""

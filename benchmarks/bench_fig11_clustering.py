@@ -14,7 +14,7 @@ from repro.bench import paper_reference as paper
 from repro.bench.figures import fig11_clustering
 from repro.bench.reporting import render_fig11
 from repro.core.config import IMPIRConfig
-from repro.core.impir import IMPIRServer
+from repro.core.engine import create_server
 from repro.dpf.prf import make_prg
 from repro.pim.config import scaled_down_config
 from repro.pir.client import PIRClient
@@ -46,7 +46,7 @@ class TestFunctionalClustering:
     @pytest.mark.parametrize("clusters", [1, 4])
     def test_clustered_batch(self, benchmark, bench_db, clusters):
         config = IMPIRConfig(pim=scaled_down_config(num_dpus=8, tasklets=4), num_clusters=clusters)
-        server = IMPIRServer(bench_db, config=config, server_id=0)
+        server = create_server("im-pir", bench_db, config=config, server_id=0)
         client = PIRClient(bench_db.num_records, bench_db.record_size, seed=clusters, prg=make_prg("numpy"))
         queries = [client.query(i * 13 % bench_db.num_records)[0] for i in range(8)]
         result = benchmark(server.answer_batch, queries)

@@ -12,8 +12,8 @@ import pytest
 from repro.bench import paper_reference as paper
 from repro.bench.figures import fig12_gpu_comparison
 from repro.bench.reporting import render_fig12
+from repro.core.engine import create_server
 from repro.dpf.prf import make_prg
-from repro.gpu.gpu_pir import GPUPIRServer
 from repro.pir.client import PIRClient
 
 
@@ -35,15 +35,18 @@ class TestRegenerateFigure12:
 
 class TestFunctionalGPUBaseline:
     def test_gpu_server_batch(self, benchmark, bench_db):
-        server = GPUPIRServer(bench_db, server_id=0, prg=make_prg("numpy"))
+        server = create_server("gpu", bench_db, server_id=0, prg=make_prg("numpy"))
         client = PIRClient(bench_db.num_records, bench_db.record_size, seed=4, prg=make_prg("numpy"))
         queries = [client.query(i * 19 % bench_db.num_records)[0] for i in range(8)]
         result = benchmark(server.answer_batch, queries)
         assert len(result.answers) == 8
 
     def test_gpu_single_query_breakdown(self, benchmark, bench_db):
-        server = GPUPIRServer(bench_db, server_id=0, prg=make_prg("numpy"))
+        server = create_server("gpu", bench_db, server_id=0, prg=make_prg("numpy"))
         client = PIRClient(bench_db.num_records, bench_db.record_size, seed=5, prg=make_prg("numpy"))
         query = client.query(99)[0]
-        result = benchmark(server.answer_with_breakdown, query)
-        assert result.latency_seconds > 0
+        benchmark(server.answer, query)
+        breakdown = server.backend.model.single_query_breakdown(
+            bench_db.num_records, bench_db.record_size
+        )
+        assert breakdown.total > 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.impir import IMPIRServer
+from repro.core.engine import create_server
 from repro.dpf.dpf import DPF
 from repro.dpf.naive import NaiveXorQueryScheme
 from repro.dpf.prf import make_prg
@@ -53,7 +53,9 @@ class TestEndToEnd:
         assert record == bench_db.record(2222)
 
     def test_impir_preload(self, benchmark, bench_db, bench_impir_config):
-        result = benchmark(IMPIRServer, bench_db, config=bench_impir_config, server_id=0)
+        result = benchmark(
+            create_server, "im-pir", bench_db, config=bench_impir_config, server_id=0
+        )
         assert result.preload_report is not None
 
     def test_client_query_generation(self, benchmark, bench_db):

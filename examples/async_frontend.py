@@ -25,12 +25,12 @@ import asyncio
 import time
 
 from repro.common.units import format_seconds
+from repro.core.engine import create_server
 from repro.dpf.prf import make_prg
 from repro.pir.async_frontend import AsyncPIRFrontend
 from repro.pir.client import PIRClient
 from repro.pir.database import Database
 from repro.pir.frontend import BatchingPolicy, PIRFrontend
-from repro.shard import ShardedServer
 
 
 class RecordingReplica:
@@ -57,7 +57,7 @@ def make_client(database: Database, seed: int) -> PIRClient:
 
 
 def make_fleets(database: Database):
-    return [ShardedServer(database, server_id=i, num_shards=4) for i in (0, 1)]
+    return [create_server("sharded", database, server_id=i, num_shards=4) for i in (0, 1)]
 
 
 def main() -> None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro import IMPIRConfig
 from repro.common.units import format_seconds
-from repro.core.impir import IMPIRServer
+from repro.core.engine import create_server
 from repro.dpf.prf import make_prg
 from repro.pim.config import scaled_down_config
 from repro.pir.client import PIRClient
@@ -35,7 +35,7 @@ def main() -> None:
 
     # Two replicas operated by independent parties (simulated PIM platforms).
     config = IMPIRConfig(pim=scaled_down_config(num_dpus=8, tasklets=4), num_clusters=2)
-    servers = [IMPIRServer(database, config=config, server_id=i) for i in (0, 1)]
+    servers = [create_server("im-pir", database, config=config, server_id=i) for i in (0, 1)]
     client = PIRClient(
         num_records=database.num_records,
         record_size=database.record_size,

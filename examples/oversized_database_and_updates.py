@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from repro import Database, IMPIRConfig
 from repro.common.units import format_seconds
-from repro.core.impir import IMPIRServer
-from repro.core.streaming import StreamedIMPIRServer, streaming_overhead_factor
+from repro.core.engine import create_server
+from repro.core.streaming import streaming_overhead_factor
 from repro.dpf.prf import make_prg
 from repro.pim.config import scaled_down_config
 from repro.pir.client import PIRClient
@@ -39,16 +39,18 @@ def main() -> None:
     query = client.query(index)[0]
 
     # --- preloaded vs streamed -----------------------------------------------------
-    preloaded = IMPIRServer(database, config=config, server_id=0)
+    preloaded = create_server("im-pir", database, config=config, server_id=0)
     preloaded_result = preloaded.answer(query)
 
-    streamed = StreamedIMPIRServer(database, config=config, server_id=0, segment_records=4096)
+    streamed = create_server(
+        "im-pir-streamed", database, config=config, server_id=0, segment_records=4096
+    )
     streamed_result = streamed.answer(query)
 
     assert preloaded_result.answer.payload == streamed_result.answer.payload
     print("preloaded vs streamed execution of the same query (simulated):")
     print(f"  preloaded (DB resident in MRAM): {format_seconds(preloaded_result.latency_seconds)}")
-    print(f"  streamed  ({streamed.num_segments} segments per query): "
+    print(f"  streamed  ({streamed.backend.num_segments} segments per query): "
           f"{format_seconds(streamed_result.latency_seconds)}")
     print(f"  penalty: {streamed_result.latency_seconds / preloaded_result.latency_seconds:.1f}x, "
           f"{streaming_overhead_factor(streamed_result) * 100:.0f}% of the streamed query "

@@ -53,11 +53,11 @@ def main() -> None:
     print(f"  {'total':>16}: {format_seconds(result.latency_seconds):>12}")
 
     # --- a batch of queries through the batching frontend ---------------------------
-    # retrieve_batch goes through the PIRFrontend: requests aggregate under the
-    # batching policy, fan out to both replicas' Fig. 8 pipelines, and the
-    # answers are re-paired by request id before reconstruction.
+    # The deployment's PIRFrontend: requests aggregate under the batching
+    # policy, fan out to both replicas' Fig. 8 pipelines, and the answers are
+    # re-paired by request id before reconstruction.
     indices = [1, 17, 4242, 8000, 8191]
-    records = deployment.retrieve_batch(indices)
+    records = deployment.frontend.retrieve_batch(indices)
     assert all(rec == database.record(i) for rec, i in zip(records, indices))
     metrics = deployment.frontend.metrics
     print(f"\nfrontend batch of {len(indices)}: "

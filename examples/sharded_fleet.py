@@ -4,8 +4,9 @@
 PR 1 unified the five server variants behind one engine; this example climbs
 one more layer.  A :class:`~repro.shard.plan.ShardPlan` partitions the
 database into contiguous block-aligned shards, a
-:class:`~repro.shard.backend.ShardedServer` composes one child backend per
-shard behind the ordinary ``PIRBackend`` protocol, and a
+:class:`~repro.shard.backend.ShardedBackend` composes one child backend per
+shard behind the ordinary ``PIRBackend`` protocol (``create_server("sharded",
+...)`` builds a server over one), and a
 :class:`~repro.shard.fleet.FleetRouter` turns each of the two privacy
 replicas into a *fleet* whose shards land on the cheapest capable backend
 kind — hot shards on preloaded PIM, cold shards on streamed IM-PIR.
@@ -35,7 +36,6 @@ from repro.shard import (
     BARE_BACKEND_KINDS,
     FleetRouter,
     ShardPlan,
-    ShardedServer,
     heats_from_trace,
     render_placements,
 )
@@ -60,8 +60,8 @@ def main() -> None:
     print("sharded retrieval is bit-identical to the unsharded scan:")
     for kind in BARE_BACKEND_KINDS:
         client = make_client(database, seed=3)
-        sharded = ShardedServer(
-            database, num_shards=3, child_kind=kind, prg=make_prg("numpy")
+        sharded = create_server(
+            "sharded", database, num_shards=3, child_kind=kind, prg=make_prg("numpy")
         )
         query = client.query(index)[0]
         sharded_payload = sharded.engine.answer(query).answer.payload
@@ -102,7 +102,7 @@ def main() -> None:
     # --- 4. updates touch only the owning shard -----------------------------------
     fleet = router.fleets[0]
     dirty_index = 42  # owned by shard 0
-    owner = fleet.shard_for_record(dirty_index)
+    owner = fleet.backend.plan.shard_for_record(dirty_index)
     timer = fleet.apply_updates([(dirty_index, b"\x5a" * database.record_size)])
     print(
         f"\nbulk update of record {dirty_index}: shard {owner.index} re-copied "

@@ -28,11 +28,12 @@ Run:  python examples/topology_reshape.py
 from __future__ import annotations
 
 from repro.control import HeatTracker, controlled_fleet
+from repro.core.engine import create_server
 from repro.dpf.prf import make_prg
 from repro.pir.client import PIRClient
 from repro.pir.database import Database
 from repro.pir.frontend import BatchingPolicy, PIRFrontend
-from repro.shard import ShardPlan, ShardedServer, bare_backend_factory, heats_from_trace
+from repro.shard import ShardPlan, heats_from_trace
 from repro.workloads.traces import zipf_trace
 
 
@@ -64,11 +65,11 @@ def main() -> None:
 
     # --- 2. the atomic swap keeps retrievals bit-identical ---------------------------
     replicas = [
-        ShardedServer(
+        create_server(
+            "sharded",
             database,
             server_id=i,
             plan=plan,
-            child_factory=bare_backend_factory("reference"),
         )
         for i in (0, 1)
     ]
@@ -80,13 +81,13 @@ def main() -> None:
     probe = [0, 63, 64, 511]
     before = frontend.retrieve_batch(probe)
     for replica in replicas:
-        replica.apply_topology(replica.plan.split_shard(0, 64))
+        replica.backend.apply_topology(replica.backend.plan.split_shard(0, 64))
     after = frontend.retrieve_batch(probe)
     assert before == after == [database.record(i) for i in probe]
     print(
         f"\nlive split applied to both replica fleets: {len(probe)} probes "
-        f"bit-identical across the swap (plan v{replicas[0].plan.version}, "
-        f"{replicas[0].num_shards} shards)"
+        f"bit-identical across the swap (plan v{replicas[0].backend.plan.version}, "
+        f"{replicas[0].backend.plan.num_shards} shards)"
     )
 
     # --- 3. heat survives a reshape ---------------------------------------------------

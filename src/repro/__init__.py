@@ -19,10 +19,10 @@ True
 Sub-packages:
 
 * :mod:`repro.dpf` — distributed point functions (GGM tree, traversals, PRGs)
-* :mod:`repro.pir` — the multi-server PIR protocol and reference server
+* :mod:`repro.pir` — the multi-server PIR protocol and the server
 * :mod:`repro.pim` — the UPMEM PIM simulator (DPUs, MRAM/WRAM, kernels, timing)
-* :mod:`repro.cpu`, :mod:`repro.gpu` — the processor-centric baselines
-* :mod:`repro.core` — IM-PIR itself (partitioning, scheduling, the server)
+* :mod:`repro.cpu`, :mod:`repro.gpu` — the baselines' cost models
+* :mod:`repro.core` — IM-PIR itself (engine, partitioning, scheduling, backends)
 * :mod:`repro.shard` — sharding: shard plans, replica fleets, placement
 * :mod:`repro.analysis` — roofline, breakdowns, speedup reporting
 * :mod:`repro.workloads` — synthetic hash-record databases and query traces
@@ -31,11 +31,9 @@ Sub-packages:
 
 from repro.core.config import IMPIRConfig
 from repro.core.engine import QueryEngine, available_backends, create_server
-from repro.core.impir import IMPIRDeployment, IMPIRServer
+from repro.core.impir import IMPIRDeployment
 from repro.core.results import IMPIRBatchResult, IMPIRQueryResult
-from repro.cpu.cpu_pir import CPUPIRServer
 from repro.dpf.dpf import DPF, DPFKey
-from repro.gpu.gpu_pir import GPUPIRServer
 from repro.pim.config import PIMConfig
 from repro.pim.system import UPMEMSystem
 from repro.pir.client import PIRClient
@@ -43,7 +41,7 @@ from repro.pir.database import Database
 from repro.pir.frontend import AdaptiveBatchingPolicy, BatchingPolicy, PIRFrontend
 from repro.pir.protocol import MultiServerPIRProtocol
 from repro.pir.server import PIRServer
-from repro.shard import FleetRouter, ShardPlan, ShardedServer
+from repro.shard import FleetRouter, ShardPlan
 
 __version__ = "1.0.0"
 
@@ -57,15 +55,11 @@ __all__ = [
     "PIRFrontend",
     "FleetRouter",
     "ShardPlan",
-    "ShardedServer",
     "IMPIRDeployment",
-    "IMPIRServer",
     "IMPIRBatchResult",
     "IMPIRQueryResult",
-    "CPUPIRServer",
     "DPF",
     "DPFKey",
-    "GPUPIRServer",
     "PIMConfig",
     "UPMEMSystem",
     "PIRClient",

@@ -517,13 +517,10 @@ class _LatencyFault:
             for item in result.results:
                 answer = item.answer
                 base = answer.simulated_seconds
-                if base is None and item.breakdown is not None:
+                if base is None:
                     base = item.breakdown.total
-                item.answer = replace(
-                    answer, simulated_seconds=(base or 0.0) + penalty
-                )
-                if item.breakdown is not None:
-                    item.breakdown.record("induced_stall", penalty)
+                item.answer = replace(answer, simulated_seconds=base + penalty)
+                item.breakdown.record("induced_stall", penalty)
         return result
 
 

@@ -452,7 +452,7 @@ class Rebalancer:
                 ),
             )
             for fleet in router.fleets:
-                fleet.swap_child(shard_index, factory(placement.shard))
+                fleet.backend.swap_child(shard_index, factory(placement.shard))
             report.migrations.append(
                 ShardMigration(
                     shard=placement.shard,

@@ -1,8 +1,10 @@
-"""IM-PIR core: configuration, partitioning, scheduling, the server itself."""
+"""IM-PIR core: configuration, partitioning, scheduling, the query engine and
+the PIM backends every server kind is built from."""
 
 from repro.core.config import DEFAULT_BLOCKS_PER_LEAF, IMPIRConfig
 from repro.core.engine import (
     BackendCapabilities,
+    HostModelBackend,
     PIRBackend,
     QueryEngine,
     ReferenceBackend,
@@ -11,7 +13,7 @@ from repro.core.engine import (
     create_server,
     register_backend,
 )
-from repro.core.impir import IMPIRDeployment, IMPIRServer
+from repro.core.impir import IMPIRDeployment, PIMClusterBackend
 from repro.core.partitioning import (
     DatabasePartitioner,
     PartitionLayout,
@@ -30,7 +32,7 @@ from repro.core.results import (
 from repro.core.scheduler import BatchSchedule, BatchScheduler, QueryTask, ScheduledQuery
 from repro.core.streaming import (
     PHASE_COPY_DB,
-    StreamedIMPIRServer,
+    StreamedPIMBackend,
     streaming_overhead_factor,
 )
 
@@ -38,6 +40,7 @@ __all__ = [
     "DEFAULT_BLOCKS_PER_LEAF",
     "IMPIRConfig",
     "BackendCapabilities",
+    "HostModelBackend",
     "PIRBackend",
     "QueryEngine",
     "ReferenceBackend",
@@ -46,7 +49,7 @@ __all__ = [
     "create_server",
     "register_backend",
     "IMPIRDeployment",
-    "IMPIRServer",
+    "PIMClusterBackend",
     "DatabasePartitioner",
     "PartitionLayout",
     "fold_partials",
@@ -63,6 +66,6 @@ __all__ = [
     "QueryTask",
     "ScheduledQuery",
     "PHASE_COPY_DB",
-    "StreamedIMPIRServer",
+    "StreamedPIMBackend",
     "streaming_overhead_factor",
 ]

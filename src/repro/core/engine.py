@@ -1,19 +1,21 @@
 """Unified query-execution engine shared by every PIR server variant.
 
-Before this module existed, the five server implementations (reference,
-CPU-PIR, GPU-PIR, IM-PIR, streamed IM-PIR) each carried their own copy of the
-protocol-shaped logic: query validation, host-side DPF key evaluation,
-selector generation, answer assembly and phase bookkeeping.  The engine owns
-all of that exactly once; what remains per variant is a :class:`PIRBackend` —
-the architecture-specific execution substrate that scans the prepared
-database under a batch of selector vectors and charges simulated time to
-each query's :class:`~repro.common.events.PhaseTimer`.
+The reference scan, CPU-PIR, GPU-PIR, IM-PIR, streamed IM-PIR and the
+sharded fleet all run the same server (Algorithm 1): evaluate the DPF keys on
+the host, dpXOR the database under the selector shares, return an XOR share.
+The engine owns that protocol-shaped logic exactly once — query validation,
+host-side DPF key evaluation, selector generation, answer assembly and phase
+bookkeeping.  What differs per variant is a :class:`PIRBackend`: the
+architecture-specific execution substrate that scans the prepared database
+under a batch of selector vectors, charges simulated time to each query's
+:class:`~repro.common.events.PhaseTimer` and prices the batch's makespan.
 
 Layering (bottom-up)::
 
     PIRBackend        "where the dpXOR runs": prepare(db) + execute_many(selectors)
+                      + its cost model (eval seconds, batch makespan)
     QueryEngine       the protocol: validate -> eval keys -> execute_many -> answers
-    server facades    PIRServer / IMPIRServer / ... : public API + cost models
+    PIRServer         one replica: engine + backend + stats (repro.pir.server)
     PIRFrontend       request batching/routing across replicas (repro.pir.frontend)
 
 Backends advertise :class:`BackendCapabilities` (execution lanes, batch
@@ -21,9 +23,10 @@ workers, capacity) which the engine uses to drive the
 :class:`~repro.core.scheduler.BatchScheduler` for batch mode, and which the
 frontend uses to size its batching policy.
 
-A small registry maps backend names to server builders so the equivalence
-test-suite, the CLI smoke target and the examples can iterate over every
-variant through one code path.
+A small registry maps backend names to builders of that one
+:class:`~repro.pir.server.PIRServer` class, so the equivalence test-suite,
+the CLI smoke target and the examples iterate over every variant through one
+code path.
 """
 
 from __future__ import annotations
@@ -130,6 +133,29 @@ class PIRBackend(ABC):
     def batch_eval_seconds(self, num_records: int) -> float:
         """Simulated host DPF-eval time in batch mode (one worker thread)."""
         return 0.0
+
+    def batch_makespan(self, breakdowns: Sequence[PhaseTimer]) -> Optional[float]:
+        """Simulated makespan of a served batch, when it is not the pipeline's.
+
+        ``None`` — the default — means the batch ran through the Fig. 8
+        worker/lane pipeline: its makespan is the engine's
+        :class:`~repro.core.scheduler.BatchSchedule` makespan, and that
+        schedule's cluster utilisation is what an adaptive batching policy
+        steers on.  A backend that does not pipeline its queries returns its
+        own makespan from the batch's per-query ``breakdowns`` (or from a cost
+        model), and the batch then reports no schedule.
+        """
+        return None
+
+    def apply_updates(self, database: Database, dirty_indices: Sequence[int]) -> PhaseTimer:
+        """Swap in an updated database whose ``dirty_indices`` changed.
+
+        The default re-prepares the whole database; backends holding
+        partitioned execution memory override it to re-copy only what the
+        dirty records touch.  Returns the update's simulated cost.
+        """
+        report = self.prepare(database)
+        return report if report is not None else PhaseTimer()
 
 
 class QueryEngine:
@@ -304,7 +330,8 @@ class QueryEngine:
 
         Queries run round-robin over the backend's lanes; the simulated
         makespan comes from the :class:`BatchScheduler` fed with each query's
-        measured stage durations.
+        measured stage durations, unless the backend prices the batch itself
+        (:meth:`PIRBackend.batch_makespan`).
 
         The whole flush goes through the batched fast path: one
         :meth:`selector_matrix` eval sweep and one
@@ -316,7 +343,6 @@ class QueryEngine:
         caps = self.backend.capabilities()
         for query in queries:
             self.validate(query, caps)
-        scheduler = batch_scheduler_for(caps, len(queries))
         eval_seconds = self.backend.batch_eval_seconds(self.database.num_records)
 
         lanes = [position % max(1, caps.lanes) for position in range(len(queries))]
@@ -328,30 +354,33 @@ class QueryEngine:
         payloads = self.backend.execute_many(selectors, breakdowns, lanes)
         self._recycle_selector_matrix(selectors)
 
-        results: List[IMPIRQueryResult] = []
-        tasks: List[QueryTask] = []
-        for position, query in enumerate(queries):
-            breakdown = breakdowns[position]
-            results.append(
-                self._assemble(query, payloads[position], breakdown, lanes[position])
+        results = [
+            self._assemble(query, payloads[position], breakdowns[position], lanes[position])
+            for position, query in enumerate(queries)
+        ]
+        schedule = None
+        makespan = self.backend.batch_makespan(breakdowns)
+        if makespan is None:
+            schedule = batch_scheduler_for(caps, len(queries)).schedule(
+                [
+                    QueryTask(
+                        query_id=query.query_id,
+                        eval_seconds=breakdown.get(PHASE_EVAL),
+                        dpu_seconds=breakdown.total - breakdown.get(PHASE_EVAL),
+                    )
+                    for query, breakdown in zip(queries, breakdowns)
+                ]
             )
-            tasks.append(
-                QueryTask(
-                    query_id=query.query_id,
-                    eval_seconds=breakdown.get(PHASE_EVAL),
-                    dpu_seconds=breakdown.total - breakdown.get(PHASE_EVAL),
-                )
-            )
-        schedule = scheduler.schedule(tasks)
+            makespan = schedule.makespan
         if self.events is not None:
             self.events.emit(
                 "engine.batch",
                 server=self.server_id,
                 batch=len(queries),
                 eval_seconds=eval_seconds,
-                makespan=schedule.makespan,
+                makespan=makespan,
             )
-        return IMPIRBatchResult(results=results, schedule=schedule)
+        return IMPIRBatchResult(results=results, schedule=schedule, latency_seconds=makespan)
 
     # -- answer assembly ------------------------------------------------------------
 
@@ -370,6 +399,12 @@ class QueryEngine:
         return IMPIRQueryResult(answer=answer, breakdown=breakdown, cluster_id=lane)
 
 
+def sequential_makespan(breakdowns: Sequence[PhaseTimer]) -> float:
+    """Makespan of a batch whose queries run one after another: the sum of
+    their totals, in batch order."""
+    return sum((breakdown.total for breakdown in breakdowns), 0.0)
+
+
 def batch_scheduler_for(caps: BackendCapabilities, batch_size: int) -> BatchScheduler:
     """The Fig. 8 pipeline scheduler sized for a backend and batch.
 
@@ -384,8 +419,9 @@ def batch_scheduler_for(caps: BackendCapabilities, batch_size: int) -> BatchSche
 class ReferenceBackend(PIRBackend):
     """Plain-numpy full scan: the functional oracle every variant must match.
 
-    Also the execution substrate of the CPU/GPU baselines, whose cost models
-    change *when* the scan is charged, not *what* is computed.
+    Also the execution substrate of the CPU/GPU baselines
+    (:class:`HostModelBackend`), whose cost models change *when* the scan is
+    charged, not *what* is computed.
     """
 
     def __init__(self, name: str = "reference", dpxor_stats=None) -> None:
@@ -419,23 +455,31 @@ class ReferenceBackend(PIRBackend):
             self._database.records, selector_matrix, stats=self._dpxor_stats
         )
 
-    def scan_many_into(
-        self, selector_matrix: np.ndarray, out: np.ndarray
-    ) -> np.ndarray:
-        """One-pass batched scan straight into a caller-owned accumulator.
+    def batch_makespan(self, breakdowns: Sequence[PhaseTimer]) -> Optional[float]:
+        # 0.0: the reference scan charges nothing.
+        return sequential_makespan(breakdowns)
 
-        The sharded backend's hot path: each shard's column block is
-        scanned into its preallocated slab of the fleet-wide accumulator
-        with no per-query Python and no allocation (see
-        ``ShardedBackend.execute_many``).  Stats are charged exactly like
-        :meth:`execute_many`.
-        """
-        return dpxor_many(
-            self._database.records,
-            selector_matrix,
-            stats=self._dpxor_stats,
-            out=out,
-        )
+
+class HostModelBackend(ReferenceBackend):
+    """The reference scan priced by a CPU-PIR or GPU-PIR cost model.
+
+    ``model`` is a :class:`~repro.cpu.model.CPUModel` or
+    :class:`~repro.gpu.model.GPUModel`: answers stay untimed (the functional
+    scan is the reference one), and a batch's makespan is the model's
+    batch-mode estimate for the prepared database shape (Fig. 9/12).  The
+    latency-mode breakdown (Fig. 10) is read from ``model`` directly.
+    """
+
+    def __init__(self, name: str, model, dpxor_stats=None) -> None:
+        super().__init__(name, dpxor_stats=dpxor_stats)
+        self.model = model
+
+    def batch_makespan(self, breakdowns: Sequence[PhaseTimer]) -> Optional[float]:
+        return self.model.batch_estimate(
+            self._database.num_records,
+            self._database.record_size,
+            batch_size=len(breakdowns),
+        ).latency_seconds
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +498,21 @@ def register_backend(name: str, builder: ServerBuilder) -> ServerBuilder:
     return builder
 
 
+def require_two_servers(server_id: int) -> None:
+    """IM-PIR is the two-server protocol: ``server_id`` must be 0 or 1."""
+    if server_id not in (0, 1):
+        raise ProtocolError("IM-PIR is a two-server deployment; server_id must be 0 or 1")
+
+
 def _ensure_default_backends() -> None:
     """Populate the registry with the shipped variants (exactly once).
 
-    The five single-machine servers plus the composed ``sharded`` variant
-    (a :class:`~repro.shard.backend.ShardedServer` over reference children).
+    Six kinds, each a :class:`~repro.pir.server.PIRServer` over its own
+    backend: the five single-machine substrates plus the composed
+    ``sharded`` fleet (a :class:`~repro.shard.backend.ShardedBackend` over
+    reference children by default).
 
-    Imports happen lazily here (not at module import) because the server
+    Imports happen lazily here (not at module import) because the backend
     modules themselves depend on this module.  User registrations made
     before the first lookup are kept — defaults never clobber them.
     """
@@ -469,13 +521,15 @@ def _ensure_default_backends() -> None:
         return
     _defaults_loaded = True
     from repro.core.config import IMPIRConfig
-    from repro.core.impir import IMPIRServer
-    from repro.core.streaming import StreamedIMPIRServer
-    from repro.cpu.cpu_pir import CPUPIRServer
+    from repro.core.impir import PIMClusterBackend
+    from repro.core.streaming import StreamedPIMBackend
+    from repro.cpu.model import CPUModel
     from repro.dpf.prf import make_prg
-    from repro.gpu.gpu_pir import GPUPIRServer
+    from repro.gpu.model import GPUModel
     from repro.pim.config import scaled_down_config
-    from repro.pir.server import PIRServer
+    from repro.pim.system import UPMEMSystem
+    from repro.pir.server import PIRServer, ServerStats
+    from repro.shard.backend import ShardedBackend, bare_backend_factory
 
     def default_config(num_dpus: int = 8, num_clusters: int = 1) -> IMPIRConfig:
         return IMPIRConfig(
@@ -494,35 +548,41 @@ def _ensure_default_backends() -> None:
     def default_prg(prg):
         return prg if prg is not None else make_prg("numpy")
 
+    def host_server(db, server_id, prg, name, model=None):
+        stats = ServerStats()
+        backend = (
+            ReferenceBackend(name, dpxor_stats=stats.dpxor)
+            if model is None
+            else HostModelBackend(name, model, dpxor_stats=stats.dpxor)
+        )
+        return PIRServer(backend, db, server_id, prg=default_prg(prg), stats=stats)
+
     def build_reference(db, server_id=0, prg=None):
-        return PIRServer(db, server_id=server_id, prg=default_prg(prg))
+        return host_server(db, server_id, prg, "reference")
 
     def build_cpu(db, server_id=0, config=None, prg=None):
-        return CPUPIRServer(
-            db, server_id=server_id, config=config, prg=default_prg(prg)
-        )
+        return host_server(db, server_id, prg, "cpu-pir", CPUModel(config))
 
     def build_gpu(db, server_id=0, config=None, prg=None):
-        return GPUPIRServer(
-            db, server_id=server_id, config=config, prg=default_prg(prg)
-        )
+        return host_server(db, server_id, prg, "gpu-pir", GPUModel(config))
 
     def build_impir(db, server_id=0, config=None):
-        return IMPIRServer(
-            db,
-            config=config if config is not None else default_config(),
-            server_id=server_id,
+        require_two_servers(server_id)
+        config = config if config is not None else default_config()
+        backend = PIMClusterBackend(config, UPMEMSystem(config.pim))
+        return PIRServer(
+            backend, db, server_id, prg=make_prg(config.prg_backend)
         )
 
     def build_impir_streamed(db, server_id=0, config=None, segment_records=None):
-        return StreamedIMPIRServer(
-            db,
-            config=config if config is not None else default_config(num_dpus=4),
-            server_id=server_id,
-            segment_records=segment_records,
+        require_two_servers(server_id)
+        config = config if config is not None else default_config(num_dpus=4)
+        backend = StreamedPIMBackend(
+            config, UPMEMSystem(config.pim), segment_records=segment_records
         )
-
-    from repro.shard.backend import ShardedServer
+        return PIRServer(
+            backend, db, server_id, prg=make_prg(config.prg_backend)
+        )
 
     def build_sharded(
         db,
@@ -535,17 +595,15 @@ def _ensure_default_backends() -> None:
         segment_records=None,
         prg=None,
     ):
-        return ShardedServer(
-            db,
-            server_id=server_id,
+        backend = ShardedBackend(
+            bare_backend_factory(
+                child_kind, config=config, segment_records=segment_records
+            ),
             num_shards=num_shards,
-            child_kind=child_kind,
-            block_records=block_records,
             plan=plan,
-            config=config,
-            segment_records=segment_records,
-            prg=default_prg(prg),
+            block_records=block_records,
         )
+        return PIRServer(backend, db, server_id, prg=default_prg(prg))
 
     register_default("reference", build_reference)
     register_default("cpu", build_cpu)
@@ -562,11 +620,15 @@ def available_backends() -> Tuple[str, ...]:
 
 
 def create_server(name: str, database: Database, server_id: int = 0, **kwargs):
-    """Build the server facade registered under ``name``.
+    """Build the :class:`~repro.pir.server.PIRServer` registered under ``name``.
 
-    Every returned server exposes ``.engine`` (a :class:`QueryEngine`), so a
-    query can be answered uniformly via ``server.engine.answer(query)``
-    regardless of the architecture behind it.
+    Every kind returns that one class, differing only in its ``backend``:
+    ``answer`` / ``answer_batch`` return the engine's
+    :class:`~repro.core.results.IMPIRQueryResult` /
+    :class:`~repro.core.results.IMPIRBatchResult`, ``apply_updates`` lands
+    bulk updates, and architecture-specific state (cost models, clusters,
+    segments, shard plans) is read from ``server.backend``.  ``kwargs`` are
+    the kind's own options; an unknown one raises :class:`TypeError`.
     """
     _ensure_default_backends()
     try:

@@ -1,7 +1,8 @@
 """The IM-PIR server: PIM-accelerated multi-server PIR (paper §3, Algorithm 1).
 
-One :class:`IMPIRServer` plays the role of a single database replica in the
-two-server protocol.  Its responsibilities, following Figure 5:
+One IM-PIR server (``create_server("im-pir", ...)``) plays the role of a
+single database replica in the two-server protocol.  Its responsibilities,
+following Figure 5:
 
 ➋ evaluate the received DPF key over the full database domain on the host CPU
    (AES-NI in the paper; a numpy PRG functionally here, costed as AES blocks);
@@ -19,8 +20,8 @@ Steps ➌–➏ are charged, not executed: the answer is one
 The protocol half of those steps (validation, key evaluation, answer
 assembly) is supplied by the shared :class:`~repro.core.engine.QueryEngine`;
 this module contributes :class:`PIMClusterBackend` — the DPU-cluster
-execution substrate — and the :class:`IMPIRServer` facade that binds the two
-together with the paper's cost model.
+execution substrate with the paper's cost model — and
+:class:`IMPIRDeployment`, both replicas plus a client wired together.
 
 The database itself is preloaded into MRAM once, ahead of query processing,
 exactly as in the paper (its transfer time is reported separately and not
@@ -30,27 +31,25 @@ charged to queries).  MRAM is capacity and cost state: serving never reads it.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.common.errors import ProtocolError
 from repro.common.events import PhaseTimer
 from repro.core.config import IMPIRConfig
-from repro.core.engine import BackendCapabilities, PIRBackend, QueryEngine
+from repro.core.engine import BackendCapabilities, PIRBackend, create_server
 from repro.core.partitioning import (
     DatabasePartitioner,
     PartitionLayout,
     reset_pipeline_buffers,
     run_dpu_pipeline_many,
 )
-from repro.core.results import PHASE_AGGREGATE, IMPIRBatchResult, IMPIRQueryResult
+from repro.core.results import PHASE_AGGREGATE
 from repro.dpf.prf import make_prg
 from repro.pim.cluster import DPUCluster, make_clusters
 from repro.pim.kernels import DB_BUFFER, DpXorManyKernel
 from repro.pim.system import UPMEMSystem
 from repro.pir.database import Database
-from repro.pir.messages import DPFQuery
 from repro.pir.xor_ops import dpxor_many
 
 #: Phase name under which partial MRAM re-transfers of bulk updates are billed.
@@ -197,7 +196,7 @@ class PIMClusterBackend(PIRBackend):
                 timer.record(PHASE_AGGREGATE, aggregate_seconds)
         return out
 
-    # -- public views for the facade ----------------------------------------------
+    # -- cluster views and capacity checks ------------------------------------------
 
     @property
     def clusters(self) -> List[DPUCluster]:
@@ -205,7 +204,7 @@ class PIMClusterBackend(PIRBackend):
         return self._clusters
 
     def layout_for_lane(self, lane: int) -> PartitionLayout:
-        """Partition layout used by execution lane ``lane``."""
+        """Partition layout used by execution lane (DPU cluster) ``lane``."""
         return self._layouts[lane]
 
     @property
@@ -213,102 +212,12 @@ class PIMClusterBackend(PIRBackend):
         """Aggregate MRAM capacity of the allocated DPU population."""
         return self._dpu_set.mram_capacity_bytes
 
-
-class IMPIRServer:
-    """A PIM-accelerated PIR database server."""
-
-    def __init__(
-        self,
-        database: Database,
-        config: Optional[IMPIRConfig] = None,
-        server_id: int = 0,
-        system: Optional[UPMEMSystem] = None,
-    ) -> None:
-        if server_id not in (0, 1):
-            raise ProtocolError("IM-PIR is a two-server deployment; server_id must be 0 or 1")
-        self.config = config if config is not None else IMPIRConfig()
-        self.server_id = server_id
-        self.system = system if system is not None else UPMEMSystem(self.config.pim)
-        self.timing = self.system.timing
-        self.backend = PIMClusterBackend(self.config, self.system)
-        self.engine = QueryEngine(
-            self.backend, server_id=server_id, prg=make_prg(self.config.prg_backend)
-        )
-        self.engine.prepare(database)
-
-    @property
-    def database(self) -> Database:
-        """The replica's current database snapshot."""
-        return self.engine.database
-
-    @property
-    def preload_report(self) -> Optional[PhaseTimer]:
-        """Simulated cost of the initial MRAM preload (not charged to queries)."""
-        return self.engine.preload_report
-
-    @property
-    def num_clusters(self) -> int:
-        """Number of DPU clusters serving queries."""
-        return len(self.backend.clusters)
-
-    @property
-    def clusters(self) -> List[DPUCluster]:
-        """The clusters themselves (read-only use intended)."""
-        return self.backend.clusters
-
-    def layout_for_cluster(self, cluster_index: int) -> PartitionLayout:
-        """Partition layout used by cluster ``cluster_index``."""
-        return self.backend.layout_for_lane(cluster_index)
-
-    # -- single-query path (latency mode, Fig. 10) ----------------------------------------
-
-    def answer(self, query: DPFQuery, cluster_index: int = 0) -> IMPIRQueryResult:
-        """Answer one query, parallelising its evaluation across the whole host.
-
-        This is the paper's latency-mode measurement: one query at a time, DPF
-        evaluation spread over every host thread, dpXOR on the chosen cluster.
-        """
-        return self.engine.answer(query, lane=cluster_index)
-
-    # -- batch path (throughput mode, Fig. 9/11) --------------------------------------------
-
-    def answer_batch(self, queries: Sequence[DPFQuery]) -> IMPIRBatchResult:
-        """Answer a batch of queries through the worker/cluster pipeline of Fig. 8.
-
-        Functionally each query is executed on the cluster the scheduler picks;
-        the simulated makespan comes from the same scheduler fed with the
-        measured per-query stage durations.
-        """
-        return self.engine.answer_many(queries)
-
-    # -- bulk database updates (paper §3.3) ---------------------------------------------------
-
-    def apply_updates(self, updates: Iterable[Tuple[int, bytes]]) -> PhaseTimer:
-        """Apply ``(index, record_bytes)`` updates to the replica in place.
-
-        The paper's update model: DPUs serve queries on a stable snapshot and
-        the host applies bulk updates during idle windows, re-copying only the
-        affected MRAM blocks.  The returned timer reports the simulated cost
-        of those partial re-transfers (phase ``"update_copy"``), which is what
-        gets amortised across the idle window.
-        """
-        updates = list(updates)
-        if not updates:
-            return PhaseTimer()
-        new_database = self.database.with_updates(updates)
-        dirty_indices = sorted({index for index, _ in updates})
-        timer = self.backend.apply_updates(new_database, dirty_indices)
-        self.engine.database = new_database
-        return timer
-
-    # -- capacity/diagnostic helpers -------------------------------------------------------
-
     def mram_utilization(self) -> float:
         """Fraction of the allocated DPUs' MRAM occupied by the database."""
-        capacity = self.backend.mram_capacity_bytes
+        capacity = self.mram_capacity_bytes
         if capacity == 0:
             return 0.0
-        return self.database.size_bytes * self.num_clusters / capacity
+        return self.database.size_bytes * len(self._clusters) / capacity
 
     def can_cluster(self, num_clusters: int) -> bool:
         """Whether ``num_clusters`` clusters could each hold the full database."""
@@ -327,9 +236,9 @@ class IMPIRDeployment:
 
     A convenience for examples and integration tests: real deployments place
     the two servers in different trust domains, but the message flow is the
-    same.  Batched retrieval goes through a :class:`~repro.pir.frontend.PIRFrontend`,
-    which aggregates requests under a batching policy and pairs the replicas'
-    answers by explicit request id.
+    same.  Batched retrieval goes through ``frontend`` (a
+    :class:`~repro.pir.frontend.PIRFrontend`), which aggregates requests under
+    a batching policy and pairs the replicas' answers by explicit request id.
     """
 
     def __init__(
@@ -344,8 +253,8 @@ class IMPIRDeployment:
         self.database = database
         self.config = config if config is not None else IMPIRConfig()
         self.servers = [
-            IMPIRServer(database, config=self.config, server_id=0),
-            IMPIRServer(database, config=self.config, server_id=1),
+            create_server("im-pir", database, server_id=server_id, config=self.config)
+            for server_id in (0, 1)
         ]
         self.client = PIRClient(
             num_records=database.num_records,
@@ -369,7 +278,3 @@ class IMPIRDeployment:
         queries = self.client.query(index)
         answers = [self.servers[q.server_id].answer(q).answer for q in queries]
         return self.client.reconstruct(answers)
-
-    def retrieve_batch(self, indices: Sequence[int]) -> List[bytes]:
-        """Retrieve several records through the batching frontend."""
-        return self.frontend.retrieve_batch(indices)

@@ -1,9 +1,9 @@
-"""Result containers returned by the IM-PIR server."""
+"""Result containers returned by every server's query engine."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.common.events import PhaseTimer
 from repro.core.scheduler import BatchSchedule
@@ -48,10 +48,19 @@ class IMPIRQueryResult:
 
 @dataclass
 class IMPIRBatchResult:
-    """A batch of answers plus the pipeline schedule that produced them."""
+    """A batch of answers plus the simulated makespan that produced them.
+
+    ``schedule`` is the Fig. 8 worker/lane timeline when the backend runs the
+    batch through that pipeline (its makespan is ``latency_seconds`` and its
+    cluster utilisation steers an adaptive batching policy), and ``None``
+    when the backend prices the batch some other way (see
+    :meth:`repro.core.engine.PIRBackend.batch_makespan`).
+    """
 
     results: List[IMPIRQueryResult] = field(default_factory=list)
-    schedule: BatchSchedule = field(default_factory=BatchSchedule)
+    schedule: Optional[BatchSchedule] = None
+    #: Simulated makespan of the whole batch.
+    latency_seconds: float = 0.0
 
     @property
     def answers(self) -> List[PIRAnswer]:
@@ -64,14 +73,10 @@ class IMPIRBatchResult:
         return len(self.results)
 
     @property
-    def latency_seconds(self) -> float:
-        """Simulated makespan of the whole batch."""
-        return self.schedule.makespan
-
-    @property
     def throughput_qps(self) -> float:
         """Queries per simulated second."""
-        return self.schedule.throughput_qps
+        span = self.latency_seconds
+        return len(self.results) / span if span > 0 else float("inf")
 
     def mean_breakdown(self) -> PhaseTimer:
         """Average per-query phase breakdown across the batch."""

@@ -30,10 +30,10 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.common.errors import CapacityError, ProtocolError
+from repro.common.errors import CapacityError
 from repro.common.events import PhaseTimer
 from repro.core.config import IMPIRConfig
-from repro.core.engine import BackendCapabilities, PIRBackend, QueryEngine
+from repro.core.engine import BackendCapabilities, PIRBackend, sequential_makespan
 from repro.core.partitioning import (
     DatabasePartitioner,
     PartitionLayout,
@@ -41,11 +41,9 @@ from repro.core.partitioning import (
     run_dpu_pipeline_many,
 )
 from repro.core.results import PHASE_AGGREGATE, IMPIRQueryResult
-from repro.dpf.prf import make_prg
 from repro.pim.kernels import DpXorManyKernel
 from repro.pim.system import UPMEMSystem
 from repro.pir.database import Database
-from repro.pir.messages import DPFQuery
 from repro.pir.xor_ops import dpxor_many
 
 #: Phase name for the per-query database-segment transfers (streamed mode only).
@@ -156,6 +154,10 @@ class StreamedPIMBackend(PIRBackend):
         # batch mode evaluates exactly like latency mode.
         return self.latency_eval_seconds(num_records)
 
+    def batch_makespan(self, breakdowns: Sequence[PhaseTimer]) -> Optional[float]:
+        # No cluster pipeline: the streamed passes run one query at a time.
+        return sequential_makespan(breakdowns)
+
     # -- the multi-pass dpXOR ----------------------------------------------------------
 
     def execute_many(
@@ -192,60 +194,6 @@ class StreamedPIMBackend(PIRBackend):
         for breakdown in breakdowns:
             breakdown.record(PHASE_AGGREGATE, aggregate_seconds)
         return dpxor_many(self.database.records, selector_bits_matrix)
-
-
-class StreamedIMPIRServer:
-    """IM-PIR server answering queries over a database that exceeds MRAM.
-
-    ``segment_records`` controls how many records each pass processes; by
-    default it is sized so a segment fills the usable fraction of the DPU
-    population's MRAM.
-    """
-
-    def __init__(
-        self,
-        database: Database,
-        config: Optional[IMPIRConfig] = None,
-        server_id: int = 0,
-        segment_records: Optional[int] = None,
-        system: Optional[UPMEMSystem] = None,
-    ) -> None:
-        if server_id not in (0, 1):
-            raise ProtocolError("IM-PIR is a two-server deployment; server_id must be 0 or 1")
-        self.config = config if config is not None else IMPIRConfig()
-        self.server_id = server_id
-        self.system = system if system is not None else UPMEMSystem(self.config.pim)
-        self.timing = self.system.timing
-        self.backend = StreamedPIMBackend(
-            self.config, self.system, segment_records=segment_records
-        )
-        self.engine = QueryEngine(
-            self.backend, server_id=server_id, prg=make_prg(self.config.prg_backend)
-        )
-        self.engine.prepare(database)
-
-    @property
-    def database(self) -> Database:
-        """The database this replica streams through its DPUs."""
-        return self.engine.database
-
-    @property
-    def segment_records(self) -> int:
-        """Records processed per streaming pass."""
-        return self.backend.segment_records
-
-    @property
-    def num_segments(self) -> int:
-        """Passes needed to cover the whole database."""
-        return self.backend.num_segments
-
-    def answer(self, query: DPFQuery) -> IMPIRQueryResult:
-        """Answer one query in ``num_segments`` passes over the database."""
-        return self.engine.answer(query)
-
-    def answer_batch(self, queries: Sequence[DPFQuery]) -> List[IMPIRQueryResult]:
-        """Answer a batch sequentially (streamed mode has no cluster pipeline)."""
-        return self.engine.answer_many(queries).results
 
 
 def streaming_overhead_factor(result: IMPIRQueryResult) -> float:

@@ -1,8 +1,11 @@
-"""Processor-centric baseline: cache model, CPU cost model, CPU-PIR server."""
+"""Processor-centric baseline: cache model and the CPU-PIR cost model.
+
+The CPU-PIR server is ``create_server("cpu", ...)``: the reference scan
+priced by :class:`CPUModel` (``server.backend.model``).
+"""
 
 from repro.cpu.cache import BandwidthEstimate, CacheModel
 from repro.cpu.config import CPU_BASELINE_CONFIG, CPUConfig
-from repro.cpu.cpu_pir import CPUBatchResult, CPUPIRServer, CPUQueryResult
 from repro.cpu.model import (
     BLOCKS_PER_LEAF,
     PHASE_DPXOR,
@@ -16,9 +19,6 @@ __all__ = [
     "CacheModel",
     "CPU_BASELINE_CONFIG",
     "CPUConfig",
-    "CPUBatchResult",
-    "CPUPIRServer",
-    "CPUQueryResult",
     "BLOCKS_PER_LEAF",
     "PHASE_DPXOR",
     "PHASE_EVAL",

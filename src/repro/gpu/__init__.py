@@ -1,7 +1,10 @@
-"""GPU-accelerated baseline: GPU cost model and GPU-PIR server."""
+"""GPU-accelerated baseline: the GPU-PIR cost model.
+
+The GPU-PIR server is ``create_server("gpu", ...)``: the reference scan
+priced by :class:`GPUModel` (``server.backend.model``).
+"""
 
 from repro.gpu.config import GPU_BASELINE_CONFIG, GPUConfig
-from repro.gpu.gpu_pir import GPUBatchResult, GPUPIRServer, GPUQueryResult
 from repro.gpu.model import (
     PHASE_DPXOR,
     PHASE_EVAL,
@@ -14,9 +17,6 @@ from repro.gpu.model import (
 __all__ = [
     "GPU_BASELINE_CONFIG",
     "GPUConfig",
-    "GPUBatchResult",
-    "GPUPIRServer",
-    "GPUQueryResult",
     "PHASE_DPXOR",
     "PHASE_EVAL",
     "PHASE_LAUNCH",

@@ -59,7 +59,8 @@ def _request_latencies(observation) -> List[float]:
 
     Scanned requests: the slowest expected replica answer, preferring the
     engine's ``simulated_seconds`` and falling back to the PhaseTimer total,
-    then to the flush makespan when a backend reports neither.  Cache hits
+    then to the flush makespan when a backend charged no phase (the CPU/GPU
+    cost models price only whole batches).  Cache hits
     and dedup followers: 0.0 — they spent no simulated pipeline time.
     """
     fallback = max(observation.makespans, default=0.0)
@@ -74,7 +75,7 @@ def _request_latencies(observation) -> List[float]:
             if detail is None:
                 continue
             seconds = detail.simulated_seconds
-            if seconds is None and detail.breakdown is not None:
+            if seconds is None and detail.breakdown.durations:
                 seconds = detail.breakdown.total
             if seconds is not None:
                 worst = max(worst, float(seconds))
@@ -385,18 +386,14 @@ class ObservabilityHub:
                     continue
                 if detail.simulated_seconds is not None:
                     server.labels["engine_seconds"] = detail.simulated_seconds
-                if detail.breakdown is not None:
-                    server.add_phases(detail.breakdown)
-                    for shard_index, phases in tracer.pop_shard_scans(
-                        detail.breakdown
-                    ):
-                        shard = server.child(
-                            f"shard-{shard_index}", kind=KIND_SHARD, shard=shard_index
-                        )
-                        shard.add_phases(phases)
-                elif detail.simulated_seconds is not None:
-                    # Backends without per-phase breakdowns (CPU analytic
-                    # batches, the reference server) still get a total.
+                server.add_phases(detail.breakdown)
+                for shard_index, phases in tracer.pop_shard_scans(detail.breakdown):
+                    shard = server.child(
+                        f"shard-{shard_index}", kind=KIND_SHARD, shard=shard_index
+                    )
+                    shard.add_phases(phases)
+                if not detail.breakdown.durations and detail.simulated_seconds is not None:
+                    # A backend that charged no phase still gets its total.
                     server.seconds = float(detail.simulated_seconds)
             # Replicas run in parallel: the request costs its slowest server.
             root.seconds = max(

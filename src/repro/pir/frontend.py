@@ -21,8 +21,9 @@ clients and the replica set:
   :class:`~repro.common.errors.ProtocolError` instead of silently
   mis-pairing;
 * **reconstruction** — paired answers are XOR-folded back into records by the
-  client, and scheduling metrics (makespan, throughput) are accumulated from
-  the replicas' :class:`~repro.core.scheduler.BatchSchedule` objects.
+  client, and scheduling metrics (makespan, throughput, cluster utilisation)
+  are accumulated from the replicas'
+  :class:`~repro.core.results.IMPIRBatchResult` objects.
 
 Time is simulated: callers stamp requests with ``arrival_seconds`` (defaults
 to a frontend-local clock) and the max-wait rule triggers deterministically
@@ -204,10 +205,16 @@ class FrontendMetrics:
 class PIRFrontend:
     """Aggregates client requests into batches and routes them to replicas.
 
-    ``replicas`` is one server per ``server_id`` (any of the engine-backed
-    variants); each must expose ``answer_batch``.  The frontend is the only
-    component that sees both replicas' answers, so it is also where the
-    two-out-of-two pairing invariant is enforced.
+    ``replicas`` is one replica per ``server_id``: a
+    :class:`~repro.pir.server.PIRServer` of any kind, or anything with the
+    same surface (a :class:`~repro.shard.fleet.ReplicaGroup`, a test
+    double).  A replica exposes ``server_id`` and ``answer_batch(queries)``
+    returning an :class:`~repro.core.results.IMPIRBatchResult` — its answers,
+    its simulated ``latency_seconds`` and, when the batch ran through the
+    Fig. 8 pipeline, the ``schedule`` whose cluster utilisation an adaptive
+    policy is fed — plus ``apply_updates`` to take bulk updates.  The
+    frontend is the only component that sees both replicas' answers, so it
+    is also where the two-out-of-two pairing invariant is enforced.
     """
 
     def __init__(
@@ -386,9 +393,9 @@ class PIRFrontend:
         batch, self._pending = self._pending, []
         scanned, cached = select_scanned(batch, self.client, self.dedup, self.cache)
         per_server = per_server_queries(scanned, len(self.replicas))
-        # Route through each replica's public batch surface, so attached cost
-        # models (CPU/GPU analytic estimates, IM-PIR schedules) are honoured.
-        # Replicas are called in sequence here; the asyncio frontend
+        # Route through each replica's public batch surface, so every
+        # backend's cost model (CPU/GPU analytic estimates, IM-PIR schedules)
+        # prices the batch.  Replicas are called in sequence here; the asyncio frontend
         # (repro.pir.async_frontend) dispatches the same per-server query
         # lists concurrently and shares every helper below.  A batch served
         # entirely from the cache dispatches nothing (an empty batch is a
@@ -589,20 +596,20 @@ def collect_answers(
 ) -> Tuple[Dict[Tuple[int, int], PIRAnswer], List[float], List[BatchSchedule]]:
     """Key every replica's answers by ``(query_id, server_id)``.
 
-    ``raw_results`` holds one ``answer_batch`` result per replica (any
-    dialect :func:`_normalize_batch` understands).  Returns the answer map
-    plus the per-replica makespans and batch schedules; a duplicated key
-    raises :class:`ProtocolError` instead of silently overwriting.
+    ``raw_results`` holds one ``answer_batch`` result
+    (:class:`~repro.core.results.IMPIRBatchResult`) per replica.  Returns the
+    answer map plus the per-replica makespans and the pipeline schedules of
+    the replicas that report one; a duplicated key raises
+    :class:`ProtocolError` instead of silently overwriting.
     """
     answers_by_key: Dict[Tuple[int, int], PIRAnswer] = {}
     makespans: List[float] = []
     schedules: List[BatchSchedule] = []
     for raw in raw_results:
-        answers, makespan, schedule = _normalize_batch(raw)
-        makespans.append(makespan)
-        if schedule is not None:
-            schedules.append(schedule)
-        for answer in answers:
+        makespans.append(raw.latency_seconds)
+        if raw.schedule is not None:
+            schedules.append(raw.schedule)
+        for answer in raw.answers:
             key = (answer.query_id, answer.server_id)
             if key in answers_by_key:
                 raise ProtocolError(
@@ -721,12 +728,13 @@ class ResultDetail:
 
     ``breakdown`` is the engine's per-query :class:`PhaseTimer` **by
     reference** (the sharded backend keys per-shard scan detail by its
-    identity); ``simulated_seconds`` is the engine-written
+    identity; it holds no phases on backends that charge none);
+    ``simulated_seconds`` is the engine-written
     :attr:`PIRAnswer.simulated_seconds` — an independently computed total a
     trace's span sum can be cross-checked against.
     """
 
-    breakdown: Optional[object]
+    breakdown: object
     simulated_seconds: Optional[float]
 
 
@@ -765,34 +773,15 @@ def wants_flush_observation(observers: Sequence) -> bool:
 
 
 def collect_result_details(raw_results: Sequence) -> Dict[Tuple[int, int], ResultDetail]:
-    """Capture per-answer breakdowns/totals from raw ``answer_batch`` results.
-
-    Accepts the same result dialects as :func:`_normalize_batch`; answers
-    without a per-query breakdown (CPU/GPU analytic batch results, bare
-    :class:`PIRAnswer` lists) still contribute their engine-simulated
-    seconds.
-    """
-    details: Dict[Tuple[int, int], ResultDetail] = {}
-
-    def harvest(item) -> None:
-        answer = getattr(item, "answer", item)
-        details[(answer.query_id, answer.server_id)] = ResultDetail(
-            breakdown=getattr(item, "breakdown", None),
-            simulated_seconds=answer.simulated_seconds,
+    """Capture per-answer breakdowns/totals from raw ``answer_batch`` results."""
+    return {
+        (result.answer.query_id, result.answer.server_id): ResultDetail(
+            breakdown=result.breakdown,
+            simulated_seconds=result.answer.simulated_seconds,
         )
-
-    for raw in raw_results:
-        results = getattr(raw, "results", None)
-        if results is not None:
-            for item in results:
-                harvest(item)
-        elif hasattr(raw, "answers"):
-            for answer in raw.answers:
-                harvest(answer)
-        else:
-            for item in raw:
-                harvest(item)
-    return details
+        for raw in raw_results
+        for result in raw.results
+    }
 
 
 def build_flush_observation(
@@ -835,31 +824,3 @@ def notify_flush_observers(observers: Sequence, observation: FlushObservation) -
         observe_flush = getattr(observer, "observe_flush", None)
         if observe_flush is not None:
             observe_flush(observation)
-
-
-def _normalize_batch(raw) -> Tuple[List[PIRAnswer], float, Optional[BatchSchedule]]:
-    """Extract ``(answers, makespan, schedule)`` from any ``answer_batch`` result.
-
-    Accepts :class:`~repro.core.results.IMPIRBatchResult` (makespan from its
-    schedule), CPU/GPU batch results (makespan from their analytic
-    ``latency_seconds``), or plain sequences of per-query results /
-    :class:`PIRAnswer` (makespan is the sum of the per-query breakdowns —
-    sequential execution — which is 0.0 for untimed servers).
-    """
-    schedule = getattr(raw, "schedule", None)
-    if hasattr(raw, "answers"):
-        makespan = getattr(raw, "latency_seconds", 0.0)
-        if not makespan and schedule is not None:
-            makespan = schedule.makespan
-        return list(raw.answers), float(makespan), schedule
-    answers: List[PIRAnswer] = []
-    makespan = 0.0
-    for item in raw:
-        if hasattr(item, "answer"):
-            answers.append(item.answer)
-            breakdown = getattr(item, "breakdown", None)
-            if breakdown is not None:
-                makespan += breakdown.total
-        else:
-            answers.append(item)
-    return answers, makespan, schedule

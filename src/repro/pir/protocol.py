@@ -17,7 +17,6 @@ from repro.dpf.prf import make_prg
 from repro.pir.client import SCHEME_DPF, SCHEME_NAIVE, PIRClient
 from repro.pir.database import Database
 from repro.pir.messages import PIRAnswer
-from repro.pir.server import PIRServer
 
 
 @dataclass
@@ -34,9 +33,10 @@ class RetrievalTrace:
 class MultiServerPIRProtocol:
     """A client plus ``num_servers`` replicas of the same database.
 
-    The servers are plain reference servers; architecture-aware deployments
-    (IM-PIR, CPU-PIR, GPU-PIR) plug their own server objects into the same
-    client/message types.
+    The servers are reference servers; the other kinds of
+    :func:`~repro.core.engine.create_server` (IM-PIR, CPU-PIR, GPU-PIR, ...)
+    answer the same client/message types.  Batches go through a
+    :class:`~repro.pir.frontend.PIRFrontend` over these servers.
     """
 
     def __init__(
@@ -64,8 +64,12 @@ class MultiServerPIRProtocol:
             prg=make_prg(prg_backend),
             seed=seed,
         )
+        # Imported lazily: the engine module (in repro.core) imports
+        # repro.pir wire types at load.
+        from repro.core.engine import create_server
+
         self.servers = [
-            PIRServer(database, server_id=i, prg=make_prg(prg_backend))
+            create_server("reference", database, server_id=i, prg=make_prg(prg_backend))
             for i in range(num_servers)
         ]
 
@@ -76,7 +80,7 @@ class MultiServerPIRProtocol:
     def retrieve_with_trace(self, index: int) -> RetrievalTrace:
         """Retrieve a record and report the per-message communication costs."""
         queries = self.client.query(index)
-        answers = [self.servers[q.server_id].answer(q) for q in queries]
+        answers = [self.servers[q.server_id].answer(q).answer for q in queries]
         record = self.client.reconstruct(answers)
         return RetrievalTrace(
             index=index,
@@ -85,10 +89,6 @@ class MultiServerPIRProtocol:
             download_bytes=sum(a.download_bytes for a in answers),
             answers=answers,
         )
-
-    def retrieve_batch(self, indices: Sequence[int]) -> List[bytes]:
-        """Retrieve several records (queries are processed sequentially)."""
-        return [self.retrieve(index) for index in indices]
 
     def verify_against_database(self, indices: Sequence[int]) -> bool:
         """Check PIR answers against direct database reads (testing helper)."""

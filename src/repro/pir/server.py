@@ -1,25 +1,25 @@
-"""Reference (architecture-agnostic) PIR server.
+"""The PIR server: one replica answering secret-shared queries.
 
-This server answers queries the way the protocol defines them, with plain
-numpy and no hardware model attached: full-domain DPF evaluation followed by
-the dpXOR scan.  It is the functional oracle that the CPU, GPU and IM-PIR
-servers must agree with bit-for-bit, and the natural starting point for
-anyone reading the code base top-down.
-
-All the protocol logic (validation, key evaluation, answer assembly) lives in
-:class:`repro.core.engine.QueryEngine`; this module only binds it to the
-plain-numpy :class:`~repro.core.engine.ReferenceBackend`.
+Every architecture runs the same server (Algorithm 1): evaluate the DPF keys
+on the host, dpXOR the database under the selector shares, return an XOR
+share.  :class:`PIRServer` is that server, for all of them.  The protocol
+logic (validation, key evaluation, answer assembly) lives in
+:class:`repro.core.engine.QueryEngine`; the substrate and its cost model —
+plain numpy, a CPU or GPU model, preloaded or streamed DPUs, a sharded
+fleet — is the :class:`~repro.core.engine.PIRBackend` it is built with.
+Build one with :func:`repro.core.engine.create_server`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
+from repro.common.events import PhaseTimer
 from repro.dpf.dpf import EvalStats
 from repro.dpf.prf import LengthDoublingPRG
 from repro.pir.database import Database
-from repro.pir.messages import DPFQuery, NaiveQuery, PIRAnswer
+from repro.pir.messages import DPFQuery, NaiveQuery
 from repro.pir.xor_ops import DpXorStats
 
 Query = Union[DPFQuery, NaiveQuery]
@@ -27,7 +27,11 @@ Query = Union[DPFQuery, NaiveQuery]
 
 @dataclass
 class ServerStats:
-    """Operation counters accumulated across every answered query."""
+    """Operation counters accumulated across every answered query.
+
+    ``dpxor`` is charged by the backends that scan in host memory (the
+    reference scan and the CPU/GPU baselines); the others leave it at zero.
+    """
 
     queries_answered: int = 0
     eval: EvalStats = field(default_factory=EvalStats)
@@ -35,34 +39,62 @@ class ServerStats:
 
 
 class PIRServer:
-    """One replica of the database answering secret-shared queries."""
+    """One replica of the database: a query engine over one backend."""
 
     def __init__(
         self,
+        backend,
         database: Database,
         server_id: int,
         prg: Optional[LengthDoublingPRG] = None,
+        stats: Optional[ServerStats] = None,
     ) -> None:
         # Imported lazily: repro.pir must stay importable on its own, and the
         # engine module (in repro.core) imports repro.pir wire types at load.
-        from repro.core.engine import QueryEngine, ReferenceBackend
+        from repro.core.engine import QueryEngine
 
-        self.stats = ServerStats()
-        self.backend = ReferenceBackend(name="reference", dpxor_stats=self.stats.dpxor)
-        self.engine = QueryEngine(
-            self.backend, server_id=server_id, prg=prg, stats=self.stats
-        )
+        self.stats = stats if stats is not None else ServerStats()
+        self.backend = backend
+        self.engine = QueryEngine(backend, server_id=server_id, prg=prg, stats=self.stats)
         self.engine.prepare(database)
-        self.database = database
-        self.server_id = server_id
 
-    # -- query handling ---------------------------------------------------------
+    @property
+    def server_id(self) -> int:
+        """Identifier of the replica this server plays."""
+        return self.engine.server_id
 
-    def answer(self, query: Query) -> PIRAnswer:
-        """Answer a single query with this server's XOR sub-result."""
-        return self.engine.answer(query).answer
+    @property
+    def database(self) -> Database:
+        """The replica's current database snapshot."""
+        return self.engine.database
 
-    def answer_batch(self, queries: Sequence[Query]) -> List[PIRAnswer]:
-        """Answer several queries through one eval sweep and one batched scan
-        (no cost model attached — that is what the other servers add)."""
-        return [result.answer for result in self.engine.answer_many(queries).results]
+    @property
+    def preload_report(self) -> Optional[PhaseTimer]:
+        """Simulated cost of loading the database (not charged to queries)."""
+        return self.engine.preload_report
+
+    def answer(self, query: Query):
+        """Answer one query (latency mode): an ``IMPIRQueryResult``."""
+        return self.engine.answer(query)
+
+    def answer_batch(self, queries: Sequence[Query]):
+        """Answer a batch (throughput mode): an ``IMPIRBatchResult``."""
+        return self.engine.answer_many(queries)
+
+    def apply_updates(self, updates) -> PhaseTimer:
+        """Apply ``(index, record_bytes)`` updates to the replica in place.
+
+        The paper's update model (§3.3): queries are served from a stable
+        snapshot and the host applies bulk updates in idle windows; the
+        backend re-copies only what the dirty records touch where it can.
+        Returns the simulated cost of the update (e.g. the partial MRAM
+        re-transfers under phase ``"update_copy"``).
+        """
+        updates = list(updates)
+        if not updates:
+            return PhaseTimer()
+        new_database = self.database.with_updates(updates)
+        dirty_indices = sorted({index for index, _ in updates})
+        timer = self.backend.apply_updates(new_database, dirty_indices)
+        self.engine.database = new_database
+        return timer

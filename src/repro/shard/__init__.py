@@ -19,7 +19,6 @@ from repro.shard.backend import (
     BARE_BACKEND_KINDS,
     ShardBackendFactory,
     ShardedBackend,
-    ShardedServer,
     bare_backend_factory,
 )
 from repro.shard.fleet import (
@@ -37,7 +36,6 @@ __all__ = [
     "BARE_BACKEND_KINDS",
     "ShardBackendFactory",
     "ShardedBackend",
-    "ShardedServer",
     "bare_backend_factory",
     "CandidateKind",
     "FleetRouter",

@@ -34,7 +34,7 @@ import numpy as np
 from repro.common.errors import ConfigurationError, ProtocolError
 from repro.common.events import PhaseTimer
 from repro.core.config import IMPIRConfig
-from repro.core.engine import BackendCapabilities, PIRBackend, QueryEngine
+from repro.core.engine import BackendCapabilities, PIRBackend
 from repro.core.partitioning import fold_partials
 from repro.pir.database import Database
 from repro.shard.plan import ShardPlan, ShardSpec, TopologyChange
@@ -114,7 +114,8 @@ def default_child_config() -> IMPIRConfig:
 
     Small (4 DPUs, 2 tasklets) because a shard is a fraction of the database
     and functional runs must stay fast; pass an explicit config to
-    :func:`bare_backend_factory` / :class:`ShardedServer` to override.
+    :func:`bare_backend_factory` (or ``create_server("sharded", ...)``) to
+    override.
     """
     from repro.pim.config import scaled_down_config
 
@@ -128,9 +129,10 @@ def bare_backend_factory(
 ) -> ShardBackendFactory:
     """A factory producing fresh bare backends of ``kind`` for each shard.
 
-    The CPU/GPU kinds share the reference scan substrate (their cost models
-    live in the server facades, not the backend); the PIM kinds each get
-    their own simulated UPMEM system so shards are independent machines.
+    The CPU/GPU kinds share the reference scan substrate (a fleet's batch is
+    priced by the engine's pipeline schedule, not by a per-child cost
+    model); the PIM kinds each get their own simulated UPMEM system so
+    shards are independent machines.
     """
     if kind not in BARE_BACKEND_KINDS:
         raise ConfigurationError(
@@ -272,9 +274,9 @@ class ShardedBackend(PIRBackend):
 
         Dirty records are routed through the plan; a child whose shard holds
         none of them keeps its execution buffers untouched (and costs
-        nothing).  Children exposing their own ``apply_updates`` (the PIM
-        backend's partial MRAM re-copy) get shard-local dirty indices;
-        others re-prepare their shard slice.
+        nothing).  Each owning child gets its shard slice and shard-local
+        dirty indices (the PIM backend re-copies only the dirty MRAM blocks;
+        the :class:`PIRBackend` default re-prepares the slice).
         """
         snapshot = self._topology
         if snapshot is None:
@@ -292,13 +294,7 @@ class ShardedBackend(PIRBackend):
             # prepare-time slices or shards drift from the full database.
             shard_db = plan.slice_shard(database, shard)
             local = sorted(index - shard.start for index in dirty)
-            child_apply = getattr(child, "apply_updates", None)
-            if child_apply is not None:
-                report = child_apply(shard_db, local)
-            else:
-                report = child.prepare(shard_db)
-            if report is not None:
-                timer.merge_parallel(report)
+            timer.merge_parallel(child.apply_updates(shard_db, local))
         self._database = database
         return timer
 
@@ -369,25 +365,22 @@ class ShardedBackend(PIRBackend):
         """Batched sharded scan: split once, scan slabs, word-fold across shards.
 
         The selector matrix is split into zero-copy per-shard column views
-        **once per batch** (not once per query), and each shard runs one
-        batched scan with **no per-query Python**: children exposing
-        ``scan_many_into`` (the reference-substrate kinds) scan their
-        column block straight into a preallocated per-shard slab of one
-        ``(num_shards, B, record_size)`` accumulator array; other kinds
-        serve the block through their own ``execute_many``.  The slabs then
-        XOR-fold across shards through the uint64 word path of
-        :func:`~repro.core.partitioning.fold_partials`.
+        **once per batch** (not once per query), and each shard serves its
+        column block through its child's own ``execute_many`` — the only
+        backend hook — into its slab of one ``(num_shards, B, record_size)``
+        accumulator array.  The slabs then XOR-fold across shards through the
+        uint64 word path of :func:`~repro.core.partitioning.fold_partials`.
 
         Shards are walked in plan order on the calling thread; they stand
         for independent machines, so child timers fold with per-phase max
         (schedule-wise parallel) before being charged to each query's
-        breakdown (fast-path children record no phases).  The walk reads the
-        topology snapshot once: a live migration swapping a child mid-scan —
-        or a reshape swapping the whole plan — must not tear it (the snapshot
-        pairs the plan with its members, and each triple pairs the child with
-        its lane count).  The engine bounds lanes by the fleet minimum, but
-        members keep serving if a caller drives a bare backend with a larger
-        lane.
+        breakdown (reference-scan children record no phases).  The walk reads
+        the topology snapshot once: a live migration swapping a child
+        mid-scan — or a reshape swapping the whole plan — must not tear it
+        (the snapshot pairs the plan with its members, and each triple pairs
+        the child with its lane count).  The engine bounds lanes by the fleet
+        minimum, but members keep serving if a caller drives a bare backend
+        with a larger lane.
         """
         snapshot = self._topology
         if self._database is None or snapshot is None:
@@ -397,32 +390,17 @@ class ShardedBackend(PIRBackend):
         record_size = self._database.record_size
         members = snapshot.members
         blocks = snapshot.plan.split_selector_many(selector_matrix)
-        #: One slab per shard; fast-path children write into their slab
-        #: in place, so nothing is allocated or marshalled per query.
         partials = np.zeros((len(members), batch, record_size), dtype=np.uint8)
 
         combined = [PhaseTimer() for _ in breakdowns]
         for (shard, child, child_lanes), block, slab in zip(members, blocks, partials):
-            scan_into = getattr(child, "scan_many_into", None)
-            if scan_into is not None:
-                scan_into(block, slab)
-                child_timers = None
-            else:
-                child_timers = [PhaseTimer() for _ in breakdowns]
-                child_query_lanes = [min(lane, child_lanes - 1) for lane in lanes]
-                subs = child.execute_many(block, child_timers, child_query_lanes)
-                slab[...] = np.asarray(subs, dtype=np.uint8).reshape(
-                    batch, record_size
-                )
-                for query_combined, child_timer in zip(combined, child_timers):
-                    query_combined.merge_parallel(child_timer)
+            child_timers = [PhaseTimer() for _ in breakdowns]
+            child_query_lanes = [min(lane, child_lanes - 1) for lane in lanes]
+            slab[...] = child.execute_many(block, child_timers, child_query_lanes)
+            for query_combined, child_timer in zip(combined, child_timers):
+                query_combined.merge_parallel(child_timer)
             if self.tracer is not None:
-                trace_timers = (
-                    child_timers
-                    if child_timers is not None
-                    else [PhaseTimer() for _ in breakdowns]
-                )
-                for breakdown, child_timer in zip(breakdowns, trace_timers):
+                for breakdown, child_timer in zip(breakdowns, child_timers):
                     self.tracer.record_shard_scan(breakdown, shard.index, child_timer)
             if self.events is not None:
                 self.events.emit(
@@ -430,11 +408,7 @@ class ShardedBackend(PIRBackend):
                     shard=shard.index,
                     records=shard.num_records,
                     batch=batch,
-                    seconds=(
-                        sum(timer.total for timer in child_timers)
-                        if child_timers is not None
-                        else 0.0
-                    ),
+                    seconds=sum(timer.total for timer in child_timers),
                 )
         for breakdown, query_combined in zip(breakdowns, combined):
             breakdown.merge(query_combined)
@@ -445,7 +419,7 @@ class ShardedBackend(PIRBackend):
             [slab.reshape(-1) for slab in partials], batch * record_size
         ).reshape(batch, record_size)
 
-    # -- views for facades/tests ----------------------------------------------------
+    # -- views for servers/tests ----------------------------------------------------
 
     @property
     def members(self) -> Tuple[Tuple[ShardSpec, PIRBackend], ...]:
@@ -643,95 +617,3 @@ class ShardedBackend(PIRBackend):
         failure can never leave the fleets on different plan versions.
         """
         return self.commit_topology(self.stage_topology(change, child_factory))
-
-
-class ShardedServer:
-    """Server facade over a :class:`ShardedBackend`: one replica, many shards."""
-
-    def __init__(
-        self,
-        database: Database,
-        server_id: int = 0,
-        num_shards: int = 2,
-        child_kind: str = "reference",
-        child_factory: Optional[ShardBackendFactory] = None,
-        plan: Optional[ShardPlan] = None,
-        block_records: int = 1,
-        config: Optional[IMPIRConfig] = None,
-        segment_records: Optional[int] = None,
-        prg=None,
-    ) -> None:
-        if child_factory is None:
-            child_factory = bare_backend_factory(
-                child_kind, config=config, segment_records=segment_records
-            )
-        self.backend = ShardedBackend(
-            child_factory,
-            num_shards=num_shards,
-            plan=plan,
-            block_records=block_records,
-        )
-        self.engine = QueryEngine(self.backend, server_id=server_id, prg=prg)
-        self.engine.prepare(database)
-        self.server_id = server_id
-
-    @property
-    def database(self) -> Database:
-        """The replica's current (full, unsharded) database snapshot."""
-        return self.engine.database
-
-    @property
-    def plan(self) -> ShardPlan:
-        """The shard plan currently in effect."""
-        return self.backend.plan
-
-    @property
-    def num_shards(self) -> int:
-        """Shard count of the current plan."""
-        return self.backend.plan.num_shards
-
-    @property
-    def preload_report(self) -> Optional[PhaseTimer]:
-        """Fleet preload cost (per-phase max across shards), if any was charged."""
-        return self.engine.preload_report
-
-    def answer(self, query, cluster_index: int = 0):
-        """Answer one query across every shard of the fleet."""
-        return self.engine.answer(query, lane=cluster_index)
-
-    def answer_batch(self, queries: Sequence):
-        """Answer a batch; every query fans out to every shard."""
-        return self.engine.answer_many(queries)
-
-    def apply_updates(self, updates) -> PhaseTimer:
-        """Apply ``(index, record_bytes)`` updates, touching owning shards only."""
-        updates = list(updates)
-        if not updates:
-            return PhaseTimer()
-        new_database = self.database.with_updates(updates)
-        dirty_indices = sorted({index for index, _ in updates})
-        timer = self.backend.apply_updates(new_database, dirty_indices)
-        self.engine.database = new_database
-        return timer
-
-    def swap_child(self, shard_index: int, child: PIRBackend) -> Optional[PhaseTimer]:
-        """Live-migrate one shard onto ``child`` (see
-        :meth:`ShardedBackend.swap_child`); returns its preload report."""
-        return self.backend.swap_child(shard_index, child)
-
-    def apply_topology(
-        self,
-        change: TopologyChange,
-        child_factory: Optional[ShardBackendFactory] = None,
-    ) -> Optional[PhaseTimer]:
-        """Live-reshape this replica's shards along ``change`` (see
-        :meth:`ShardedBackend.apply_topology`); returns the transfer report."""
-        return self.backend.apply_topology(change, child_factory)
-
-    def shard_for_record(self, record_index: int) -> ShardSpec:
-        """The shard owning ``record_index`` (routing/diagnostic helper)."""
-        return self.backend.plan.shard_for_record(record_index)
-
-    def shard_utilization(self) -> Dict[int, int]:
-        """Records held per shard index (diagnostic)."""
-        return {shard.index: shard.num_records for shard in self.backend.plan.shards}

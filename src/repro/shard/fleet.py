@@ -15,8 +15,9 @@ kind over an operating window —
 
 A :class:`FleetRouter` applies the placement: each of the two privacy
 replicas becomes a *fleet* — a :class:`ReplicaGroup` of one or more
-identical :class:`~repro.shard.backend.ShardedServer` members whose
-per-shard children follow the chosen kinds — behind the ordinary batching
+identical :class:`~repro.pir.server.PIRServer` members over a
+:class:`~repro.shard.backend.ShardedBackend` whose per-shard children
+follow the chosen kinds — behind the ordinary batching
 :class:`~repro.pir.frontend.PIRFrontend` surface, with the per-shard cost
 estimates kept on ``placements`` for bench reporting.
 
@@ -42,9 +43,11 @@ from repro.pim.timing import PIMTimingModel
 from repro.pir.client import PIRClient
 from repro.pir.database import Database
 from repro.pir.frontend import BatchingPolicy, PIRFrontend
+from repro.pir.server import PIRServer
 from repro.shard.backend import (
     PIRBackend,
-    ShardedServer,
+    ShardBackendFactory,
+    ShardedBackend,
     bare_backend_factory,
     default_child_config,
 )
@@ -264,13 +267,20 @@ def render_placements(placements: Sequence[ShardPlacement]) -> List[str]:
     return lines
 
 
+def fleet_member(
+    database: Database, server_id: int, plan: ShardPlan, child_factory: ShardBackendFactory
+) -> PIRServer:
+    """One replica-group member: a server over a sharded backend on ``plan``."""
+    return PIRServer(ShardedBackend(child_factory, plan=plan), database, server_id)
+
+
 class ReplicaGroup:
     """The live members of one trust domain, behind a single replica slot.
 
     The frontend sees exactly one "replica" per privacy server (the pairing
     invariant keys answers by ``server_id``); the group fans that slot out
-    over ``members`` — identical :class:`~repro.shard.backend.ShardedServer`
-    instances holding the same bytes on the same plan.  Queries round-robin
+    over ``members`` — identical :func:`fleet_member` servers holding the
+    same bytes on the same plan.  Queries round-robin
     across members (any member returns the identical answer, so dispatch
     order can never show up in a retrieved record); updates land on *every*
     member, keeping them interchangeable.
@@ -286,7 +296,7 @@ class ReplicaGroup:
     to coordinate with it.
     """
 
-    def __init__(self, server_id: int, members: Sequence[ShardedServer]) -> None:
+    def __init__(self, server_id: int, members: Sequence[PIRServer]) -> None:
         members = list(members)
         if not members:
             raise ConfigurationError(
@@ -307,7 +317,7 @@ class ReplicaGroup:
         self._open_stages = 0
 
     @property
-    def members(self) -> Tuple[ShardedServer, ...]:
+    def members(self) -> Tuple[PIRServer, ...]:
         return tuple(self._members)
 
     @property
@@ -321,7 +331,7 @@ class ReplicaGroup:
 
     @property
     def plan(self) -> ShardPlan:
-        return self._members[0].plan
+        return self._members[0].backend.plan
 
     def answer_batch(self, queries):
         """Dispatch one batch to the next member, round-robin.
@@ -344,7 +354,7 @@ class ReplicaGroup:
 
     # -- membership ------------------------------------------------------------------
 
-    def add_member(self, member: ShardedServer) -> None:
+    def add_member(self, member: PIRServer) -> None:
         """Append a caught-up member (the commit point of a replica add).
 
         The new member inherits the group's instrumentation: whatever event
@@ -364,7 +374,7 @@ class ReplicaGroup:
         )
         self._members.append(member)
 
-    def remove_member(self) -> ShardedServer:
+    def remove_member(self) -> PIRServer:
         """Detach the most recently added member (LIFO keeps member 0, the
         construction-time server other components may hold references to)."""
         if len(self._members) <= 1:
@@ -409,7 +419,7 @@ class StagedReplicas:
 
     router: "FleetRouter"
     plan: ShardPlan
-    members: List[ShardedServer]
+    members: List[PIRServer]
     seqs: List[int]
     committed: bool = False
     closed: bool = field(default=False, repr=False)
@@ -418,7 +428,7 @@ class StagedReplicas:
 class FleetRouter(PIRFrontend):
     """A batching frontend whose replicas are capability-placed shard fleets.
 
-    Builds one :class:`~repro.shard.backend.ShardedServer` per privacy
+    Builds one sharded :class:`~repro.pir.server.PIRServer` per privacy
     replica; each server's shard children follow the placement computed from
     ``heats`` (hot shards on preloaded PIM, cold shards on streamed IM-PIR,
     by default).  Everything else — batching policy, answer pairing,
@@ -479,12 +489,7 @@ class FleetRouter(PIRFrontend):
             ReplicaGroup(
                 server_id,
                 [
-                    ShardedServer(
-                        database,
-                        server_id=server_id,
-                        plan=plan,
-                        child_factory=child_factory,
-                    )
+                    fleet_member(database, server_id, plan, child_factory)
                     for _ in range(initial_replicas)
                 ],
             )
@@ -495,7 +500,7 @@ class FleetRouter(PIRFrontend):
         )
 
     @property
-    def fleets(self) -> List[ShardedServer]:
+    def fleets(self) -> List[PIRServer]:
         """Every live sharded server, across all trust domains and members.
 
         The reshape/migration surface: ``apply_topology`` stages and commits
@@ -523,7 +528,7 @@ class FleetRouter(PIRFrontend):
         changes until the commit; :meth:`abandon_replicas` discards cleanly.
         """
         plan = self.plan
-        members: List[ShardedServer] = []
+        members: List[PIRServer] = []
         seqs: List[int] = []
         opened: List[ReplicaGroup] = []
         try:
@@ -533,11 +538,8 @@ class FleetRouter(PIRFrontend):
                 seqs.append(group.open_stage())
                 opened.append(group)
                 members.append(
-                    ShardedServer(
-                        group.database,
-                        server_id=group.server_id,
-                        plan=plan,
-                        child_factory=self._child_factory,
+                    fleet_member(
+                        group.database, group.server_id, plan, self._child_factory
                     )
                 )
         except Exception:
@@ -546,7 +548,7 @@ class FleetRouter(PIRFrontend):
             raise
         return StagedReplicas(router=self, plan=plan, members=members, seqs=seqs)
 
-    def commit_replicas(self, staged: StagedReplicas) -> List[ShardedServer]:
+    def commit_replicas(self, staged: StagedReplicas) -> List[PIRServer]:
         """Install staged members into their groups (call under the gate).
 
         Replays each group's journaled updates onto its new member first
@@ -596,7 +598,7 @@ class FleetRouter(PIRFrontend):
             if close is not None:
                 close()
 
-    def add_replica(self) -> List[ShardedServer]:
+    def add_replica(self) -> List[PIRServer]:
         """Stage and commit one new member per trust domain, inline.
 
         The synchronous convenience path (the async control driver stages
@@ -610,7 +612,7 @@ class FleetRouter(PIRFrontend):
             self.abandon_replicas(staged)
             raise
 
-    def drain_replica(self) -> List[ShardedServer]:
+    def drain_replica(self) -> List[PIRServer]:
         """Retire the most recent member of every group, under the gate.
 
         The reconfigure gate is what "waits out in-flight flushes": by the
@@ -624,7 +626,7 @@ class FleetRouter(PIRFrontend):
                 "cannot drain the last replica of each trust domain"
             )
 
-        def mutate() -> List[ShardedServer]:
+        def mutate() -> List[PIRServer]:
             drained = [group.remove_member() for group in self.replicas]
             for member in drained:
                 close = getattr(member.backend, "close", None)

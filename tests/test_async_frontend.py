@@ -14,6 +14,8 @@ import time
 import pytest
 
 from repro.common.errors import ProtocolError
+from repro.core.engine import create_server
+from repro.core.results import IMPIRBatchResult
 from repro.dpf.prf import make_prg
 from repro.pir.async_frontend import AsyncPIRFrontend
 from repro.pir.client import PIRClient
@@ -25,8 +27,6 @@ from repro.pir.frontend import (
     BatchingPolicy,
     PIRFrontend,
 )
-from repro.pir.server import PIRServer
-from repro.shard.backend import ShardedServer
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +41,10 @@ def make_client(database, seed=5):
 
 
 def reference_replicas(database):
-    return [PIRServer(database, server_id=i, prg=make_prg("numpy")) for i in (0, 1)]
+    return [
+        create_server("reference", database, server_id=i, prg=make_prg("numpy"))
+        for i in (0, 1)
+    ]
 
 
 class _RecordingReplica:
@@ -246,8 +249,8 @@ class TestErrorPropagation:
                 self.server_id = inner.server_id
 
             def answer_batch(self, queries):
-                answers = [self._inner.answer(query) for query in queries]
-                return [answers[0]] + answers
+                results = [self._inner.answer(query) for query in queries]
+                return IMPIRBatchResult(results=[results[0]] + results)
 
         async def run():
             replicas = reference_replicas(database)
@@ -352,7 +355,8 @@ class TestEquivalenceWithSyncFrontend:
 
         def fleets():
             return [
-                ShardedServer(
+                create_server(
+                    "sharded",
                     database,
                     server_id=i,
                     num_shards=3,

@@ -31,7 +31,6 @@ from repro.pir.client import PIRClient
 from repro.pir.database import Database
 from repro.dpf.naive import NaiveShare
 from repro.pir.messages import NaiveQuery
-from repro.pir.server import PIRServer
 
 
 def _batch(num_records, record_size, batch, *, seed=7, stride=13):
@@ -180,20 +179,20 @@ class TestStatsRegression:
         # counters after a batch equal those after the same queries one at a
         # time, byte for byte.
         database, queries = _batch(128, 32, 5)
-        sequential = PIRServer(database, server_id=0)
+        sequential = create_server("reference", database, server_id=0)
         for query in queries:
             sequential.answer(query)
-        batched = PIRServer(database, server_id=0)
+        batched = create_server("reference", database, server_id=0)
         batched.engine.answer_many(queries)
         assert batched.stats.dpxor == sequential.stats.dpxor
         assert batched.stats.queries_answered == sequential.stats.queries_answered
 
     def test_eval_stats_identical(self):
         database, queries = _batch(128, 32, 5)
-        sequential = PIRServer(database, server_id=0)
+        sequential = create_server("reference", database, server_id=0)
         for query in queries:
             sequential.answer(query)
-        batched = PIRServer(database, server_id=0)
+        batched = create_server("reference", database, server_id=0)
         batched.engine.answer_many(queries)
         assert batched.stats.eval == sequential.stats.eval
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ProtocolError
+from repro.core.engine import create_server
 from repro.dpf.prf import make_prg
 from repro.pir.client import SCHEME_DPF, SCHEME_NAIVE, PIRClient
 from repro.pir.database import Database
 from repro.pir.messages import DPFQuery, NaiveQuery, PIRAnswer
-from repro.pir.server import PIRServer
 
 
 @pytest.fixture()
@@ -18,7 +18,10 @@ def client(small_db):
 
 @pytest.fixture()
 def servers(small_db):
-    return [PIRServer(small_db, server_id=i, prg=make_prg("numpy")) for i in range(2)]
+    return [
+        create_server("reference", small_db, server_id=i, prg=make_prg("numpy"))
+        for i in range(2)
+    ]
 
 
 class TestClientConstruction:
@@ -78,7 +81,7 @@ class TestServerAnswering:
     def test_two_server_retrieval(self, client, servers, small_db):
         for index in (0, 17, 512, small_db.num_records - 1):
             queries = client.query(index)
-            answers = [servers[q.server_id].answer(q) for q in queries]
+            answers = [servers[q.server_id].answer(q).answer for q in queries]
             assert client.reconstruct(answers) == small_db.record(index)
 
     def test_server_rejects_wrong_addressee(self, client, servers):
@@ -87,7 +90,7 @@ class TestServerAnswering:
             servers[1].answer(queries[0])
 
     def test_server_rejects_wrong_database_size(self, client, tiny_db):
-        other_server = PIRServer(tiny_db, server_id=0, prg=make_prg("numpy"))
+        other_server = create_server("reference", tiny_db, server_id=0, prg=make_prg("numpy"))
         queries = client.query(5)
         with pytest.raises(ProtocolError):
             other_server.answer(queries[0])
@@ -102,34 +105,34 @@ class TestServerAnswering:
 
     def test_answer_batch(self, client, servers):
         queries = [client.query(i)[0] for i in range(4)]
-        answers = servers[0].answer_batch(queries)
+        answers = servers[0].answer_batch(queries).answers
         assert len(answers) == 4
 
     def test_naive_scheme_end_to_end(self, small_db):
         client = PIRClient(small_db.num_records, 32, scheme=SCHEME_NAIVE, seed=3)
-        servers = [PIRServer(small_db, server_id=i) for i in range(2)]
+        servers = [create_server("reference", small_db, server_id=i) for i in range(2)]
         queries = client.query(77)
-        answers = [servers[q.server_id].answer(q) for q in queries]
+        answers = [servers[q.server_id].answer(q).answer for q in queries]
         assert client.reconstruct(answers) == small_db.record(77)
 
 
 class TestReconstruction:
     def test_rejects_wrong_answer_count(self, client, servers):
         queries = client.query(5)
-        answers = [servers[0].answer(queries[0])]
+        answers = [servers[0].answer(queries[0]).answer]
         with pytest.raises(ProtocolError):
             client.reconstruct(answers)
 
     def test_rejects_mixed_query_ids(self, client, servers):
         q1 = client.query(5)
         q2 = client.query(6)
-        answers = [servers[0].answer(q1[0]), servers[1].answer(q2[1])]
+        answers = [servers[0].answer(q1[0]).answer, servers[1].answer(q2[1]).answer]
         with pytest.raises(ProtocolError):
             client.reconstruct(answers)
 
     def test_rejects_duplicate_servers(self, client, servers):
         queries = client.query(5)
-        answer = servers[0].answer(queries[0])
+        answer = servers[0].answer(queries[0]).answer
         with pytest.raises(ProtocolError):
             client.reconstruct([answer, answer])
 

@@ -7,12 +7,12 @@ import pytest
 from repro.common.errors import ConfigurationError, ProtocolError
 from repro.control.cache import HotRecordCache
 from repro.control.telemetry import HeatTracker
+from repro.core.engine import create_server
 from repro.dpf.prf import make_prg
 from repro.pir.async_frontend import AsyncPIRFrontend
 from repro.pir.client import PIRClient
 from repro.pir.database import Database
 from repro.pir.frontend import BatchingPolicy, PIRFrontend
-from repro.pir.server import PIRServer
 from repro.shard.fleet import FleetRouter, heats_from_trace
 from repro.shard.plan import ShardPlan
 
@@ -24,7 +24,10 @@ def make_client(database, seed=31):
 
 
 def reference_replicas(database):
-    return [PIRServer(database, server_id=i, prg=make_prg("numpy")) for i in (0, 1)]
+    return [
+        create_server("reference", database, server_id=i, prg=make_prg("numpy"))
+        for i in (0, 1)
+    ]
 
 
 class CountingReplica:
@@ -182,12 +185,11 @@ class TestFrontendIntegration:
 
 class TestAsyncInvalidation:
     def test_async_apply_updates_invalidates_after_replicas_updated(self):
-        from repro.shard.backend import ShardedServer
 
         database = Database.random(64, 8, seed=46)
         cache = HotRecordCache(capacity=4)
         replicas = [
-            ShardedServer(database, server_id=i, num_shards=2, prg=make_prg("numpy"))
+            create_server("sharded", database, server_id=i, num_shards=2, prg=make_prg("numpy"))
             for i in (0, 1)
         ]
         frontend = AsyncPIRFrontend(
@@ -215,9 +217,8 @@ class TestAsyncInvalidation:
         """And rejects them *before* any replica is updated: a mid-loop
         failure would leave the replica set permanently inconsistent."""
         database = Database.random(64, 8, seed=47)
-        frontend = PIRFrontend(
-            make_client(database, seed=34), reference_replicas(database)
-        )
+        replicas = [CountingReplica(replica) for replica in reference_replicas(database)]
+        frontend = PIRFrontend(make_client(database, seed=34), replicas)
         with pytest.raises(ProtocolError):
             frontend.apply_updates([(0, bytes(8))])
 
@@ -227,7 +228,6 @@ class TestAsyncInvalidation:
         scanning old bytes could re-admit them after the invalidation."""
         import threading
 
-        from repro.shard.backend import ShardedServer
 
         database = Database.random(64, 8, seed=49)
         hold = threading.Event()
@@ -252,7 +252,7 @@ class TestAsyncInvalidation:
         cache = HotRecordCache(capacity=4)
         replicas = [
             SlowReplica(
-                ShardedServer(database, server_id=i, num_shards=2, prg=make_prg("numpy"))
+                create_server("sharded", database, server_id=i, num_shards=2, prg=make_prg("numpy"))
             )
             for i in (0, 1)
         ]

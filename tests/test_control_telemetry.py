@@ -6,12 +6,12 @@ import pytest
 
 from repro.common.errors import ConfigurationError, ProtocolError
 from repro.control.telemetry import HeatTracker
+from repro.core.engine import create_server
 from repro.dpf.prf import make_prg
 from repro.pir.async_frontend import AsyncPIRFrontend
 from repro.pir.client import PIRClient
 from repro.pir.database import Database
 from repro.pir.frontend import BatchingPolicy, PIRFrontend
-from repro.pir.server import PIRServer
 from repro.shard.fleet import heats_from_trace
 from repro.shard.plan import ShardPlan
 
@@ -123,7 +123,10 @@ class TestFrontendObserveHook:
         )
 
     def replicas(self, database):
-        return [PIRServer(database, server_id=i, prg=make_prg("numpy")) for i in (0, 1)]
+        return [
+            create_server("reference", database, server_id=i, prg=make_prg("numpy"))
+            for i in (0, 1)
+        ]
 
     def test_sync_frontend_feeds_tracker_per_flush(self, database):
         tracker = HeatTracker(make_plan(), window_seconds=10.0)

@@ -4,14 +4,13 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.common.units import GIB, MIB
+from repro.core.engine import create_server
 from repro.cpu.cache import CacheModel
 from repro.cpu.config import CPU_BASELINE_CONFIG, CPUConfig
-from repro.cpu.cpu_pir import CPUPIRServer
 from repro.cpu.model import PHASE_DPXOR, PHASE_EVAL, CPUModel
 from repro.dpf.prf import make_prg
 from repro.pir.client import PIRClient
 from repro.pir.database import Database
-from repro.pir.server import PIRServer
 
 
 class TestCPUConfig:
@@ -117,20 +116,23 @@ class TestCPUPIRServer:
     @pytest.fixture()
     def setup(self, small_db):
         client = PIRClient(small_db.num_records, small_db.record_size, seed=3, prg=make_prg("numpy"))
-        server = CPUPIRServer(small_db, server_id=0, prg=make_prg("numpy"))
+        server = create_server("cpu", small_db, server_id=0, prg=make_prg("numpy"))
         return client, server, small_db
 
     def test_functional_answers_match_reference(self, setup):
         client, server, db = setup
-        reference = PIRServer(db, server_id=0, prg=make_prg("numpy"))
+        reference = create_server("reference", db, server_id=0, prg=make_prg("numpy"))
         query = client.query(321)[0]
-        assert server.answer(query).payload == reference.answer(query).payload
+        assert server.answer(query).answer.payload == reference.answer(query).answer.payload
 
     def test_answer_with_breakdown(self, setup):
-        client, server, _ = setup
-        result = server.answer_with_breakdown(client.query(5)[0])
-        assert result.latency_seconds > 0
-        assert result.breakdown.get(PHASE_DPXOR) > 0
+        client, server, db = setup
+        server.answer(client.query(5)[0])
+        breakdown = server.backend.model.single_query_breakdown(
+            db.num_records, db.record_size
+        )
+        assert breakdown.total > 0
+        assert breakdown.get(PHASE_DPXOR) > 0
 
     def test_answer_batch(self, setup):
         client, server, db = setup
@@ -142,7 +144,8 @@ class TestCPUPIRServer:
 
     def test_estimate_helpers_scale(self, setup):
         _, server, _ = setup
-        small = server.estimate_batch(GIB // 32, 32, 32)
-        large = server.estimate_batch(4 * GIB // 32, 32, 32)
+        model = server.backend.model
+        small = model.batch_estimate(GIB // 32, 32, 32)
+        large = model.batch_estimate(4 * GIB // 32, 32, 32)
         assert large.latency_seconds > small.latency_seconds
-        assert server.estimate_breakdown(GIB // 32, 32).total > 0
+        assert model.single_query_breakdown(GIB // 32, 32).total > 0

@@ -203,6 +203,8 @@ class TestBackendSurface:
             "execute_many",
             "latency_eval_seconds",
             "batch_eval_seconds",
+            "batch_makespan",
+            "apply_updates",
         }
         database = Database.random(16, 4, seed=12)
         for name in available_backends():
@@ -239,15 +241,13 @@ class TestRegistry:
             create_server(name, Database.random(8, 4, seed=1), num_shard_typo=4)
 
     def test_removed_shard_walk_option_raises_everywhere(self):
-        from repro.shard import FleetRouter, ShardedServer, ShardPlan
+        from repro.shard import FleetRouter, ShardPlan
 
         database = Database.random(8, 4, seed=1)
         client = PIRClient(8, 4, seed=2, prg=make_prg("numpy"))
         plan = ShardPlan.uniform(8, 2)
         with pytest.raises(TypeError, match="executor"):
             create_server("sharded", database, executor="threads")
-        with pytest.raises(TypeError, match="executor"):
-            ShardedServer(database, executor="threads")
         with pytest.raises(TypeError, match="executor"):
             FleetRouter(client, database, plan, [1.0, 1.0], executor="threads")
 

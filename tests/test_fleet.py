@@ -169,7 +169,7 @@ class TestFleetRouter:
         )
         assert len(router.fleets) == 2
         for fleet in router.fleets:
-            assert fleet.plan is plan
+            assert fleet.backend.plan is plan
             member_kinds = [
                 child.capabilities().name for _, child in fleet.backend.members
             ]

@@ -16,12 +16,12 @@ import pytest
 
 from repro.common.errors import ProtocolError
 from repro.control.cache import HotRecordCache
+from repro.core.engine import create_server
 from repro.dpf.prf import make_prg
 from repro.pir.async_frontend import AsyncPIRFrontend
 from repro.pir.client import PIRClient
 from repro.pir.database import Database
 from repro.pir.frontend import BatchingPolicy, PIRFrontend
-from repro.pir.server import PIRServer
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +68,10 @@ class _SlowReplica:
 
 
 def replicas_of(database):
-    return [PIRServer(database, server_id=i, prg=make_prg("numpy")) for i in (0, 1)]
+    return [
+        create_server("reference", database, server_id=i, prg=make_prg("numpy"))
+        for i in (0, 1)
+    ]
 
 
 def per_request_records(database, indices, seed=5):
@@ -78,7 +81,9 @@ def per_request_records(database, indices, seed=5):
     )
     replicas = replicas_of(database)
     return [
-        client.reconstruct([replicas[q.server_id].answer(q) for q in client.query(index)])
+        client.reconstruct(
+            [replicas[q.server_id].answer(q).answer for q in client.query(index)]
+        )
         for index in indices
     ]
 

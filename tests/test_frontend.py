@@ -4,7 +4,10 @@ import pytest
 
 from repro.common.errors import ProtocolError
 from repro.core.config import IMPIRConfig
-from repro.core.impir import IMPIRDeployment, IMPIRServer
+from repro.core.engine import create_server
+from repro.core.impir import IMPIRDeployment
+from repro.common.events import PhaseTimer
+from repro.core.results import IMPIRBatchResult, IMPIRQueryResult
 from repro.core.scheduler import BatchSchedule
 from repro.dpf.prf import make_prg
 from repro.pim.config import scaled_down_config
@@ -20,7 +23,6 @@ from repro.pir.frontend import (
     RequestRouter,
 )
 from repro.pir.messages import PIRAnswer
-from repro.pir.server import PIRServer
 
 
 @pytest.fixture(scope="module")
@@ -35,14 +37,17 @@ def make_client(database, seed=3):
 
 
 def reference_replicas(database):
-    return [PIRServer(database, server_id=i, prg=make_prg("numpy")) for i in (0, 1)]
+    return [
+        create_server("reference", database, server_id=i, prg=make_prg("numpy"))
+        for i in (0, 1)
+    ]
 
 
 def impir_replicas(database, num_clusters=2):
     config = IMPIRConfig(
         pim=scaled_down_config(num_dpus=8, tasklets=4), num_clusters=num_clusters
     )
-    return [IMPIRServer(database, config=config, server_id=i) for i in (0, 1)]
+    return [create_server("im-pir", database, config=config, server_id=i) for i in (0, 1)]
 
 
 class TestBatchingPolicy:
@@ -138,8 +143,8 @@ class TestInterleavedReplicas:
         does not care where a replica runs."""
         config = IMPIRConfig(pim=scaled_down_config(num_dpus=8, tasklets=4))
         replicas = [
-            IMPIRServer(database, config=config, server_id=0),
-            PIRServer(database, server_id=1, prg=make_prg("numpy")),
+            create_server("im-pir", database, config=config, server_id=0),
+            create_server("reference", database, server_id=1, prg=make_prg("numpy")),
         ]
         frontend = PIRFrontend(make_client(database), replicas)
         assert frontend.retrieve_batch([3, 300]) == [
@@ -179,12 +184,12 @@ class _TamperingReplica:
         self._duplicate_first = duplicate_first
 
     def answer_batch(self, queries):
-        answers = [self._inner.answer(query) for query in queries]
+        results = [self._inner.answer(query) for query in queries]
         if self._drop_first:
-            answers = answers[1:]
+            results = results[1:]
         if self._duplicate_first:
-            answers = [answers[0]] + answers
-        return answers
+            results = [results[0]] + results
+        return IMPIRBatchResult(results=results)
 
 
 class TestPairingFaults:
@@ -226,10 +231,12 @@ class TestSchedulingMetrics:
 
     def test_cpu_replicas_report_their_analytic_makespan(self, database):
         """The frontend honours the CPU baseline's batch cost model."""
-        from repro.cpu.cpu_pir import CPUPIRServer
 
-        replicas = [CPUPIRServer(database, server_id=i, prg=make_prg("numpy")) for i in (0, 1)]
-        expected = replicas[0].estimate_batch(
+        replicas = [
+            create_server("cpu", database, server_id=i, prg=make_prg("numpy"))
+            for i in (0, 1)
+        ]
+        expected = replicas[0].backend.model.batch_estimate(
             database.num_records, database.record_size, batch_size=3
         ).latency_seconds
         frontend = PIRFrontend(make_client(database), replicas)
@@ -237,12 +244,13 @@ class TestSchedulingMetrics:
         assert frontend.metrics.total_makespan_seconds == pytest.approx(expected)
 
     def test_streamed_replicas_report_sequential_makespan(self, database):
-        """Streamed servers return per-query results; the frontend sums them."""
-        from repro.core.streaming import StreamedIMPIRServer
+        """Streamed servers run queries in sequence: the makespan sums them."""
 
         config = IMPIRConfig(pim=scaled_down_config(num_dpus=4, tasklets=2))
         replicas = [
-            StreamedIMPIRServer(database, config=config, server_id=i, segment_records=200)
+            create_server(
+                "im-pir-streamed", database, config=config, server_id=i, segment_records=200
+            )
             for i in (0, 1)
         ]
         frontend = PIRFrontend(make_client(database), replicas)
@@ -258,7 +266,7 @@ class TestAgainstSeedBehaviour:
         indices = [5, 99, 200, 511, 0]
 
         manual_client = make_client(database, seed=12)
-        servers = [IMPIRServer(database, config=config, server_id=i) for i in (0, 1)]
+        servers = [create_server("im-pir", database, config=config, server_id=i) for i in (0, 1)]
         manual = []
         for index in indices:
             queries = manual_client.query(index)
@@ -267,7 +275,7 @@ class TestAgainstSeedBehaviour:
 
         frontend = PIRFrontend(
             make_client(database, seed=12),
-            [IMPIRServer(database, config=config, server_id=i) for i in (0, 1)],
+            [create_server("im-pir", database, config=config, server_id=i) for i in (0, 1)],
             policy=BatchingPolicy(max_batch_size=len(indices)),
         )
         assert frontend.retrieve_batch(indices) == manual
@@ -276,7 +284,7 @@ class TestAgainstSeedBehaviour:
         config = IMPIRConfig(pim=scaled_down_config(num_dpus=8, tasklets=4), num_clusters=2)
         deployment = IMPIRDeployment(database, config=config, client_seed=2)
         indices = [5, 99, 248, 495]
-        records = deployment.retrieve_batch(indices)
+        records = deployment.frontend.retrieve_batch(indices)
         assert records == [database.record(i) for i in indices]
         assert deployment.frontend.metrics.batches_dispatched >= 1
         assert deployment.frontend.metrics.total_makespan_seconds > 0
@@ -448,11 +456,10 @@ class TestOrphanAnswers:
     def test_unmatched_answer_raises(self, database):
         class _ExtraAnswerReplica(_TamperingReplica):
             def answer_batch(self, queries):
-                answers = [self._inner.answer(query) for query in queries]
-                answers.append(
-                    PIRAnswer(query_id=10_000, server_id=self.server_id, payload=b"\0" * 32)
-                )
-                return answers
+                results = [self._inner.answer(query) for query in queries]
+                extra = PIRAnswer(query_id=10_000, server_id=self.server_id, payload=b"\0" * 32)
+                results.append(IMPIRQueryResult(answer=extra, breakdown=PhaseTimer()))
+                return IMPIRBatchResult(results=results)
 
         replicas = reference_replicas(database)
         replicas[1] = _ExtraAnswerReplica(replicas[1])

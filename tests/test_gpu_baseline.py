@@ -4,13 +4,12 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.common.units import GIB
+from repro.core.engine import create_server
 from repro.dpf.prf import make_prg
 from repro.gpu.config import GPU_BASELINE_CONFIG, GPUConfig
-from repro.gpu.gpu_pir import GPUPIRServer
 from repro.gpu.model import PHASE_DPXOR, PHASE_EVAL, PHASE_PCIE, GPUModel
 from repro.pir.client import PIRClient
 from repro.pir.database import Database
-from repro.pir.server import PIRServer
 
 
 class TestGPUConfig:
@@ -79,23 +78,26 @@ class TestGPUPIRServer:
     @pytest.fixture()
     def setup(self, small_db):
         client = PIRClient(small_db.num_records, small_db.record_size, seed=9, prg=make_prg("numpy"))
-        server = GPUPIRServer(small_db, server_id=1, prg=make_prg("numpy"))
+        server = create_server("gpu", small_db, server_id=1, prg=make_prg("numpy"))
         return client, server, small_db
 
     def test_functional_answers_match_reference(self, setup):
         client, server, db = setup
-        reference = PIRServer(db, server_id=1, prg=make_prg("numpy"))
+        reference = create_server("reference", db, server_id=1, prg=make_prg("numpy"))
         query = client.query(17)[1]
-        assert server.answer(query).payload == reference.answer(query).payload
+        assert server.answer(query).answer.payload == reference.answer(query).answer.payload
 
     def test_vram_resident_property(self, setup):
-        _, server, _ = setup
-        assert server.vram_resident
+        _, server, db = setup
+        assert server.backend.model.config.fits_in_vram(db.size_bytes)
 
     def test_answer_with_breakdown(self, setup):
-        client, server, _ = setup
-        result = server.answer_with_breakdown(client.query(5)[1])
-        assert result.latency_seconds > 0
+        client, server, db = setup
+        server.answer(client.query(5)[1])
+        breakdown = server.backend.model.single_query_breakdown(
+            db.num_records, db.record_size
+        )
+        assert breakdown.total > 0
 
     def test_answer_batch(self, setup):
         client, server, _ = setup

@@ -5,7 +5,8 @@ import pytest
 
 from repro.common.errors import CapacityError, ProtocolError
 from repro.core.config import IMPIRConfig
-from repro.core.impir import IMPIRDeployment, IMPIRServer
+from repro.core.engine import create_server
+from repro.core.impir import IMPIRDeployment
 from repro.core.results import (
     PHASE_AGGREGATE,
     PHASE_COPY_IN,
@@ -18,25 +19,24 @@ from repro.pim.config import scaled_down_config
 from repro.pim.kernels import DB_BUFFER
 from repro.pir.client import PIRClient
 from repro.pir.database import Database
-from repro.pir.server import PIRServer
 
 
 @pytest.fixture()
 def setup(small_db, small_impir_config):
     client = PIRClient(small_db.num_records, small_db.record_size, seed=5, prg=make_prg("numpy"))
-    server = IMPIRServer(small_db, config=small_impir_config, server_id=0)
+    server = create_server("im-pir", small_db, config=small_impir_config, server_id=0)
     return client, server, small_db
 
 
 class TestConstruction:
     def test_preload_partitions_database(self, setup):
         _, server, db = setup
-        assert server.num_clusters == 1
-        layout = server.layout_for_cluster(0)
+        assert len(server.backend.clusters) == 1
+        layout = server.backend.layout_for_lane(0)
         assert layout.validate_coverage()
         assert server.preload_report is not None
         assert server.preload_report.total > 0
-        assert 0 < server.mram_utilization() < 1
+        assert 0 < server.backend.mram_utilization() < 1
 
     def test_database_too_large_for_platform_rejected(self):
         # 2 DPUs x 64 MB with 25% reserve cannot hold a ~100 MB database... use
@@ -44,26 +44,26 @@ class TestConstruction:
         config = IMPIRConfig(pim=scaled_down_config(num_dpus=2, tasklets=2))
         too_big = Database.random((97 * (1 << 20)) // 1024, 1024, seed=1)
         with pytest.raises(CapacityError):
-            IMPIRServer(too_big, config=config)
+            create_server("im-pir", too_big, config=config)
 
     def test_invalid_server_id_rejected(self, small_db, small_impir_config):
         with pytest.raises(ProtocolError):
-            IMPIRServer(small_db, config=small_impir_config, server_id=2)
+            create_server("im-pir", small_db, config=small_impir_config, server_id=2)
 
     def test_can_cluster_check(self, setup):
         _, server, _ = setup
-        assert server.can_cluster(2)
-        assert not server.can_cluster(0)
-        assert not server.can_cluster(10_000)
+        assert server.backend.can_cluster(2)
+        assert not server.backend.can_cluster(0)
+        assert not server.backend.can_cluster(10_000)
 
 
 class TestSingleQuery:
     def test_answers_match_reference_server(self, setup):
         client, server, db = setup
-        reference = PIRServer(db, server_id=0, prg=make_prg("numpy"))
+        reference = create_server("reference", db, server_id=0, prg=make_prg("numpy"))
         for index in (0, 100, db.num_records - 1):
             query = client.query(index)[0]
-            assert server.answer(query).answer.payload == reference.answer(query).payload
+            assert server.answer(query).answer.payload == reference.answer(query).answer.payload
 
     def test_breakdown_has_all_phases(self, setup):
         client, server, _ = setup
@@ -93,19 +93,19 @@ class TestSingleQuery:
     def test_rejects_bad_cluster_index(self, setup):
         client, server, _ = setup
         with pytest.raises(ProtocolError):
-            server.answer(client.query(0)[0], cluster_index=5)
+            server.engine.answer(client.query(0)[0], lane=5)
 
 
 class TestBatch:
     def test_batch_answers_are_correct(self, setup):
         client, server, db = setup
-        reference = PIRServer(db, server_id=0, prg=make_prg("numpy"))
+        reference = create_server("reference", db, server_id=0, prg=make_prg("numpy"))
         indices = [3, 77, 512, 1023, 0]
         queries = [client.query(i)[0] for i in indices]
         batch = server.answer_batch(queries)
         assert batch.batch_size == len(indices)
         for query, result in zip(queries, batch.results):
-            assert result.answer.payload == reference.answer(query).payload
+            assert result.answer.payload == reference.answer(query).answer.payload
 
     def test_batch_schedule_consistency(self, setup):
         client, server, _ = setup
@@ -131,27 +131,29 @@ class TestBatch:
 class TestClustering:
     def test_clustered_server_is_correct(self, small_db):
         config = IMPIRConfig(pim=scaled_down_config(num_dpus=8, tasklets=2), num_clusters=4)
-        server = IMPIRServer(small_db, config=config, server_id=0)
+        server = create_server("im-pir", small_db, config=config, server_id=0)
         client = PIRClient(small_db.num_records, small_db.record_size, seed=2, prg=make_prg("numpy"))
-        reference = PIRServer(small_db, server_id=0, prg=make_prg("numpy"))
+        reference = create_server("reference", small_db, server_id=0, prg=make_prg("numpy"))
         queries = [client.query(i)[0] for i in range(8)]
         batch = server.answer_batch(queries)
         assert {r.cluster_id for r in batch.results} == {0, 1, 2, 3}
         for query, result in zip(queries, batch.results):
-            assert result.answer.payload == reference.answer(query).payload
+            assert result.answer.payload == reference.answer(query).answer.payload
 
     def test_each_cluster_holds_full_database(self, small_db):
         config = IMPIRConfig(pim=scaled_down_config(num_dpus=8, tasklets=2), num_clusters=2)
-        server = IMPIRServer(small_db, config=config, server_id=0)
+        server = create_server("im-pir", small_db, config=config, server_id=0)
         for cluster_index in range(2):
-            assert server.layout_for_cluster(cluster_index).num_records == small_db.num_records
+            assert server.backend.layout_for_lane(cluster_index).num_records == small_db.num_records
 
     def test_clustering_improves_or_matches_batch_latency(self, small_db):
         base = IMPIRConfig(pim=scaled_down_config(num_dpus=8, tasklets=2))
         client = PIRClient(small_db.num_records, small_db.record_size, seed=4, prg=make_prg("numpy"))
         queries = [client.query(i)[0] for i in range(12)]
-        single = IMPIRServer(small_db, config=base, server_id=0).answer_batch(queries)
-        clustered = IMPIRServer(small_db, config=base.with_clusters(4), server_id=0).answer_batch(queries)
+        single = create_server("im-pir", small_db, config=base, server_id=0).answer_batch(queries)
+        clustered = create_server(
+            "im-pir", small_db, config=base.with_clusters(4), server_id=0
+        ).answer_batch(queries)
         assert clustered.latency_seconds <= single.latency_seconds * 1.001
 
 
@@ -161,22 +163,22 @@ class TestMramStaysHonest:
 
     @staticmethod
     def _assert_db_buffers_match(server):
-        for cluster_index, cluster in enumerate(server.clusters):
-            layout = server.layout_for_cluster(cluster_index)
+        for cluster_index, cluster in enumerate(server.backend.clusters):
+            layout = server.backend.layout_for_lane(cluster_index)
             for dpu, bounds in zip(cluster.dpu_set.dpus, layout.bounds):
                 expected = np.ascontiguousarray(server.database.chunk(*bounds)).reshape(-1)
                 assert np.array_equal(dpu.load(DB_BUFFER), expected)
 
     def test_db_buffers_follow_prepare_and_updates(self, small_db):
         config = IMPIRConfig(pim=scaled_down_config(num_dpus=8, tasklets=2), num_clusters=2)
-        server = IMPIRServer(small_db, config=config, server_id=0)
+        server = create_server("im-pir", small_db, config=config, server_id=0)
         self._assert_db_buffers_match(server)
 
         client = PIRClient(small_db.num_records, small_db.record_size, seed=6, prg=make_prg("numpy"))
         hot = 77
         server.answer(client.query(hot)[0])
         cold = small_db.num_records - 3
-        boundary = server.layout_for_cluster(0).bounds[3][0]
+        boundary = server.backend.layout_for_lane(0).bounds[3][0]
         rng = np.random.default_rng(8)
         updates = [
             (index, rng.integers(0, 256, small_db.record_size, dtype=np.uint8).tobytes())
@@ -200,7 +202,7 @@ class TestDeployment:
         config = IMPIRConfig(pim=scaled_down_config(num_dpus=8, tasklets=4), num_clusters=2)
         deployment = IMPIRDeployment(medium_db, config=config, client_seed=2)
         indices = [5, 99, 2048, 4095]
-        records = deployment.retrieve_batch(indices)
+        records = deployment.frontend.retrieve_batch(indices)
         assert records == [medium_db.record(i) for i in indices]
 
 

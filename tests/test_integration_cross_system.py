@@ -5,14 +5,11 @@ import numpy as np
 import pytest
 
 from repro.core.config import IMPIRConfig
-from repro.core.impir import IMPIRServer
-from repro.cpu.cpu_pir import CPUPIRServer
+from repro.core.engine import create_server
 from repro.dpf.prf import make_prg
-from repro.gpu.gpu_pir import GPUPIRServer
 from repro.pim.config import scaled_down_config
 from repro.pir.client import PIRClient
 from repro.pir.database import Database
-from repro.pir.server import PIRServer
 from repro.workloads.certificate_transparency import build_ct_workload
 from repro.workloads.credentials import build_credential_workload
 from repro.workloads.traces import uniform_trace
@@ -27,10 +24,10 @@ def shared_db():
 def all_servers(shared_db):
     config = IMPIRConfig(pim=scaled_down_config(num_dpus=8, tasklets=4))
     return {
-        "reference": PIRServer(shared_db, server_id=0, prg=make_prg("numpy")),
-        "cpu": CPUPIRServer(shared_db, server_id=0, prg=make_prg("numpy")),
-        "gpu": GPUPIRServer(shared_db, server_id=0, prg=make_prg("numpy")),
-        "impir": IMPIRServer(shared_db, config=config, server_id=0),
+        "reference": create_server("reference", shared_db, server_id=0, prg=make_prg("numpy")),
+        "cpu": create_server("cpu", shared_db, server_id=0, prg=make_prg("numpy")),
+        "gpu": create_server("gpu", shared_db, server_id=0, prg=make_prg("numpy")),
+        "impir": create_server("im-pir", shared_db, config=config, server_id=0),
     }
 
 
@@ -40,9 +37,9 @@ class TestAllServersAgree:
         for index in (0, 511, 1024, 2047):
             query = client.query(index)[0]
             payloads = {
-                "reference": all_servers["reference"].answer(query).payload,
-                "cpu": all_servers["cpu"].answer(query).payload,
-                "gpu": all_servers["gpu"].answer(query).payload,
+                "reference": all_servers["reference"].answer(query).answer.payload,
+                "cpu": all_servers["cpu"].answer(query).answer.payload,
+                "gpu": all_servers["gpu"].answer(query).answer.payload,
                 "impir": all_servers["impir"].answer(query).answer.payload,
             }
             assert len(set(payloads.values())) == 1
@@ -51,18 +48,19 @@ class TestAllServersAgree:
         """Run both replicas on each architecture and reconstruct records."""
         config = IMPIRConfig(pim=scaled_down_config(num_dpus=4, tasklets=2))
         builders = {
-            "cpu": lambda sid: CPUPIRServer(shared_db, server_id=sid, prg=make_prg("numpy")),
-            "gpu": lambda sid: GPUPIRServer(shared_db, server_id=sid, prg=make_prg("numpy")),
-            "impir": lambda sid: IMPIRServer(shared_db, config=config, server_id=sid),
+            "cpu": lambda sid: create_server(
+                "cpu", shared_db, server_id=sid, prg=make_prg("numpy")
+            ),
+            "gpu": lambda sid: create_server(
+                "gpu", shared_db, server_id=sid, prg=make_prg("numpy")
+            ),
+            "impir": lambda sid: create_server("im-pir", shared_db, config=config, server_id=sid),
         }
         for name, build in builders.items():
             client = PIRClient(shared_db.num_records, shared_db.record_size, seed=3, prg=make_prg("numpy"))
             servers = [build(0), build(1)]
             queries = client.query(1234)
-            answers = []
-            for query in queries:
-                result = servers[query.server_id].answer(query)
-                answers.append(result.answer if hasattr(result, "answer") else result)
+            answers = [servers[query.server_id].answer(query).answer for query in queries]
             assert client.reconstruct(answers) == shared_db.record(1234), name
 
 
@@ -74,7 +72,10 @@ class TestWorkloadsThroughIMPIR:
     def test_certificate_transparency_audit(self, impir_config):
         log, database, trace = build_ct_workload(num_certificates=512, num_audits=6, seed=4)
         client = PIRClient(database.num_records, database.record_size, seed=8, prg=make_prg("numpy"))
-        servers = [IMPIRServer(database, config=impir_config, server_id=i) for i in (0, 1)]
+        servers = [
+            create_server("im-pir", database, config=impir_config, server_id=i)
+            for i in (0, 1)
+        ]
         for index in trace:
             queries = client.query(index)
             answers = [servers[q.server_id].answer(q).answer for q in queries]
@@ -86,7 +87,10 @@ class TestWorkloadsThroughIMPIR:
             num_credentials=512, num_checks=8, seed=6
         )
         client = PIRClient(database.num_records, database.record_size, seed=9, prg=make_prg("numpy"))
-        servers = [IMPIRServer(database, config=impir_config, server_id=i) for i in (0, 1)]
+        servers = [
+            create_server("im-pir", database, config=impir_config, server_id=i)
+            for i in (0, 1)
+        ]
         verdicts = []
         for index, candidate in zip(trace.indices, candidates):
             queries = client.query(index)
@@ -99,8 +103,8 @@ class TestWorkloadsThroughIMPIR:
         database = Database.random(1024, 32, seed=55)
         trace = uniform_trace(database.num_records, 16, seed=2)
         client = PIRClient(database.num_records, database.record_size, seed=11, prg=make_prg("numpy"))
-        server0 = IMPIRServer(database, config=impir_config, server_id=0)
-        server1 = IMPIRServer(database, config=impir_config, server_id=1)
+        server0 = create_server("im-pir", database, config=impir_config, server_id=0)
+        server1 = create_server("im-pir", database, config=impir_config, server_id=1)
         indices = list(trace)
         per_query = [client.query(i) for i in indices]
         batch0 = server0.answer_batch([q[0] for q in per_query])
@@ -114,7 +118,7 @@ class TestQueryPrivacyIndependence:
         """The all-for-one principle: the server scans the whole database no
         matter which index the client asked for."""
         client = PIRClient(shared_db.num_records, shared_db.record_size, seed=21, prg=make_prg("numpy"))
-        server = PIRServer(shared_db, server_id=0, prg=make_prg("numpy"))
+        server = create_server("reference", shared_db, server_id=0, prg=make_prg("numpy"))
         scans = []
         for index in (0, shared_db.num_records // 2, shared_db.num_records - 1):
             before = server.stats.dpxor.records_scanned

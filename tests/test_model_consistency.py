@@ -10,7 +10,7 @@ import pytest
 
 from repro.bench.estimators import IMPIREstimator
 from repro.core.config import IMPIRConfig
-from repro.core.impir import IMPIRServer
+from repro.core.engine import create_server
 from repro.core.results import (
     PHASE_AGGREGATE,
     PHASE_COPY_IN,
@@ -18,7 +18,6 @@ from repro.core.results import (
     PHASE_DPXOR,
     PHASE_EVAL,
 )
-from repro.cpu.cpu_pir import CPUPIRServer
 from repro.dpf.prf import make_prg
 from repro.pim.config import scaled_down_config
 from repro.pir.client import PIRClient
@@ -38,7 +37,7 @@ class TestIMPIRDuality:
     def test_single_query_phase_agreement(self, setting):
         """Functional run vs analytic estimate: every phase within 20%."""
         database, config, spec = setting
-        server = IMPIRServer(database, config=config, server_id=0)
+        server = create_server("im-pir", database, config=config, server_id=0)
         client = PIRClient(database.num_records, database.record_size, seed=1, prg=make_prg("numpy"))
         functional = server.answer(client.query(123)[0]).breakdown
 
@@ -52,7 +51,7 @@ class TestIMPIRDuality:
 
     def test_total_latency_agreement(self, setting):
         database, config, spec = setting
-        server = IMPIRServer(database, config=config, server_id=0)
+        server = create_server("im-pir", database, config=config, server_id=0)
         client = PIRClient(database.num_records, database.record_size, seed=2, prg=make_prg("numpy"))
         functional_total = server.answer(client.query(7)[0]).latency_seconds
         analytic_total = IMPIREstimator(config).query_breakdown(spec).total
@@ -60,7 +59,7 @@ class TestIMPIRDuality:
 
     def test_batch_makespan_agreement(self, setting):
         database, config, spec = setting
-        server = IMPIRServer(database, config=config, server_id=0)
+        server = create_server("im-pir", database, config=config, server_id=0)
         client = PIRClient(database.num_records, database.record_size, seed=3, prg=make_prg("numpy"))
         queries = [client.query(i * 11)[0] for i in range(8)]
         functional = server.answer_batch(queries)
@@ -72,19 +71,21 @@ class TestIMPIRDuality:
 class TestCPUDuality:
     def test_single_query_breakdown_agreement(self, setting):
         database, _, spec = setting
-        server = CPUPIRServer(database, server_id=0, prg=make_prg("numpy"))
+        server = create_server("cpu", database, server_id=0, prg=make_prg("numpy"))
         client = PIRClient(database.num_records, database.record_size, seed=4, prg=make_prg("numpy"))
-        functional = server.answer_with_breakdown(client.query(50)[0]).breakdown
-        analytic = server.estimate_breakdown(spec.num_records, spec.record_size)
+        server.answer(client.query(50)[0])
+        model = server.backend.model
+        functional = model.single_query_breakdown(database.num_records, database.record_size)
+        analytic = model.single_query_breakdown(spec.num_records, spec.record_size)
         assert functional.total == pytest.approx(analytic.total, rel=1e-9)
 
     def test_batch_estimate_agreement(self, setting):
         database, _, spec = setting
-        server = CPUPIRServer(database, server_id=0, prg=make_prg("numpy"))
+        server = create_server("cpu", database, server_id=0, prg=make_prg("numpy"))
         client = PIRClient(database.num_records, database.record_size, seed=5, prg=make_prg("numpy"))
         queries = [client.query(i)[0] for i in range(4)]
         functional = server.answer_batch(queries)
-        analytic = server.estimate_batch(spec.num_records, spec.record_size, 4)
+        analytic = server.backend.model.batch_estimate(spec.num_records, spec.record_size, 4)
         assert functional.latency_seconds == pytest.approx(analytic.latency_seconds, rel=1e-9)
 
 
@@ -94,7 +95,7 @@ class TestSelectorFractionEffect:
         estimator assumes 1/2 — the residual gap must stay small because DPF
         shares are balanced."""
         database, config, spec = setting
-        server = IMPIRServer(database, config=config, server_id=0)
+        server = create_server("im-pir", database, config=config, server_id=0)
         client = PIRClient(database.num_records, database.record_size, seed=6, prg=make_prg("numpy"))
         analytic_dpxor = IMPIREstimator(config).query_breakdown(spec).get(PHASE_DPXOR)
         for index in (0, 2048, 4095):

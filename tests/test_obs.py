@@ -434,7 +434,7 @@ class TestObservabilityHub:
                 scanned=((3, 8, ((0, 0),)),),
                 batch=((3, 8),),
                 details={
-                    (0, 0): ResultDetail(breakdown=None, simulated_seconds=0.125)
+                    (0, 0): ResultDetail(breakdown=PhaseTimer(), simulated_seconds=0.125)
                 },
             )
         )

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.errors import ProtocolError
 from repro.pir.database import Database
+from repro.pir.frontend import PIRFrontend
 from repro.pir.protocol import MultiServerPIRProtocol
 
 
@@ -24,7 +25,8 @@ class TestDPFProtocol:
     def test_retrieve_batch(self, small_db):
         protocol = MultiServerPIRProtocol(small_db, seed=3)
         indices = [0, 5, 1023]
-        records = protocol.retrieve_batch(indices)
+        frontend = PIRFrontend(protocol.client, protocol.servers)
+        records = frontend.retrieve_batch(indices)
         assert records == [small_db.record(i) for i in indices]
 
     def test_aes_prg_backend(self):

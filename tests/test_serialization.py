@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ProtocolError
+from repro.core.engine import create_server
 from repro.dpf.dpf import DPF
 from repro.dpf.naive import NaiveShare
 from repro.pir.messages import DPFQuery, NaiveQuery, PIRAnswer
@@ -169,16 +170,18 @@ class TestEndToEndOverTheWire:
         """Client and servers exchange only serialized bytes."""
         from repro.dpf.prf import make_prg
         from repro.pir.client import PIRClient
-        from repro.pir.server import PIRServer
 
         client = PIRClient(small_db.num_records, small_db.record_size, seed=3, prg=make_prg("numpy"))
-        servers = [PIRServer(small_db, server_id=i, prg=make_prg("numpy")) for i in range(2)]
+        servers = [
+            create_server("reference", small_db, server_id=i, prg=make_prg("numpy"))
+            for i in range(2)
+        ]
         index = 444
         wire_queries = [serialize_query(q) for q in client.query(index)]
         wire_answers = []
         for blob in wire_queries:
             query = deserialize_query(blob)
-            wire_answers.append(serialize_answer(servers[query.server_id].answer(query)))
+            wire_answers.append(serialize_answer(servers[query.server_id].answer(query).answer))
         answers = [deserialize_answer(blob) for blob in wire_answers]
         assert client.reconstruct(answers) == small_db.record(index)
 

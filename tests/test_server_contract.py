@@ -1,0 +1,146 @@
+"""What every registered server kind reports to the frontend, pinned exactly.
+
+Each kind of :func:`repro.create_server` is driven through a
+:class:`~repro.pir.frontend.PIRFrontend` with an
+:class:`~repro.pir.frontend.AdaptiveBatchingPolicy` at two starting batch
+sizes.  The test pins, as ``float.hex()``, the frontend's total simulated
+makespan, the last flush's cluster utilisation and every utilisation the
+policy was fed, plus SHA-256 digests over every answer's engine-written
+``simulated_seconds`` and over every answer payload the client
+reconstructed from.  Kinds without a Fig. 8 pipeline schedule (the
+reference scan, the CPU/GPU cost models, the streamed mode) feed the policy
+no utilisation at all; a refactor of the server layer must leave every value
+below where it is.
+"""
+
+import hashlib
+
+import pytest
+
+from repro import AdaptiveBatchingPolicy, Database, PIRClient, PIRFrontend, create_server
+from repro.dpf.prf import make_prg
+
+NUM_RECORDS, RECORD_SIZE = 96, 16
+INDICES = (5, 0, 95, 41, 41, 17, 63)
+
+#: Every kind returns the same answer bytes: one digest for all of them.
+PAYLOADS_SHA256 = "30ac58da3ed06f73e752a8e61eec793a375158e2c6efe47f0f81882f25a41d60"
+#: Digest of the seconds of answers that charged nothing (all ``None``).
+UNTIMED = "261e7bea9359bc62d37326b63c260e600a84ea855a33c482460080653d4102c7"
+ZERO = "0x0.0p+0"
+
+#: ``(kind, batch size)`` -> ``(total makespan, last utilisation, utilisations
+#: fed to the policy, digest of every answer's simulated seconds)``.
+EXPECTED = {
+    ("cpu", 1): ("0x1.2fed70e5bd0bfp-18", ZERO, [], UNTIMED),
+    ("cpu", 3): ("0x1.048260c4eb2eep-19", ZERO, [], UNTIMED),
+    ("gpu", 1): ("0x1.6f78ab2ee4bc5p-12", ZERO, [], UNTIMED),
+    ("gpu", 3): ("0x1.3b8327ac0545ep-13", ZERO, [], UNTIMED),
+    ("im-pir", 1): (
+        "0x1.d64de67753125p-9",
+        "0x1.ff8b1b3a65128p-1",
+        [
+            "0x1.ff8b15b905db5p-1",
+            "0x1.ff8b1b3a65128p-1",
+            "0x1.ff8b20bb3f950p-1",
+            "0x1.ff8b1b3a65128p-1",
+            "0x1.ff8b15b905db5p-1",
+            "0x1.ff8b20bb3f950p-1",
+            "0x1.ff8b1b3a65128p-1",
+        ],
+        "7c42ad2b3e58a9f010e1938cf3e427f014086e825fbc89f0882bdffcc5ecbbe3",
+    ),
+    ("im-pir", 3): (
+        "0x1.0e1706a9d9d36p-9",
+        "0x1.ff8b1b3a65128p-1",
+        [
+            "0x1.ff8cae2b12404p-1",
+            "0x1.ff8bd30bf3a14p-1",
+            "0x1.ff8b20bb3f950p-1",
+            "0x1.ff8b1b3a65128p-1",
+        ],
+        "33873181668214fb68fd9da9f8d344e01ff867e180a51dfe6ecefeda55d3858c",
+    ),
+    ("im-pir-streamed", 1): (
+        "0x1.abdd6ea95ab6ap-7",
+        ZERO,
+        [],
+        "9173ff075d083ac092ff7c26808e489c8cd8f942b01feb96de0b57f610e0b94c",
+    ),
+    ("im-pir-streamed", 3): (
+        "0x1.709c4244af295p-8",
+        ZERO,
+        [],
+        "d33a12a936eb4faa966a61c87c1e2a8728f296429057d4d09468d70af12a19dc",
+    ),
+    ("reference", 1): (ZERO, ZERO, [], UNTIMED),
+    ("reference", 3): (ZERO, ZERO, [], UNTIMED),
+    # The sharded kind runs the engine's pipeline schedule (all zero over
+    # reference children), so the policy does see its utilisation.
+    ("sharded", 1): (ZERO, ZERO, [ZERO] * 3, UNTIMED),
+    ("sharded", 3): (ZERO, ZERO, [ZERO] * 2, UNTIMED),
+}
+
+KIND_OPTIONS = {"im-pir-streamed": {"segment_records": 40}}
+
+
+class _FlushRecorder:
+    """Frontend observer keeping every answer's engine-written seconds."""
+
+    def __init__(self):
+        self.seconds = []
+
+    def observe_flush(self, observation):
+        for key in sorted(observation.details):
+            self.seconds.append((key, observation.details[key].simulated_seconds))
+
+
+def _drive(kind, batch_size):
+    database = Database.random(NUM_RECORDS, RECORD_SIZE, seed=23)
+    client = PIRClient(NUM_RECORDS, RECORD_SIZE, seed=29, prg=make_prg("numpy"))
+    payloads = []
+    reconstruct = client.reconstruct
+
+    def recording_reconstruct(answers):
+        payloads.extend(answer.payload for answer in answers)
+        return reconstruct(answers)
+
+    client.reconstruct = recording_reconstruct
+    replicas = [
+        create_server(kind, database, server_id=i, **KIND_OPTIONS.get(kind, {}))
+        for i in (0, 1)
+    ]
+    policy = AdaptiveBatchingPolicy(
+        initial_batch_size=batch_size, max_wait_seconds=10.0, max_batch_size_limit=8
+    )
+    recorder = _FlushRecorder()
+    frontend = PIRFrontend(client, replicas, policy=policy, observers=[recorder])
+    records = frontend.retrieve_batch(list(INDICES))
+    assert records == [database.record(index) for index in INDICES]
+
+    seconds = "".join(
+        f"{key}:{None if value is None else float(value).hex()};"
+        for key, value in recorder.seconds
+    )
+    assert hashlib.sha256(b"".join(payloads)).hexdigest() == PAYLOADS_SHA256
+    metrics = frontend.metrics
+    return (
+        float(metrics.total_makespan_seconds).hex(),
+        float(metrics.last_cluster_utilization).hex(),
+        [float(value).hex() for value, _ in policy.history],
+        hashlib.sha256(seconds.encode()).hexdigest(),
+    )
+
+
+@pytest.mark.parametrize("batch_size", [1, 3])
+@pytest.mark.parametrize(
+    "kind", ["cpu", "gpu", "im-pir", "im-pir-streamed", "reference", "sharded"]
+)
+def test_server_reports_are_pinned(kind, batch_size):
+    assert _drive(kind, batch_size) == EXPECTED[(kind, batch_size)]
+
+
+def test_every_registered_kind_is_pinned():
+    from repro import available_backends
+
+    assert {kind for kind, _ in EXPECTED} == set(available_backends())

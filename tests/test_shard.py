@@ -7,22 +7,24 @@ non-power-of-two splits), and bulk updates must touch only the owning
 shard's child.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError, DatabaseError, ProtocolError
 from repro.common.events import PhaseTimer
-from repro.core.engine import available_backends, create_server
+from repro.core.engine import PIRBackend, available_backends, create_server
 from repro.core.impir import PIMClusterBackend
 from repro.core.partitioning import aligned_chunk_bounds
 from repro.dpf.prf import make_prg
 from repro.pim.kernels import DB_BUFFER
 from repro.pir.client import PIRClient
 from repro.pir.database import Database
+from repro.pir.server import PIRServer
 from repro.shard.backend import (
     BARE_BACKEND_KINDS,
     ShardedBackend,
-    ShardedServer,
     bare_backend_factory,
 )
 from repro.shard.plan import ShardPlan
@@ -32,6 +34,12 @@ def make_client(database, seed=17):
     return PIRClient(
         database.num_records, database.record_size, seed=seed, prg=make_prg("numpy")
     )
+
+
+def sharded_server(database, child_factory, **backend_options):
+    """Server 0 over a sharded backend with a custom child factory."""
+    backend = ShardedBackend(child_factory, **backend_options)
+    return PIRServer(backend, database, 0, prg=make_prg("numpy"))
 
 
 class TestAlignedChunkBounds:
@@ -138,8 +146,8 @@ class TestShardedEquivalence:
         )
         client = make_client(database)
         unsharded = create_server("reference", database)
-        sharded = ShardedServer(
-            database, num_shards=num_shards, child_kind=kind, prg=make_prg("numpy")
+        sharded = create_server(
+            "sharded", database, num_shards=num_shards, child_kind=kind, prg=make_prg("numpy")
         )
         for index in sorted({0, num_records // 2, num_records - 1}):
             query = client.query(index)[0]
@@ -153,7 +161,8 @@ class TestShardedEquivalence:
         database = Database.random(128, 16, seed=9)
         client = make_client(database, seed=23)
         replicas = [
-            ShardedServer(
+            create_server(
+                "sharded",
                 database,
                 server_id=i,
                 num_shards=4,
@@ -176,8 +185,8 @@ class TestShardedEquivalence:
             for r in create_server("reference", database).engine.answer_many(queries).results
         ]
         for kind in BARE_BACKEND_KINDS:
-            sharded = ShardedServer(
-                database, num_shards=3, child_kind=kind, prg=make_prg("numpy")
+            sharded = create_server(
+                "sharded", database, num_shards=3, child_kind=kind, prg=make_prg("numpy")
             )
             payloads = [
                 r.answer.payload for r in sharded.answer_batch(queries).results
@@ -189,14 +198,15 @@ class TestShardedEquivalence:
         database = Database.random(200, 16, seed=31)
         client = make_client(database, seed=7)
         unsharded = create_server("reference", database)
-        sharded = ShardedServer(
+        sharded = create_server(
+            "sharded",
             database,
             num_shards=3,
             child_kind="im-pir",
             block_records=16,
             prg=make_prg("numpy"),
         )
-        for shard in sharded.plan.shards[:-1]:
+        for shard in sharded.backend.plan.shards[:-1]:
             assert shard.stop % 16 == 0
         for index in (0, 57, 199):
             query = client.query(index)[0]
@@ -215,11 +225,8 @@ class TestShardedEquivalence:
             1: bare_backend_factory("im-pir-streamed"),
             2: bare_backend_factory("reference"),
         }
-        sharded = ShardedServer(
-            database,
-            plan=plan,
-            child_factory=lambda shard: factories[shard.index](shard),
-            prg=make_prg("numpy"),
+        sharded = sharded_server(
+            database, lambda shard: factories[shard.index](shard), plan=plan
         )
         unsharded = create_server("reference", database)
         for index in (0, 60, 119):
@@ -236,8 +243,8 @@ class TestShardedEquivalence:
 class TestShardedCapabilitiesAndTiming:
     def test_capabilities_aggregate_members(self):
         database = Database.random(64, 8, seed=2)
-        sharded = ShardedServer(
-            database, num_shards=2, child_kind="im-pir", prg=make_prg("numpy")
+        sharded = create_server(
+            "sharded", database, num_shards=2, child_kind="im-pir", prg=make_prg("numpy")
         )
         caps = sharded.engine.backend.capabilities()
         assert caps.name == "sharded"
@@ -278,13 +285,13 @@ class TestShardedCapabilitiesAndTiming:
         database = Database.random(128, 16, seed=4)
         client = make_client(database, seed=3)
         query = client.query(5)[0]
-        sharded = ShardedServer(
-            database, num_shards=2, child_kind="im-pir", prg=make_prg("numpy")
+        sharded = create_server(
+            "sharded", database, num_shards=2, child_kind="im-pir", prg=make_prg("numpy")
         )
         breakdown = sharded.engine.answer(query).breakdown
         assert breakdown.total > 0
-        single = ShardedServer(
-            database, num_shards=1, child_kind="im-pir", prg=make_prg("numpy")
+        single = create_server(
+            "sharded", database, num_shards=1, child_kind="im-pir", prg=make_prg("numpy")
         )
         single_query = make_client(database, seed=3).query(5)[0]
         single_breakdown = single.engine.answer(single_query).breakdown
@@ -294,28 +301,27 @@ class TestShardedCapabilitiesAndTiming:
 
     def test_preload_report_merged_across_shards(self):
         database = Database.random(64, 8, seed=6)
-        sharded = ShardedServer(
-            database, num_shards=2, child_kind="im-pir", prg=make_prg("numpy")
+        sharded = create_server(
+            "sharded", database, num_shards=2, child_kind="im-pir", prg=make_prg("numpy")
         )
         report = sharded.preload_report
         assert report is not None and report.total > 0
 
     def test_pinned_plan_must_match_database(self):
         with pytest.raises(ConfigurationError):
-            ShardedServer(
-                Database.random(64, 8, seed=20),
+            create_server("sharded", Database.random(64, 8, seed=20),
                 plan=ShardPlan.uniform(128, 2),
                 prg=make_prg("numpy"),
             )
 
     def test_reprepare_with_different_shape(self):
-        sharded = ShardedServer(
-            Database.random(64, 8, seed=7), num_shards=4, prg=make_prg("numpy")
+        sharded = create_server(
+            "sharded", Database.random(64, 8, seed=7), num_shards=4, prg=make_prg("numpy")
         )
         new_db = Database.random(33, 16, seed=8)
         sharded.engine.prepare(new_db)
-        assert sharded.plan.num_records == 33
-        assert sharded.plan.num_shards == 4
+        assert sharded.backend.plan.num_records == 33
+        assert sharded.backend.plan.num_shards == 4
         client = make_client(new_db, seed=9)
         reference = create_server("reference", new_db)
         query = client.query(32)[0]
@@ -364,9 +370,7 @@ class TestShardedUpdates:
             children.append(child)
             return child
 
-        sharded = ShardedServer(
-            database, num_shards=3, child_factory=factory, prg=make_prg("numpy")
-        )
+        sharded = sharded_server(database, factory, num_shards=3)
         assert [c.prepares for c in children] == [1, 1, 1]
 
         # Both dirty records live in shard 0 ([0, 32)).
@@ -388,8 +392,8 @@ class TestShardedUpdates:
     def test_untouched_shard_mram_buffers_identical(self):
         """Updating shard 0 leaves the other shards' DPU MRAM bytes untouched."""
         database = Database.random(96, 8, seed=13)
-        sharded = ShardedServer(
-            database, num_shards=3, child_kind="im-pir", prg=make_prg("numpy")
+        sharded = create_server(
+            "sharded", database, num_shards=3, child_kind="im-pir", prg=make_prg("numpy")
         )
 
         def mram_snapshot(member_index):
@@ -415,21 +419,19 @@ class TestShardedUpdates:
         def factory(shard):
             child = bare_backend_factory("reference")(shard)
             counting = _CountingBackend(child)
-            # Hide the wrapper's apply_updates so the re-prepare path runs.
-            counting.apply_updates = None
+            # A child keeping the PIRBackend default re-prepares its slice.
+            counting.apply_updates = functools.partial(PIRBackend.apply_updates, counting)
             children.append(counting)
             return counting
 
-        sharded = ShardedServer(
-            database, num_shards=2, child_factory=factory, prg=make_prg("numpy")
-        )
+        sharded = sharded_server(database, factory, num_shards=2)
         sharded.apply_updates([(40, b"\xdd" * 8)])  # shard 1 owns [32, 64)
         assert [c.prepares for c in children] == [1, 2]
         assert sharded.database.record(40) == b"\xdd" * 8
 
     def test_empty_update_list_is_noop(self):
         database = Database.random(16, 4, seed=15)
-        sharded = ShardedServer(database, num_shards=2, prg=make_prg("numpy"))
+        sharded = create_server("sharded", database, num_shards=2, prg=make_prg("numpy"))
         timer = sharded.apply_updates([])
         assert timer.total == 0.0
         assert sharded.database == database
@@ -445,14 +447,15 @@ class TestShardedUpdates:
         PIM children's partial MRAM re-copy the wrong bytes.
         """
         database = Database.random(88, 16, seed=21)
-        sharded = ShardedServer(
+        sharded = create_server(
+            "sharded",
             database,
             num_shards=3,
             block_records=8,
             child_kind="im-pir",
             prg=make_prg("numpy"),
         )
-        last = sharded.plan.shards[-1]
+        last = sharded.backend.plan.shards[-1]
         assert (last.start, last.stop) == (64, 88)
         assert last.num_records % 8 == 0  # multi-block
         assert last.num_records & (last.num_records - 1) != 0  # non-power-of-two
@@ -486,7 +489,7 @@ class TestShardedRegistry:
         server = create_server(
             "sharded", database, num_shards=3, child_kind="im-pir", block_records=4
         )
-        assert server.num_shards == 3
+        assert server.backend.plan.num_shards == 3
         assert not server.engine.backend.capabilities().supports_naive
         client = make_client(database, seed=18)
         reference = create_server("reference", database)
@@ -511,9 +514,9 @@ class TestShardedRegistry:
     def test_routing_helpers(self):
         database = Database.random(60, 4, seed=19)
         server = create_server("sharded", database, num_shards=4)
-        assert server.shard_for_record(0).index == 0
-        assert server.shard_for_record(59).index == 3
-        assert sum(server.shard_utilization().values()) == 60
+        assert server.backend.plan.shard_for_record(0).index == 0
+        assert server.backend.plan.shard_for_record(59).index == 3
+        assert sum(shard.num_records for shard in server.backend.plan.shards) == 60
 
 
 class _ClosableChild:

@@ -5,19 +5,20 @@ import pytest
 
 from repro.common.errors import CapacityError, ProtocolError
 from repro.core.config import IMPIRConfig
-from repro.core.impir import IMPIRServer
-from repro.core.streaming import PHASE_COPY_DB, StreamedIMPIRServer, streaming_overhead_factor
+from repro.core.engine import create_server
+from repro.core.streaming import PHASE_COPY_DB, streaming_overhead_factor
 from repro.dpf.prf import make_prg
 from repro.pim.config import scaled_down_config
 from repro.pir.client import PIRClient
 from repro.pir.database import Database
-from repro.pir.server import PIRServer
 
 
 @pytest.fixture()
 def streamed_setup(small_db):
     config = IMPIRConfig(pim=scaled_down_config(num_dpus=4, tasklets=2))
-    server = StreamedIMPIRServer(small_db, config=config, server_id=0, segment_records=200)
+    server = create_server(
+        "im-pir-streamed", small_db, config=config, server_id=0, segment_records=200
+    )
     client = PIRClient(small_db.num_records, small_db.record_size, seed=5, prg=make_prg("numpy"))
     return client, server, small_db
 
@@ -25,15 +26,15 @@ def streamed_setup(small_db):
 class TestStreamedServer:
     def test_multiple_segments_needed(self, streamed_setup):
         _, server, db = streamed_setup
-        assert server.num_segments == -(-db.num_records // 200)
-        assert server.num_segments > 1
+        assert server.backend.num_segments == -(-db.num_records // 200)
+        assert server.backend.num_segments > 1
 
     def test_answers_match_reference(self, streamed_setup):
         client, server, db = streamed_setup
-        reference = PIRServer(db, server_id=0, prg=make_prg("numpy"))
+        reference = create_server("reference", db, server_id=0, prg=make_prg("numpy"))
         for index in (0, 199, 200, 777, db.num_records - 1):
             query = client.query(index)[0]
-            assert server.answer(query).answer.payload == reference.answer(query).payload
+            assert server.answer(query).answer.payload == reference.answer(query).answer.payload
 
     def test_breakdown_includes_db_copy_phase(self, streamed_setup):
         client, server, _ = streamed_setup
@@ -46,14 +47,16 @@ class TestStreamedServer:
         config = IMPIRConfig(pim=scaled_down_config(num_dpus=4, tasklets=2))
         client = PIRClient(small_db.num_records, small_db.record_size, seed=6, prg=make_prg("numpy"))
         query = client.query(11)[0]
-        preloaded = IMPIRServer(small_db, config=config, server_id=0).answer(query)
-        streamed = StreamedIMPIRServer(small_db, config=config, server_id=0).answer(query)
+        preloaded = create_server("im-pir", small_db, config=config, server_id=0).answer(query)
+        streamed = create_server(
+            "im-pir-streamed", small_db, config=config, server_id=0
+        ).answer(query)
         assert streamed.latency_seconds > preloaded.latency_seconds
 
     def test_batch_answers(self, streamed_setup):
         client, server, db = streamed_setup
         queries = [client.query(i)[0] for i in (1, 500, 1000)]
-        results = server.answer_batch(queries)
+        results = server.answer_batch(queries).results
         assert len(results) == 3
         for query_index, result in zip((1, 500, 1000), results):
             assert result.answer.payload == db.record(query_index) or len(result.answer.payload) == 32
@@ -72,13 +75,15 @@ class TestStreamedServer:
         config = IMPIRConfig(pim=scaled_down_config(num_dpus=2, tasklets=2))
         huge_segment = 2 * (64 * 2**20 // 32) * 2  # far beyond two DPUs' MRAM
         with pytest.raises(CapacityError):
-            StreamedIMPIRServer(small_db, config=config, segment_records=huge_segment)
+            create_server("im-pir-streamed", small_db, config=config, segment_records=huge_segment)
 
     def test_reconstruction_through_two_streamed_servers(self, small_db):
         config = IMPIRConfig(pim=scaled_down_config(num_dpus=4, tasklets=2))
         client = PIRClient(small_db.num_records, small_db.record_size, seed=8, prg=make_prg("numpy"))
         servers = [
-            StreamedIMPIRServer(small_db, config=config, server_id=i, segment_records=300)
+            create_server(
+                "im-pir-streamed", small_db, config=config, server_id=i, segment_records=300
+            )
             for i in (0, 1)
         ]
         queries = client.query(321)
@@ -89,7 +94,7 @@ class TestStreamedServer:
 class TestBulkUpdates:
     @pytest.fixture()
     def server_and_client(self, small_db, small_impir_config):
-        server = IMPIRServer(small_db, config=small_impir_config, server_id=0)
+        server = create_server("im-pir", small_db, config=small_impir_config, server_id=0)
         client = PIRClient(small_db.num_records, small_db.record_size, seed=9, prg=make_prg("numpy"))
         return server, client, small_db
 
@@ -103,15 +108,17 @@ class TestBulkUpdates:
         query = client.query(100)[0]
         result = server.answer(query)
         updated_db = db.with_updates([(100, new_record)])
-        reference = PIRServer(updated_db, server_id=0, prg=make_prg("numpy"))
-        assert result.answer.payload == reference.answer(query).payload
+        reference = create_server("reference", updated_db, server_id=0, prg=make_prg("numpy"))
+        assert result.answer.payload == reference.answer(query).answer.payload
 
     def test_untouched_records_unchanged(self, server_and_client):
         server, client, db = server_and_client
         server.apply_updates([(5, bytes(32))])
         query = client.query(900)[0]
-        reference = PIRServer(db.with_updates([(5, bytes(32))]), server_id=0, prg=make_prg("numpy"))
-        assert server.answer(query).answer.payload == reference.answer(query).payload
+        reference = create_server(
+            "reference", db.with_updates([(5, bytes(32))]), server_id=0, prg=make_prg("numpy")
+        )
+        assert server.answer(query).answer.payload == reference.answer(query).answer.payload
 
     def test_empty_update_batch_is_free(self, server_and_client):
         server, _, _ = server_and_client

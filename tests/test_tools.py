@@ -416,6 +416,46 @@ class TestPrintLint:
         assert not findings
 
 
+class TestOneServerClassLint:
+    """Every kind is ``repro/pir/server.py``'s ``PIRServer`` over a backend."""
+
+    def _check(self, tmp_path, relative, source):
+        lint = _load_tool("lint")
+        path = tmp_path / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source)
+        return lint.check_file(path)
+
+    @pytest.mark.parametrize(
+        "relative,name",
+        [
+            ("src/repro/cpu/cpu_pir.py", "CPUPIRServer"),
+            ("src/repro/shard/backend.py", "ShardedServer"),
+            ("src/repro/pir/frontend.py", "PIRServer"),
+            ("src/repro/pir/server.py", "StreamedServer"),
+        ],
+    )
+    def test_second_server_class_flagged(self, tmp_path, relative, name):
+        source = f"class {name}:{{}}\n    pass\n"
+        flagged = self._check(tmp_path, relative, source.format(""))
+        assert any("second server class" in message for _, message in flagged)
+        assert not self._check(tmp_path, relative, source.format("  # noqa"))
+
+    def test_the_server_and_other_names_are_legal(self, tmp_path):
+        assert not self._check(
+            tmp_path, "src/repro/pir/server.py", "class PIRServer:\n    pass\n"
+        )
+        assert not self._check(
+            tmp_path,
+            "src/repro/pir/server.py",
+            "class ServerStats:\n    pass\n\n\nclass ServerPool:\n    pass\n",
+        )
+        # Outside the library (tests, examples) doubles may be named freely.
+        assert not self._check(
+            tmp_path, "tests/test_doubles.py", "class FakeServer:\n    pass\n"
+        )
+
+
 class TestEventLoopClockLint:
     """``loop.time()`` is a wall clock in disguise; banned where clocks are injected."""
 

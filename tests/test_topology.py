@@ -17,12 +17,13 @@ from repro.common.errors import ConfigurationError, ProtocolError
 from repro.control.plane import controlled_fleet
 from repro.control.rebalancer import Rebalancer
 from repro.control.telemetry import HeatTracker
+from repro.core.engine import create_server
 from repro.dpf.prf import make_prg
 from repro.pir.async_frontend import AsyncPIRFrontend
 from repro.pir.client import PIRClient
 from repro.pir.database import Database
 from repro.pir.frontend import BatchingPolicy, PIRFrontend
-from repro.shard.backend import ShardedBackend, ShardedServer, bare_backend_factory
+from repro.shard.backend import ShardedBackend, bare_backend_factory
 from repro.shard.fleet import FleetRouter, heats_from_trace, plan_placements
 from repro.shard.plan import ShardPlan, TopologyChange
 from repro.workloads.traces import zipf_trace
@@ -147,11 +148,11 @@ class TestBackendApplyTopology:
         return Database.random(64, 8, seed=92)
 
     def make_server(self, database, plan, server_id=0):
-        return ShardedServer(
+        return create_server(
+            "sharded",
             database,
             server_id=server_id,
             plan=plan,
-            child_factory=bare_backend_factory("reference"),
         )
 
     def frontend_records(self, database, plan, indices, reshape=None, seed=93):
@@ -175,10 +176,10 @@ class TestBackendApplyTopology:
         assert self.frontend_records(database, plan, indices) == expected
 
         def split(server):
-            server.apply_topology(server.plan.split_shard(0, 16))
+            server.backend.apply_topology(server.backend.plan.split_shard(0, 16))
 
         def merge(server):
-            server.apply_topology(server.plan.merge_shards(0, 1))
+            server.backend.apply_topology(server.backend.plan.merge_shards(0, 1))
 
         assert self.frontend_records(database, plan, indices, reshape=split) == expected
         assert self.frontend_records(database, plan, indices, reshape=merge) == expected
@@ -189,7 +190,7 @@ class TestBackendApplyTopology:
         children_before = {
             shard.index: child for shard, child in server.backend.members
         }
-        server.apply_topology(server.plan.split_shard(0, 8))
+        server.backend.apply_topology(server.backend.plan.split_shard(0, 8))
         children_after = dict(
             (shard.index, child) for shard, child in server.backend.members
         )
@@ -208,7 +209,7 @@ class TestBackendApplyTopology:
         with pytest.raises(TypeError):
             snapshot[0] = None
         # The snapshot does not follow a reshape; a re-read does.
-        server.apply_topology(server.plan.split_shard(0, 16))
+        server.backend.apply_topology(server.backend.plan.split_shard(0, 16))
         assert len(snapshot) == 2
         assert len(server.backend.members) == 3
 
@@ -216,11 +217,11 @@ class TestBackendApplyTopology:
         plan = ShardPlan.uniform(database.num_records, 2, block_records=8)
         server = self.make_server(database, plan)
         stale = plan.split_shard(0, 16)
-        server.apply_topology(stale)
+        server.backend.apply_topology(stale)
         # Replaying the same change (or any change built on v0) must fail:
         # the backend now runs v1.
         with pytest.raises(ConfigurationError, match="version"):
-            server.apply_topology(stale)
+            server.backend.apply_topology(stale)
 
     def test_unprepared_backend_rejects_topology(self, database):
         plan = ShardPlan.uniform(database.num_records, 2, block_records=8)
@@ -231,13 +232,13 @@ class TestBackendApplyTopology:
     def test_apply_updates_routes_through_the_new_plan(self, database):
         plan = ShardPlan.uniform(database.num_records, 2, block_records=8)
         server = self.make_server(database, plan)
-        server.apply_topology(server.plan.split_shard(0, 16))
+        server.backend.apply_topology(server.backend.plan.split_shard(0, 16))
         new_record = bytes(range(8))
         server.apply_updates([(3, new_record)])
         client = make_client(database)
         queries = client.query(3)
         answers = [server.answer(q).answer for q in queries if q.server_id == 0]
-        assert server.plan.shard_for_record(3).stop == 16  # owned by a split half
+        assert server.backend.plan.shard_for_record(3).stop == 16  # owned by a split half
         assert server.database.record(3) == new_record
         assert len(answers) == 1
 
@@ -254,9 +255,9 @@ class TestBackendApplyTopology:
             replicas = [self.make_server(database, plan, server_id=i) for i in (0, 1)]
             for replica in replicas:
                 replica.apply_updates([(0, before), (40, before)])
-                replica.apply_topology(replica.plan.split_shard(0, 16))
+                replica.backend.apply_topology(replica.backend.plan.split_shard(0, 16))
                 replica.apply_updates([(0, middle)])
-                replica.apply_topology(replica.plan.merge_shards(1, 2))
+                replica.backend.apply_topology(replica.backend.plan.merge_shards(1, 2))
                 replica.apply_updates([(40, after)])
             frontend = PIRFrontend(
                 make_client(database, seed=94),
@@ -270,10 +271,10 @@ class TestBackendApplyTopology:
     def test_reprepare_keeps_the_reshaped_topology(self, database):
         plan = ShardPlan.uniform(database.num_records, 2, block_records=8)
         server = self.make_server(database, plan)
-        server.apply_topology(server.plan.split_shard(0, 16))
-        reshaped = server.plan
+        server.backend.apply_topology(server.backend.plan.split_shard(0, 16))
+        reshaped = server.backend.plan
         server.backend.prepare(database)
-        assert server.plan is reshaped  # not resurrected to the seed plan
+        assert server.backend.plan is reshaped  # not resurrected to the seed plan
 
 
 class TestHeatRemap:
@@ -430,7 +431,7 @@ class TestPlanShapePolicy:
         with pytest.raises(RuntimeError):
             rebalancer.rebalance(now=0.0)
         # Nothing committed anywhere: replica 0 staged but never swapped.
-        assert all(fleet.plan.version == 0 for fleet in router.fleets)
+        assert all(fleet.backend.plan.version == 0 for fleet in router.fleets)
         assert tracker.plan is router.plan  # rolled back beside the router
         assert sum(tracker.heats()) == pytest.approx(40.0)
         indices = [0, 56, 127]
@@ -440,7 +441,7 @@ class TestPlanShapePolicy:
         report = rebalancer.rebalance(now=1.0)
         assert report.splits
         assert router.plan is tracker.plan
-        assert all(fleet.plan is router.plan for fleet in router.fleets)
+        assert all(fleet.backend.plan is router.plan for fleet in router.fleets)
 
     def test_diverged_tracker_and_router_raise(self, database):
         plan = ShardPlan.uniform(database.num_records, 2, block_records=8)
@@ -516,11 +517,11 @@ class TestAsyncReconfigure:
         database = Database.random(64, 8, seed=99)
         plan = ShardPlan.uniform(database.num_records, 2, block_records=8)
         replicas = [
-            ShardedServer(
+            create_server(
+                "sharded",
                 database,
                 server_id=i,
                 plan=plan,
-                child_factory=bare_backend_factory("reference"),
             )
             for i in (0, 1)
         ]
@@ -534,9 +535,9 @@ class TestAsyncReconfigure:
             before = await frontend.retrieve_batch([0, 40])
 
             def reshape():
-                change = replicas[0].plan.split_shard(0, 16)
+                change = replicas[0].backend.plan.split_shard(0, 16)
                 for replica in replicas:
-                    replica.apply_topology(change)
+                    replica.backend.apply_topology(change)
                 return change.new_plan.version
 
             version = await frontend.reconfigure(reshape)
@@ -546,4 +547,4 @@ class TestAsyncReconfigure:
         before, after, version = asyncio.run(run())
         assert version == 1
         assert before == after == [database.record(0), database.record(40)]
-        assert all(replica.plan.version == 1 for replica in replicas)
+        assert all(replica.backend.plan.version == 1 for replica in replicas)

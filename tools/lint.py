@@ -56,6 +56,10 @@ AST pass instead.  It flags:
 * a method named ``execute`` defined in any class under ``src/repro/`` — the
   backend protocol has one scan hook, ``execute_many`` (a single query is a
   batch of one); an ``execute`` method is the per-query twin creeping back;
+* a class whose name ends in ``Server`` under ``src/repro/`` other than
+  ``repro/pir/server.py``'s ``PIRServer`` — every architecture runs the one
+  server class over its own ``PIRBackend``; a second server class is a
+  per-architecture facade (and a second result shape) creeping back;
 * bare ``print(`` anywhere under ``src/repro/`` — library code reports
   through the structured event log (:mod:`repro.obs.events`) or returns
   strings for the CLI layer to print; only the CLI entry points
@@ -208,8 +212,8 @@ def _is_per_record_loop(node: ast.AST) -> bool:
 
 #: Packages whose batch handling must stay batched: a per-query Python loop
 #: over the batch dimension re-introduces the per-dispatch overhead the
-#: batched scan workers (``scan_many_into``) and the batched DPU kernel
-#: (``DpXorManyKernel`` via ``run_dpu_pipeline_many``) exist to amortise.
+#: batched shard walk (one ``execute_many`` per child) and the batched DPU
+#: charge (``run_dpu_pipeline_many``) exist to amortise.
 BATCHED_SCAN_PACKAGES = ("shard", "pim")
 
 #: The one module outside those packages held to the same rule: the scan
@@ -290,6 +294,18 @@ def _per_query_scan_hooks(node: ast.AST) -> List[int]:
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
         and item.name == "execute"
     ]
+
+
+#: The one server class: ``(module path under repro/, class name)``.
+SERVER_CLASS = (("pir", "server.py"), "PIRServer")
+
+
+def _is_second_server_class(node: ast.AST, path: Path) -> bool:
+    """True for a ``class ...Server`` other than :data:`SERVER_CLASS`."""
+    if not (isinstance(node, ast.ClassDef) and node.name.endswith("Server")):
+        return False
+    (package, module), name = SERVER_CLASS
+    return not (node.name == name and path.parts[-3:] == ("repro", package, module))
 
 
 def check_file(path: Path) -> List[Tuple[int, str]]:
@@ -440,6 +456,15 @@ def check_file(path: Path) -> List[Tuple[int, str]]:
                     "per-request key generation (<x>.query(...)) in a frontend "
                     "(src/repro/pir/{frontend,async_frontend}.py) — keys are "
                     "generated once per flush through client.query_batch",
+                )
+            )
+        if library_code and _is_second_server_class(node, path):
+            deprecated.append(
+                (
+                    node.lineno,
+                    f"a second server class ({node.name}) under src/repro/ — "
+                    "every kind is a repro/pir/server.py PIRServer over its "
+                    "own PIRBackend",
                 )
             )
         if library_code:
