@@ -30,7 +30,7 @@ from repro.dpf.prf import make_prg
 from repro.pir.async_frontend import AsyncPIRFrontend
 from repro.pir.client import PIRClient
 from repro.pir.database import Database
-from repro.pir.frontend import BatchingPolicy, PIRFrontend
+from repro.pir.frontend import FLUSH_ON_WAIT, BatchingPolicy, PIRFrontend
 
 
 class RecordingReplica:
@@ -93,6 +93,7 @@ def main() -> None:
         f"{format_seconds(lone_wait)} with no follow-up arrival"
     )
     print(f"flush reasons: {frontend.metrics.flush_reasons}")
+    assert frontend.metrics.flush_reasons.get(FLUSH_ON_WAIT, 0) >= 1
 
     # --- replica fan-out genuinely overlapped ---------------------------------
     for window_a, window_b in zip(replicas[0].windows, replicas[1].windows):

@@ -113,6 +113,12 @@ def main() -> None:
             assert server.find(KIND_PHASE), "server spans carry phase leaves"
             checked += 1
     assert checked > 0, "at least one full pipeline trace was reconstructed"
+    assert len(hub.tracer.traces()) == len(stream), "one trace per request"
+
+    # The control plane is visible: rebalance passes reach the ring buffer
+    # and cache hits reach the metrics registry.
+    assert hub.ring.named("rebalance.pass")
+    assert hub.registry.get("repro_cache_hits_total").total() > 0
 
     # The JSONL export holds only complete JSON lines (each line is
     # serialised before its single write), one per exported event.

@@ -73,46 +73,63 @@ class StragglingReplica:
         return result
 
 
-def main() -> None:
-    num_records, record_size, seed = 512, 32, 21
-    database = Database.random(num_records, record_size, seed=seed)
-    plan = ShardPlan.uniform(num_records, 4, block_records=8)
+#: The SLO: a latency objective with a fast (paging) and a slow burn rule.
+SLO = SloPolicy(
+    objectives=(
+        SloObjective("latency-p95", target=0.95, latency_threshold_seconds=0.005),
+        SloObjective("availability", target=0.999),
+    ),
+    rules=(
+        BurnRateRule("fast", 0.8, 0.2, burn_threshold=8.0, escalate=True),
+        BurnRateRule("slow", 3.2, 0.8, burn_threshold=2.0),
+    ),
+    bucket_seconds=0.05,
+    digest_window_seconds=2.0,
+)
+BATCHING = BatchingPolicy(max_batch_size=8, max_wait_seconds=10.0)
+GAP = 0.02
+SEED = 21
 
-    calm = list(zipf_trace(num_records, 96, exponent=1.2, seed=seed + 1))
-    faulted = list(zipf_trace(num_records, 96, exponent=1.2, seed=seed + 2))
-    recovery = list(zipf_trace(num_records, 128, exponent=1.2, seed=seed + 3))
-    stream = calm + faulted + recovery
-    gap = 0.02
+
+def workload():
+    """The database, shard plan, seed heats and calm/fault/recovery phases."""
+    num_records, record_size = 512, 32
+    database = Database.random(num_records, record_size, seed=SEED)
+    plan = ShardPlan.uniform(num_records, 4, block_records=8)
+    calm = list(zipf_trace(num_records, 96, exponent=1.2, seed=SEED + 1))
+    faulted = list(zipf_trace(num_records, 96, exponent=1.2, seed=SEED + 2))
+    recovery = list(zipf_trace(num_records, 128, exponent=1.2, seed=SEED + 3))
     seed_heats = heats_from_trace(
         plan,
         calm,
-        arrival_seconds=[gap * i for i in range(len(calm))],
+        arrival_seconds=[GAP * i for i in range(len(calm))],
         window_seconds=0.2,
         decay=0.5,
     )
-    batching = BatchingPolicy(max_batch_size=8, max_wait_seconds=10.0)
-
-    # --- declare the SLO -----------------------------------------------------------
-    slo = SloPolicy(
-        objectives=(
-            SloObjective("latency-p95", target=0.95, latency_threshold_seconds=0.005),
-            SloObjective("availability", target=0.999),
-        ),
-        rules=(
-            BurnRateRule("fast", 0.8, 0.2, burn_threshold=8.0, escalate=True),
-            BurnRateRule("slow", 3.2, 0.8, burn_threshold=2.0),
-        ),
-        bucket_seconds=0.05,
-        digest_window_seconds=2.0,
+    phases = (
+        ("calm", calm, 0.0),
+        ("fault (+50ms per answer)", faulted, 0.05),
+        ("recovery", recovery, 0.0),
     )
-    hub = ObservabilityHub(slo=slo)
-    print("objectives:")
-    for objective in slo.objectives:
-        print(f"  {objective.describe()}")
+    return database, plan, seed_heats, phases
 
-    # --- build the controlled fleet (hub wires the health loop) ---------------------
+
+def make_client(database: Database) -> PIRClient:
+    return PIRClient(
+        database.num_records, database.record_size, seed=SEED + 6, prg=make_prg("numpy")
+    )
+
+
+def drive(database, plan, seed_heats, phases):
+    """One SLO-guarded controlled fleet over ``phases``.
+
+    Returns ``(hub, plane, records)``; the hub wires the health loop into
+    the control plane, and every replica group straggles by the phase's
+    stall while that phase's requests arrive.
+    """
+    hub = ObservabilityHub(slo=SLO)
     router, plane = controlled_fleet(
-        PIRClient(num_records, record_size, seed=seed + 6, prg=make_prg("numpy")),
+        make_client(database),
         database,
         plan,
         seed_heats,
@@ -131,28 +148,36 @@ def main() -> None:
             evaluation_interval_seconds=0.2,
             cooldown_seconds=1.0,
         ),
-        policy=batching,
+        policy=BATCHING,
         hub=hub,
     )
     stragglers = [StragglingReplica(group) for group in router.replicas]
     router.replicas[:] = stragglers
 
-    # --- drive calm -> fault -> recovery --------------------------------------------
     request_ids = []
     now = 0.0
-    for label, indices, stall in (
-        ("calm", calm, 0.0),
-        ("fault (+50ms per answer)", faulted, 0.05),
-        ("recovery", recovery, 0.0),
-    ):
+    for _, indices, stall in phases:
         for straggler in stragglers:
             straggler.penalty_seconds = stall
-        print(f"\nphase: {label} — {len(indices)} requests from t={now:.2f}s")
         for index in indices:
             request_ids.append(router.submit(index, arrival_seconds=now))
-            now += gap
+            now += GAP
     router.close()
-    records = [router.take_record(request_id) for request_id in request_ids]
+    return hub, plane, [router.take_record(request_id) for request_id in request_ids]
+
+
+def main() -> None:
+    database, plan, seed_heats, phases = workload()
+    print("objectives:")
+    for objective in SLO.objectives:
+        print(f"  {objective.describe()}")
+
+    # --- drive calm -> fault -> recovery --------------------------------------------
+    start = 0.0
+    for label, indices, _ in phases:
+        print(f"\nphase: {label} — {len(indices)} requests from t={start:.2f}s")
+        start += GAP * len(indices)
+    hub, plane, records = drive(database, plan, seed_heats, phases)
 
     # --- what the judgement layer saw ------------------------------------------------
     engine = hub.slo
@@ -193,13 +218,11 @@ def main() -> None:
 
     # --- the data plane never noticed -----------------------------------------------
     static = FleetRouter(
-        PIRClient(num_records, record_size, seed=seed + 6, prg=make_prg("numpy")),
-        database,
-        plan,
-        seed_heats,
-        policy=batching,
+        make_client(database), database, plan, seed_heats, policy=BATCHING
     )
-    assert records == static.retrieve_batch(stream)
+    assert records == static.retrieve_batch(
+        [index for _, indices, _ in phases for index in indices]
+    )
     print(
         f"\n{len(records)} records bit-identical to an uninstrumented static "
         f"fleet — the SLO layer observed, judged, and scaled without touching "

@@ -8,7 +8,10 @@ Usage (after ``pip install -e .``)::
 
 The output is the same plain-text rendering the benchmark harness prints; the
 CLI exists so the figures can be regenerated without pytest, e.g. from a
-notebook or a shell pipeline.
+notebook or a shell pipeline.  It regenerates the paper and nothing else:
+the functional scenarios (cross-backend equivalence, the async frontend,
+the control plane, autoscaling, SLO alerting, tracing) each live in one
+self-verifying ``examples/*.py`` or ``tests/`` module.
 """
 
 from __future__ import annotations
@@ -23,17 +26,6 @@ from repro.bench.figures import (
     fig10_breakdown,
     fig11_clustering,
     fig12_gpu_comparison,
-)
-from repro.bench.smoke import (
-    async_backend_smoke,
-    autoscale_smoke,
-    backend_smoke,
-    batched_smoke,
-    slo_smoke,
-    observability_report,
-    rebalance_smoke,
-    resplit_smoke,
-    traced_smoke,
 )
 from repro.bench.reporting import (
     render_fig3,
@@ -57,7 +49,6 @@ _TARGETS: Dict[str, Callable[[], str]] = {
     "table1": lambda: render_table1(fig10_breakdown()),
     "fig11": lambda: render_fig11(fig11_clustering()),
     "fig12": lambda: render_fig12(fig12_gpu_comparison()),
-    "smoke": backend_smoke,
 }
 
 
@@ -87,112 +78,12 @@ def main(argv=None) -> int:
         "target",
         nargs="?",
         default="all",
-        help="one of: %s, report, all, list (default: all)" % ", ".join(_TARGETS),
-    )
-    parser.add_argument(
-        "--async",
-        dest="use_async",
-        action="store_true",
-        help="with the smoke target: drive the asyncio frontend "
-        "(real max-wait timers, concurrent replica dispatch) instead of the "
-        "simulated-clock one",
-    )
-    parser.add_argument(
-        "--rebalance",
-        dest="use_rebalance",
-        action="store_true",
-        help="with the smoke target: drive a drifting Zipf workload through "
-        "the online control plane (heat telemetry, live shard migration, "
-        "hot-record cache) and cross-check records against a static fleet",
-    )
-    parser.add_argument(
-        "--resplit",
-        dest="use_resplit",
-        action="store_true",
-        help="with the smoke target: drive the drifting Zipf workload with "
-        "the plan-shape policy enabled (online shard split/merge, versioned "
-        "topology, heat remap) and cross-check records against a static fleet",
-    )
-    parser.add_argument(
-        "--autoscale",
-        dest="use_autoscale",
-        action="store_true",
-        help="with the smoke target: drive a surging Zipf workload through "
-        "the closed-loop autoscaler (replica elasticity, cost-damped "
-        "reshapes) and cross-check records against a static fleet",
-    )
-    parser.add_argument(
-        "--slo",
-        dest="use_slo",
-        action="store_true",
-        help="with the smoke target: drive calm -> injected latency fault -> "
-        "recovery through the SLO engine, asserting the fast-burn alert "
-        "fires and resolves, the alert-escalated scale-up lands, incident "
-        "bundles are deterministic, and records match a static fleet",
-    )
-    parser.add_argument(
-        "--batched",
-        dest="use_batched",
-        action="store_true",
-        help="with the smoke target: answer the same batch through one-row "
-        "execute_many dispatches and through one batched dispatch on every "
-        "backend, asserting bit-identical payloads and the documented "
-        "simulated-cost contract",
-    )
-    parser.add_argument(
-        "--traced",
-        dest="use_traced",
-        action="store_true",
-        help="with the smoke target: drive the drifting workload bare and "
-        "with the observability hub attached, asserting bit-identical "
-        "records, float-exact span/PhaseTimer agreement, and visible "
-        "rebalance + cache activity",
+        help="one of: %s, all, list (default: all)" % ", ".join(_TARGETS),
     )
     args = parser.parse_args(argv)
 
-    smoke_flags = {
-        "--async": args.use_async,
-        "--rebalance": args.use_rebalance,
-        "--resplit": args.use_resplit,
-        "--autoscale": args.use_autoscale,
-        "--slo": args.use_slo,
-        "--batched": args.use_batched,
-        "--traced": args.use_traced,
-    }
-    selected = [flag for flag, enabled in smoke_flags.items() if enabled]
-    if selected:
-        if args.target != "smoke":
-            print(f"{selected[0]} applies to the smoke target only", file=sys.stderr)
-            return 2
-        if len(selected) > 1:
-            print(
-                "pick one of --async / --rebalance / --resplit / --autoscale / "
-                "--slo / --batched / --traced per run",
-                file=sys.stderr,
-            )
-            return 2
-        if args.use_async:
-            print(async_backend_smoke())
-        elif args.use_rebalance:
-            print(rebalance_smoke())
-        elif args.use_resplit:
-            print(resplit_smoke())
-        elif args.use_autoscale:
-            print(autoscale_smoke())
-        elif args.use_slo:
-            print(slo_smoke())
-        elif args.use_traced:
-            print(traced_smoke())
-        else:
-            print(batched_smoke())
-        return 0
-
-    if args.target == "report":
-        print(observability_report())
-        return 0
-
     if args.target == "list":
-        print("\n".join(list(_TARGETS) + ["report", "all"]))
+        print("\n".join(list(_TARGETS) + ["all"]))
         return 0
     if args.target == "all":
         # fig10 already renders Table 1; the table1 target repeats it alone.

@@ -25,8 +25,8 @@ frontend uses to size its batching policy.
 
 A small registry maps backend names to builders of that one
 :class:`~repro.pir.server.PIRServer` class, so the equivalence test-suite,
-the CLI smoke target and the examples iterate over every variant through one
-code path.
+the server contract tests and the examples iterate over every variant
+through one code path.
 """
 
 from __future__ import annotations

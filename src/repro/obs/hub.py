@@ -23,7 +23,7 @@ Pass a hub to :func:`repro.control.plane.controlled_fleet` (``hub=``) and
 the wiring happens inside the builder.  Everything stays strictly
 read-only with respect to the data plane: the hub only ever observes
 settled results, so an instrumented run returns bit-identical records
-(``smoke --traced`` asserts this end to end).
+(``examples/observability.py`` asserts this end to end).
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ Durations are **simulated seconds copied from the timers**, never measured
 here: :meth:`Span.add_phases` accumulates a timer's phase durations in
 iteration order, which makes the span total *float-exactly* equal to
 ``PhaseTimer.total`` of the same timer (both are a left-to-right sum over
-the same values) — the acceptance check ``smoke --traced`` enforces.
+the same values) — the property ``examples/observability.py`` asserts.
 
 Shard detail rides a side channel: the engine's per-query breakdown object
 flows by identity from :meth:`QueryEngine.answer_many` into

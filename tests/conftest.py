@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.config import IMPIRConfig
 from repro.pim.config import scaled_down_config
 from repro.pir.database import Database
+
+EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
 
 @pytest.fixture(scope="session")
@@ -37,3 +43,18 @@ def small_pim_config():
 def small_impir_config(small_pim_config) -> IMPIRConfig:
     """IM-PIR configuration on the scaled-down platform."""
     return IMPIRConfig(pim=small_pim_config)
+
+
+@pytest.fixture(scope="session")
+def load_example():
+    """Imports ``examples/<name>.py`` as a module (examples are not a package)."""
+
+    def load(name: str):
+        path = EXAMPLES_DIR / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(f"examples_{name}", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module
+        spec.loader.exec_module(module)
+        return module
+
+    return load

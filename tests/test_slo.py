@@ -580,3 +580,16 @@ class TestHubWiring:
         assert "== slo ==" in text
         assert "== flight recorder ==" in text
         assert "no active alerts" in text
+
+
+class TestSloAlertingExample:
+    def test_incident_bundles_are_deterministic_across_runs(self, load_example):
+        example = load_example("slo_alerting")
+        inputs = example.workload()
+        hub_a, _, records_a = example.drive(*inputs)
+        hub_b, _, records_b = example.drive(*inputs)
+        assert records_a == records_b
+        dumps_a = [FlightRecorder.dump(bundle) for bundle in hub_a.recorder.incidents]
+        dumps_b = [FlightRecorder.dump(bundle) for bundle in hub_b.recorder.incidents]
+        assert dumps_a and dumps_a == dumps_b
+        assert hub_a.events.dropped == 0

@@ -456,6 +456,35 @@ class TestOneServerClassLint:
         )
 
 
+class TestAssertionErrorLint:
+    """Scenario checks live in ``tests/`` and ``examples/``, not the library."""
+
+    def _check(self, tmp_path, relative, source):
+        lint = _load_tool("lint")
+        path = tmp_path / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source)
+        return lint.check_file(path)
+
+    @pytest.mark.parametrize("raised", ["AssertionError", "AssertionError('drift')"])
+    def test_raise_assertion_error_flagged(self, tmp_path, raised):
+        source = f"def check(ok):\n    if not ok:\n        raise {raised}{{}}\n"
+        flagged = self._check(tmp_path, "src/repro/bench/checks.py", source.format(""))
+        assert any("raise AssertionError" in message for _, message in flagged)
+        assert not self._check(
+            tmp_path, "src/repro/bench/checks.py", source.format("  # noqa")
+        )
+
+    def test_tests_and_other_errors_are_legal(self, tmp_path):
+        source = "def check(ok):\n    if not ok:\n        raise AssertionError('drift')\n"
+        assert not self._check(tmp_path, "tests/test_checks.py", source)
+        assert not self._check(
+            tmp_path,
+            "src/repro/bench/checks.py",
+            "def check(ok):\n    if not ok:\n        raise ValueError('drift')\n",
+        )
+
+
 class TestEventLoopClockLint:
     """``loop.time()`` is a wall clock in disguise; banned where clocks are injected."""
 

@@ -60,6 +60,9 @@ AST pass instead.  It flags:
   ``repro/pir/server.py``'s ``PIRServer`` — every architecture runs the one
   server class over its own ``PIRBackend``; a second server class is a
   per-architecture facade (and a second result shape) creeping back;
+* ``raise AssertionError`` anywhere under ``src/repro/`` — scenario checks
+  belong in ``tests/`` and the self-verifying ``examples/``; library code
+  raises the typed errors of :mod:`repro.common.errors`;
 * bare ``print(`` anywhere under ``src/repro/`` — library code reports
   through the structured event log (:mod:`repro.obs.events`) or returns
   strings for the CLI layer to print; only the CLI entry points
@@ -308,6 +311,14 @@ def _is_second_server_class(node: ast.AST, path: Path) -> bool:
     return not (node.name == name and path.parts[-3:] == ("repro", package, module))
 
 
+def _is_assertion_error_raise(node: ast.AST) -> bool:
+    """True for ``raise AssertionError`` / ``raise AssertionError(...)``."""
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def check_file(path: Path) -> List[Tuple[int, str]]:
     source = path.read_text(encoding="utf-8")
     try:
@@ -465,6 +476,14 @@ def check_file(path: Path) -> List[Tuple[int, str]]:
                     f"a second server class ({node.name}) under src/repro/ — "
                     "every kind is a repro/pir/server.py PIRServer over its "
                     "own PIRBackend",
+                )
+            )
+        if library_code and _is_assertion_error_raise(node):
+            deprecated.append(
+                (
+                    node.lineno,
+                    "raise AssertionError in library code (src/repro/) — "
+                    "scenario checks belong in tests/ and examples/",
                 )
             )
         if library_code:
