@@ -16,6 +16,7 @@ from repro.pim.config import DPUConfig, UPMEM_PAPER_CONFIG
 from repro.pim.dpu import DPU
 from repro.pim.kernels import DB_BUFFER, SELECTOR_BUFFER, DpXorManyKernel
 from repro.pim.timing import PIMTimingModel
+from repro.pir.xor_ops import pack_selectors
 
 TASKLET_SWEEP = (1, 2, 4, 8, 11, 16, 24)
 
@@ -50,7 +51,7 @@ class TestTaskletSweepFunctional:
         selector = rng.integers(0, 2, size=num_records, dtype=np.uint8)
         dpu = DPU(0, config=DPUConfig(tasklets=tasklets))
         dpu.store(DB_BUFFER, database.reshape(-1))
-        dpu.store(SELECTOR_BUFFER, np.packbits(selector, bitorder="big"))
+        dpu.store(SELECTOR_BUFFER, pack_selectors(selector))
         report = benchmark(
             dpu.launch, DpXorManyKernel(), batch=1, num_records=num_records, record_size=32
         )

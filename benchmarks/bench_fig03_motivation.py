@@ -14,7 +14,7 @@ import pytest
 from repro.bench.figures import fig3_motivation
 from repro.bench.reporting import render_fig3
 from repro.dpf.dpf import DPF
-from repro.pir.xor_ops import dpxor
+from repro.pir.xor_ops import dpxor, pack_selectors
 
 
 class TestRegenerateFigure3:
@@ -42,7 +42,7 @@ class TestFunctionalCounterparts:
 
     def test_dpxor_cost(self, benchmark, bench_db):
         selector = np.random.default_rng(0).integers(0, 2, bench_db.num_records, dtype=np.uint8)
-        result = benchmark(dpxor, bench_db.records, selector)
+        result = benchmark(dpxor, bench_db.records, pack_selectors(selector))
         assert result.shape == (bench_db.record_size,)
 
     def test_gen_much_cheaper_than_eval(self, bench_db):

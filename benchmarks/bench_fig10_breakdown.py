@@ -19,6 +19,7 @@ from repro.pim.dpu import DPU
 from repro.pim.config import DPUConfig
 from repro.pim.kernels import DB_BUFFER, SELECTOR_BUFFER, DpXorManyKernel
 from repro.pir.client import PIRClient
+from repro.pir.xor_ops import pack_selectors
 
 
 class TestRegenerateFigure10:
@@ -61,7 +62,7 @@ class TestFunctionalPhases:
         selector = rng.integers(0, 2, size=num_records, dtype=np.uint8)
         dpu = DPU(0, config=DPUConfig(tasklets=16))
         dpu.store(DB_BUFFER, database.reshape(-1))
-        dpu.store(SELECTOR_BUFFER, np.packbits(selector, bitorder="big"))
+        dpu.store(SELECTOR_BUFFER, pack_selectors(selector))
         report = benchmark(
             dpu.launch, DpXorManyKernel(), batch=1, num_records=num_records, record_size=record_size
         )

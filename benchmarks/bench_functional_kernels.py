@@ -17,18 +17,18 @@ from repro.dpf.prf import make_prg
 from repro.pir.client import PIRClient
 from repro.pir.database import Database
 from repro.pir.protocol import MultiServerPIRProtocol
-from repro.pir.xor_ops import dpxor
+from repro.pir.xor_ops import dpxor, pack_selectors
 
 
 class TestXorKernels:
     def test_dpxor_4096x32(self, benchmark, bench_db):
         selector = np.random.default_rng(1).integers(0, 2, bench_db.num_records, dtype=np.uint8)
-        benchmark(dpxor, bench_db.records, selector)
+        benchmark(dpxor, bench_db.records, pack_selectors(selector))
 
     def test_dpxor_wide_records(self, benchmark):
         db = Database.random(1024, 256, seed=3)
         selector = np.random.default_rng(3).integers(0, 2, 1024, dtype=np.uint8)
-        benchmark(dpxor, db.records, selector)
+        benchmark(dpxor, db.records, pack_selectors(selector))
 
 
 class TestDPFKernels:

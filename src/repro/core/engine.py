@@ -45,7 +45,7 @@ from repro.dpf.dpf import DPF, DPFKey
 from repro.dpf.prf import LengthDoublingPRG
 from repro.pir.database import Database
 from repro.pir.messages import DPFQuery, NaiveQuery, PIRAnswer
-from repro.pir.xor_ops import dpxor_many
+from repro.pir.xor_ops import dpxor_many, pack_selectors, selector_bytes
 
 Query = Union[DPFQuery, NaiveQuery]
 
@@ -107,8 +107,10 @@ class PIRBackend(ABC):
     ) -> np.ndarray:
         """Scan the prepared database under a whole batch of selector shares.
 
-        ``selector_matrix`` is ``(B, num_records)`` with one selector share
-        per row; ``breakdowns`` and ``lanes`` carry one entry per row.
+        ``selector_matrix`` is the packed ``(B, ceil(num_records / 8))``
+        matrix of :meth:`QueryEngine.selector_matrix`, one selector share per
+        row (format: :mod:`repro.pir.xor_ops`); ``breakdowns`` and ``lanes``
+        carry one entry per row.
         Records the architecture's simulated phase costs into each row's
         breakdown and returns the ``(B, record_size)`` uint8 matrix of
         sub-results (the dpXOR).
@@ -180,12 +182,6 @@ class QueryEngine:
         self.stats = stats
         self._prg = prg
         self._dpf_cache: Dict[Tuple[int, int], DPF] = {}
-        #: Reusable ``(B, N)`` selector buffers for :meth:`selector_matrix`.
-        #: A tiny checkout pool rather than a bare attribute: ``list.pop`` /
-        #: ``list.append`` are atomic under the GIL, so concurrent flushes on
-        #: one engine (the asyncio frontend overlaps them) can never scribble
-        #: into the same buffer — a loser of the race just allocates fresh.
-        self._selector_pool: List[np.ndarray] = []
         self.database: Optional[Database] = None
         self.preload_report: Optional[PhaseTimer] = None
         #: Optional structured event log (:class:`repro.obs.events.EventLog`),
@@ -232,70 +228,57 @@ class QueryEngine:
     # -- selector generation (host-side DPF evaluation, Algorithm 1 step 2) -------
 
     def _dpf_selectors(self, keys: Sequence[DPFKey], num_records: int) -> np.ndarray:
-        """``(len(keys), num_records)`` uint8 selector rows of same-shaped keys.
+        """Packed ``(len(keys), ceil(num_records / 8))`` selector rows of same-shaped keys.
 
         The keys' rows are stacked into one :class:`~repro.dpf.dpf.DPFKeys`
         batch once per flush, then one batched tree walk reaches the 128-bit
-        leaf blocks and one ``np.unpackbits`` turns them into selector bytes
-        (see :meth:`~repro.dpf.dpf.DPF.eval_full_bits_many`).
+        leaf blocks, whose bytes are the packed rows
+        (see :meth:`~repro.dpf.dpf.DPF.eval_packed_many`).
         """
         params = (keys[0].domain_bits, keys[0].output_bits)
         dpf = self._dpf_cache.get(params)
         if dpf is None:
             dpf = DPF(params[0], output_bits=params[1], prg=self._prg)
             self._dpf_cache[params] = dpf
-        return dpf.eval_full_bits_many(
+        return dpf.eval_packed_many(
             keys, num_records, stats=getattr(self.stats, "eval", None)
         )
 
     def selector_matrix(self, queries: Sequence[Query]) -> np.ndarray:
-        """Stack every query's selector share into one ``(B, N)`` uint8 matrix.
+        """Every query's selector share as one packed ``(B, ceil(N / 8))`` matrix.
 
-        The batched half of the eval stage: DPF queries sharing key
-        parameters expand through one tree walk (the PRG sees ``B x 2^level``
-        seeds per level instead of ``2^level`` seeds ``B`` times) whose
-        128-bit leaf blocks unpack straight into selector bytes; naive shares
-        are written straight in.  The matrix comes from a per-engine checkout
-        pool so steady-state flushes of up to the tallest batch seen reuse one
-        preallocated buffer; every row is fully overwritten, so stale contents
-        can never leak.  Hand the buffer back with
-        :meth:`_recycle_selector_matrix` once the batch is served.
+        The batched half of the eval stage, in the one selector format of
+        :mod:`repro.pir.xor_ops` (bit ``j % 8`` of byte ``j // 8`` selects
+        record ``j``).  DPF queries sharing key parameters expand through one
+        tree walk (the PRG sees ``B x 2^level`` seeds per level instead of
+        ``2^level`` seeds ``B`` times) whose 128-bit leaf blocks already are
+        packed rows: a flush of one key shape returns a view of the leaf
+        bytes, with no copy.  Naive shares are packed with
+        :func:`~repro.pir.xor_ops.pack_selectors`; only a mixed flush
+        assembles a new matrix.
         """
         num_records = self.database.num_records
-        buffer = self._take_selector_buffer((len(queries), num_records))
-        dpf_groups: Dict[Tuple[int, int], List[int]] = {}
+        groups: Dict[Optional[Tuple[int, int]], List[int]] = {}
         for position, query in enumerate(queries):
-            if isinstance(query, NaiveQuery):
-                buffer[position] = query.share.bits
-            else:
-                params = (query.key.domain_bits, query.key.output_bits)
-                dpf_groups.setdefault(params, []).append(position)
-        for positions in dpf_groups.values():
-            buffer[positions] = self._dpf_selectors(
-                [queries[position].key for position in positions], num_records
+            params = (
+                None
+                if isinstance(query, NaiveQuery)
+                else (query.key.domain_bits, query.key.output_bits)
             )
-        return buffer
-
-    def _take_selector_buffer(self, shape: Tuple[int, int]) -> np.ndarray:
-        """A C-contiguous ``shape`` view of the pooled buffer's leading rows.
-
-        Dedup and cache hits make the flush size vary from one flush to the
-        next, so the pooled buffer is kept whenever it has *at least*
-        ``shape[0]`` rows; only a taller batch or another record count
-        reallocates.
-        """
-        try:
-            buffer = self._selector_pool.pop()
-        except IndexError:
-            buffer = None
-        if buffer is None or buffer.shape[0] < shape[0] or buffer.shape[1] != shape[1]:
-            buffer = np.empty(shape, dtype=np.uint8)
-        return buffer[: shape[0]]
-
-    def _recycle_selector_matrix(self, buffer: np.ndarray) -> None:
-        """Return a :meth:`selector_matrix` buffer to the checkout pool."""
-        if not self._selector_pool:
-            self._selector_pool.append(buffer.base)
+            groups.setdefault(params, []).append(position)
+        if len(groups) == 1 and None not in groups:
+            return self._dpf_selectors([query.key for query in queries], num_records)
+        matrix = np.empty((len(queries), selector_bytes(num_records)), dtype=np.uint8)
+        for params, positions in groups.items():
+            if params is None:
+                matrix[positions] = pack_selectors(
+                    np.stack([queries[position].share.bits for position in positions])
+                )
+            else:
+                matrix[positions] = self._dpf_selectors(
+                    [queries[position].key for position in positions], num_records
+                )
+        return matrix
 
     # -- single-query path (latency mode) -----------------------------------------
 
@@ -311,7 +294,6 @@ class QueryEngine:
         if eval_seconds > 0:
             breakdown.record(PHASE_EVAL, eval_seconds)
         payload = self.backend.execute_many(selectors, [breakdown], [lane])[0]
-        self._recycle_selector_matrix(selectors)
         result = self._assemble(query, payload, breakdown, lane)
         if self.events is not None:
             self.events.emit(
@@ -352,7 +334,6 @@ class QueryEngine:
             for breakdown in breakdowns:
                 breakdown.record(PHASE_EVAL, eval_seconds)
         payloads = self.backend.execute_many(selectors, breakdowns, lanes)
-        self._recycle_selector_matrix(selectors)
 
         results = [
             self._assemble(query, payloads[position], breakdowns[position], lanes[position])

@@ -166,29 +166,28 @@ class PIMClusterBackend(PIRBackend):
         breakdowns: Sequence[PhaseTimer],
         lanes: Sequence[int],
     ) -> np.ndarray:
-        """Batched dpXOR: one scan and one DPU dispatch charged per cluster.
+        """Batched dpXOR: one scan per batch, one DPU dispatch charged per cluster.
 
-        Rows are grouped by execution lane (the engine assigns lanes
-        round-robin across clusters); each cluster's rows are answered by one
-        :func:`~repro.pir.xor_ops.dpxor_many` over the database and charged
-        one selector scatter, one batched kernel launch and one result
-        gather through :func:`~repro.core.partitioning.run_dpu_pipeline_many`.
-        Per-row kernel costs and the host-side fold (phase ➏) stay per query.
+        One :func:`~repro.pir.xor_ops.dpxor_many` over the database answers
+        every row of the packed ``selector_matrix``.  Lanes (the engine
+        assigns them round-robin across clusters) only pick the rows each
+        cluster is charged from: one selector scatter, one batched kernel
+        launch and one result gather through
+        :func:`~repro.core.partitioning.run_dpu_pipeline_many`.  Per-row
+        kernel costs and the host-side fold (phase ➏) stay per query.
         """
         selector_matrix = np.asarray(selector_matrix, dtype=np.uint8)
-        out = np.zeros(
-            (selector_matrix.shape[0], self.database.record_size), dtype=np.uint8
-        )
+        out = dpxor_many(self.database.records, selector_matrix)
         rows_by_lane: dict = {}
         for position, lane in enumerate(lanes):
             rows_by_lane.setdefault(lane, []).append(position)
         for lane in sorted(rows_by_lane):
             positions = rows_by_lane[lane]
             layout = self._layouts[lane]
-            rows = selector_matrix[positions]
             timers = [breakdowns[position] for position in positions]
-            out[positions] = dpxor_many(self.database.records, rows)
-            run_dpu_pipeline_many(self._clusters[lane].dpu_set, layout, rows, timers)
+            run_dpu_pipeline_many(
+                self._clusters[lane].dpu_set, layout, selector_matrix[positions], timers
+            )
             aggregate_seconds = self.timing.host_aggregate_xor_seconds(
                 layout.num_dpus, layout.record_size
             )

@@ -21,6 +21,7 @@ from repro.core.results import PHASE_COPY_IN, PHASE_COPY_OUT, PHASE_DPXOR
 from repro.pim.kernels import DB_BUFFER, RESULT_BUFFER, SELECTOR_BUFFER, reserve_dpxor_wram
 from repro.pim.timing import dpxor_launch_seconds
 from repro.pir.database import Database
+from repro.pir.xor_ops import selected_counts, selector_bytes, selector_range, word_view
 
 
 @dataclass(frozen=True)
@@ -111,26 +112,22 @@ class DatabasePartitioner:
     ) -> List[np.ndarray]:
         """Per-DPU packed selector buffers for a whole batch, in layout order.
 
-        ``selector_matrix`` is ``(B, num_records)`` of 0/1 values — the
-        full-domain DPF evaluations, one query per row — and each DPU
-        receives ``B`` packed slices back to back: row ``b`` of a DPU's
-        ``(B, slice_bytes)`` buffer is the packed bits of query ``b`` over
-        the DPU's record range.  Empty DPUs keep the one-byte placeholder.
+        ``selector_matrix`` is the packed ``(B, ceil(num_records / 8))``
+        matrix — the full-domain DPF evaluations, one query per row — and
+        each DPU receives ``B`` packed slices back to back: row ``b`` of a
+        DPU's ``(B, slice_bytes)`` buffer is query ``b``'s
+        :func:`~repro.pir.xor_ops.selector_range` over the DPU's record range
+        (little bit order, bit 0 is the DPU's first record).  Empty DPUs keep
+        the one-byte placeholder.
         """
         selector_matrix = np.asarray(selector_matrix, dtype=np.uint8)
-        if selector_matrix.ndim != 2 or selector_matrix.shape[1] != layout.num_records:
-            raise ConfigurationError(
-                f"selector matrix shape {selector_matrix.shape} does not match layout "
-                f"(expected (batch, {layout.num_records}))"
-            )
-        chunks = []
-        for start, stop in layout.bounds:
-            bits = selector_matrix[:, start:stop]
-            if bits.shape[1] == 0:
-                chunks.append(np.zeros(1, dtype=np.uint8))
-            else:
-                chunks.append(np.packbits(bits, axis=1, bitorder="big"))
-        return chunks
+        _check_selector_shape(selector_matrix, layout)
+        return [
+            selector_range(selector_matrix, start, stop)
+            if stop > start
+            else np.zeros(1, dtype=np.uint8)
+            for start, stop in layout.bounds
+        ]
 
     @staticmethod
     def packed_selector_bytes(layout: PartitionLayout, batch: int) -> int:
@@ -140,8 +137,17 @@ class DatabasePartitioner:
         placeholder byte per dispatch, not per row.
         """
         return sum(
-            batch * ((stop - start + 7) // 8) if stop > start else 1
+            batch * selector_bytes(stop - start) if stop > start else 1
             for start, stop in layout.bounds
+        )
+
+
+def _check_selector_shape(selector_matrix: np.ndarray, layout: PartitionLayout) -> None:
+    width = selector_bytes(layout.num_records)
+    if selector_matrix.ndim != 2 or selector_matrix.shape[1] != width:
+        raise ConfigurationError(
+            f"selector matrix shape {selector_matrix.shape} does not match layout "
+            f"(expected packed (batch, {width}) for {layout.num_records} records)"
         )
 
 
@@ -213,9 +219,11 @@ def run_dpu_pipeline_many(
     DpXorManyKernel` on every DPU and gathering the results costs, without
     running them (XOR is associative: the caller's one scan of the database
     is the payload).  Per-DPU costs come from the ``(B, P)`` popcounts of
-    ``selector_matrix`` (``(B, num_records)`` rows of 0/1) at the layout's
-    bounds; DPU ``busy_seconds`` / ``launches`` and the transfer byte
-    counters move as executing would move them (the tests' oracle).
+    the packed ``(B, ceil(num_records / 8))`` ``selector_matrix`` at the
+    layout's bounds (:func:`~repro.pir.xor_ops.selected_counts`: byte
+    popcounts summed once, partial bytes masked at off-grid bounds); DPU
+    ``busy_seconds`` / ``launches`` and the transfer byte counters move as
+    executing would move them (the tests' oracle).
 
     Simulated cost model (the documented amortisation, for a batch of ``B``
     rows over ``P`` DPUs)::
@@ -236,10 +244,11 @@ def run_dpu_pipeline_many(
     batch = len(breakdowns)
     if batch <= 0:
         raise ConfigurationError("run_dpu_pipeline_many needs at least one breakdown")
-    if np.shape(selector_matrix) != (batch, layout.num_records):
+    selector_matrix = np.asarray(selector_matrix, dtype=np.uint8)
+    _check_selector_shape(selector_matrix, layout)
+    if selector_matrix.shape[0] != batch:
         raise ConfigurationError(
-            f"selector matrix shape {np.shape(selector_matrix)} does not match "
-            f"(batch, records) = ({batch}, {layout.num_records})"
+            f"selector matrix has {selector_matrix.shape[0]} rows for {batch} breakdowns"
         )
 
     def charge(phase: str, total_seconds: float) -> None:
@@ -254,17 +263,12 @@ def run_dpu_pipeline_many(
             raise ConfigurationError("db_copy_phase is required when streaming db_bytes")
         charge(db_copy_phase, transfer.charge_scatter(db_bytes, num_dpus).simulated_seconds)
 
-    selector_bytes = DatabasePartitioner.packed_selector_bytes(layout, batch)
-    charge(PHASE_COPY_IN, transfer.charge_scatter(selector_bytes, num_dpus).simulated_seconds)
+    shipped = DatabasePartitioner.packed_selector_bytes(layout, batch)
+    charge(PHASE_COPY_IN, transfer.charge_scatter(shipped, num_dpus).simulated_seconds)
 
     bounds = np.array(layout.bounds, dtype=np.int64).reshape(-1, 2)
     records = bounds[:, 1] - bounds[:, 0]
-    # reduceat returns the element at an empty segment's start: count occupied DPUs only.
-    occupied = records > 0
-    selected = np.zeros((batch, num_dpus), dtype=np.int64)
-    selected[:, occupied] = np.add.reduceat(
-        selector_matrix, bounds[occupied, 0], axis=1, dtype=np.int64
-    )
+    selected = selected_counts(selector_matrix, bounds)
     per_dpu = dpxor_launch_seconds(
         dpu_set.dpus[0].config, records, layout.record_size, selected
     ).tolist()
@@ -284,8 +288,6 @@ def fold_partials(partials: Sequence[np.ndarray], record_size: int) -> np.ndarra
     size allows it (XOR is bytewise, so the words fold to identical bytes);
     odd record sizes fall back to the uint8 loop.
     """
-    from repro.pir.xor_ops import word_view
-
     result = np.zeros(record_size, dtype=np.uint8)
     result_words = word_view(result)
     for partial in partials:

@@ -44,7 +44,7 @@ from repro.core.results import PHASE_AGGREGATE, IMPIRQueryResult
 from repro.pim.kernels import DpXorManyKernel
 from repro.pim.system import UPMEMSystem
 from repro.pir.database import Database
-from repro.pir.xor_ops import dpxor_many
+from repro.pir.xor_ops import dpxor_many, selector_range
 
 #: Phase name for the per-query database-segment transfers (streamed mode only).
 PHASE_COPY_DB = "copy_db_segment"
@@ -162,7 +162,7 @@ class StreamedPIMBackend(PIRBackend):
 
     def execute_many(
         self,
-        selector_bits_matrix: np.ndarray,
+        selector_matrix: np.ndarray,
         breakdowns: Sequence[PhaseTimer],
         lanes: Sequence[int],
     ) -> np.ndarray:
@@ -170,20 +170,22 @@ class StreamedPIMBackend(PIRBackend):
 
         §3.3's batched adaptation taken to the kernel level: each database
         segment is copied toward the DPUs **once per batch** (instead of once
-        per query), every row's selector slice for the segment ships in one
-        scatter, and one launch of the batched dpXOR runs the batch loop
+        per query), every row's selector slice for the segment — cut from the
+        packed ``selector_matrix`` by :func:`~repro.pir.xor_ops.selector_range`,
+        a zero-copy view when the segment sits on the 8-record grid — ships
+        in one scatter, and one launch of the batched dpXOR runs the batch loop
         inside the DPUs.  The simulated per-query cost drops by the amortised
         per-dispatch charges — above all the segment copy, the dominant
         charge of the streamed mode, split evenly across the batch (see
         :func:`~repro.core.partitioning.run_dpu_pipeline_many` for the
         documented cost model).
         """
-        selector_bits_matrix = np.asarray(selector_bits_matrix, dtype=np.uint8)
+        selector_matrix = np.asarray(selector_matrix, dtype=np.uint8)
         for segment in self._segments:
             run_dpu_pipeline_many(
                 self._dpu_set,
                 segment.layout,
-                selector_bits_matrix[:, segment.start : segment.stop],
+                selector_range(selector_matrix, segment.start, segment.stop),
                 breakdowns,
                 db_bytes=segment.db_bytes,
                 db_copy_phase=PHASE_COPY_DB,
@@ -193,7 +195,7 @@ class StreamedPIMBackend(PIRBackend):
         )
         for breakdown in breakdowns:
             breakdown.record(PHASE_AGGREGATE, aggregate_seconds)
-        return dpxor_many(self.database.records, selector_bits_matrix)
+        return dpxor_many(self.database.records, selector_matrix)
 
 
 def streaming_overhead_factor(result: IMPIRQueryResult) -> float:

@@ -25,8 +25,8 @@ supported so the same code covers payload-carrying DPFs).
 Block layout: a block is two little-endian 64-bit lanes of ``2**(k-1)``
 slots each; point ``x`` lives in block ``x >> k``, slot ``j = x mod 2**k``,
 i.e. bits ``[(j mod 2**(k-1)) * w, ... + w)`` of lane ``j >> (k-1)``.  For
-``w = 1`` that is simply bit ``j`` of the block, which is why the selector
-path is a single ``np.unpackbits(..., bitorder="little")``.
+``w = 1`` that is simply bit ``j`` of the block, which is why the leaf blocks
+*are* the packed selector rows the scan consumes (:meth:`DPF.eval_packed_many`).
 
 Keys are arrays.  A :class:`DPFKeys` batch of ``B`` keys is ``roots (B, 16)``,
 ``parties (B,)``, ``cw_seeds (B, depth, 16)``, ``cw_bits (B, depth, 2)`` and
@@ -416,7 +416,7 @@ class DPF:
         tree, a subtree root for a chunked walk) and come back as the
         ``(B * leaves, 16)`` / ``(B * leaves,)`` leaf front.  This is the only
         level loop of full-domain evaluation: :meth:`eval_full`,
-        :meth:`eval_full_many`, :meth:`eval_full_bits`, the engine's selector
+        :meth:`eval_full_many`, :meth:`eval_packed_many`, the engine's selector
         path and the :mod:`repro.dpf.traversal` strategies all read its
         leaves.  Every level is one :func:`~repro.dpf.ggm.expand_level` call,
         so the PRG sees ``B x 2^level`` seeds per level instead of
@@ -569,28 +569,42 @@ class DPF:
         """One key's share over the whole domain: a ``(num_points,)`` uint64 array."""
         return self.eval_full_many([key], num_points, stats)[0]
 
+    def eval_packed_many(
+        self,
+        keys: KeysLike,
+        num_points: Optional[int] = None,
+        stats: Optional[EvalStats] = None,
+    ) -> np.ndarray:
+        """Full-domain evaluation as ``(B, ceil(num_points / 8))`` packed selector rows.
+
+        Only valid for single-bit payloads, where a leaf block *is* 128
+        selector bits in little bit order: the rows are a view of the leaf
+        blocks themselves, cut to the bytes covering ``num_points`` with the
+        bits past ``num_points`` cleared.  This is the selector format the
+        scan consumes (:mod:`repro.pir.xor_ops`).
+        """
+        if self.output_bits != 1:
+            raise KeyMismatchError("selector vectors require a 1-bit output group")
+        blocks, num_points = self._eval_blocks(keys, num_points, stats)
+        packed = blocks.reshape(blocks.shape[0], -1)[:, : -(-num_points // 8)]
+        if num_points % 8:
+            packed[:, -1] &= (1 << (num_points % 8)) - 1
+        return packed
+
     def eval_full_bits_many(
         self,
         keys: KeysLike,
         num_points: Optional[int] = None,
         stats: Optional[EvalStats] = None,
     ) -> np.ndarray:
-        """Full-domain evaluation as a ``(B, num_points)`` uint8 0/1 selector matrix.
-
-        Only valid for single-bit payloads, where a leaf block *is* 128
-        selector bits; this is the representation the dpXOR scan consumes.
-        """
-        if self.output_bits != 1:
-            raise KeyMismatchError("selector vectors require a 1-bit output group")
-        blocks, num_points = self._eval_blocks(keys, num_points, stats)
-        return np.unpackbits(
-            blocks.reshape(blocks.shape[0], -1), axis=1, count=num_points, bitorder="little"
-        )
+        """:meth:`eval_packed_many` unpacked into a ``(B, num_points)`` uint8 0/1 matrix."""
+        packed = self.eval_packed_many(keys, num_points, stats)
+        count = self.domain_size if num_points is None else num_points
+        return np.unpackbits(packed, axis=1, count=count, bitorder="little")
 
     def eval_full_bits(self, key: DPFKey, num_points: Optional[int] = None) -> np.ndarray:
         """One key's uint8 0/1 selector vector (see :meth:`eval_full_bits_many`)."""
         return self.eval_full_bits_many([key], num_points)[0]
-
 
 def verify_keys(dpf: DPF, key0: DPFKey, key1: DPFKey, alpha: int, beta: int = 1) -> bool:
     """Check that two keys reconstruct ``P_{alpha,beta}`` over the full domain.

@@ -28,7 +28,7 @@ from repro.pim.timing import (
     INSTRUCTIONS_PER_XOR_WORD,
     dpxor_launch_seconds,
 )
-from repro.pir.xor_ops import dpxor_many
+from repro.pir.xor_ops import dpxor_many, selected_counts, selector_bytes, selector_range
 
 #: Default MRAM buffer names used by the IM-PIR pipeline.
 DB_BUFFER = "db"
@@ -46,11 +46,11 @@ def reserve_dpxor_wram(dpu: DPU, num_records: int, record_size: int, tasklets: i
     One staging block + one accumulator per tasklet, plus the packed selector
     slice shared by all tasklets; a batched launch reuses them row by row.
     """
-    selector_bytes = (num_records + 7) // 8
     dpu.wram.reserve("dpxor:blocks", max(1, tasklets * WRAM_BLOCK_BYTES))
     dpu.wram.reserve("dpxor:accumulators", max(1, tasklets * record_size))
     dpu.wram.reserve(
-        "dpxor:selector", max(1, min(selector_bytes, dpu.wram.free_bytes // 2 or 1))
+        "dpxor:selector",
+        max(1, min(selector_bytes(num_records), dpu.wram.free_bytes // 2 or 1)),
     )
 
 
@@ -58,7 +58,10 @@ class DpXorManyKernel(Kernel):
     """Two-stage parallel-reduction dpXOR over one DPU's database block.
 
     One launch scans the block for a whole batch: the selector buffer carries
-    ``batch`` packed selector slices back to back, the batch loop runs
+    ``batch`` packed selector slices back to back (the format of
+    :mod:`repro.pir.xor_ops`: bit ``j % 8`` of byte ``j // 8`` is the block's
+    record ``j``), each tasklet cuts its share with
+    :func:`~repro.pir.xor_ops.selector_range`, the batch loop runs
     *inside* the launch via the one-pass :func:`~repro.pir.xor_ops.dpxor_many`
     per tasklet share, and the result buffer returns ``batch`` sub-results.
     Fixed per-dispatch charges (scatter latency, launch overhead) are paid
@@ -93,34 +96,36 @@ class DpXorManyKernel(Kernel):
             )
 
         reserve_dpxor_wram(dpu, num_records, record_size, tasklets)
-        selector_bytes = (num_records + 7) // 8
+        width = selector_bytes(num_records)
         db_bytes = num_records * record_size
         database = np.zeros((0, record_size), dtype=np.uint8)
         selectors = np.zeros((batch, 0), dtype=np.uint8)
         if num_records:
             database = dpu.load(db_buffer, size_bytes=db_bytes).reshape(num_records, record_size)
-            packed = dpu.load(
-                selector_buffer, size_bytes=batch * selector_bytes
-            ).reshape(batch, selector_bytes)
-            selectors = np.unpackbits(packed, axis=1, bitorder="big")[:, :num_records]
+            selectors = dpu.load(selector_buffer, size_bytes=batch * width).reshape(batch, width)
 
         # Stage 1: TASKLETXOR — each tasklet one-pass scans its contiguous
         # share for every batch row at once.
         group = TaskletGroup(num_tasklets=tasklets)
+        shares = group.partition(num_records)
+        counts = selected_counts(selectors, shares)
         partials = np.zeros((tasklets, batch, record_size), dtype=np.uint8)
         words = -(-record_size // 8)
-        for report, (start, stop) in zip(group.reports, group.partition(num_records)):
+        for report, (start, stop) in zip(group.reports, shares):
             if start < stop:
-                share_bits = selectors[:, start:stop]
-                dpxor_many(database[start:stop], share_bits, out=partials[report.tasklet_id])
+                dpxor_many(
+                    database[start:stop],
+                    selector_range(selectors, start, stop),
+                    out=partials[report.tasklet_id],
+                )
                 report.records_processed = batch * (stop - start)
-                report.records_selected = int(share_bits.sum())
+                report.records_selected = int(counts[:, report.tasklet_id].sum())
                 report.instructions = (
                     batch * (stop - start) * INSTRUCTIONS_PER_RECORD_OVERHEAD
                     + report.records_selected * words * INSTRUCTIONS_PER_XOR_WORD
                 )
                 report.dma_bytes = batch * (
-                    (stop - start) * (words * 8) + (stop - start + 7) // 8
+                    (stop - start) * (words * 8) + selector_bytes(stop - start)
                 )
 
         # Stage 2: MASTERXOR — fold the per-tasklet partials per batch row.
@@ -130,7 +135,7 @@ class DpXorManyKernel(Kernel):
         # Per-query kernel cost, summed: the batched launch charges exactly
         # what ``batch`` sequential launches would on this DPU, each with its
         # own row's selected fraction.
-        selected = selectors.sum(axis=1, dtype=np.int64)
+        selected = counts.sum(axis=1)
         simulated = float(
             dpxor_launch_seconds(
                 dpu.config, [num_records], record_size, selected[:, None], tasklets

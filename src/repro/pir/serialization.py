@@ -49,6 +49,9 @@ _MAGIC_ANSWER = b"PA"
 _QUERY_HEADER = struct.Struct("<2sBBIQ")      # magic, version, server_id, query_id, num_records
 _ANSWER_HEADER = struct.Struct("<2sBBIQI")    # magic, version, server_id, query_id, sim_ns, payload_len
 
+#: A naive query body packs its selector bits most significant bit first.
+_WIRE_BIT_MASKS = np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8)
+
 Query = Union[DPFQuery, NaiveQuery]
 
 
@@ -143,7 +146,8 @@ def deserialize_query(blob: bytes) -> Query:
             raise ProtocolError(
                 f"naive query body has {len(body)} bytes, expected {expected_bytes}"
             )
-        bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8), bitorder="big")[:num_records]
+        packed = np.frombuffer(body, dtype=np.uint8)
+        bits = (packed[:, None] & _WIRE_BIT_MASKS != 0).view(np.uint8).reshape(-1)[:num_records]
         share = NaiveShare(server_id=server_id, bits=bits)
         return NaiveQuery(query_id=query_id, server_id=server_id, share=share, num_records=num_records)
     raise ProtocolError(f"unknown query magic {magic!r}")

@@ -9,6 +9,16 @@ which every PIR server must evaluate over the *entire* database for every
 query (the all-for-one principle).  This module provides the numpy scan —
 :func:`dpxor_many`, with :func:`dpxor` as its one-row form — and a small
 operation counter used by the cost models.
+
+It is also the one home of the selector format.  A batch of selector shares
+over ``N`` records is a ``(B, ceil(N / 8))`` uint8 matrix of *packed rows*:
+bit ``j % 8`` of byte ``j // 8`` selects record ``j`` (little bit order, the
+DPF's own leaf layout), and bits at ``j >= N`` are zero.  The DPF produces
+those bytes (:meth:`~repro.dpf.dpf.DPF.eval_packed_many`), naive shares go
+through :func:`pack_selectors`, and every consumer — the scan, the shard and
+segment splits, the per-DPU selector copy and the DPU cost charge — reads them
+through :func:`selector_patterns`, :func:`selector_range` and
+:func:`selected_counts`.
 """
 
 from __future__ import annotations
@@ -68,7 +78,109 @@ WINDOW_RECORDS = 1 << 14
 #: step per run; narrower rows fold a slab's runs with one ``reduceat``.
 RUN_REDUCE_MIN_BYTES = 512
 
-_PATTERN_SHIFTS = np.arange(GROUP_ROWS, dtype=np.uint8)[:, None]
+#: The 8 x 8 bit transpose as three masked shift-swaps on a little-endian
+#: 64-bit word whose byte ``r`` is row ``r``'s selector byte: bit ``8r + j``
+#: trades places with bit ``8j + r``, so byte ``j`` becomes record ``j``'s
+#: pattern.  Each round is ``(mask, shift, 1 + 2**shift)``: a masked ``t``
+#: never overlaps ``t << shift`` (nor leaves the word), so
+#: ``t ^ (t << shift)`` is one multiply.
+_TRANSPOSE_ROUNDS = tuple(
+    (mask, shift, 1 + (1 << shift))
+    for mask, shift in (
+        (0x00AA00AA00AA00AA, 7),
+        (0x0000CCCC0000CCCC, 14),
+        (0x00000000F0F0F0F0, 28),
+    )
+)
+
+#: ``_LOW_BITS[k]`` keeps the bits of a byte's first ``k`` records.
+_LOW_BITS = np.array([(1 << k) - 1 for k in range(8)], dtype=np.uint8)
+
+
+def selector_bytes(num_records: int) -> int:
+    """Width of a packed selector row over ``num_records`` records."""
+    return -(-num_records // 8)
+
+
+def pack_selectors(bits: np.ndarray) -> np.ndarray:
+    """Pack 0/1 selector bits along the last axis into packed rows.
+
+    Any non-zero value selects; the padding bits of the last byte are zero.
+    """
+    return np.packbits(np.asarray(bits), axis=-1, bitorder="little")
+
+
+def selector_patterns(selectors: np.ndarray, num_records: int) -> np.ndarray:
+    """``(ceil(B / 8), num_records)`` record patterns of ``B`` packed rows.
+
+    Bit ``r`` of ``patterns[g, j]`` is set when row ``8 g + r`` selects
+    record ``j``.  Row group ``g``'s bytes over one 8-record column form one
+    ``<u8`` word (byte ``r`` is row ``8 g + r``'s byte), and one bit
+    transpose of every group's words at once turns each word into its
+    column's eight patterns.
+    """
+    batch, width = selectors.shape
+    groups = -(-batch // GROUP_ROWS)
+    lanes = np.zeros((width, groups * GROUP_ROWS), dtype=np.uint8)
+    lanes[:, :batch] = selectors.T
+    words = lanes.view("<u8")
+    for mask, shift, both_ends in _TRANSPOSE_ROUNDS:
+        swap = words >> shift
+        swap ^= words
+        swap &= mask
+        swap *= both_ends
+        words ^= swap
+    # Byte j of word (k, g) is group g's pattern of record 8k + j.
+    patterns = lanes.reshape(width, groups, GROUP_ROWS).transpose(1, 0, 2)
+    return patterns.reshape(groups, -1)[:, :num_records]
+
+
+def selector_range(selectors: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Records ``[start, stop)`` of packed rows, re-based so ``start`` is bit 0.
+
+    On the 8-record grid (both ends multiples of 8) the cut is a zero-copy
+    view; off the grid the bits are shifted into a new array whose padding
+    bits are cleared.
+    """
+    first, shift = divmod(start, 8)
+    width = selector_bytes(stop - start)
+    tail = (stop - start) % 8
+    if not shift and not tail:
+        return selectors[:, first : first + width]
+    window = selectors[:, first : first + width + 1]
+    cut = window[:, :width] >> shift
+    if shift:
+        carry = window[:, 1 : width + 1] << (8 - shift)
+        cut[:, : carry.shape[1]] |= carry
+    if tail:
+        cut[:, -1] &= (1 << tail) - 1
+    return cut
+
+
+def selected_counts(selectors: np.ndarray, bounds) -> np.ndarray:
+    """``(B, len(bounds))`` counts of each packed row's set bits per record range.
+
+    ``bounds`` are ``(start, stop)`` record ranges.  One ``reduceat`` sums
+    the byte popcounts of ``[start // 8, stop // 8)``; a bound off the
+    8-record grid then trades the bits of its partial byte that lie before
+    ``start`` for those before ``stop``.  Empty ranges count zero.
+    """
+    points = np.asarray(bounds, dtype=np.intp).reshape(-1)
+    whole, partial = points >> 3, points & 7
+    batch, width = selectors.shape
+    # A spare zero column, so that a range ending at the last record can end
+    # at byte ``width``.
+    popcounts = np.zeros((batch, width + 1), dtype=np.uint8)
+    np.bitwise_count(selectors, out=popcounts[:, :width])
+    counts = np.add.reduceat(popcounts, whole, axis=1, dtype=np.int64)[:, 0::2]
+    # reduceat returns the first element, not 0, for a range of no bytes.
+    counts *= whole[0::2] < whole[1::2]
+    if partial.any():
+        partial_bytes = np.take(selectors, np.minimum(whole, width - 1), axis=1)
+        before = np.bitwise_count(partial_bytes & _LOW_BITS[partial])
+        counts += before[:, 1::2]
+        counts -= before[:, 0::2]
+    return counts
 
 
 def word_view(array: np.ndarray) -> Optional[np.ndarray]:
@@ -85,27 +197,16 @@ def word_view(array: np.ndarray) -> Optional[np.ndarray]:
     return array.view(np.uint64)
 
 
-def _validate(database: np.ndarray, selector: np.ndarray) -> tuple:
-    database = np.asarray(database, dtype=np.uint8)
-    selector = np.asarray(selector, dtype=np.uint8)
-    if database.ndim != 2:
-        raise DatabaseError("database chunk must be 2-D (records x bytes)")
-    if selector.ndim != 1 or selector.shape[0] != database.shape[0]:
-        raise DatabaseError(
-            f"selector length {selector.shape} does not match database rows {database.shape[0]}"
-        )
-    return database, selector
-
-
 def _validate_many(database: np.ndarray, selectors: np.ndarray) -> tuple:
     database = np.asarray(database, dtype=np.uint8)
     selectors = np.asarray(selectors, dtype=np.uint8)
     if database.ndim != 2:
         raise DatabaseError("database chunk must be 2-D (records x bytes)")
-    if selectors.ndim != 2 or selectors.shape[1] != database.shape[0]:
+    width = selector_bytes(database.shape[0])
+    if selectors.ndim != 2 or selectors.shape[1] != width:
         raise DatabaseError(
             f"selector matrix {selectors.shape} does not match database rows "
-            f"{database.shape[0]} (expected (batch, records))"
+            f"{database.shape[0]} (expected packed (batch, {width}))"
         )
     return database, selectors
 
@@ -117,28 +218,27 @@ def dpxor(
 ) -> np.ndarray:
     """Reference dpXOR: XOR of database rows whose selector bit is set.
 
-    ``database`` is ``(N, record_size)`` uint8, ``selector`` is ``(N,)`` of
-    0/1 values.  Returns the ``(record_size,)`` XOR accumulator: the one-row
-    form of :func:`dpxor_many`, so there is one scan body.  The whole
-    database is charged to ``stats`` regardless of how many bits are set: the
-    all-for-one principle means a real server touches every record.
+    ``database`` is ``(N, record_size)`` uint8, ``selector`` is one packed
+    ``(ceil(N / 8),)`` row.  Returns the ``(record_size,)`` XOR accumulator:
+    the one-row form of :func:`dpxor_many`, so there is one scan body.  The
+    whole database is charged to ``stats`` regardless of how many bits are
+    set: the all-for-one principle means a real server touches every record.
     """
-    database, selector = _validate(database, selector)
+    selector = np.asarray(selector, dtype=np.uint8)
+    if selector.ndim != 1:
+        raise DatabaseError(f"selector must be one packed row, got shape {selector.shape}")
     return dpxor_many(database, selector[None], stats=stats)[0]
 
 
 def _bucket_window(
-    block: np.ndarray, selectors: np.ndarray, table: np.ndarray, scratch: np.ndarray, per_run: bool
+    block: np.ndarray, patterns: np.ndarray, table: np.ndarray, scratch: np.ndarray, per_run: bool
 ) -> None:
     """XOR every selected record of ``block`` into ``table[its pattern]``.
 
-    ``selectors`` is one row group's ``(rows, len(block))`` slice: bit ``r`` of
-    a record's pattern is set when row ``r`` selects it.  ``scratch`` is the
-    slab the gathers land in.
+    ``patterns`` holds one row group's pattern per record of ``block``: bit
+    ``r`` is set when row ``r`` selects the record.  ``scratch`` is the slab
+    the gathers land in.
     """
-    bits = np.not_equal(selectors, 0).view(np.uint8)
-    np.left_shift(bits, _PATTERN_SHIFTS[: bits.shape[0]], out=bits)
-    patterns = np.bitwise_or.reduce(bits, axis=0)
     order = np.argsort(patterns, kind="stable")
     order = order[patterns.size - np.count_nonzero(patterns) :]
     if not order.size:
@@ -177,16 +277,18 @@ def dpxor_many(
 ) -> np.ndarray:
     """Batched dpXOR: serve a whole batch of selectors in one database pass.
 
-    ``database`` is ``(N, record_size)`` uint8 and ``selectors`` is
-    ``(B, N)`` of 0/1 values — one selector share per row.  Returns the
-    ``(B, record_size)`` matrix of XOR accumulators, bit-identical to calling
-    :func:`dpxor` on each row.
+    ``database`` is ``(N, record_size)`` uint8 and ``selectors`` is the packed
+    ``(B, ceil(N / 8))`` matrix — one selector share per row (see the module
+    docstring for the format).  Returns the ``(B, record_size)`` matrix of
+    XOR accumulators, bit-identical to calling :func:`dpxor` on each row.
 
     The scan is pattern-bucketed.  Batch rows are taken :data:`GROUP_ROWS` at
-    a time; the group's selector bits make one byte per record, its *pattern*
-    (which rows want it).  Inside a *window* of ``chunk_records`` records
-    (default :data:`WINDOW_RECORDS`) the patterns are stable-sorted, pattern 0
-    is dropped, and the sorted order is walked in *slabs* of
+    a time, and one bit transpose of the packed bytes makes one byte per
+    record and group, its *pattern* (which of the group's rows want it;
+    :func:`selector_patterns`).
+    Inside a *window* of ``chunk_records`` records (default
+    :data:`WINDOW_RECORDS`) the patterns are stable-sorted, pattern 0 is
+    dropped, and the sorted order is walked in *slabs* of
     ~:data:`BATCH_CHUNK_BYTES`: one ``np.take`` gathers each selected record
     once for the whole group, and every run of equal pattern is XOR-folded
     into its row of a ``(2**rows, words)`` bucket table (per run above
@@ -227,14 +329,14 @@ def dpxor_many(
         scratch = np.empty((slab, scan_db.shape[1]), dtype=scan_db.dtype)
         buckets = np.empty((1 << min(GROUP_ROWS, batch), scan_db.shape[1]), dtype=scan_db.dtype)
         per_run = record_size >= RUN_REDUCE_MIN_BYTES
-        for group in range(0, batch, GROUP_ROWS):
-            group_selectors = selectors[group : group + GROUP_ROWS]
-            rows = group_selectors.shape[0]
+        patterns = selector_patterns(selectors, num_records)
+        for group, group_patterns in zip(range(0, batch, GROUP_ROWS), patterns):
+            rows = min(GROUP_ROWS, batch - group)
             table = buckets[: 1 << rows]
             table[:] = 0
             for start in range(0, num_records, chunk_records):
                 window = slice(start, start + chunk_records)
-                _bucket_window(scan_db[window], group_selectors[:, window], table, scratch, per_run)
+                _bucket_window(scan_db[window], group_patterns[window], table, scratch, per_run)
             # Row r's answer is the XOR of the buckets whose pattern has bit r
             # set: peel the top bit off the table, halving it, row by row.
             for row in reversed(range(rows)):
@@ -246,7 +348,7 @@ def dpxor_many(
         stats.merge(
             DpXorStats(
                 records_scanned=batch * num_records,
-                records_selected=int(np.count_nonzero(selectors)),
+                records_selected=int(np.bitwise_count(selectors).sum(dtype=np.int64)),
                 db_bytes_read=batch * num_records * record_size,
                 selector_bytes_read=batch * num_records,
                 output_bytes_written=batch * record_size,

@@ -7,8 +7,8 @@ delegating to one child backend per (non-empty) shard of a
 * ``prepare`` slices the database along the plan and hands each child its
   shard (children preload concurrently, so their preload timers fold with
   per-phase max);
-* ``execute_many`` splits the engine's full-domain selector matrix per
-  shard, lets every child scan its column block (schedule-wise in parallel —
+* ``execute_many`` splits the engine's packed selector matrix per shard,
+  lets every child scan its cut (schedule-wise in parallel —
   child phase timers fold with per-phase max) and XOR-folds the sub-payloads
   into answers that are bit-identical to the unsharded scan;
 * ``apply_updates`` routes dirty records to the owning shard only, leaving
@@ -364,9 +364,10 @@ class ShardedBackend(PIRBackend):
     ) -> np.ndarray:
         """Batched sharded scan: split once, scan slabs, word-fold across shards.
 
-        The selector matrix is split into zero-copy per-shard column views
-        **once per batch** (not once per query), and each shard serves its
-        column block through its child's own ``execute_many`` — the only
+        The packed selector matrix is split into per-shard cuts **once per
+        batch** (not once per query; zero-copy views for shards on the
+        8-record grid, see :meth:`~repro.shard.plan.ShardPlan.split_selector_many`), and each
+        shard serves its cut through its child's own ``execute_many`` — the only
         backend hook — into its slab of one ``(num_shards, B, record_size)``
         accumulator array.  The slabs then XOR-fold across shards through the
         uint64 word path of :func:`~repro.core.partitioning.fold_partials`.

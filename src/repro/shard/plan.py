@@ -35,6 +35,7 @@ import numpy as np
 from repro.common.errors import ConfigurationError, DatabaseError
 from repro.core.partitioning import aligned_chunk_bounds
 from repro.pir.database import Database
+from repro.pir.xor_ops import selector_bytes, selector_range
 
 
 @dataclass(frozen=True)
@@ -194,21 +195,23 @@ class ShardPlan:
         ]
 
     def split_selector_many(self, selector_matrix: np.ndarray) -> List[np.ndarray]:
-        """Per-shard column blocks of a ``(B, num_records)`` selector matrix.
+        """Per-shard cuts of a packed ``(B, ceil(num_records / 8))`` selector matrix.
 
-        The matrix is split **once per batch** into zero-copy column views
-        (one per non-empty shard, in :attr:`non_empty_shards` order, so they
-        pair with :meth:`slice_database` output one-to-one), not once per
-        query.
+        The matrix is split **once per batch** (not once per query) with
+        :func:`~repro.pir.xor_ops.selector_range`, one cut per non-empty
+        shard in :attr:`non_empty_shards` order, so they pair with
+        :meth:`slice_database` output one-to-one.  A shard on the 8-record
+        grid gets a zero-copy view; one off it gets its bits shifted down.
         """
         selector_matrix = np.asarray(selector_matrix)
-        if selector_matrix.ndim != 2 or selector_matrix.shape[1] != self.num_records:
+        width = selector_bytes(self.num_records)
+        if selector_matrix.ndim != 2 or selector_matrix.shape[1] != width:
             raise ConfigurationError(
                 f"selector matrix {selector_matrix.shape} does not match plan "
-                f"({self.num_records} records; expected (batch, records))"
+                f"({self.num_records} records; expected packed (batch, {width}))"
             )
         return [
-            selector_matrix[:, shard.start : shard.stop]
+            selector_range(selector_matrix, shard.start, shard.stop)
             for shard in self.non_empty_shards
         ]
 

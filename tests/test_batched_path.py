@@ -267,23 +267,3 @@ class TestSelectorBufferReuse:
         expected = [engine.answer(q).answer.payload for q in smaller]
         got = [r.answer.payload for r in engine.answer_many(smaller).results]
         assert got == expected
-
-    def test_varying_batch_sizes_reuse_one_allocation(self):
-        # Dedup and cache hits make the flush size vary flush to flush: a
-        # smaller flush takes the leading rows of the pooled buffer instead
-        # of discarding it.
-        database, queries = _batch(128, 32, 16)
-        engine = create_server("reference", database, server_id=0).engine
-        pooled = []
-        for size in (16, 9, 16, 12):
-            flush = queries[:size]
-            expected = [engine.answer(q).answer.payload for q in flush]
-            matrix = engine.selector_matrix(flush)
-            assert matrix.shape == (size, 128) and matrix.flags["C_CONTIGUOUS"]
-            engine._recycle_selector_matrix(matrix)
-            got = [r.answer.payload for r in engine.answer_many(flush).results]
-            assert got == expected
-            (base,) = engine._selector_pool
-            pooled.append(base)
-        assert pooled[0].shape == (16, 128)
-        assert all(base is pooled[0] for base in pooled)

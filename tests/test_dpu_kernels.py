@@ -14,6 +14,7 @@ from repro.pim.kernels import (
     MramFillKernel,
 )
 from repro.pim.tasklet import TaskletGroup
+from repro.pir.xor_ops import pack_selectors
 
 
 def selected_xor(database, selector):
@@ -29,7 +30,7 @@ def loaded_dpu():
     selector = rng.integers(0, 2, size=128, dtype=np.uint8)
     dpu = DPU(dpu_id=0, config=DPUConfig(tasklets=4))
     dpu.store(DB_BUFFER, database.reshape(-1))
-    dpu.store(SELECTOR_BUFFER, np.packbits(selector, bitorder="big"))
+    dpu.store(SELECTOR_BUFFER, pack_selectors(selector))
     return dpu, database, selector
 
 
@@ -150,7 +151,7 @@ class TestDpXorKernel:
             selector = rng.integers(0, 2, size=64, dtype=np.uint8)
             dpu = DPU(0, config=DPUConfig(tasklets=3))
             dpu.store(DB_BUFFER, database.reshape(-1))
-            dpu.store(SELECTOR_BUFFER, np.packbits(selector, bitorder="big"))
+            dpu.store(SELECTOR_BUFFER, pack_selectors(selector))
             report = dpu.launch(DpXorManyKernel(), batch=1, num_records=64, record_size=record_size)
             assert np.array_equal(report.result[0], selected_xor(database, selector))
 

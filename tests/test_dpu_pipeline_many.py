@@ -39,7 +39,7 @@ from repro.pim.kernels import DB_BUFFER, RESULT_BUFFER, SELECTOR_BUFFER, DpXorMa
 from repro.pim.system import UPMEMSystem
 from repro.pim.timing import dpxor_kernel_cost
 from repro.pir.database import Database
-from repro.pir.xor_ops import dpxor_many
+from repro.pir.xor_ops import dpxor_many, pack_selectors
 
 
 def _execute_pipeline(
@@ -73,7 +73,7 @@ def _execute_pipeline(
 def _rig(
     num_records, record_size, batch, num_dpus, *, seed=11, preload=True, tasklets=4, config=None
 ):
-    """A loaded DPU set plus the batch's selector matrix, ready to scan."""
+    """A loaded DPU set plus the batch's packed selector matrix, ready to scan."""
     if config is None:
         config = scaled_down_config(num_dpus=num_dpus, tasklets=tasklets)
     dpu_set = UPMEMSystem(config).allocate(config.num_dpus)
@@ -85,7 +85,7 @@ def _rig(
     if preload:
         dpu_set.scatter(DB_BUFFER, db_chunks)
     rng = np.random.default_rng(seed + 1)
-    selectors = rng.integers(0, 2, size=(batch, num_records), dtype=np.uint8)
+    selectors = pack_selectors(rng.integers(0, 2, size=(batch, num_records), dtype=np.uint8))
     return dpu_set, partitioner, layout, db_chunks, selectors
 
 
@@ -163,9 +163,10 @@ class TestAmortizedFormula:
         breakdowns = _run_many(dpu_set, partitioner, layout, selectors)
         timing = dpu_set.timing
 
+        bits = np.unpackbits(selectors, axis=1, count=self.NUM_RECORDS, bitorder="little")
         per_dpu = []
         for dpu_index, (start, stop) in enumerate(layout.bounds):
-            rows = selectors[:, start:stop]
+            rows = bits[:, start:stop]
             records = stop - start
             total = 0.0
             for selected in rows.sum(axis=1).tolist():
@@ -307,7 +308,8 @@ def _assert_charged_matches_executing(
     (exec_set, partitioner, layout, db_chunks, selectors), (charged_set, *_) = rigs
     records = partitioner.database.records
     rng = np.random.default_rng(num_records * 31 + batch)
-    for dispatch in (selectors, rng.integers(0, 2, size=selectors.shape, dtype=np.uint8)):
+    redraw = pack_selectors(rng.integers(0, 2, size=(batch, num_records), dtype=np.uint8))
+    for dispatch in (selectors, redraw):
         executed = [PhaseTimer() for _ in range(batch)]
         charged = [PhaseTimer() for _ in range(batch)]
         streaming = dict(db_copy_phase=PHASE_COPY_DB) if streamed else {}

@@ -12,6 +12,7 @@ from repro.core.partitioning import (
     kwargs_for_kernel_many,
 )
 from repro.pir.database import Database
+from repro.pir.xor_ops import pack_selectors
 
 
 @pytest.fixture()
@@ -67,11 +68,11 @@ class TestChunks:
     def test_selector_chunks_pack_bits(self, partitioner, small_db):
         layout = partitioner.layout(5)
         selector = np.random.default_rng(0).integers(0, 2, small_db.num_records, dtype=np.uint8)
-        chunks = partitioner.selector_chunks_many(layout, selector[None])
+        chunks = partitioner.selector_chunks_many(layout, pack_selectors(selector[None]))
         assert len(chunks) == 5
         rebuilt = np.concatenate(
             [
-                np.unpackbits(chunk[0], bitorder="big")[: stop - start]
+                np.unpackbits(chunk[0], bitorder="little")[: stop - start]
                 for chunk, (start, stop) in zip(chunks, layout.bounds)
             ]
         )

@@ -12,7 +12,7 @@ from repro.pim.system import DPUSet, UPMEMSystem
 from repro.pim.timing import PIMTimingModel
 from repro.pim.transfer import TransferEngine
 from repro.pir.database import Database
-from repro.pir.xor_ops import dpxor
+from repro.pir.xor_ops import dpxor, pack_selectors
 
 
 @pytest.fixture()
@@ -124,7 +124,7 @@ class TestCollectiveLaunch:
         bounds = db.chunk_bounds(dpu_set.num_dpus)
         dpu_set.load_program("dpxor")
         dpu_set.scatter(DB_BUFFER, [db.chunk(a, b).reshape(-1) for a, b in bounds])
-        dpu_set.scatter(SELECTOR_BUFFER, [np.packbits(selector[a:b], bitorder="big") for a, b in bounds])
+        dpu_set.scatter(SELECTOR_BUFFER, [pack_selectors(selector[a:b]) for a, b in bounds])
         launch = dpu_set.launch(
             DpXorManyKernel(),
             per_dpu_kwargs=[
@@ -132,7 +132,7 @@ class TestCollectiveLaunch:
             ],
         )
         combined = np.bitwise_xor.reduce(np.stack(launch.results()), axis=0)[0]
-        assert np.array_equal(combined, dpxor(db.records, selector))
+        assert np.array_equal(combined, dpxor(db.records, pack_selectors(selector)))
 
     def test_launch_report_structure(self, system):
         db = Database.random(64, 16, seed=2)
@@ -141,7 +141,7 @@ class TestCollectiveLaunch:
         dpu_set.scatter(DB_BUFFER, [db.chunk(a, b).reshape(-1) for a, b in bounds])
         dpu_set.scatter(
             SELECTOR_BUFFER,
-            [np.packbits(np.ones(b - a, dtype=np.uint8), bitorder="big") for a, b in bounds],
+            [pack_selectors(np.ones(b - a, dtype=np.uint8)) for a, b in bounds],
         )
         launch = dpu_set.launch(
             DpXorManyKernel(),

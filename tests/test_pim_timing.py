@@ -135,6 +135,7 @@ class TestCrossConsistency:
 
         from repro.pim.dpu import DPU
         from repro.pim.kernels import DB_BUFFER, SELECTOR_BUFFER, DpXorManyKernel
+        from repro.pir.xor_ops import pack_selectors
 
         config = DPUConfig(tasklets=8)
         rng = np.random.default_rng(3)
@@ -144,7 +145,7 @@ class TestCrossConsistency:
 
         dpu = DPU(0, config=config)
         dpu.store(DB_BUFFER, database.reshape(-1))
-        dpu.store(SELECTOR_BUFFER, np.packbits(selector, bitorder="big"))
+        dpu.store(SELECTOR_BUFFER, pack_selectors(selector))
         report = dpu.launch(
             DpXorManyKernel(), batch=1, num_records=num_records, record_size=record_size
         )

@@ -22,6 +22,7 @@ from repro.pim.kernels import DB_BUFFER
 from repro.pir.client import PIRClient
 from repro.pir.database import Database
 from repro.pir.server import PIRServer
+from repro.pir.xor_ops import pack_selectors
 from repro.shard.backend import (
     BARE_BACKEND_KINDS,
     ShardedBackend,
@@ -99,11 +100,16 @@ class TestShardPlan:
     def test_split_selector_pairs_with_slices(self):
         database = Database.random(37, 4, seed=5)
         plan = ShardPlan.uniform(37, 5)
-        selector = np.arange(37, dtype=np.uint8)
-        slices = plan.split_selector_many(selector[None])
+        selector = np.random.default_rng(5).integers(0, 2, 37, dtype=np.uint8)
+        slices = plan.split_selector_many(pack_selectors(selector[None]))
         shards_db = plan.slice_database(database)
         assert len(slices) == len(shards_db) == len(plan.non_empty_shards)
-        reassembled = np.concatenate(slices, axis=1)[0]
+        reassembled = np.concatenate(
+            [
+                np.unpackbits(cut[0], count=shard.num_records, bitorder="little")
+                for cut, shard in zip(slices, plan.non_empty_shards)
+            ]
+        )
         assert np.array_equal(reassembled, selector)
         for shard, shard_db in zip(plan.non_empty_shards, shards_db):
             assert shard_db.num_records == shard.num_records

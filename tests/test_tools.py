@@ -485,6 +485,51 @@ class TestAssertionErrorLint:
         )
 
 
+class TestUnpackbitsLint:
+    """Selectors stay packed: only ``repro/dpf/dpf.py`` may unpack them."""
+
+    def _check(self, tmp_path, relative, source):
+        lint = _load_tool("lint")
+        path = tmp_path / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source)
+        return lint.check_file(path)
+
+    @pytest.mark.parametrize(
+        "relative,source",
+        [
+            (
+                "src/repro/core/engine.py",
+                "import numpy as np\n\n\ndef bits(packed):\n"
+                "    return np.unpackbits(packed, bitorder='little'){}\n",
+            ),
+            (
+                "src/repro/pim/kernels.py",
+                "from numpy import unpackbits{}\n\n\ndef bits(packed):\n"
+                "    return unpackbits(packed)\n",
+            ),
+            (
+                "src/repro/dpf/naive.py",
+                "import numpy\n\n\ndef bits(packed):\n    return numpy.unpackbits(packed){}\n",
+            ),
+        ],
+    )
+    def test_unpackbits_in_library_code_flagged(self, tmp_path, relative, source):
+        flagged = self._check(tmp_path, relative, source.format(""))
+        assert any("unpackbits in library code" in message for _, message in flagged)
+        assert not self._check(tmp_path, relative, source.format("  # noqa"))
+
+    def test_the_dpf_module_and_tests_are_legal(self, tmp_path):
+        source = "import numpy as np\n\n\ndef bits(packed):\n    return np.unpackbits(packed)\n"
+        assert not self._check(tmp_path, "src/repro/dpf/dpf.py", source)
+        assert not self._check(tmp_path, "tests/test_selectors.py", source)
+        assert not self._check(
+            tmp_path,
+            "src/repro/pir/xor_ops.py",
+            "import numpy as np\n\n\ndef pack(bits):\n    return np.packbits(bits)\n",
+        )
+
+
 class TestEventLoopClockLint:
     """``loop.time()`` is a wall clock in disguise; banned where clocks are injected."""
 

@@ -11,6 +11,8 @@ from repro.pir.xor_ops import (
     dpxor,
     dpxor_many,
     inner_product_mod,
+    pack_selectors,
+    selector_range,
     word_view,
     xor_bytes,
 )
@@ -29,11 +31,13 @@ class TestDpxor:
         database = np.arange(64, dtype=np.uint8).reshape(8, 8)
         selector = np.zeros(8, dtype=np.uint8)
         selector[4] = 1
-        assert np.array_equal(dpxor(database, selector), database[4])
+        assert np.array_equal(dpxor(database, pack_selectors(selector)), database[4])
 
     def test_no_selection_is_zero(self):
         database = np.ones((5, 3), dtype=np.uint8)
-        assert np.array_equal(dpxor(database, np.zeros(5, dtype=np.uint8)), np.zeros(3, dtype=np.uint8))
+        assert np.array_equal(
+            dpxor(database, pack_selectors(np.zeros(5, dtype=np.uint8))), np.zeros(3, dtype=np.uint8)
+        )
 
     def test_matches_manual_reduction(self, db_and_selector):
         database, selector = db_and_selector
@@ -41,12 +45,12 @@ class TestDpxor:
         for i in range(200):
             if selector[i]:
                 expected ^= database[i]
-        assert np.array_equal(dpxor(database, selector), expected)
+        assert np.array_equal(dpxor(database, pack_selectors(selector)), expected)
 
     def test_stats_charge_full_database(self, db_and_selector):
         database, selector = db_and_selector
         stats = DpXorStats()
-        dpxor(database, selector, stats=stats)
+        dpxor(database, pack_selectors(selector), stats=stats)
         assert stats.records_scanned == 200
         assert stats.db_bytes_read == 200 * 32
         assert stats.records_selected == int(selector.sum())
@@ -54,7 +58,7 @@ class TestDpxor:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DatabaseError):
-            dpxor(np.zeros((4, 2), dtype=np.uint8), np.zeros(3, dtype=np.uint8))
+            dpxor(np.zeros((4, 2), dtype=np.uint8), pack_selectors(np.zeros(9, dtype=np.uint8)))
 
 
 class TestXorFold:
@@ -124,15 +128,17 @@ class TestDpxorProperties:
         database = rng.integers(0, 256, size=(num_records, 16), dtype=np.uint8)
         v1 = rng.integers(0, 2, size=num_records, dtype=np.uint8)
         v2 = rng.integers(0, 2, size=num_records, dtype=np.uint8)
-        combined = dpxor(database, v1 ^ v2)
-        assert np.array_equal(combined, dpxor(database, v1) ^ dpxor(database, v2))
+        combined = dpxor(database, pack_selectors(v1 ^ v2))
+        assert np.array_equal(
+            combined, dpxor(database, pack_selectors(v1)) ^ dpxor(database, pack_selectors(v2))
+        )
 
 
 class TestDpxorMany:
     def _random_case(self, num_records, record_size, batch, seed):
         rng = np.random.default_rng(seed)
         database = rng.integers(0, 256, size=(num_records, record_size), dtype=np.uint8)
-        selectors = rng.integers(0, 2, size=(batch, num_records), dtype=np.uint8)
+        selectors = pack_selectors(rng.integers(0, 2, size=(batch, num_records), dtype=np.uint8))
         return database, selectors
 
     @pytest.mark.parametrize("record_size", [1, 3, 7, 8, 24, 32, 40])
@@ -173,9 +179,11 @@ class TestDpxorMany:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DatabaseError):
-            dpxor_many(np.zeros((4, 2), dtype=np.uint8), np.zeros((3,), dtype=np.uint8))
+            dpxor_many(np.zeros((4, 2), dtype=np.uint8), pack_selectors(np.zeros(4, dtype=np.uint8)))
         with pytest.raises(DatabaseError):
-            dpxor_many(np.zeros((4, 2), dtype=np.uint8), np.zeros((2, 5), dtype=np.uint8))
+            dpxor_many(
+                np.zeros((4, 2), dtype=np.uint8), pack_selectors(np.zeros((2, 9), dtype=np.uint8))
+            )
 
     @given(
         num_records=st.integers(min_value=1, max_value=80),
@@ -217,7 +225,7 @@ class TestPatternBucketedScan:
         rng = np.random.default_rng(seed)
         batch = len(row_kinds)  # 1..20 crosses the 8/9 and 16/17 group seams
         database = rng.integers(0, 256, size=(num_records, record_size), dtype=np.uint8)
-        # Column view of a wider matrix, as the sharded split passes them.
+        # A cut of a wider matrix, as the sharded split passes them.
         left, right = margins
         matrix = rng.integers(0, 2, size=(batch, left + num_records + right), dtype=np.uint8)
         selectors = matrix[:, left : left + num_records]
@@ -233,9 +241,10 @@ class TestPatternBucketedScan:
         chunk_records = {"N-1": max(1, num_records - 1), "N+5": num_records + 5}.get(
             window, window
         )
+        packed = selector_range(pack_selectors(matrix), left, left + num_records)
         out = np.full((batch, record_size), 0xA5, dtype=np.uint8) if stale_out else None
         stats = DpXorStats()
-        got = dpxor_many(database, selectors, stats=stats, chunk_records=chunk_records, out=out)
+        got = dpxor_many(database, packed, stats=stats, chunk_records=chunk_records, out=out)
         assert np.array_equal(got, self._oracle(database, selectors))
         if stale_out:
             assert got is out
@@ -248,7 +257,7 @@ class TestPatternBucketedScan:
             output_bytes_written=batch * record_size,
         )
         sequential = DpXorStats()
-        for row in selectors:
+        for row in packed:
             dpxor(database, row, stats=sequential)
         assert stats == sequential
 

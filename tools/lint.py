@@ -63,6 +63,11 @@ AST pass instead.  It flags:
 * ``raise AssertionError`` anywhere under ``src/repro/`` — scenario checks
   belong in ``tests/`` and the self-verifying ``examples/``; library code
   raises the typed errors of :mod:`repro.common.errors`;
+* ``unpackbits`` (``np.unpackbits`` or ``from numpy import unpackbits``)
+  anywhere under ``src/repro/`` except ``repro/dpf/dpf.py`` — selectors are
+  packed rows from ``selector_matrix`` to the scan (``repro/pir/xor_ops.py``
+  reads them with a bit transpose and byte popcounts); only the DPF's
+  ``eval_full_bits_many``, kept for the goldens, unpacks them;
 * bare ``print(`` anywhere under ``src/repro/`` — library code reports
   through the structured event log (:mod:`repro.obs.events`) or returns
   strings for the CLI layer to print; only the CLI entry points
@@ -319,6 +324,24 @@ def _is_assertion_error_raise(node: ast.AST) -> bool:
     return isinstance(exc, ast.Name) and exc.id == "AssertionError"
 
 
+#: The one library module allowed to unpack selector bits: the DPF's
+#: ``eval_full_bits_many``, which the goldens and the tests read.
+UNPACK_MODULE = ("repro", "dpf", "dpf.py")
+
+
+def _is_unpack_banned(path: Path) -> bool:
+    return _is_library_code(path) and path.parts[-3:] != UNPACK_MODULE
+
+
+def _unpackbits_lines(node: ast.AST) -> List[int]:
+    """Line numbers where ``node`` reaches ``unpackbits`` (attribute or import)."""
+    if isinstance(node, ast.Attribute) and node.attr == "unpackbits":
+        return [node.lineno]
+    if isinstance(node, ast.ImportFrom):
+        return [node.lineno for alias in node.names if alias.name == "unpackbits"]
+    return []
+
+
 def check_file(path: Path) -> List[Tuple[int, str]]:
     source = path.read_text(encoding="utf-8")
     try:
@@ -334,6 +357,7 @@ def check_file(path: Path) -> List[Tuple[int, str]]:
     print_banned = _is_print_banned(path)
     library_code = _is_library_code(path)
     per_flush_keygen_only = _is_per_flush_keygen_only(path)
+    unpack_banned = _is_unpack_banned(path)
 
     imports: List[Tuple[int, str, str]] = []  # (lineno, bound name, description)
     wildcards: List[Tuple[int, str]] = []
@@ -486,6 +510,17 @@ def check_file(path: Path) -> List[Tuple[int, str]]:
                     "scenario checks belong in tests/ and examples/",
                 )
             )
+        if unpack_banned:
+            for lineno in _unpackbits_lines(node):
+                deprecated.append(
+                    (
+                        lineno,
+                        "unpackbits in library code outside repro/dpf/dpf.py — "
+                        "selectors stay packed; read them with "
+                        "repro.pir.xor_ops (selector_patterns / selector_range "
+                        "/ selected_counts)",
+                    )
+                )
         if library_code:
             for lineno in _per_query_scan_hooks(node):
                 deprecated.append(
