@@ -35,7 +35,6 @@ from repro.core.impir import IMPIRDeployment
 from repro.core.results import IMPIRBatchResult, IMPIRQueryResult
 from repro.dpf.dpf import DPF, DPFKey
 from repro.pim.config import PIMConfig
-from repro.pim.system import UPMEMSystem
 from repro.pir.client import PIRClient
 from repro.pir.database import Database
 from repro.pir.frontend import AdaptiveBatchingPolicy, BatchingPolicy, PIRFrontend
@@ -61,7 +60,6 @@ __all__ = [
     "DPF",
     "DPFKey",
     "PIMConfig",
-    "UPMEMSystem",
     "PIRClient",
     "Database",
     "MultiServerPIRProtocol",

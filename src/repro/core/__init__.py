@@ -14,11 +14,7 @@ from repro.core.engine import (
     register_backend,
 )
 from repro.core.impir import IMPIRDeployment, PIMClusterBackend
-from repro.core.partitioning import (
-    DatabasePartitioner,
-    PartitionLayout,
-    fold_partials,
-)
+from repro.core.partitioning import PartitionLayout, fold_partials
 from repro.core.results import (
     ALL_PHASES,
     PHASE_AGGREGATE,
@@ -50,7 +46,6 @@ __all__ = [
     "register_backend",
     "IMPIRDeployment",
     "PIMClusterBackend",
-    "DatabasePartitioner",
     "PartitionLayout",
     "fold_partials",
     "ALL_PHASES",

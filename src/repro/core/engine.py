@@ -508,7 +508,6 @@ def _ensure_default_backends() -> None:
     from repro.dpf.prf import make_prg
     from repro.gpu.model import GPUModel
     from repro.pim.config import scaled_down_config
-    from repro.pim.system import UPMEMSystem
     from repro.pir.server import PIRServer, ServerStats
     from repro.shard.backend import ShardedBackend, bare_backend_factory
 
@@ -550,7 +549,7 @@ def _ensure_default_backends() -> None:
     def build_impir(db, server_id=0, config=None):
         require_two_servers(server_id)
         config = config if config is not None else default_config()
-        backend = PIMClusterBackend(config, UPMEMSystem(config.pim))
+        backend = PIMClusterBackend(config)
         return PIRServer(
             backend, db, server_id, prg=make_prg(config.prg_backend)
         )
@@ -558,9 +557,7 @@ def _ensure_default_backends() -> None:
     def build_impir_streamed(db, server_id=0, config=None, segment_records=None):
         require_two_servers(server_id)
         config = config if config is not None else default_config(num_dpus=4)
-        backend = StreamedPIMBackend(
-            config, UPMEMSystem(config.pim), segment_records=segment_records
-        )
+        backend = StreamedPIMBackend(config, segment_records=segment_records)
         return PIRServer(
             backend, db, server_id, prg=make_prg(config.prg_backend)
         )

@@ -15,7 +15,9 @@ following Figure 5:
 
 Steps ➌–➏ are charged, not executed: the answer is one
 :func:`~repro.pir.xor_ops.dpxor_many` over the database, and
-:func:`~repro.core.partitioning.run_dpu_pipeline_many` charges the phases.
+:func:`~repro.core.partitioning.run_dpu_pipeline_many` charges the phases to
+the backend's :class:`~repro.pim.system.DPULedger` (per-DPU arrays; each
+cluster is a slice of it).
 
 The protocol half of those steps (validation, key evaluation, answer
 assembly) is supplied by the shared :class:`~repro.core.engine.QueryEngine`;
@@ -23,32 +25,34 @@ this module contributes :class:`PIMClusterBackend` — the DPU-cluster
 execution substrate with the paper's cost model — and
 :class:`IMPIRDeployment`, both replicas plus a client wired together.
 
-The database itself is preloaded into MRAM once, ahead of query processing,
-exactly as in the paper (its transfer time is reported separately and not
-charged to queries).  MRAM is capacity and cost state: serving never reads it.
+The database is preloaded into MRAM once, ahead of query processing, exactly
+as in the paper (its transfer time is reported separately and not charged to
+queries).  MRAM is capacity and cost arithmetic, not storage: ``prepare``
+checks each cluster's largest block against usable MRAM and charges the
+preload from the layout's byte counts, and ``apply_updates`` charges the
+re-copy of the dirty blocks only; no byte is copied.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.common.errors import CapacityError
 from repro.common.events import PhaseTimer
 from repro.core.config import IMPIRConfig
 from repro.core.engine import BackendCapabilities, PIRBackend, create_server
 from repro.core.partitioning import (
-    DatabasePartitioner,
     PartitionLayout,
-    reset_pipeline_buffers,
+    check_mram_capacity,
     run_dpu_pipeline_many,
+    usable_mram_bytes,
 )
 from repro.core.results import PHASE_AGGREGATE
 from repro.dpf.prf import make_prg
-from repro.pim.cluster import DPUCluster, make_clusters
-from repro.pim.kernels import DB_BUFFER, DpXorManyKernel
-from repro.pim.system import UPMEMSystem
+from repro.pim.kernels import check_dpxor_wram
+from repro.pim.system import DPULedger
 from repro.pir.database import Database
 from repro.pir.xor_ops import dpxor_many
 
@@ -60,63 +64,64 @@ class PIMClusterBackend(PIRBackend):
     """Execution backend running the dpXOR on preloaded DPU clusters.
 
     Each cluster holds a full copy of the database partitioned across its
-    DPUs, so every cluster is an independent execution lane.
+    DPUs, so every cluster is an independent execution lane.  A cluster is
+    a slice of the backend's :class:`~repro.pim.system.DPULedger`.
     """
 
-    def __init__(self, config: IMPIRConfig, system: UPMEMSystem) -> None:
+    def __init__(self, config: IMPIRConfig) -> None:
         self.config = config
-        self.system = system
-        self.timing = system.timing
-        self._dpu_set = system.allocate(config.pim.num_dpus)
-        self._clusters: List[DPUCluster] = make_clusters(self._dpu_set, config.num_clusters)
+        self.ledger = DPULedger(config.pim)
+        self.timing = self.ledger.timing
+        self._clusters: List[DPULedger] = self.ledger.split(config.num_clusters)
         self._layouts: List[PartitionLayout] = []
         self.database: Optional[Database] = None
+
+    def _check_fits(self, layout: PartitionLayout) -> None:
+        check_mram_capacity(
+            layout, self.config.pim.dpu.mram_bytes, self.config.mram_reserve_fraction
+        )
 
     # -- database lifecycle (not charged to queries) ------------------------------
 
     def prepare(self, database: Database) -> PhaseTimer:
-        """Partition the database across each cluster's DPUs and load MRAM."""
+        """Lay the database out across each cluster's DPUs and charge the preload.
+
+        Capacity is arithmetic: each cluster's largest block must fit usable
+        MRAM and the kernel's working set WRAM (:class:`CapacityError`
+        otherwise).  The preload ships every block (a one-byte placeholder on
+        an empty DPU) and is charged from those byte counts; nothing is copied.
+        """
         self.database = database
-        partitioner = DatabasePartitioner(database)
+        check_dpxor_wram(self.config.pim.dpu, database.record_size)
         timer = PhaseTimer()
         self._layouts = []
         for cluster in self._clusters:
-            layout = partitioner.layout(cluster.num_dpus)
-            partitioner.check_capacity(
-                layout,
-                mram_bytes_per_dpu=self.config.pim.dpu.mram_bytes,
-                reserve_fraction=self.config.mram_reserve_fraction,
+            layout = PartitionLayout.linear(
+                database.num_records, database.record_size, cluster.num_dpus
             )
-            reset_pipeline_buffers(cluster.dpu_set, layout)
-            cluster.dpu_set.load_program(DpXorManyKernel.name)
-            chunks = partitioner.database_chunks(layout)
-            report = cluster.dpu_set.scatter(DB_BUFFER, chunks)
-            timer.record("preload_db", report.simulated_seconds)
+            self._check_fits(layout)
+            timer.record("preload_db", cluster.charge_scatter(layout.db_bytes_per_dpu()))
             self._layouts.append(layout)
         return timer
 
     def apply_updates(self, database: Database, dirty_indices: Sequence[int]) -> PhaseTimer:
-        """Swap in an updated database, re-copying only the dirty MRAM blocks.
+        """Swap in an updated database, charging the re-copy of the dirty blocks only.
 
-        Each dirty record is mapped to its DPU block with a bisect over the
-        layout's block starts (O(u log d)), and only the affected blocks are
-        rebuilt and re-transferred — untouched blocks keep their MRAM
-        contents and cost nothing.
+        Each dirty record is mapped to its DPU block with one ``searchsorted``
+        over the layout's block starts; only those blocks' bytes are charged
+        to :data:`PHASE_UPDATE_COPY`, and a cluster with no dirty block
+        charges nothing.
         """
         self.database = database
         timer = PhaseTimer()
+        indices = np.asarray(dirty_indices, dtype=np.int64)
+        if not indices.size:
+            return timer
         for cluster, layout in zip(self._clusters, self._layouts):
-            starts = [start for start, _ in layout.bounds]
-            dirty_dpus = sorted({bisect_right(starts, index) - 1 for index in dirty_indices})
-            if not dirty_dpus:
-                continue
-            affected_dpus = [cluster.dpu_set.dpus[i] for i in dirty_dpus]
-            affected_chunks = [
-                np.ascontiguousarray(database.chunk(*layout.bounds[i])).reshape(-1)
-                for i in dirty_dpus
-            ]
-            report = cluster.dpu_set.transfer.scatter(affected_dpus, DB_BUFFER, affected_chunks)
-            timer.record(PHASE_UPDATE_COPY, report.simulated_seconds)
+            dirty = np.zeros(layout.num_dpus, dtype=bool)
+            dirty[np.searchsorted(layout.bounds[:, 0], indices, side="right") - 1] = True
+            block_bytes = np.where(dirty, layout.records * layout.record_size, 0)
+            timer.record(PHASE_UPDATE_COPY, cluster.charge_scatter(block_bytes))
         return timer
 
     # -- capability metadata --------------------------------------------------------
@@ -124,16 +129,15 @@ class PIMClusterBackend(PIRBackend):
     def capabilities(self) -> BackendCapabilities:
         # The record-count bound depends on the record size, which is only
         # known once a database is prepared; before that the MRAM capacity is
-        # enforced by check_capacity inside prepare() (CapacityError), so
+        # enforced by check_mram_capacity inside prepare() (CapacityError), so
         # report no bound rather than a misleading one.
         max_records = None
-        if self.database is not None and self._clusters:
-            usable_per_dpu = int(
-                self.config.pim.dpu.mram_bytes * (1.0 - self.config.mram_reserve_fraction)
+        if self.database is not None:
+            # The last cluster is the smallest, so its blocks are the largest.
+            usable = usable_mram_bytes(
+                self.config.pim.dpu.mram_bytes, self.config.mram_reserve_fraction
             )
-            max_records = (
-                usable_per_dpu // max(1, self.database.record_size)
-            ) * self._clusters[0].num_dpus
+            max_records = (usable // self.database.record_size) * self._clusters[-1].num_dpus
         return BackendCapabilities(
             name="im-pir",
             lanes=len(self._clusters),
@@ -143,7 +147,6 @@ class PIMClusterBackend(PIRBackend):
             max_records=max_records,
             description="dpXOR on preloaded UPMEM DPU clusters",
         )
-
     # -- timing hooks -----------------------------------------------------------------
 
     def latency_eval_seconds(self, num_records: int) -> float:
@@ -186,7 +189,7 @@ class PIMClusterBackend(PIRBackend):
             layout = self._layouts[lane]
             timers = [breakdowns[position] for position in positions]
             run_dpu_pipeline_many(
-                self._clusters[lane].dpu_set, layout, selector_matrix[positions], timers
+                self._clusters[lane], layout, selector_matrix[positions], timers
             )
             aggregate_seconds = self.timing.host_aggregate_xor_seconds(
                 layout.num_dpus, layout.record_size
@@ -198,36 +201,36 @@ class PIMClusterBackend(PIRBackend):
     # -- cluster views and capacity checks ------------------------------------------
 
     @property
-    def clusters(self) -> List[DPUCluster]:
-        """The execution lanes (read-only use intended)."""
+    def clusters(self) -> List[DPULedger]:
+        """The execution lanes: slices of :attr:`ledger` (read-only use intended)."""
         return self._clusters
 
     def layout_for_lane(self, lane: int) -> PartitionLayout:
         """Partition layout used by execution lane (DPU cluster) ``lane``."""
         return self._layouts[lane]
 
-    @property
-    def mram_capacity_bytes(self) -> int:
-        """Aggregate MRAM capacity of the allocated DPU population."""
-        return self._dpu_set.mram_capacity_bytes
-
     def mram_utilization(self) -> float:
         """Fraction of the allocated DPUs' MRAM occupied by the database."""
-        capacity = self.mram_capacity_bytes
-        if capacity == 0:
-            return 0.0
-        return self.database.size_bytes * len(self._clusters) / capacity
+        return self.database.size_bytes * len(self._clusters) / self.config.pim.total_mram_bytes
 
     def can_cluster(self, num_clusters: int) -> bool:
-        """Whether ``num_clusters`` clusters could each hold the full database."""
-        if num_clusters <= 0 or num_clusters > self.config.pim.num_dpus:
+        """Whether ``num_clusters`` clusters could each hold the full database.
+
+        Asks :func:`~repro.core.partitioning.check_mram_capacity` of the
+        layout ``prepare`` would build on the smallest cluster.
+        """
+        if not 0 < num_clusters <= self.config.pim.num_dpus:
             return False
-        dpus_per_cluster = self.config.pim.num_dpus // num_clusters
-        usable = int(
-            self.config.pim.dpu.mram_bytes * (1.0 - self.config.mram_reserve_fraction)
+        layout = PartitionLayout.linear(
+            self.database.num_records,
+            self.database.record_size,
+            self.config.pim.num_dpus // num_clusters,
         )
-        per_dpu = -(-self.database.size_bytes // dpus_per_cluster)
-        return per_dpu <= usable
+        try:
+            self._check_fits(layout)
+        except CapacityError:
+            return False
+        return True
 
 
 class IMPIRDeployment:

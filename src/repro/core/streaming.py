@@ -17,10 +17,12 @@ adaptation as :class:`StreamedPIMBackend` behind the shared
   preloaded path), which is exactly the penalty the paper's capacity
   discussion anticipates.
 
-That walk is charged, not executed (one ``dpxor_many`` over the database
-answers).  The streamed server answers queries bit-identically to the
-preloaded one; the extra cost is visible in the ``copy_db_segment`` phase of
-its breakdown.
+That walk is charged, not executed: one ``dpxor_many`` over the database
+answers, and each segment's dispatch is charged to the backend's
+:class:`~repro.pim.system.DPULedger` from the segment layout's per-DPU byte
+counts and selector popcounts.  The streamed server answers queries
+bit-identically to the preloaded one; the extra cost is visible in the
+``copy_db_segment`` phase of its breakdown.
 """
 
 from __future__ import annotations
@@ -35,14 +37,14 @@ from repro.common.events import PhaseTimer
 from repro.core.config import IMPIRConfig
 from repro.core.engine import BackendCapabilities, PIRBackend, sequential_makespan
 from repro.core.partitioning import (
-    DatabasePartitioner,
     PartitionLayout,
-    reset_pipeline_buffers,
+    check_mram_capacity,
     run_dpu_pipeline_many,
+    usable_mram_bytes,
 )
 from repro.core.results import PHASE_AGGREGATE, IMPIRQueryResult
-from repro.pim.kernels import DpXorManyKernel
-from repro.pim.system import UPMEMSystem
+from repro.pim.kernels import check_dpxor_wram
+from repro.pim.system import DPULedger
 from repro.pir.database import Database
 from repro.pir.xor_ops import dpxor_many, selector_range
 
@@ -52,7 +54,7 @@ PHASE_COPY_DB = "copy_db_segment"
 
 @dataclass(frozen=True)
 class _Segment:
-    """One precomputed pass over the database: its layout and MRAM bytes.
+    """One precomputed pass over the database: its layout and per-DPU MRAM bytes.
 
     Built once at prepare time so the per-batch path re-partitions nothing.
     """
@@ -60,23 +62,16 @@ class _Segment:
     start: int
     stop: int
     layout: PartitionLayout
-    db_bytes: int
+    db_bytes: np.ndarray
 
 
 class StreamedPIMBackend(PIRBackend):
     """Execution backend streaming database segments through the DPUs."""
 
-    def __init__(
-        self,
-        config: IMPIRConfig,
-        system: UPMEMSystem,
-        segment_records: Optional[int] = None,
-    ) -> None:
+    def __init__(self, config: IMPIRConfig, segment_records: Optional[int] = None) -> None:
         self.config = config
-        self.system = system
-        self.timing = system.timing
-        self._dpu_set = system.allocate(config.pim.num_dpus)
-        self._dpu_set.load_program(DpXorManyKernel.name)
+        self.ledger = DPULedger(config.pim)
+        self.timing = self.ledger.timing
         self._requested_segment_records = segment_records
         self.segment_records = 0
         self._segments: List[_Segment] = []
@@ -88,14 +83,15 @@ class StreamedPIMBackend(PIRBackend):
         """Size the segments and precompute each pass's layout and bytes.
 
         Nothing is preloaded: segments are (re-)copied per batch, which is the
-        whole point of the streamed mode's cost profile.
+        whole point of the streamed mode's cost profile.  The default segment
+        fills every DPU's usable MRAM with whole records.
         """
         self.database = database
-        usable_per_dpu = int(
-            self.config.pim.dpu.mram_bytes * (1.0 - self.config.mram_reserve_fraction)
+        num_dpus = self.ledger.num_dpus
+        usable_per_dpu = usable_mram_bytes(
+            self.config.pim.dpu.mram_bytes, self.config.mram_reserve_fraction
         )
-        usable_total = usable_per_dpu * self._dpu_set.num_dpus
-        default_segment = max(1, usable_total // database.record_size)
+        default_segment = max(1, usable_per_dpu // database.record_size * num_dpus)
         self.segment_records = (
             self._requested_segment_records
             if self._requested_segment_records is not None
@@ -103,23 +99,17 @@ class StreamedPIMBackend(PIRBackend):
         )
         if self.segment_records <= 0:
             raise CapacityError("segment_records must be positive")
-        per_dpu_bytes = (
-            -(-self.segment_records // self._dpu_set.num_dpus) * database.record_size
+        check_mram_capacity(
+            PartitionLayout.linear(self.segment_records, database.record_size, num_dpus),
+            self.config.pim.dpu.mram_bytes,
+            self.config.mram_reserve_fraction,
         )
-        if per_dpu_bytes > usable_per_dpu:
-            raise CapacityError(
-                f"a segment of {self.segment_records} records needs {per_dpu_bytes} bytes per DPU, "
-                f"but only {usable_per_dpu} are usable"
-            )
-
         self._segments = []
         for start in range(0, database.num_records, self.segment_records):
             stop = min(start + self.segment_records, database.num_records)
-            partitioner = DatabasePartitioner(Database(database.chunk(start, stop)))
-            layout = partitioner.layout(self._dpu_set.num_dpus)
-            db_bytes = sum(chunk.size for chunk in partitioner.database_chunks(layout))
-            self._segments.append(_Segment(start, stop, layout, db_bytes))
-        reset_pipeline_buffers(self._dpu_set, self._segments[0].layout)
+            layout = PartitionLayout.linear(stop - start, database.record_size, num_dpus)
+            self._segments.append(_Segment(start, stop, layout, layout.db_bytes_per_dpu()))
+        check_dpxor_wram(self.config.pim.dpu, database.record_size)
         return None
 
     @property
@@ -183,7 +173,7 @@ class StreamedPIMBackend(PIRBackend):
         selector_matrix = np.asarray(selector_matrix, dtype=np.uint8)
         for segment in self._segments:
             run_dpu_pipeline_many(
-                self._dpu_set,
+                self.ledger,
                 segment.layout,
                 selector_range(selector_matrix, segment.start, segment.stop),
                 breakdowns,

@@ -1,12 +1,12 @@
-"""UPMEM PIM simulator: DPUs, memories, kernels, transfers, timing."""
+"""UPMEM PIM simulator: platform configuration, timing, and two views of the DPUs.
 
-from repro.pim.cluster import (
-    ClusterPlan,
-    DPUCluster,
-    make_clusters,
-    max_clusters_for_database,
-    plan_clusters,
-)
+Serving charges a :class:`DPULedger` (per-DPU busy seconds, launches and
+transfer bytes as arrays) through :mod:`repro.pim.timing`'s formulas; the
+executing model (:class:`DPU` with its MRAM, WRAM, tasklets and
+:class:`~repro.pim.kernels.DpXorManyKernel`) runs only in benches and tests,
+as the reference the charges are held to.
+"""
+
 from repro.pim.config import (
     CHIPS_PER_RANK,
     DPUS_PER_CHIP,
@@ -21,26 +21,14 @@ from repro.pim.config import (
     scaled_down_config,
 )
 from repro.pim.dpu import DPU, DPUExecutionReport, Kernel
-from repro.pim.kernels import (
-    DB_BUFFER,
-    RESULT_BUFFER,
-    SELECTOR_BUFFER,
-    MramFillKernel,
-)
-from repro.pim.module import PIMChip, PIMModule, PIMRank, build_topology
+from repro.pim.kernels import DB_BUFFER, RESULT_BUFFER, SELECTOR_BUFFER, DpXorManyKernel
 from repro.pim.mram import MRAM, MRAMBuffer
-from repro.pim.system import DPUSet, LaunchReport, UPMEMSystem
+from repro.pim.system import DPULedger
 from repro.pim.tasklet import TaskletGroup, TaskletReport
 from repro.pim.timing import DpuKernelCost, PIMTimingModel, dpxor_kernel_cost
-from repro.pim.transfer import TransferEngine, TransferReport
 from repro.pim.wram import WRAM
 
 __all__ = [
-    "ClusterPlan",
-    "DPUCluster",
-    "make_clusters",
-    "max_clusters_for_database",
-    "plan_clusters",
     "CHIPS_PER_RANK",
     "DPUS_PER_CHIP",
     "DPUS_PER_MODULE",
@@ -58,22 +46,14 @@ __all__ = [
     "DB_BUFFER",
     "RESULT_BUFFER",
     "SELECTOR_BUFFER",
-    "MramFillKernel",
-    "PIMChip",
-    "PIMModule",
-    "PIMRank",
-    "build_topology",
+    "DpXorManyKernel",
     "MRAM",
     "MRAMBuffer",
-    "DPUSet",
-    "LaunchReport",
-    "UPMEMSystem",
+    "DPULedger",
     "TaskletGroup",
     "TaskletReport",
     "DpuKernelCost",
     "PIMTimingModel",
     "dpxor_kernel_cost",
-    "TransferEngine",
-    "TransferReport",
     "WRAM",
 ]

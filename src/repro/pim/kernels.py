@@ -20,7 +20,8 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.common.errors import KernelError
+from repro.common.errors import CapacityError, KernelError
+from repro.pim.config import DPUConfig
 from repro.pim.dpu import DPU, DPUExecutionReport, Kernel
 from repro.pim.tasklet import TaskletGroup
 from repro.pim.timing import (
@@ -52,6 +53,21 @@ def reserve_dpxor_wram(dpu: DPU, num_records: int, record_size: int, tasklets: i
         "dpxor:selector",
         max(1, min(selector_bytes(num_records), dpu.wram.free_bytes // 2 or 1)),
     )
+
+
+def check_dpxor_wram(dpu: DPUConfig, record_size: int) -> None:
+    """The arithmetic of :func:`reserve_dpxor_wram` at ``dpu.tasklets``.
+
+    Serving never launches the kernel, so ``prepare`` asks this instead: the
+    staging blocks and accumulators must leave WRAM for at least one
+    selector byte, or the reservation raises :class:`CapacityError`.
+    """
+    fixed = dpu.tasklets * (WRAM_BLOCK_BYTES + record_size)
+    if fixed >= dpu.wram_bytes:
+        raise CapacityError(
+            f"dpXOR working set of {fixed} bytes ({dpu.tasklets} tasklets) leaves no "
+            f"room for the selector slice in {dpu.wram_bytes} bytes of WRAM"
+        )
 
 
 class DpXorManyKernel(Kernel):
@@ -154,44 +170,4 @@ class DpXorManyKernel(Kernel):
                 "records": num_records,
                 "records_selected": group.total_records_selected,
             },
-        )
-
-
-class MramFillKernel(Kernel):
-    """Diagnostic kernel that fills an MRAM buffer with a constant byte.
-
-    Used by tests to exercise the launch machinery independently of the PIR
-    pipeline (and as the simplest possible example of writing a new kernel).
-    """
-
-    name = "mram-fill"
-
-    def run(
-        self,
-        dpu: DPU,
-        buffer: str,
-        size_bytes: int,
-        value: int = 0,
-        **_: Any,
-    ) -> DPUExecutionReport:
-        if size_bytes <= 0:
-            raise KernelError("size_bytes must be positive")
-        if not 0 <= value <= 255:
-            raise KernelError("value must be a byte")
-        data = np.full(size_bytes, value, dtype=np.uint8)
-        dpu.store(buffer, data)
-        instructions = size_bytes  # one store-byte per element, order of magnitude
-        seconds = max(
-            size_bytes / dpu.config.mram_wram_bandwidth,
-            instructions / dpu.config.instructions_per_second,
-        )
-        return DPUExecutionReport(
-            dpu_id=dpu.dpu_id,
-            kernel_name=self.name,
-            simulated_seconds=seconds,
-            instructions=instructions,
-            dma_bytes=size_bytes,
-            tasklets_used=1,
-            result=None,
-            details={"buffer": buffer, "value": value},
         )

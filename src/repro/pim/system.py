@@ -1,208 +1,74 @@
-"""The UPMEM PIM system: host view of the DPU population.
+"""The host's view of a DPU population: per-DPU cost state as arrays.
 
-:class:`UPMEMSystem` owns the DPUs (organised into the chip/rank/module
-topology), hands out :class:`DPUSet` allocations, and routes transfers and
-kernel launches through the shared timing model.  A :class:`DPUSet` is the
-unit the IM-PIR pipeline works with: the paper's "single cluster" experiments
-use one set spanning all 2,048 DPUs, the clustering experiments split the
-population into several sets.
+Serving never runs a simulated DPU: one scan of the database answers a batch
+and the DPU phases are *charged* (:func:`~repro.core.partitioning.
+run_dpu_pipeline_many`).  What a population accumulates while it is charged
+is a :class:`DPULedger`: busy seconds, kernel launches and bytes moved each
+way, one ``(P,)`` array apiece, plus the shared timing model.  A cluster is a
+slice of the ledger (:meth:`DPULedger.split`): its arrays are views, so
+charging a cluster moves the population's entries.  The executing model
+(:class:`~repro.pim.dpu.DPU` and its kernels) is for benches and tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+import copy
+from typing import List
 
 import numpy as np
 
-from repro.common.errors import CapacityError, ConfigurationError, KernelError
+from repro.common.errors import ConfigurationError
 from repro.pim.config import PIMConfig
-from repro.pim.dpu import DPU, DPUExecutionReport, Kernel
-from repro.pim.module import PIMModule, build_topology
 from repro.pim.timing import PIMTimingModel
-from repro.pim.transfer import TransferEngine, TransferReport
 
 
-@dataclass
-class LaunchReport:
-    """Outcome of launching a kernel across a DPU set."""
+class DPULedger:
+    """Busy time, launches and transfer bytes of ``P`` DPUs, as arrays."""
 
-    kernel_name: str
-    num_dpus: int
-    simulated_seconds: float
-    launch_overhead_seconds: float
-    max_dpu_seconds: float
-    reports: List[DPUExecutionReport] = field(default_factory=list)
-
-    @property
-    def total_instructions(self) -> int:
-        """Instructions retired across the whole set."""
-        return sum(report.instructions for report in self.reports)
-
-    def results(self) -> List[Any]:
-        """Per-DPU kernel results in set order."""
-        return [report.result for report in self.reports]
-
-
-class DPUSet:
-    """A host-side handle to a group of allocated DPUs."""
-
-    def __init__(self, dpus: Sequence[DPU], timing: PIMTimingModel, set_id: int = 0) -> None:
-        if not dpus:
-            raise ConfigurationError("a DPU set needs at least one DPU")
-        self.dpus = list(dpus)
-        self.timing = timing
-        self.set_id = set_id
-        self.transfer = TransferEngine(timing)
-
-    def __len__(self) -> int:
-        return len(self.dpus)
+    def __init__(self, config: PIMConfig) -> None:
+        self.config = config
+        self.timing = PIMTimingModel(config)
+        self.busy_seconds = np.zeros(config.num_dpus)
+        self.launches = np.zeros(config.num_dpus, dtype=np.int64)
+        self.bytes_to_dpus = np.zeros(config.num_dpus, dtype=np.int64)
+        self.bytes_from_dpus = np.zeros(config.num_dpus, dtype=np.int64)
 
     @property
     def num_dpus(self) -> int:
-        """Number of DPUs in this set."""
-        return len(self.dpus)
+        """DPUs covered by this ledger (or slice)."""
+        return self.busy_seconds.size
 
-    @property
-    def mram_capacity_bytes(self) -> int:
-        """Aggregate MRAM capacity of the set."""
-        return sum(dpu.config.mram_bytes for dpu in self.dpus)
+    def __getitem__(self, index: slice) -> "DPULedger":
+        """The DPUs ``index`` selects, as a ledger whose arrays are views."""
+        view = copy.copy(self)
+        for name in ("busy_seconds", "launches", "bytes_to_dpus", "bytes_from_dpus"):
+            setattr(view, name, getattr(self, name)[index])
+        return view
 
-    # -- program + data movement ---------------------------------------------------
-
-    def load_program(self, name: str) -> None:
-        """Load a kernel binary onto every DPU in the set."""
-        for dpu in self.dpus:
-            dpu.load_program(name)
-
-    def scatter(self, buffer_name: str, arrays: Sequence[np.ndarray]) -> TransferReport:
-        """Distribute distinct per-DPU buffers (one array per DPU, set order)."""
-        return self.transfer.scatter(self.dpus, buffer_name, arrays)
-
-    def broadcast(self, buffer_name: str, array: np.ndarray) -> TransferReport:
-        """Copy the same buffer to every DPU in the set."""
-        return self.transfer.broadcast(self.dpus, buffer_name, array)
-
-    def gather(self, buffer_name: str, size_bytes: int) -> tuple:
-        """Collect ``size_bytes`` of ``buffer_name`` from every DPU (set order)."""
-        return self.transfer.gather(self.dpus, buffer_name, size_bytes)
-
-    # -- execution -------------------------------------------------------------------
-
-    def launch(
-        self,
-        kernel: Kernel,
-        per_dpu_kwargs: Optional[Sequence[Dict[str, Any]]] = None,
-        **common_kwargs: Any,
-    ) -> LaunchReport:
-        """Launch ``kernel`` on every DPU of the set.
-
-        ``common_kwargs`` are passed to every DPU; ``per_dpu_kwargs`` (if
-        given) supplies per-DPU overrides in set order.  The simulated launch
-        duration is the fixed launch overhead plus the slowest DPU's kernel
-        time — all DPUs run concurrently in the model, exactly as on hardware.
-        """
-        if per_dpu_kwargs is not None and len(per_dpu_kwargs) != len(self.dpus):
-            raise KernelError(
-                f"per_dpu_kwargs must have one entry per DPU "
-                f"({len(self.dpus)}), got {len(per_dpu_kwargs)}"
-            )
-        reports: List[DPUExecutionReport] = []
-        for index, dpu in enumerate(self.dpus):
-            kwargs = dict(common_kwargs)
-            if per_dpu_kwargs is not None:
-                kwargs.update(per_dpu_kwargs[index])
-            reports.append(dpu.launch(kernel, **kwargs))
-
-        overhead = self.timing.launch_seconds(len(self.dpus))
-        max_dpu_seconds = max(report.simulated_seconds for report in reports)
-        return LaunchReport(
-            kernel_name=kernel.name,
-            num_dpus=len(self.dpus),
-            simulated_seconds=overhead + max_dpu_seconds,
-            launch_overhead_seconds=overhead,
-            max_dpu_seconds=max_dpu_seconds,
-            reports=reports,
-        )
-
-    # -- partitioning -----------------------------------------------------------------
-
-    def split(self, num_subsets: int) -> List["DPUSet"]:
-        """Split this set into ``num_subsets`` near-equal subsets (cluster mode)."""
-        if num_subsets <= 0:
-            raise ConfigurationError("num_subsets must be positive")
-        if num_subsets > len(self.dpus):
+    def split(self, num_clusters: int) -> List["DPULedger"]:
+        """Near-equal contiguous slices, larger ones first (cluster mode)."""
+        if not 0 < num_clusters <= self.num_dpus:
             raise ConfigurationError(
-                f"cannot split {len(self.dpus)} DPUs into {num_subsets} subsets"
+                f"cannot split {self.num_dpus} DPUs into {num_clusters} clusters"
             )
-        subsets: List[DPUSet] = []
-        base = len(self.dpus) // num_subsets
-        remainder = len(self.dpus) % num_subsets
-        start = 0
-        for subset_index in range(num_subsets):
-            size = base + (1 if subset_index < remainder else 0)
-            subsets.append(
-                DPUSet(self.dpus[start:start + size], self.timing, set_id=subset_index)
-            )
-            start += size
-        return subsets
+        base, remainder = divmod(self.num_dpus, num_clusters)
+        stops = np.cumsum(base + (np.arange(num_clusters) < remainder)).tolist()
+        return [self[start:stop] for start, stop in zip([0] + stops[:-1], stops)]
 
+    # -- charges ----------------------------------------------------------------
 
-class UPMEMSystem:
-    """The full PIM server: host + PIM-enabled memory modules."""
+    def charge_scatter(self, per_dpu_bytes: np.ndarray) -> float:
+        """Account a host->DPU scatter of ``(P,)`` ``per_dpu_bytes``; its seconds."""
+        self.bytes_to_dpus += per_dpu_bytes
+        return self.timing.host_to_dpu_seconds(int(per_dpu_bytes.sum()))
 
-    def __init__(self, config: Optional[PIMConfig] = None) -> None:
-        self.config = config if config is not None else PIMConfig()
-        self.timing = PIMTimingModel(self.config)
-        self._dpus = [DPU(dpu_id=i, config=self.config.dpu) for i in range(self.config.num_dpus)]
-        self._modules = build_topology(self._dpus)
-        self._allocated = 0
+    def charge_launch(self, per_dpu_seconds: np.ndarray) -> float:
+        """Account one kernel launch on every DPU; overhead plus the slowest DPU."""
+        self.busy_seconds += per_dpu_seconds
+        self.launches += 1
+        return self.timing.launch_seconds(self.num_dpus) + float(per_dpu_seconds.max())
 
-    @property
-    def num_dpus(self) -> int:
-        """DPUs available to this system."""
-        return len(self._dpus)
-
-    @property
-    def modules(self) -> List[PIMModule]:
-        """The chip/rank/module topology of the DPU population."""
-        return self._modules
-
-    @property
-    def total_mram_bytes(self) -> int:
-        """Aggregate MRAM capacity of the system."""
-        return sum(dpu.config.mram_bytes for dpu in self._dpus)
-
-    @property
-    def aggregate_bandwidth(self) -> float:
-        """Aggregate MRAM<->WRAM bandwidth (the paper's headline ~1.79 TB/s)."""
-        return self.config.aggregate_mram_bandwidth
-
-    def allocate(self, num_dpus: Optional[int] = None) -> DPUSet:
-        """Allocate a set of DPUs (defaults to all of them).
-
-        Allocation is modelled as exclusive: repeated allocations draw from the
-        remaining population, matching ``dpu_alloc`` semantics.
-        """
-        if num_dpus is None:
-            num_dpus = len(self._dpus) - self._allocated
-        if num_dpus <= 0:
-            raise CapacityError("num_dpus must be positive")
-        if self._allocated + num_dpus > len(self._dpus):
-            raise CapacityError(
-                f"cannot allocate {num_dpus} DPUs: "
-                f"{len(self._dpus) - self._allocated} of {len(self._dpus)} remain"
-            )
-        start = self._allocated
-        self._allocated += num_dpus
-        return DPUSet(self._dpus[start:start + num_dpus], self.timing, set_id=start)
-
-    def release_all(self) -> None:
-        """Return every DPU to the free pool (buffers are left in MRAM)."""
-        self._allocated = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"UPMEMSystem(dpus={self.num_dpus}, modules={len(self._modules)}, "
-            f"allocated={self._allocated})"
-        )
+    def charge_gather(self, bytes_per_dpu: int) -> float:
+        """Account a DPU->host gather of ``bytes_per_dpu`` from every DPU; its seconds."""
+        self.bytes_from_dpus += bytes_per_dpu
+        return self.timing.dpu_to_host_seconds(bytes_per_dpu * self.num_dpus)

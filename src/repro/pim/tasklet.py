@@ -25,16 +25,6 @@ class TaskletReport:
     instructions: int = 0
     dma_bytes: int = 0
 
-    def charge_record(self, record_size: int, selected: bool, overhead: int, per_word: int) -> None:
-        """Account one record's worth of work in the dpXOR kernel."""
-        self.records_processed += 1
-        self.instructions += overhead
-        words = -(-record_size // 8)
-        self.dma_bytes += -(-record_size // 8) * 8
-        if selected:
-            self.records_selected += 1
-            self.instructions += words * per_word
-
 
 @dataclass
 class TaskletGroup:

@@ -149,19 +149,13 @@ def bare_backend_factory(
         if kind == "gpu":
             return ReferenceBackend(name="gpu-pir")
         child_config = config if config is not None else default_child_config()
-        from repro.pim.system import UPMEMSystem
-
         if kind == "im-pir":
             from repro.core.impir import PIMClusterBackend
 
-            return PIMClusterBackend(child_config, UPMEMSystem(child_config.pim))
+            return PIMClusterBackend(child_config)
         from repro.core.streaming import StreamedPIMBackend
 
-        return StreamedPIMBackend(
-            child_config,
-            UPMEMSystem(child_config.pim),
-            segment_records=segment_records,
-        )
+        return StreamedPIMBackend(child_config, segment_records=segment_records)
 
     return build
 

@@ -8,6 +8,12 @@ landing in ``repro/dpf`` must not depend on the batch size: every level,
 correction and key batch is one call whether it carries 8 queries or 32.  A
 per-key loop (cutting the batch into key objects, stacking per-key rows per
 level) makes the count grow with ``B``.
+
+The same gate holds the PIM backends to one Python path per batch whatever
+the DPU count: their per-DPU state is arrays, so building a server, writing
+to it and answering a batch call into ``repro/core`` and ``repro/pim`` as
+often at 2 048 DPUs as at 8.  A per-DPU object or loop makes it grow with
+``P``.
 """
 
 import cProfile
@@ -15,9 +21,18 @@ import pstats
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import repro.core
 import repro.dpf
+import repro.pim
+from repro.core.config import IMPIRConfig
+from repro.core.engine import available_backends, create_server
 from repro.dpf.dpf import DPF
+from repro.dpf.prf import make_prg
+from repro.pim.config import scaled_down_config
+from repro.pir.client import PIRClient
+from repro.pir.database import Database
 
 _RECORDS = 1 << 16
 _PACKAGE = str(Path(repro.dpf.__file__).parent)
@@ -44,3 +59,41 @@ def test_calls_into_the_dpf_package_do_not_grow_with_the_batch():
     calls = _dpf_calls(8)
     assert calls > 0
     assert _dpf_calls(32) == calls
+
+
+_CORE_AND_PIM = tuple(
+    str(Path(package.__file__).parent) for package in (repro.core, repro.pim)
+)
+
+
+def _pim_server_calls(kind: str, num_dpus: int) -> int:
+    """Python-level calls into ``repro/core`` and ``repro/pim`` while one PIM
+    server is built, takes two writes and answers one 8-query batch."""
+    database = Database.random(4096, 32, seed=3)
+    config = IMPIRConfig(pim=scaled_down_config(num_dpus=num_dpus, tasklets=16))
+    client = PIRClient(4096, 32, seed=4, prg=make_prg("numpy"))
+    queries = [pair[0] for pair in client.query_batch(list(range(0, 4096, 512)))]
+    available_backends()  # the one-time registry load is not per-DPU work
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        server = create_server(kind, database, config=config)
+        server.apply_updates([(7, b"\x01" * 32), (4000, b"\x02" * 32)])
+        server.apply_updates([(2048, b"\x03" * 32)])
+        server.answer_batch(queries)
+    finally:
+        profile.disable()
+    return sum(
+        calls
+        for (filename, _, _), (_, calls, *_) in pstats.Stats(profile).stats.items()
+        if filename.startswith(_CORE_AND_PIM)
+    )
+
+
+@pytest.mark.parametrize("kind", ["im-pir", "im-pir-streamed"])
+def test_calls_into_the_pim_path_do_not_grow_with_the_dpu_count(kind):
+    """The DPU population is arrays: serving and writing at the paper's 2 048
+    DPUs takes the same Python calls as at 8 (no per-DPU objects, no loop)."""
+    calls = _pim_server_calls(kind, 8)
+    assert calls > 0
+    assert _pim_server_calls(kind, 2048) == calls

@@ -11,7 +11,6 @@ from repro.pim.kernels import (
     RESULT_BUFFER,
     SELECTOR_BUFFER,
     DpXorManyKernel,
-    MramFillKernel,
 )
 from repro.pim.tasklet import TaskletGroup
 from repro.pir.xor_ops import pack_selectors
@@ -56,16 +55,6 @@ class TestTaskletGroup:
         with pytest.raises(KernelError):
             TaskletGroup(num_tasklets=0)
 
-    def test_charge_record_accounting(self):
-        group = TaskletGroup(num_tasklets=1)
-        report = group.reports[0]
-        report.charge_record(record_size=32, selected=True, overhead=10, per_word=6)
-        report.charge_record(record_size=32, selected=False, overhead=10, per_word=6)
-        assert report.records_processed == 2
-        assert report.records_selected == 1
-        assert report.instructions == 10 + 4 * 6 + 10
-        assert group.total_dma_bytes == report.dma_bytes
-
 
 class TestDPU:
     def test_store_and_load(self):
@@ -78,16 +67,16 @@ class TestDPU:
         dpu = DPU(0)
         dpu.load_program("other-kernel")
         with pytest.raises(KernelError):
-            dpu.launch(MramFillKernel(), buffer="x", size_bytes=8)
+            dpu.launch(DpXorManyKernel(), batch=1, num_records=0, record_size=8)
 
-    def test_launch_advances_busy_time(self):
-        dpu = DPU(0)
-        dpu.load_program("mram-fill")
-        report = dpu.launch(MramFillKernel(), buffer="x", size_bytes=1024, value=7)
+    def test_launch_advances_busy_time(self, loaded_dpu):
+        dpu, database, selector = loaded_dpu
+        dpu.load_program(DpXorManyKernel.name)
+        report = dpu.launch(DpXorManyKernel(), batch=1, num_records=128, record_size=16)
         assert report.simulated_seconds > 0
-        assert dpu.busy_seconds == pytest.approx(report.simulated_seconds)
+        assert dpu.busy_seconds == report.simulated_seconds
         assert dpu.launches == 1
-        assert np.array_equal(dpu.load("x"), np.full(1024, 7, dtype=np.uint8))
+        assert np.array_equal(dpu.load(RESULT_BUFFER), selected_xor(database, selector))
 
     def test_negative_id_rejected(self):
         with pytest.raises(KernelError):
@@ -155,14 +144,3 @@ class TestDpXorKernel:
             report = dpu.launch(DpXorManyKernel(), batch=1, num_records=64, record_size=record_size)
             assert np.array_equal(report.result[0], selected_xor(database, selector))
 
-
-class TestMramFillKernel:
-    def test_rejects_bad_value(self):
-        dpu = DPU(0)
-        with pytest.raises(KernelError):
-            dpu.launch(MramFillKernel(), buffer="x", size_bytes=8, value=300)
-
-    def test_rejects_zero_size(self):
-        dpu = DPU(0)
-        with pytest.raises(KernelError):
-            dpu.launch(MramFillKernel(), buffer="x", size_bytes=0)

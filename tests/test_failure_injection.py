@@ -12,39 +12,39 @@ from repro.common.errors import CapacityError, KernelError, TransferError
 from repro.common.units import GIB, MIB
 from repro.core.config import IMPIRConfig
 from repro.core.engine import create_server
-from repro.core.partitioning import DatabasePartitioner, PartitionLayout
-from repro.pim.cluster import plan_clusters
+from repro.core.partitioning import PartitionLayout, check_mram_capacity
 from repro.pim.config import DPUConfig, PIMConfig, scaled_down_config
 from repro.pim.dpu import DPU
-from repro.pim.kernels import DB_BUFFER, SELECTOR_BUFFER, DpXorManyKernel
-from repro.pim.system import UPMEMSystem
+from repro.pim.kernels import (
+    DB_BUFFER,
+    SELECTOR_BUFFER,
+    DpXorManyKernel,
+    check_dpxor_wram,
+    reserve_dpxor_wram,
+)
 from repro.pir.database import Database
 
 
-class _SizedDatabase:
-    """Stand-in exposing only what capacity planning reads (no huge buffers)."""
-
-    def __init__(self, size_bytes: int, record_size: int = 32):
-        self.size_bytes = size_bytes
-        self.record_size = record_size
-        self.num_records = size_bytes // record_size
+def _cluster_layout(size_bytes, num_clusters, total_dpus=2048, record_size=32):
+    """The layout one of ``num_clusters`` clusters holds (no huge buffers)."""
+    return PartitionLayout.linear(size_bytes // record_size, record_size, total_dpus // num_clusters)
 
 
 class TestPaperScaleCapacityArithmetic:
     def test_paper_platform_holds_32_gib(self):
         """2,048 DPUs x 64 MB (75% usable) comfortably hold the 32 GB sweep max."""
-        plan = plan_clusters(2048, 1, _SizedDatabase(32 * GIB), 64 * MIB)
-        assert plan.db_bytes_per_dpu <= int(64 * MIB * 0.75)
+        block = check_mram_capacity(_cluster_layout(32 * GIB, 1), 64 * MIB)
+        assert block <= int(64 * MIB * 0.75)
 
     def test_eight_clusters_hold_one_gib(self):
         """The Fig. 11 configuration: 8 clusters of 256 DPUs each hold 1 GB."""
-        plan = plan_clusters(2048, 8, _SizedDatabase(1 * GIB), 64 * MIB)
-        assert plan.dpus_per_cluster == 256
-        assert plan.db_bytes_per_dpu <= int(64 * MIB * 0.75)
+        layout = _cluster_layout(1 * GIB, 8)
+        assert layout.num_dpus == 256
+        assert check_mram_capacity(layout, 64 * MIB) <= int(64 * MIB * 0.75)
 
     def test_eight_clusters_cannot_hold_96_gib(self):
         with pytest.raises(CapacityError):
-            plan_clusters(2048, 8, _SizedDatabase(96 * GIB), 64 * MIB)
+            check_mram_capacity(_cluster_layout(96 * GIB, 8), 64 * MIB)
 
     def test_layout_capacity_check_at_paper_scale(self):
         layout = PartitionLayout(
@@ -55,19 +55,16 @@ class TestPaperScaleCapacityArithmetic:
                 for i in range(2048)
             ),
         )
-        partitioner = DatabasePartitioner(Database.random(8, 32, seed=1))
-        partitioner.check_capacity(layout, mram_bytes_per_dpu=64 * MIB)
+        check_mram_capacity(layout, mram_bytes_per_dpu=64 * MIB)
         with pytest.raises(CapacityError):
-            partitioner.check_capacity(layout, mram_bytes_per_dpu=2 * MIB)
+            check_mram_capacity(layout, mram_bytes_per_dpu=2 * MIB)
 
 
 class TestMRAMOverflowPaths:
     def test_scatter_beyond_mram_capacity(self):
-        system = UPMEMSystem(scaled_down_config(num_dpus=2, tasklets=2))
-        dpu_set = system.allocate()
-        oversized = np.zeros(65 * MIB, dtype=np.uint8)
+        dpu = DPU(0, config=scaled_down_config(num_dpus=2, tasklets=2).dpu)
         with pytest.raises(CapacityError):
-            dpu_set.scatter("big", [oversized, oversized])
+            dpu.store("big", np.zeros(65 * MIB, dtype=np.uint8))
 
     def test_second_allocation_that_no_longer_fits(self):
         dpu = DPU(0, config=DPUConfig())
@@ -88,10 +85,9 @@ class TestMRAMOverflowPaths:
             dpu.store("buf", np.zeros(65 * MIB, dtype=np.uint8))
 
     def test_gather_from_missing_buffer(self):
-        system = UPMEMSystem(scaled_down_config(num_dpus=2, tasklets=2))
-        dpu_set = system.allocate()
+        dpu = DPU(0, config=scaled_down_config(num_dpus=2, tasklets=2).dpu)
         with pytest.raises(TransferError):
-            dpu_set.gather("never_written", 32)
+            dpu.load("never_written", size_bytes=32)
 
 
 class TestWRAMOverflowPaths:
@@ -117,6 +113,30 @@ class TestWRAMOverflowPaths:
             DpXorManyKernel(), batch=1, num_records=num_records, record_size=record_size, tasklets=2
         )
         assert report.result[0].shape == (record_size,)
+
+    @pytest.mark.parametrize(
+        "tasklets,record_size",
+        [(1, 8), (1, 63487), (1, 63488), (4, 14335), (4, 14336), (16, 2047), (16, 2048),
+         (16, 8192), (24, 32), (24, 682), (24, 683)],
+    )
+    @pytest.mark.parametrize("num_records", [0, 1, 4096])
+    def test_prepare_arithmetic_matches_the_kernel_reservation(
+        self, tasklets, record_size, num_records
+    ):
+        """``check_dpxor_wram`` (serving) fails exactly where the executing
+        kernel's reservations would, including at the exact-fit boundary."""
+        config = DPUConfig(tasklets=tasklets)
+        outcomes = []
+        for check in (
+            lambda: reserve_dpxor_wram(DPU(0, config), num_records, record_size, tasklets),
+            lambda: check_dpxor_wram(config, record_size),
+        ):
+            try:
+                check()
+                outcomes.append(True)
+            except CapacityError:
+                outcomes.append(False)
+        assert outcomes[0] == outcomes[1]
 
     @pytest.mark.parametrize("kind", ["im-pir", "im-pir-streamed"])
     def test_server_construction_checks_the_working_set(self, kind):

@@ -16,7 +16,6 @@ from repro.core.results import (
 )
 from repro.dpf.prf import make_prg
 from repro.pim.config import scaled_down_config
-from repro.pim.kernels import DB_BUFFER
 from repro.pir.client import PIRClient
 from repro.pir.database import Database
 
@@ -157,37 +156,40 @@ class TestClustering:
         assert clustered.latency_seconds <= single.latency_seconds * 1.001
 
 
-class TestMramStaysHonest:
-    """Serving answers from one scan of the database and never reads MRAM,
-    so the preload and the updates' partial re-copy are checked here."""
+class TestTransferChargesFromByteCounts:
+    """The preload and the updates' partial re-copy move no bytes: each is
+    charged from the byte counts of the layout it would ship."""
 
-    @staticmethod
-    def _assert_db_buffers_match(server):
-        for cluster_index, cluster in enumerate(server.backend.clusters):
-            layout = server.backend.layout_for_lane(cluster_index)
-            for dpu, bounds in zip(cluster.dpu_set.dpus, layout.bounds):
-                expected = np.ascontiguousarray(server.database.chunk(*bounds)).reshape(-1)
-                assert np.array_equal(dpu.load(DB_BUFFER), expected)
+    def test_preload_charges_every_block_and_placeholders(self):
+        # 16 DPUs in two clusters for 5 records: 3 empty DPUs per cluster
+        # ship one placeholder byte each.
+        db = Database.random(5, 32, seed=4)
+        config = IMPIRConfig(pim=scaled_down_config(num_dpus=16, tasklets=2), num_clusters=2)
+        server = create_server("im-pir", db, config=config, server_id=0)
+        timing = server.backend.timing
+        per_cluster = timing.host_to_dpu_seconds(5 * 32 + 3)
+        assert server.preload_report.get("preload_db").hex() == (0.0 + per_cluster + per_cluster).hex()
+        assert server.backend.ledger.bytes_to_dpus.tolist() == ([32] * 5 + [1] * 3) * 2
 
-    def test_db_buffers_follow_prepare_and_updates(self, small_db):
+    def test_update_copy_charges_the_dirty_blocks(self, small_db):
         config = IMPIRConfig(pim=scaled_down_config(num_dpus=8, tasklets=2), num_clusters=2)
         server = create_server("im-pir", small_db, config=config, server_id=0)
-        self._assert_db_buffers_match(server)
-
-        client = PIRClient(small_db.num_records, small_db.record_size, seed=6, prg=make_prg("numpy"))
-        hot = 77
-        server.answer(client.query(hot)[0])
-        cold = small_db.num_records - 3
-        boundary = server.backend.layout_for_lane(0).bounds[3][0]
+        before = server.backend.ledger.bytes_to_dpus.copy()
+        layout = server.backend.layout_for_lane(0)
+        hot, boundary, cold = 77, int(layout.bounds[3][0]), small_db.num_records - 3
         rng = np.random.default_rng(8)
         updates = [
             (index, rng.integers(0, 256, small_db.record_size, dtype=np.uint8).tobytes())
-            for index in (hot, cold, boundary)
+            for index in (hot, boundary, cold, hot)
         ]
         timer = server.apply_updates(updates)
-        assert timer.get("update_copy") > 0
-        self._assert_db_buffers_match(server)
-        for index, record in updates:
+        # Each cluster of 4 DPUs holds 256-record blocks: the writes dirty
+        # blocks 0 and 3 once each, whatever the repeats.
+        per_cluster = server.backend.timing.host_to_dpu_seconds(2 * 256 * small_db.record_size)
+        assert timer.get("update_copy").hex() == (0.0 + per_cluster + per_cluster).hex()
+        moved = server.backend.ledger.bytes_to_dpus - before
+        assert moved.tolist() == [256 * 32, 0, 0, 256 * 32] * 2
+        for index, record in updates[1:]:
             assert server.database.record(index) == record
 
 

@@ -18,7 +18,6 @@ from repro.core.engine import PIRBackend, available_backends, create_server
 from repro.core.impir import PIMClusterBackend
 from repro.core.partitioning import aligned_chunk_bounds
 from repro.dpf.prf import make_prg
-from repro.pim.kernels import DB_BUFFER
 from repro.pir.client import PIRClient
 from repro.pir.database import Database
 from repro.pir.server import PIRServer
@@ -395,28 +394,23 @@ class TestShardedUpdates:
             )
         assert sharded.database.record(3) == b"\xaa" * 8
 
-    def test_untouched_shard_mram_buffers_identical(self):
-        """Updating shard 0 leaves the other shards' DPU MRAM bytes untouched."""
+    def test_untouched_shard_charges_nothing(self):
+        """Updating shard 0 charges only its dirty block: the other shards'
+        DPUs move no bytes, and update_copy is the one block's transfer."""
         database = Database.random(96, 8, seed=13)
         sharded = create_server(
             "sharded", database, num_shards=3, child_kind="im-pir", prg=make_prg("numpy")
         )
-
-        def mram_snapshot(member_index):
-            _, child = sharded.backend.members[member_index]
-            assert isinstance(child, PIMClusterBackend)
-            return [
-                bytes(dpu.mram.read(DB_BUFFER))
-                for cluster in child.clusters
-                for dpu in cluster.dpu_set.dpus
-            ]
-
-        before = [mram_snapshot(i) for i in range(3)]
-        sharded.apply_updates([(5, b"\xcc" * 8)])
-        after = [mram_snapshot(i) for i in range(3)]
-        assert after[0] != before[0]  # owning shard re-copied its dirty block
-        assert after[1] == before[1]
-        assert after[2] == before[2]
+        children = [child for _, child in sharded.backend.members]
+        assert all(isinstance(child, PIMClusterBackend) for child in children)
+        before = [child.ledger.bytes_to_dpus.copy() for child in children]
+        timer = sharded.apply_updates([(5, b"\xcc" * 8)])
+        moved = [(child.ledger.bytes_to_dpus - old).tolist() for child, old in zip(children, before)]
+        # A 32-record shard over the default child's 4 DPUs: record 5 sits
+        # in DPU 0's 8-record block of 8-byte records.
+        assert moved == [[8 * 8, 0, 0, 0], [0] * 4, [0] * 4]
+        expected = children[0].timing.host_to_dpu_seconds(8 * 8)
+        assert timer.get("update_copy").hex() == expected.hex()
 
     def test_children_without_apply_updates_reprepare(self):
         database = Database.random(64, 8, seed=14)

@@ -530,6 +530,53 @@ class TestUnpackbitsLint:
         )
 
 
+class TestExecutingDPULint:
+    """Serving charges a ``DPULedger``; only tests and benches build ``DPU`` objects."""
+
+    def _check(self, tmp_path, relative, source):
+        lint = _load_tool("lint")
+        path = tmp_path / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source)
+        return lint.check_file(path)
+
+    @pytest.mark.parametrize(
+        "relative,source",
+        [
+            (
+                "src/repro/pim/system.py",
+                "from repro.pim.dpu import DPU\n\n\ndef population(config):\n"
+                "    return [DPU(i, config.dpu) for i in range(config.num_dpus)]{}\n",
+            ),
+            (
+                "src/repro/core/impir.py",
+                "from repro.pim import dpu\n\n\ndef one(config):\n"
+                "    return dpu.DPU(0, config=config){}\n",
+            ),
+        ],
+    )
+    def test_dpu_construction_in_library_code_flagged(self, tmp_path, relative, source):
+        flagged = self._check(tmp_path, relative, source.format(""))
+        assert any("executing DPU(...)" in message for _, message in flagged)
+        assert not self._check(tmp_path, relative, source.format("  # noqa"))
+
+    def test_tests_benches_and_the_dpu_module_are_legal(self, tmp_path):
+        source = "from repro.pim.dpu import DPU\n\n\ndef one():\n    return DPU(0)\n"
+        assert not self._check(tmp_path, "tests/test_oracle.py", source)
+        assert not self._check(tmp_path, "benchmarks/bench_kernel.py", source)
+        assert not self._check(
+            tmp_path,
+            "src/repro/pim/dpu.py",
+            "class DPU:\n    pass\n\n\ndef make():\n    return DPU()\n",
+        )
+        assert not self._check(
+            tmp_path,
+            "src/repro/pim/system.py",
+            "from repro.pim.dpu import DPUExecutionReport\n\n\n"
+            "def report(**kwargs):\n    return DPUExecutionReport(**kwargs)\n",
+        )
+
+
 class TestEventLoopClockLint:
     """``loop.time()`` is a wall clock in disguise; banned where clocks are injected."""
 

@@ -68,6 +68,11 @@ AST pass instead.  It flags:
   packed rows from ``selector_matrix`` to the scan (``repro/pir/xor_ops.py``
   reads them with a bit transpose and byte popcounts); only the DPF's
   ``eval_full_bits_many``, kept for the goldens, unpacks them;
+* a ``DPU(...)`` construction anywhere under ``src/repro/`` except
+  ``repro/pim/dpu.py`` — serving and writes charge a
+  :class:`~repro.pim.system.DPULedger` of per-DPU arrays; only tests and
+  benches build executing DPUs, so a population of DPU objects (and a
+  Python loop over it) cannot creep back into the library;
 * bare ``print(`` anywhere under ``src/repro/`` — library code reports
   through the structured event log (:mod:`repro.obs.events`) or returns
   strings for the CLI layer to print; only the CLI entry points
@@ -342,6 +347,20 @@ def _unpackbits_lines(node: ast.AST) -> List[int]:
     return []
 
 
+#: The one library module that builds executing DPUs: the class itself.
+DPU_MODULE = ("repro", "pim", "dpu.py")
+
+
+def _is_dpu_construction(node: ast.AST) -> bool:
+    """True for ``DPU(...)`` / ``<module>.DPU(...)``."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Name) and func.id == "DPU") or (
+        isinstance(func, ast.Attribute) and func.attr == "DPU"
+    )
+
+
 def check_file(path: Path) -> List[Tuple[int, str]]:
     source = path.read_text(encoding="utf-8")
     try:
@@ -358,6 +377,7 @@ def check_file(path: Path) -> List[Tuple[int, str]]:
     library_code = _is_library_code(path)
     per_flush_keygen_only = _is_per_flush_keygen_only(path)
     unpack_banned = _is_unpack_banned(path)
+    dpu_construction_banned = library_code and path.parts[-3:] != DPU_MODULE
 
     imports: List[Tuple[int, str, str]] = []  # (lineno, bound name, description)
     wildcards: List[Tuple[int, str]] = []
@@ -521,6 +541,15 @@ def check_file(path: Path) -> List[Tuple[int, str]]:
                         "/ selected_counts)",
                     )
                 )
+        if dpu_construction_banned and _is_dpu_construction(node):
+            deprecated.append(
+                (
+                    node.lineno,
+                    "executing DPU(...) built in library code outside "
+                    "repro/pim/dpu.py — charge a repro.pim.system.DPULedger; "
+                    "only tests and benches run DPU objects",
+                )
+            )
         if library_code:
             for lineno in _per_query_scan_hooks(node):
                 deprecated.append(
