@@ -1,61 +1,74 @@
-"""Ablation — PRG backend cost (AES-128 vs the vectorised numpy PRG).
+"""Ablation — the fixed-key AES PRG against its block-at-a-time oracle.
 
-The paper's DPF uses AES-128 via AES-NI; this reproduction defaults to a
-vectorised numpy PRG for functional speed while charging AES-block costs in
-the performance model.  This ablation measures the real gap between the two
-Python backends and checks that the block accounting is identical.
+Every DPF runs on one PRG, fixed-key AES-128 in Matyas–Meyer–Oseas form
+through OpenSSL (:class:`repro.dpf.prf.FixedKeyAESPRG`), the construction the
+paper runs with AES-NI.  This ablation times it against the tests' pure-Python
+FIPS-197 oracle of the same PRG (``tests/aes_oracle.py``, one block per
+Python call), checks that the two produce the same keys and selectors, and
+checks that the block accounting the cost model charges is identical.
 """
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
-import pytest
 
 from repro.dpf.dpf import DPF
-from repro.dpf.prf import AESPRG, NumpyPRG, make_prg
+from repro.dpf.prf import make_prg
+
+# The oracle lives with the tests it serves; benches import it from there.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from aes_oracle import OracleAESPRG
+
+_PRGS = {"fast": make_prg, "oracle": OracleAESPRG}
 
 
-class TestBackendWallClock:
-    def test_numpy_backend_full_eval(self, benchmark):
-        dpf = DPF(domain_bits=14, prg=make_prg("numpy"), seed=1)
+class TestWallClock:
+    def test_fast_full_eval(self, benchmark):
+        dpf = DPF(domain_bits=14, prg=make_prg(), seed=1)
         key0, _ = dpf.gen(100, 1)
         benchmark(dpf.eval_full_bits, key0)
 
-    def test_aes_backend_full_eval_small_domain(self, benchmark):
+    def test_oracle_full_eval_small_domain(self, benchmark):
         # 2^10 points = 8 leaf blocks: the smallest domain where the pure-
         # Python AES still walks a tree (2^7 would be one conversion).
-        dpf = DPF(domain_bits=10, prg=make_prg("aes"), seed=1)
+        dpf = DPF(domain_bits=10, prg=OracleAESPRG(), seed=1)
         key0, _ = dpf.gen(100, 1)
         benchmark(dpf.eval_full_bits, key0)
 
-    def test_numpy_bulk_expand(self, benchmark):
-        prg = NumpyPRG()
+    def test_fast_bulk_children(self, benchmark):
+        prg = make_prg()
         seeds = np.random.default_rng(0).integers(0, 256, size=(4096, 16), dtype=np.uint8)
-        benchmark(prg.expand, seeds)
+        benchmark(prg.children, seeds)
 
-    def test_aes_bulk_expand(self, benchmark):
-        prg = AESPRG()
+    def test_oracle_bulk_children(self, benchmark):
+        prg = OracleAESPRG()
         seeds = np.random.default_rng(0).integers(0, 256, size=(16, 16), dtype=np.uint8)
-        benchmark(prg.expand, seeds)
+        benchmark(prg.children, seeds)
 
 
 class TestBlockAccountingAgreement:
-    def test_both_backends_charge_identical_blocks(self, benchmark):
-        """Cost-model fidelity does not depend on the functional backend."""
+    def test_both_prgs_charge_identical_blocks(self, benchmark):
+        """Cost-model fidelity does not depend on how the PRG is computed,
+        and the fast PRG's selectors are the oracle's, bit for bit."""
 
         def count_blocks():
-            counts = {}
-            for backend in ("numpy", "aes"):
-                prg = make_prg(backend)
+            counts, selectors = {}, {}
+            for name, make in _PRGS.items():
+                prg = make()
                 dpf = DPF(domain_bits=10, prg=prg, seed=9)
                 key0, _ = dpf.gen(11, 1)
                 prg.reset_counters()
-                dpf.eval_full(key0)
-                counts[backend] = prg.blocks_consumed
-            return counts
+                selectors[name] = dpf.eval_full(key0)
+                counts[name] = prg.blocks_consumed
+            return counts, selectors
 
-        counts = benchmark(count_blocks)
-        assert counts["numpy"] == counts["aes"]
+        counts, selectors = benchmark(count_blocks)
+        assert np.array_equal(selectors["fast"], selectors["oracle"])
+        assert counts["fast"] == counts["oracle"]
         # 8 leaf blocks: two AES blocks per internal node, one per leaf conversion.
         blocks = 2**10 // 128
-        assert counts["numpy"] == 2 * (blocks - 1) + blocks
+        assert counts["fast"] == 2 * (blocks - 1) + blocks
+

@@ -69,7 +69,7 @@ class TestStreamedOversizedDatabase:
         server = create_server(
             "im-pir-streamed", bench_db, config=config, server_id=0, segment_records=1024
         )
-        client = PIRClient(bench_db.num_records, bench_db.record_size, seed=1, prg=make_prg("numpy"))
+        client = PIRClient(bench_db.num_records, bench_db.record_size, seed=1, prg=make_prg())
         query = client.query(1000)[0]
         result = benchmark(server.answer, query)
         assert result.breakdown.get(PHASE_COPY_DB) > 0
@@ -78,7 +78,7 @@ class TestStreamedOversizedDatabase:
         """Quantify the preloading advantage the paper's design relies on."""
         database = Database.random(2048, 32, seed=9)
         config = IMPIRConfig(pim=scaled_down_config(num_dpus=4, tasklets=4))
-        client = PIRClient(database.num_records, database.record_size, seed=2, prg=make_prg("numpy"))
+        client = PIRClient(database.num_records, database.record_size, seed=2, prg=make_prg())
         query = client.query(5)[0]
 
         def compare():

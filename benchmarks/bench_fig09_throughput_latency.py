@@ -37,21 +37,21 @@ class TestFunctionalBatch:
 
     def test_impir_batch_of_8(self, benchmark, bench_db, bench_impir_config):
         server = create_server("im-pir", bench_db, config=bench_impir_config, server_id=0)
-        client = PIRClient(bench_db.num_records, bench_db.record_size, seed=1, prg=make_prg("numpy"))
+        client = PIRClient(bench_db.num_records, bench_db.record_size, seed=1, prg=make_prg())
         queries = [client.query(i * 97 % bench_db.num_records)[0] for i in range(8)]
         result = benchmark(server.answer_batch, queries)
         assert result.batch_size == 8
 
     def test_cpu_batch_of_8(self, benchmark, bench_db):
-        server = create_server("cpu", bench_db, server_id=0, prg=make_prg("numpy"))
-        client = PIRClient(bench_db.num_records, bench_db.record_size, seed=2, prg=make_prg("numpy"))
+        server = create_server("cpu", bench_db, server_id=0, prg=make_prg())
+        client = PIRClient(bench_db.num_records, bench_db.record_size, seed=2, prg=make_prg())
         queries = [client.query(i * 31 % bench_db.num_records)[0] for i in range(8)]
         result = benchmark(server.answer_batch, queries)
         assert len(result.answers) == 8
 
     def test_impir_single_query(self, benchmark, bench_db, bench_impir_config):
         server = create_server("im-pir", bench_db, config=bench_impir_config, server_id=0)
-        client = PIRClient(bench_db.num_records, bench_db.record_size, seed=3, prg=make_prg("numpy"))
+        client = PIRClient(bench_db.num_records, bench_db.record_size, seed=3, prg=make_prg())
         query = client.query(777)[0]
         result = benchmark(server.answer, query)
         assert result.answer.payload == bench_db.record(777) or len(result.answer.payload) == 32

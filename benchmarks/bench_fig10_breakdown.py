@@ -38,15 +38,15 @@ class TestFunctionalPhases:
 
     def test_impir_query_breakdown_phases_present(self, benchmark, bench_db, bench_impir_config):
         server = create_server("im-pir", bench_db, config=bench_impir_config, server_id=0)
-        client = PIRClient(bench_db.num_records, bench_db.record_size, seed=5, prg=make_prg("numpy"))
+        client = PIRClient(bench_db.num_records, bench_db.record_size, seed=5, prg=make_prg())
         query = client.query(123)[0]
         result = benchmark(server.answer, query)
         assert result.breakdown.get(PHASE_EVAL) > 0
         assert result.breakdown.get(PHASE_DPXOR) > 0
 
     def test_cpu_query_breakdown(self, benchmark, bench_db):
-        server = create_server("cpu", bench_db, server_id=0, prg=make_prg("numpy"))
-        client = PIRClient(bench_db.num_records, bench_db.record_size, seed=6, prg=make_prg("numpy"))
+        server = create_server("cpu", bench_db, server_id=0, prg=make_prg())
+        client = PIRClient(bench_db.num_records, bench_db.record_size, seed=6, prg=make_prg())
         query = client.query(55)[0]
         benchmark(server.answer, query)
         breakdown = server.backend.model.single_query_breakdown(

@@ -47,7 +47,7 @@ class TestFunctionalClustering:
     def test_clustered_batch(self, benchmark, bench_db, clusters):
         config = IMPIRConfig(pim=scaled_down_config(num_dpus=8, tasklets=4), num_clusters=clusters)
         server = create_server("im-pir", bench_db, config=config, server_id=0)
-        client = PIRClient(bench_db.num_records, bench_db.record_size, seed=clusters, prg=make_prg("numpy"))
+        client = PIRClient(bench_db.num_records, bench_db.record_size, seed=clusters, prg=make_prg())
         queries = [client.query(i * 13 % bench_db.num_records)[0] for i in range(8)]
         result = benchmark(server.answer_batch, queries)
         assert result.batch_size == 8

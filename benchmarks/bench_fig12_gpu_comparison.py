@@ -35,15 +35,15 @@ class TestRegenerateFigure12:
 
 class TestFunctionalGPUBaseline:
     def test_gpu_server_batch(self, benchmark, bench_db):
-        server = create_server("gpu", bench_db, server_id=0, prg=make_prg("numpy"))
-        client = PIRClient(bench_db.num_records, bench_db.record_size, seed=4, prg=make_prg("numpy"))
+        server = create_server("gpu", bench_db, server_id=0, prg=make_prg())
+        client = PIRClient(bench_db.num_records, bench_db.record_size, seed=4, prg=make_prg())
         queries = [client.query(i * 19 % bench_db.num_records)[0] for i in range(8)]
         result = benchmark(server.answer_batch, queries)
         assert len(result.answers) == 8
 
     def test_gpu_single_query_breakdown(self, benchmark, bench_db):
-        server = create_server("gpu", bench_db, server_id=0, prg=make_prg("numpy"))
-        client = PIRClient(bench_db.num_records, bench_db.record_size, seed=5, prg=make_prg("numpy"))
+        server = create_server("gpu", bench_db, server_id=0, prg=make_prg())
+        client = PIRClient(bench_db.num_records, bench_db.record_size, seed=5, prg=make_prg())
         query = client.query(99)[0]
         benchmark(server.answer, query)
         breakdown = server.backend.model.single_query_breakdown(

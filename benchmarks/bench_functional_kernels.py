@@ -59,6 +59,6 @@ class TestEndToEnd:
         assert result.preload_report is not None
 
     def test_client_query_generation(self, benchmark, bench_db):
-        client = PIRClient(bench_db.num_records, bench_db.record_size, seed=8, prg=make_prg("numpy"))
+        client = PIRClient(bench_db.num_records, bench_db.record_size, seed=8, prg=make_prg())
         queries = benchmark(client.query, 17)
         assert len(queries) == 2

@@ -52,7 +52,7 @@ class RecordingReplica:
 
 def make_client(database: Database, seed: int) -> PIRClient:
     return PIRClient(
-        database.num_records, database.record_size, seed=seed, prg=make_prg("numpy")
+        database.num_records, database.record_size, seed=seed, prg=make_prg()
     )
 
 

@@ -41,7 +41,7 @@ RECORD_SIZE = 32
 
 
 def make_client(seed: int) -> PIRClient:
-    return PIRClient(NUM_RECORDS, RECORD_SIZE, seed=seed, prg=make_prg("numpy"))
+    return PIRClient(NUM_RECORDS, RECORD_SIZE, seed=seed, prg=make_prg())
 
 
 def main() -> None:

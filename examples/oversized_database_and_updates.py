@@ -32,7 +32,7 @@ def main() -> None:
     client = PIRClient(
         num_records=database.num_records,
         record_size=database.record_size,
-        prg=make_prg("numpy"),
+        prg=make_prg(),
         seed=11,
     )
     index = 9000

@@ -43,7 +43,7 @@ from repro.shard import (
 
 def make_client(database: Database, seed: int) -> PIRClient:
     return PIRClient(
-        database.num_records, database.record_size, seed=seed, prg=make_prg("numpy")
+        database.num_records, database.record_size, seed=seed, prg=make_prg()
     )
 
 
@@ -61,7 +61,7 @@ def main() -> None:
     for kind in BARE_BACKEND_KINDS:
         client = make_client(database, seed=3)
         sharded = create_server(
-            "sharded", database, num_shards=3, child_kind=kind, prg=make_prg("numpy")
+            "sharded", database, num_shards=3, child_kind=kind, prg=make_prg()
         )
         query = client.query(index)[0]
         sharded_payload = sharded.engine.answer(query).answer.payload

@@ -116,7 +116,7 @@ def workload():
 
 def make_client(database: Database) -> PIRClient:
     return PIRClient(
-        database.num_records, database.record_size, seed=SEED + 6, prg=make_prg("numpy")
+        database.num_records, database.record_size, seed=SEED + 6, prg=make_prg()
     )
 
 

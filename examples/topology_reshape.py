@@ -39,7 +39,7 @@ from repro.workloads.traces import zipf_trace
 
 def make_client(database: Database, seed: int) -> PIRClient:
     return PIRClient(
-        database.num_records, database.record_size, seed=seed, prg=make_prg("numpy")
+        database.num_records, database.record_size, seed=seed, prg=make_prg()
     )
 
 

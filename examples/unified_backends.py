@@ -35,7 +35,7 @@ def main() -> None:
     for name in available_backends():
         kwargs = {"segment_records": 512} if name == "im-pir-streamed" else {}
         client = PIRClient(database.num_records, database.record_size,
-                           seed=5, prg=make_prg("numpy"))
+                           seed=5, prg=make_prg())
         replicas = [create_server(name, database, server_id=i, **kwargs) for i in (0, 1)]
         queries = client.query(index)
         results = [replicas[q.server_id].engine.answer(q) for q in queries]
@@ -57,7 +57,7 @@ def main() -> None:
         kwargs = {"segment_records": 512} if name == "im-pir-streamed" else {}
         frontend = PIRFrontend(
             PIRClient(database.num_records, database.record_size,
-                      seed=7, prg=make_prg("numpy")),
+                      seed=7, prg=make_prg()),
             [create_server(name, database, server_id=i, **kwargs) for i in (0, 1)],
             policy=BatchingPolicy(max_batch_size=4),
         )

@@ -1,8 +1,10 @@
 """Deterministic randomness helpers.
 
 All stochastic pieces of the library (database generation, naive query shares,
-DPF seeds when no explicit seed is given) draw from ``numpy.random.Generator``
-instances created here so experiments are reproducible run-to-run.
+seeded DPF key roots) draw from ``numpy.random.Generator`` instances created
+here so experiments are reproducible run-to-run.  The one exception is an
+unseeded :class:`~repro.dpf.dpf.DPF`, whose key roots come from ``os.urandom``:
+roots from a fixed default would let one server regenerate the other's key.
 """
 
 from __future__ import annotations

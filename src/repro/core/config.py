@@ -37,8 +37,6 @@ class IMPIRConfig:
     #: Host threads cooperating on a single query's evaluation in latency mode
     #: (defaults to every hardware thread).
     latency_eval_threads: Optional[int] = None
-    #: PRG backend used for the functional DPF evaluation ("numpy" or "aes").
-    prg_backend: str = "numpy"
     #: Amortised AES blocks charged per evaluated leaf by the cost model.
     blocks_per_leaf: float = DEFAULT_BLOCKS_PER_LEAF
     #: Fraction of each DPU's MRAM kept free for selector/result buffers.
@@ -86,7 +84,6 @@ class IMPIRConfig:
             num_clusters=num_clusters,
             eval_workers=self.eval_workers,
             latency_eval_threads=self.latency_eval_threads,
-            prg_backend=self.prg_backend,
             blocks_per_leaf=self.blocks_per_leaf,
             mram_reserve_fraction=self.mram_reserve_fraction,
         )
@@ -98,7 +95,6 @@ class IMPIRConfig:
             num_clusters=self.num_clusters,
             eval_workers=self.eval_workers,
             latency_eval_threads=self.latency_eval_threads,
-            prg_backend=self.prg_backend,
             blocks_per_leaf=self.blocks_per_leaf,
             mram_reserve_fraction=self.mram_reserve_fraction,
         )

@@ -522,11 +522,11 @@ def _ensure_default_backends() -> None:
 
     # Every builder names the options its backend takes: a misspelt or
     # unsupported keyword must raise (naming it), not be dropped.  ``None``
-    # means "the registry default" (a fresh numpy PRG per server, a
+    # means "the registry default" (a fresh fixed-key AES PRG per server, a
     # scaled-down PIM config).
 
     def default_prg(prg):
-        return prg if prg is not None else make_prg("numpy")
+        return prg if prg is not None else make_prg()
 
     def host_server(db, server_id, prg, name, model=None):
         stats = ServerStats()
@@ -550,17 +550,13 @@ def _ensure_default_backends() -> None:
         require_two_servers(server_id)
         config = config if config is not None else default_config()
         backend = PIMClusterBackend(config)
-        return PIRServer(
-            backend, db, server_id, prg=make_prg(config.prg_backend)
-        )
+        return PIRServer(backend, db, server_id, prg=make_prg())
 
     def build_impir_streamed(db, server_id=0, config=None, segment_records=None):
         require_two_servers(server_id)
         config = config if config is not None else default_config(num_dpus=4)
         backend = StreamedPIMBackend(config, segment_records=segment_records)
-        return PIRServer(
-            backend, db, server_id, prg=make_prg(config.prg_backend)
-        )
+        return PIRServer(backend, db, server_id, prg=make_prg())
 
     def build_sharded(
         db,

@@ -5,7 +5,7 @@ single database replica in the two-server protocol.  Its responsibilities,
 following Figure 5:
 
 ➋ evaluate the received DPF key over the full database domain on the host CPU
-   (AES-NI in the paper; a numpy PRG functionally here, costed as AES blocks);
+   (fixed-key AES through OpenSSL, the paper's AES-NI construction);
 ➌ split the resulting selector shares into per-DPU packed bit vectors and
    copy them to DPU MRAM;
 ➍ launch the dpXOR kernel, which scans each DPU's preloaded database block
@@ -50,7 +50,6 @@ from repro.core.partitioning import (
     usable_mram_bytes,
 )
 from repro.core.results import PHASE_AGGREGATE
-from repro.dpf.prf import make_prg
 from repro.pim.kernels import check_dpxor_wram
 from repro.pim.system import DPULedger
 from repro.pir.database import Database
@@ -263,7 +262,6 @@ class IMPIRDeployment:
             record_size=database.record_size,
             num_servers=2,
             scheme="dpf",
-            prg=make_prg(self.config.prg_backend),
             seed=client_seed,
         )
         self.frontend = PIRFrontend(

@@ -1,4 +1,4 @@
-"""Distributed point functions: PRF/PRG backends, GGM tree, DPF, traversals."""
+"""Distributed point functions: the fixed-key AES PRG, GGM tree, DPF, traversals."""
 
 from repro.dpf.dpf import DPF, DPFKey, DPFKeyPairs, DPFKeys, EvalStats, verify_keys
 from repro.dpf.ggm import GGMTree, expand_level
@@ -6,10 +6,8 @@ from repro.dpf.naive import NaiveShare, NaiveXorQueryScheme, xor_select
 from repro.dpf.prf import (
     BLOCKS_PER_EXPAND,
     SEED_BYTES,
-    AESPRG,
+    FixedKeyAESPRG,
     LengthDoublingPRG,
-    NumpyPRG,
-    aes128_encrypt_block,
     make_prg,
 )
 from repro.dpf.traversal import (
@@ -36,10 +34,8 @@ __all__ = [
     "xor_select",
     "BLOCKS_PER_EXPAND",
     "SEED_BYTES",
-    "AESPRG",
+    "FixedKeyAESPRG",
     "LengthDoublingPRG",
-    "NumpyPRG",
-    "aes128_encrypt_block",
     "make_prg",
     "BranchParallelTraversal",
     "LevelByLevelTraversal",

@@ -38,6 +38,7 @@ query message carries and the wire codec encodes.
 
 from __future__ import annotations
 
+import os
 import struct
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
@@ -304,8 +305,10 @@ class DPF:
         self.slots_per_block = 1 << self.slot_bits
         #: Levels the GGM tree actually expands.
         self.tree_depth = tree_depth(domain_bits, output_bits)
-        self.prg = prg if prg is not None else make_prg("numpy")
-        self._rng = make_rng(seed)
+        self.prg = prg if prg is not None else make_prg()
+        # Unseeded, key roots come from the OS: a fixed default would let
+        # every process (and so either server) regenerate the other key.
+        self._rng = make_rng(seed) if seed is not None else None
 
     @property
     def domain_size(self) -> int:
@@ -335,8 +338,9 @@ class DPF:
         their query's correction word) and a level is one
         :meth:`~repro.dpf.prf.LengthDoublingPRG.children` call.  The
         correction words land in the result's arrays as they are derived;
-        nothing is cut into per-key objects.  All roots come from one draw,
-        which consumes the generator exactly as ``Q`` successive two-row
+        nothing is cut into per-key objects.  All roots come from one draw
+        (``os.urandom`` unless the instance was given a ``seed``), which
+        consumes a seeded generator exactly as ``Q`` successive two-row
         draws do: the result equals ``[gen(alpha, beta) for alpha in
         alphas]`` on a same-seeded instance, bit for bit.
         """
@@ -353,7 +357,7 @@ class DPF:
 
         paths = np.asarray(alphas, dtype=np.int64)
         queries = np.arange(count)
-        roots = self._rng.integers(0, 256, size=(2 * count, SEED_BYTES), dtype=np.uint8)
+        roots = self._roots(2 * count)
         parties = np.tile(np.asarray([0, 1], dtype=np.uint8), count)
         # Invariant: exactly one of a query's two nodes has its control bit set.
         seeds, controls = roots.reshape(count, 2, SEED_BYTES), parties.reshape(count, 2)
@@ -382,6 +386,13 @@ class DPF:
         # Both parties of a query carry its correction words and final block.
         shared = (np.repeat(array, 2, axis=0) for array in (cw_seeds, cw_bits, finals))
         return DPFKeyPairs(DPFKeys(self.domain_bits, self.output_bits, roots, parties, *shared))
+
+    def _roots(self, count: int) -> np.ndarray:
+        """``(count, 16)`` fresh root seeds: seeded draws, else ``os.urandom``."""
+        if self._rng is None:
+            entropy = bytearray(os.urandom(count * SEED_BYTES))
+            return np.frombuffer(entropy, dtype=np.uint8).reshape(count, SEED_BYTES)
+        return self._rng.integers(0, 256, size=(count, SEED_BYTES), dtype=np.uint8)
 
     def _payload_blocks(self, alphas: np.ndarray, beta: int) -> np.ndarray:
         """Per alpha, the all-zero block with ``beta`` in its slot: ``(B, 16)`` uint8."""

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.common.errors import ProtocolError
-from repro.dpf.prf import make_prg
 from repro.pir.client import SCHEME_DPF, SCHEME_NAIVE, PIRClient
 from repro.pir.database import Database
 from repro.pir.messages import PIRAnswer
@@ -44,7 +43,6 @@ class MultiServerPIRProtocol:
         database: Database,
         num_servers: int = 2,
         scheme: str = SCHEME_DPF,
-        prg_backend: str = "numpy",
         seed: Optional[int] = None,
     ) -> None:
         if num_servers < 2:
@@ -54,14 +52,13 @@ class MultiServerPIRProtocol:
         self.database = database
         self.num_servers = num_servers
         self.scheme = scheme
-        # The client and every server must share the PRG construction, but the
-        # instances are separate: a real deployment has no shared state.
+        # The client and every server run the one fixed-key AES PRG, each on
+        # its own instance: a real deployment has no shared state.
         self.client = PIRClient(
             num_records=database.num_records,
             record_size=database.record_size,
             num_servers=num_servers,
             scheme=scheme,
-            prg=make_prg(prg_backend),
             seed=seed,
         )
         # Imported lazily: the engine module (in repro.core) imports
@@ -69,7 +66,7 @@ class MultiServerPIRProtocol:
         from repro.core.engine import create_server
 
         self.servers = [
-            create_server("reference", database, server_id=i, prg=make_prg(prg_backend))
+            create_server("reference", database, server_id=i)
             for i in range(num_servers)
         ]
 

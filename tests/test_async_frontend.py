@@ -36,13 +36,13 @@ def database():
 
 def make_client(database, seed=5):
     return PIRClient(
-        database.num_records, database.record_size, seed=seed, prg=make_prg("numpy")
+        database.num_records, database.record_size, seed=seed, prg=make_prg()
     )
 
 
 def reference_replicas(database):
     return [
-        create_server("reference", database, server_id=i, prg=make_prg("numpy"))
+        create_server("reference", database, server_id=i, prg=make_prg())
         for i in (0, 1)
     ]
 
@@ -360,7 +360,7 @@ class TestEquivalenceWithSyncFrontend:
                     database,
                     server_id=i,
                     num_shards=3,
-                    prg=make_prg("numpy"),
+                    prg=make_prg(),
                 )
                 for i in (0, 1)
             ]

@@ -48,7 +48,7 @@ def database():
 
 def make_client(database, seed=31):
     return PIRClient(
-        database.num_records, database.record_size, seed=seed, prg=make_prg("numpy")
+        database.num_records, database.record_size, seed=seed, prg=make_prg()
     )
 
 

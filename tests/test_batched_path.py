@@ -23,6 +23,7 @@
 
 import numpy as np
 import pytest
+from aes_oracle import OracleAESPRG
 
 from repro.core.engine import available_backends, create_server
 from repro.dpf.dpf import DPF, EvalStats
@@ -35,7 +36,7 @@ from repro.pir.messages import NaiveQuery
 
 def _batch(num_records, record_size, batch, *, seed=7, stride=13):
     database = Database.random(num_records, record_size, seed=seed)
-    client = PIRClient(num_records, record_size, seed=seed + 1, prg=make_prg("numpy"))
+    client = PIRClient(num_records, record_size, seed=seed + 1, prg=make_prg())
     queries = [client.query((i * stride) % num_records)[0] for i in range(batch)]
     return database, queries
 
@@ -155,7 +156,7 @@ class TestEdgeShapes:
 
     def test_mixed_naive_and_dpf_batch(self):
         database = Database.random(64, 32, seed=4)
-        client = PIRClient(64, 32, seed=5, prg=make_prg("numpy"))
+        client = PIRClient(64, 32, seed=5, prg=make_prg())
         engine = create_server("reference", database, server_id=0).engine
         one_hot = np.zeros(64, dtype=np.uint8)
         one_hot[9] = 1
@@ -198,9 +199,9 @@ class TestStatsRegression:
 
 
 class TestEvalFullMany:
-    @pytest.mark.parametrize("prg_backend", ["numpy", "aes"])
-    def test_matches_eval_full_per_key(self, prg_backend):
-        prg = make_prg(prg_backend)
+    @pytest.mark.parametrize("make", [make_prg, OracleAESPRG], ids=["fast", "oracle"])
+    def test_matches_eval_full_per_key(self, make):
+        prg = make()
         dpf = DPF(domain_bits=6, prg=prg)
         keys = [dpf.gen(alpha)[0] for alpha in (0, 7, 63)]
         keys += [dpf.gen(12)[1]]
@@ -209,7 +210,7 @@ class TestEvalFullMany:
         assert np.array_equal(got, expected)
 
     def test_num_points_truncation(self):
-        dpf = DPF(domain_bits=5, prg=make_prg("numpy"))
+        dpf = DPF(domain_bits=5, prg=make_prg())
         keys = [dpf.gen(3)[0], dpf.gen(19)[1]]
         expected = np.stack(
             [dpf.eval_full(key, num_points=21) for key in keys]
@@ -219,14 +220,14 @@ class TestEvalFullMany:
         assert got.shape == (2, 21)
 
     def test_stats_match_sequential(self):
-        prg_seq = make_prg("numpy")
+        prg_seq = make_prg()
         dpf_seq = DPF(domain_bits=6, prg=prg_seq)
         keys_seq = [dpf_seq.gen(alpha)[0] for alpha in (1, 2, 3)]
         seq_stats = EvalStats()
         for key in keys_seq:
             dpf_seq.eval_full(key, stats=seq_stats)
 
-        prg_bat = make_prg("numpy")
+        prg_bat = make_prg()
         dpf_bat = DPF(domain_bits=6, prg=prg_bat)
         keys_bat = [dpf_bat.gen(alpha)[0] for alpha in (1, 2, 3)]
         bat_stats = EvalStats()
@@ -235,14 +236,14 @@ class TestEvalFullMany:
         assert bat_stats == seq_stats
 
     def test_single_key_batch(self):
-        dpf = DPF(domain_bits=4, prg=make_prg("numpy"))
+        dpf = DPF(domain_bits=4, prg=make_prg())
         key = dpf.gen(11)[0]
         assert np.array_equal(
             dpf.eval_full_many([key]), dpf.eval_full(key)[None, :]
         )
 
     def test_empty_batch_rejected(self):
-        dpf = DPF(domain_bits=4, prg=make_prg("numpy"))
+        dpf = DPF(domain_bits=4, prg=make_prg())
         with pytest.raises(Exception):
             dpf.eval_full_many([])
 

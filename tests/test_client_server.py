@@ -13,13 +13,13 @@ from repro.pir.messages import DPFQuery, NaiveQuery, PIRAnswer
 
 @pytest.fixture()
 def client(small_db):
-    return PIRClient(small_db.num_records, small_db.record_size, seed=7, prg=make_prg("numpy"))
+    return PIRClient(small_db.num_records, small_db.record_size, seed=7, prg=make_prg())
 
 
 @pytest.fixture()
 def servers(small_db):
     return [
-        create_server("reference", small_db, server_id=i, prg=make_prg("numpy"))
+        create_server("reference", small_db, server_id=i, prg=make_prg())
         for i in range(2)
     ]
 
@@ -90,7 +90,7 @@ class TestServerAnswering:
             servers[1].answer(queries[0])
 
     def test_server_rejects_wrong_database_size(self, client, tiny_db):
-        other_server = create_server("reference", tiny_db, server_id=0, prg=make_prg("numpy"))
+        other_server = create_server("reference", tiny_db, server_id=0, prg=make_prg())
         queries = client.query(5)
         with pytest.raises(ProtocolError):
             other_server.answer(queries[0])

@@ -19,13 +19,13 @@ from repro.shard.plan import ShardPlan
 
 def make_client(database, seed=31):
     return PIRClient(
-        database.num_records, database.record_size, seed=seed, prg=make_prg("numpy")
+        database.num_records, database.record_size, seed=seed, prg=make_prg()
     )
 
 
 def reference_replicas(database):
     return [
-        create_server("reference", database, server_id=i, prg=make_prg("numpy"))
+        create_server("reference", database, server_id=i, prg=make_prg())
         for i in (0, 1)
     ]
 
@@ -189,7 +189,7 @@ class TestAsyncInvalidation:
         database = Database.random(64, 8, seed=46)
         cache = HotRecordCache(capacity=4)
         replicas = [
-            create_server("sharded", database, server_id=i, num_shards=2, prg=make_prg("numpy"))
+            create_server("sharded", database, server_id=i, num_shards=2, prg=make_prg())
             for i in (0, 1)
         ]
         frontend = AsyncPIRFrontend(
@@ -252,7 +252,7 @@ class TestAsyncInvalidation:
         cache = HotRecordCache(capacity=4)
         replicas = [
             SlowReplica(
-                create_server("sharded", database, server_id=i, num_shards=2, prg=make_prg("numpy"))
+                create_server("sharded", database, server_id=i, num_shards=2, prg=make_prg())
             )
             for i in (0, 1)
         ]

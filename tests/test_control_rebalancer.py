@@ -19,7 +19,7 @@ from repro.workloads.traces import zipf_trace
 
 def make_client(database, seed=61):
     return PIRClient(
-        database.num_records, database.record_size, seed=seed, prg=make_prg("numpy")
+        database.num_records, database.record_size, seed=seed, prg=make_prg()
     )
 
 

@@ -119,12 +119,12 @@ class TestFrontendObserveHook:
 
     def make_client(self, database, seed=21):
         return PIRClient(
-            database.num_records, database.record_size, seed=seed, prg=make_prg("numpy")
+            database.num_records, database.record_size, seed=seed, prg=make_prg()
         )
 
     def replicas(self, database):
         return [
-            create_server("reference", database, server_id=i, prg=make_prg("numpy"))
+            create_server("reference", database, server_id=i, prg=make_prg())
             for i in (0, 1)
         ]
 

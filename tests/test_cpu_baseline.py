@@ -115,13 +115,13 @@ class TestCPUModel:
 class TestCPUPIRServer:
     @pytest.fixture()
     def setup(self, small_db):
-        client = PIRClient(small_db.num_records, small_db.record_size, seed=3, prg=make_prg("numpy"))
-        server = create_server("cpu", small_db, server_id=0, prg=make_prg("numpy"))
+        client = PIRClient(small_db.num_records, small_db.record_size, seed=3, prg=make_prg())
+        server = create_server("cpu", small_db, server_id=0, prg=make_prg())
         return client, server, small_db
 
     def test_functional_answers_match_reference(self, setup):
         client, server, db = setup
-        reference = create_server("reference", db, server_id=0, prg=make_prg("numpy"))
+        reference = create_server("reference", db, server_id=0, prg=make_prg())
         query = client.query(321)[0]
         assert server.answer(query).answer.payload == reference.answer(query).answer.payload
 

@@ -2,14 +2,29 @@
 
 import numpy as np
 import pytest
+from aes_oracle import OracleAESPRG
 
 from repro.common.errors import KeyMismatchError
 from repro.dpf.dpf import DPF, DPFKeys, EvalStats, verify_keys
-from repro.dpf.prf import SEED_BYTES, make_prg
+from repro.dpf.prf import SEED_BYTES
+from repro.pir.client import PIRClient
 from repro.pir.serialization import serialize_key
 
 
 class TestGen:
+    def test_unseeded_roots_are_unpredictable(self):
+        """Without a seed, key roots come from the OS: two processes (or two
+        instances) never emit the same roots, so one server cannot
+        regenerate the other party's key.  A seed stays deterministic."""
+        first, second = DPF(12).gen(37), DPF(12).gen(37)
+        for party in (0, 1):
+            assert first[party].root_seed != second[party].root_seed
+        assert DPF(12, seed=4).gen(37) == DPF(12, seed=4).gen(37)
+        unseeded = [PIRClient(4096, 32).query(9)[0].key for _ in range(2)]
+        assert unseeded[0].root_seed != unseeded[1].root_seed
+        seeded = [PIRClient(4096, 32, seed=6).query(9)[0].key for _ in range(2)]
+        assert serialize_key(seeded[0]) == serialize_key(seeded[1])
+
     def test_keys_have_expected_structure(self):
         dpf = DPF(domain_bits=12, seed=1)
         key0, key1 = dpf.gen(37, 1)
@@ -100,9 +115,9 @@ class TestGenMany:
         beta = (1 << output_bits) - 1
         picks = np.random.default_rng(domain_bits).integers(0, 1 << domain_bits, size=19)
         alphas = [0, (1 << domain_bits) - 1] + [int(alpha) for alpha in picks]
-        reference, batched, one_by_one = (
-            DPF(domain_bits, output_bits, seed=77) for _ in range(3)
-        )
+        # The two-row reference walks on the block-at-a-time AES oracle.
+        reference = DPF(domain_bits, output_bits, prg=OracleAESPRG(), seed=77)
+        batched, one_by_one = (DPF(domain_bits, output_bits, seed=77) for _ in range(2))
         expected = [_sequential_gen(reference, alpha, beta) for alpha in alphas]
         assert batched.gen_many(alphas, beta) == expected
         assert [one_by_one.gen(alpha, beta) for alpha in alphas] == expected
@@ -240,7 +255,7 @@ class TestPayloads:
 
 class TestAESBackedDPF:
     def test_correctness_with_real_aes(self):
-        dpf = DPF(domain_bits=5, prg=make_prg("aes"), seed=21)
+        dpf = DPF(domain_bits=5, prg=OracleAESPRG(), seed=21)
         alpha = 19
         key0, key1 = dpf.gen(alpha, 1)
         combined = dpf.eval_full(key0) ^ dpf.eval_full(key1)

@@ -1,13 +1,14 @@
 """Golden bytes: the DPF construction can never drift silently.
 
-The digests below were recorded from the tuple-of-objects key representation
-that predates the array keys and the fused level kernel, and every later
-representation must reproduce them: SHA-256 over the serialized key pairs of
-seeded :meth:`DPF.gen_many` calls at every ``domain_bits`` 0…20, three output
-widths and four batch sizes, and over the ``eval_full_bits_many`` selector
-bytes of the one-bit keys (evaluated to a point count off the 128-point
-block grid, so truncation is pinned too).  A change that moves any key byte,
-PRG output or selector bit fails here, whatever else still reconstructs.
+The digests below are SHA-256 over the serialized key pairs of seeded
+:meth:`DPF.gen_many` calls at every ``domain_bits`` 0…20, three output widths
+and four batch sizes, and over the ``eval_full_bits_many`` selector bytes of
+the one-bit keys (evaluated to a point count off the 128-point block grid, so
+truncation is pinned too).  They were computed by the same calls on DPFs
+built over the tests' block-at-a-time pure-Python AES
+(``aes_oracle.OracleAESPRG``), never recorded from the OpenSSL path they pin.
+A change that moves any key byte, PRG output or selector bit fails here,
+whatever else still reconstructs.
 """
 
 import hashlib
@@ -22,11 +23,11 @@ _COUNTS = (1, 2, 7, 16)
 _BETAS = {1: 1, 8: 0xA5, 64: (1 << 64) - 1}
 
 _KEY_DIGESTS = {
-    1: "24f145b12578198f9940a3d9f395c2b00853a00ee326c111b54079afbb18546d",
-    8: "ef521e84c2c220f9b151c874146fc3797ebf4665e493b50f6e891f46825c6d5b",
-    64: "8294577ba5b4c1963dbc9ac1ae2b9f2915f6ee79413a168e44dcd3a161e42e1b",
+    1: "4eef7726d9a9ee0056df81ceb5ec1afcd2f085f3c567e5bfb4e5a534db23478c",
+    8: "73a939ce0a59fbf5ecb3bca42a0fd105ba8ba39b2c201d5e4478f219004a6153",
+    64: "c7c6062a0db590ed952586cd568e17f3a1b9c405e11c9bda52fa6ac9d80e3d74",
 }
-_SELECTOR_DIGEST = "d88e6615478a9696a204ecbc0d6e5a6adc6184f63097700b524a3015d45bf2c5"
+_SELECTOR_DIGEST = "3bd2fbc1459e4918e7a0a1603666f276986423a241a7cb544a000232ac08fd19"
 
 
 def _batches(output_bits):

@@ -3,39 +3,22 @@
 Full-domain evaluation used to walk one key at a time in effect: per level a
 ``prg.expand`` call, each child corrected on its own, and the two children
 interleaved through a fresh array — ``_oracle_level`` below, with the path
-walk (``_oracle_descend``) and the per-child Feistel (``_per_child_feistel``)
-of the same code.  The array walk (:meth:`DPF.expand_front`,
-:meth:`DPF.descend`, the traversals) must reproduce its leaf seeds, control
-bits, PRG counters and :class:`EvalStats` exactly, under the vectorised PRG
-and under real AES, from the root and from a mid-tree front, and at point
-counts off the 128-point block grid.
+walk (``_oracle_descend``) of the same code.  The oracle walks run on the
+block-at-a-time pure-Python AES (``aes_oracle.OracleAESPRG``), the array walk
+(:meth:`DPF.expand_front`, :meth:`DPF.descend`, the traversals) on the
+OpenSSL-backed fixed-key PRG, and the latter must reproduce the former's leaf
+seeds, control bits, PRG counters and :class:`EvalStats` exactly, from the
+root and from a mid-tree front, and at point counts off the 128-point block
+grid.
 """
 
 import numpy as np
 import pytest
+from aes_oracle import OracleAESPRG
 
 from repro.dpf.dpf import DPF, EvalStats
-from repro.dpf.prf import SEED_BYTES, NumpyPRG, make_prg
+from repro.dpf.prf import SEED_BYTES
 from repro.dpf.traversal import TraversalStats, make_traversal
-
-
-def _per_child_feistel(seeds, gamma):
-    """The vectorised PRG's output for one gamma, one Feistel round at a time."""
-    def mix(values):
-        z = values.copy()
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
-        return z
-
-    lanes = np.ascontiguousarray(seeds).view(np.uint64).reshape(-1, 2)
-    left, right = lanes[:, 0].copy(), lanes[:, 1].copy()
-    left ^= mix(right + np.uint64(gamma))
-    right ^= mix(left + np.uint64(0xD6E8FEB86659FD93))
-    left ^= mix(right + np.uint64(0xA0761D6478BD642F))
-    return np.stack([left, right], axis=1).view(np.uint8).reshape(-1, SEED_BYTES)
 
 
 def _oracle_level(prg, seeds, controls, cw_seed, cw_bits):
@@ -83,49 +66,35 @@ def _oracle_values(prg, dpf, keys, row, seeds, controls, num_points):
     return dpf.slot_values(blocks[None], num_points)[0]
 
 
-#: (backend, domain_bits, output_bits, queries, num_points); AES stays small.
+#: (domain_bits, output_bits, queries, num_points).
 _SHAPES = [
-    ("numpy", 14, 1, 3, (1 << 14) - 77),
-    ("numpy", 9, 64, 2, 301),
-    ("numpy", 11, 8, 4, 1 << 11),
-    ("numpy", 6, 1, 2, 50),
-    ("aes", 10, 1, 2, 1000),
-    ("aes", 6, 8, 1, 37),
+    (14, 1, 3, (1 << 14) - 77),
+    (9, 64, 2, 301),
+    (11, 8, 4, 1 << 11),
+    (6, 1, 2, 50),
+    (10, 1, 2, 1000),
+    (6, 8, 1, 37),
 ]
 
 
-def _keys(backend, domain_bits, output_bits, queries):
-    dpf = DPF(domain_bits, output_bits, prg=make_prg(backend), seed=domain_bits + queries)
+def _keys(domain_bits, output_bits, queries):
+    dpf = DPF(domain_bits, output_bits, seed=domain_bits + queries)
     alphas = np.random.default_rng(domain_bits).integers(0, dpf.domain_size, size=queries)
     return dpf, dpf.gen_many(alphas.tolist(), (1 << output_bits) - 1).keys
 
 
-def test_vectorised_children_match_the_per_child_feistel():
-    prg = NumpyPRG()
-    for count in (0, 1, 5, 300):
-        seeds = np.random.default_rng(count).integers(
-            0, 256, size=(count, SEED_BYTES), dtype=np.uint8
-        )
-        children = prg.children(seeds)
-        assert children.shape == (count, 2, SEED_BYTES)
-        assert np.array_equal(children[:, 0], _per_child_feistel(seeds, 0x9E3779B97F4A7C15))
-        assert np.array_equal(children[:, 1], _per_child_feistel(seeds, 0xC2B2AE3D27D4EB4F))
-        assert np.array_equal(prg.convert(seeds), _per_child_feistel(seeds, 0x165667B19E3779F9))
-    assert (prg.expand_calls, prg.convert_calls) == (306, 306)
-
-
-@pytest.mark.parametrize("backend,domain_bits,output_bits,queries,num_points", _SHAPES)
+@pytest.mark.parametrize("domain_bits,output_bits,queries,num_points", _SHAPES)
 def test_full_walk_matches_the_one_key_oracle(
-    backend, domain_bits, output_bits, queries, num_points
+    domain_bits, output_bits, queries, num_points
 ):
-    dpf, keys = _keys(backend, domain_bits, output_bits, queries)
+    dpf, keys = _keys(domain_bits, output_bits, queries)
     dpf.prg.reset_counters()
     seeds, controls = dpf.expand_front(keys, keys.roots, keys.parties)
     walk_expansions = dpf.prg.expand_calls
     stats = EvalStats()
     values = dpf.eval_full_many(keys, num_points, stats=stats)
 
-    oracle = make_prg(backend)
+    oracle = OracleAESPRG()
     fronts = [
         _oracle_front(oracle, keys, row, *_root(keys, row), 0, dpf.tree_depth)
         for row in range(len(keys))
@@ -149,11 +118,11 @@ def test_full_walk_matches_the_one_key_oracle(
     )
 
 
-@pytest.mark.parametrize("backend,domain_bits,output_bits,queries,num_points", _SHAPES)
-def test_mid_tree_fronts_match_the_oracle(backend, domain_bits, output_bits, queries, num_points):
+@pytest.mark.parametrize("domain_bits,output_bits,queries,num_points", _SHAPES)
+def test_mid_tree_fronts_match_the_oracle(domain_bits, output_bits, queries, num_points):
     """``first_level > 0``: a batch resumes from every intermediate level."""
-    dpf, keys = _keys(backend, domain_bits, output_bits, queries)
-    oracle = make_prg(backend)
+    dpf, keys = _keys(domain_bits, output_bits, queries)
+    oracle = OracleAESPRG()
     rows = range(len(keys))
     def front(row, level):
         return _oracle_front(oracle, keys, row, *_root(keys, row), 0, level)
@@ -192,10 +161,10 @@ def _oracle_traversal(name, chunk_leaves, prg, dpf, keys, num_blocks):
     return tuple(np.concatenate(parts) for parts in zip(*paths))
 
 
-@pytest.mark.parametrize("backend,domain_bits,output_bits,queries,num_points", _SHAPES)
+@pytest.mark.parametrize("domain_bits,output_bits,queries,num_points", _SHAPES)
 @pytest.mark.parametrize("name", ["level_by_level", "branch_parallel", "memory_bounded"])
-def test_traversals_match_the_oracle(name, backend, domain_bits, output_bits, queries, num_points):
-    dpf, keys = _keys(backend, domain_bits, output_bits, queries)
+def test_traversals_match_the_oracle(name, domain_bits, output_bits, queries, num_points):
+    dpf, keys = _keys(domain_bits, output_bits, queries)
     chunk_leaves = 4 * dpf.slots_per_block
     options = {"chunk_leaves": chunk_leaves} if name == "memory_bounded" else {}
     strategy = make_traversal(name, **options)
@@ -203,7 +172,7 @@ def test_traversals_match_the_oracle(name, backend, domain_bits, output_bits, qu
     stats = TraversalStats()
     values = strategy.eval_full(dpf, keys[0], num_points, stats=stats)
 
-    oracle = make_prg(backend)
+    oracle = OracleAESPRG()
     num_blocks = dpf.num_blocks(num_points)
     seeds, controls = _oracle_traversal(name, chunk_leaves, oracle, dpf, keys, num_blocks)
     expected = _oracle_values(

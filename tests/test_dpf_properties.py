@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) for the DPF and the naive sharing scheme."""
 
 import numpy as np
+from aes_oracle import OracleAESPRG
 from hypothesis import given, settings, strategies as st
 
 from repro.dpf.dpf import DPF, EvalStats, key_batch, verify_keys
@@ -36,8 +37,9 @@ class TestDPFProperties:
         seed=st.integers(min_value=0, max_value=2**31),
     )
     def test_single_share_is_roughly_balanced(self, domain_bits, seed):
-        """One share alone should look pseudorandom (close to half the bits set)."""
-        dpf = DPF(domain_bits, seed=seed)
+        """One share alone should look pseudorandom (close to half the bits
+        set) under the fixed-key AES PRG every DPF runs on."""
+        dpf = DPF(domain_bits, prg=make_prg(), seed=seed)
         alpha = dpf.domain_size // 3
         key0, _ = dpf.gen(alpha, 1)
         share = dpf.eval_full(key0)
@@ -180,13 +182,13 @@ class TestEarlyTerminatedConstruction:
         short_by=st.integers(min_value=0, max_value=100),
         seed=st.integers(min_value=0, max_value=2**31),
     )
-    def test_numpy_and_aes_prgs_charge_identical_counts(
+    def test_fast_and_oracle_prgs_charge_identical_counts(
         self, domain_bits, output_bits, short_by, seed
     ):
         """Cost accounting is a property of the tree, not of the PRG behind it."""
         charged = {}
-        for backend in ("numpy", "aes"):
-            prg = make_prg(backend)
+        for backend, make in (("fast", make_prg), ("oracle", OracleAESPRG)):
+            prg = make()
             dpf = DPF(domain_bits, output_bits=output_bits, prg=prg, seed=seed)
             num_points = max(1, dpf.domain_size - short_by)
             keys = dpf.gen(dpf.domain_size // 2, 1)
@@ -204,8 +206,8 @@ class TestEarlyTerminatedConstruction:
                 stats.peak_nodes_in_memory,
                 stats.leaves_evaluated,
             )
-        assert charged["numpy"] == charged["aes"]
-        expansions, conversions, blocks, *_ = charged["numpy"]
+        assert charged["fast"] == charged["oracle"]
+        expansions, conversions, blocks, *_ = charged["fast"]
         assert expansions == 2 * ((1 << dpf.tree_depth) - 1)
         assert conversions == 2 * dpf.num_blocks(num_points)
         assert blocks == 2 * expansions + conversions
@@ -219,7 +221,7 @@ class TestEarlyTerminatedConstruction:
         (instead of out of a dedicated ``prg.convert`` block) would tie the
         two together.
         """
-        dpf = DPF(domain_bits=10, seed=2024)  # 8 blocks per key
+        dpf = DPF(domain_bits=10, prg=make_prg(), seed=2024)  # 8 blocks per key
         keys = key_batch([dpf.gen(int(alpha), 1)[alpha & 1] for alpha in range(0, 1024, 3)])
         assert len(keys) >= 256
         seeds, controls = dpf.expand_front(keys, keys.roots, keys.parties)
@@ -249,6 +251,24 @@ class TestEarlyTerminatedConstruction:
         assert np.all(np.abs(bits.mean(axis=0) - 0.5) <= 0.1)
         assert 0.4 <= controls.mean() <= 0.6
         assert abs(float((bits[:, 64] == controls).mean()) - 0.5) <= 0.1
+
+
+    def test_party_zero_share_says_nothing_about_alpha(self):
+        """What one server sees: party 0's packed share, per bit position of
+        a leaf block, is a fair coin for two disjoint sets of targets alike,
+        and the two sets' per-position frequencies agree within the same
+        bound (a share that leaned toward its ``alpha`` would split them)."""
+        dpf = DPF(domain_bits=10, prg=make_prg(), seed=2026)
+        frequencies = []
+        for alphas in (range(0, 1024, 6), range(3, 1024, 6)):
+            party0 = key_batch([pair[0] for pair in dpf.gen_many(list(alphas))])
+            blocks = dpf.eval_packed_many(party0).reshape(-1, 16)
+            bits = np.unpackbits(blocks, axis=-1, bitorder="little")
+            frequency = bits.mean(axis=0)
+            assert frequency.shape == (128,)
+            assert np.all(np.abs(frequency - 0.5) <= 0.1)
+            frequencies.append(frequency)
+        assert np.all(np.abs(frequencies[0] - frequencies[1]) <= 0.1)
 
 
 class TestNaiveSchemeProperties:

@@ -71,7 +71,7 @@ def _pim_server_calls(kind: str, num_dpus: int) -> int:
     server is built, takes two writes and answers one 8-query batch."""
     database = Database.random(4096, 32, seed=3)
     config = IMPIRConfig(pim=scaled_down_config(num_dpus=num_dpus, tasklets=16))
-    client = PIRClient(4096, 32, seed=4, prg=make_prg("numpy"))
+    client = PIRClient(4096, 32, seed=4, prg=make_prg())
     queries = [pair[0] for pair in client.query_batch(list(range(0, 4096, 512)))]
     available_backends()  # the one-time registry load is not per-DPU work
     profile = cProfile.Profile()

@@ -52,7 +52,7 @@ class TestCrossBackendEquivalence:
     @pytest.mark.parametrize("num_records,record_size", EDGE_SHAPES)
     def test_all_backends_bit_identical(self, num_records, record_size):
         database = Database.random(num_records, record_size, seed=num_records * 31 + record_size)
-        client = PIRClient(num_records, record_size, seed=17, prg=make_prg("numpy"))
+        client = PIRClient(num_records, record_size, seed=17, prg=make_prg())
         servers = build_all_servers(database)
         indices = sorted({0, num_records // 2, num_records - 1})
         for index in indices:
@@ -71,7 +71,7 @@ class TestCrossBackendEquivalence:
             kwargs = {}
             if name == "im-pir-streamed" and num_records > 1:
                 kwargs["segment_records"] = max(1, -(-num_records // 2))
-            client = PIRClient(num_records, record_size, seed=23, prg=make_prg("numpy"))
+            client = PIRClient(num_records, record_size, seed=23, prg=make_prg())
             replicas = [
                 create_server(name, database, server_id=i, **kwargs) for i in (0, 1)
             ]
@@ -81,7 +81,7 @@ class TestCrossBackendEquivalence:
 
     def test_batch_equivalence_across_backends(self):
         database = Database.random(300, 8, seed=44)
-        client = PIRClient(300, 8, seed=5, prg=make_prg("numpy"))
+        client = PIRClient(300, 8, seed=5, prg=make_prg())
         queries = [client.query(i)[0] for i in (0, 123, 299, 7)]
         servers = build_all_servers(database)
         batches = {
@@ -105,14 +105,14 @@ class TestSharedValidation:
         return build_all_servers(database)
 
     def test_wrong_server_rejected_everywhere(self, database, servers):
-        client = PIRClient(128, 16, seed=2, prg=make_prg("numpy"))
+        client = PIRClient(128, 16, seed=2, prg=make_prg())
         query_for_other = client.query(3)[1]
         for name, server in servers.items():
             with pytest.raises(ProtocolError):
                 server.engine.answer(query_for_other)
 
     def test_wrong_database_shape_rejected_everywhere(self, servers):
-        other_client = PIRClient(64, 16, seed=3, prg=make_prg("numpy"))
+        other_client = PIRClient(64, 16, seed=3, prg=make_prg())
         stale = other_client.query(0)[0]
         for name, server in servers.items():
             with pytest.raises(ProtocolError):
@@ -147,7 +147,7 @@ class TestSharedValidation:
 
     def test_lane_out_of_range_names_lane_and_bound(self, servers):
         """The error must say which lane failed and what the valid range is."""
-        client = PIRClient(128, 16, seed=6, prg=make_prg("numpy"))
+        client = PIRClient(128, 16, seed=6, prg=make_prg())
         for name, server in servers.items():
             lanes = server.engine.backend.capabilities().lanes
             with pytest.raises(
@@ -214,8 +214,8 @@ class TestBackendSurface:
 
     def test_engine_requires_prepared_database(self):
         backend = ReferenceBackend()
-        engine = QueryEngine(backend, server_id=0, prg=make_prg("numpy"))
-        client = PIRClient(16, 4, seed=1, prg=make_prg("numpy"))
+        engine = QueryEngine(backend, server_id=0, prg=make_prg())
+        client = PIRClient(16, 4, seed=1, prg=make_prg())
         with pytest.raises(ProtocolError):
             engine.answer(client.query(0)[0])
 
@@ -244,7 +244,7 @@ class TestRegistry:
         from repro.shard import FleetRouter, ShardPlan
 
         database = Database.random(8, 4, seed=1)
-        client = PIRClient(8, 4, seed=2, prg=make_prg("numpy"))
+        client = PIRClient(8, 4, seed=2, prg=make_prg())
         plan = ShardPlan.uniform(8, 2)
         with pytest.raises(TypeError, match="executor"):
             create_server("sharded", database, executor="threads")
@@ -276,7 +276,7 @@ class TestRePrepare:
         server = create_server("im-pir", Database.random(4, 256, seed=31))
         new_db = Database.random(500, 8, seed=32)
         server.engine.prepare(new_db)
-        client = PIRClient(500, 8, seed=33, prg=make_prg("numpy"))
+        client = PIRClient(500, 8, seed=33, prg=make_prg())
         reference = create_server("reference", new_db)
         query = client.query(499)[0]
         assert (
@@ -291,7 +291,7 @@ class TestRePrepare:
                                segment_records=40)
         new_db = Database.random(50, 64, seed=35)
         server.engine.prepare(new_db)
-        client = PIRClient(50, 64, seed=36, prg=make_prg("numpy"))
+        client = PIRClient(50, 64, seed=36, prg=make_prg())
         reference = create_server("reference", new_db)
         query = client.query(25)[0]
         assert (
@@ -303,7 +303,7 @@ class TestRePrepare:
 class TestAnswerMetadata:
     def test_costed_backends_stamp_simulated_seconds(self):
         database = Database.random(64, 8, seed=21)
-        client = PIRClient(64, 8, seed=22, prg=make_prg("numpy"))
+        client = PIRClient(64, 8, seed=22, prg=make_prg())
         timed = create_server("im-pir", database)
         untimed = create_server("reference", database)
         query = client.query(7)[0]

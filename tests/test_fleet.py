@@ -20,7 +20,7 @@ from repro.shard.plan import ShardPlan
 
 def make_client(database, seed=41):
     return PIRClient(
-        database.num_records, database.record_size, seed=seed, prg=make_prg("numpy")
+        database.num_records, database.record_size, seed=seed, prg=make_prg()
     )
 
 

@@ -34,7 +34,7 @@ class _RecordingClient(PIRClient):
 
     def __init__(self, database, seed=5):
         super().__init__(
-            database.num_records, database.record_size, seed=seed, prg=make_prg("numpy")
+            database.num_records, database.record_size, seed=seed, prg=make_prg()
         )
         self.calls = []
 
@@ -69,7 +69,7 @@ class _SlowReplica:
 
 def replicas_of(database):
     return [
-        create_server("reference", database, server_id=i, prg=make_prg("numpy"))
+        create_server("reference", database, server_id=i, prg=make_prg())
         for i in (0, 1)
     ]
 
@@ -77,7 +77,7 @@ def replicas_of(database):
 def per_request_records(database, indices, seed=5):
     """The per-request reference path: one ``query`` per index, no frontend."""
     client = PIRClient(
-        database.num_records, database.record_size, seed=seed, prg=make_prg("numpy")
+        database.num_records, database.record_size, seed=seed, prg=make_prg()
     )
     replicas = replicas_of(database)
     return [

@@ -32,13 +32,13 @@ def database():
 
 def make_client(database, seed=3):
     return PIRClient(
-        database.num_records, database.record_size, seed=seed, prg=make_prg("numpy")
+        database.num_records, database.record_size, seed=seed, prg=make_prg()
     )
 
 
 def reference_replicas(database):
     return [
-        create_server("reference", database, server_id=i, prg=make_prg("numpy"))
+        create_server("reference", database, server_id=i, prg=make_prg())
         for i in (0, 1)
     ]
 
@@ -144,7 +144,7 @@ class TestInterleavedReplicas:
         config = IMPIRConfig(pim=scaled_down_config(num_dpus=8, tasklets=4))
         replicas = [
             create_server("im-pir", database, config=config, server_id=0),
-            create_server("reference", database, server_id=1, prg=make_prg("numpy")),
+            create_server("reference", database, server_id=1, prg=make_prg()),
         ]
         frontend = PIRFrontend(make_client(database), replicas)
         assert frontend.retrieve_batch([3, 300]) == [
@@ -233,7 +233,7 @@ class TestSchedulingMetrics:
         """The frontend honours the CPU baseline's batch cost model."""
 
         replicas = [
-            create_server("cpu", database, server_id=i, prg=make_prg("numpy"))
+            create_server("cpu", database, server_id=i, prg=make_prg())
             for i in (0, 1)
         ]
         expected = replicas[0].backend.model.batch_estimate(

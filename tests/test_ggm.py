@@ -5,7 +5,7 @@ import pytest
 
 from repro.dpf.dpf import DPF, DPFKeys
 from repro.dpf.ggm import GGMTree, expand_level
-from repro.dpf.prf import SEED_BYTES, NumpyPRG
+from repro.dpf.prf import SEED_BYTES, make_prg
 
 
 def _cw(seed_byte: int = 0, t_left: int = 0, t_right: int = 0, keys: int = 1):
@@ -52,17 +52,17 @@ class TestExpandLevel:
     def test_output_shapes(self):
         seeds = np.zeros((2, 3, SEED_BYTES), dtype=np.uint8)
         children, child_bits = expand_level(
-            NumpyPRG(), seeds, np.zeros((2, 3), dtype=np.uint8), *_cw(keys=2)
+            make_prg(), seeds, np.zeros((2, 3), dtype=np.uint8), *_cw(keys=2)
         )
         assert children.shape == (2, 3, 2, SEED_BYTES)
         assert child_bits.shape == (2, 3, 2)
 
     def test_children_are_interleaved(self):
-        prg = NumpyPRG()
+        prg = make_prg()
         seeds = np.arange(2 * SEED_BYTES, dtype=np.uint8).reshape(1, 2, SEED_BYTES)
         children, _ = expand_level(prg, seeds, np.zeros((1, 2), dtype=np.uint8), *_cw())
         child_seeds = children.reshape(-1, SEED_BYTES)
-        left, right, _, _ = NumpyPRG().expand(seeds[0])
+        left, right = make_prg().children(seeds[0]).transpose(1, 0, 2)
         assert np.array_equal(child_seeds[0], left[0])
         assert np.array_equal(child_seeds[1], right[0])
         assert np.array_equal(child_seeds[2], left[1])
@@ -74,9 +74,9 @@ class TestExpandLevel:
         # Key 0 carries 0xFF / (1, 1), key 1 0x0F / (0, 1): each key's own word.
         cw_seeds = np.asarray([[0xFF] * SEED_BYTES, [0x0F] * SEED_BYTES], dtype=np.uint8)
         cw_bits = np.asarray([[1, 1], [0, 1]], dtype=np.uint8)
-        plain = expand_level(NumpyPRG(), seeds, np.zeros((2, 1), np.uint8), cw_seeds, cw_bits)
-        fixed = expand_level(NumpyPRG(), seeds, np.ones((2, 1), np.uint8), cw_seeds, cw_bits)
-        mixed = expand_level(NumpyPRG(), seeds, np.asarray([[1], [0]], np.uint8), cw_seeds, cw_bits)
+        plain = expand_level(make_prg(), seeds, np.zeros((2, 1), np.uint8), cw_seeds, cw_bits)
+        fixed = expand_level(make_prg(), seeds, np.ones((2, 1), np.uint8), cw_seeds, cw_bits)
+        mixed = expand_level(make_prg(), seeds, np.asarray([[1], [0]], np.uint8), cw_seeds, cw_bits)
         assert np.array_equal(plain[0][0] ^ 0xFF, fixed[0][0])
         assert np.array_equal(plain[0][1] ^ 0x0F, fixed[0][1])
         assert np.array_equal(plain[1] ^ cw_bits[:, None, :], fixed[1])
@@ -86,7 +86,7 @@ class TestExpandLevel:
     def test_rejects_mismatched_control_bits(self):
         with pytest.raises(ValueError):
             expand_level(
-                NumpyPRG(),
+                make_prg(),
                 np.zeros((1, 2, SEED_BYTES), dtype=np.uint8),
                 np.zeros((1, 3), dtype=np.uint8),
                 *_cw(),
@@ -98,7 +98,7 @@ class TestExpandLevel:
         keys = _one_key(8, 1, np.full((1, SEED_BYTES), 3), [[1, 0]])
         dpf = DPF(8)
         children, child_bits = expand_level(
-            NumpyPRG(),
+            make_prg(),
             keys.roots[:, None],
             keys.parties[:, None],
             keys.cw_seeds[:, 0],

@@ -22,7 +22,7 @@ from repro.pir.database import Database
 
 @pytest.fixture()
 def setup(small_db, small_impir_config):
-    client = PIRClient(small_db.num_records, small_db.record_size, seed=5, prg=make_prg("numpy"))
+    client = PIRClient(small_db.num_records, small_db.record_size, seed=5, prg=make_prg())
     server = create_server("im-pir", small_db, config=small_impir_config, server_id=0)
     return client, server, small_db
 
@@ -59,7 +59,7 @@ class TestConstruction:
 class TestSingleQuery:
     def test_answers_match_reference_server(self, setup):
         client, server, db = setup
-        reference = create_server("reference", db, server_id=0, prg=make_prg("numpy"))
+        reference = create_server("reference", db, server_id=0, prg=make_prg())
         for index in (0, 100, db.num_records - 1):
             query = client.query(index)[0]
             assert server.answer(query).answer.payload == reference.answer(query).answer.payload
@@ -98,7 +98,7 @@ class TestSingleQuery:
 class TestBatch:
     def test_batch_answers_are_correct(self, setup):
         client, server, db = setup
-        reference = create_server("reference", db, server_id=0, prg=make_prg("numpy"))
+        reference = create_server("reference", db, server_id=0, prg=make_prg())
         indices = [3, 77, 512, 1023, 0]
         queries = [client.query(i)[0] for i in indices]
         batch = server.answer_batch(queries)
@@ -131,8 +131,8 @@ class TestClustering:
     def test_clustered_server_is_correct(self, small_db):
         config = IMPIRConfig(pim=scaled_down_config(num_dpus=8, tasklets=2), num_clusters=4)
         server = create_server("im-pir", small_db, config=config, server_id=0)
-        client = PIRClient(small_db.num_records, small_db.record_size, seed=2, prg=make_prg("numpy"))
-        reference = create_server("reference", small_db, server_id=0, prg=make_prg("numpy"))
+        client = PIRClient(small_db.num_records, small_db.record_size, seed=2, prg=make_prg())
+        reference = create_server("reference", small_db, server_id=0, prg=make_prg())
         queries = [client.query(i)[0] for i in range(8)]
         batch = server.answer_batch(queries)
         assert {r.cluster_id for r in batch.results} == {0, 1, 2, 3}
@@ -147,7 +147,7 @@ class TestClustering:
 
     def test_clustering_improves_or_matches_batch_latency(self, small_db):
         base = IMPIRConfig(pim=scaled_down_config(num_dpus=8, tasklets=2))
-        client = PIRClient(small_db.num_records, small_db.record_size, seed=4, prg=make_prg("numpy"))
+        client = PIRClient(small_db.num_records, small_db.record_size, seed=4, prg=make_prg())
         queries = [client.query(i)[0] for i in range(12)]
         single = create_server("im-pir", small_db, config=base, server_id=0).answer_batch(queries)
         clustered = create_server(

@@ -24,16 +24,16 @@ def shared_db():
 def all_servers(shared_db):
     config = IMPIRConfig(pim=scaled_down_config(num_dpus=8, tasklets=4))
     return {
-        "reference": create_server("reference", shared_db, server_id=0, prg=make_prg("numpy")),
-        "cpu": create_server("cpu", shared_db, server_id=0, prg=make_prg("numpy")),
-        "gpu": create_server("gpu", shared_db, server_id=0, prg=make_prg("numpy")),
+        "reference": create_server("reference", shared_db, server_id=0, prg=make_prg()),
+        "cpu": create_server("cpu", shared_db, server_id=0, prg=make_prg()),
+        "gpu": create_server("gpu", shared_db, server_id=0, prg=make_prg()),
         "impir": create_server("im-pir", shared_db, config=config, server_id=0),
     }
 
 
 class TestAllServersAgree:
     def test_identical_answers_for_same_query(self, shared_db, all_servers):
-        client = PIRClient(shared_db.num_records, shared_db.record_size, seed=13, prg=make_prg("numpy"))
+        client = PIRClient(shared_db.num_records, shared_db.record_size, seed=13, prg=make_prg())
         for index in (0, 511, 1024, 2047):
             query = client.query(index)[0]
             payloads = {
@@ -49,15 +49,15 @@ class TestAllServersAgree:
         config = IMPIRConfig(pim=scaled_down_config(num_dpus=4, tasklets=2))
         builders = {
             "cpu": lambda sid: create_server(
-                "cpu", shared_db, server_id=sid, prg=make_prg("numpy")
+                "cpu", shared_db, server_id=sid, prg=make_prg()
             ),
             "gpu": lambda sid: create_server(
-                "gpu", shared_db, server_id=sid, prg=make_prg("numpy")
+                "gpu", shared_db, server_id=sid, prg=make_prg()
             ),
             "impir": lambda sid: create_server("im-pir", shared_db, config=config, server_id=sid),
         }
         for name, build in builders.items():
-            client = PIRClient(shared_db.num_records, shared_db.record_size, seed=3, prg=make_prg("numpy"))
+            client = PIRClient(shared_db.num_records, shared_db.record_size, seed=3, prg=make_prg())
             servers = [build(0), build(1)]
             queries = client.query(1234)
             answers = [servers[query.server_id].answer(query).answer for query in queries]
@@ -71,7 +71,7 @@ class TestWorkloadsThroughIMPIR:
 
     def test_certificate_transparency_audit(self, impir_config):
         log, database, trace = build_ct_workload(num_certificates=512, num_audits=6, seed=4)
-        client = PIRClient(database.num_records, database.record_size, seed=8, prg=make_prg("numpy"))
+        client = PIRClient(database.num_records, database.record_size, seed=8, prg=make_prg())
         servers = [
             create_server("im-pir", database, config=impir_config, server_id=i)
             for i in (0, 1)
@@ -86,7 +86,7 @@ class TestWorkloadsThroughIMPIR:
         corpus, database, trace, candidates, expected = build_credential_workload(
             num_credentials=512, num_checks=8, seed=6
         )
-        client = PIRClient(database.num_records, database.record_size, seed=9, prg=make_prg("numpy"))
+        client = PIRClient(database.num_records, database.record_size, seed=9, prg=make_prg())
         servers = [
             create_server("im-pir", database, config=impir_config, server_id=i)
             for i in (0, 1)
@@ -102,7 +102,7 @@ class TestWorkloadsThroughIMPIR:
     def test_batched_uniform_trace(self, impir_config):
         database = Database.random(1024, 32, seed=55)
         trace = uniform_trace(database.num_records, 16, seed=2)
-        client = PIRClient(database.num_records, database.record_size, seed=11, prg=make_prg("numpy"))
+        client = PIRClient(database.num_records, database.record_size, seed=11, prg=make_prg())
         server0 = create_server("im-pir", database, config=impir_config, server_id=0)
         server1 = create_server("im-pir", database, config=impir_config, server_id=1)
         indices = list(trace)
@@ -117,8 +117,8 @@ class TestQueryPrivacyIndependence:
     def test_server_work_is_index_independent(self, shared_db):
         """The all-for-one principle: the server scans the whole database no
         matter which index the client asked for."""
-        client = PIRClient(shared_db.num_records, shared_db.record_size, seed=21, prg=make_prg("numpy"))
-        server = create_server("reference", shared_db, server_id=0, prg=make_prg("numpy"))
+        client = PIRClient(shared_db.num_records, shared_db.record_size, seed=21, prg=make_prg())
+        server = create_server("reference", shared_db, server_id=0, prg=make_prg())
         scans = []
         for index in (0, shared_db.num_records // 2, shared_db.num_records - 1):
             before = server.stats.dpxor.records_scanned
@@ -131,8 +131,8 @@ class TestQueryPrivacyIndependence:
         """A single server's selector share has ~N/2 bits set regardless of index."""
         from repro.dpf.dpf import DPF
 
-        client = PIRClient(shared_db.num_records, shared_db.record_size, seed=31, prg=make_prg("numpy"))
-        dpf = DPF(client.domain_bits, prg=make_prg("numpy"))
+        client = PIRClient(shared_db.num_records, shared_db.record_size, seed=31, prg=make_prg())
+        dpf = DPF(client.domain_bits, prg=make_prg())
         weights = []
         for index in (0, 1, shared_db.num_records - 1):
             query = client.query(index)[0]

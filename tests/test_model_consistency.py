@@ -38,7 +38,7 @@ class TestIMPIRDuality:
         """Functional run vs analytic estimate: every phase within 20%."""
         database, config, spec = setting
         server = create_server("im-pir", database, config=config, server_id=0)
-        client = PIRClient(database.num_records, database.record_size, seed=1, prg=make_prg("numpy"))
+        client = PIRClient(database.num_records, database.record_size, seed=1, prg=make_prg())
         functional = server.answer(client.query(123)[0]).breakdown
 
         analytic = IMPIREstimator(config).query_breakdown(spec)
@@ -52,7 +52,7 @@ class TestIMPIRDuality:
     def test_total_latency_agreement(self, setting):
         database, config, spec = setting
         server = create_server("im-pir", database, config=config, server_id=0)
-        client = PIRClient(database.num_records, database.record_size, seed=2, prg=make_prg("numpy"))
+        client = PIRClient(database.num_records, database.record_size, seed=2, prg=make_prg())
         functional_total = server.answer(client.query(7)[0]).latency_seconds
         analytic_total = IMPIREstimator(config).query_breakdown(spec).total
         assert functional_total == pytest.approx(analytic_total, rel=0.15)
@@ -60,7 +60,7 @@ class TestIMPIRDuality:
     def test_batch_makespan_agreement(self, setting):
         database, config, spec = setting
         server = create_server("im-pir", database, config=config, server_id=0)
-        client = PIRClient(database.num_records, database.record_size, seed=3, prg=make_prg("numpy"))
+        client = PIRClient(database.num_records, database.record_size, seed=3, prg=make_prg())
         queries = [client.query(i * 11)[0] for i in range(8)]
         functional = server.answer_batch(queries)
         analytic = IMPIREstimator(config).batch_estimate(spec, 8)
@@ -71,8 +71,8 @@ class TestIMPIRDuality:
 class TestCPUDuality:
     def test_single_query_breakdown_agreement(self, setting):
         database, _, spec = setting
-        server = create_server("cpu", database, server_id=0, prg=make_prg("numpy"))
-        client = PIRClient(database.num_records, database.record_size, seed=4, prg=make_prg("numpy"))
+        server = create_server("cpu", database, server_id=0, prg=make_prg())
+        client = PIRClient(database.num_records, database.record_size, seed=4, prg=make_prg())
         server.answer(client.query(50)[0])
         model = server.backend.model
         functional = model.single_query_breakdown(database.num_records, database.record_size)
@@ -81,8 +81,8 @@ class TestCPUDuality:
 
     def test_batch_estimate_agreement(self, setting):
         database, _, spec = setting
-        server = create_server("cpu", database, server_id=0, prg=make_prg("numpy"))
-        client = PIRClient(database.num_records, database.record_size, seed=5, prg=make_prg("numpy"))
+        server = create_server("cpu", database, server_id=0, prg=make_prg())
+        client = PIRClient(database.num_records, database.record_size, seed=5, prg=make_prg())
         queries = [client.query(i)[0] for i in range(4)]
         functional = server.answer_batch(queries)
         analytic = server.backend.model.batch_estimate(spec.num_records, spec.record_size, 4)
@@ -96,7 +96,7 @@ class TestSelectorFractionEffect:
         shares are balanced."""
         database, config, spec = setting
         server = create_server("im-pir", database, config=config, server_id=0)
-        client = PIRClient(database.num_records, database.record_size, seed=6, prg=make_prg("numpy"))
+        client = PIRClient(database.num_records, database.record_size, seed=6, prg=make_prg())
         analytic_dpxor = IMPIREstimator(config).query_breakdown(spec).get(PHASE_DPXOR)
         for index in (0, 2048, 4095):
             functional_dpxor = server.answer(client.query(index)[0]).breakdown.get(PHASE_DPXOR)

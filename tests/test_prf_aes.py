@@ -1,9 +1,28 @@
-"""Pure-Python AES-128 correctness (FIPS-197 / NIST known-answer tests)."""
+"""The fixed-key AES PRG against its pure-Python FIPS-197 oracle.
+
+The oracle (``aes_oracle.py``) is checked against the FIPS-197 / NIST
+SP 800-38A known-answer vectors, then the OpenSSL-backed
+:class:`~repro.dpf.prf.FixedKeyAESPRG` must equal it byte for byte: its level
+kernels at every width, from two threads sharing one instance, and whole DPFs
+(keys and full-domain evaluations) built on each.
+"""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
+from aes_oracle import OracleAESPRG, aes128_encrypt_block
 
-from repro.dpf.prf import SEED_BYTES, AESPRG, aes128_encrypt_block
+from repro.dpf.dpf import DPF
+from repro.dpf.prf import FIXED_KEY, SEED_BYTES, FixedKeyAESPRG, make_prg
+from repro.pir.serialization import serialize_key
+
+
+def _seeds(count, seed=0):
+    return np.random.default_rng([count, seed]).integers(
+        0, 256, size=(count, SEED_BYTES), dtype=np.uint8
+    )
 
 
 class TestKnownAnswers:
@@ -48,9 +67,9 @@ class TestBlockInterface:
         assert len(aes128_encrypt_block(bytes(16), bytes(16))) == 16
 
 
-class TestAESPRG:
+class TestOraclePRG:
     def test_expand_shapes(self):
-        prg = AESPRG()
+        prg = OracleAESPRG()
         seeds = np.arange(2 * SEED_BYTES, dtype=np.uint8).reshape(2, SEED_BYTES)
         left, right, t_left, t_right = prg.expand(seeds)
         assert left.shape == (2, SEED_BYTES)
@@ -59,25 +78,108 @@ class TestAESPRG:
         assert t_right.shape == (2,)
 
     def test_children_match_direct_aes(self):
-        prg = AESPRG()
+        """``G_c(s) = AES_k(s ^ c) ^ s ^ c`` spelt out on bytes: ``c`` is
+        XORed into byte 0 (the tweak is a little-endian integer)."""
+        prg = OracleAESPRG()
         seed = bytes(range(16))
-        left, right, _, _ = prg.expand(np.frombuffer(seed, dtype=np.uint8).reshape(1, 16))
-        assert left[0].tobytes() == aes128_encrypt_block(seed, bytes(16))
-        assert right[0].tobytes() == aes128_encrypt_block(seed, bytes([1] + [0] * 15))
+        children = prg.children(np.frombuffer(seed, dtype=np.uint8).reshape(1, 16))
+        for tweak, child in enumerate(children[0]):
+            whitened = bytes([seed[0] ^ tweak]) + seed[1:]
+            cipher = aes128_encrypt_block(FIXED_KEY, whitened)
+            assert child.tobytes() == bytes(a ^ b for a, b in zip(cipher, whitened))
+        converted = prg.convert(np.frombuffer(seed, dtype=np.uint8).reshape(1, 16))
+        whitened = bytes([seed[0] ^ 2]) + seed[1:]
+        cipher = aes128_encrypt_block(FIXED_KEY, whitened)
+        assert converted[0].tobytes() == bytes(a ^ b for a, b in zip(cipher, whitened))
 
     def test_counter_increments(self):
-        prg = AESPRG()
+        prg = OracleAESPRG()
         seeds = np.zeros((3, SEED_BYTES), dtype=np.uint8)
         prg.expand(seeds)
         assert prg.expand_calls == 3
         assert prg.blocks_consumed == 6
 
-    def test_expand_one(self):
-        prg = AESPRG()
-        left, right, t_left, t_right = prg.expand_one(bytes(16))
-        assert len(left) == 16 and len(right) == 16
-        assert t_left in (0, 1) and t_right in (0, 1)
-
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
-            AESPRG().expand(np.zeros((2, 8), dtype=np.uint8))
+            OracleAESPRG().expand(np.zeros((2, 8), dtype=np.uint8))
+
+
+class TestFastPRGEqualsTheOracle:
+    @pytest.mark.parametrize("count", [0, 1, 2, 7, 64, 1000])
+    def test_children_and_convert(self, count):
+        fast, oracle = make_prg(), OracleAESPRG()
+        seeds = _seeds(count)
+        children = fast.children(seeds)
+        assert children.shape == (count, 2, SEED_BYTES) and children.dtype == np.uint8
+        assert np.array_equal(children, oracle.children(seeds))
+        blocks = fast.convert(seeds)
+        assert blocks.shape == (count, SEED_BYTES) and blocks.dtype == np.uint8
+        assert np.array_equal(blocks, oracle.convert(seeds))
+        assert (fast.expand_calls, fast.convert_calls) == (count, count)
+        assert fast.blocks_consumed == oracle.blocks_consumed == 3 * count
+
+    def test_inputs_are_not_modified(self):
+        seeds = _seeds(9)
+        before = seeds.copy()
+        prg = make_prg()
+        prg.children(seeds)
+        prg.convert(seeds)
+        assert np.array_equal(seeds, before)
+
+    def test_threads_sharing_one_instance(self):
+        """Replica worker threads and overlapping async flushes may share a
+        PRG: concurrent ``children`` calls (more threads than cores, switching
+        as often as the interpreter allows) each get their own seeds' output."""
+        prg = make_prg()
+        inputs = [_seeds(256, seed) for seed in range(4)]
+        expected = [OracleAESPRG().children(seeds) for seeds in inputs]
+        failures = []
+        start = threading.Barrier(len(inputs))
+
+        def work(seeds, want):
+            start.wait()
+            for _ in range(100):
+                if not np.array_equal(prg.children(seeds), want):
+                    failures.append(True)
+                    return
+
+        threads = [threading.Thread(target=work, args=pair) for pair in zip(inputs, expected)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+
+    @pytest.mark.parametrize("output_bits", [1, 8, 64])
+    @pytest.mark.parametrize("domain_bits", range(11))
+    def test_keys_and_evaluations(self, domain_bits, output_bits):
+        """``gen_many`` and full-domain evaluation on a DPF over each PRG."""
+        beta = (1 << output_bits) - 1
+        fast = DPF(domain_bits, output_bits, prg=make_prg(), seed=domain_bits)
+        slow = DPF(domain_bits, output_bits, prg=OracleAESPRG(), seed=domain_bits)
+        alphas = sorted({0, fast.domain_size - 1, fast.domain_size // 3})
+        fast_keys, slow_keys = fast.gen_many(alphas, beta).keys, slow.gen_many(alphas, beta).keys
+        assert [serialize_key(key) for key in fast_keys] == [
+            serialize_key(key) for key in slow_keys
+        ]
+        num_points = max(1, fast.domain_size - 5)
+        if output_bits == 1:
+            values = fast.eval_full_bits_many(fast_keys, num_points)
+            assert np.array_equal(values, slow.eval_full_bits_many(slow_keys, num_points))
+        else:
+            values = fast.eval_full_many(fast_keys, num_points)
+            assert np.array_equal(values, slow.eval_full_many(slow_keys, num_points))
+        assert fast.prg.blocks_consumed == slow.prg.blocks_consumed
+
+
+def test_make_prg_builds_independent_fixed_key_instances():
+    first, second = make_prg(), make_prg()
+    assert isinstance(first, FixedKeyAESPRG) and first is not second
+    first.children(_seeds(4))
+    assert (first.expand_calls, second.expand_calls) == (4, 0)

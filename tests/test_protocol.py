@@ -29,10 +29,12 @@ class TestDPFProtocol:
         records = frontend.retrieve_batch(indices)
         assert records == [small_db.record(i) for i in indices]
 
-    def test_aes_prg_backend(self):
+    def test_one_prg_and_no_backend_option(self):
         db = Database.random(32, 8, seed=6)
-        protocol = MultiServerPIRProtocol(db, prg_backend="aes", seed=1)
+        protocol = MultiServerPIRProtocol(db, seed=1)
         assert protocol.retrieve(17) == db.record(17)
+        with pytest.raises(TypeError):
+            MultiServerPIRProtocol(db, prg_backend="aes", seed=1)
 
     def test_non_power_of_two_database(self):
         db = Database.random(1000, 24, seed=8)

@@ -179,7 +179,7 @@ class TestEvalPackedMany:
 
     @pytest.mark.parametrize("num_points", [1, 7, 9, 100, 127, 129, 200, 255, 257, 511])
     def test_off_grid_points(self, num_points):
-        dpf = DPF(self.DOMAIN_BITS, prg=make_prg("numpy"), seed=num_points)
+        dpf = DPF(self.DOMAIN_BITS, prg=make_prg(), seed=num_points)
         alphas = [0, num_points - 1, num_points // 2, 300 % num_points]
         keys = dpf.gen_many(alphas).keys
         packed = dpf.eval_packed_many(keys, num_points)
@@ -197,12 +197,12 @@ class TestEvalPackedMany:
         assert np.array_equal(points, expected)
 
     def test_rows_view_the_leaf_blocks(self):
-        dpf = DPF(self.DOMAIN_BITS, prg=make_prg("numpy"), seed=1)
+        dpf = DPF(self.DOMAIN_BITS, prg=make_prg(), seed=1)
         packed = dpf.eval_packed_many(dpf.gen_many([3, 77]).keys)
         assert packed.shape == (4, 64) and packed.base is not None
 
     def test_multi_bit_outputs_rejected(self):
-        dpf = DPF(4, output_bits=8, prg=make_prg("numpy"), seed=2)
+        dpf = DPF(4, output_bits=8, prg=make_prg(), seed=2)
         with pytest.raises(KeyMismatchError):
             dpf.eval_packed_many(dpf.gen_many([1], beta=5).keys)
 
@@ -211,7 +211,7 @@ class TestEngineSelectorMatrix:
     NUM_RECORDS, RECORD_SIZE = 75, 16
 
     def _queries(self, count):
-        client = PIRClient(self.NUM_RECORDS, self.RECORD_SIZE, seed=3, prg=make_prg("numpy"))
+        client = PIRClient(self.NUM_RECORDS, self.RECORD_SIZE, seed=3, prg=make_prg())
         return [pair[0] for pair in client.query_batch(list(range(3, 3 + 7 * count, 7)))]
 
     def test_dpf_flush_is_packed(self):

@@ -171,9 +171,9 @@ class TestEndToEndOverTheWire:
         from repro.dpf.prf import make_prg
         from repro.pir.client import PIRClient
 
-        client = PIRClient(small_db.num_records, small_db.record_size, seed=3, prg=make_prg("numpy"))
+        client = PIRClient(small_db.num_records, small_db.record_size, seed=3, prg=make_prg())
         servers = [
-            create_server("reference", small_db, server_id=i, prg=make_prg("numpy"))
+            create_server("reference", small_db, server_id=i, prg=make_prg())
             for i in range(2)
         ]
         index = 444

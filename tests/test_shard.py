@@ -32,14 +32,14 @@ from repro.shard.plan import ShardPlan
 
 def make_client(database, seed=17):
     return PIRClient(
-        database.num_records, database.record_size, seed=seed, prg=make_prg("numpy")
+        database.num_records, database.record_size, seed=seed, prg=make_prg()
     )
 
 
 def sharded_server(database, child_factory, **backend_options):
     """Server 0 over a sharded backend with a custom child factory."""
     backend = ShardedBackend(child_factory, **backend_options)
-    return PIRServer(backend, database, 0, prg=make_prg("numpy"))
+    return PIRServer(backend, database, 0, prg=make_prg())
 
 
 class TestAlignedChunkBounds:
@@ -152,7 +152,7 @@ class TestShardedEquivalence:
         client = make_client(database)
         unsharded = create_server("reference", database)
         sharded = create_server(
-            "sharded", database, num_shards=num_shards, child_kind=kind, prg=make_prg("numpy")
+            "sharded", database, num_shards=num_shards, child_kind=kind, prg=make_prg()
         )
         for index in sorted({0, num_records // 2, num_records - 1}):
             query = client.query(index)[0]
@@ -172,7 +172,7 @@ class TestShardedEquivalence:
                 server_id=i,
                 num_shards=4,
                 child_kind=kind,
-                prg=make_prg("numpy"),
+                prg=make_prg(),
             )
             for i in (0, 1)
         ]
@@ -191,7 +191,7 @@ class TestShardedEquivalence:
         ]
         for kind in BARE_BACKEND_KINDS:
             sharded = create_server(
-                "sharded", database, num_shards=3, child_kind=kind, prg=make_prg("numpy")
+                "sharded", database, num_shards=3, child_kind=kind, prg=make_prg()
             )
             payloads = [
                 r.answer.payload for r in sharded.answer_batch(queries).results
@@ -209,7 +209,7 @@ class TestShardedEquivalence:
             num_shards=3,
             child_kind="im-pir",
             block_records=16,
-            prg=make_prg("numpy"),
+            prg=make_prg(),
         )
         for shard in sharded.backend.plan.shards[:-1]:
             assert shard.stop % 16 == 0
@@ -249,7 +249,7 @@ class TestShardedCapabilitiesAndTiming:
     def test_capabilities_aggregate_members(self):
         database = Database.random(64, 8, seed=2)
         sharded = create_server(
-            "sharded", database, num_shards=2, child_kind="im-pir", prg=make_prg("numpy")
+            "sharded", database, num_shards=2, child_kind="im-pir", prg=make_prg()
         )
         caps = sharded.engine.backend.capabilities()
         assert caps.name == "sharded"
@@ -291,12 +291,12 @@ class TestShardedCapabilitiesAndTiming:
         client = make_client(database, seed=3)
         query = client.query(5)[0]
         sharded = create_server(
-            "sharded", database, num_shards=2, child_kind="im-pir", prg=make_prg("numpy")
+            "sharded", database, num_shards=2, child_kind="im-pir", prg=make_prg()
         )
         breakdown = sharded.engine.answer(query).breakdown
         assert breakdown.total > 0
         single = create_server(
-            "sharded", database, num_shards=1, child_kind="im-pir", prg=make_prg("numpy")
+            "sharded", database, num_shards=1, child_kind="im-pir", prg=make_prg()
         )
         single_query = make_client(database, seed=3).query(5)[0]
         single_breakdown = single.engine.answer(single_query).breakdown
@@ -307,7 +307,7 @@ class TestShardedCapabilitiesAndTiming:
     def test_preload_report_merged_across_shards(self):
         database = Database.random(64, 8, seed=6)
         sharded = create_server(
-            "sharded", database, num_shards=2, child_kind="im-pir", prg=make_prg("numpy")
+            "sharded", database, num_shards=2, child_kind="im-pir", prg=make_prg()
         )
         report = sharded.preload_report
         assert report is not None and report.total > 0
@@ -316,12 +316,12 @@ class TestShardedCapabilitiesAndTiming:
         with pytest.raises(ConfigurationError):
             create_server("sharded", Database.random(64, 8, seed=20),
                 plan=ShardPlan.uniform(128, 2),
-                prg=make_prg("numpy"),
+                prg=make_prg(),
             )
 
     def test_reprepare_with_different_shape(self):
         sharded = create_server(
-            "sharded", Database.random(64, 8, seed=7), num_shards=4, prg=make_prg("numpy")
+            "sharded", Database.random(64, 8, seed=7), num_shards=4, prg=make_prg()
         )
         new_db = Database.random(33, 16, seed=8)
         sharded.engine.prepare(new_db)
@@ -399,7 +399,7 @@ class TestShardedUpdates:
         DPUs move no bytes, and update_copy is the one block's transfer."""
         database = Database.random(96, 8, seed=13)
         sharded = create_server(
-            "sharded", database, num_shards=3, child_kind="im-pir", prg=make_prg("numpy")
+            "sharded", database, num_shards=3, child_kind="im-pir", prg=make_prg()
         )
         children = [child for _, child in sharded.backend.members]
         assert all(isinstance(child, PIMClusterBackend) for child in children)
@@ -431,7 +431,7 @@ class TestShardedUpdates:
 
     def test_empty_update_list_is_noop(self):
         database = Database.random(16, 4, seed=15)
-        sharded = create_server("sharded", database, num_shards=2, prg=make_prg("numpy"))
+        sharded = create_server("sharded", database, num_shards=2, prg=make_prg())
         timer = sharded.apply_updates([])
         assert timer.total == 0.0
         assert sharded.database == database
@@ -453,7 +453,7 @@ class TestShardedUpdates:
             num_shards=3,
             block_records=8,
             child_kind="im-pir",
-            prg=make_prg("numpy"),
+            prg=make_prg(),
         )
         last = sharded.backend.plan.shards[-1]
         assert (last.start, last.stop) == (64, 88)

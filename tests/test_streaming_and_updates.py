@@ -19,7 +19,7 @@ def streamed_setup(small_db):
     server = create_server(
         "im-pir-streamed", small_db, config=config, server_id=0, segment_records=200
     )
-    client = PIRClient(small_db.num_records, small_db.record_size, seed=5, prg=make_prg("numpy"))
+    client = PIRClient(small_db.num_records, small_db.record_size, seed=5, prg=make_prg())
     return client, server, small_db
 
 
@@ -31,7 +31,7 @@ class TestStreamedServer:
 
     def test_answers_match_reference(self, streamed_setup):
         client, server, db = streamed_setup
-        reference = create_server("reference", db, server_id=0, prg=make_prg("numpy"))
+        reference = create_server("reference", db, server_id=0, prg=make_prg())
         for index in (0, 199, 200, 777, db.num_records - 1):
             query = client.query(index)[0]
             assert server.answer(query).answer.payload == reference.answer(query).answer.payload
@@ -45,7 +45,7 @@ class TestStreamedServer:
     def test_streaming_costs_more_than_preloaded(self, small_db):
         """The paper's rationale for preloading: per-query DB transfers dominate."""
         config = IMPIRConfig(pim=scaled_down_config(num_dpus=4, tasklets=2))
-        client = PIRClient(small_db.num_records, small_db.record_size, seed=6, prg=make_prg("numpy"))
+        client = PIRClient(small_db.num_records, small_db.record_size, seed=6, prg=make_prg())
         query = client.query(11)[0]
         preloaded = create_server("im-pir", small_db, config=config, server_id=0).answer(query)
         streamed = create_server(
@@ -79,7 +79,7 @@ class TestStreamedServer:
 
     def test_reconstruction_through_two_streamed_servers(self, small_db):
         config = IMPIRConfig(pim=scaled_down_config(num_dpus=4, tasklets=2))
-        client = PIRClient(small_db.num_records, small_db.record_size, seed=8, prg=make_prg("numpy"))
+        client = PIRClient(small_db.num_records, small_db.record_size, seed=8, prg=make_prg())
         servers = [
             create_server(
                 "im-pir-streamed", small_db, config=config, server_id=i, segment_records=300
@@ -95,7 +95,7 @@ class TestBulkUpdates:
     @pytest.fixture()
     def server_and_client(self, small_db, small_impir_config):
         server = create_server("im-pir", small_db, config=small_impir_config, server_id=0)
-        client = PIRClient(small_db.num_records, small_db.record_size, seed=9, prg=make_prg("numpy"))
+        client = PIRClient(small_db.num_records, small_db.record_size, seed=9, prg=make_prg())
         return server, client, small_db
 
     def test_updates_visible_in_subsequent_queries(self, server_and_client):
@@ -108,7 +108,7 @@ class TestBulkUpdates:
         query = client.query(100)[0]
         result = server.answer(query)
         updated_db = db.with_updates([(100, new_record)])
-        reference = create_server("reference", updated_db, server_id=0, prg=make_prg("numpy"))
+        reference = create_server("reference", updated_db, server_id=0, prg=make_prg())
         assert result.answer.payload == reference.answer(query).answer.payload
 
     def test_untouched_records_unchanged(self, server_and_client):
@@ -116,7 +116,7 @@ class TestBulkUpdates:
         server.apply_updates([(5, bytes(32))])
         query = client.query(900)[0]
         reference = create_server(
-            "reference", db.with_updates([(5, bytes(32))]), server_id=0, prg=make_prg("numpy")
+            "reference", db.with_updates([(5, bytes(32))]), server_id=0, prg=make_prg()
         )
         assert server.answer(query).answer.payload == reference.answer(query).answer.payload
 

@@ -530,6 +530,55 @@ class TestUnpackbitsLint:
         )
 
 
+class TestCipherImportLint:
+    """The AES primitive has one home: only ``repro/dpf/prf.py`` imports ``cryptography``."""
+
+    def _check(self, tmp_path, relative, source):
+        lint = _load_tool("lint")
+        path = tmp_path / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source)
+        return lint.check_file(path)
+
+    @pytest.mark.parametrize(
+        "relative,source",
+        [
+            (
+                "src/repro/pir/client.py",
+                "from cryptography.hazmat.primitives.ciphers import Cipher{}\n\n\n"
+                "def cipher():\n    return Cipher\n",
+            ),
+            (
+                "src/repro/core/engine.py",
+                "import cryptography.hazmat.primitives.ciphers{}\n\n\n"
+                "def ciphers():\n    return cryptography.hazmat.primitives.ciphers\n",
+            ),
+            (
+                "src/repro/dpf/dpf.py",
+                "from cryptography import utils{}\n\n\ndef helpers():\n    return utils\n",
+            ),
+        ],
+    )
+    def test_cryptography_in_library_code_flagged(self, tmp_path, relative, source):
+        flagged = self._check(tmp_path, relative, source.format(""))
+        assert any("cryptography imported in library code" in m for _, m in flagged)
+        assert not self._check(tmp_path, relative, source.format("  # noqa"))
+
+    def test_the_prg_module_tests_and_lookalikes_are_legal(self, tmp_path):
+        source = (
+            "from cryptography.hazmat.primitives.ciphers import Cipher\n\n\n"
+            "def cipher():\n    return Cipher\n"
+        )
+        assert not self._check(tmp_path, "src/repro/dpf/prf.py", source)
+        assert not self._check(tmp_path, "tests/aes_oracle.py", source)
+        assert not self._check(
+            tmp_path,
+            "src/repro/pir/serialization.py",
+            "from repro.dpf import prf\nimport cryptographic_helpers\n\n\n"
+            "def both():\n    return prf, cryptographic_helpers\n",
+        )
+
+
 class TestExecutingDPULint:
     """Serving charges a ``DPULedger``; only tests and benches build ``DPU`` objects."""
 

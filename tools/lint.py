@@ -68,6 +68,11 @@ AST pass instead.  It flags:
   packed rows from ``selector_matrix`` to the scan (``repro/pir/xor_ops.py``
   reads them with a bit transpose and byte popcounts); only the DPF's
   ``eval_full_bits_many``, kept for the goldens, unpacks them;
+* a ``cryptography`` import (``import cryptography...`` or ``from
+  cryptography... import``) anywhere under ``src/repro/`` except
+  ``repro/dpf/prf.py`` — the fixed-key AES PRG is the one home of the
+  block cipher; anything else needing pseudorandom blocks goes through a
+  :class:`~repro.dpf.prf.LengthDoublingPRG`;
 * a ``DPU(...)`` construction anywhere under ``src/repro/`` except
   ``repro/pim/dpu.py`` — serving and writes charge a
   :class:`~repro.pim.system.DPULedger` of per-DPU arrays; only tests and
@@ -347,6 +352,21 @@ def _unpackbits_lines(node: ast.AST) -> List[int]:
     return []
 
 
+#: The one library module allowed to import the AES primitive: the PRG.
+CIPHER_MODULE = ("repro", "dpf", "prf.py")
+
+
+def _imports_cryptography(node: ast.AST) -> bool:
+    """True for ``import cryptography...`` / ``from cryptography... import ...``."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and not node.level:
+        names = [node.module or ""]
+    else:
+        return False
+    return any(name.split(".")[0] == "cryptography" for name in names)
+
+
 #: The one library module that builds executing DPUs: the class itself.
 DPU_MODULE = ("repro", "pim", "dpu.py")
 
@@ -378,6 +398,7 @@ def check_file(path: Path) -> List[Tuple[int, str]]:
     per_flush_keygen_only = _is_per_flush_keygen_only(path)
     unpack_banned = _is_unpack_banned(path)
     dpu_construction_banned = library_code and path.parts[-3:] != DPU_MODULE
+    cipher_banned = library_code and path.parts[-3:] != CIPHER_MODULE
 
     imports: List[Tuple[int, str, str]] = []  # (lineno, bound name, description)
     wildcards: List[Tuple[int, str]] = []
@@ -541,6 +562,15 @@ def check_file(path: Path) -> List[Tuple[int, str]]:
                         "/ selected_counts)",
                     )
                 )
+        if cipher_banned and _imports_cryptography(node):
+            deprecated.append(
+                (
+                    node.lineno,
+                    "cryptography imported in library code outside "
+                    "repro/dpf/prf.py — the fixed-key AES PRG is the one home "
+                    "of the block cipher; go through a LengthDoublingPRG",
+                )
+            )
         if dpu_construction_banned and _is_dpu_construction(node):
             deprecated.append(
                 (
