@@ -52,8 +52,9 @@ class ControlPlane:
 
     The object registered on the frontend's ``observers`` list; its
     :meth:`observe_batch` is invoked by the shared flush pipeline
-    (:func:`repro.pir.frontend.fold_metrics`) after every batch, for the
-    sync and async frontends alike.
+    (:class:`repro.pir.frontend.BatchingFrontend`, once ``finish_flush`` has
+    folded the batch's metrics) after every batch, for the sync and async
+    frontends alike.
     """
 
     def __init__(

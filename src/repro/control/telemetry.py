@@ -8,9 +8,9 @@ hot an hour ago but is cold now must not stay pinned to preloaded PIM
 forever.
 
 A :class:`HeatTracker` is that measurement.  It is a frontend *observer*
-(the same per-flush hook the AIMD batching policy uses for utilization —
-see :func:`repro.pir.frontend.fold_metrics`), so both the simulated-clock
-and the asyncio frontends feed it for free: every flushed batch's routed
+(fed after every flush, like the AIMD batching policy's utilization — see
+:meth:`repro.pir.frontend.BatchingFrontend.finish_flush`), so both the
+simulated-clock and the asyncio frontends feed it for free: every flushed batch's routed
 indices are folded into the current window, and completed windows are
 blended into an exponentially decayed estimate.  ``heats()`` then returns
 per-window queries per shard — exactly the units

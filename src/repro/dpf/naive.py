@@ -60,7 +60,10 @@ class NaiveXorQueryScheme:
             raise ValueError("at least two servers are required")
         self.num_items = num_items
         self.num_servers = num_servers
-        self._rng = make_rng(seed)
+        # Unseeded shares draw OS entropy: shares from the fixed library
+        # default would let one server regenerate the others' shares and
+        # recover the index.
+        self._rng = make_rng(seed) if seed is not None else np.random.default_rng()
 
     def share(self, index: int) -> List[NaiveShare]:
         """Split the one-hot indicator of ``index`` into per-server shares."""

@@ -19,8 +19,9 @@ replicas — independent machines — should be scanned at the same time.
   numpy scans are blocking calls;
 * batching semantics (size flush, wait flush, dedup fan-out, pairing by
   explicit request id, metrics) are shared with the sync frontend — both
-  route through the pure flush-pipeline helpers in
-  :mod:`repro.pir.frontend`, so the two are bit-identical by construction.
+  subclass :class:`~repro.pir.frontend.BatchingFrontend` and flush through
+  its ``begin_flush`` / ``finish_flush``, so the two are bit-identical by
+  construction; only the dispatch between them is this module's own.
 
 A failed flush (a replica drops, duplicates or invents an answer) rejects
 every ``submit`` awaiting that batch with the
@@ -38,28 +39,13 @@ from repro.pir.frontend import (
     FLUSH_ON_CLOSE,
     FLUSH_ON_SIZE,
     FLUSH_ON_WAIT,
+    BatchingFrontend,
     BatchingPolicy,
-    FrontendMetrics,
     PendingRequest,
-    admit_scanned,
-    build_flush_observation,
-    check_replicas,
-    collect_answers,
-    collect_update_appliers,
-    count_cache_hits,
-    fanout_dedup,
-    fold_metrics,
-    notify_flush_observers,
-    per_server_queries,
-    reconstruct_scanned,
-    require_dedup_for_cache,
-    require_no_orphans,
-    select_scanned,
-    wants_flush_observation,
 )
 
 
-class AsyncPIRFrontend:
+class AsyncPIRFrontend(BatchingFrontend):
     """Batches concurrent ``await submit`` calls and fans out to replicas.
 
     The constructor surface mirrors :class:`~repro.pir.frontend.PIRFrontend`
@@ -80,18 +66,8 @@ class AsyncPIRFrontend:
         observers: Sequence = (),
         cache=None,
     ) -> None:
-        self.client = client
-        self.replicas = check_replicas(client, replicas)
-        self.policy = policy if policy is not None else BatchingPolicy()
-        self.dedup = dedup
-        self.observers: List = list(observers)
-        self.cache = None
-        if cache is not None:
-            self.attach_cache(cache)
-        self.metrics = FrontendMetrics()
-        self._pending: List[PendingRequest] = []
+        super().__init__(client, replicas, policy, dedup, observers, cache)
         self._futures: Dict[int, "asyncio.Future[bytes]"] = {}
-        self._next_request_id = 0
         self._timer_task: Optional["asyncio.Task[None]"] = None
         # Flush/writer quiescence (a reader-writer discipline): flushes may
         # overlap each other, but a *writer* — a bulk update, or a topology
@@ -168,12 +144,6 @@ class AsyncPIRFrontend:
         """Flushes currently holding reader slots (0 inside any writer)."""
         return self._inflight_flushes
 
-    def attach_cache(self, cache) -> None:
-        """Enable the hot-record cache tier (requires ``dedup=True``) —
-        the same gate as :meth:`repro.pir.frontend.PIRFrontend.attach_cache`."""
-        require_dedup_for_cache(self.dedup)
-        self.cache = cache
-
     async def apply_updates(self, updates) -> None:
         """Apply ``(index, record_bytes)`` updates to every replica.
 
@@ -190,7 +160,7 @@ class AsyncPIRFrontend:
         updates = list(updates)
         if not updates:
             return
-        appliers = collect_update_appliers(self.replicas)
+        appliers = self._update_appliers()
         async with self._quiesced():
             try:
                 for replica_apply in appliers:
@@ -215,12 +185,11 @@ class AsyncPIRFrontend:
         """
         # Reject a bad index before registering, so the error surfaces here
         # and no orphan pending entry is left behind; keys are generated per
-        # flush (:func:`~repro.pir.frontend.select_scanned`), not here.
+        # flush (:meth:`~repro.pir.frontend.BatchingFrontend.begin_flush`).
         self.client.check_index(index)
         loop = asyncio.get_running_loop()
-        request = PendingRequest(self._allocate_request_id(), index, loop.time())
+        request = self._admit(index, loop.time())
         future: "asyncio.Future[bytes]" = loop.create_future()
-        self._pending.append(request)
         self._futures[request.request_id] = future
         if len(self._pending) >= self.policy.max_batch_size:
             # Shielded: cancelling *this* submitter must not abandon the
@@ -266,21 +235,7 @@ class AsyncPIRFrontend:
                 self._dispatch(self._take_pending(), FLUSH_ON_CLOSE)
             )
 
-    @property
-    def pending_count(self) -> int:
-        """Requests admitted but not yet dispatched."""
-        return len(self._pending)
-
     # -- internals ----------------------------------------------------------------------
-
-    def _allocate_request_id(self) -> int:
-        request_id = self._next_request_id
-        self._next_request_id += 1
-        return request_id
-
-    def _take_pending(self) -> List[PendingRequest]:
-        batch, self._pending = self._pending, []
-        return batch
 
     def _arm_timer(self) -> None:
         """Ensure a timer task is watching the oldest pending request."""
@@ -338,44 +293,28 @@ class AsyncPIRFrontend:
                 quiesce.notify_all()
 
     async def _run_flush(self, batch: List[PendingRequest], reason: str) -> None:
-        """The flush pipeline proper (already holding a reader slot)."""
+        """The flush proper (already holding a reader slot)."""
+        loop = asyncio.get_running_loop()
         try:
             # Key generation stays on the loop thread: the client's RNG and
             # counters are unsynchronised and flushes overlap.
-            scanned, cached = select_scanned(batch, self.client, self.dedup, self.cache)
-            per_server = per_server_queries(scanned, len(self.replicas))
+            plan = self.begin_flush(batch, reason)
             # The replicas are independent machines running blocking numpy
-            # scans: one worker thread each, gathered concurrently.  A batch
-            # served entirely from the cache dispatches nothing.
-            raw_results = (
-                await asyncio.gather(
-                    *(
-                        asyncio.to_thread(replica.answer_batch, queries)
-                        for replica, queries in zip(self.replicas, per_server)
-                    )
+            # scans: one worker thread each, gathered concurrently.
+            raw_results = await asyncio.gather(
+                *(
+                    asyncio.to_thread(replica.answer_batch, queries)
+                    for replica, queries in zip(self.replicas, plan.per_server)
                 )
-                if scanned
-                else []
             )
-            answers_by_key, makespans, schedules = collect_answers(raw_results)
-            completed, record_by_index = reconstruct_scanned(
-                self.client, scanned, answers_by_key
-            )
-            admit_scanned(self.cache, record_by_index)
-            record_by_index.update(cached)
-            deduped = (
-                fanout_dedup(batch, completed, record_by_index, cached_indices=cached)
-                if self.dedup
-                else 0
-            )
-            require_no_orphans(answers_by_key)
+            outcome = self.finish_flush(plan, raw_results, loop.time())
         except Exception as error:  # reject the whole batch, batch-wide fault
             for request in batch:
                 future = self._futures.pop(request.request_id, None)
                 if future is not None and not future.done():
                     future.set_exception(error)
             return
-        # Resolve the batch's futures before metrics/observer work: awaiting
+        # Resolve the batch's futures before the observers: awaiting
         # submitters are scheduled to wake first, so control-plane observers
         # (which may run a blocking shard migration on the loop) never gate
         # request completion.  Observers that need heavier isolation should
@@ -383,39 +322,9 @@ class AsyncPIRFrontend:
         for request in batch:
             future = self._futures.pop(request.request_id)
             if not future.done():
-                future.set_result(completed[request.request_id])
-        loop = asyncio.get_running_loop()
+                future.set_result(outcome.records[request.request_id])
         try:
-            now = loop.time()
-            cache_hits = count_cache_hits(batch, cached)
-            fold_metrics(
-                self.metrics,
-                self.policy,
-                reason,
-                len(batch),
-                makespans,
-                schedules,
-                indices=[request.index for request in batch],
-                now=now,
-                observers=self.observers,
-                cache_hits=cache_hits,
-            )
-            self.metrics.deduped_requests += deduped
-            if wants_flush_observation(self.observers):
-                notify_flush_observers(
-                    self.observers,
-                    build_flush_observation(
-                        reason=reason,
-                        now=now,
-                        batch=batch,
-                        scanned=scanned,
-                        cached=cached,
-                        deduped=deduped,
-                        cache_hits=cache_hits,
-                        makespans=makespans,
-                        raw_results=raw_results,
-                    ),
-                )
+            self._notify_observers(outcome)
         except Exception as error:
             # The batch already succeeded and its futures are resolved; an
             # observer fault (e.g. a control-plane migration failing) must

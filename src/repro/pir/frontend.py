@@ -29,8 +29,12 @@ Time is simulated: callers stamp requests with ``arrival_seconds`` (defaults
 to a frontend-local clock) and the max-wait rule triggers deterministically
 from those stamps, which keeps the batching policy unit-testable without
 threads or sleeps.  :mod:`repro.pir.async_frontend` provides the wall-clock
-counterpart (real asyncio max-wait timers, concurrent replica dispatch)
-built on the same flush pipeline helpers at the bottom of this module.
+counterpart (real asyncio max-wait timers, concurrent replica dispatch).
+Both subclass :class:`BatchingFrontend` and flush through its two halves:
+:meth:`~BatchingFrontend.begin_flush` (pick the scanned requests, generate
+their keys, group the queries per replica), the frontend's own replica
+dispatch, then :meth:`~BatchingFrontend.finish_flush` (pair, reconstruct,
+cache, dedup fan-out, metrics).  This module never imports :mod:`asyncio`.
 """
 
 from __future__ import annotations
@@ -202,7 +206,355 @@ class FrontendMetrics:
         return self.requests_served / self.total_makespan_seconds
 
 
-class PIRFrontend:
+@dataclass(frozen=True)
+class ResultDetail:
+    """Per-answer timing detail captured from a replica's raw batch result.
+
+    ``breakdown`` is the engine's per-query :class:`PhaseTimer` **by
+    reference** (the sharded backend keys per-shard scan detail by its
+    identity; it holds no phases on backends that charge none);
+    ``simulated_seconds`` is the engine-written
+    :attr:`PIRAnswer.simulated_seconds` — an independently computed total a
+    trace's span sum can be cross-checked against.
+    """
+
+    breakdown: object
+    simulated_seconds: Optional[float]
+
+
+@dataclass(frozen=True)
+class FlushObservation:
+    """Everything one flushed batch can tell an ``observe_flush`` observer.
+
+    Built only when some observer exposes ``observe_flush`` (the
+    observability hub), and delivered *after* the batch's futures/records
+    are settled — instrumentation can never change what the data plane
+    returns.  The per-request tuples use plain ids/indices so the
+    observation is safe to retain; only ``details`` holds live objects (the
+    breakdown timers).
+    """
+
+    reason: str
+    now: float
+    #: ``(request_id, index)`` for every request of the batch.
+    batch: Tuple[Tuple[int, int], ...]
+    #: ``(request_id, index, expected (query_id, server_id) keys)`` for the
+    #: requests that actually reached the replicas.
+    scanned: Tuple[Tuple[int, int, Tuple[Tuple[int, int], ...]], ...]
+    #: Indices served straight from the hot-record cache.
+    cached_indices: frozenset
+    cache_hits: int
+    deduped: int
+    makespans: Tuple[float, ...]
+    #: ``(query_id, server_id)`` -> :class:`ResultDetail`.
+    details: Dict[Tuple[int, int], ResultDetail]
+
+
+@dataclass
+class FlushPlan:
+    """One batch between :meth:`BatchingFrontend.begin_flush` and
+    :meth:`BatchingFrontend.finish_flush`."""
+
+    reason: str
+    batch: List[PendingRequest]
+    #: The requests that reach the replicas, their queries filled in.
+    scanned: List[PendingRequest]
+    #: Records served from the hot-record cache, by index.
+    cached: Dict[int, bytes]
+    #: One query list per replica in ``server_id`` order; empty — dispatch
+    #: nothing — when the cache served the whole batch.
+    per_server: List[List]
+
+
+@dataclass
+class FlushOutcome:
+    """A finished flush: its records and what its observers are told."""
+
+    #: The reconstructed record of every request of the batch, by request id.
+    records: Dict[int, bytes]
+    #: The batch's record indices and the flush instant (``observe_batch``).
+    indices: List[int]
+    now: float
+    #: Built only when some observer exposes ``observe_flush``.
+    observation: Optional[FlushObservation]
+
+
+def check_replicas(client: PIRClient, replicas: Sequence) -> List:
+    """Validate a replica set against the client's expectations.
+
+    Every replica must expose a ``server_id`` matching its position (the
+    pairing invariant keys answers by it) — an object without the attribute
+    is rejected rather than silently trusted.
+    """
+    replicas = list(replicas)
+    if len(replicas) != client.num_servers:
+        raise ProtocolError(
+            f"client expects {client.num_servers} replicas, got {len(replicas)}"
+        )
+    for server_id, replica in enumerate(replicas):
+        actual = getattr(replica, "server_id", None)
+        if actual is None:
+            raise ProtocolError(
+                f"replica at position {server_id} exposes no server_id "
+                f"(answer pairing is keyed by it)"
+            )
+        if actual != server_id:
+            raise ProtocolError(
+                f"replica at position {server_id} reports server_id {actual}"
+            )
+    return replicas
+
+
+class BatchingFrontend:
+    """The state and the flush pipeline both frontends share.
+
+    A flush is ``plan = begin_flush(batch, reason)``, then the frontend's
+    own dispatch of ``plan.per_server`` to its replicas (:class:`PIRFrontend`
+    calls them in sequence,
+    :class:`~repro.pir.async_frontend.AsyncPIRFrontend` concurrently), then
+    ``finish_flush(plan, raw_results, now)``.  Observers are told by
+    :meth:`_notify_observers` at a point each frontend picks.  Pairing,
+    dedup, the cache and the metrics live only here, with no event loop and
+    no clock (``now`` is passed in) — which keeps the sync frontend
+    deterministic and the two frontends bit-identical by construction.
+    """
+
+    def __init__(
+        self,
+        client: PIRClient,
+        replicas: Sequence,
+        policy: Optional[BatchingPolicy] = None,
+        dedup: bool = False,
+        observers: Sequence = (),
+        cache=None,
+    ) -> None:
+        self.client = client
+        self.replicas = check_replicas(client, replicas)
+        self.policy = policy if policy is not None else BatchingPolicy()
+        self.dedup = dedup
+        self.observers: List = list(observers)
+        self.cache = None
+        if cache is not None:
+            self.attach_cache(cache)
+        self.metrics = FrontendMetrics()
+        self._pending: List[PendingRequest] = []
+        self._next_request_id = 0
+
+    def attach_cache(self, cache) -> None:
+        """Enable the hot-record cache tier (requires ``dedup=True``).
+
+        The gate is deliberate: a caching frontend sends the replicas fewer
+        queries than it admitted, leaking the traffic pattern exactly as
+        batch dedup does, so it is only meaningful in the trusted-aggregator
+        deployments that already opted into dedup.
+        """
+        if not self.dedup:
+            raise ProtocolError(
+                "a hot-record cache requires dedup=True (same trusted-"
+                "aggregator caveat: cached answers skip replica scans)"
+            )
+        self.cache = cache
+
+    @property
+    def pending_count(self) -> int:
+        """Requests admitted but not yet dispatched."""
+        return len(self._pending)
+
+    def _admit(self, index: int, arrival_seconds: float) -> PendingRequest:
+        """Queue a range-checked request under the next request id."""
+        request = PendingRequest(self._next_request_id, index, arrival_seconds)
+        self._next_request_id += 1
+        self._pending.append(request)
+        return request
+
+    def _take_pending(self) -> List[PendingRequest]:
+        batch, self._pending = self._pending, []
+        return batch
+
+    def _update_appliers(self) -> List:
+        """Every replica's ``apply_updates``, validated before any runs.
+
+        Validation must complete for the whole replica set *before* the first
+        update lands: discovering a non-updatable replica halfway through would
+        leave the set permanently inconsistent (some replicas on new bytes,
+        some on old — XOR reconstruction then returns garbage, silently).
+        """
+        appliers = []
+        for replica in self.replicas:
+            replica_apply = getattr(replica, "apply_updates", None)
+            if replica_apply is None:
+                raise ProtocolError(
+                    f"replica {replica.server_id} exposes no apply_updates"
+                )
+            appliers.append(replica_apply)
+        return appliers
+
+    def begin_flush(self, batch: List[PendingRequest], reason: str) -> FlushPlan:
+        """Pick the requests that reach the replicas and generate their queries.
+
+        Without ``dedup`` the whole batch is scanned.  With it, one leader per
+        distinct index is; a distinct index resident in the cache is served
+        from it instead — no queries are generated, no replica sees it — and
+        :meth:`finish_flush` hands the cached record, like a leader's, to
+        every request that asked for it.
+
+        The scanned requests' queries come from **one** ``client.query_batch``
+        call, on the calling thread — the only place either frontend
+        generates keys.
+        """
+        cached: Dict[int, bytes] = {}
+        if self.dedup:
+            leaders: Dict[int, PendingRequest] = {}
+            for request in batch:
+                if request.index in leaders or request.index in cached:
+                    continue
+                record = self.cache.get(request.index) if self.cache is not None else None
+                if record is not None:
+                    cached[request.index] = record
+                else:
+                    leaders[request.index] = request
+            scanned = list(leaders.values())
+        else:
+            scanned = list(batch)
+        per_server: List[List] = []
+        if scanned:
+            per_server = [[] for _ in self.replicas]
+            generated = self.client.query_batch([request.index for request in scanned])
+            for request, queries in zip(scanned, generated):
+                request.queries = queries
+                for query in queries:
+                    per_server[query.server_id].append(query)
+        return FlushPlan(reason, batch, scanned, cached, per_server)
+
+    def finish_flush(
+        self, plan: FlushPlan, raw_results: Sequence, now: float
+    ) -> FlushOutcome:
+        """Pair, reconstruct, cache, fan out and fold one dispatched batch.
+
+        ``raw_results`` holds one ``answer_batch`` result
+        (:class:`~repro.core.results.IMPIRBatchResult`) per replica.  Answers
+        pair by ``(query_id, server_id)``: a duplicated, missing or unclaimed
+        answer raises :class:`ProtocolError` before the cache or any metric
+        moves.  Only records that cost a scan are offered to the cache.
+        Every metric is folded here, before any observer runs, so an
+        observer fault cannot lose a count.  ``now`` is the flush instant
+        the observers are told.
+        """
+        answers_by_key: Dict[Tuple[int, int], PIRAnswer] = {}
+        makespans: List[float] = []
+        schedules: List[BatchSchedule] = []
+        for raw in raw_results:
+            makespans.append(raw.latency_seconds)
+            if raw.schedule is not None:
+                schedules.append(raw.schedule)
+            for answer in raw.answers:
+                key = (answer.query_id, answer.server_id)
+                if key in answers_by_key:
+                    raise ProtocolError(
+                        f"duplicate answer for query {answer.query_id} "
+                        f"from server {answer.server_id}"
+                    )
+                answers_by_key[key] = answer
+        records: Dict[int, bytes] = {}
+        record_by_index: Dict[int, bytes] = {}
+        for request in plan.scanned:
+            group = []
+            for key in request.expected_keys:
+                if key not in answers_by_key:
+                    raise ProtocolError(
+                        f"missing answer for request {request.request_id} "
+                        f"(query {key[0]}, server {key[1]})"
+                    )
+                group.append(answers_by_key.pop(key))
+            group.sort(key=lambda answer: answer.server_id)
+            record = self.client.reconstruct(group)
+            records[request.request_id] = record
+            record_by_index[request.index] = record
+        if answers_by_key:
+            orphans = sorted(answers_by_key)
+            raise ProtocolError(
+                f"replicas returned {len(orphans)} unmatched answers: {orphans}"
+            )
+        if self.cache is not None:
+            self.cache.admit_many(record_by_index)
+        record_by_index.update(plan.cached)
+        # Every request not scanned itself takes its index's record: a cache
+        # hit when the cache served the index, else a dedup win.
+        deduped = cache_hits = 0
+        for request in plan.batch:
+            if request.request_id in records:
+                continue
+            records[request.request_id] = record_by_index[request.index]
+            if request.index in plan.cached:
+                cache_hits += 1
+            else:
+                deduped += 1
+
+        # Replicas overlap, so the batch is charged the slowest replica's
+        # makespan, and an adaptive policy (``observe_utilization``) is fed
+        # the slowest schedule's cluster utilization.
+        metrics = self.metrics
+        metrics.batches_dispatched += 1
+        metrics.requests_served += len(plan.batch)
+        metrics.deduped_requests += deduped
+        metrics.cache_hits += cache_hits
+        metrics.total_makespan_seconds += max(makespans, default=0.0)
+        metrics.flush_reasons[plan.reason] = metrics.flush_reasons.get(plan.reason, 0) + 1
+        if schedules:
+            slowest = max(schedules, key=lambda schedule: schedule.makespan)
+            metrics.last_schedule = slowest
+            metrics.last_cluster_utilization = slowest.cluster_utilization()
+            observe = getattr(self.policy, "observe_utilization", None)
+            if observe is not None:
+                observe(metrics.last_cluster_utilization)
+
+        observation = None
+        if any(getattr(observer, "observe_flush", None) for observer in self.observers):
+            observation = FlushObservation(
+                reason=plan.reason,
+                now=now,
+                batch=tuple((request.request_id, request.index) for request in plan.batch),
+                scanned=tuple(
+                    (request.request_id, request.index, tuple(request.expected_keys))
+                    for request in plan.scanned
+                ),
+                cached_indices=frozenset(plan.cached),
+                cache_hits=cache_hits,
+                deduped=deduped,
+                makespans=tuple(makespans),
+                details={
+                    (result.answer.query_id, result.answer.server_id): ResultDetail(
+                        breakdown=result.breakdown,
+                        simulated_seconds=result.answer.simulated_seconds,
+                    )
+                    for raw in raw_results
+                    for result in raw.results
+                },
+            )
+        indices = [request.index for request in plan.batch]
+        return FlushOutcome(records, indices, now, observation)
+
+    def _notify_observers(self, outcome: FlushOutcome) -> None:
+        """Tell every observer about one finished flush.
+
+        ``observe_batch(indices, now)`` is the hook the control plane's heat
+        telemetry feeds from; ``observe_flush(observation)`` (the
+        observability hub) gets the :class:`FlushObservation`.  A fault
+        propagates: the sync frontend lets it reach the flushing caller, the
+        async frontend routes it to the loop's exception handler.
+        """
+        for observer in self.observers:
+            observe_batch = getattr(observer, "observe_batch", None)
+            if observe_batch is not None:
+                observe_batch(outcome.indices, outcome.now)
+        if outcome.observation is not None:
+            for observer in self.observers:
+                observe_flush = getattr(observer, "observe_flush", None)
+                if observe_flush is not None:
+                    observe_flush(outcome.observation)
+
+
+class PIRFrontend(BatchingFrontend):
     """Aggregates client requests into batches and routes them to replicas.
 
     ``replicas`` is one replica per ``server_id``: a
@@ -258,30 +610,9 @@ class PIRFrontend:
         are filled by the dedup fan-out) and carries the same
         trusted-aggregator caveat, so it **requires** ``dedup=True``.
         """
-        self.client = client
-        self.replicas = check_replicas(client, replicas)
-        self.policy = policy if policy is not None else BatchingPolicy()
-        self.dedup = dedup
-        self.observers: List = list(observers)
-        self.cache = None
-        if cache is not None:
-            self.attach_cache(cache)
-        self.metrics = FrontendMetrics()
-        self._pending: List[PendingRequest] = []
+        super().__init__(client, replicas, policy, dedup, observers, cache)
         self._completed: Dict[int, bytes] = {}
-        self._next_request_id = 0
         self._clock = 0.0
-
-    def attach_cache(self, cache) -> None:
-        """Enable the hot-record cache tier (requires ``dedup=True``).
-
-        The gate is deliberate: a caching frontend sends the replicas fewer
-        queries than it admitted, leaking the traffic pattern exactly as
-        batch dedup does, so it is only meaningful in the trusted-aggregator
-        deployments that already opted into dedup.
-        """
-        require_dedup_for_cache(self.dedup)
-        self.cache = cache
 
     def reconfigure(self, mutator):
         """Run a data-plane reconfiguration strictly between flushes.
@@ -313,7 +644,7 @@ class PIRFrontend:
         updates = list(updates)
         if not updates:
             return
-        appliers = collect_update_appliers(self.replicas)
+        appliers = self._update_appliers()
         if self.cache is not None:
             self.cache.invalidate(sorted({index for index, _ in updates}))
         for replica_apply in appliers:
@@ -329,23 +660,17 @@ class PIRFrontend:
         after (the batch reached ``max_batch_size``).
         """
         # Reject a bad index before anything moves (clock, ids, pending);
-        # keys are generated per flush (:func:`select_scanned`), not here.
+        # keys are generated per flush (:meth:`begin_flush`), not here.
         self.client.check_index(index)
-        now = self._advance_clock(arrival_seconds)
-        if self._pending and now - self._pending[0].arrival_seconds >= self.policy.max_wait_seconds:
-            self._flush(FLUSH_ON_WAIT)
-        request_id = self._next_request_id
-        self._next_request_id += 1
-        self._pending.append(PendingRequest(request_id, index, arrival_seconds=now))
+        self._advance_clock(arrival_seconds)
+        request = self._admit(index, self._clock)
         if len(self._pending) >= self.policy.max_batch_size:
             self._flush(FLUSH_ON_SIZE)
-        return request_id
+        return request.request_id
 
     def advance_time(self, now: float) -> None:
         """Advance simulated time; flushes the pending batch if its wait expired."""
-        now = self._advance_clock(now)
-        if self._pending and now - self._pending[0].arrival_seconds >= self.policy.max_wait_seconds:
-            self._flush(FLUSH_ON_WAIT)
+        self._advance_clock(now)
 
     def close(self) -> None:
         """Flush whatever is pending (end of the request stream)."""
@@ -353,11 +678,6 @@ class PIRFrontend:
             self._flush(FLUSH_ON_CLOSE)
 
     # -- results ----------------------------------------------------------------------
-
-    @property
-    def pending_count(self) -> int:
-        """Requests admitted but not yet dispatched."""
-        return len(self._pending)
 
     def take_record(self, request_id: int) -> bytes:
         """Pop the reconstructed record for ``request_id`` (must be complete)."""
@@ -379,448 +699,36 @@ class PIRFrontend:
 
     # -- internals ----------------------------------------------------------------------
 
-    def _advance_clock(self, now: Optional[float]) -> float:
-        if now is None:
-            return self._clock
-        if now < self._clock:
-            raise ProtocolError(
-                f"time moves forward: {now} is before the frontend clock {self._clock}"
-            )
-        self._clock = now
-        return now
+    def _advance_clock(self, now: Optional[float]) -> None:
+        """Move the clock to ``now`` (``None`` keeps it), then wait-flush if due."""
+        if now is not None:
+            if now < self._clock:
+                raise ProtocolError(
+                    f"time moves forward: {now} is before the frontend clock {self._clock}"
+                )
+            self._clock = now
+        if (
+            self._pending
+            and self._clock - self._pending[0].arrival_seconds >= self.policy.max_wait_seconds
+        ):
+            self._flush(FLUSH_ON_WAIT)
 
     def _flush(self, reason: str) -> None:
-        batch, self._pending = self._pending, []
-        scanned, cached = select_scanned(batch, self.client, self.dedup, self.cache)
-        per_server = per_server_queries(scanned, len(self.replicas))
+        plan = self.begin_flush(self._take_pending(), reason)
         # Route through each replica's public batch surface, so every
         # backend's cost model (CPU/GPU analytic estimates, IM-PIR schedules)
-        # prices the batch.  Replicas are called in sequence here; the asyncio frontend
-        # (repro.pir.async_frontend) dispatches the same per-server query
-        # lists concurrently and shares every helper below.  A batch served
-        # entirely from the cache dispatches nothing (an empty batch is a
-        # protocol error on the engine side, and there is nothing to scan).
-        raw_results = (
-            [
-                replica.answer_batch(per_server[server_id])
-                for server_id, replica in enumerate(self.replicas)
-            ]
-            if scanned
-            else []
-        )
-        answers_by_key, makespans, schedules = collect_answers(raw_results)
-        completed, record_by_index = reconstruct_scanned(
-            self.client, scanned, answers_by_key
-        )
-        admit_scanned(self.cache, record_by_index)
-        record_by_index.update(cached)
-        self._completed.update(completed)
-        deduped = 0
-        if self.dedup:
-            deduped = fanout_dedup(
-                batch, self._completed, record_by_index, cached_indices=cached
-            )
-            self.metrics.deduped_requests += deduped
-        require_no_orphans(answers_by_key)
-        cache_hits = count_cache_hits(batch, cached)
-        fold_metrics(
-            self.metrics,
-            self.policy,
-            reason,
-            len(batch),
-            makespans,
-            schedules,
-            indices=[request.index for request in batch],
-            now=self._clock,
-            observers=self.observers,
-            cache_hits=cache_hits,
-        )
-        if wants_flush_observation(self.observers):
-            notify_flush_observers(
-                self.observers,
-                build_flush_observation(
-                    reason=reason,
-                    now=self._clock,
-                    batch=batch,
-                    scanned=scanned,
-                    cached=cached,
-                    deduped=deduped,
-                    cache_hits=cache_hits,
-                    makespans=makespans,
-                    raw_results=raw_results,
-                ),
-            )
+        # prices the batch.  The replicas are called in sequence; the
+        # simulated makespan treats them as parallel.
+        raw_results = [
+            replica.answer_batch(queries)
+            for replica, queries in zip(self.replicas, plan.per_server)
+        ]
+        outcome = self.finish_flush(plan, raw_results, self._clock)
+        self._completed.update(outcome.records)
+        # Fail fast: an observer fault reaches the caller, and the batch's
+        # records are already claimable.
+        self._notify_observers(outcome)
 
 
 #: The frontend is a request router; both names are part of the public API.
 RequestRouter = PIRFrontend
-
-
-# ---------------------------------------------------------------------------
-# Shared flush pipeline: pure, event-loop-free helpers.
-#
-# Both frontends — the deterministic simulated-clock PIRFrontend above and
-# the wall-clock AsyncPIRFrontend in repro.pir.async_frontend — flush a batch
-# through exactly these steps; only *how* the replicas are called (in
-# sequence vs. concurrently via asyncio.to_thread) differs.  Keeping the
-# pairing/dedup/metrics logic here, loop-free and stateless, is what makes
-# the two frontends bit-identical by construction.
-# ---------------------------------------------------------------------------
-
-
-def check_replicas(client: PIRClient, replicas: Sequence) -> List:
-    """Validate a replica set against the client's expectations.
-
-    Every replica must expose a ``server_id`` matching its position (the
-    pairing invariant keys answers by it) — an object without the attribute
-    is rejected rather than silently trusted.
-    """
-    replicas = list(replicas)
-    if len(replicas) != client.num_servers:
-        raise ProtocolError(
-            f"client expects {client.num_servers} replicas, got {len(replicas)}"
-        )
-    for server_id, replica in enumerate(replicas):
-        actual = getattr(replica, "server_id", None)
-        if actual is None:
-            raise ProtocolError(
-                f"replica at position {server_id} exposes no server_id "
-                f"(answer pairing is keyed by it)"
-            )
-        if actual != server_id:
-            raise ProtocolError(
-                f"replica at position {server_id} reports server_id {actual}"
-            )
-    return replicas
-
-
-def select_scanned(
-    batch: Sequence[PendingRequest], client: PIRClient, dedup: bool, cache=None
-) -> Tuple[List[PendingRequest], Dict[int, bytes]]:
-    """Pick the requests that reach the replicas and generate their queries.
-
-    Returns ``(requests to scan, records served from cache by index)``.
-    Without ``dedup`` the whole batch is scanned.  With it, one leader per
-    distinct index is; a distinct index resident in ``cache`` is served from
-    it instead of electing a leader — no queries are generated, no replica
-    sees it (the whole point of the cache tier) — and the dedup fan-out
-    (:func:`fanout_dedup`) delivers the cached record to every request that
-    asked for it.  Other followers are satisfied from their leader's
-    reconstruction the same way.
-
-    The scanned requests' queries come from **one** ``client.query_batch``
-    call, on the calling thread — this is the only place either frontend
-    generates keys.
-    """
-    cached: Dict[int, bytes] = {}
-    if dedup:
-        leaders: Dict[int, PendingRequest] = {}
-        for request in batch:
-            if request.index in leaders or request.index in cached:
-                continue
-            record = cache.get(request.index) if cache is not None else None
-            if record is not None:
-                cached[request.index] = record
-            else:
-                leaders[request.index] = request
-        scanned = list(leaders.values())
-    else:
-        scanned = list(batch)
-    if scanned:
-        generated = client.query_batch([request.index for request in scanned])
-        for request, queries in zip(scanned, generated):
-            request.queries = queries
-    return scanned, cached
-
-
-def collect_update_appliers(replicas: Sequence) -> List:
-    """Every replica's ``apply_updates``, validated before any runs.
-
-    Validation must complete for the whole replica set *before* the first
-    update lands: discovering a non-updatable replica halfway through would
-    leave the set permanently inconsistent (some replicas on new bytes,
-    some on old — XOR reconstruction then returns garbage, silently).
-    """
-    appliers = []
-    for replica in replicas:
-        replica_apply = getattr(replica, "apply_updates", None)
-        if replica_apply is None:
-            raise ProtocolError(
-                f"replica {replica.server_id} exposes no apply_updates"
-            )
-        appliers.append(replica_apply)
-    return appliers
-
-
-def require_dedup_for_cache(dedup: bool) -> None:
-    """The hot-record cache gate, stated once for both frontends.
-
-    Cached answers skip replica scans, leaking the traffic pattern exactly
-    as batch dedup does — the cache is only meaningful in trusted-
-    aggregator deployments that already opted into ``dedup=True``.
-    """
-    if not dedup:
-        raise ProtocolError(
-            "a hot-record cache requires dedup=True (same trusted-"
-            "aggregator caveat: cached answers skip replica scans)"
-        )
-
-
-def admit_scanned(cache, record_by_index: Dict[int, bytes]) -> None:
-    """Offer every freshly scanned reconstruction to the cache (if any).
-
-    Called before cached records are merged into ``record_by_index``, so
-    only records that actually cost a replica scan are offered; admission
-    policy (heat floor, LRU eviction) is the cache's own.
-    """
-    if cache is not None:
-        cache.admit_many(record_by_index)
-
-
-def count_cache_hits(batch: Sequence[PendingRequest], cached: Dict[int, bytes]) -> int:
-    """Requests of ``batch`` served from the cache (leaders and followers)."""
-    return sum(1 for request in batch if request.index in cached)
-
-
-def per_server_queries(scanned: Sequence[PendingRequest], num_servers: int) -> List[List]:
-    """Group the scanned requests' queries into one list per replica."""
-    per_server: List[List] = [[] for _ in range(num_servers)]
-    for request in scanned:
-        for query in request.queries:
-            per_server[query.server_id].append(query)
-    return per_server
-
-
-def collect_answers(
-    raw_results: Sequence,
-) -> Tuple[Dict[Tuple[int, int], PIRAnswer], List[float], List[BatchSchedule]]:
-    """Key every replica's answers by ``(query_id, server_id)``.
-
-    ``raw_results`` holds one ``answer_batch`` result
-    (:class:`~repro.core.results.IMPIRBatchResult`) per replica.  Returns the
-    answer map plus the per-replica makespans and the pipeline schedules of
-    the replicas that report one; a duplicated key raises
-    :class:`ProtocolError` instead of silently overwriting.
-    """
-    answers_by_key: Dict[Tuple[int, int], PIRAnswer] = {}
-    makespans: List[float] = []
-    schedules: List[BatchSchedule] = []
-    for raw in raw_results:
-        makespans.append(raw.latency_seconds)
-        if raw.schedule is not None:
-            schedules.append(raw.schedule)
-        for answer in raw.answers:
-            key = (answer.query_id, answer.server_id)
-            if key in answers_by_key:
-                raise ProtocolError(
-                    f"duplicate answer for query {answer.query_id} "
-                    f"from server {answer.server_id}"
-                )
-            answers_by_key[key] = answer
-    return answers_by_key, makespans, schedules
-
-
-def reconstruct_scanned(
-    client: PIRClient,
-    scanned: Sequence[PendingRequest],
-    answers_by_key: Dict[Tuple[int, int], PIRAnswer],
-) -> Tuple[Dict[int, bytes], Dict[int, bytes]]:
-    """Pair and reconstruct every scanned request's record.
-
-    Consumes the owed answers from ``answers_by_key`` (what remains
-    afterwards is orphaned — see :func:`require_no_orphans`) and returns
-    ``(record by request id, record by index)``; a missing answer raises
-    :class:`ProtocolError`.
-    """
-    completed: Dict[int, bytes] = {}
-    record_by_index: Dict[int, bytes] = {}
-    for request in scanned:
-        group = []
-        for key in request.expected_keys:
-            try:
-                group.append(answers_by_key.pop(key))
-            except KeyError:
-                raise ProtocolError(
-                    f"missing answer for request {request.request_id} "
-                    f"(query {key[0]}, server {key[1]})"
-                ) from None
-        group.sort(key=lambda answer: answer.server_id)
-        record = client.reconstruct(group)
-        completed[request.request_id] = record
-        record_by_index[request.index] = record
-    return completed, record_by_index
-
-
-def fanout_dedup(
-    batch: Sequence[PendingRequest],
-    completed: Dict[int, bytes],
-    record_by_index: Dict[int, bytes],
-    cached_indices: Sequence[int] = frozenset(),
-) -> int:
-    """Fan each leader's record out to its followers by request id.
-
-    Fills ``completed`` in place for every batch request not already served
-    by its own scan; returns how many were answered from another request's
-    *scan*.  Requests whose index is in ``cached_indices`` are filled too
-    but not counted — they are cache hits (:func:`count_cache_hits`), not
-    dedup wins, and the two metrics must not double-count.
-    """
-    deduped = 0
-    for request in batch:
-        if request.request_id not in completed:
-            completed[request.request_id] = record_by_index[request.index]
-            if request.index not in cached_indices:
-                deduped += 1
-    return deduped
-
-
-def require_no_orphans(answers_by_key: Dict[Tuple[int, int], PIRAnswer]) -> None:
-    """Reject answers no request claimed (a replica answered off-protocol)."""
-    if answers_by_key:
-        orphans = sorted(answers_by_key)
-        raise ProtocolError(
-            f"replicas returned {len(orphans)} unmatched answers: {orphans}"
-        )
-
-
-def fold_metrics(
-    metrics: FrontendMetrics,
-    policy,
-    reason: str,
-    num_requests: int,
-    makespans: Sequence[float],
-    schedules: Sequence[BatchSchedule],
-    indices: Sequence[int] = (),
-    now: float = 0.0,
-    observers: Sequence = (),
-    cache_hits: int = 0,
-) -> None:
-    """Accumulate one flushed batch into ``metrics`` and feed the observers.
-
-    Replicas overlap, so the batch is charged the slowest replica's makespan;
-    a policy exposing ``observe_utilization`` (the AIMD controller) is fed
-    the slowest schedule's cluster utilization.  ``observers`` exposing
-    ``observe_batch`` get the batch's record indices and flush instant —
-    the same per-flush hook, which is how the control plane's heat
-    telemetry sees every batch from both the sync and the async frontend.
-    """
-    metrics.batches_dispatched += 1
-    metrics.requests_served += num_requests
-    metrics.cache_hits += cache_hits
-    metrics.total_makespan_seconds += max(makespans, default=0.0)
-    metrics.flush_reasons[reason] = metrics.flush_reasons.get(reason, 0) + 1
-    if schedules:
-        slowest = max(schedules, key=lambda schedule: schedule.makespan)
-        metrics.last_schedule = slowest
-        metrics.last_cluster_utilization = slowest.cluster_utilization()
-        observe = getattr(policy, "observe_utilization", None)
-        if observe is not None:
-            observe(metrics.last_cluster_utilization)
-    for observer in observers:
-        observe_batch = getattr(observer, "observe_batch", None)
-        if observe_batch is not None:
-            observe_batch(indices, now)
-
-
-@dataclass(frozen=True)
-class ResultDetail:
-    """Per-answer timing detail captured from a replica's raw batch result.
-
-    ``breakdown`` is the engine's per-query :class:`PhaseTimer` **by
-    reference** (the sharded backend keys per-shard scan detail by its
-    identity; it holds no phases on backends that charge none);
-    ``simulated_seconds`` is the engine-written
-    :attr:`PIRAnswer.simulated_seconds` — an independently computed total a
-    trace's span sum can be cross-checked against.
-    """
-
-    breakdown: object
-    simulated_seconds: Optional[float]
-
-
-@dataclass(frozen=True)
-class FlushObservation:
-    """Everything one flushed batch can tell an ``observe_flush`` observer.
-
-    Built only when some observer exposes ``observe_flush`` (the
-    observability hub), *after* the batch's futures/records are settled —
-    instrumentation can never change what the data plane returns.  The
-    per-request tuples use plain ids/indices so the observation is safe to
-    retain; only ``details`` holds live objects (the breakdown timers).
-    """
-
-    reason: str
-    now: float
-    #: ``(request_id, index)`` for every request of the batch.
-    batch: Tuple[Tuple[int, int], ...]
-    #: ``(request_id, index, expected (query_id, server_id) keys)`` for the
-    #: requests that actually reached the replicas.
-    scanned: Tuple[Tuple[int, int, Tuple[Tuple[int, int], ...]], ...]
-    #: Indices served straight from the hot-record cache.
-    cached_indices: frozenset
-    cache_hits: int
-    deduped: int
-    makespans: Tuple[float, ...]
-    #: ``(query_id, server_id)`` -> :class:`ResultDetail`.
-    details: Dict[Tuple[int, int], ResultDetail]
-
-
-def wants_flush_observation(observers: Sequence) -> bool:
-    """Whether any observer wants the (costlier) per-flush observation."""
-    return any(
-        getattr(observer, "observe_flush", None) is not None for observer in observers
-    )
-
-
-def collect_result_details(raw_results: Sequence) -> Dict[Tuple[int, int], ResultDetail]:
-    """Capture per-answer breakdowns/totals from raw ``answer_batch`` results."""
-    return {
-        (result.answer.query_id, result.answer.server_id): ResultDetail(
-            breakdown=result.breakdown,
-            simulated_seconds=result.answer.simulated_seconds,
-        )
-        for raw in raw_results
-        for result in raw.results
-    }
-
-
-def build_flush_observation(
-    reason: str,
-    now: float,
-    batch: Sequence[PendingRequest],
-    scanned: Sequence[PendingRequest],
-    cached: Dict[int, bytes],
-    deduped: int,
-    cache_hits: int,
-    makespans: Sequence[float],
-    raw_results: Sequence,
-) -> FlushObservation:
-    """Assemble the :class:`FlushObservation` for one completed flush."""
-    return FlushObservation(
-        reason=reason,
-        now=now,
-        batch=tuple((request.request_id, request.index) for request in batch),
-        scanned=tuple(
-            (request.request_id, request.index, tuple(request.expected_keys))
-            for request in scanned
-        ),
-        cached_indices=frozenset(cached),
-        cache_hits=cache_hits,
-        deduped=deduped,
-        makespans=tuple(makespans),
-        details=collect_result_details(raw_results),
-    )
-
-
-def notify_flush_observers(observers: Sequence, observation: FlushObservation) -> None:
-    """Hand the observation to every observer exposing ``observe_flush``.
-
-    Fault semantics follow :func:`fold_metrics`: in the sync frontend an
-    observer fault propagates to the flushing caller (the batch's records
-    are already claimable), in the async frontend the caller routes it to
-    the loop's exception handler.
-    """
-    for observer in observers:
-        observe_flush = getattr(observer, "observe_flush", None)
-        if observe_flush is not None:
-            observe_flush(observation)

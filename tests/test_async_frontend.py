@@ -350,6 +350,66 @@ class TestEquivalenceWithSyncFrontend:
         assert async_records == sync_records
         assert async_records == [database.record(i) for i in stream]
 
+    def test_records_metrics_and_observations_agree_field_by_field(self, database):
+        # One stream with repeats, dedup and a hot-record cache, flushed in
+        # the same batches: the two frontends differ only in dispatch, so
+        # everything they report must match — except the flush instant
+        # (simulated vs. loop clock).
+        from dataclasses import fields
+
+        from repro.control.cache import HotRecordCache
+
+        stream = [4, 9, 4, 4, 200, 9, 31, 4, 9, 200, 77, 4, 31, 9]
+        policy = BatchingPolicy(max_batch_size=4, max_wait_seconds=30.0)
+
+        class _Recorder:
+            def __init__(self):
+                self.observations = []
+
+            def observe_flush(self, observation):
+                self.observations.append(observation)
+
+        def make(frontend_class, recorder):
+            return frontend_class(
+                make_client(database, seed=13),
+                reference_replicas(database),
+                policy=policy,
+                dedup=True,
+                observers=[recorder],
+                cache=HotRecordCache(capacity=8),
+            )
+
+        sync_recorder, async_recorder = _Recorder(), _Recorder()
+        sync = make(PIRFrontend, sync_recorder)
+        sync_records = sync.retrieve_batch(stream)
+
+        async def run():
+            # One batch at a time: overlapping flushes would each miss the
+            # cache entries the other is about to admit.
+            frontend = make(AsyncPIRFrontend, async_recorder)
+            records = []
+            for start in range(0, len(stream), policy.max_batch_size):
+                chunk = stream[start : start + policy.max_batch_size]
+                records += await frontend.retrieve_batch(chunk)
+            return frontend, records
+
+        frontend, async_records = asyncio.run(run())
+        assert async_records == sync_records == [database.record(i) for i in stream]
+        for field in fields(sync.metrics):
+            assert getattr(frontend.metrics, field.name) == getattr(
+                sync.metrics, field.name
+            ), field.name
+        assert sync.metrics.cache_hits > 0 and sync.metrics.deduped_requests > 0
+        assert len(async_recorder.observations) == len(sync_recorder.observations) == 4
+        for got, want in zip(async_recorder.observations, sync_recorder.observations):
+            for field in fields(want):
+                if field.name in ("now", "details"):
+                    continue
+                assert getattr(got, field.name) == getattr(want, field.name), field.name
+            assert {key: detail.simulated_seconds for key, detail in got.details.items()} == {
+                key: detail.simulated_seconds for key, detail in want.details.items()
+            }
+
     def test_equivalence_over_sharded_fleets(self, database):
         stream = [10, 20, 30, 40]
 
@@ -497,6 +557,35 @@ class TestObserverFaultIsolation:
         assert observer.calls == 1
         assert len(captured) == 1
         assert isinstance(captured[0]["exception"], RuntimeError)
+
+    def test_raising_observer_keeps_every_metric_of_the_flush(self, database):
+        # Every metric is folded before any observer runs, so an observer
+        # fault cannot drop the flush's dedup count on either frontend.
+        stream = [7, 7, 7, 9]
+
+        def make(frontend_class, observer):
+            return frontend_class(
+                make_client(database),
+                reference_replicas(database),
+                policy=BatchingPolicy(max_batch_size=4, max_wait_seconds=30.0),
+                dedup=True,
+                observers=[observer],
+            )
+
+        sync = make(PIRFrontend, _RaisingBatchObserver())
+        with pytest.raises(RuntimeError, match="observer boom"):
+            sync.retrieve_batch(stream)
+
+        async def run():
+            asyncio.get_running_loop().set_exception_handler(lambda loop, context: None)
+            frontend = make(AsyncPIRFrontend, _RaisingBatchObserver())
+            return frontend, await frontend.retrieve_batch(stream)
+
+        frontend, records = asyncio.run(run())
+        assert records == [database.record(i) for i in stream]
+        assert sync.metrics.deduped_requests == 2
+        assert frontend.metrics.deduped_requests == 2
+        assert frontend.metrics == sync.metrics
 
     def test_raising_jsonl_sink_never_corrupts_a_flush(self, database, tmp_path):
         import json

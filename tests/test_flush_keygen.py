@@ -1,8 +1,8 @@
 """Key generation happens once per flush, on the flushing thread.
 
-Both frontends admit a request after a range check only; the flush helper
-(``select_scanned``) asks the client for the whole flush's keys in one
-``query_batch``.  A recording client proves when, how often and on which
+Both frontends admit a request after a range check only; the shared flush
+(``BatchingFrontend.begin_flush``) asks the client for the whole flush's keys
+in one ``query_batch``.  A recording client proves when, how often and on which
 thread that call happens, and the regression tests pin the admission bug the
 move fixes: with ``dedup=True`` a bad index used to be admitted and poison
 its batch at flush time.

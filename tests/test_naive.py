@@ -52,6 +52,27 @@ class TestScheme:
         for share in shares:
             assert int(share.bits.sum()) > 1
 
+    def test_unseeded_schemes_draw_independent_shares(self):
+        # A fixed default stream would hand every unseeded client the same
+        # shares: a server knowing the default regenerates the other share.
+        first = NaiveXorQueryScheme(num_items=256).share(5)
+        second = NaiveXorQueryScheme(num_items=256).share(5)
+        assert not np.array_equal(first[0].bits, second[0].bits)
+        assert NaiveXorQueryScheme.recover_index(first) == 5
+        assert NaiveXorQueryScheme.recover_index(second) == 5
+
+    def test_unseeded_naive_clients_send_different_shares(self):
+        from repro.pir.client import PIRClient
+
+        first = PIRClient(256, 8, scheme="naive").query(5)
+        second = PIRClient(256, 8, scheme="naive").query(5)
+        assert not np.array_equal(first[0].share.bits, second[0].share.bits)
+
+    def test_seeded_shares_are_pinned(self):
+        shares = NaiveXorQueryScheme(num_items=64, seed=7).share(5)
+        packed = [np.packbits(share.bits, bitorder="little").tobytes().hex() for share in shares]
+        assert packed == ["9df9ca5870d40e95", "bdf9ca5870d40e95"]
+
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ValueError):
             NaiveXorQueryScheme(num_items=10, seed=1).share(10)

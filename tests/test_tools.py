@@ -579,6 +579,44 @@ class TestCipherImportLint:
         )
 
 
+class TestLoopFreeFlushLint:
+    """The shared flush pipeline in ``repro/pir/frontend.py`` never imports ``asyncio``."""
+
+    def _check(self, tmp_path, relative, source):
+        lint = _load_tool("lint")
+        path = tmp_path / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source)
+        return lint.check_file(path)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "import asyncio{}\n\n\ndef loop():\n    return asyncio.get_running_loop()\n",
+            "from asyncio import gather{}\n\n\ndef fan_out():\n    return gather\n",
+            "import asyncio.events{}\n\n\ndef events():\n    return asyncio.events\n",
+        ],
+    )
+    def test_asyncio_in_the_sync_frontend_flagged(self, tmp_path, source):
+        flagged = self._check(tmp_path, "src/repro/pir/frontend.py", source.format(""))
+        assert any("asyncio imported in repro/pir/frontend.py" in m for _, m in flagged)
+        assert not self._check(
+            tmp_path, "src/repro/pir/frontend.py", source.format("  # noqa")
+        )
+
+    def test_the_async_frontend_and_loop_free_code_are_legal(self, tmp_path):
+        source = "import asyncio\n\n\ndef loop():\n    return asyncio.get_running_loop()\n"
+        assert not self._check(tmp_path, "src/repro/pir/async_frontend.py", source)
+        assert not self._check(tmp_path, "src/repro/control/autoscaler.py", source)
+        assert not self._check(
+            tmp_path,
+            "src/repro/pir/frontend.py",
+            "import asyncore_helpers\n\n\ndef flush(plan):\n    return asyncore_helpers, plan\n",
+        )
+        shipped = (REPO_ROOT / "src" / "repro" / "pir" / "frontend.py").read_text()
+        assert not self._check(tmp_path, "src/repro/pir/frontend.py", shipped)
+
+
 class TestExecutingDPULint:
     """Serving charges a ``DPULedger``; only tests and benches build ``DPU`` objects."""
 

@@ -49,6 +49,11 @@ AST pass instead.  It flags:
   <expr>.tolist()``) under ``src/repro/pim/`` — the same per-query loop in
   another spelling: simulated costs are priced for a whole ``(B, P)``
   popcount matrix at once (``timing.dpxor_launch_seconds``);
+* an ``asyncio`` import (``import asyncio...`` or ``from asyncio... import``)
+  in ``src/repro/pir/frontend.py`` — the flush pipeline both frontends share
+  (``BatchingFrontend.begin_flush`` / ``finish_flush``) stays loop-free,
+  which is what keeps the sync frontend deterministic; only
+  ``async_frontend.py`` touches the event loop;
 * any ``<x>.query(...)`` call in the frontends (``src/repro/pir/frontend.py``,
   ``src/repro/pir/async_frontend.py``) — keys are generated once per flush
   through ``client.query_batch``; a ``query`` call there is per-request key
@@ -281,7 +286,8 @@ def _is_tolist_loop(node: ast.AST) -> bool:
 
 
 #: The frontends generate keys once per flush (``client.query_batch`` in
-#: ``select_scanned``); ``client.query`` there is one GGM walk per request.
+#: ``BatchingFrontend.begin_flush``); ``client.query`` there is one GGM walk
+#: per request.
 PER_FLUSH_KEYGEN_MODULES = (("pir", "frontend.py"), ("pir", "async_frontend.py"))
 
 
@@ -355,16 +361,19 @@ def _unpackbits_lines(node: ast.AST) -> List[int]:
 #: The one library module allowed to import the AES primitive: the PRG.
 CIPHER_MODULE = ("repro", "dpf", "prf.py")
 
+#: The shared flush pipeline, which must never touch an event loop.
+LOOP_FREE_MODULE = ("repro", "pir", "frontend.py")
 
-def _imports_cryptography(node: ast.AST) -> bool:
-    """True for ``import cryptography...`` / ``from cryptography... import ...``."""
+
+def _imports_package(node: ast.AST, package: str) -> bool:
+    """True for ``import <package>...`` / ``from <package>... import ...``."""
     if isinstance(node, ast.Import):
         names = [alias.name for alias in node.names]
     elif isinstance(node, ast.ImportFrom) and not node.level:
         names = [node.module or ""]
     else:
         return False
-    return any(name.split(".")[0] == "cryptography" for name in names)
+    return any(name.split(".")[0] == package for name in names)
 
 
 #: The one library module that builds executing DPUs: the class itself.
@@ -399,6 +408,7 @@ def check_file(path: Path) -> List[Tuple[int, str]]:
     unpack_banned = _is_unpack_banned(path)
     dpu_construction_banned = library_code and path.parts[-3:] != DPU_MODULE
     cipher_banned = library_code and path.parts[-3:] != CIPHER_MODULE
+    loop_free = path.parts[-3:] == LOOP_FREE_MODULE
 
     imports: List[Tuple[int, str, str]] = []  # (lineno, bound name, description)
     wildcards: List[Tuple[int, str]] = []
@@ -562,13 +572,22 @@ def check_file(path: Path) -> List[Tuple[int, str]]:
                         "/ selected_counts)",
                     )
                 )
-        if cipher_banned and _imports_cryptography(node):
+        if cipher_banned and _imports_package(node, "cryptography"):
             deprecated.append(
                 (
                     node.lineno,
                     "cryptography imported in library code outside "
                     "repro/dpf/prf.py — the fixed-key AES PRG is the one home "
                     "of the block cipher; go through a LengthDoublingPRG",
+                )
+            )
+        if loop_free and _imports_package(node, "asyncio"):
+            deprecated.append(
+                (
+                    node.lineno,
+                    "asyncio imported in repro/pir/frontend.py — the shared "
+                    "flush pipeline stays loop-free; event-loop code belongs "
+                    "in repro/pir/async_frontend.py",
                 )
             )
         if dpu_construction_banned and _is_dpu_construction(node):
