@@ -6,14 +6,14 @@ the host, dpXOR the database under the selector shares, return an XOR share.
 The engine owns that protocol-shaped logic exactly once — query validation,
 host-side DPF key evaluation, selector generation, answer assembly and phase
 bookkeeping.  What differs per variant is a :class:`PIRBackend`: the
-architecture-specific execution substrate that scans the prepared database
-under a batch of selector vectors, charges simulated time to each query's
+architecture-specific execution substrate that prices a scan of the prepared
+database under a batch of selector vectors into each query's
 :class:`~repro.common.events.PhaseTimer` and prices the batch's makespan.
 
 Layering (bottom-up)::
 
-    PIRBackend        "where the dpXOR runs": prepare(db) + execute_many(selectors)
-                      + its cost model (eval seconds, batch makespan)
+    PIRBackend        "what the dpXOR costs": prepare(db) + charge_many(selectors)
+                      + its cost model; execute_many = charge + one dpxor_many
     QueryEngine       the protocol: validate -> eval keys -> execute_many -> answers
     PIRServer         one replica: engine + backend + stats (repro.pir.server)
     PIRFrontend       request batching/routing across replicas (repro.pir.frontend)
@@ -80,10 +80,16 @@ class PIRBackend(ABC):
     """Execution substrate behind a :class:`QueryEngine`.
 
     Implementations provide only the architecture-specific pieces — loading
-    the database into their execution memory and scanning it under a batch of
-    selector vectors.  Everything protocol-shaped (validation, key
-    evaluation, answer assembly) is supplied once by the engine.
+    the database into their execution memory and pricing a scan of it under
+    a batch of selector vectors.  Everything protocol-shaped (validation, key
+    evaluation, answer assembly) is supplied once by the engine, and the scan
+    once by :meth:`execute_many`, which no subclass overrides.
     """
+
+    #: The database the scan reads, set by ``prepare`` / ``apply_updates``.
+    _database: Optional[Database] = None
+    #: The scan's ``DpXorStats``, on the host kinds only (see ``ServerStats``).
+    _dpxor_stats = None
 
     @abstractmethod
     def prepare(self, database: Database) -> Optional[PhaseTimer]:
@@ -99,32 +105,45 @@ class PIRBackend(ABC):
         """Capability/capacity metadata for this backend."""
 
     @abstractmethod
+    def charge_many(
+        self,
+        selector_matrix: np.ndarray,
+        breakdowns: Sequence[PhaseTimer],
+        lanes: Sequence[int],
+    ) -> None:
+        """Price a scan of the prepared database under a batch of selector shares.
+
+        Records the architecture's simulated phase costs into each row's
+        breakdown and nothing else.  ``selector_matrix`` is the packed
+        ``(B, ceil(num_records / 8))`` matrix of
+        :meth:`QueryEngine.selector_matrix` (format: :mod:`repro.pir.xor_ops`);
+        ``breakdowns`` and ``lanes`` carry one entry per row.
+
+        Host-side backends charge each row the same simulated costs whatever
+        ``B`` is (batching is a wall-clock optimisation only); the PIM
+        backends batch at kernel level, paying fixed per-dispatch charges
+        (transfer latency, launch overhead, streamed segment copies) once per
+        batch and splitting them evenly across the rows — per-row kernel
+        costs and scan bytes are never discounted (see
+        :func:`repro.core.partitioning.run_dpu_pipeline_many` for the
+        documented amortisation formula).
+        """
+
     def execute_many(
         self,
         selector_matrix: np.ndarray,
         breakdowns: Sequence[PhaseTimer],
         lanes: Sequence[int],
     ) -> np.ndarray:
-        """Scan the prepared database under a whole batch of selector shares.
-
-        ``selector_matrix`` is the packed ``(B, ceil(num_records / 8))``
-        matrix of :meth:`QueryEngine.selector_matrix`, one selector share per
-        row (format: :mod:`repro.pir.xor_ops`); ``breakdowns`` and ``lanes``
-        carry one entry per row.
-        Records the architecture's simulated phase costs into each row's
-        breakdown and returns the ``(B, record_size)`` uint8 matrix of
-        sub-results (the dpXOR).
-
-        The only scan hook: a single query is a batch of one.  Host-side
-        backends charge each row the same simulated costs whatever ``B`` is
-        (batching is a wall-clock optimisation only); the PIM backends batch
-        at kernel level, paying fixed per-dispatch charges (transfer latency,
-        launch overhead, streamed segment copies) once per batch and
-        splitting them evenly across the rows — per-row kernel costs and scan
-        bytes are never discounted (see
-        :func:`repro.core.partitioning.run_dpu_pipeline_many` for the
-        documented amortisation formula).
-        """
+        """The one scan: :meth:`charge_many`, then one
+        :func:`~repro.pir.xor_ops.dpxor_many` over the prepared database
+        (a single query is a batch of one) into ``(B, record_size)`` uint8."""
+        database = self._database
+        if database is None:
+            raise ProtocolError("backend has no prepared database")
+        selector_matrix = np.asarray(selector_matrix, dtype=np.uint8)
+        self.charge_many(selector_matrix, breakdowns, lanes)
+        return dpxor_many(database.records, selector_matrix, stats=self._dpxor_stats)
 
     # -- timing hooks (cost-model backends override; functional-only ones don't) --
 
@@ -408,7 +427,6 @@ class ReferenceBackend(PIRBackend):
     def __init__(self, name: str = "reference", dpxor_stats=None) -> None:
         self._name = name
         self._dpxor_stats = dpxor_stats
-        self._database: Optional[Database] = None
 
     def prepare(self, database: Database) -> Optional[PhaseTimer]:
         self._database = database
@@ -424,17 +442,13 @@ class ReferenceBackend(PIRBackend):
             description="full-domain scan in host DRAM (numpy)",
         )
 
-    def execute_many(
+    def charge_many(
         self,
         selector_matrix: np.ndarray,
         breakdowns: Sequence[PhaseTimer],
         lanes: Sequence[int],
-    ) -> np.ndarray:
-        # One pass over the database serves the whole batch; the stats charge
-        # B full scans either way (batching never discounts simulated bytes).
-        return dpxor_many(
-            self._database.records, selector_matrix, stats=self._dpxor_stats
-        )
+    ) -> None:
+        """Nothing: the reference scan charges no simulated time."""
 
     def batch_makespan(self, breakdowns: Sequence[PhaseTimer]) -> Optional[float]:
         # 0.0: the reference scan charges nothing.

@@ -13,11 +13,11 @@ following Figure 5:
 ➎ gather the per-DPU sub-results back to the host;
 ➏ XOR-fold them into the server's sub-result, which is returned to the client.
 
-Steps ➌–➏ are charged, not executed: the answer is one
-:func:`~repro.pir.xor_ops.dpxor_many` over the database, and
-:func:`~repro.core.partitioning.run_dpu_pipeline_many` charges the phases to
-the backend's :class:`~repro.pim.system.DPULedger` (per-DPU arrays; each
-cluster is a slice of it).
+Steps ➌–➏ are charged, not executed: the answer is the base class's one
+:func:`~repro.pir.xor_ops.dpxor_many` over the database, and ``charge_many``
+charges the phases through ``run_dpu_pipeline_many`` to the backend's
+:class:`~repro.pim.system.DPULedger` (per-DPU arrays; each cluster is a slice
+of it).
 
 The protocol half of those steps (validation, key evaluation, answer
 assembly) is supplied by the shared :class:`~repro.core.engine.QueryEngine`;
@@ -53,14 +53,13 @@ from repro.core.results import PHASE_AGGREGATE
 from repro.pim.kernels import check_dpxor_wram
 from repro.pim.system import DPULedger
 from repro.pir.database import Database
-from repro.pir.xor_ops import dpxor_many
 
 #: Phase name under which partial MRAM re-transfers of bulk updates are billed.
 PHASE_UPDATE_COPY = "update_copy"
 
 
 class PIMClusterBackend(PIRBackend):
-    """Execution backend running the dpXOR on preloaded DPU clusters.
+    """Execution backend pricing the dpXOR on preloaded DPU clusters.
 
     Each cluster holds a full copy of the database partitioned across its
     DPUs, so every cluster is an independent execution lane.  A cluster is
@@ -73,7 +72,6 @@ class PIMClusterBackend(PIRBackend):
         self.timing = self.ledger.timing
         self._clusters: List[DPULedger] = self.ledger.split(config.num_clusters)
         self._layouts: List[PartitionLayout] = []
-        self.database: Optional[Database] = None
 
     def _check_fits(self, layout: PartitionLayout) -> None:
         check_mram_capacity(
@@ -90,7 +88,7 @@ class PIMClusterBackend(PIRBackend):
         otherwise).  The preload ships every block (a one-byte placeholder on
         an empty DPU) and is charged from those byte counts; nothing is copied.
         """
-        self.database = database
+        self._database = database
         check_dpxor_wram(self.config.pim.dpu, database.record_size)
         timer = PhaseTimer()
         self._layouts = []
@@ -111,7 +109,7 @@ class PIMClusterBackend(PIRBackend):
         to :data:`PHASE_UPDATE_COPY`, and a cluster with no dirty block
         charges nothing.
         """
-        self.database = database
+        self._database = database
         timer = PhaseTimer()
         indices = np.asarray(dirty_indices, dtype=np.int64)
         if not indices.size:
@@ -131,12 +129,12 @@ class PIMClusterBackend(PIRBackend):
         # enforced by check_mram_capacity inside prepare() (CapacityError), so
         # report no bound rather than a misleading one.
         max_records = None
-        if self.database is not None:
+        if self._database is not None:
             # The last cluster is the smallest, so its blocks are the largest.
             usable = usable_mram_bytes(
                 self.config.pim.dpu.mram_bytes, self.config.mram_reserve_fraction
             )
-            max_records = (usable // self.database.record_size) * self._clusters[-1].num_dpus
+            max_records = (usable // self._database.record_size) * self._clusters[-1].num_dpus
         return BackendCapabilities(
             name="im-pir",
             lanes=len(self._clusters),
@@ -162,24 +160,20 @@ class PIMClusterBackend(PIRBackend):
 
     # -- DPU pipeline for a batch, one dispatch per cluster (phases ➌–➏) -------------
 
-    def execute_many(
+    def charge_many(
         self,
         selector_matrix: np.ndarray,
         breakdowns: Sequence[PhaseTimer],
         lanes: Sequence[int],
-    ) -> np.ndarray:
-        """Batched dpXOR: one scan per batch, one DPU dispatch charged per cluster.
+    ) -> None:
+        """Charge one DPU dispatch per cluster for the batch.
 
-        One :func:`~repro.pir.xor_ops.dpxor_many` over the database answers
-        every row of the packed ``selector_matrix``.  Lanes (the engine
-        assigns them round-robin across clusters) only pick the rows each
-        cluster is charged from: one selector scatter, one batched kernel
-        launch and one result gather through
+        Lanes (the engine assigns them round-robin across clusters) pick the
+        rows each cluster is charged from: one selector scatter, one batched
+        kernel launch and one result gather through
         :func:`~repro.core.partitioning.run_dpu_pipeline_many`.  Per-row
         kernel costs and the host-side fold (phase ➏) stay per query.
         """
-        selector_matrix = np.asarray(selector_matrix, dtype=np.uint8)
-        out = dpxor_many(self.database.records, selector_matrix)
         rows_by_lane: dict = {}
         for position, lane in enumerate(lanes):
             rows_by_lane.setdefault(lane, []).append(position)
@@ -195,7 +189,6 @@ class PIMClusterBackend(PIRBackend):
             )
             for timer in timers:
                 timer.record(PHASE_AGGREGATE, aggregate_seconds)
-        return out
 
     # -- cluster views and capacity checks ------------------------------------------
 
@@ -210,7 +203,7 @@ class PIMClusterBackend(PIRBackend):
 
     def mram_utilization(self) -> float:
         """Fraction of the allocated DPUs' MRAM occupied by the database."""
-        return self.database.size_bytes * len(self._clusters) / self.config.pim.total_mram_bytes
+        return self._database.size_bytes * len(self._clusters) / self.config.pim.total_mram_bytes
 
     def can_cluster(self, num_clusters: int) -> bool:
         """Whether ``num_clusters`` clusters could each hold the full database.
@@ -221,8 +214,8 @@ class PIMClusterBackend(PIRBackend):
         if not 0 < num_clusters <= self.config.pim.num_dpus:
             return False
         layout = PartitionLayout.linear(
-            self.database.num_records,
-            self.database.record_size,
+            self._database.num_records,
+            self._database.record_size,
             self.config.pim.num_dpus // num_clusters,
         )
         try:

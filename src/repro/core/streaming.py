@@ -17,12 +17,12 @@ adaptation as :class:`StreamedPIMBackend` behind the shared
   preloaded path), which is exactly the penalty the paper's capacity
   discussion anticipates.
 
-That walk is charged, not executed: one ``dpxor_many`` over the database
-answers, and each segment's dispatch is charged to the backend's
-:class:`~repro.pim.system.DPULedger` from the segment layout's per-DPU byte
-counts and selector popcounts.  The streamed server answers queries
-bit-identically to the preloaded one; the extra cost is visible in the
-``copy_db_segment`` phase of its breakdown.
+That walk is charged, not executed: the answer is the base class's one
+``dpxor_many`` over the database, and ``charge_many`` charges each segment's
+dispatch to the backend's :class:`~repro.pim.system.DPULedger` from the
+segment layout's per-DPU byte counts and selector popcounts.  The streamed
+server answers queries bit-identically to the preloaded one; the extra cost
+is visible in the ``copy_db_segment`` phase of its breakdown.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from repro.core.results import PHASE_AGGREGATE, IMPIRQueryResult
 from repro.pim.kernels import check_dpxor_wram
 from repro.pim.system import DPULedger
 from repro.pir.database import Database
-from repro.pir.xor_ops import dpxor_many, selector_range
+from repro.pir.xor_ops import selector_range
 
 #: Phase name for the per-query database-segment transfers (streamed mode only).
 PHASE_COPY_DB = "copy_db_segment"
@@ -66,7 +66,7 @@ class _Segment:
 
 
 class StreamedPIMBackend(PIRBackend):
-    """Execution backend streaming database segments through the DPUs."""
+    """Execution backend pricing database segments streamed through the DPUs."""
 
     def __init__(self, config: IMPIRConfig, segment_records: Optional[int] = None) -> None:
         self.config = config
@@ -75,7 +75,6 @@ class StreamedPIMBackend(PIRBackend):
         self._requested_segment_records = segment_records
         self.segment_records = 0
         self._segments: List[_Segment] = []
-        self.database: Optional[Database] = None
 
     # -- database lifecycle ---------------------------------------------------------
 
@@ -86,7 +85,7 @@ class StreamedPIMBackend(PIRBackend):
         whole point of the streamed mode's cost profile.  The default segment
         fills every DPU's usable MRAM with whole records.
         """
-        self.database = database
+        self._database = database
         num_dpus = self.ledger.num_dpus
         usable_per_dpu = usable_mram_bytes(
             self.config.pim.dpu.mram_bytes, self.config.mram_reserve_fraction
@@ -148,15 +147,15 @@ class StreamedPIMBackend(PIRBackend):
         # No cluster pipeline: the streamed passes run one query at a time.
         return sequential_makespan(breakdowns)
 
-    # -- the multi-pass dpXOR ----------------------------------------------------------
+    # -- the multi-pass dpXOR, priced --------------------------------------------------
 
-    def execute_many(
+    def charge_many(
         self,
         selector_matrix: np.ndarray,
         breakdowns: Sequence[PhaseTimer],
         lanes: Sequence[int],
-    ) -> np.ndarray:
-        """One scan answers the batch; one DPU dispatch per segment is charged.
+    ) -> None:
+        """Charge one DPU dispatch per segment for the batch.
 
         §3.3's batched adaptation taken to the kernel level: each database
         segment is copied toward the DPUs **once per batch** (instead of once
@@ -170,7 +169,6 @@ class StreamedPIMBackend(PIRBackend):
         :func:`~repro.core.partitioning.run_dpu_pipeline_many` for the
         documented cost model).
         """
-        selector_matrix = np.asarray(selector_matrix, dtype=np.uint8)
         for segment in self._segments:
             run_dpu_pipeline_many(
                 self.ledger,
@@ -181,11 +179,10 @@ class StreamedPIMBackend(PIRBackend):
                 db_copy_phase=PHASE_COPY_DB,
             )
         aggregate_seconds = self.timing.host_aggregate_xor_seconds(
-            self.num_segments, self.database.record_size
+            self.num_segments, self._database.record_size
         )
         for breakdown in breakdowns:
             breakdown.record(PHASE_AGGREGATE, aggregate_seconds)
-        return dpxor_many(self.database.records, selector_matrix)
 
 
 def streaming_overhead_factor(result: IMPIRQueryResult) -> float:

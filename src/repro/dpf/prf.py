@@ -26,11 +26,14 @@ order, with each child's control bit in bit 0 of its byte 8
 blocks, built and XORed as 64-bit lanes.  :meth:`LengthDoublingPRG.convert`
 turns *leaf* seeds into the 128-bit output blocks of the early-terminated DPF
 (:mod:`repro.dpf.dpf`) with one more call; it costs one AES block per seed
-and is counted separately.  OpenSSL runs the blocks while the GIL is held, so
-two threads sharing one instance take turns and each gets its own output.
+and is counted separately.  An encryptor context is not re-entrant (a second
+thread inside it raises ``RuntimeError: Already borrowed``), so each instance
+locks its cipher call and counters: threads sharing one take turns.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -131,25 +134,30 @@ class FixedKeyAESPRG(LengthDoublingPRG):
     """``G_c(s) = AES_k(s ^ c) ^ s ^ c`` under :data:`FIXED_KEY`, a level per call.
 
     Each instance owns one OpenSSL ECB encryptor (ECB carries no state
-    between blocks, so one context serves every call).
+    between blocks, so one context serves every call) and its lock.
     """
 
     def __init__(self) -> None:
         super().__init__()
         self._encryptor = _CIPHER.encryptor()
+        self._lock = threading.Lock()
 
-    def _mmo(self, inputs: np.ndarray) -> np.ndarray:
+    def _mmo(self, inputs: np.ndarray, expansions: int = 0, conversions: int = 0) -> np.ndarray:
         """``AES_k(x) ^ x`` of ``(n, 2)`` uint64 inputs ``x = s ^ c``, as ``(n, 16)`` uint8.
 
         The tweaks are XORed into each seed's low lane (little-endian, so
         ``c`` is the 128-bit integer ``c``); every step is one call on whole
-        64-bit lanes, never a broadcast over 16-byte rows.
+        64-bit lanes, never a broadcast over 16-byte rows.  The counts are
+        added under the cipher's lock.
         """
         # ``update_into`` wants one block of slack past the payload.
         outputs = np.empty((inputs.shape[0] + 1, 2), dtype=np.uint64)
-        self._encryptor.update_into(
-            inputs.view(np.uint8).reshape(-1), outputs.view(np.uint8).reshape(-1)
-        )
+        with self._lock:
+            self._encryptor.update_into(
+                inputs.view(np.uint8).reshape(-1), outputs.view(np.uint8).reshape(-1)
+            )
+            self.expand_calls += expansions
+            self.convert_calls += conversions
         blocks = outputs[:-1]
         blocks ^= inputs
         return blocks.view(np.uint8)
@@ -158,16 +166,12 @@ class FixedKeyAESPRG(LengthDoublingPRG):
         # Rows 2i and 2i + 1 are seed i under tweak 0 (left) and 1 (right).
         inputs = np.repeat(_as_seeds(seeds).view(np.uint64), 2, axis=0)
         inputs[1::2, 0] ^= _RIGHT_TWEAK
-        children = self._mmo(inputs).reshape(-1, 2, SEED_BYTES)
-        self.expand_calls += children.shape[0]
-        return children
+        return self._mmo(inputs, expansions=len(inputs) // 2).reshape(-1, 2, SEED_BYTES)
 
     def convert(self, seeds: np.ndarray) -> np.ndarray:
         inputs = _as_seeds(seeds).view(np.uint64).copy()
         inputs[:, 0] ^= _CONVERT_TWEAK
-        blocks = self._mmo(inputs)
-        self.convert_calls += blocks.shape[0]
-        return blocks
+        return self._mmo(inputs, conversions=inputs.shape[0])
 
 
 def make_prg() -> LengthDoublingPRG:

@@ -17,7 +17,8 @@ the same values) — the property ``examples/observability.py`` asserts.
 
 Shard detail rides a side channel: the engine's per-query breakdown object
 flows by identity from :meth:`QueryEngine.answer_many` into
-:meth:`~repro.shard.backend.ShardedBackend.execute_many` and back out in
+:meth:`~repro.shard.backend.ShardedBackend.charge_many` (through the one
+scan, :meth:`~repro.core.engine.PIRBackend.execute_many`) and back out in
 the raw results, so the backend keys its per-shard child timers by
 ``id(breakdown)`` (guarded by a weakref so a recycled id can never attach
 another query's shards) and the hub pops them when it builds the trace.

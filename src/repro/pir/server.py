@@ -29,8 +29,8 @@ Query = Union[DPFQuery, NaiveQuery]
 class ServerStats:
     """Operation counters accumulated across every answered query.
 
-    ``dpxor`` is charged by the backends that scan in host memory (the
-    reference scan and the CPU/GPU baselines); the others leave it at zero.
+    ``dpxor`` is charged only on the host kinds (the reference scan and the
+    CPU/GPU baselines); the PIM and sharded kinds price their scan instead.
     """
 
     queries_answered: int = 0

@@ -7,10 +7,11 @@ delegating to one child backend per (non-empty) shard of a
 * ``prepare`` slices the database along the plan and hands each child its
   shard (children preload concurrently, so their preload timers fold with
   per-phase max);
-* ``execute_many`` splits the engine's packed selector matrix per shard,
-  lets every child scan its cut (schedule-wise in parallel —
-  child phase timers fold with per-phase max) and XOR-folds the sub-payloads
-  into answers that are bit-identical to the unsharded scan;
+* ``charge_many`` splits the engine's packed selector matrix per shard and
+  lets every child price its cut (schedule-wise in parallel — child phase
+  timers fold with per-phase max); the inherited ``execute_many`` then scans
+  the whole database once, so answers are the unsharded scan's by
+  construction and a flush XORs the database once, not once per shard;
 * ``apply_updates`` routes dirty records to the owning shard only, leaving
   every other child's buffers untouched;
 * ``swap_child`` / ``apply_topology`` are the control plane's live
@@ -35,7 +36,6 @@ from repro.common.errors import ConfigurationError, ProtocolError
 from repro.common.events import PhaseTimer
 from repro.core.config import IMPIRConfig
 from repro.core.engine import BackendCapabilities, PIRBackend
-from repro.core.partitioning import fold_partials
 from repro.pir.database import Database
 from repro.shard.plan import ShardPlan, ShardSpec, TopologyChange
 
@@ -68,9 +68,9 @@ class _Topology:
     """One immutable snapshot of the fleet's distribution state.
 
     The plan and the member triples must be read *together*: a concurrent
-    ``execute_many`` that paired an old member tuple with a new plan (or vice
+    ``charge_many`` that paired an old member tuple with a new plan (or vice
     versa) would zip a selector split against the wrong children and
-    silently mis-fold the XOR.  Bundling them in one object — always
+    silently mis-price the batch.  Bundling them in one object — always
     replaced by a single reference assignment, never mutated — makes every
     reader's view consistent by construction: in-flight queries finish
     against the snapshot they started with, the next query sees the new one.
@@ -161,7 +161,11 @@ def bare_backend_factory(
 
 
 class ShardedBackend(PIRBackend):
-    """A replica fleet: child backends per shard behind one backend surface."""
+    """A replica fleet: child backends per shard behind one backend surface.
+
+    Children hold their shard's slice (layouts, capacity checks and update
+    charges need it) and price their cut of a batch; the base class scans.
+    """
 
     def __init__(
         self,
@@ -181,7 +185,7 @@ class ShardedBackend(PIRBackend):
         #: The plan and the ``(shard, child, lanes)`` member triples, bundled
         #: in one immutable :class:`_Topology` snapshot that is only ever
         #: replaced by a single reference assignment.  A live migration
-        #: (:meth:`swap_child`) must never let a concurrent ``execute_many`` pair
+        #: (:meth:`swap_child`) must never let a concurrent ``charge_many`` pair
         #: a new child with a stale lane count, and an online reshape
         #: (:meth:`apply_topology`) must never let it pair a new plan's
         #: selector split with the old member tuple — both invariants fall
@@ -189,7 +193,6 @@ class ShardedBackend(PIRBackend):
         #: lives *inside* the triple for the same reason (the hot path must
         #: not rebuild child capability objects per query either).
         self._topology: Optional[_Topology] = None
-        self._database: Optional[Database] = None
         #: Optional observability hooks (:meth:`instrument`): a structured
         #: event log for per-shard scan / topology events and a tracer whose
         #: shard-scan side channel carries per-shard timers up to per-query
@@ -348,50 +351,42 @@ class ShardedBackend(PIRBackend):
             default=0.0,
         )
 
-    # -- the sharded dpXOR ---------------------------------------------------------
+    # -- the sharded dpXOR, priced -------------------------------------------------
 
-    def execute_many(
+    def charge_many(
         self,
         selector_matrix: np.ndarray,
         breakdowns: Sequence[PhaseTimer],
         lanes: Sequence[int],
-    ) -> np.ndarray:
-        """Batched sharded scan: split once, scan slabs, word-fold across shards.
+    ) -> None:
+        """Batched sharded pricing: split once, let every child charge its cut.
 
         The packed selector matrix is split into per-shard cuts **once per
-        batch** (not once per query; zero-copy views for shards on the
-        8-record grid, see :meth:`~repro.shard.plan.ShardPlan.split_selector_many`), and each
-        shard serves its cut through its child's own ``execute_many`` — the only
-        backend hook — into its slab of one ``(num_shards, B, record_size)``
-        accumulator array.  The slabs then XOR-fold across shards through the
-        uint64 word path of :func:`~repro.core.partitioning.fold_partials`.
+        batch** (zero-copy views for shards on the 8-record grid, see
+        :meth:`~repro.shard.plan.ShardPlan.split_selector_many`), and each
+        child prices its cut; no child scans.
 
         Shards are walked in plan order on the calling thread; they stand
         for independent machines, so child timers fold with per-phase max
         (schedule-wise parallel) before being charged to each query's
         breakdown (reference-scan children record no phases).  The walk reads
         the topology snapshot once: a live migration swapping a child
-        mid-scan — or a reshape swapping the whole plan — must not tear it
+        mid-walk — or a reshape swapping the whole plan — must not tear it
         (the snapshot pairs the plan with its members, and each triple pairs
         the child with its lane count).  The engine bounds lanes by the fleet
         minimum, but members keep serving if a caller drives a bare backend
         with a larger lane.
         """
         snapshot = self._topology
-        if self._database is None or snapshot is None:
+        if snapshot is None:
             raise ProtocolError("sharded backend has no prepared database")
-        selector_matrix = np.asarray(selector_matrix, dtype=np.uint8)
-        batch = selector_matrix.shape[0]
-        record_size = self._database.record_size
-        members = snapshot.members
         blocks = snapshot.plan.split_selector_many(selector_matrix)
-        partials = np.zeros((len(members), batch, record_size), dtype=np.uint8)
 
         combined = [PhaseTimer() for _ in breakdowns]
-        for (shard, child, child_lanes), block, slab in zip(members, blocks, partials):
+        for (shard, child, child_lanes), block in zip(snapshot.members, blocks):
             child_timers = [PhaseTimer() for _ in breakdowns]
             child_query_lanes = [min(lane, child_lanes - 1) for lane in lanes]
-            slab[...] = child.execute_many(block, child_timers, child_query_lanes)
+            child.charge_many(block, child_timers, child_query_lanes)
             for query_combined, child_timer in zip(combined, child_timers):
                 query_combined.merge_parallel(child_timer)
             if self.tracer is not None:
@@ -402,17 +397,11 @@ class ShardedBackend(PIRBackend):
                     "shard.scan",
                     shard=shard.index,
                     records=shard.num_records,
-                    batch=batch,
+                    batch=len(breakdowns),
                     seconds=sum(timer.total for timer in child_timers),
                 )
         for breakdown, query_combined in zip(breakdowns, combined):
             breakdown.merge(query_combined)
-        # Cross-shard fold through the uint64 word path (one flattened fold,
-        # B * record_size bytes per shard, bit-identical to per-query byte
-        # folds).
-        return fold_partials(
-            [slab.reshape(-1) for slab in partials], batch * record_size
-        ).reshape(batch, record_size)
 
     # -- views for servers/tests ----------------------------------------------------
 
@@ -475,7 +464,7 @@ class ShardedBackend(PIRBackend):
         replaced = list(members)
         outgoing = replaced[position]
         replaced[position] = (shard, child, child.capabilities().lanes)
-        # Single reference assignment: an execute_many() running concurrently (on
+        # Single reference assignment: a charge_many() running concurrently (on
         # one of the asyncio frontend's replica worker threads) reads either
         # the old snapshot or the new one, never a child paired with a stale
         # lane count or a stale plan.

@@ -14,6 +14,10 @@ the DPU count: their per-DPU state is arrays, so building a server, writing
 to it and answering a batch call into ``repro/core`` and ``repro/pim`` as
 often at 2 048 DPUs as at 8.  A per-DPU object or loop makes it grow with
 ``P``.
+
+And a server scans its database once per batch whatever its shape: a sharded
+fleet's children only price their cut, so one batch is one ``dpxor_many`` at
+1, 4 or 16 shards.  A per-shard scan makes the count grow with the shards.
 """
 
 import cProfile
@@ -31,6 +35,7 @@ from repro.core.engine import available_backends, create_server
 from repro.dpf.dpf import DPF
 from repro.dpf.prf import make_prg
 from repro.pim.config import scaled_down_config
+from repro.pir import xor_ops
 from repro.pir.client import PIRClient
 from repro.pir.database import Database
 
@@ -97,3 +102,35 @@ def test_calls_into_the_pim_path_do_not_grow_with_the_dpu_count(kind):
     calls = _pim_server_calls(kind, 8)
     assert calls > 0
     assert _pim_server_calls(kind, 2048) == calls
+
+
+_XOR_OPS = str(Path(xor_ops.__file__))
+
+
+@pytest.mark.parametrize("num_shards", [1, 4, 16])
+def test_a_sharded_server_scans_its_database_once_per_batch(num_shards):
+    """Shards price their cut of a batch; the server XORs the whole database
+    once, so one 8-query batch is one ``dpxor_many`` at any shard count, and
+    its payloads are the reference scan's."""
+    database = Database.random(4096, 32, seed=5)
+    client = PIRClient(4096, 32, seed=6, prg=make_prg())
+    queries = [pair[0] for pair in client.query_batch(list(range(7, 4096, 512)))]
+    sharded = create_server(
+        "sharded", database, num_shards=num_shards, child_kind="im-pir", prg=make_prg()
+    )
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        answers = sharded.answer_batch(queries).results
+    finally:
+        profile.disable()
+    scans = sum(
+        calls
+        for (filename, _, function), (_, calls, *_) in pstats.Stats(profile).stats.items()
+        if filename == _XOR_OPS and function == "dpxor_many"
+    )
+    assert scans == 1
+    reference = create_server("reference", database, prg=make_prg())
+    assert [result.answer.payload for result in answers] == [
+        result.answer.payload for result in reference.answer_batch(queries).results
+    ]

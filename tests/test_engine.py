@@ -195,11 +195,12 @@ class TestBackendSurface:
         assert PIRBackend.__abstractmethods__ == {
             "prepare",
             "capabilities",
-            "execute_many",
+            "charge_many",
         }
         assert {name for name in vars(PIRBackend) if not name.startswith("_")} == {
             "prepare",
             "capabilities",
+            "charge_many",
             "execute_many",
             "latency_eval_seconds",
             "batch_eval_seconds",

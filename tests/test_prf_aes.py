@@ -9,6 +9,7 @@ kernels at every width, from two threads sharing one instance, and whole DPFs
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -129,7 +130,8 @@ class TestFastPRGEqualsTheOracle:
     def test_threads_sharing_one_instance(self):
         """Replica worker threads and overlapping async flushes may share a
         PRG: concurrent ``children`` calls (more threads than cores, switching
-        as often as the interpreter allows) each get their own seeds' output."""
+        as often as the interpreter allows) each get their own seeds' output,
+        no worker raises, and no expansion goes uncounted."""
         prg = make_prg()
         inputs = [_seeds(256, seed) for seed in range(4)]
         expected = [OracleAESPRG().children(seeds) for seeds in inputs]
@@ -138,10 +140,13 @@ class TestFastPRGEqualsTheOracle:
 
         def work(seeds, want):
             start.wait()
-            for _ in range(100):
-                if not np.array_equal(prg.children(seeds), want):
-                    failures.append(True)
-                    return
+            try:
+                for _ in range(100):
+                    if not np.array_equal(prg.children(seeds), want):
+                        failures.append("wrong output")
+                        return
+            except BaseException as error:  # a dead worker must fail the test
+                failures.append(repr(error))
 
         threads = [threading.Thread(target=work, args=pair) for pair in zip(inputs, expected)]
         interval = sys.getswitchinterval()
@@ -155,6 +160,55 @@ class TestFastPRGEqualsTheOracle:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not failures
+        assert prg.expand_calls == len(inputs) * 100 * 256
+
+    def test_one_thread_at_a_time_in_the_cipher(self):
+        """The encryptor context is not re-entrant, so an instance lets one
+        thread into it at a time.  A stand-in encryptor that sleeps inside
+        ``update_into`` makes any overlap certain, not a rare race."""
+
+        class OverlapCountingEncryptor:
+            def __init__(self, inner):
+                self._inner = inner
+                self._guard = threading.Lock()
+                self.inside = 0
+                self.overlaps = 0
+
+            def update_into(self, data, buf):
+                with self._guard:
+                    self.inside += 1
+                    self.overlaps += self.inside > 1
+                time.sleep(0.005)
+                with self._guard:
+                    self.inside -= 1
+                    return self._inner.update_into(data, buf)
+
+        prg = make_prg()
+        encryptor = OverlapCountingEncryptor(prg._encryptor)
+        prg._encryptor = encryptor
+        inputs = [_seeds(16, seed) for seed in range(4)]
+        expected = [OracleAESPRG().children(seeds) for seeds in inputs]
+        failures = []
+        start = threading.Barrier(len(inputs))
+
+        def work(seeds, want):
+            start.wait()
+            try:
+                for _ in range(3):
+                    if not np.array_equal(prg.children(seeds), want):
+                        failures.append("wrong output")
+            except BaseException as error:
+                failures.append(repr(error))
+
+        threads = [threading.Thread(target=work, args=pair) for pair in zip(inputs, expected)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        assert encryptor.overlaps == 0
+        assert prg.expand_calls == len(inputs) * 3 * 16
 
     @pytest.mark.parametrize("output_bits", [1, 8, 64])
     @pytest.mark.parametrize("domain_bits", range(11))

@@ -358,6 +358,9 @@ class _CountingBackend:
     def execute_many(self, selector_matrix, breakdowns, lanes):
         return self._inner.execute_many(selector_matrix, breakdowns, lanes)
 
+    def charge_many(self, selector_matrix, breakdowns, lanes):
+        return self._inner.charge_many(selector_matrix, breakdowns, lanes)
+
     def latency_eval_seconds(self, num_records):
         return self._inner.latency_eval_seconds(num_records)
 

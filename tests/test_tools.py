@@ -244,8 +244,9 @@ class TestBatchedScanLint:
         assert not self._check(tmp_path, "src/repro/pir/protocol.py", source.format(""))
 
     def test_per_query_scan_hook_flagged(self, tmp_path):
-        # execute_many is the one backend hook; a class growing an `execute`
-        # method is the per-query twin coming back.
+        # charge_many is the one backend hook (execute_many the one scan, on
+        # PIRBackend only); a class growing an `execute` method is the
+        # per-query twin coming back.
         source = (
             "class Backend:\n"
             "    def {}(self, selector_matrix, breakdowns, lanes):{}\n"
@@ -259,7 +260,7 @@ class TestBatchedScanLint:
             tmp_path, "src/repro/core/backend.py", source.format("execute", "  # noqa")
         )
         assert not self._check(
-            tmp_path, "src/repro/core/backend.py", source.format("execute_many", "")
+            tmp_path, "src/repro/core/backend.py", source.format("charge_many", "")
         )
         # Module-level functions and code outside the library are not hooks.
         assert not self._check(
@@ -453,6 +454,91 @@ class TestOneServerClassLint:
         # Outside the library (tests, examples) doubles may be named freely.
         assert not self._check(
             tmp_path, "tests/test_doubles.py", "class FakeServer:\n    pass\n"
+        )
+
+
+class TestOneScanLint:
+    """Backends price a batch in ``charge_many``; the one scan is
+    ``PIRBackend.execute_many``, the only ``dpxor_many`` call of the serving
+    path."""
+
+    def _check(self, tmp_path, relative, source):
+        lint = _load_tool("lint")
+        path = tmp_path / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source)
+        return lint.check_file(path)
+
+    _OVERRIDE = (
+        "class {}:\n"
+        "    def execute_many(self, selector_matrix, breakdowns, lanes):{}\n"
+        "        return selector_matrix\n"
+    )
+    _CALL = (
+        "from repro.pir.xor_ops import dpxor_many\n\n\n"
+        "class {}:\n"
+        "    def {}(self, selector_matrix, breakdowns, lanes):\n"
+        "        return dpxor_many(self._database.records, selector_matrix){}\n"
+    )
+
+    @pytest.mark.parametrize(
+        "relative,name",
+        [
+            ("src/repro/shard/backend.py", "ShardedBackend"),
+            ("src/repro/core/impir.py", "PIMClusterBackend"),
+            ("src/repro/core/engine.py", "ReferenceBackend"),
+            ("src/repro/core/base.py", "PIRBackend"),
+        ],
+    )
+    def test_execute_many_override_flagged(self, tmp_path, relative, name):
+        flagged = self._check(tmp_path, relative, self._OVERRIDE.format(name, ""))
+        assert any("execute_many overridden" in message for _, message in flagged)
+        assert not self._check(tmp_path, relative, self._OVERRIDE.format(name, "  # noqa"))
+
+    @pytest.mark.parametrize(
+        "relative,source",
+        [
+            ("src/repro/core/streaming.py", _CALL.format("StreamedPIMBackend", "charge_many", "{}")),
+            ("src/repro/core/engine.py", _CALL.format("ReferenceBackend", "charge_many", "{}")),
+            ("src/repro/core/engine.py", _CALL.format("PIRBackend", "charge_many", "{}")),
+            (
+                "src/repro/shard/backend.py",
+                "from repro.pir import xor_ops\n\n\n"
+                "def scan(records, selectors):\n"
+                "    return xor_ops.dpxor_many(records, selectors){}\n",
+            ),
+        ],
+    )
+    def test_stray_dpxor_many_call_flagged(self, tmp_path, relative, source):
+        flagged = self._check(tmp_path, relative, source.format(""))
+        assert any("dpxor_many called outside" in message for _, message in flagged)
+        assert not self._check(tmp_path, relative, source.format("  # noqa"))
+
+    def test_the_one_scan_and_its_homes_are_legal(self, tmp_path):
+        assert not self._check(
+            tmp_path,
+            "src/repro/core/engine.py",
+            self._OVERRIDE.format("PIRBackend", "")
+            + "\n\n" + self._CALL.format("PIRBackend", "execute_many", ""),
+        )
+        for relative in ("src/repro/pir/xor_ops.py", "src/repro/pim/kernels.py"):
+            assert not self._check(
+                tmp_path, relative, self._CALL.format("Kernel", "run", "")
+            )
+        # Pricing methods, module functions named alike and code outside the
+        # library (tests, benches) are not scan sites.
+        assert not self._check(
+            tmp_path,
+            "src/repro/core/impir.py",
+            "class PIMClusterBackend:\n"
+            "    def charge_many(self, selector_matrix, breakdowns, lanes):\n"
+            "        return None\n",
+        )
+        assert not self._check(
+            tmp_path, "tests/test_double.py", self._OVERRIDE.format("CountingBackend", "")
+        )
+        assert not self._check(
+            tmp_path, "benchmarks/bench_scan.py", self._CALL.format("Bench", "run", "")
         )
 
 

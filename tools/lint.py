@@ -61,6 +61,14 @@ AST pass instead.  It flags:
 * a method named ``execute`` defined in any class under ``src/repro/`` — the
   backend protocol has one scan hook, ``execute_many`` (a single query is a
   batch of one); an ``execute`` method is the per-query twin creeping back;
+* a method named ``execute_many`` defined in any class under ``src/repro/``
+  other than ``repro/core/engine.py``'s ``PIRBackend`` — backends implement
+  ``charge_many`` (pricing only) and inherit the one scan; an override is a
+  second scan site (a sharded fleet XORing once per shard again);
+* a ``dpxor_many(`` call under ``src/repro/`` outside ``repro/pir/xor_ops.py``
+  (its home), ``PIRBackend.execute_many`` (the one scan of a batch) and
+  ``repro/pim/kernels.py`` (the executing DPU model the tests use as an
+  oracle) — a server XORs its database exactly once per batch;
 * a class whose name ends in ``Server`` under ``src/repro/`` other than
   ``repro/pir/server.py``'s ``PIRServer`` — every architecture runs the one
   server class over its own ``PIRBackend``; a second server class is a
@@ -235,7 +243,7 @@ def _is_per_record_loop(node: ast.AST) -> bool:
 
 #: Packages whose batch handling must stay batched: a per-query Python loop
 #: over the batch dimension re-introduces the per-dispatch overhead the
-#: batched shard walk (one ``execute_many`` per child) and the batched DPU
+#: batched shard walk (one ``charge_many`` per child) and the batched DPU
 #: charge (``run_dpu_pipeline_many``) exist to amortise.
 BATCHED_SCAN_PACKAGES = ("shard", "pim")
 
@@ -308,15 +316,55 @@ def _is_query_call(node: ast.AST) -> bool:
     )
 
 
-def _per_query_scan_hooks(node: ast.AST) -> List[int]:
-    """Line numbers of ``def execute`` methods when ``node`` is a class."""
+def _methods_named(node: ast.AST, name: str) -> List[ast.AST]:
+    """The ``def <name>`` methods when ``node`` is a class."""
     if not isinstance(node, ast.ClassDef):
         return []
     return [
-        item.lineno
+        item
         for item in node.body
-        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and item.name == "execute"
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name == name
+    ]
+
+
+#: The one scan: ``(module path under repro/, class name)`` of the base whose
+#: ``execute_many`` every backend inherits.
+SCAN_CLASS = (("core", "engine.py"), "PIRBackend")
+
+#: Library modules that may call ``dpxor_many`` anywhere: the scan kernels'
+#: home and the executing DPU kernel model the tests use as an oracle.
+SCAN_MODULES = (("repro", "pir", "xor_ops.py"), ("repro", "pim", "kernels.py"))
+
+
+def _is_scan_class(node: ast.AST, path: Path) -> bool:
+    (package, module), name = SCAN_CLASS
+    return (
+        isinstance(node, ast.ClassDef)
+        and node.name == name
+        and path.parts[-3:] == ("repro", package, module)
+    )
+
+
+def _stray_scan_calls(tree: ast.AST, path: Path) -> List[int]:
+    """Line numbers of ``dpxor_many(...)`` calls outside the scan's homes."""
+    if path.parts[-3:] in SCAN_MODULES:
+        return []
+    exempt = {
+        id(inner)
+        for node in ast.walk(tree)
+        if _is_scan_class(node, path)
+        for method in _methods_named(node, "execute_many")
+        for inner in ast.walk(method)
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and id(node) not in exempt
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id == "dpxor_many")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "dpxor_many")
+        )
     ]
 
 
@@ -600,13 +648,23 @@ def check_file(path: Path) -> List[Tuple[int, str]]:
                 )
             )
         if library_code:
-            for lineno in _per_query_scan_hooks(node):
+            for method in _methods_named(node, "execute"):
                 deprecated.append(
                     (
-                        lineno,
+                        method.lineno,
                         "per-query scan hook creeping back (a method named "
                         "execute in a class under src/repro/); implement "
-                        "execute_many",
+                        "charge_many",
+                    )
+                )
+        if library_code and not _is_scan_class(node, path):
+            for method in _methods_named(node, "execute_many"):
+                deprecated.append(
+                    (
+                        method.lineno,
+                        "execute_many overridden outside PIRBackend "
+                        "(repro/core/engine.py) — a second scan site; price "
+                        "the batch in charge_many and inherit the one scan",
                     )
                 )
         if (
@@ -657,6 +715,18 @@ def check_file(path: Path) -> List[Tuple[int, str]]:
                 imports.append(
                     (node.lineno, bound, f"from {node.module or '.'} import {alias.name}")
                 )
+
+    if library_code:
+        for lineno in _stray_scan_calls(tree, path):
+            deprecated.append(
+                (
+                    lineno,
+                    "dpxor_many called outside repro/pir/xor_ops.py, "
+                    "PIRBackend.execute_many and repro/pim/kernels.py — a "
+                    "server XORs its database once per batch, in the base "
+                    "class's execute_many",
+                )
+            )
 
     collector = _UsageCollector()
     collector.visit(tree)
