@@ -19,7 +19,7 @@ bench-asserts:
 	$(PYTHON) -m pytest benchmarks/bench_*.py --benchmark-disable -q
 
 lint:
-	$(PYTHON) tools/lint.py src tools
+	$(PYTHON) tools/lint.py src tools tests examples
 
 figures:
 	$(PYTHON) -m repro.bench.cli all

@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
-"""Asyncio frontend: real max-wait timers and concurrent fleet dispatch.
+"""Asyncio frontend: real max-wait timers, every batch answered on the loop.
 
 The batching :class:`~repro.pir.frontend.PIRFrontend` runs on a simulated
 clock — perfect for deterministic tests, useless in front of live traffic,
-where a lone request must flush once its wait elapses and the two replica
-fleets should be scanned at the same time.  This walkthrough drives the
-wall-clock :class:`~repro.pir.async_frontend.AsyncPIRFrontend` instead:
+where a lone request must flush once its wait elapses.  This walkthrough
+drives the wall-clock :class:`~repro.pir.async_frontend.AsyncPIRFrontend`
+instead:
 
 1. a burst of concurrent submitters (``asyncio.gather``) splits into size
-   batches, each fanned out to both replicas concurrently
-   (``asyncio.to_thread`` per replica) — recorded in-flight windows prove
-   the overlap;
+   batches, each answered by both replica fleets in sequence on the event
+   loop's own thread — recorded threads and windows prove it (worker
+   threads only add GIL contention in one CPython process);
 2. a lone straggler flushes on the *real* max-wait timer, with no follow-up
    arrival needed;
 3. the same request stream through the simulated-clock frontend returns
@@ -22,6 +22,7 @@ Run:  python examples/async_frontend.py
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 
 from repro.common.units import format_seconds
@@ -34,18 +35,18 @@ from repro.pir.frontend import FLUSH_ON_WAIT, BatchingPolicy, PIRFrontend
 
 
 class RecordingReplica:
-    """Delegates to a replica fleet, recording each batch's wall-clock window."""
+    """Delegates to a replica fleet, recording each batch's thread and window."""
 
-    def __init__(self, inner, hold_seconds: float = 0.02) -> None:
+    def __init__(self, inner) -> None:
         self._inner = inner
-        self._hold_seconds = hold_seconds
         self.server_id = inner.server_id
+        self.threads = []
         self.windows = []
 
     def answer_batch(self, queries):
         start = time.monotonic()
-        time.sleep(self._hold_seconds)  # make the overlap visible at any scale
         result = self._inner.answer_batch(queries)
+        self.threads.append(threading.get_ident())
         self.windows.append((start, time.monotonic()))
         return result
 
@@ -82,9 +83,9 @@ def main() -> None:
         # --- 2. a lone straggler flushes on the real timer --------------------
         start = time.monotonic()
         lone = await frontend.submit(straggler)
-        return records, lone, time.monotonic() - start
+        return records, lone, time.monotonic() - start, threading.get_ident()
 
-    records, lone, lone_wait = asyncio.run(drive())
+    records, lone, lone_wait, loop_thread = asyncio.run(drive())
     assert records == [database.record(i) for i in burst]
     assert lone == database.record(straggler)
     print(f"burst of {len(burst)} concurrent submitters: every record verified")
@@ -95,12 +96,13 @@ def main() -> None:
     print(f"flush reasons: {frontend.metrics.flush_reasons}")
     assert frontend.metrics.flush_reasons.get(FLUSH_ON_WAIT, 0) >= 1
 
-    # --- replica fan-out genuinely overlapped ---------------------------------
+    # --- every batch answered on the loop thread, one replica after the other --
+    assert {*replicas[0].threads, *replicas[1].threads} == {loop_thread}
     for window_a, window_b in zip(replicas[0].windows, replicas[1].windows):
-        assert max(window_a[0], window_b[0]) < min(window_a[1], window_b[1])
+        assert window_a[1] <= window_b[0]
     print(
-        f"replica dispatch overlapped in all {len(replicas[0].windows)} batches "
-        f"(recorded in-flight windows)\n"
+        f"all {len(replicas[0].windows)} batches answered on the loop thread, "
+        f"replica 0 then replica 1 (recorded threads and windows)\n"
     )
 
     # --- 3. bit-identical to the simulated-clock frontend ---------------------
@@ -115,7 +117,7 @@ def main() -> None:
         "sync frontend cross-check: same request stream, bit-identical records "
         "(both frontends share one flush pipeline)"
     )
-    print("\nasync frontend verified: timers, concurrency and equivalence")
+    print("\nasync frontend verified: timers, loop-thread dispatch and equivalence")
 
 
 if __name__ == "__main__":

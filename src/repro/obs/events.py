@@ -193,8 +193,9 @@ class EventLog:
     ``emit`` never raises: a sink fault increments :attr:`dropped` (and is
     remembered in :attr:`last_error`) while the remaining sinks still
     receive the event — a broken exporter must never fail the retrieval
-    that emitted, nor starve the healthy sinks.  Thread-safe: the sharded
-    backend's thread-pool scans emit concurrently with the loop.
+    that emitted, nor starve the healthy sinks.  Thread-safe: the async
+    frontend's writers (``apply_updates`` / ``reconfigure``) emit from a
+    worker thread.
     """
 
     def __init__(self, sinks=()) -> None:

@@ -1,11 +1,9 @@
-"""Asyncio request frontend: real max-wait timers, concurrent replica fan-out.
+"""Asyncio request frontend: real max-wait timers, replicas answered on the loop.
 
 :class:`~repro.pir.frontend.PIRFrontend` batches on *simulated* arrival
-stamps — deterministic and thread-free, but its max-wait rule only fires when
-a later arrival (or an explicit ``advance_time``) proves the wait expired,
-and its replicas are called in sequence.  In front of live traffic neither
-holds: a lone request must still flush once its wait elapses, and the
-replicas — independent machines — should be scanned at the same time.
+stamps — deterministic, but its max-wait rule only fires when a later
+arrival (or an explicit ``advance_time``) proves the wait expired.  In front
+of live traffic a lone request must still flush once its wait elapses.
 
 :class:`AsyncPIRFrontend` is that event-loop-driven counterpart:
 
@@ -14,17 +12,25 @@ replicas — independent machines — should be scanned at the same time.
 * a real ``max_wait_seconds`` timer — a cancellable :mod:`asyncio` task,
   re-armed for the oldest pending request after every flush — triggers
   wait-flushes with no follow-up arrival needed;
-* each flush dispatches **all replicas concurrently**:
-  ``asyncio.gather`` over ``asyncio.to_thread``, because the replicas'
-  numpy scans are blocking calls;
+* each flush calls the replicas' ``answer_batch`` **in sequence, on the loop
+  thread**, exactly as the sync frontend does.  The replicas are independent
+  machines and the cost model prices them as parallel (``sim.*``), but in
+  one CPython process two worker threads buy GIL contention, not
+  parallelism: on a 2-vCPU host, answering two replicas' batches in two
+  threads measured 1.02–1.77× *slower* than calling them in sequence, at
+  every benchmark shape.  A flush is therefore atomic on the loop — flushes
+  never overlap, so batch k+1 sees batch k's cache admissions;
 * batching semantics (size flush, wait flush, dedup fan-out, pairing by
   explicit request id, metrics) are shared with the sync frontend — both
   subclass :class:`~repro.pir.frontend.BatchingFrontend` and flush through
   its ``begin_flush`` / ``finish_flush``, so the two are bit-identical by
-  construction; only the dispatch between them is this module's own.
+  construction.
 
-A failed flush (a replica drops, duplicates or invents an answer) rejects
-every ``submit`` awaiting that batch with the
+Writers (:meth:`AsyncPIRFrontend.apply_updates`,
+:meth:`AsyncPIRFrontend.reconfigure`) run their blocking work in a worker
+thread behind a writer-preferring gate, and a flush waits while one is
+active.  A failed flush (a replica drops, duplicates or invents an answer)
+rejects every ``submit`` awaiting that batch with the
 :class:`~repro.common.errors.ProtocolError` the pairing check raised.
 """
 
@@ -46,15 +52,16 @@ from repro.pir.frontend import (
 
 
 class AsyncPIRFrontend(BatchingFrontend):
-    """Batches concurrent ``await submit`` calls and fans out to replicas.
+    """Batches concurrent ``await submit`` calls and answers them on the loop.
 
     The constructor surface mirrors :class:`~repro.pir.frontend.PIRFrontend`
     (``policy`` is a :class:`BatchingPolicy` or the adaptive AIMD variant;
     ``dedup=True`` keeps the trusted-aggregator caveat documented there).
-    All methods must be called from a running event loop; the replicas'
-    ``answer_batch`` runs in worker threads, everything else — admission,
-    pairing, reconstruction, metrics — stays on the loop, so no lock is
-    needed around the frontend's own state.
+    All methods must be called from a running event loop.  A flush —
+    key generation, every replica's ``answer_batch`` in sequence, pairing,
+    reconstruction, metrics — runs on the loop thread without yielding, so
+    flushes never overlap and no lock guards the frontend's own state.
+    Only the writers' blocking work leaves the loop.
     """
 
     def __init__(
@@ -69,16 +76,15 @@ class AsyncPIRFrontend(BatchingFrontend):
         super().__init__(client, replicas, policy, dedup, observers, cache)
         self._futures: Dict[int, "asyncio.Future[bytes]"] = {}
         self._timer_task: Optional["asyncio.Task[None]"] = None
-        # Flush/writer quiescence (a reader-writer discipline): flushes may
-        # overlap each other, but a *writer* — a bulk update, or a topology
-        # reconfiguration (:meth:`reconfigure`) — must wait for every
-        # in-flight flush to drain and blocks new flushes while it runs.
-        # Otherwise a flush could reconstruct from mixed old/new replica
-        # states (XOR of the two is garbage), re-admit pre-update bytes
-        # into the cache after the invalidation, or span two plan versions
-        # across its replicas mid-reshape.
+        # Flush/writer quiescence: a *writer* — a bulk update, or a topology
+        # reconfiguration (:meth:`reconfigure`) — runs in a worker thread and
+        # blocks new flushes while it runs.  Otherwise a flush could
+        # reconstruct from mixed old/new replica states (XOR of the two is
+        # garbage), re-admit pre-update bytes into the cache after the
+        # invalidation, or span two plan versions across its replicas
+        # mid-reshape.  A flush never yields, so none is in flight when a
+        # writer takes the slot.
         self._quiesce: Optional[asyncio.Condition] = None
-        self._inflight_flushes = 0
         self._writers_waiting = 0
         self._writer_active = False
 
@@ -89,20 +95,18 @@ class AsyncPIRFrontend(BatchingFrontend):
 
     @asynccontextmanager
     async def _quiesced(self):
-        """Hold the writer slot: no flush in flight, new flushes blocked.
+        """Hold the writer slot: new flushes blocked until it is released.
 
-        Writer-preferring — announcing the waiting writer stops *new*
-        flushes from taking reader slots, or sustained traffic could keep
-        ``_inflight_flushes`` above zero forever and starve the writer
-        indefinitely.  Shared by :meth:`apply_updates` (bulk data swaps)
-        and :meth:`reconfigure` (topology swaps); both therefore guarantee
-        no retrieval reconstructs across the change.
+        Writer-preferring — a waiting writer also holds new flushes back, so
+        queued writers run back to back.  Shared by :meth:`apply_updates`
+        (bulk data swaps) and :meth:`reconfigure` (topology swaps); both
+        therefore guarantee no retrieval reconstructs across the change.
         """
         quiesce = self._quiesce_condition()
         async with quiesce:
             self._writers_waiting += 1
             try:
-                while self._writer_active or self._inflight_flushes:
+                while self._writer_active:
                     await quiesce.wait()
                 self._writer_active = True
             finally:
@@ -122,27 +126,19 @@ class AsyncPIRFrontend(BatchingFrontend):
         :meth:`repro.pir.frontend.PIRFrontend.reconfigure`: ``mutator`` (a
         plain callable — e.g. one applying a
         :class:`~repro.shard.plan.TopologyChange` to every replica fleet)
-        runs only once every in-flight flush has drained, and no flush
-        starts until it returns — so no flush ever spans two plan versions,
-        even with replicas dispatched concurrently.  Returns ``mutator()``'s
+        runs between flushes, and no flush starts until it returns — so no
+        flush ever spans two plan versions.  Returns ``mutator()``'s
         result.  The mutator runs in a worker thread (like the appliers in
         :meth:`apply_updates`): a topology swap prepares fresh children on
         real database slices, and that blocking numpy work must stall only
         the deliberately-quiesced flushes, not every coroutine on the loop.
         Drive this from a management task, not from a frontend observer:
-        observers run while holding a *reader* slot, and waiting for the
-        writer slot there would deadlock against the flush that invoked
-        them.
+        observers run inside a flush, on the loop, and cannot await.
         """
         async with self._quiesced():
             result = await asyncio.to_thread(mutator)
             self.metrics.reconfigurations += 1
             return result
-
-    @property
-    def inflight_flushes(self) -> int:
-        """Flushes currently holding reader slots (0 inside any writer)."""
-        return self._inflight_flushes
 
     async def apply_updates(self, updates) -> None:
         """Apply ``(index, record_bytes)`` updates to every replica.
@@ -150,12 +146,10 @@ class AsyncPIRFrontend(BatchingFrontend):
         The async counterpart of
         :meth:`repro.pir.frontend.PIRFrontend.apply_updates`: replicas
         re-copy their dirty shards in worker threads (blocking numpy).
-        The update *quiesces* the flush pipeline first — it waits for every
-        in-flight flush to drain and holds new flushes until all replicas
-        carry the new bytes and the cache's dirty indices are dropped — so
-        no retrieval ever reconstructs from mixed old/new replica states,
-        and no flush that scanned the old bytes can re-admit them after
-        the invalidation.
+        The update holds new flushes until all replicas carry the new bytes
+        and the cache's dirty indices are dropped — so no retrieval ever
+        reconstructs from mixed old/new replica states, and no flush that
+        scanned the old bytes can re-admit them after the invalidation.
         """
         updates = list(updates)
         if not updates:
@@ -192,9 +186,11 @@ class AsyncPIRFrontend(BatchingFrontend):
         future: "asyncio.Future[bytes]" = loop.create_future()
         self._futures[request.request_id] = future
         if len(self._pending) >= self.policy.max_batch_size:
+            batch = self._take_pending()
+            self._disarm_timer()
             # Shielded: cancelling *this* submitter must not abandon the
             # flush mid-flight — the rest of the batch is awaiting it too.
-            await asyncio.shield(self._dispatch(self._take_pending(), FLUSH_ON_SIZE))
+            await asyncio.shield(self._dispatch(batch, FLUSH_ON_SIZE))
         else:
             self._arm_timer()
         return await future
@@ -223,9 +219,8 @@ class AsyncPIRFrontend(BatchingFrontend):
 
     async def close(self) -> None:
         """Cancel the wait timer and flush whatever is pending."""
-        timer, self._timer_task = self._timer_task, None
-        if timer is not None and not timer.done():
-            timer.cancel()
+        timer = self._disarm_timer()
+        if timer is not None:
             try:
                 await timer
             except asyncio.CancelledError:
@@ -236,6 +231,14 @@ class AsyncPIRFrontend(BatchingFrontend):
             )
 
     # -- internals ----------------------------------------------------------------------
+
+    def _disarm_timer(self) -> Optional["asyncio.Task[None]"]:
+        """Cancel the timer task, if one is running, and return it."""
+        timer, self._timer_task = self._timer_task, None
+        if timer is None or timer.done():
+            return None
+        timer.cancel()
+        return timer
 
     def _arm_timer(self) -> None:
         """Ensure a timer task is watching the oldest pending request."""
@@ -248,8 +251,10 @@ class AsyncPIRFrontend(BatchingFrontend):
         One task serves consecutive batches: after a flush it re-arms itself
         for the new oldest pending request, and exits once nothing is
         pending (the next ``submit`` starts a fresh task).  A size flush
-        elsewhere needs no cancellation — waking at a stale deadline just
-        recomputes against the current oldest and sleeps again.
+        empties the queue and disarms the task, so no timer sleeps on with
+        nothing pending, and the next batch's timer starts in the context
+        (:mod:`contextvars`) of that batch's first request, not of a request
+        answered long ago.
         """
         loop = asyncio.get_running_loop()
         try:
@@ -269,7 +274,7 @@ class AsyncPIRFrontend(BatchingFrontend):
                 self._timer_task = None
 
     async def _dispatch(self, batch: List[PendingRequest], reason: str) -> None:
-        """Flush one batch: concurrent replica fan-out, then the shared pipeline.
+        """Wait out any writer, then run the flush atomically on the loop.
 
         Never raises — a failure rejects the batch's futures instead, so the
         error surfaces from every ``await submit`` of the batch rather than
@@ -277,36 +282,21 @@ class AsyncPIRFrontend(BatchingFrontend):
         """
         if not batch:
             return
-        # Enter the flush pipeline as a "reader": overlaps freely with other
-        # flushes, but never with a writer — an apply_updates or a topology
-        # reconfigure — in progress (see the quiescence note in __init__).
         quiesce = self._quiesce_condition()
         async with quiesce:
             while self._writer_active or self._writers_waiting:
                 await quiesce.wait()
-            self._inflight_flushes += 1
-        try:
-            await self._run_flush(batch, reason)
-        finally:
-            async with quiesce:
-                self._inflight_flushes -= 1
-                quiesce.notify_all()
+        self._run_flush(batch, reason)
 
-    async def _run_flush(self, batch: List[PendingRequest], reason: str) -> None:
-        """The flush proper (already holding a reader slot)."""
+    def _run_flush(self, batch: List[PendingRequest], reason: str) -> None:
+        """The flush proper: the sync frontend's dispatch, with futures."""
         loop = asyncio.get_running_loop()
         try:
-            # Key generation stays on the loop thread: the client's RNG and
-            # counters are unsynchronised and flushes overlap.
             plan = self.begin_flush(batch, reason)
-            # The replicas are independent machines running blocking numpy
-            # scans: one worker thread each, gathered concurrently.
-            raw_results = await asyncio.gather(
-                *(
-                    asyncio.to_thread(replica.answer_batch, queries)
-                    for replica, queries in zip(self.replicas, plan.per_server)
-                )
-            )
+            raw_results = [
+                replica.answer_batch(queries)
+                for replica, queries in zip(self.replicas, plan.per_server)
+            ]
             outcome = self.finish_flush(plan, raw_results, loop.time())
         except Exception as error:  # reject the whole batch, batch-wide fault
             for request in batch:
@@ -314,11 +304,10 @@ class AsyncPIRFrontend(BatchingFrontend):
                 if future is not None and not future.done():
                     future.set_exception(error)
             return
-        # Resolve the batch's futures before the observers: awaiting
-        # submitters are scheduled to wake first, so control-plane observers
-        # (which may run a blocking shard migration on the loop) never gate
-        # request completion.  Observers that need heavier isolation should
-        # be driven from a management task instead of this hook.
+        # Resolve the batch's futures before the observers, so an observer
+        # (which may run a blocking shard migration on the loop) cannot
+        # strand them.  Observers that need heavier isolation should be
+        # driven from a management task instead of this hook.
         for request in batch:
             future = self._futures.pop(request.request_id)
             if not future.done():

@@ -29,7 +29,7 @@ Time is simulated: callers stamp requests with ``arrival_seconds`` (defaults
 to a frontend-local clock) and the max-wait rule triggers deterministically
 from those stamps, which keeps the batching policy unit-testable without
 threads or sleeps.  :mod:`repro.pir.async_frontend` provides the wall-clock
-counterpart (real asyncio max-wait timers, concurrent replica dispatch).
+counterpart (real asyncio max-wait timers, the same in-sequence dispatch).
 Both subclass :class:`BatchingFrontend` and flush through its two halves:
 :meth:`~BatchingFrontend.begin_flush` (pick the scanned requests, generate
 their keys, group the queries per replica), the frontend's own replica
@@ -309,9 +309,9 @@ class BatchingFrontend:
     """The state and the flush pipeline both frontends share.
 
     A flush is ``plan = begin_flush(batch, reason)``, then the frontend's
-    own dispatch of ``plan.per_server`` to its replicas (:class:`PIRFrontend`
-    calls them in sequence,
-    :class:`~repro.pir.async_frontend.AsyncPIRFrontend` concurrently), then
+    own dispatch of ``plan.per_server`` to its replicas (both call them in
+    sequence; :class:`~repro.pir.async_frontend.AsyncPIRFrontend` on its
+    loop thread and resolves futures after), then
     ``finish_flush(plan, raw_results, now)``.  Observers are told by
     :meth:`_notify_observers` at a point each frontend picks.  Pairing,
     dedup, the cache and the metrics live only here, with no event loop and

@@ -1,19 +1,23 @@
-"""The asyncio frontend: real wait timers, concurrent dispatch, equivalence.
+"""The asyncio frontend: real wait timers, loop-thread dispatch, equivalence.
 
 Everything runs under ``asyncio.run`` — no extra test dependency.  The
 deterministic simulated-clock behaviour of the sync frontend is covered by
 ``test_frontend.py``; this suite covers what only a real event loop can
 show: a wait flush with no follow-up arrival, size flushes racing
-concurrent submitters, replica fan-out that genuinely overlaps in wall
-time, and error propagation into every awaiting ``submit``.
+concurrent submitters, replicas answered in sequence on the loop thread,
+flushes parked behind a writer, and error propagation into every awaiting
+``submit``.
 """
 
 import asyncio
+import contextvars
+import threading
 import time
 
 import pytest
 
 from repro.common.errors import ProtocolError
+from repro.control.cache import HotRecordCache
 from repro.core.engine import create_server
 from repro.core.results import IMPIRBatchResult
 from repro.dpf.prf import make_prg
@@ -48,13 +52,14 @@ def reference_replicas(database):
 
 
 class _RecordingReplica:
-    """Wraps a replica; records each ``answer_batch``'s wall-clock window."""
+    """Wraps a replica; records each ``answer_batch``'s window and thread."""
 
     def __init__(self, inner, hold_seconds=0.0):
         self._inner = inner
         self._hold_seconds = hold_seconds
         self.server_id = inner.server_id
         self.windows = []
+        self.threads = []
         self.batch_sizes = []
 
     def answer_batch(self, queries):
@@ -63,8 +68,33 @@ class _RecordingReplica:
             time.sleep(self._hold_seconds)
         result = self._inner.answer_batch(queries)
         self.windows.append((start, time.monotonic()))
+        self.threads.append(threading.get_ident())
         self.batch_sizes.append(len(queries))
         return result
+
+
+class _GatedReplica:
+    """Wraps a replica; its ``apply_updates`` blocks until ``release`` is set.
+
+    Holds a writer (``AsyncPIRFrontend.apply_updates``) mid-flight, so a test
+    can submit while the writer slot is taken.
+    """
+
+    def __init__(self, inner, entered, release):
+        self._inner = inner
+        self._entered = entered
+        self._release = release
+        self.server_id = inner.server_id
+        self.batches = 0
+
+    def answer_batch(self, queries):
+        self.batches += 1
+        return self._inner.answer_batch(queries)
+
+    def apply_updates(self, updates):
+        self._entered.set()
+        assert self._release.wait(5.0)
+        return self._inner.apply_updates(updates)
 
 
 class TestWaitTimer:
@@ -115,6 +145,43 @@ class TestWaitTimer:
         # With a 30 s max wait, only the size rule can have fired.
         assert frontend.metrics.flush_reasons == {FLUSH_ON_SIZE: 1}
 
+    def test_a_size_flush_disarms_the_timer(self, database):
+        """A timer armed for a batch that then flushed on size must not sleep
+        on and wait-flush a later batch in the armed request's context."""
+        who = contextvars.ContextVar("who")
+        seen = []
+
+        class _ContextReplica:
+            def __init__(self, inner):
+                self._inner = inner
+                self.server_id = inner.server_id
+
+            def answer_batch(self, queries):
+                seen.append(who.get())
+                return self._inner.answer_batch(queries)
+
+        async def run():
+            frontend = AsyncPIRFrontend(
+                make_client(database),
+                [_ContextReplica(replica) for replica in reference_replicas(database)],
+                policy=BatchingPolicy(max_batch_size=2, max_wait_seconds=0.05),
+            )
+
+            async def submit_as(name, index):
+                who.set(name)
+                return await frontend.submit(index)
+
+            first = asyncio.create_task(submit_as("a", 1))
+            await asyncio.sleep(0.001)  # a's timer is now asleep on a's deadline
+            await submit_as("b", 2)  # size flush
+            await first
+            await submit_as("c", 3)  # a lone request: the timer flushes it
+            return frontend
+
+        frontend = asyncio.run(run())
+        assert frontend.metrics.flush_reasons == {FLUSH_ON_SIZE: 1, FLUSH_ON_WAIT: 1}
+        assert seen == ["b", "b", "c", "c"]
+
 
 class TestSizeFlushUnderConcurrency:
     def test_concurrent_submitters_split_into_size_batches(self, database):
@@ -160,13 +227,13 @@ class TestSizeFlushUnderConcurrency:
         assert asyncio.run(run()) == []
 
 
-class TestConcurrentDispatch:
-    def test_replica_in_flight_windows_overlap(self, database):
-        """Both replicas must be in flight at once: concurrent, not sequential."""
+class TestLoopThreadDispatch:
+    def test_replicas_answer_on_the_loop_thread_one_after_the_other(self, database):
+        """No worker threads: replica 0 answers, then replica 1, on the loop."""
 
         async def run():
             replicas = [
-                _RecordingReplica(replica, hold_seconds=0.03)
+                _RecordingReplica(replica, hold_seconds=0.01)
                 for replica in reference_replicas(database)
             ]
             frontend = AsyncPIRFrontend(
@@ -175,16 +242,17 @@ class TestConcurrentDispatch:
                 policy=BatchingPolicy(max_batch_size=2, max_wait_seconds=30.0),
             )
             records = await asyncio.gather(frontend.submit(8), frontend.submit(9))
-            return replicas, records
+            return replicas, records, threading.get_ident()
 
-        replicas, records = asyncio.run(run())
+        replicas, records, loop_thread = asyncio.run(run())
         assert records == [database.record(8), database.record(9)]
+        assert replicas[0].threads == replicas[1].threads == [loop_thread]
         (start_a, end_a), = replicas[0].windows
         (start_b, end_b), = replicas[1].windows
-        assert max(start_a, start_b) < min(end_a, end_b)
+        assert end_a <= start_b
 
     def test_sync_frontend_calls_the_same_replicas_sequentially(self, database):
-        """Control for the overlap assertion: the sync path must NOT overlap."""
+        """The sync frontend answers the same replicas in sequence too."""
         replicas = [
             _RecordingReplica(replica, hold_seconds=0.01)
             for replica in reference_replicas(database)
@@ -275,11 +343,16 @@ class TestErrorPropagation:
         assert frontend.metrics.batches_dispatched == 0
 
     def test_cancelling_one_submitter_does_not_strand_the_batch(self, database):
-        """The flush a submitter triggered must survive that submitter's death."""
+        """The flush a submitter triggered must survive that submitter's death.
+
+        The dispatch is cancelled while parked on the writer gate — the only
+        place a flush can wait, since it never yields once it runs.
+        """
+        entered, release = threading.Event(), threading.Event()
 
         async def run():
             replicas = [
-                _RecordingReplica(replica, hold_seconds=0.05)
+                _GatedReplica(replica, entered, release)
                 for replica in reference_replicas(database)
             ]
             frontend = AsyncPIRFrontend(
@@ -287,22 +360,32 @@ class TestErrorPropagation:
                 replicas,
                 policy=BatchingPolicy(max_batch_size=2, max_wait_seconds=30.0),
             )
+            writer = asyncio.create_task(frontend.apply_updates([(100, bytes(24))]))
+            while not entered.is_set():
+                await asyncio.sleep(0.001)
             survivor = asyncio.create_task(frontend.submit(8))
             while frontend.pending_count == 0:
                 await asyncio.sleep(0)
             trigger = asyncio.create_task(frontend.submit(9))  # size flush
-            await asyncio.sleep(0.01)  # let the replica fan-out get in flight
+            await asyncio.sleep(0.01)
+            # The batch left the queue but no replica answered: parked.
+            parked = frontend.pending_count == 0 and replicas[0].batches == 0
             trigger.cancel()
             with pytest.raises(asyncio.CancelledError):
                 await trigger
+            release.set()
+            await writer
             # Without shielding, the cancel would abandon the dispatch and
             # the survivor would hang forever on its future.
             record = await asyncio.wait_for(survivor, timeout=5.0)
-            return frontend, record
+            return frontend, replicas, parked, record
 
-        frontend, record = asyncio.run(run())
+        frontend, replicas, parked, record = asyncio.run(run())
+        assert parked
         assert record == database.record(8)
         assert frontend.pending_count == 0
+        assert frontend.metrics.batches_dispatched == 1
+        assert replicas[0].batches == replicas[1].batches == 1
 
     def test_retrieve_batch_accepts_a_one_shot_iterable(self, database):
         async def run():
@@ -357,8 +440,6 @@ class TestEquivalenceWithSyncFrontend:
         # (simulated vs. loop clock).
         from dataclasses import fields
 
-        from repro.control.cache import HotRecordCache
-
         stream = [4, 9, 4, 4, 200, 9, 31, 4, 9, 200, 77, 4, 31, 9]
         policy = BatchingPolicy(max_batch_size=4, max_wait_seconds=30.0)
 
@@ -384,14 +465,8 @@ class TestEquivalenceWithSyncFrontend:
         sync_records = sync.retrieve_batch(stream)
 
         async def run():
-            # One batch at a time: overlapping flushes would each miss the
-            # cache entries the other is about to admit.
             frontend = make(AsyncPIRFrontend, async_recorder)
-            records = []
-            for start in range(0, len(stream), policy.max_batch_size):
-                chunk = stream[start : start + policy.max_batch_size]
-                records += await frontend.retrieve_batch(chunk)
-            return frontend, records
+            return frontend, await frontend.retrieve_batch(stream)
 
         frontend, async_records = asyncio.run(run())
         assert async_records == sync_records == [database.record(i) for i in stream]
@@ -440,6 +515,44 @@ class TestEquivalenceWithSyncFrontend:
             policy=BatchingPolicy(max_batch_size=4),
         ).retrieve_batch(stream)
         assert async_records == sync_records == [database.record(i) for i in stream]
+
+
+class TestFlushesNeverOverlap:
+    def test_a_concurrent_stream_hits_the_cache_like_the_sync_frontend(self, database):
+        """Regression: batch k+1 must see batch k's cache admissions.
+
+        With flushes overlapping, every batch of a concurrent stream missed
+        the records its predecessor was about to admit: 0 hits where the
+        sync frontend gets 7, and the replicas scanned the hot indices again.
+        """
+        stream = [4, 9, 4, 4, 200, 9, 31, 4, 9, 200, 77, 4, 31, 9]
+        policy = BatchingPolicy(max_batch_size=4, max_wait_seconds=30.0)
+
+        async def run():
+            replicas = [_RecordingReplica(r) for r in reference_replicas(database)]
+            frontend = AsyncPIRFrontend(
+                make_client(database),
+                replicas,
+                policy=policy,
+                dedup=True,
+                cache=HotRecordCache(capacity=8),
+            )
+            return frontend, replicas, await frontend.retrieve_batch(stream)
+
+        frontend, replicas, records = asyncio.run(run())
+        sync = PIRFrontend(
+            make_client(database),
+            reference_replicas(database),
+            policy=policy,
+            dedup=True,
+            cache=HotRecordCache(capacity=8),
+        )
+        assert sync.retrieve_batch(stream) == records
+        assert records == [database.record(i) for i in stream]
+        assert frontend.metrics.cache_hits == sync.metrics.cache_hits == 7
+        assert frontend.metrics.deduped_requests == sync.metrics.deduped_requests
+        # Leaders only: {4, 9}, {200, 31}, {77}; the last batch is all hits.
+        assert replicas[0].batch_sizes == replicas[1].batch_sizes == [2, 2, 1]
 
 
 class TestClose:
@@ -643,9 +756,10 @@ class TestReplicaElasticityMidFlush:
         from repro.shard.plan import ShardPlan
 
         client = make_client(database)
-        # Reference-kind children: the stateless numpy scan is safe under
-        # genuinely overlapping flushes (the simulated PIM children are
-        # not, and this suite deliberately overlaps flushes with scaling).
+        # Reference-kind children keep the suite fast.  Any kind would do:
+        # a flush runs atomically on the loop thread, so flushes never
+        # overlap one another, and the writer gate keeps them apart from
+        # the commit or the drain.
         reference = CandidateKind(
             kind="reference",
             preloaded=True,
@@ -691,7 +805,7 @@ class TestReplicaElasticityMidFlush:
         assert records == [database.record(i) for i in range(0, 48)]
         assert router.replica_count == 2
         assert frontend.metrics.reconfigurations == 1
-        assert frontend.inflight_flushes == 0
+        assert frontend.pending_count == 0
         # The second member genuinely serves traffic afterwards.
         for group in router.replicas:
             assert group.size == 2

@@ -1,13 +1,11 @@
 """PIR client and reference server."""
 
-import numpy as np
 import pytest
 
 from repro.common.errors import ProtocolError
 from repro.core.engine import create_server
 from repro.dpf.prf import make_prg
 from repro.pir.client import SCHEME_DPF, SCHEME_NAIVE, PIRClient
-from repro.pir.database import Database
 from repro.pir.messages import DPFQuery, NaiveQuery, PIRAnswer
 
 

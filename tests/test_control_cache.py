@@ -222,36 +222,36 @@ class TestAsyncInvalidation:
         with pytest.raises(ProtocolError):
             frontend.apply_updates([(0, bytes(8))])
 
-    def test_apply_updates_quiesces_in_flight_flushes(self):
-        """An update must drain in-flight flushes first: a flush scanning
-        mixed old/new replica states would XOR-reconstruct garbage, and one
-        scanning old bytes could re-admit them after the invalidation."""
+    def test_a_flush_waits_for_an_active_writer(self):
+        """A flush submitted while an update holds the writer slot waits for
+        it: scanning mixed old/new replica states would XOR-reconstruct
+        garbage, and scanning the old bytes would re-admit them into the
+        cache after the invalidation."""
         import threading
 
-
         database = Database.random(64, 8, seed=49)
-        hold = threading.Event()
+        entered, release = threading.Event(), threading.Event()
 
-        class SlowReplica:
-            """Holds each replica's first scan until the test releases it."""
+        class GatedReplica:
+            """Holds each replica's ``apply_updates`` until the test releases it."""
 
             def __init__(self, inner):
                 self._inner = inner
                 self.server_id = inner.server_id
-                self._held = False
+                self.batches = 0
 
             def answer_batch(self, queries):
-                if not self._held:
-                    self._held = True
-                    hold.wait(5.0)
+                self.batches += 1
                 return self._inner.answer_batch(queries)
 
             def apply_updates(self, updates):
+                entered.set()
+                assert release.wait(5.0)
                 return self._inner.apply_updates(updates)
 
         cache = HotRecordCache(capacity=4)
         replicas = [
-            SlowReplica(
+            GatedReplica(
                 create_server("sharded", database, server_id=i, num_shards=2, prg=make_prg())
             )
             for i in (0, 1)
@@ -266,22 +266,24 @@ class TestAsyncInvalidation:
         fresh = bytes(8)
 
         async def run():
-            flush_task = asyncio.create_task(frontend.retrieve_batch([5, 9]))
-            while frontend._inflight_flushes == 0:  # scan now held in threads
-                await asyncio.sleep(0)
+            first = await frontend.retrieve_batch([5, 9])  # 5 and 9 now cached
             update_task = asyncio.create_task(frontend.apply_updates([(5, fresh)]))
+            while not entered.is_set():  # the writer holds the slot
+                await asyncio.sleep(0.001)
+            scans_before = replicas[0].batches
+            flush_task = asyncio.create_task(frontend.retrieve_batch([5, 33]))
             await asyncio.sleep(0.05)
-            blocked = not update_task.done()  # waiting for the flush to drain
-            hold.set()
-            first = await flush_task
+            blocked = not flush_task.done() and replicas[0].batches == scans_before
+            release.set()
             await update_task
-            second = await frontend.retrieve_batch([5])
+            second = await flush_task
             return first, blocked, second
 
         first, blocked, second = asyncio.run(run())
         assert blocked
-        assert first == [database.record(5), database.record(9)]  # all-old, no tear
-        assert second == [fresh]  # post-update scan, not a stale cache entry
+        assert first == [database.record(5), database.record(9)]
+        assert second == [fresh, database.record(33)]  # scanned after the update
+        assert cache.get(5) == fresh  # the pre-update bytes were not re-admitted
 
 
 class TestObserverFaultContainment:

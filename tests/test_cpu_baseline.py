@@ -10,7 +10,6 @@ from repro.cpu.config import CPU_BASELINE_CONFIG, CPUConfig
 from repro.cpu.model import PHASE_DPXOR, PHASE_EVAL, CPUModel
 from repro.dpf.prf import make_prg
 from repro.pir.client import PIRClient
-from repro.pir.database import Database
 
 
 class TestCPUConfig:

@@ -28,8 +28,6 @@ import numpy as np
 import pytest
 
 import repro.core
-import repro.dpf
-import repro.pim
 from repro.core.config import IMPIRConfig
 from repro.core.engine import available_backends, create_server
 from repro.dpf.dpf import DPF

@@ -67,10 +67,10 @@ class TestExamplesRun:
         out = example_output("credential_checking")
         assert "10/10 verdicts correct" in out
 
-    def test_async_frontend_example_proves_timer_and_overlap(self, example_output):
+    def test_async_frontend_example_proves_timer_and_loop_thread(self, example_output):
         out = example_output("async_frontend")
         assert "max-wait timer" in out
-        assert "overlapped" in out
+        assert "answered on the loop thread" in out
         assert "bit-identical" in out
 
     def test_observability_example_prints_the_report(self, example_output):

@@ -8,7 +8,7 @@ missing buffers — and the capacity arithmetic at the paper's real sizes.
 import numpy as np
 import pytest
 
-from repro.common.errors import CapacityError, KernelError, TransferError
+from repro.common.errors import CapacityError, TransferError
 from repro.common.units import GIB, MIB
 from repro.core.config import IMPIRConfig
 from repro.core.engine import create_server

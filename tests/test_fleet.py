@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.control.telemetry import HeatTracker
 from repro.dpf.prf import make_prg
 from repro.pir.client import PIRClient
 from repro.pir.database import Database
@@ -111,8 +112,6 @@ class TestHeatsFromTrace:
         by construction: the offline helper routes through the control
         plane's HeatTracker, so a one-window trace and a live tracker fed
         the same indices report identical heats."""
-        from repro.control.telemetry import HeatTracker
-
         plan = ShardPlan.uniform(100, 4)
         trace = [0, 1, 2, 99, 99, 50]
         tracker = HeatTracker(plan)
@@ -122,8 +121,6 @@ class TestHeatsFromTrace:
     def test_arrival_stamped_trace_matches_live_tracker(self):
         """With arrival stamps the offline helper replays the trace through
         windows/decay, matching a live tracker configured identically."""
-        from repro.control.telemetry import HeatTracker
-
         plan = ShardPlan.uniform(100, 4)
         indices = [0, 1, 99, 99, 0, 50]
         arrivals = [0.0, 0.3, 0.6, 0.9, 1.2, 1.5]

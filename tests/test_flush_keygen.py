@@ -55,16 +55,24 @@ class _RecordingClient(PIRClient):
 
 
 class _SlowReplica:
-    """Holds every ``answer_batch`` long enough for flushes to overlap."""
+    """Holds every ``answer_batch`` long enough that flushes *could* overlap.
 
-    def __init__(self, inner, hold_seconds):
+    ``log`` (shared by the replicas) gets one ``(start, end)`` wall-clock
+    window per call.
+    """
+
+    def __init__(self, inner, hold_seconds, log):
         self._inner = inner
         self._hold_seconds = hold_seconds
+        self._log = log
         self.server_id = inner.server_id
 
     def answer_batch(self, queries):
+        start = time.monotonic()
         time.sleep(self._hold_seconds)
-        return self._inner.answer_batch(queries)
+        result = self._inner.answer_batch(queries)
+        self._log.append((start, time.monotonic()))
+        return result
 
 
 def replicas_of(database):
@@ -151,22 +159,26 @@ class TestAsyncFrontendGeneratesPerFlushOnTheLoopThread:
         assert client.batches == [indices[:4], indices[4:]]
         assert {thread for _, _, thread in client.calls} == {loop_thread}
 
-    def test_overlapping_flushes_still_generate_on_the_loop_thread(self, database):
+    def test_flushes_never_overlap_and_generate_on_the_loop_thread(self, database):
         indices = list(range(40, 52))
 
         async def run():
             client = _RecordingClient(database)
-            replicas = [_SlowReplica(replica, 0.05) for replica in replicas_of(database)]
+            windows = []
+            replicas = [
+                _SlowReplica(replica, 0.02, windows) for replica in replicas_of(database)
+            ]
             frontend = AsyncPIRFrontend(client, replicas, policy=BatchingPolicy(4, 30.0))
             tasks = [asyncio.create_task(frontend.submit(index)) for index in indices]
-            peak = 0
-            while not all(task.done() for task in tasks):
-                peak = max(peak, frontend.inflight_flushes)
-                await asyncio.sleep(0.005)
-            return client, threading.get_ident(), peak, [task.result() for task in tasks]
+            records = await asyncio.gather(*tasks)
+            return client, threading.get_ident(), windows, records
 
-        client, loop_thread, peak, records = asyncio.run(run())
-        assert peak >= 2  # the flushes really were in flight together
+        client, loop_thread, windows, records = asyncio.run(run())
+        # Three flushes x two replicas, each call ending before the next
+        # starts: no two answer_batch calls were ever in flight together.
+        assert len(windows) == 6
+        for (_, end), (start, _) in zip(windows, windows[1:]):
+            assert end <= start
         assert records == [database.record(index) for index in indices]
         assert client.batches == [indices[0:4], indices[4:8], indices[8:12]]
         assert {thread for _, _, thread in client.calls} == {loop_thread}

@@ -9,7 +9,6 @@ from repro.dpf.prf import make_prg
 from repro.gpu.config import GPU_BASELINE_CONFIG, GPUConfig
 from repro.gpu.model import PHASE_DPXOR, PHASE_EVAL, PHASE_PCIE, GPUModel
 from repro.pir.client import PIRClient
-from repro.pir.database import Database
 
 
 class TestGPUConfig:

@@ -1,10 +1,11 @@
 """PIM timing model: cost formula behaviour and internal consistency."""
 
+import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.common.units import MIB
-from repro.pim.config import DPUConfig, PIMConfig, UPMEM_PAPER_CONFIG
+from repro.pim.config import DPUConfig, UPMEM_PAPER_CONFIG
 from repro.pim.timing import PIMTimingModel, dpxor_kernel_cost, dpxor_launch_seconds
 
 
@@ -131,8 +132,6 @@ class TestCrossConsistency:
     def test_kernel_report_uses_same_formula(self):
         """The functional kernel's simulated time equals the analytic cost for
         the same chunk/record/tasklet/selected-fraction parameters."""
-        import numpy as np
-
         from repro.pim.dpu import DPU
         from repro.pim.kernels import DB_BUFFER, SELECTOR_BUFFER, DpXorManyKernel
         from repro.pir.xor_ops import pack_selectors
@@ -163,8 +162,6 @@ class TestCrossConsistency:
     def test_launch_seconds_is_the_scalar_formula_row_by_row(self, record_size, tasklets):
         """The vectorised per-DPU launch cost equals adding the scalar cost
         row after row, float-exactly (empty DPUs priced at fraction 0)."""
-        import numpy as np
-
         config = DPUConfig(tasklets=tasklets)
         rng = np.random.default_rng(record_size)
         records = np.array([0, 1, 7, 100, 513, 0, 4096])

@@ -10,6 +10,7 @@ from repro.common.errors import ProtocolError
 from repro.core.engine import create_server
 from repro.dpf.dpf import DPF
 from repro.dpf.naive import NaiveShare
+from repro.pir.client import PIRClient
 from repro.pir.messages import DPFQuery, NaiveQuery, PIRAnswer
 from repro.pir.serialization import (
     WIRE_VERSION,
@@ -169,7 +170,6 @@ class TestEndToEndOverTheWire:
     def test_full_protocol_through_serialization(self, small_db):
         """Client and servers exchange only serialized bytes."""
         from repro.dpf.prf import make_prg
-        from repro.pir.client import PIRClient
 
         client = PIRClient(small_db.num_records, small_db.record_size, seed=3, prg=make_prg())
         servers = [
@@ -186,8 +186,6 @@ class TestEndToEndOverTheWire:
         assert client.reconstruct(answers) == small_db.record(index)
 
     def test_client_upload_accounting_is_the_wire_key_size(self, small_db):
-        from repro.pir.client import PIRClient
-
         client = PIRClient(small_db.num_records, small_db.record_size, seed=5)
         queries = [query for index in (0, 7, 444) for query in client.query(index)]
         assert client.stats.upload_bytes == sum(len(serialize_key(q.key)) for q in queries)

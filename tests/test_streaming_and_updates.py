@@ -1,6 +1,5 @@
 """Streamed (oversized-database) query evaluation and bulk database updates."""
 
-import numpy as np
 import pytest
 
 from repro.common.errors import CapacityError, ProtocolError
@@ -10,7 +9,6 @@ from repro.core.streaming import PHASE_COPY_DB, streaming_overhead_factor
 from repro.dpf.prf import make_prg
 from repro.pim.config import scaled_down_config
 from repro.pir.client import PIRClient
-from repro.pir.database import Database
 
 
 @pytest.fixture()

@@ -157,7 +157,8 @@ class TestVectorizedScanLint:
     def test_repo_source_is_clean(self):
         lint = _load_tool("lint")
         total = []
-        for path in lint.iter_python_files([str(REPO_ROOT / "src"), str(REPO_ROOT / "tools")]):
+        roots = [str(REPO_ROOT / name) for name in ("src", "tools", "tests", "examples")]
+        for path in lint.iter_python_files(roots):
             total.extend(lint.check_file(path))
         assert total == []
 
@@ -539,6 +540,51 @@ class TestOneScanLint:
         )
         assert not self._check(
             tmp_path, "benchmarks/bench_scan.py", self._CALL.format("Bench", "run", "")
+        )
+
+
+class TestThreadedAnswerBatchLint:
+    """Replicas answer on the calling thread: no ``answer_batch`` in a worker."""
+
+    def _check(self, tmp_path, relative, source):
+        lint = _load_tool("lint")
+        path = tmp_path / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source)
+        return lint.check_file(path)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "import asyncio\n\n\nasync def flush(replica, queries):\n"
+            "    return await asyncio.to_thread(replica.answer_batch, queries){}\n",
+            "from asyncio import to_thread\n\n\nasync def flush(replica, queries):\n"
+            "    return await to_thread(replica.answer_batch, queries){}\n",
+            "import asyncio\n\n\nasync def flush(replica, queries):\n"
+            "    loop = asyncio.get_running_loop()\n"
+            "    return await loop.run_in_executor(None, replica.answer_batch, queries){}\n",
+        ],
+    )
+    def test_answer_batch_in_a_worker_thread_flagged(self, tmp_path, source):
+        relative = "src/repro/pir/async_frontend.py"
+        flagged = self._check(tmp_path, relative, source.format(""))
+        assert any("answer_batch handed to a worker thread" in m for _, m in flagged)
+        assert not self._check(tmp_path, relative, source.format("  # noqa"))
+
+    def test_inline_answers_other_callables_and_tests_are_legal(self, tmp_path):
+        assert not self._check(
+            tmp_path,
+            "src/repro/pir/async_frontend.py",
+            "import asyncio\n\n\nasync def write(replica, updates, mutator):\n"
+            "    await asyncio.to_thread(replica.apply_updates, updates)\n"
+            "    await asyncio.to_thread(mutator)\n"
+            "    return [replica.answer_batch(q) for q in updates]\n",
+        )
+        assert not self._check(
+            tmp_path,
+            "tests/test_threads.py",
+            "import asyncio\n\n\nasync def flush(replica, queries):\n"
+            "    return await asyncio.to_thread(replica.answer_batch, queries)\n",
         )
 
 

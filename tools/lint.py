@@ -54,6 +54,12 @@ AST pass instead.  It flags:
   (``BatchingFrontend.begin_flush`` / ``finish_flush``) stays loop-free,
   which is what keeps the sync frontend deterministic; only
   ``async_frontend.py`` touches the event loop;
+* ``asyncio.to_thread(<x>.answer_batch, ...)`` or
+  ``<loop>.run_in_executor(<executor>, <x>.answer_batch, ...)`` anywhere
+  under ``src/repro/`` — a replica's batch is answered on the calling thread
+  (the async frontend's loop thread); in one CPython process, threads
+  answering replicas measured 1.02–1.77× slower than calling them in
+  sequence on 2 vCPUs (GIL contention, not parallelism);
 * any ``<x>.query(...)`` call in the frontends (``src/repro/pir/frontend.py``,
   ``src/repro/pir/async_frontend.py``) — keys are generated once per flush
   through ``client.query_batch``; a ``query`` call there is per-request key
@@ -314,6 +320,23 @@ def _is_query_call(node: ast.AST) -> bool:
         and isinstance(node.func, ast.Attribute)
         and node.func.attr == "query"
     )
+
+
+#: Thread hand-off calls, by name, with the position of their callable.
+THREAD_HANDOFFS = {"to_thread": 0, "run_in_executor": 1}
+
+
+def _is_threaded_answer_batch(node: ast.AST) -> bool:
+    """True when ``to_thread`` / ``run_in_executor`` is handed ``<x>.answer_batch``."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    position = THREAD_HANDOFFS.get(name)
+    if position is None or len(node.args) <= position:
+        return False
+    target = node.args[position]
+    return isinstance(target, ast.Attribute) and target.attr == "answer_batch"
 
 
 def _methods_named(node: ast.AST, name: str) -> List[ast.AST]:
@@ -590,6 +613,16 @@ def check_file(path: Path) -> List[Tuple[int, str]]:
                     "per-request key generation (<x>.query(...)) in a frontend "
                     "(src/repro/pir/{frontend,async_frontend}.py) — keys are "
                     "generated once per flush through client.query_batch",
+                )
+            )
+        if library_code and _is_threaded_answer_batch(node):
+            deprecated.append(
+                (
+                    node.lineno,
+                    "answer_batch handed to a worker thread (to_thread / "
+                    "run_in_executor) under src/repro/ — answer replicas in "
+                    "sequence on the calling thread; threads only add GIL "
+                    "contention",
                 )
             )
         if library_code and _is_second_server_class(node, path):
