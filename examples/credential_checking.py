@@ -55,7 +55,7 @@ def main() -> None:
     print("the servers saw only DPF keys — never a credential, hash, or index")
 
     # Batch mode: the password manager checks a whole vault at once.
-    vault_queries = [per_server[0] for per_server in client.query_batch(trace.indices)]
+    vault_queries = client.query_batch(trace.indices)[0]
     batch = servers[0].answer_batch(vault_queries)
     print(f"\nbatched vault check on server 0: {batch.batch_size} queries, "
           f"simulated makespan {batch.latency_seconds * 1e3:.2f} ms, "

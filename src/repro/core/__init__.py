@@ -14,7 +14,7 @@ from repro.core.engine import (
     register_backend,
 )
 from repro.core.impir import IMPIRDeployment, PIMClusterBackend
-from repro.core.partitioning import PartitionLayout, fold_partials
+from repro.core.partitioning import PartitionLayout
 from repro.core.results import (
     ALL_PHASES,
     PHASE_AGGREGATE,
@@ -47,7 +47,6 @@ __all__ = [
     "IMPIRDeployment",
     "PIMClusterBackend",
     "PartitionLayout",
-    "fold_partials",
     "ALL_PHASES",
     "PHASE_AGGREGATE",
     "PHASE_COPY_IN",

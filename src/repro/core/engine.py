@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,13 +41,11 @@ from repro.common.errors import ProtocolError
 from repro.common.events import PhaseTimer
 from repro.core.results import PHASE_EVAL, IMPIRBatchResult, IMPIRQueryResult
 from repro.core.scheduler import BatchScheduler, QueryTask
-from repro.dpf.dpf import DPF, DPFKey
+from repro.dpf.dpf import DPF
 from repro.dpf.prf import LengthDoublingPRG
 from repro.pir.database import Database
-from repro.pir.messages import DPFQuery, NaiveQuery, PIRAnswer
+from repro.pir.messages import Queries, Query, QueryBatch, query_groups
 from repro.pir.xor_ops import dpxor_many, pack_selectors, selector_bytes
-
-Query = Union[DPFQuery, NaiveQuery]
 
 
 @dataclass(frozen=True)
@@ -224,154 +222,162 @@ class QueryEngine:
 
     # -- shared query validation --------------------------------------------------
 
-    def validate(self, query: Query, caps: BackendCapabilities) -> None:
-        """Reject queries this replica must not answer (one copy of the rules);
-        ``caps`` is read once per flush, not per query."""
-        if isinstance(query, NaiveQuery):
-            if not caps.supports_naive:
-                raise ProtocolError(f"{caps.name} serves DPF-encoded queries")
-        elif not isinstance(query, DPFQuery):
-            raise ProtocolError(f"unsupported query type: {type(query).__name__}")
-        if query.server_id != self.server_id:
+    def validate(self, batch: QueryBatch, caps: BackendCapabilities) -> None:
+        """Reject a batch this replica must not answer (one copy of the rules);
+        a batch is checked once, and ``caps`` is read once per flush."""
+        if batch.is_naive and not caps.supports_naive:
+            raise ProtocolError(f"{caps.name} serves DPF-encoded queries")
+        if batch.server_id != self.server_id:
             raise ProtocolError(
-                f"query addressed to server {query.server_id}, this is server {self.server_id}"
+                f"query addressed to server {batch.server_id}, this is server {self.server_id}"
             )
         if self.database is None:
             raise ProtocolError("engine has no prepared database")
-        if query.num_records != self.database.num_records:
+        if batch.num_records != self.database.num_records:
             raise ProtocolError(
                 "query was generated for a database of "
-                f"{query.num_records} records, this replica holds {self.database.num_records}"
+                f"{batch.num_records} records, this replica holds {self.database.num_records}"
             )
+
+    def _validated(self, queries: Queries, caps: BackendCapabilities) -> Queries:
+        """``queries`` checked, as one :class:`QueryBatch` when they form one.
+
+        A flush's batch passes through; one-row queries are stacked once per
+        kind and shape (:func:`~repro.pir.messages.query_groups`), and only a
+        mixed sequence comes back as itself.
+        """
+        groups = query_groups(queries)
+        for _, batch in groups:
+            self.validate(batch, caps)
+        return groups[0][1] if len(groups) == 1 else queries
 
     # -- selector generation (host-side DPF evaluation, Algorithm 1 step 2) -------
 
-    def _dpf_selectors(self, keys: Sequence[DPFKey], num_records: int) -> np.ndarray:
-        """Packed ``(len(keys), ceil(num_records / 8))`` selector rows of same-shaped keys.
+    def _selectors(self, batch: QueryBatch, num_records: int) -> np.ndarray:
+        """Packed ``(B, ceil(num_records / 8))`` selector rows of one batch.
 
-        The keys' rows are stacked into one :class:`~repro.dpf.dpf.DPFKeys`
-        batch once per flush, then one batched tree walk reaches the 128-bit
-        leaf blocks, whose bytes are the packed rows
-        (see :meth:`~repro.dpf.dpf.DPF.eval_packed_many`).
+        Naive shares are packed with :func:`~repro.pir.xor_ops.pack_selectors`;
+        the batch's keys expand through one tree walk, read straight from its
+        :class:`~repro.dpf.dpf.DPFKeys` arrays, whose 128-bit leaf blocks are
+        the packed rows (see :meth:`~repro.dpf.dpf.DPF.eval_packed_many`).
         """
-        params = (keys[0].domain_bits, keys[0].output_bits)
+        if batch.is_naive:
+            return pack_selectors(batch.bits)
+        keys = batch.keys
+        params = (keys.domain_bits, keys.output_bits)
         dpf = self._dpf_cache.get(params)
         if dpf is None:
             dpf = DPF(params[0], output_bits=params[1], prg=self._prg)
             self._dpf_cache[params] = dpf
-        return dpf.eval_packed_many(
-            keys, num_records, stats=getattr(self.stats, "eval", None)
-        )
+        return dpf.eval_packed_many(keys, num_records, stats=getattr(self.stats, "eval", None))
 
-    def selector_matrix(self, queries: Sequence[Query]) -> np.ndarray:
+    def selector_matrix(self, queries: Queries) -> np.ndarray:
         """Every query's selector share as one packed ``(B, ceil(N / 8))`` matrix.
 
         The batched half of the eval stage, in the one selector format of
         :mod:`repro.pir.xor_ops` (bit ``j % 8`` of byte ``j // 8`` selects
-        record ``j``).  DPF queries sharing key parameters expand through one
-        tree walk (the PRG sees ``B x 2^level`` seeds per level instead of
-        ``2^level`` seeds ``B`` times) whose 128-bit leaf blocks already are
-        packed rows: a flush of one key shape returns a view of the leaf
-        bytes, with no copy.  Naive shares are packed with
-        :func:`~repro.pir.xor_ops.pack_selectors`; only a mixed flush
-        assembles a new matrix.
+        record ``j``).  A flush's :class:`QueryBatch` of DPF keys expands
+        through one tree walk (the PRG sees ``B x 2^level`` seeds per level
+        instead of ``2^level`` seeds ``B`` times) whose 128-bit leaf blocks
+        already are packed rows: the result is a view of the leaf bytes, with
+        no copy.  Only a sequence mixing query kinds or key shapes assembles a
+        new matrix, one walk or packing per group.
         """
         num_records = self.database.num_records
-        groups: Dict[Optional[Tuple[int, int]], List[int]] = {}
-        for position, query in enumerate(queries):
-            params = (
-                None
-                if isinstance(query, NaiveQuery)
-                else (query.key.domain_bits, query.key.output_bits)
-            )
-            groups.setdefault(params, []).append(position)
-        if len(groups) == 1 and None not in groups:
-            return self._dpf_selectors([query.key for query in queries], num_records)
+        groups = query_groups(queries)
+        if len(groups) == 1:
+            return self._selectors(groups[0][1], num_records)
         matrix = np.empty((len(queries), selector_bytes(num_records)), dtype=np.uint8)
-        for params, positions in groups.items():
-            if params is None:
-                matrix[positions] = pack_selectors(
-                    np.stack([queries[position].share.bits for position in positions])
-                )
-            else:
-                matrix[positions] = self._dpf_selectors(
-                    [queries[position].key for position in positions], num_records
-                )
+        for positions, batch in groups:
+            matrix[positions] = self._selectors(batch, num_records)
         return matrix
 
-    # -- single-query path (latency mode) -----------------------------------------
+    # -- answering -------------------------------------------------------------------
+
+    def _serve(
+        self, queries: Queries, lanes: Sequence[int], eval_seconds: float
+    ) -> IMPIRBatchResult:
+        """Evaluate and scan checked ``queries``, row ``i`` on ``lanes[i]``.
+
+        One :meth:`selector_matrix` eval sweep and one
+        :meth:`PIRBackend.execute_many` scan serve every row; the answers
+        stay the scan's ``(B, record_size)`` matrix (no schedule or makespan
+        yet).
+        """
+        breakdowns = [PhaseTimer() for _ in lanes]
+        selectors = self.selector_matrix(queries)
+        if eval_seconds > 0:
+            for breakdown in breakdowns:
+                breakdown.record(PHASE_EVAL, eval_seconds)
+        payloads = self.backend.execute_many(selectors, breakdowns, lanes)
+        if self.stats is not None:
+            self.stats.queries_answered += len(lanes)
+        if isinstance(queries, QueryBatch):
+            query_ids = queries.query_ids
+        else:
+            query_ids = np.asarray([query.query_id for query in queries], dtype=np.int64)
+        return IMPIRBatchResult(
+            server_id=self.server_id,
+            query_ids=query_ids,
+            payloads=payloads,
+            breakdowns=breakdowns,
+            lanes=lanes,
+        )
 
     def answer(self, query: Query, lane: int = 0) -> IMPIRQueryResult:
-        """Answer one query on execution lane ``lane``."""
+        """Answer one query on execution lane ``lane`` (latency mode): the
+        one-query form of :meth:`answer_many`'s path, priced per query."""
         caps = self.backend.capabilities()
-        self.validate(query, caps)
+        batch = self._validated([query], caps)
         if not 0 <= lane < caps.lanes:
             raise ProtocolError(f"lane {lane} out of range [0, {caps.lanes})")
-        breakdown = PhaseTimer()
-        selectors = self.selector_matrix([query])
         eval_seconds = self.backend.latency_eval_seconds(query.num_records)
-        if eval_seconds > 0:
-            breakdown.record(PHASE_EVAL, eval_seconds)
-        payload = self.backend.execute_many(selectors, [breakdown], [lane])[0]
-        result = self._assemble(query, payload, breakdown, lane)
+        result = self._serve(batch, [lane], eval_seconds).results[0]
         if self.events is not None:
             self.events.emit(
                 "engine.answer",
                 server=self.server_id,
                 query=query.query_id,
                 lane=lane,
-                seconds=breakdown.total,
+                seconds=result.breakdown.total,
             )
         return result
 
-    # -- batch path (throughput mode) ----------------------------------------------
-
-    def answer_many(self, queries: Sequence[Query]) -> IMPIRBatchResult:
+    def answer_many(self, queries: Queries) -> IMPIRBatchResult:
         """Answer a batch through the worker/lane pipeline of Fig. 8.
 
-        Queries run round-robin over the backend's lanes; the simulated
-        makespan comes from the :class:`BatchScheduler` fed with each query's
-        measured stage durations, unless the backend prices the batch itself
+        ``queries`` is a flush's :class:`QueryBatch` for this server (or a
+        sequence of one-row queries, stacked once).  It is validated once,
+        its keys are evaluated in one sweep and its rows scanned in one
+        :meth:`PIRBackend.execute_many`, bit-identical to (and charged
+        exactly like) answering them one at a time.  Queries run round-robin
+        over the backend's lanes; the simulated makespan comes from the
+        :class:`BatchScheduler` fed with each query's measured stage
+        durations, unless the backend prices the batch itself
         (:meth:`PIRBackend.batch_makespan`).
-
-        The whole flush goes through the batched fast path: one
-        :meth:`selector_matrix` eval sweep and one
-        :meth:`PIRBackend.execute_many` scan serve every query, bit-identical
-        to (and charged exactly like) answering them one at a time.
         """
-        if not queries:
+        if not len(queries):
             raise ProtocolError("answer_batch needs at least one query")
         caps = self.backend.capabilities()
-        for query in queries:
-            self.validate(query, caps)
+        queries = self._validated(queries, caps)
         eval_seconds = self.backend.batch_eval_seconds(self.database.num_records)
+        lanes = (np.arange(len(queries)) % max(1, caps.lanes)).tolist()
+        batch = self._serve(queries, lanes, eval_seconds)
 
-        lanes = [position % max(1, caps.lanes) for position in range(len(queries))]
-        breakdowns = [PhaseTimer() for _ in queries]
-        selectors = self.selector_matrix(queries)
-        if eval_seconds > 0:
-            for breakdown in breakdowns:
-                breakdown.record(PHASE_EVAL, eval_seconds)
-        payloads = self.backend.execute_many(selectors, breakdowns, lanes)
-
-        results = [
-            self._assemble(query, payloads[position], breakdowns[position], lanes[position])
-            for position, query in enumerate(queries)
-        ]
-        schedule = None
-        makespan = self.backend.batch_makespan(breakdowns)
+        makespan = self.backend.batch_makespan(batch.breakdowns)
         if makespan is None:
-            schedule = batch_scheduler_for(caps, len(queries)).schedule(
+            batch.schedule = batch_scheduler_for(caps, len(queries)).schedule(
                 [
                     QueryTask(
-                        query_id=query.query_id,
+                        query_id=query_id,
                         eval_seconds=breakdown.get(PHASE_EVAL),
                         dpu_seconds=breakdown.total - breakdown.get(PHASE_EVAL),
                     )
-                    for query, breakdown in zip(queries, breakdowns)
+                    for query_id, breakdown in zip(batch.query_ids.tolist(), batch.breakdowns)
                 ]
             )
-            makespan = schedule.makespan
+            makespan = batch.schedule.makespan
+        batch.latency_seconds = makespan
         if self.events is not None:
             self.events.emit(
                 "engine.batch",
@@ -380,29 +386,13 @@ class QueryEngine:
                 eval_seconds=eval_seconds,
                 makespan=makespan,
             )
-        return IMPIRBatchResult(results=results, schedule=schedule, latency_seconds=makespan)
-
-    # -- answer assembly ------------------------------------------------------------
-
-    def _assemble(
-        self, query: Query, payload: np.ndarray, breakdown: PhaseTimer, lane: int
-    ) -> IMPIRQueryResult:
-        if self.stats is not None:
-            self.stats.queries_answered += 1
-        total = breakdown.total
-        answer = PIRAnswer(
-            query_id=query.query_id,
-            server_id=self.server_id,
-            payload=payload.tobytes(),
-            simulated_seconds=total if total > 0 else None,
-        )
-        return IMPIRQueryResult(answer=answer, breakdown=breakdown, cluster_id=lane)
+        return batch
 
 
 def sequential_makespan(breakdowns: Sequence[PhaseTimer]) -> float:
     """Makespan of a batch whose queries run one after another: the sum of
     their totals, in batch order."""
-    return sum((breakdown.total for breakdown in breakdowns), 0.0)
+    return sum([breakdown.total for breakdown in breakdowns], 0.0)
 
 
 def batch_scheduler_for(caps: BackendCapabilities, batch_size: int) -> BatchScheduler:

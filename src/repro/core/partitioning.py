@@ -21,7 +21,7 @@ from repro.common.errors import CapacityError, ConfigurationError
 from repro.core.results import PHASE_COPY_IN, PHASE_COPY_OUT, PHASE_DPXOR
 from repro.pim.system import DPULedger
 from repro.pim.timing import dpxor_launch_seconds
-from repro.pir.xor_ops import selected_counts, selector_bytes, word_view
+from repro.pir.xor_ops import selected_counts, selector_bytes
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,26 +237,3 @@ def run_dpu_pipeline_many(
     )
     charge(PHASE_DPXOR, ledger.charge_launch(per_dpu))
     charge(PHASE_COPY_OUT, ledger.charge_gather(batch * layout.record_size))
-
-
-def fold_partials(partials: Sequence[np.ndarray], record_size: int) -> np.ndarray:
-    """XOR-fold per-DPU sub-results into the server's answer (Algorithm 1 ➏).
-
-    Folds eight bytes per operation through uint64-word views when the record
-    size allows it (XOR is bytewise, so the words fold to identical bytes);
-    odd record sizes fall back to the uint8 loop.
-    """
-    result = np.zeros(record_size, dtype=np.uint8)
-    result_words = word_view(result)
-    for partial in partials:
-        array = np.asarray(partial, dtype=np.uint8).reshape(-1)
-        if array.size != record_size:
-            raise ConfigurationError(
-                f"partial result has {array.size} bytes, expected {record_size}"
-            )
-        array_words = word_view(array)
-        if result_words is not None and array_words is not None:
-            result_words ^= array_words
-        else:
-            result ^= array
-    return result

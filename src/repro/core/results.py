@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
+from repro.common.errors import ProtocolError
 from repro.common.events import PhaseTimer
 from repro.core.scheduler import BatchSchedule
 from repro.pir.messages import PIRAnswer
@@ -46,9 +49,17 @@ class IMPIRQueryResult:
         return self.breakdown.fractions()
 
 
-@dataclass
 class IMPIRBatchResult:
     """A batch of answers plus the simulated makespan that produced them.
+
+    The answers are arrays: ``query_ids`` and ``server_ids`` ``(B,)`` and the
+    ``(B, record_size)`` uint8 ``payloads`` matrix, beside each row's phase
+    ``breakdowns`` and execution ``lanes`` — what the frontend pairs and
+    reconstructs a flush from.  The per-query :attr:`results` (and
+    :attr:`answers`) are built from them on first access and kept, so edits
+    to them (a test double stretching latencies) are what later readers see.
+    A batch may instead be given as its ``results``; the arrays are then read
+    from those once.
 
     ``schedule`` is the Fig. 8 worker/lane timeline when the backend runs the
     batch through that pipeline (its makespan is ``latency_seconds`` and its
@@ -57,10 +68,70 @@ class IMPIRBatchResult:
     :meth:`repro.core.engine.PIRBackend.batch_makespan`).
     """
 
-    results: List[IMPIRQueryResult] = field(default_factory=list)
-    schedule: Optional[BatchSchedule] = None
-    #: Simulated makespan of the whole batch.
-    latency_seconds: float = 0.0
+    def __init__(
+        self,
+        results: Optional[Sequence[IMPIRQueryResult]] = None,
+        schedule: Optional[BatchSchedule] = None,
+        latency_seconds: float = 0.0,
+        *,
+        server_id: int = 0,
+        query_ids: Optional[np.ndarray] = None,
+        payloads: Optional[np.ndarray] = None,
+        breakdowns: Sequence[PhaseTimer] = (),
+        lanes: Sequence[int] = (),
+    ) -> None:
+        self.schedule = schedule
+        #: Simulated makespan of the whole batch.
+        self.latency_seconds = latency_seconds
+        self._results: Optional[List[IMPIRQueryResult]] = None
+        if results is not None:
+            self._results = list(results)
+            answers = [result.answer for result in self._results]
+            sizes = {len(answer.payload) for answer in answers}
+            if len(sizes) > 1:
+                raise ProtocolError(f"answer payloads have sizes {sorted(sizes)}")
+            query_ids = np.asarray([answer.query_id for answer in answers], dtype=np.int64)
+            self.server_ids = np.asarray([answer.server_id for answer in answers], dtype=np.int64)
+            payloads = np.frombuffer(
+                b"".join([answer.payload for answer in answers]), dtype=np.uint8
+            ).reshape(len(answers), sizes.pop() if sizes else 0)
+            breakdowns = [result.breakdown for result in self._results]
+            lanes = [result.cluster_id for result in self._results]
+        else:
+            if query_ids is None:
+                query_ids = np.empty(0, dtype=np.int64)
+            self.server_ids = np.full(query_ids.shape, server_id, dtype=np.int64)
+            if payloads is None:
+                payloads = np.empty((0, 0), dtype=np.uint8)
+        self.query_ids = query_ids
+        self.payloads = payloads
+        self.breakdowns = list(breakdowns)
+        self.lanes = list(lanes)
+
+    @property
+    def results(self) -> List[IMPIRQueryResult]:
+        """Per-query results in submission order (built once, on first access)."""
+        if self._results is None:
+            self._results = [
+                IMPIRQueryResult(
+                    answer=PIRAnswer(
+                        query_id=query_id,
+                        server_id=server_id,
+                        payload=payload.tobytes(),
+                        simulated_seconds=breakdown.total or None,
+                    ),
+                    breakdown=breakdown,
+                    cluster_id=lane,
+                )
+                for query_id, server_id, payload, breakdown, lane in zip(
+                    self.query_ids.tolist(),
+                    self.server_ids.tolist(),
+                    self.payloads,
+                    self.breakdowns,
+                    self.lanes,
+                )
+            ]
+        return self._results
 
     @property
     def answers(self) -> List[PIRAnswer]:
@@ -70,19 +141,19 @@ class IMPIRBatchResult:
     @property
     def batch_size(self) -> int:
         """Number of queries in the batch."""
-        return len(self.results)
+        return len(self.query_ids)
 
     @property
     def throughput_qps(self) -> float:
         """Queries per simulated second."""
         span = self.latency_seconds
-        return len(self.results) / span if span > 0 else float("inf")
+        return self.batch_size / span if span > 0 else float("inf")
 
     def mean_breakdown(self) -> PhaseTimer:
         """Average per-query phase breakdown across the batch."""
         mean = PhaseTimer()
-        if not self.results:
+        if not self.breakdowns:
             return mean
-        for result in self.results:
-            mean.merge(result.breakdown)
-        return mean.scaled(1.0 / len(self.results))
+        for breakdown in self.breakdowns:
+            mean.merge(breakdown)
+        return mean.scaled(1.0 / len(self.breakdowns))

@@ -32,8 +32,9 @@ Keys are arrays.  A :class:`DPFKeys` batch of ``B`` keys is ``roots (B, 16)``,
 ``parties (B,)``, ``cw_seeds (B, depth, 16)``, ``cw_bits (B, depth, 2)`` and
 ``finals (B, 16)``; :meth:`DPF.gen_many` returns one (wrapped as
 :class:`DPFKeyPairs`), every walk reads its correction words straight from
-those arrays, and a :class:`DPFKey` is a one-row view of a batch — what a
-query message carries and the wire codec encodes.
+those arrays.  A flush's per-server message carries its party's rows as a
+slice of the batch (``keys[party::2]``), and a :class:`DPFKey` is a one-row
+view of one — what a one-query message carries and the wire codec encodes.
 """
 
 from __future__ import annotations
@@ -79,6 +80,10 @@ def key_wire_bytes(levels: int) -> int:
     return KEY_HEADER.size + SEED_BYTES + levels * CORRECTION_WORD_BYTES + SEED_BYTES
 
 
+#: The per-row arrays of a :class:`DPFKeys`, in constructor order.
+_KEY_ARRAYS = ("roots", "parties", "cw_seeds", "cw_bits", "finals")
+
+
 @dataclass(frozen=True, eq=False)
 class DPFKeys(SequenceABC):
     """``B`` keys of one DPF shape as uint8 arrays; row ``i`` is one key.
@@ -99,7 +104,8 @@ class DPFKeys(SequenceABC):
         ``(B, 16)`` blocks XORed into a converted leaf when its control bit is
         set; they carry ``beta`` in the target's slot.
 
-    Indexing gives a :class:`DPFKey` view of one row.
+    Indexing gives a :class:`DPFKey` view of one row, slicing a
+    :class:`DPFKeys` of views.
     """
 
     domain_bits: int
@@ -139,9 +145,10 @@ class DPFKeys(SequenceABC):
     def stack(cls, keys: Sequence["DPFKey"]) -> "DPFKeys":
         """One batch holding ``keys``' rows in order (they must share a shape).
 
-        A flush's keys are usually views of one :meth:`DPF.gen_many` batch,
-        so the distinct batches are concatenated (a copy of the one) and the
-        rows gathered with one fancy index per array.
+        For keys held as one-row views (a flush travels as a slice of its
+        :meth:`DPF.gen_many` batch and needs no stacking): the distinct
+        batches are concatenated and the rows gathered with one fancy index
+        per array.
         """
         batches = {id(key.batch): key.batch for key in keys}
         shapes = {(batch.domain_bits, batch.output_bits) for batch in batches.values()}
@@ -154,14 +161,23 @@ class DPFKeys(SequenceABC):
             *shapes.pop(),
             *(
                 np.concatenate([getattr(batch, name) for batch in batches.values()])[rows]
-                for name in ("roots", "parties", "cw_seeds", "cw_bits", "finals")
+                for name in _KEY_ARRAYS
             ),
         )
 
     def __len__(self) -> int:
         return self.parties.shape[0]
 
-    def __getitem__(self, row: int) -> "DPFKey":
+    def __getitem__(self, row: Union[int, slice]) -> Union["DPFKey", "DPFKeys"]:
+        """Row ``row`` as a :class:`DPFKey` view; a slice is a sub-batch of
+        views into these arrays (one party's rows of a :meth:`DPF.gen_many`
+        batch are ``[party::2]``)."""
+        if isinstance(row, slice):
+            return DPFKeys(
+                self.domain_bits,
+                self.output_bits,
+                *(getattr(self, name)[row] for name in _KEY_ARRAYS),
+            )
         return DPFKey(self, range(len(self))[row])
 
 

@@ -12,7 +12,7 @@ for the DPF-based path and as the simplest possible example of the protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -67,19 +67,31 @@ class NaiveXorQueryScheme:
 
     def share(self, index: int) -> List[NaiveShare]:
         """Split the one-hot indicator of ``index`` into per-server shares."""
-        if not 0 <= index < self.num_items:
-            raise ValueError(f"index {index} out of range [0, {self.num_items})")
-        shares = [
-            self._rng.integers(0, 2, size=self.num_items, dtype=np.uint8)
-            for _ in range(self.num_servers - 1)
+        return [
+            NaiveShare(server_id=i, bits=bits) for i, bits in enumerate(self.share_many([index])[:, 0])
         ]
-        combined = np.zeros(self.num_items, dtype=np.uint8)
-        for vector in shares:
-            combined ^= vector
-        last = combined.copy()
-        last[index] ^= 1
-        shares.append(last)
-        return [NaiveShare(server_id=i, bits=bits) for i, bits in enumerate(shares)]
+
+    def share_many(self, indices: Sequence[int]) -> np.ndarray:
+        """Every index's shares as one ``(num_servers, B, num_items)`` 0/1 matrix.
+
+        Row ``b`` of server ``s``'s slice is what :meth:`share` gives server
+        ``s`` for ``indices[b]``: the indices draw in order, each one
+        ``num_servers - 1`` uniform vectors, and the last server's share makes
+        the column XOR to the indicator.
+        """
+        indices = list(indices)
+        for index in indices:
+            if not 0 <= index < self.num_items:
+                raise ValueError(f"index {index} out of range [0, {self.num_items})")
+        shares = np.empty((self.num_servers, len(indices), self.num_items), dtype=np.uint8)
+        for column in range(len(indices)):
+            for server in range(self.num_servers - 1):
+                shares[server, column] = self._rng.integers(
+                    0, 2, size=self.num_items, dtype=np.uint8
+                )
+        np.bitwise_xor.reduce(shares[:-1], axis=0, out=shares[-1])
+        shares[-1, np.arange(len(indices)), np.asarray(indices, dtype=np.int64)] ^= 1
+        return shares
 
     @staticmethod
     def reconstruct_indicator(shares: List[NaiveShare]) -> np.ndarray:

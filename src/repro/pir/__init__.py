@@ -10,7 +10,7 @@ from repro.pir.frontend import (
     PIRFrontend,
     RequestRouter,
 )
-from repro.pir.messages import DPFQuery, NaiveQuery, PIRAnswer
+from repro.pir.messages import DPFQuery, NaiveQuery, PIRAnswer, QueryBatch
 from repro.pir.protocol import MultiServerPIRProtocol, RetrievalTrace
 from repro.pir.serialization import (
     deserialize_answer,
@@ -26,7 +26,6 @@ from repro.pir.xor_ops import (
     DpXorStats,
     dpxor,
     inner_product_mod,
-    xor_bytes,
 )
 
 __all__ = [
@@ -45,6 +44,7 @@ __all__ = [
     "DPFQuery",
     "NaiveQuery",
     "PIRAnswer",
+    "QueryBatch",
     "MultiServerPIRProtocol",
     "RetrievalTrace",
     "deserialize_answer",
@@ -59,5 +59,4 @@ __all__ = [
     "DpXorStats",
     "dpxor",
     "inner_product_mod",
-    "xor_bytes",
 ]

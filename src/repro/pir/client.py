@@ -2,22 +2,27 @@
 
 The client side of the protocol is deliberately lightweight (the paper keeps
 it off the critical path): key generation costs O(log N) PRG calls and
-reconstruction is a single XOR of the servers' sub-results.
+reconstruction is a single XOR of the servers' sub-results.  Both work a
+flush at a time: :meth:`PIRClient.query_batch` generates every key of a
+flush in one walk and returns one :class:`~repro.pir.messages.QueryBatch` per
+server, and :meth:`PIRClient.reconstruct` XORs the servers' paired
+``(B, record_size)`` answer matrices into the flush's records in one
+operation.  :meth:`~PIRClient.query` and :class:`~repro.pir.messages.PIRAnswer`
+lists given to :meth:`~PIRClient.reconstruct` are the one-query forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.common.errors import ProtocolError
 from repro.dpf.dpf import DPF
 from repro.dpf.naive import NaiveXorQueryScheme
 from repro.dpf.prf import LengthDoublingPRG
-from repro.pir.messages import DPFQuery, NaiveQuery, PIRAnswer
-from repro.pir.xor_ops import xor_bytes
-
-Query = Union[DPFQuery, NaiveQuery]
+from repro.pir.messages import PIRAnswer, Query, QueryBatch
 
 SCHEME_DPF = "dpf"
 SCHEME_NAIVE = "naive"
@@ -89,11 +94,6 @@ class PIRClient:
         """DPF domain bits covering the database index space."""
         return self._dpf.domain_bits
 
-    def _allocate_query_id(self) -> int:
-        query_id = self._next_query_id
-        self._next_query_id += 1
-        return query_id
-
     # -- query generation -----------------------------------------------------
 
     def check_index(self, index: int) -> None:
@@ -103,38 +103,59 @@ class PIRClient:
 
     def query(self, index: int) -> List[Query]:
         """Encode a private query for ``index``: one message per server."""
-        return self.query_batch([index])[0]
+        return [batch[0] for batch in self.query_batch([index])]
 
-    def query_batch(self, indices: Sequence[int]) -> List[List[Query]]:
-        """Encode a batch of queries; returns one per-server list per index.
+    def query_batch(self, indices: Sequence[int]) -> List[QueryBatch]:
+        """Encode a flush of queries: one :class:`QueryBatch` per server.
 
-        Every index is checked before any randomness is drawn, and the whole
-        batch's DPF keys come from one :meth:`~repro.dpf.dpf.DPF.gen_many`
-        walk; query ids and :class:`ClientStats` advance in index order.
+        Every index is checked before any randomness is drawn.  The flush
+        takes the next ``len(indices)`` query ids, ascending in index order,
+        and server ``s``'s batch holds row ``i`` of every index: party ``s``'s
+        rows of one :meth:`~repro.dpf.dpf.DPF.gen_many` batch, taken by slice,
+        or server ``s``'s naive shares.  :class:`ClientStats` advances once,
+        by what the rows' one-query messages would have added.
         """
-        indices = list(indices)
-        for index in indices:
-            self.check_index(index)
+        indices = [int(index) for index in indices]
+        outside = [index for index in indices if not 0 <= index < self.num_records]
+        if outside:
+            self.check_index(outside[0])
+        first = self._next_query_id
+        query_ids = np.arange(first, first + len(indices), dtype=np.int64)
         if self.scheme == SCHEME_DPF:
-            message, shares = DPFQuery, self._dpf.gen_many(indices, 1)
-        else:
-            message, shares = NaiveQuery, [self._naive.share(index) for index in indices]
-        batch: List[List[Query]] = []
-        for per_server in shares:
-            query_id = self._allocate_query_id()
-            queries = [
-                message(query_id, server_id, share, self.num_records)
-                for server_id, share in enumerate(per_server)
+            keys = self._dpf.gen_many(indices, 1).keys
+            batches = [
+                QueryBatch(server_id, query_ids, self.num_records, keys=keys[server_id::2])
+                for server_id in (0, 1)
             ]
-            self.stats.queries_generated += 1
-            self.stats.upload_bytes += sum(q.upload_bytes for q in queries)
-            batch.append(queries)
-        return batch
+        else:
+            shares = self._naive.share_many(indices)
+            batches = [
+                QueryBatch(server_id, query_ids, self.num_records, bits=bits)
+                for server_id, bits in enumerate(shares)
+            ]
+        self._next_query_id = first + len(indices)
+        self.stats.queries_generated += len(indices)
+        self.stats.upload_bytes += sum([batch.upload_bytes for batch in batches])
+        return batches
 
     # -- reconstruction ---------------------------------------------------------
 
-    def reconstruct(self, answers: Sequence[PIRAnswer]) -> bytes:
-        """XOR the servers' sub-results back into the requested record."""
+    def reconstruct(
+        self, answers: Union[Sequence[PIRAnswer], np.ndarray]
+    ) -> Union[bytes, np.ndarray]:
+        """XOR the servers' sub-results back into the requested records.
+
+        ``answers`` is a flush's ``(num_servers, B, record_size)`` uint8
+        answer matrix, already paired by query id (row ``i`` of every
+        server's slice answers query ``i``): one XOR across the servers
+        returns the ``(B, record_size)`` records.  Its one-query form is one
+        :class:`PIRAnswer` per server, checked to share a query id and to
+        cover every server, and returns the record's bytes.  Either way
+        :class:`ClientStats` advances by every answer's download and one
+        reconstruction per record.
+        """
+        if isinstance(answers, np.ndarray):
+            return self._xor_shares(answers)
         if len(answers) != self.num_servers:
             raise ProtocolError(
                 f"expected {self.num_servers} answers, got {len(answers)}"
@@ -150,21 +171,17 @@ class PIRClient:
             raise ProtocolError(
                 f"answer payloads have sizes {sorted(lengths)}, expected {self.record_size}"
             )
+        shares = np.stack([answer.payload_array() for answer in answers])
+        return self._xor_shares(shares[:, None]).tobytes()
 
-        record = answers[0].payload
-        for answer in answers[1:]:
-            record = xor_bytes(record, answer.payload)
-        self.stats.download_bytes += sum(answer.download_bytes for answer in answers)
-        self.stats.answers_reconstructed += 1
-        return record
-
-    def reconstruct_batch(self, answer_groups: Sequence[Sequence[PIRAnswer]]) -> List[bytes]:
-        """Reconstruct several records, one per group of per-server answers."""
-        return [self.reconstruct(group) for group in answer_groups]
-
-    def group_answers(self, answers: Sequence[PIRAnswer]) -> Dict[int, List[PIRAnswer]]:
-        """Group a flat answer stream by query id (utility for batch flows)."""
-        grouped: Dict[int, List[PIRAnswer]] = {}
-        for answer in answers:
-            grouped.setdefault(answer.query_id, []).append(answer)
-        return grouped
+    def _xor_shares(self, shares: np.ndarray) -> np.ndarray:
+        expected = (self.num_servers, shares.shape[1] if shares.ndim == 3 else 0, self.record_size)
+        if shares.shape != expected or shares.dtype != np.uint8:
+            raise ProtocolError(
+                f"answer shares are {shares.shape}/{shares.dtype}, expected "
+                f"(num_servers={self.num_servers}, B, record_size={self.record_size}) uint8"
+            )
+        records = np.bitwise_xor.reduce(shares, axis=0)
+        self.stats.download_bytes += shares.size
+        self.stats.answers_reconstructed += shares.shape[1]
+        return records

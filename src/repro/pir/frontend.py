@@ -11,18 +11,21 @@ clients and the replica set:
   per-batch pipeline fill/drain of Fig. 8 is amortised over many requests;
   an :class:`AdaptiveBatchingPolicy` resizes the batch online (AIMD) from
   the cluster utilization each flushed batch reports;
-* **routing** — each flushed batch fans out to every replica's
-  ``answer_batch`` (the replicas are independent trust domains; functionally
-  they are called in sequence, the simulated makespan treats them as
-  parallel);
-* **pairing** — the replicas' answers are re-joined *by explicit request id*:
-  every request knows the ``(query_id, server_id)`` pairs it is owed, a
-  missing or duplicated answer raises
+* **routing** — each flushed batch is one message per replica: the
+  client's :class:`~repro.pir.messages.QueryBatch` for that server goes to
+  its ``answer_batch`` (the replicas are independent trust domains;
+  functionally they are called in sequence, the simulated makespan treats
+  them as parallel);
+* **pairing** — the replicas' answer matrices are re-joined *by query id*
+  with array operations, in whatever order each replica lists its answers:
+  every scanned request is owed one ``(query_id, server_id)`` answer per
+  replica, and a missing, duplicated or unclaimed answer raises
   :class:`~repro.common.errors.ProtocolError` instead of silently
   mis-pairing;
-* **reconstruction** — paired answers are XOR-folded back into records by the
-  client, and scheduling metrics (makespan, throughput, cluster utilisation)
-  are accumulated from the replicas'
+* **reconstruction** — the paired ``(num_servers, B, record_size)`` shares
+  are XORed back into the flush's records by the client in one operation,
+  and scheduling metrics (makespan, throughput, cluster utilisation) are
+  accumulated from the replicas'
   :class:`~repro.core.results.IMPIRBatchResult` objects.
 
 Time is simulated: callers stamp requests with ``arrival_seconds`` (defaults
@@ -42,10 +45,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.common.errors import ProtocolError
 from repro.core.scheduler import BatchSchedule
 from repro.pir.client import PIRClient
-from repro.pir.messages import PIRAnswer
+from repro.pir.messages import QueryBatch
 
 #: Flush triggers, reported in :class:`FrontendMetrics.flush_reasons`.
 FLUSH_ON_SIZE = "size"
@@ -170,13 +175,6 @@ class PendingRequest:
     request_id: int
     index: int
     arrival_seconds: float
-    #: One query per replica, all sharing the client's query id.
-    queries: List = field(default_factory=list)
-
-    @property
-    def expected_keys(self) -> List[Tuple[int, int]]:
-        """The ``(query_id, server_id)`` answer pairs this request is owed."""
-        return [(q.query_id, q.server_id) for q in self.queries]
 
 
 @dataclass
@@ -261,9 +259,10 @@ class FlushPlan:
     scanned: List[PendingRequest]
     #: Records served from the hot-record cache, by index.
     cached: Dict[int, bytes]
-    #: One query list per replica in ``server_id`` order; empty — dispatch
-    #: nothing — when the cache served the whole batch.
-    per_server: List[List]
+    #: One :class:`~repro.pir.messages.QueryBatch` per replica in
+    #: ``server_id`` order, row ``i`` being ``scanned[i]``'s query; empty —
+    #: dispatch nothing — when the cache served the whole batch.
+    per_server: List[QueryBatch]
 
 
 @dataclass
@@ -416,15 +415,62 @@ class BatchingFrontend:
             scanned = list(leaders.values())
         else:
             scanned = list(batch)
-        per_server: List[List] = []
+        per_server: List[QueryBatch] = []
         if scanned:
-            per_server = [[] for _ in self.replicas]
-            generated = self.client.query_batch([request.index for request in scanned])
-            for request, queries in zip(scanned, generated):
-                request.queries = queries
-                for query in queries:
-                    per_server[query.server_id].append(query)
+            per_server = self.client.query_batch([request.index for request in scanned])
         return FlushPlan(reason, batch, scanned, cached, per_server)
+
+    def _pair(self, plan: FlushPlan, raw_results: Sequence) -> np.ndarray:
+        """Every replica's answer to every scanned request, paired by id.
+
+        Returns ``(num_servers, S, record_size)``: row ``i`` of server
+        ``s``'s slice answers ``plan.scanned[i]``.  Answers pair by
+        ``(query_id, server_id)`` in whatever order the replicas return them;
+        a duplicated, missing or unclaimed answer raises
+        :class:`ProtocolError`.  The plan's query ids ascend (the client
+        allocates them in order), so one ``searchsorted`` finds each
+        answer's row.
+        """
+        num_servers, record_size = self.client.num_servers, self.client.record_size
+        query_ids = plan.per_server[0].query_ids
+        answer_ids = np.concatenate([raw.query_ids for raw in raw_results])
+        answer_servers = np.concatenate([raw.server_ids for raw in raw_results])
+        # A stable sort by (query, server) puts each pair's first answer
+        # first; every later one repeats it, and the earliest repeat in
+        # arrival order is the one reported.
+        order = np.lexsort((answer_servers, answer_ids))
+        repeats = order[1:][
+            (np.diff(answer_ids[order]) == 0) & (np.diff(answer_servers[order]) == 0)
+        ]
+        if repeats.size:
+            first = repeats.min()
+            raise ProtocolError(
+                f"duplicate answer for query {answer_ids[first]} "
+                f"from server {answer_servers[first]}"
+            )
+        rows = np.searchsorted(query_ids, answer_ids)
+        claimed = (rows < len(query_ids)) & (answer_servers >= 0) & (answer_servers < num_servers)
+        claimed[claimed] = query_ids[rows[claimed]] == answer_ids[claimed]
+        source = np.full((num_servers, len(query_ids)), -1, dtype=np.int64)
+        source[answer_servers[claimed], rows[claimed]] = np.flatnonzero(claimed)
+        missing = np.argwhere(source.T < 0)
+        if missing.size:
+            row, server = missing[0]
+            raise ProtocolError(
+                f"missing answer for request {plan.scanned[row].request_id} "
+                f"(query {query_ids[row]}, server {server})"
+            )
+        if not claimed.all():
+            orphans = sorted(
+                zip(answer_ids[~claimed].tolist(), answer_servers[~claimed].tolist())
+            )
+            raise ProtocolError(
+                f"replicas returned {len(orphans)} unmatched answers: {orphans}"
+            )
+        sizes = sorted({raw.payloads.shape[1] for raw in raw_results})
+        if sizes != [record_size]:
+            raise ProtocolError(f"answer payloads have sizes {sizes}, expected {record_size}")
+        return np.concatenate([raw.payloads for raw in raw_results])[source]
 
     def finish_flush(
         self, plan: FlushPlan, raw_results: Sequence, now: float
@@ -440,41 +486,15 @@ class BatchingFrontend:
         observer fault cannot lose a count.  ``now`` is the flush instant
         the observers are told.
         """
-        answers_by_key: Dict[Tuple[int, int], PIRAnswer] = {}
-        makespans: List[float] = []
-        schedules: List[BatchSchedule] = []
-        for raw in raw_results:
-            makespans.append(raw.latency_seconds)
-            if raw.schedule is not None:
-                schedules.append(raw.schedule)
-            for answer in raw.answers:
-                key = (answer.query_id, answer.server_id)
-                if key in answers_by_key:
-                    raise ProtocolError(
-                        f"duplicate answer for query {answer.query_id} "
-                        f"from server {answer.server_id}"
-                    )
-                answers_by_key[key] = answer
+        makespans = [raw.latency_seconds for raw in raw_results]
+        schedules = [raw.schedule for raw in raw_results if raw.schedule is not None]
         records: Dict[int, bytes] = {}
         record_by_index: Dict[int, bytes] = {}
-        for request in plan.scanned:
-            group = []
-            for key in request.expected_keys:
-                if key not in answers_by_key:
-                    raise ProtocolError(
-                        f"missing answer for request {request.request_id} "
-                        f"(query {key[0]}, server {key[1]})"
-                    )
-                group.append(answers_by_key.pop(key))
-            group.sort(key=lambda answer: answer.server_id)
-            record = self.client.reconstruct(group)
-            records[request.request_id] = record
-            record_by_index[request.index] = record
-        if answers_by_key:
-            orphans = sorted(answers_by_key)
-            raise ProtocolError(
-                f"replicas returned {len(orphans)} unmatched answers: {orphans}"
-            )
+        if plan.scanned:
+            matrix = self.client.reconstruct(self._pair(plan, raw_results))
+            for request, record in zip(plan.scanned, [row.tobytes() for row in matrix]):
+                records[request.request_id] = record
+                record_by_index[request.index] = record
         if self.cache is not None:
             self.cache.admit_many(record_by_index)
         record_by_index.update(plan.cached)
@@ -515,8 +535,14 @@ class BatchingFrontend:
                 now=now,
                 batch=tuple((request.request_id, request.index) for request in plan.batch),
                 scanned=tuple(
-                    (request.request_id, request.index, tuple(request.expected_keys))
-                    for request in plan.scanned
+                    (
+                        request.request_id,
+                        request.index,
+                        tuple((query_id, server_id) for server_id in range(len(self.replicas))),
+                    )
+                    for request, query_id in zip(
+                        plan.scanned, plan.per_server[0].query_ids.tolist() if plan.scanned else ()
+                    )
                 ),
                 cached_indices=frozenset(plan.cached),
                 cache_hits=cache_hits,
@@ -561,7 +587,9 @@ class PIRFrontend(BatchingFrontend):
     :class:`~repro.pir.server.PIRServer` of any kind, or anything with the
     same surface (a :class:`~repro.shard.fleet.ReplicaGroup`, a test
     double).  A replica exposes ``server_id`` and ``answer_batch(queries)``
-    returning an :class:`~repro.core.results.IMPIRBatchResult` — its answers,
+    — ``queries`` being its :class:`~repro.pir.messages.QueryBatch` of the
+    flush — returning an :class:`~repro.core.results.IMPIRBatchResult`: its
+    answers (query ids, server ids and payload matrix),
     its simulated ``latency_seconds`` and, when the batch ran through the
     Fig. 8 pipeline, the ``schedule`` whose cluster utilisation an adaptive
     policy is fed — plus ``apply_updates`` to take bulk updates.  The

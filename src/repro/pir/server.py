@@ -13,16 +13,14 @@ Build one with :func:`repro.core.engine.create_server`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 from repro.common.events import PhaseTimer
 from repro.dpf.dpf import EvalStats
 from repro.dpf.prf import LengthDoublingPRG
 from repro.pir.database import Database
-from repro.pir.messages import DPFQuery, NaiveQuery
+from repro.pir.messages import Queries, Query
 from repro.pir.xor_ops import DpXorStats
-
-Query = Union[DPFQuery, NaiveQuery]
 
 
 @dataclass
@@ -77,8 +75,9 @@ class PIRServer:
         """Answer one query (latency mode): an ``IMPIRQueryResult``."""
         return self.engine.answer(query)
 
-    def answer_batch(self, queries: Sequence[Query]):
-        """Answer a batch (throughput mode): an ``IMPIRBatchResult``."""
+    def answer_batch(self, queries: Queries):
+        """Answer a flush's ``QueryBatch`` (or one-row queries; throughput
+        mode): an ``IMPIRBatchResult``."""
         return self.engine.answer_many(queries)
 
     def apply_updates(self, updates) -> PhaseTimer:

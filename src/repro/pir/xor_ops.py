@@ -301,9 +301,10 @@ def dpxor_many(
 
     ``out``, when given, is a caller-owned C-contiguous ``(B, record_size)``
     uint8 accumulator block the scan writes into (and returns) instead of
-    allocating — what lets the sharded backend land each shard's
-    sub-results straight into its slab of one preallocated array.  It is
-    zeroed first, so reuse across batches needs no caller-side reset.
+    allocating — what lets the executing DPU kernel model
+    (:mod:`repro.pim.kernels`) land each tasklet's partial results straight
+    into its slab of one preallocated array.  It is zeroed first, so reuse
+    across batches needs no caller-side reset.
     """
     database, selectors = _validate_many(database, selectors)
     num_records, record_size = database.shape
@@ -355,21 +356,6 @@ def dpxor_many(
             )
         )
     return out
-
-
-def xor_bytes(left: bytes, right: bytes) -> bytes:
-    """XOR two equal-length byte strings (client-side reconstruction step)."""
-    if len(left) != len(right):
-        raise DatabaseError("cannot XOR byte strings of different lengths")
-    if len(left) % WORD_BYTES == 0 and len(left):
-        # XOR is bytewise, so folding eight lanes per uint64 operation leaves
-        # the output bytes identical regardless of host endianness.
-        left_words = np.frombuffer(left, dtype=np.uint64)
-        right_words = np.frombuffer(right, dtype=np.uint64)
-        return (left_words ^ right_words).tobytes()
-    left_arr = np.frombuffer(left, dtype=np.uint8)
-    right_arr = np.frombuffer(right, dtype=np.uint8)
-    return (left_arr ^ right_arr).tobytes()
 
 
 def inner_product_mod(

@@ -310,6 +310,29 @@ class TestErrorPropagation:
         assert record == database.record(3)
         assert frontend.pending_count == 0
 
+    def test_answers_in_reverse_order_still_pair(self, database):
+        class _ReversingReplica:
+            def __init__(self, inner):
+                self._inner = inner
+                self.server_id = inner.server_id
+
+            def answer_batch(self, queries):
+                return IMPIRBatchResult(results=self._inner.answer_batch(queries).results[::-1])
+
+        indices = [4, 5, 200, 4]
+
+        async def run():
+            replicas = reference_replicas(database)
+            replicas[0] = _ReversingReplica(replicas[0])
+            frontend = AsyncPIRFrontend(
+                make_client(database),
+                replicas,
+                policy=BatchingPolicy(max_batch_size=len(indices), max_wait_seconds=30.0),
+            )
+            return await asyncio.gather(*(frontend.submit(index) for index in indices))
+
+        assert asyncio.run(run()) == [database.record(index) for index in indices]
+
     def test_replica_fault_rejects_every_awaiting_submit(self, database):
         class _DuplicatingReplica:
             def __init__(self, inner):

@@ -64,10 +64,17 @@ class TestQueryGeneration:
         queries = client.query(9)
         assert all(isinstance(q, NaiveQuery) for q in queries)
 
-    def test_query_batch(self, client):
-        batches = client.query_batch([1, 2, 3])
-        assert len(batches) == 3
-        assert client.stats.queries_generated >= 3
+    def test_query_batch_is_one_batch_per_server_of_the_one_query_rows(self, small_db):
+        shape = (small_db.num_records, small_db.record_size)
+        batched = PIRClient(*shape, seed=7, prg=make_prg())
+        single = PIRClient(*shape, seed=7, prg=make_prg())
+        batches = batched.query_batch([1, 2, 3])
+        expected = [single.query(index) for index in (1, 2, 3)]
+        assert [batch.server_id for batch in batches] == [0, 1]
+        for server_id, batch in enumerate(batches):
+            assert batch.query_ids.tolist() == [0, 1, 2]
+            assert list(batch) == [queries[server_id] for queries in expected]
+        assert batched.stats == single.stats
 
     def test_upload_bytes_accounted(self, client):
         before = client.stats.upload_bytes
@@ -141,13 +148,3 @@ class TestReconstruction:
         ]
         with pytest.raises(ProtocolError):
             client.reconstruct(answers)
-
-    def test_group_answers(self, client):
-        answers = [
-            PIRAnswer(query_id=0, server_id=0, payload=b"a" * 32),
-            PIRAnswer(query_id=1, server_id=0, payload=b"b" * 32),
-            PIRAnswer(query_id=0, server_id=1, payload=b"c" * 32),
-        ]
-        grouped = client.group_answers(answers)
-        assert set(grouped) == {0, 1}
-        assert len(grouped[0]) == 2

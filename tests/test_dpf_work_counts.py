@@ -22,6 +22,7 @@ fleet's children only price their cut, so one batch is one ``dpxor_many`` at
 
 import cProfile
 import pstats
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,7 @@ from repro.pim.config import scaled_down_config
 from repro.pir import xor_ops
 from repro.pir.client import PIRClient
 from repro.pir.database import Database
+from repro.pir.frontend import BatchingPolicy, PIRFrontend
 
 _RECORDS = 1 << 16
 _PACKAGE = str(Path(repro.dpf.__file__).parent)
@@ -75,7 +77,7 @@ def _pim_server_calls(kind: str, num_dpus: int) -> int:
     database = Database.random(4096, 32, seed=3)
     config = IMPIRConfig(pim=scaled_down_config(num_dpus=num_dpus, tasklets=16))
     client = PIRClient(4096, 32, seed=4, prg=make_prg())
-    queries = [pair[0] for pair in client.query_batch(list(range(0, 4096, 512)))]
+    queries = client.query_batch(list(range(0, 4096, 512)))[0]
     available_backends()  # the one-time registry load is not per-DPU work
     profile = cProfile.Profile()
     profile.enable()
@@ -112,7 +114,7 @@ def test_a_sharded_server_scans_its_database_once_per_batch(num_shards):
     its payloads are the reference scan's."""
     database = Database.random(4096, 32, seed=5)
     client = PIRClient(4096, 32, seed=6, prg=make_prg())
-    queries = [pair[0] for pair in client.query_batch(list(range(7, 4096, 512)))]
+    queries = client.query_batch(list(range(7, 4096, 512)))[0]
     sharded = create_server(
         "sharded", database, num_shards=num_shards, child_kind="im-pir", prg=make_prg()
     )
@@ -132,3 +134,57 @@ def test_a_sharded_server_scans_its_database_once_per_batch(num_shards):
     assert [result.answer.payload for result in answers] == [
         result.answer.payload for result in reference.answer_batch(queries).results
     ]
+
+
+_PROTOCOL_PACKAGES = tuple(
+    str(Path(package.__file__).parent) for package in (repro.core, repro.pir, repro.dpf)
+)
+
+
+def _flush_calls(batch_size: int) -> Counter:
+    """Python-level calls into each file of ``repro/core``, ``repro/pir`` and
+    ``repro/dpf`` (the scan module aside) while one ``PIRFrontend`` flush of
+    ``batch_size`` requests runs over two reference replicas."""
+    database = Database.random(4096, 32, seed=8)
+    client = PIRClient(4096, 32, seed=9, prg=make_prg())
+    replicas = [create_server("reference", database, server_id=i, prg=make_prg()) for i in (0, 1)]
+    frontend = PIRFrontend(client, replicas, policy=BatchingPolicy(batch_size, 10.0))
+    indices = list(range(5, 4096, 4096 // batch_size))[:batch_size]
+
+    def flush(profile=None):
+        for index in indices:
+            frontend._admit(index, 0.0)
+        batch = frontend._take_pending()
+        if profile is not None:
+            profile.enable()
+        try:
+            plan = frontend.begin_flush(batch, "size")
+            raw_results = [
+                replica.answer_batch(queries)
+                for replica, queries in zip(replicas, plan.per_server)
+            ]
+            return frontend.finish_flush(plan, raw_results, 0.0)
+        finally:
+            if profile is not None:
+                profile.disable()
+
+    flush()  # warm-up: the engines' DPF instances, lazy imports
+    profile = cProfile.Profile()
+    outcome = flush(profile)
+    assert list(outcome.records.values()) == [database.record(index) for index in indices]
+    calls = Counter()
+    for (filename, _, _), (_, count, *_) in pstats.Stats(profile).stats.items():
+        if filename.startswith(_PROTOCOL_PACKAGES) and filename != _XOR_OPS:
+            calls[Path(filename).relative_to(Path(repro.core.__file__).parents[1])] += count
+    return calls
+
+
+def test_a_flush_moves_its_messages_as_arrays():
+    """Queries and answers cross every layer as one message per replica per
+    flush: no file of the client, frontend, engine or DPF makes more Python
+    calls for 32 requests than for 8.  A per-query message, key stack,
+    validation, answer object or reconstruction makes its file's count grow
+    with the batch."""
+    calls = _flush_calls(8)
+    assert sum(calls.values()) > 0
+    assert _flush_calls(32) == calls

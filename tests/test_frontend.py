@@ -192,7 +192,30 @@ class _TamperingReplica:
         return IMPIRBatchResult(results=results)
 
 
+class _ReversingReplica:
+    """Answers a batch correctly, but lists the answers last query first."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.server_id = inner.server_id
+
+    def answer_batch(self, queries):
+        batch = self._inner.answer_batch(queries)
+        return IMPIRBatchResult(
+            results=batch.results[::-1],
+            schedule=batch.schedule,
+            latency_seconds=batch.latency_seconds,
+        )
+
+
 class TestPairingFaults:
+    def test_answers_in_reverse_order_still_pair(self, database):
+        replicas = reference_replicas(database)
+        replicas[1] = _ReversingReplica(replicas[1])
+        frontend = PIRFrontend(make_client(database), replicas)
+        indices = [5, 6, 300, 5, 511]
+        assert frontend.retrieve_batch(indices) == [database.record(i) for i in indices]
+
     def test_missing_answer_raises(self, database):
         replicas = reference_replicas(database)
         replicas[1] = _TamperingReplica(replicas[1], drop_first=True)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import CapacityError, ConfigurationError
 from repro.common.units import MIB
-from repro.core.partitioning import PartitionLayout, check_mram_capacity, fold_partials
+from repro.core.partitioning import PartitionLayout, check_mram_capacity
 from repro.pir.database import Database
 from repro.pir.xor_ops import pack_selectors
 from test_dpu_pipeline_many import database_chunks, selector_chunks
@@ -90,30 +90,6 @@ class TestChunks:
         assert layout.records.shape == (3,)
         assert layout.record_size == small_db.record_size
         assert layout.records.sum() == small_db.num_records
-
-
-class TestFoldPartials:
-    def test_fold_matches_xor(self):
-        parts = [np.array([1, 2, 3], dtype=np.uint8), np.array([3, 2, 1], dtype=np.uint8)]
-        assert np.array_equal(fold_partials(parts, 3), np.array([2, 0, 2], dtype=np.uint8))
-
-    def test_fold_rejects_size_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            fold_partials([np.zeros(4, dtype=np.uint8)], 3)
-
-    @pytest.mark.parametrize("record_size", [1, 3, 7, 8, 16, 24])
-    def test_fold_word_and_byte_paths_agree(self, record_size):
-        # Word-aligned sizes take the uint64 fast path, odd sizes the uint8
-        # fallback; both must equal the plain per-byte XOR.
-        rng = np.random.default_rng(13)
-        parts = [
-            rng.integers(0, 256, size=record_size, dtype=np.uint8)
-            for _ in range(4)
-        ]
-        expected = np.zeros(record_size, dtype=np.uint8)
-        for part in parts:
-            expected ^= part
-        assert np.array_equal(fold_partials(parts, record_size), expected)
 
 
 class TestPartitioningProperties:

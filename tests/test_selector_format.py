@@ -212,7 +212,7 @@ class TestEngineSelectorMatrix:
 
     def _queries(self, count):
         client = PIRClient(self.NUM_RECORDS, self.RECORD_SIZE, seed=3, prg=make_prg())
-        return [pair[0] for pair in client.query_batch(list(range(3, 3 + 7 * count, 7)))]
+        return client.query_batch(list(range(3, 3 + 7 * count, 7)))[0]
 
     def test_dpf_flush_is_packed(self):
         database = Database.random(self.NUM_RECORDS, self.RECORD_SIZE, seed=2)

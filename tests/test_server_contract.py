@@ -103,9 +103,11 @@ def _drive(kind, batch_size):
     payloads = []
     reconstruct = client.reconstruct
 
-    def recording_reconstruct(answers):
-        payloads.extend(answer.payload for answer in answers)
-        return reconstruct(answers)
+    def recording_reconstruct(shares):
+        # A flush's paired (server, request, byte) matrix: every request's
+        # answers, in server order, request by request.
+        payloads.append(shares.transpose(1, 0, 2).tobytes())
+        return reconstruct(shares)
 
     client.reconstruct = recording_reconstruct
     replicas = [

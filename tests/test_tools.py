@@ -749,6 +749,52 @@ class TestLoopFreeFlushLint:
         assert not self._check(tmp_path, "src/repro/pir/frontend.py", shipped)
 
 
+class TestPerFlushMessageLint:
+    """The client, frontend and engine never build one-row messages per row."""
+
+    def _check(self, tmp_path, relative, source):
+        lint = _load_tool("lint")
+        path = tmp_path / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source)
+        return lint.check_file(path)
+
+    MODULES = ["src/repro/pir/client.py", "src/repro/pir/frontend.py", "src/repro/core/engine.py"]
+
+    @pytest.mark.parametrize("module", MODULES)
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "def split(batch):\n"
+            "    return [DPFQuery(q, 0, key, 8) for q, key in batch]{}\n",
+            "def answers(ids, rows):\n"
+            "    out = []\n"
+            "    for query_id, row in zip(ids, rows):\n"
+            "        out.append(messages.PIRAnswer(query_id, 0, row)){}\n"
+            "    return out\n",
+            "def shares(ids, share):\n"
+            "    return {{q: NaiveQuery(q, 1, share, 8) for q in ids}}{}\n",
+        ],
+    )
+    def test_row_message_in_a_loop_flagged(self, tmp_path, module, source):
+        flagged = self._check(tmp_path, module, source.format(""))
+        assert any("one-row message" in message for _, message in flagged)
+        assert not self._check(tmp_path, module, source.format("  # noqa"))
+
+    def test_single_rows_and_other_modules_are_legal(self, tmp_path):
+        # One message outside any loop is the one-query form; indexing a
+        # batch (in messages.py / results.py) is where rows are built.
+        single = "def one(query_id, key):\n    return DPFQuery(query_id, 0, key, 8)\n"
+        looped = "def rows(ids, key):\n    return [DPFQuery(q, 0, key, 8) for q in ids]\n"
+        for module in self.MODULES:
+            assert not self._check(tmp_path, module, single)
+        assert not self._check(tmp_path, "src/repro/pir/messages.py", looped)
+        assert not self._check(tmp_path, "src/repro/core/results.py", looped)
+        for module in self.MODULES:
+            shipped = (REPO_ROOT / module).read_text()
+            assert not self._check(tmp_path, module, shipped)
+
+
 class TestExecutingDPULint:
     """Serving charges a ``DPULedger``; only tests and benches build ``DPU`` objects."""
 

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.errors import ConfigurationError, DatabaseError
-from repro.core.partitioning import fold_partials
+from repro.common.errors import DatabaseError
 from repro.pir.xor_ops import (
     DpXorStats,
     dpxor,
@@ -14,7 +13,6 @@ from repro.pir.xor_ops import (
     pack_selectors,
     selector_range,
     word_view,
-    xor_bytes,
 )
 
 
@@ -59,33 +57,6 @@ class TestDpxor:
     def test_length_mismatch_rejected(self):
         with pytest.raises(DatabaseError):
             dpxor(np.zeros((4, 2), dtype=np.uint8), pack_selectors(np.zeros(9, dtype=np.uint8)))
-
-
-class TestXorFold:
-    def test_fold_is_xor(self):
-        parts = [np.array([1, 2], dtype=np.uint8), np.array([3, 4], dtype=np.uint8)]
-        assert np.array_equal(fold_partials(parts, 2), np.array([2, 6], dtype=np.uint8))
-
-    def test_fold_identity(self):
-        part = np.array([9, 9], dtype=np.uint8)
-        assert np.array_equal(fold_partials([part], 2), part)
-
-    def test_fold_rejects_mismatched(self):
-        with pytest.raises(ConfigurationError):
-            fold_partials([np.zeros(2, dtype=np.uint8), np.zeros(3, dtype=np.uint8)], 2)
-
-
-class TestXorBytes:
-    def test_basic(self):
-        assert xor_bytes(b"\x01\x02", b"\x03\x00") == b"\x02\x02"
-
-    def test_self_inverse(self):
-        a, b = b"hello world!", b"secret bytes"
-        assert xor_bytes(xor_bytes(a, b), b) == a
-
-    def test_length_mismatch(self):
-        with pytest.raises(DatabaseError):
-            xor_bytes(b"ab", b"abc")
 
 
 class TestInnerProductMod:
@@ -263,25 +234,6 @@ class TestPatternBucketedScan:
 
 
 class TestWordFastPaths:
-    @pytest.mark.parametrize("size", [1, 3, 7, 8, 15, 16, 24, 32])
-    def test_xor_bytes_all_sizes(self, size):
-        rng = np.random.default_rng(31)
-        left = rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
-        right = rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
-        expected = bytes(a ^ b for a, b in zip(left, right))
-        assert xor_bytes(left, right) == expected
-
-    @pytest.mark.parametrize("size", [1, 5, 8, 24])
-    def test_xor_fold_all_sizes(self, size):
-        rng = np.random.default_rng(32)
-        arrays = [
-            rng.integers(0, 256, size=size, dtype=np.uint8) for _ in range(5)
-        ]
-        expected = np.zeros(size, dtype=np.uint8)
-        for array in arrays:
-            expected ^= array
-        assert np.array_equal(fold_partials(arrays, size), expected)
-
     def test_word_view_word_aligned(self):
         aligned = np.zeros((4, 16), dtype=np.uint8)
         view = word_view(aligned)

@@ -64,6 +64,14 @@ AST pass instead.  It flags:
   ``src/repro/pir/async_frontend.py``) — keys are generated once per flush
   through ``client.query_batch``; a ``query`` call there is per-request key
   generation creeping back;
+* a ``DPFQuery(``, ``NaiveQuery(`` or ``PIRAnswer(`` call inside a ``for``
+  loop or a comprehension in ``src/repro/pir/client.py``,
+  ``src/repro/pir/frontend.py`` or ``src/repro/core/engine.py`` — queries
+  and answers cross those layers as one array message per replica per flush
+  (``QueryBatch`` out, ``IMPIRBatchResult`` back); a message built per row
+  there is the per-query message layer coming back (the one-row forms are
+  built by indexing a batch, in ``repro/pir/messages.py`` and
+  ``repro/core/results.py``);
 * a method named ``execute`` defined in any class under ``src/repro/`` — the
   backend protocol has one scan hook, ``execute_many`` (a single query is a
   batch of one); an ``execute`` method is the per-query twin creeping back;
@@ -319,6 +327,36 @@ def _is_query_call(node: ast.AST) -> bool:
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
         and node.func.attr == "query"
+    )
+
+
+#: The layers a flush crosses as arrays, and the one-row message classes
+#: none of them may build per row.
+PER_FLUSH_MESSAGE_MODULES = (("pir", "client.py"), ("pir", "frontend.py"), ("core", "engine.py"))
+ROW_MESSAGES = {"DPFQuery", "NaiveQuery", "PIRAnswer"}
+
+#: Loop and comprehension nodes: their bodies run once per element.
+_LOOP_NODES = (ast.For, ast.AsyncFor, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _is_per_flush_message_module(path: Path) -> bool:
+    return any(path.parts[-3:] == ("repro",) + module for module in PER_FLUSH_MESSAGE_MODULES)
+
+
+def _row_messages_in_loops(tree: ast.AST) -> List[int]:
+    """Line numbers of one-row message constructions inside a loop or comprehension."""
+    return sorted(
+        {
+            inner.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, _LOOP_NODES)
+            for inner in ast.walk(node)
+            if isinstance(inner, ast.Call)
+            and (
+                (isinstance(inner.func, ast.Name) and inner.func.id in ROW_MESSAGES)
+                or (isinstance(inner.func, ast.Attribute) and inner.func.attr in ROW_MESSAGES)
+            )
+        }
     )
 
 
@@ -749,6 +787,16 @@ def check_file(path: Path) -> List[Tuple[int, str]]:
                     (node.lineno, bound, f"from {node.module or '.'} import {alias.name}")
                 )
 
+    if _is_per_flush_message_module(path):
+        for lineno in _row_messages_in_loops(tree):
+            deprecated.append(
+                (
+                    lineno,
+                    "one-row message (DPFQuery / NaiveQuery / PIRAnswer) built "
+                    "in a loop in the client, frontend or engine — a flush "
+                    "moves as one QueryBatch / IMPIRBatchResult per replica",
+                )
+            )
     if library_code:
         for lineno in _stray_scan_calls(tree, path):
             deprecated.append(
