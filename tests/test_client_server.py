@@ -1,5 +1,6 @@
 """PIR client and reference server."""
 
+import numpy as np
 import pytest
 
 from repro.common.errors import ProtocolError
@@ -64,7 +65,8 @@ class TestQueryGeneration:
         queries = client.query(9)
         assert all(isinstance(q, NaiveQuery) for q in queries)
 
-    def test_query_batch_is_one_batch_per_server_of_the_one_query_rows(self, small_db):
+    def test_query_batch(self, small_db):
+        # One batch per server, whose rows are the one-query messages.
         shape = (small_db.num_records, small_db.record_size)
         batched = PIRClient(*shape, seed=7, prg=make_prg())
         single = PIRClient(*shape, seed=7, prg=make_prg())
@@ -148,3 +150,32 @@ class TestReconstruction:
         ]
         with pytest.raises(ProtocolError):
             client.reconstruct(answers)
+
+    @pytest.mark.parametrize("size", [1, 3, 7, 8, 15, 16, 24, 32])
+    def test_matrix_reconstruction_all_sizes(self, size):
+        # One XOR across the servers' answer matrices equals the one-query
+        # form applied row by row, at word-aligned and odd record sizes.
+        rng = np.random.default_rng(31)
+        shares = rng.integers(0, 256, size=(2, 5, size), dtype=np.uint8)
+        matrix_client = PIRClient(64, size)
+        row_client = PIRClient(64, size)
+        records = matrix_client.reconstruct(shares)
+        for row in range(5):
+            answers = [
+                PIRAnswer(query_id=row, server_id=server, payload=shares[server, row].tobytes())
+                for server in (0, 1)
+            ]
+            expected = bytes(a ^ b for a, b in zip(*(answer.payload for answer in answers)))
+            assert row_client.reconstruct(answers) == expected
+            assert records[row].tobytes() == expected
+        assert matrix_client.stats == row_client.stats
+
+    @pytest.mark.parametrize(
+        "shape, dtype",
+        [((3, 4, 32), np.uint8), ((2, 4, 16), np.uint8), ((2, 4, 32), np.int16)],
+        ids=["servers", "record_size", "dtype"],
+    )
+    def test_matrix_reconstruction_rejects_bad_shares(self, client, shape, dtype):
+        with pytest.raises(ProtocolError):
+            client.reconstruct(np.zeros(shape, dtype=dtype))
+        assert client.stats.answers_reconstructed == 0

@@ -6,7 +6,7 @@ import pytest
 from repro.common.errors import ProtocolError
 from repro.dpf.dpf import DPF
 from repro.dpf.naive import NaiveShare
-from repro.pir.messages import DPFQuery, NaiveQuery, PIRAnswer
+from repro.pir.messages import DPFQuery, NaiveQuery, PIRAnswer, QueryBatch, query_groups
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +52,78 @@ class TestNaiveQuery:
         share = NaiveShare(server_id=0, bits=np.zeros(4, dtype=np.uint8))
         with pytest.raises(ProtocolError):
             NaiveQuery(query_id=0, server_id=-1, share=share, num_records=4)
+
+
+def _dpf_batch(server_id=0, rows=3):
+    keys = DPF(domain_bits=8, seed=5).gen_many(list(range(rows)), 1).keys
+    return QueryBatch(server_id, np.arange(rows, dtype=np.int64), 200, keys=keys[server_id::2])
+
+
+def _rows(batch):
+    """Comparable contents of a batch's one-row queries."""
+    if batch.is_naive:
+        return [(q.query_id, q.server_id, q.share.bits.tolist()) for q in batch]
+    return [(q.query_id, q.server_id, q.key) for q in batch]
+
+
+def _naive_batch(server_id=0, rows=3):
+    bits = np.random.default_rng(4).integers(0, 2, size=(rows, 64), dtype=np.uint8)
+    return QueryBatch(server_id, np.arange(10, 10 + rows, dtype=np.int64), 64, bits=bits)
+
+
+class TestQueryBatch:
+    @pytest.mark.parametrize("make_batch", [_dpf_batch, _naive_batch], ids=["dpf", "naive"])
+    def test_stack_of_its_rows_is_the_batch(self, make_batch):
+        batch = make_batch()
+        stacked = QueryBatch.stack(list(batch))
+        assert stacked.query_ids.tolist() == batch.query_ids.tolist()
+        assert _rows(stacked) == _rows(batch)
+
+    @pytest.mark.parametrize("make_batch", [_dpf_batch, _naive_batch], ids=["dpf", "naive"])
+    def test_upload_is_every_rows_upload(self, make_batch):
+        batch = make_batch()
+        assert batch.upload_bytes == sum(query.upload_bytes for query in batch)
+
+    def test_rows_index_like_a_sequence(self):
+        batch = _naive_batch(server_id=1)
+        assert batch[-1].query_id == batch[2].query_id == 12
+        assert np.array_equal(batch[-1].share.bits, batch.bits[2])
+        assert isinstance(batch[0], NaiveQuery) and batch[0].server_id == 1
+        with pytest.raises(IndexError):
+            batch[3]
+
+    @pytest.mark.parametrize("payloads", ["both", "neither"])
+    def test_carries_exactly_one_kind_of_row(self, payloads):
+        keys = _dpf_batch().keys
+        bits = np.zeros((3, 200), dtype=np.uint8)
+        kwargs = {"keys": keys, "bits": bits} if payloads == "both" else {}
+        with pytest.raises(ProtocolError):
+            QueryBatch(0, np.arange(3, dtype=np.int64), 200, **kwargs)
+
+    def test_rejects_non_binary_shares(self):
+        bits = np.full((2, 64), 2, dtype=np.uint8)
+        with pytest.raises(ProtocolError):
+            QueryBatch(0, np.arange(2, dtype=np.int64), 64, bits=bits)
+
+    def test_rejects_a_query_id_per_row_mismatch(self):
+        keys = _dpf_batch().keys
+        with pytest.raises(ProtocolError):
+            QueryBatch(0, np.arange(2, dtype=np.int64), 200, keys=keys)
+
+    def test_batch_obeys_the_one_row_rules(self):
+        keys = _dpf_batch().keys
+        with pytest.raises(ProtocolError):
+            QueryBatch(2, np.arange(3, dtype=np.int64), 200, keys=keys)
+        with pytest.raises(ProtocolError):
+            QueryBatch(0, np.arange(3, dtype=np.int64), 10_000, keys=keys)
+
+    def test_groups_split_one_row_queries_by_server(self):
+        rows = list(_dpf_batch(0)) + list(_dpf_batch(1))
+        rows = rows[::2] + rows[1::2]
+        groups = query_groups(rows)
+        assert [batch.server_id for _, batch in groups] == [0, 1]
+        for positions, batch in groups:
+            assert list(batch) == [rows[position] for position in positions]
 
 
 class TestPIRAnswer:
