@@ -7,8 +7,9 @@ The engine owns that protocol-shaped logic exactly once — query validation,
 host-side DPF key evaluation, selector generation, answer assembly and phase
 bookkeeping.  What differs per variant is a :class:`PIRBackend`: the
 architecture-specific execution substrate that prices a scan of the prepared
-database under a batch of selector vectors into each query's
-:class:`~repro.common.events.PhaseTimer` and prices the batch's makespan.
+database under a batch of selector vectors into one
+:class:`~repro.common.events.PhaseTimer` per execution lane (what each row
+of the lane costs) and prices the batch's makespan.
 
 Layering (bottom-up)::
 
@@ -33,14 +34,14 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.errors import ProtocolError
 from repro.common.events import PhaseTimer
-from repro.core.results import PHASE_EVAL, IMPIRBatchResult, IMPIRQueryResult
-from repro.core.scheduler import BatchScheduler, QueryTask
+from repro.core.results import PHASE_EVAL, IMPIRBatchResult, IMPIRQueryResult, ShardCosts
+from repro.core.scheduler import BatchScheduler
 from repro.dpf.dpf import DPF
 from repro.dpf.prf import LengthDoublingPRG
 from repro.pir.database import Database
@@ -106,16 +107,19 @@ class PIRBackend(ABC):
     def charge_many(
         self,
         selector_matrix: np.ndarray,
-        breakdowns: Sequence[PhaseTimer],
-        lanes: Sequence[int],
-    ) -> None:
+        lanes: np.ndarray,
+        costs: Mapping[int, PhaseTimer],
+    ) -> Optional[Dict[int, ShardCosts]]:
         """Price a scan of the prepared database under a batch of selector shares.
 
-        Records the architecture's simulated phase costs into each row's
-        breakdown and nothing else.  ``selector_matrix`` is the packed
-        ``(B, ceil(num_records / 8))`` matrix of
-        :meth:`QueryEngine.selector_matrix` (format: :mod:`repro.pir.xor_ops`);
-        ``breakdowns`` and ``lanes`` carry one entry per row.
+        ``selector_matrix`` is the packed ``(B, ceil(num_records / 8))``
+        matrix of :meth:`QueryEngine.selector_matrix` (format:
+        :mod:`repro.pir.xor_ops`) and ``lanes`` the ``(B,)`` execution lane
+        of each row.  ``costs`` holds one :class:`PhaseTimer` per distinct
+        lane, in lane order: the backend records into it what **each** row
+        of that lane costs, once per lane — every row of a lane costs the
+        same.  Returns per-lane shard detail on a sharded backend, else
+        ``None``.
 
         Host-side backends charge each row the same simulated costs whatever
         ``B`` is (batching is a wall-clock optimisation only); the PIM
@@ -130,18 +134,19 @@ class PIRBackend(ABC):
     def execute_many(
         self,
         selector_matrix: np.ndarray,
-        breakdowns: Sequence[PhaseTimer],
-        lanes: Sequence[int],
-    ) -> np.ndarray:
+        lanes: np.ndarray,
+        costs: Mapping[int, PhaseTimer],
+    ) -> Tuple[np.ndarray, Optional[Dict[int, ShardCosts]]]:
         """The one scan: :meth:`charge_many`, then one
         :func:`~repro.pir.xor_ops.dpxor_many` over the prepared database
-        (a single query is a batch of one) into ``(B, record_size)`` uint8."""
+        (a single query is a batch of one) into ``(B, record_size)`` uint8,
+        returned with the charge's shard detail."""
         database = self._database
         if database is None:
             raise ProtocolError("backend has no prepared database")
         selector_matrix = np.asarray(selector_matrix, dtype=np.uint8)
-        self.charge_many(selector_matrix, breakdowns, lanes)
-        return dpxor_many(database.records, selector_matrix, stats=self._dpxor_stats)
+        shards = self.charge_many(selector_matrix, lanes, costs)
+        return dpxor_many(database.records, selector_matrix, stats=self._dpxor_stats), shards
 
     # -- timing hooks (cost-model backends override; functional-only ones don't) --
 
@@ -153,7 +158,7 @@ class PIRBackend(ABC):
         """Simulated host DPF-eval time in batch mode (one worker thread)."""
         return 0.0
 
-    def batch_makespan(self, breakdowns: Sequence[PhaseTimer]) -> Optional[float]:
+    def batch_makespan(self, row_seconds: Sequence[float]) -> Optional[float]:
         """Simulated makespan of a served batch, when it is not the pipeline's.
 
         ``None`` — the default — means the batch ran through the Fig. 8
@@ -161,8 +166,9 @@ class PIRBackend(ABC):
         :class:`~repro.core.scheduler.BatchSchedule` makespan, and that
         schedule's cluster utilisation is what an adaptive batching policy
         steers on.  A backend that does not pipeline its queries returns its
-        own makespan from the batch's per-query ``breakdowns`` (or from a cost
-        model), and the batch then reports no schedule.
+        own makespan from the batch's ``row_seconds`` (each query's total,
+        in batch order) or from a cost model, and the batch then reports no
+        schedule.
         """
         return None
 
@@ -300,16 +306,16 @@ class QueryEngine:
         """Evaluate and scan checked ``queries``, row ``i`` on ``lanes[i]``.
 
         One :meth:`selector_matrix` eval sweep and one
-        :meth:`PIRBackend.execute_many` scan serve every row; the answers
-        stay the scan's ``(B, record_size)`` matrix (no schedule or makespan
-        yet).
+        :meth:`PIRBackend.execute_many` scan serve every row, priced into
+        one :class:`PhaseTimer` per distinct lane; the answers stay the
+        scan's ``(B, record_size)`` matrix (no schedule or makespan yet).
         """
-        breakdowns = [PhaseTimer() for _ in lanes]
-        selectors = self.selector_matrix(queries)
+        lanes = np.asarray(lanes, dtype=np.int64)
+        costs = {lane: PhaseTimer() for lane in np.unique(lanes).tolist()}
         if eval_seconds > 0:
-            for breakdown in breakdowns:
-                breakdown.record(PHASE_EVAL, eval_seconds)
-        payloads = self.backend.execute_many(selectors, breakdowns, lanes)
+            for cost in costs.values():
+                cost.record(PHASE_EVAL, eval_seconds)
+        payloads, shards = self.backend.execute_many(self.selector_matrix(queries), lanes, costs)
         if self.stats is not None:
             self.stats.queries_answered += len(lanes)
         if isinstance(queries, QueryBatch):
@@ -320,8 +326,9 @@ class QueryEngine:
             server_id=self.server_id,
             query_ids=query_ids,
             payloads=payloads,
-            breakdowns=breakdowns,
             lanes=lanes,
+            costs=costs,
+            shards=shards,
         )
 
     def answer(self, query: Query, lane: int = 0) -> IMPIRQueryResult:
@@ -361,20 +368,17 @@ class QueryEngine:
         caps = self.backend.capabilities()
         queries = self._validated(queries, caps)
         eval_seconds = self.backend.batch_eval_seconds(self.database.num_records)
-        lanes = (np.arange(len(queries)) % max(1, caps.lanes)).tolist()
+        lanes = np.arange(len(queries)) % max(1, caps.lanes)
         batch = self._serve(queries, lanes, eval_seconds)
 
-        makespan = self.backend.batch_makespan(batch.breakdowns)
+        row_seconds = batch.per_row(lambda cost: cost.total)
+        makespan = self.backend.batch_makespan(row_seconds)
         if makespan is None:
-            batch.schedule = batch_scheduler_for(caps, len(queries)).schedule(
-                [
-                    QueryTask(
-                        query_id=query_id,
-                        eval_seconds=breakdown.get(PHASE_EVAL),
-                        dpu_seconds=breakdown.total - breakdown.get(PHASE_EVAL),
-                    )
-                    for query_id, breakdown in zip(batch.query_ids.tolist(), batch.breakdowns)
-                ]
+            row_eval = batch.per_row(lambda cost: cost.get(PHASE_EVAL))
+            batch.schedule = batch_scheduler_for(caps, len(queries)).place(
+                batch.query_ids.tolist(),
+                row_eval,
+                [total - evaluated for total, evaluated in zip(row_seconds, row_eval)],
             )
             makespan = batch.schedule.makespan
         batch.latency_seconds = makespan
@@ -387,12 +391,6 @@ class QueryEngine:
                 makespan=makespan,
             )
         return batch
-
-
-def sequential_makespan(breakdowns: Sequence[PhaseTimer]) -> float:
-    """Makespan of a batch whose queries run one after another: the sum of
-    their totals, in batch order."""
-    return sum([breakdown.total for breakdown in breakdowns], 0.0)
 
 
 def batch_scheduler_for(caps: BackendCapabilities, batch_size: int) -> BatchScheduler:
@@ -435,14 +433,15 @@ class ReferenceBackend(PIRBackend):
     def charge_many(
         self,
         selector_matrix: np.ndarray,
-        breakdowns: Sequence[PhaseTimer],
-        lanes: Sequence[int],
+        lanes: np.ndarray,
+        costs: Mapping[int, PhaseTimer],
     ) -> None:
         """Nothing: the reference scan charges no simulated time."""
 
-    def batch_makespan(self, breakdowns: Sequence[PhaseTimer]) -> Optional[float]:
-        # 0.0: the reference scan charges nothing.
-        return sequential_makespan(breakdowns)
+    def batch_makespan(self, row_seconds: Sequence[float]) -> Optional[float]:
+        # Queries run one after another: the sum of their totals, in batch
+        # order (0.0: the reference scan charges nothing).
+        return sum(row_seconds, 0.0)
 
 
 class HostModelBackend(ReferenceBackend):
@@ -459,11 +458,11 @@ class HostModelBackend(ReferenceBackend):
         super().__init__(name, dpxor_stats=dpxor_stats)
         self.model = model
 
-    def batch_makespan(self, breakdowns: Sequence[PhaseTimer]) -> Optional[float]:
+    def batch_makespan(self, row_seconds: Sequence[float]) -> Optional[float]:
         return self.model.batch_estimate(
             self._database.num_records,
             self._database.record_size,
-            batch_size=len(breakdowns),
+            batch_size=len(row_seconds),
         ).latency_seconds
 
 

@@ -35,7 +35,7 @@ re-copy of the dirty blocks only; no byte is copied.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -163,32 +163,27 @@ class PIMClusterBackend(PIRBackend):
     def charge_many(
         self,
         selector_matrix: np.ndarray,
-        breakdowns: Sequence[PhaseTimer],
-        lanes: Sequence[int],
+        lanes: np.ndarray,
+        costs: Mapping[int, PhaseTimer],
     ) -> None:
         """Charge one DPU dispatch per cluster for the batch.
 
         Lanes (the engine assigns them round-robin across clusters) pick the
         rows each cluster is charged from: one selector scatter, one batched
         kernel launch and one result gather through
-        :func:`~repro.core.partitioning.run_dpu_pipeline_many`.  Per-row
-        kernel costs and the host-side fold (phase ➏) stay per query.
+        :func:`~repro.core.partitioning.run_dpu_pipeline_many`, priced into
+        the lane's cost.  Per-row kernel costs and the host-side fold
+        (phase ➏) stay per query.
         """
-        rows_by_lane: dict = {}
-        for position, lane in enumerate(lanes):
-            rows_by_lane.setdefault(lane, []).append(position)
-        for lane in sorted(rows_by_lane):
-            positions = rows_by_lane[lane]
+        for lane, cost in costs.items():
             layout = self._layouts[lane]
-            timers = [breakdowns[position] for position in positions]
             run_dpu_pipeline_many(
-                self._clusters[lane], layout, selector_matrix[positions], timers
+                self._clusters[lane], layout, selector_matrix[lanes == lane], cost
             )
-            aggregate_seconds = self.timing.host_aggregate_xor_seconds(
-                layout.num_dpus, layout.record_size
+            cost.record(
+                PHASE_AGGREGATE,
+                self.timing.host_aggregate_xor_seconds(layout.num_dpus, layout.record_size),
             )
-            for timer in timers:
-                timer.record(PHASE_AGGREGATE, aggregate_seconds)
 
     # -- cluster views and capacity checks ------------------------------------------
 

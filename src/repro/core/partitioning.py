@@ -13,11 +13,12 @@ popcounts) and whether a cluster fits (:func:`check_mram_capacity`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.common.errors import CapacityError, ConfigurationError
+from repro.common.events import PhaseTimer
 from repro.core.results import PHASE_COPY_IN, PHASE_COPY_OUT, PHASE_DPXOR
 from repro.pim.system import DPULedger
 from repro.pim.timing import dpxor_launch_seconds
@@ -173,7 +174,7 @@ def run_dpu_pipeline_many(
     ledger: DPULedger,
     layout: PartitionLayout,
     selector_matrix: np.ndarray,
-    breakdowns: Sequence,
+    cost: PhaseTimer,
     *,
     db_bytes: Optional[np.ndarray] = None,
     db_copy_phase: Optional[str] = None,
@@ -206,34 +207,25 @@ def run_dpu_pipeline_many(
     launch overhead, the segment copy) amortise; selector/result bytes and
     per-row kernel costs scale with ``B`` (the all-for-one principle never
     discounts scan work).  Each batch total is split evenly across the ``B``
-    breakdowns.  Phase 6 (the host fold) is charged by the caller; its
-    fan-in differs between modes.
+    rows: ``cost`` records one row's share of each phase, which is what
+    every row of the dispatch costs.  Phase 6 (the host fold) is charged by
+    the caller; its fan-in differs between modes.
     """
-    batch = len(breakdowns)
-    if batch <= 0:
-        raise ConfigurationError("run_dpu_pipeline_many needs at least one breakdown")
     selector_matrix = np.asarray(selector_matrix, dtype=np.uint8)
     _check_selector_shape(selector_matrix, layout)
-    if selector_matrix.shape[0] != batch:
-        raise ConfigurationError(
-            f"selector matrix has {selector_matrix.shape[0]} rows for {batch} breakdowns"
-        )
-
-    def charge(phase: str, total_seconds: float) -> None:
-        share = total_seconds / batch
-        for breakdown in breakdowns:
-            breakdown.record(phase, share)
-
+    batch = selector_matrix.shape[0]
+    if batch <= 0:
+        raise ConfigurationError("run_dpu_pipeline_many needs at least one selector row")
     if db_bytes is not None:
         if db_copy_phase is None:
             raise ConfigurationError("db_copy_phase is required when streaming db_bytes")
-        charge(db_copy_phase, ledger.charge_scatter(db_bytes))
-    charge(PHASE_COPY_IN, ledger.charge_scatter(layout.selector_bytes_per_dpu(batch)))
+        cost.record(db_copy_phase, ledger.charge_scatter(db_bytes) / batch)
+    cost.record(PHASE_COPY_IN, ledger.charge_scatter(layout.selector_bytes_per_dpu(batch)) / batch)
     per_dpu = dpxor_launch_seconds(
         ledger.config.dpu,
         layout.records,
         layout.record_size,
         selected_counts(selector_matrix, layout.bounds),
     )
-    charge(PHASE_DPXOR, ledger.charge_launch(per_dpu))
-    charge(PHASE_COPY_OUT, ledger.charge_gather(batch * layout.record_size))
+    cost.record(PHASE_DPXOR, ledger.charge_launch(per_dpu) / batch)
+    cost.record(PHASE_COPY_OUT, ledger.charge_gather(batch * layout.record_size) / batch)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,13 +22,24 @@ PHASE_AGGREGATE = "aggregate"
 ALL_PHASES = (PHASE_EVAL, PHASE_COPY_IN, PHASE_DPXOR, PHASE_COPY_OUT, PHASE_AGGREGATE)
 
 
+#: One lane's per-shard detail on a sharded server: ``(shard index, that
+#: shard's child cost)`` pairs, in shard order.
+ShardCosts = Tuple[Tuple[int, PhaseTimer], ...]
+
+
 @dataclass
 class IMPIRQueryResult:
-    """One query's answer plus its simulated per-phase latency breakdown."""
+    """One query's answer plus its simulated per-phase latency breakdown.
+
+    ``shards`` is the per-shard detail behind ``breakdown`` on a sharded
+    server (empty elsewhere): each shard's child cost, which fold per-phase
+    max into the breakdown because shards run in parallel.
+    """
 
     answer: PIRAnswer
     breakdown: PhaseTimer
     cluster_id: int = 0
+    shards: ShardCosts = ()
 
     @property
     def latency_seconds(self) -> float:
@@ -38,11 +49,8 @@ class IMPIRQueryResult:
     @property
     def dpu_pipeline_seconds(self) -> float:
         """Time spent on the DPU side of the pipeline (everything but eval/agg)."""
-        return (
-            self.breakdown.get(PHASE_COPY_IN)
-            + self.breakdown.get(PHASE_DPXOR)
-            + self.breakdown.get(PHASE_COPY_OUT)
-        )
+        host = (PHASE_EVAL, PHASE_AGGREGATE)
+        return sum([seconds for phase, seconds in self.breakdown.items() if phase not in host])
 
     def phase_fractions(self) -> Dict[str, float]:
         """Each phase's share of the total latency (Table 1 rows)."""
@@ -52,14 +60,18 @@ class IMPIRQueryResult:
 class IMPIRBatchResult:
     """A batch of answers plus the simulated makespan that produced them.
 
-    The answers are arrays: ``query_ids`` and ``server_ids`` ``(B,)`` and the
-    ``(B, record_size)`` uint8 ``payloads`` matrix, beside each row's phase
-    ``breakdowns`` and execution ``lanes`` — what the frontend pairs and
-    reconstructs a flush from.  The per-query :attr:`results` (and
-    :attr:`answers`) are built from them on first access and kept, so edits
-    to them (a test double stretching latencies) are what later readers see.
-    A batch may instead be given as its ``results``; the arrays are then read
-    from those once.
+    The answers are arrays: ``query_ids``, ``server_ids`` and execution
+    ``lanes`` ``(B,)`` and the ``(B, record_size)`` uint8 ``payloads``
+    matrix — what the frontend pairs and reconstructs a flush from.  Costs
+    are per lane, not per row: every row of a lane costs the same (a
+    dispatch's fixed charges split evenly over its rows), so ``costs`` maps
+    each lane to the :class:`PhaseTimer` each of its rows is charged and
+    ``shards`` each lane to its :data:`ShardCosts` (sharded servers only).
+    The per-query :attr:`results` (and :attr:`answers`) are built from them
+    on first access, each row with its own copy of its lane's cost (the
+    shard detail is shared, read-only), and kept, so edits to them (a test
+    double stretching latencies) are what later readers see.  A batch may instead be given as its ``results``;
+    the arrays are then read from those once, and ``costs`` stays empty.
 
     ``schedule`` is the Fig. 8 worker/lane timeline when the backend runs the
     batch through that pipeline (its makespan is ``latency_seconds`` and its
@@ -77,8 +89,9 @@ class IMPIRBatchResult:
         server_id: int = 0,
         query_ids: Optional[np.ndarray] = None,
         payloads: Optional[np.ndarray] = None,
-        breakdowns: Sequence[PhaseTimer] = (),
         lanes: Sequence[int] = (),
+        costs: Optional[Mapping[int, PhaseTimer]] = None,
+        shards: Optional[Mapping[int, ShardCosts]] = None,
     ) -> None:
         self.schedule = schedule
         #: Simulated makespan of the whole batch.
@@ -95,7 +108,6 @@ class IMPIRBatchResult:
             payloads = np.frombuffer(
                 b"".join([answer.payload for answer in answers]), dtype=np.uint8
             ).reshape(len(answers), sizes.pop() if sizes else 0)
-            breakdowns = [result.breakdown for result in self._results]
             lanes = [result.cluster_id for result in self._results]
         else:
             if query_ids is None:
@@ -105,8 +117,14 @@ class IMPIRBatchResult:
                 payloads = np.empty((0, 0), dtype=np.uint8)
         self.query_ids = query_ids
         self.payloads = payloads
-        self.breakdowns = list(breakdowns)
-        self.lanes = list(lanes)
+        self.lanes = np.asarray(lanes, dtype=np.int64)
+        self.costs = dict(costs or {})
+        self.shards = dict(shards or {})
+
+    def per_row(self, value: Callable[[PhaseTimer], float]) -> List[float]:
+        """``value`` of each row's cost, in row order (read once per lane)."""
+        by_lane = {lane: value(cost) for lane, cost in self.costs.items()}
+        return [by_lane[lane] for lane in self.lanes.tolist()]
 
     @property
     def results(self) -> List[IMPIRQueryResult]:
@@ -118,17 +136,18 @@ class IMPIRBatchResult:
                         query_id=query_id,
                         server_id=server_id,
                         payload=payload.tobytes(),
-                        simulated_seconds=breakdown.total or None,
+                        simulated_seconds=seconds or None,
                     ),
-                    breakdown=breakdown,
+                    breakdown=self.costs[lane].copy(),
                     cluster_id=lane,
+                    shards=self.shards.get(lane, ()),
                 )
-                for query_id, server_id, payload, breakdown, lane in zip(
+                for query_id, server_id, payload, seconds, lane in zip(
                     self.query_ids.tolist(),
                     self.server_ids.tolist(),
                     self.payloads,
-                    self.breakdowns,
-                    self.lanes,
+                    self.per_row(lambda cost: cost.total),
+                    self.lanes.tolist(),
                 )
             ]
         return self._results
@@ -152,8 +171,6 @@ class IMPIRBatchResult:
     def mean_breakdown(self) -> PhaseTimer:
         """Average per-query phase breakdown across the batch."""
         mean = PhaseTimer()
-        if not self.breakdowns:
-            return mean
-        for breakdown in self.breakdowns:
-            mean.merge(breakdown)
-        return mean.scaled(1.0 / len(self.breakdowns))
+        for result in self.results:
+            mean.merge(result.breakdown)
+        return mean.scaled(1.0 / self.batch_size) if self.batch_size else mean

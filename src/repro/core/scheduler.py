@@ -72,7 +72,7 @@ class BatchSchedule:
     @property
     def makespan(self) -> float:
         """Completion time of the last query (the batch latency)."""
-        return max((q.dpu_end for q in self.queries), default=0.0)
+        return max([q.dpu_end for q in self.queries], default=0.0)
 
     @property
     def throughput_qps(self) -> float:
@@ -85,17 +85,17 @@ class BatchSchedule:
         """Mean per-query latency including queueing."""
         if not self.queries:
             return 0.0
-        return sum(q.latency for q in self.queries) / len(self.queries)
+        return sum([q.latency for q in self.queries]) / len(self.queries)
 
     @property
     def worker_busy_seconds(self) -> float:
         """Total host-worker busy time (evaluation work)."""
-        return sum(q.eval_end - q.eval_start for q in self.queries)
+        return sum([q.eval_end - q.eval_start for q in self.queries])
 
     @property
     def cluster_busy_seconds(self) -> float:
         """Total DPU-cluster busy time (dpXOR pipelines)."""
-        return sum(q.dpu_end - q.dpu_start for q in self.queries)
+        return sum([q.dpu_end - q.dpu_start for q in self.queries])
 
     def cluster_utilization(self) -> float:
         """Fraction of cluster-seconds actually used during the makespan."""
@@ -117,33 +117,46 @@ class BatchScheduler:
         self.num_clusters = num_clusters
 
     def schedule(self, tasks: Sequence[QueryTask]) -> BatchSchedule:
-        """Place ``tasks`` on workers and clusters, earliest-available first.
+        """Place ``tasks`` on workers and clusters (see :meth:`place`)."""
+        return self.place(
+            [task.query_id for task in tasks],
+            [task.eval_seconds for task in tasks],
+            [task.dpu_seconds for task in tasks],
+        )
 
-        Queries are admitted in order (the paper's task queue is FIFO); each
-        stage picks the resource that frees up soonest.  Ties are broken by
-        resource index so the schedule is deterministic.
+    def place(
+        self,
+        query_ids: Sequence[int],
+        eval_seconds: Sequence[float],
+        dpu_seconds: Sequence[float],
+    ) -> BatchSchedule:
+        """Place queries on workers and clusters, earliest-available first.
+
+        Query ``i`` evaluates for ``eval_seconds[i]`` then scans for
+        ``dpu_seconds[i]``.  Queries are admitted in order (the paper's task
+        queue is FIFO); each stage picks the resource that frees up soonest.
+        Ties are broken by resource index so the schedule is deterministic.
         """
-        if not tasks:
-            return BatchSchedule(num_workers=self.num_workers, num_clusters=self.num_clusters)
-
+        if min(eval_seconds, default=0.0) < 0 or min(dpu_seconds, default=0.0) < 0:
+            raise SchedulingError("stage durations must be non-negative")
         worker_free = [0.0] * self.num_workers
         cluster_free = [0.0] * self.num_clusters
         scheduled: List[ScheduledQuery] = []
 
-        for task in tasks:
-            worker_id = min(range(self.num_workers), key=lambda w: (worker_free[w], w))
+        for query_id, evaluate, scan in zip(query_ids, eval_seconds, dpu_seconds):
+            worker_id = worker_free.index(min(worker_free))
             eval_start = worker_free[worker_id]
-            eval_end = eval_start + task.eval_seconds
+            eval_end = eval_start + evaluate
             worker_free[worker_id] = eval_end
 
-            cluster_id = min(range(self.num_clusters), key=lambda c: (cluster_free[c], c))
+            cluster_id = cluster_free.index(min(cluster_free))
             dpu_start = max(eval_end, cluster_free[cluster_id])
-            dpu_end = dpu_start + task.dpu_seconds
+            dpu_end = dpu_start + scan
             cluster_free[cluster_id] = dpu_end
 
             scheduled.append(
                 ScheduledQuery(
-                    query_id=task.query_id,
+                    query_id=query_id,
                     worker_id=worker_id,
                     cluster_id=cluster_id,
                     eval_start=eval_start,
@@ -164,8 +177,6 @@ class BatchScheduler:
         """Schedule ``batch_size`` identical queries (the common benchmark case)."""
         if batch_size <= 0:
             raise SchedulingError("batch_size must be positive")
-        tasks = [
-            QueryTask(query_id=i, eval_seconds=eval_seconds, dpu_seconds=dpu_seconds)
-            for i in range(batch_size)
-        ]
-        return self.schedule(tasks)
+        return self.place(
+            range(batch_size), [eval_seconds] * batch_size, [dpu_seconds] * batch_size
+        )

@@ -28,14 +28,14 @@ is visible in the ``copy_db_segment`` phase of its breakdown.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.common.errors import CapacityError
 from repro.common.events import PhaseTimer
 from repro.core.config import IMPIRConfig
-from repro.core.engine import BackendCapabilities, PIRBackend, sequential_makespan
+from repro.core.engine import BackendCapabilities, PIRBackend
 from repro.core.partitioning import (
     PartitionLayout,
     check_mram_capacity,
@@ -143,17 +143,18 @@ class StreamedPIMBackend(PIRBackend):
         # batch mode evaluates exactly like latency mode.
         return self.latency_eval_seconds(num_records)
 
-    def batch_makespan(self, breakdowns: Sequence[PhaseTimer]) -> Optional[float]:
-        # No cluster pipeline: the streamed passes run one query at a time.
-        return sequential_makespan(breakdowns)
+    def batch_makespan(self, row_seconds: Sequence[float]) -> Optional[float]:
+        # No cluster pipeline: the streamed passes run one query at a time,
+        # so the batch takes the sum of their totals, in batch order.
+        return sum(row_seconds, 0.0)
 
     # -- the multi-pass dpXOR, priced --------------------------------------------------
 
     def charge_many(
         self,
         selector_matrix: np.ndarray,
-        breakdowns: Sequence[PhaseTimer],
-        lanes: Sequence[int],
+        lanes: np.ndarray,
+        costs: Mapping[int, PhaseTimer],
     ) -> None:
         """Charge one DPU dispatch per segment for the batch.
 
@@ -167,22 +168,25 @@ class StreamedPIMBackend(PIRBackend):
         per-dispatch charges — above all the segment copy, the dominant
         charge of the streamed mode, split evenly across the batch (see
         :func:`~repro.core.partitioning.run_dpu_pipeline_many` for the
-        documented cost model).
+        documented cost model).  Every row walks every segment whatever its
+        lane, so the walk is priced once and folded into each lane's cost.
         """
+        walk = PhaseTimer()
         for segment in self._segments:
             run_dpu_pipeline_many(
                 self.ledger,
                 segment.layout,
                 selector_range(selector_matrix, segment.start, segment.stop),
-                breakdowns,
+                walk,
                 db_bytes=segment.db_bytes,
                 db_copy_phase=PHASE_COPY_DB,
             )
-        aggregate_seconds = self.timing.host_aggregate_xor_seconds(
-            self.num_segments, self._database.record_size
+        walk.record(
+            PHASE_AGGREGATE,
+            self.timing.host_aggregate_xor_seconds(self.num_segments, self._database.record_size),
         )
-        for breakdown in breakdowns:
-            breakdown.record(PHASE_AGGREGATE, aggregate_seconds)
+        for cost in costs.values():
+            cost.merge(walk)
 
 
 def streaming_overhead_factor(result: IMPIRQueryResult) -> float:

@@ -14,10 +14,9 @@ trees.  Registering the hub as a frontend observer and calling
   client → server → phase (→ shard) spans whose seconds are the engine's
   own :class:`~repro.common.events.PhaseTimer` values, float-exactly;
 * every replica's :class:`~repro.core.engine.QueryEngine` gets the event
-  log on its ``events`` slot, every sharded backend is handed the log and
-  the tracer via :meth:`~repro.shard.backend.ShardedBackend.instrument`,
-  and the control plane's tracker / rebalancer / cache emit through the
-  same log.
+  log on its ``events`` slot, every sharded backend is handed the log via
+  :meth:`~repro.shard.backend.ShardedBackend.instrument`, and the control
+  plane's tracker / rebalancer / cache emit through the same log.
 
 Pass a hub to :func:`repro.control.plane.controlled_fleet` (``hub=``) and
 the wiring happens inside the builder.  Everything stays strictly
@@ -256,9 +255,11 @@ class ObservabilityHub:
         """Instrument a frontend (and optionally its control plane) in place.
 
         Appends the hub to the frontend's observers (idempotent), hands the
-        event log to every replica engine, instruments every sharded
-        backend with the log and the tracer, and wires the control plane's
-        tracker / rebalancer / cache.  Returns the frontend for chaining.
+        event log to every replica engine and sharded backend, and wires the
+        control plane's tracker / rebalancer / cache.  Per-shard trace
+        detail needs no wiring: it travels back in every answer
+        (:class:`~repro.pir.frontend.ResultDetail`).  Returns the frontend
+        for chaining.
         """
         if self not in frontend.observers:
             frontend.observers.append(self)
@@ -273,7 +274,7 @@ class ObservabilityHub:
                     getattr(member, "backend", None), "instrument", None
                 )
                 if instrument is not None:
-                    instrument(events=self.events, tracer=self.tracer)
+                    instrument(events=self.events)
         if hasattr(frontend, "events"):
             # FleetRouter's replica.added / replica.drained emissions.
             frontend.events = self.events
@@ -358,8 +359,8 @@ class ObservabilityHub:
         Scanned requests get the full tree — a server span per replica
         (seconds accumulated from the engine's PhaseTimer, so the span
         total equals ``PhaseTimer.total`` float-exactly), phase leaves
-        under each, and per-shard scan spans popped from the tracer's side
-        channel (parallel detail: shard seconds do not sum into the
+        under each, and per-shard scan spans from the answer's own shard
+        detail (parallel detail: shard seconds do not sum into the
         server).  Requests served by the cache or as dedup followers get a
         zero-cost marker trace — they spent no simulated pipeline time.
         """
@@ -387,11 +388,11 @@ class ObservabilityHub:
                 if detail.simulated_seconds is not None:
                     server.labels["engine_seconds"] = detail.simulated_seconds
                 server.add_phases(detail.breakdown)
-                for shard_index, phases in tracer.pop_shard_scans(detail.breakdown):
+                for shard_index, cost in detail.shards:
                     shard = server.child(
                         f"shard-{shard_index}", kind=KIND_SHARD, shard=shard_index
                     )
-                    shard.add_phases(phases)
+                    shard.add_phases(cost)
                 if not detail.breakdown.durations and detail.simulated_seconds is not None:
                     # A backend that charged no phase still gets its total.
                     server.seconds = float(detail.simulated_seconds)

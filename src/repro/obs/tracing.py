@@ -15,23 +15,20 @@ iteration order, which makes the span total *float-exactly* equal to
 ``PhaseTimer.total`` of the same timer (both are a left-to-right sum over
 the same values) — the property ``examples/observability.py`` asserts.
 
-Shard detail rides a side channel: the engine's per-query breakdown object
-flows by identity from :meth:`QueryEngine.answer_many` into
-:meth:`~repro.shard.backend.ShardedBackend.charge_many` (through the one
-scan, :meth:`~repro.core.engine.PIRBackend.execute_many`) and back out in
-the raw results, so the backend keys its per-shard child timers by
-``id(breakdown)`` (guarded by a weakref so a recycled id can never attach
-another query's shards) and the hub pops them when it builds the trace.
-Shard spans are *parallel* detail — children fold per-phase max, so their
-seconds deliberately do not sum into the server span.
+Shard detail travels with the answer: a sharded backend returns each
+lane's per-shard child costs with the batch it priced, every answer of the
+lane carries them (:attr:`~repro.core.results.IMPIRQueryResult.shards`),
+and the frontend hands them to the hub in the flush's
+:class:`~repro.pir.frontend.ResultDetail`.  Shard spans are *parallel*
+detail — children fold per-phase max, so their seconds deliberately do not
+sum into the server span.
 """
 
 from __future__ import annotations
 
 import threading
-import weakref
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.common.errors import ConfigurationError
 
@@ -127,25 +124,19 @@ class Trace:
 
 
 class Tracer:
-    """Bounded trace store plus the shard-scan side channel.
+    """Bounded trace store.
 
-    ``max_traces`` bounds memory FIFO (oldest trace evicted first); the
-    side channel is bounded the same way so an instrumented backend driven
-    without a hub reading it back cannot grow without bound.  Thread-safe:
-    the sharded backend records scan detail from pool threads.
+    ``max_traces`` bounds memory FIFO (oldest trace evicted first).  The
+    store is locked, so a report may read it from another thread than the
+    one recording flushes.
     """
 
-    def __init__(self, max_traces: int = 512, max_scan_entries: int = 4096) -> None:
-        if max_traces <= 0 or max_scan_entries <= 0:
+    def __init__(self, max_traces: int = 512) -> None:
+        if max_traces <= 0:
             raise ConfigurationError("tracer bounds must be positive")
         self.max_traces = max_traces
-        self.max_scan_entries = max_scan_entries
         self.traces_evicted = 0
         self._traces: "OrderedDict[str, Trace]" = OrderedDict()
-        #: id(breakdown) -> (weakref to the breakdown, [(shard_index, phases)])
-        self._scans: "OrderedDict[int, Tuple[object, List[Tuple[int, Dict[str, float]]]]]" = (
-            OrderedDict()
-        )
         self._lock = threading.Lock()
 
     # -- traces -----------------------------------------------------------------
@@ -181,36 +172,3 @@ class Tracer:
         return sorted(
             self.traces(), key=lambda trace: trace.total_seconds, reverse=True
         )[: max(0, n)]
-
-    # -- the shard-scan side channel ---------------------------------------------
-
-    def record_shard_scan(self, breakdown, shard_index: int, timer) -> None:
-        """Attach one shard's child-timer phases to a query's breakdown object.
-
-        Called by the sharded backend while it still holds the engine's
-        per-query ``PhaseTimer``; the hub pops the detail by the same object
-        when the flush observation reaches it.  Keyed by ``id`` with a
-        weakref guard: if the breakdown was garbage-collected and its id
-        recycled, the stale entry is discarded instead of mis-attaching
-        another query's shards.
-        """
-        phases = dict(timer.durations) if hasattr(timer, "durations") else dict(timer)
-        with self._lock:
-            key = id(breakdown)
-            entry = self._scans.get(key)
-            if entry is not None and entry[0]() is not breakdown:
-                entry = None  # recycled id: drop the stale detail
-            if entry is None:
-                entry = (weakref.ref(breakdown), [])
-                self._scans[key] = entry
-                while len(self._scans) > self.max_scan_entries:
-                    self._scans.popitem(last=False)
-            entry[1].append((shard_index, phases))
-
-    def pop_shard_scans(self, breakdown) -> List[Tuple[int, Dict[str, float]]]:
-        """Take (and clear) the shard detail recorded for ``breakdown``."""
-        with self._lock:
-            entry = self._scans.pop(id(breakdown), None)
-        if entry is None or entry[0]() is not breakdown:
-            return []
-        return sorted(entry[1])

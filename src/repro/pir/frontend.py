@@ -208,16 +208,17 @@ class FrontendMetrics:
 class ResultDetail:
     """Per-answer timing detail captured from a replica's raw batch result.
 
-    ``breakdown`` is the engine's per-query :class:`PhaseTimer` **by
-    reference** (the sharded backend keys per-shard scan detail by its
-    identity; it holds no phases on backends that charge none);
-    ``simulated_seconds`` is the engine-written
-    :attr:`PIRAnswer.simulated_seconds` — an independently computed total a
-    trace's span sum can be cross-checked against.
+    ``breakdown`` is the answer's own :class:`PhaseTimer` (it holds no
+    phases on backends that charge none); ``simulated_seconds`` is the
+    engine-written :attr:`PIRAnswer.simulated_seconds` — an independently
+    computed total a trace's span sum can be cross-checked against; and
+    ``shards`` the per-shard child costs behind ``breakdown`` on a sharded
+    replica (``(shard index, cost)`` in shard order, empty elsewhere).
     """
 
     breakdown: object
     simulated_seconds: Optional[float]
+    shards: Tuple[Tuple[int, object], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -552,6 +553,7 @@ class BatchingFrontend:
                     (result.answer.query_id, result.answer.server_id): ResultDetail(
                         breakdown=result.breakdown,
                         simulated_seconds=result.answer.simulated_seconds,
+                        shards=result.shards,
                     )
                     for raw in raw_results
                     for result in raw.results

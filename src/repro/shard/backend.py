@@ -8,8 +8,9 @@ delegating to one child backend per (non-empty) shard of a
   shard (children preload concurrently, so their preload timers fold with
   per-phase max);
 * ``charge_many`` splits the engine's packed selector matrix per shard and
-  lets every child price its cut (schedule-wise in parallel — child phase
-  timers fold with per-phase max); the inherited ``execute_many`` then scans
+  lets every child price its cut (schedule-wise in parallel — child lane
+  costs fold with per-phase max, and travel back with the batch as
+  per-shard detail); the inherited ``execute_many`` then scans
   the whole database once, so answers are the unsharded scan's by
   construction and a flush XORs the database once, not once per shard;
 * ``apply_updates`` routes dirty records to the owning shard only, leaving
@@ -28,7 +29,7 @@ streamed IM-PIR for cold ones (see :mod:`repro.shard.fleet`).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from repro.common.errors import ConfigurationError, ProtocolError
 from repro.common.events import PhaseTimer
 from repro.core.config import IMPIRConfig
 from repro.core.engine import BackendCapabilities, PIRBackend
+from repro.core.results import ShardCosts
 from repro.pir.database import Database
 from repro.shard.plan import ShardPlan, ShardSpec, TopologyChange
 
@@ -193,13 +195,10 @@ class ShardedBackend(PIRBackend):
         #: lives *inside* the triple for the same reason (the hot path must
         #: not rebuild child capability objects per query either).
         self._topology: Optional[_Topology] = None
-        #: Optional observability hooks (:meth:`instrument`): a structured
-        #: event log for per-shard scan / topology events and a tracer whose
-        #: shard-scan side channel carries per-shard timers up to per-query
-        #: traces.  Both default to ``None`` — the uninstrumented hot path
-        #: pays one identity check per fold.
+        #: Optional structured event log (:meth:`instrument`) for per-shard
+        #: scan and topology events.  ``None`` by default — the
+        #: uninstrumented hot path pays one identity check per shard.
         self.events = None
-        self.tracer = None
 
     @property
     def plan(self) -> Optional[ShardPlan]:
@@ -356,52 +355,57 @@ class ShardedBackend(PIRBackend):
     def charge_many(
         self,
         selector_matrix: np.ndarray,
-        breakdowns: Sequence[PhaseTimer],
-        lanes: Sequence[int],
-    ) -> None:
+        lanes: np.ndarray,
+        costs: Mapping[int, PhaseTimer],
+    ) -> Dict[int, ShardCosts]:
         """Batched sharded pricing: split once, let every child charge its cut.
 
         The packed selector matrix is split into per-shard cuts **once per
         batch** (zero-copy views for shards on the 8-record grid, see
         :meth:`~repro.shard.plan.ShardPlan.split_selector_many`), and each
-        child prices its cut; no child scans.
+        child prices its cut into one cost per child lane; no child scans.
 
         Shards are walked in plan order on the calling thread; they stand
-        for independent machines, so child timers fold with per-phase max
-        (schedule-wise parallel) before being charged to each query's
-        breakdown (reference-scan children record no phases).  The walk reads
-        the topology snapshot once: a live migration swapping a child
-        mid-walk — or a reshape swapping the whole plan — must not tear it
-        (the snapshot pairs the plan with its members, and each triple pairs
-        the child with its lane count).  The engine bounds lanes by the fleet
-        minimum, but members keep serving if a caller drives a bare backend
-        with a larger lane.
+        for independent machines, so child costs fold with per-phase max
+        (schedule-wise parallel) before being charged to each lane's cost
+        (reference-scan children record no phases).  Returns each lane's
+        child costs, ``(shard index, cost)`` in shard order, for per-shard
+        trace spans.  The walk reads the topology snapshot once: a live
+        migration swapping a child mid-walk — or a reshape swapping the
+        whole plan — must not tear it (the snapshot pairs the plan with its
+        members, and each triple pairs the child with its lane count).  The
+        engine bounds lanes by the fleet minimum, but members keep serving
+        if a caller drives a bare backend with a larger lane: such a lane is
+        served by the child's last lane.
         """
         snapshot = self._topology
         if snapshot is None:
             raise ProtocolError("sharded backend has no prepared database")
         blocks = snapshot.plan.split_selector_many(selector_matrix)
 
-        combined = [PhaseTimer() for _ in breakdowns]
+        combined = {lane: PhaseTimer() for lane in costs}
+        shards: Dict[int, list] = {lane: [] for lane in costs}
         for (shard, child, child_lanes), block in zip(snapshot.members, blocks):
-            child_timers = [PhaseTimer() for _ in breakdowns]
-            child_query_lanes = [min(lane, child_lanes - 1) for lane in lanes]
-            child.charge_many(block, child_timers, child_query_lanes)
-            for query_combined, child_timer in zip(combined, child_timers):
-                query_combined.merge_parallel(child_timer)
-            if self.tracer is not None:
-                for breakdown, child_timer in zip(breakdowns, child_timers):
-                    self.tracer.record_shard_scan(breakdown, shard.index, child_timer)
+            last = child_lanes - 1
+            child_row_lanes = np.minimum(lanes, last)
+            child_costs = {lane: PhaseTimer() for lane in np.unique(child_row_lanes).tolist()}
+            child.charge_many(block, child_row_lanes, child_costs)
+            for lane, total in combined.items():
+                child_cost = child_costs[min(lane, last)]
+                total.merge_parallel(child_cost)
+                shards[lane].append((shard.index, child_cost))
             if self.events is not None:
+                seconds = {lane: cost.total for lane, cost in child_costs.items()}
                 self.events.emit(
                     "shard.scan",
                     shard=shard.index,
                     records=shard.num_records,
-                    batch=len(breakdowns),
-                    seconds=sum(timer.total for timer in child_timers),
+                    batch=len(lanes),
+                    seconds=sum([seconds[lane] for lane in child_row_lanes.tolist()]),
                 )
-        for breakdown, query_combined in zip(breakdowns, combined):
-            breakdown.merge(query_combined)
+        for lane, cost in costs.items():
+            cost.merge(combined[lane])
+        return {lane: tuple(detail) for lane, detail in shards.items()}
 
     # -- views for servers/tests ----------------------------------------------------
 
@@ -420,19 +424,17 @@ class ShardedBackend(PIRBackend):
 
     # -- observability ---------------------------------------------------------------
 
-    def instrument(self, events=None, tracer=None) -> None:
-        """Attach observability hooks (both optional, both default off).
+    def instrument(self, events=None) -> None:
+        """Attach a structured event log (optional, default off).
 
         ``events`` (an :class:`repro.obs.events.EventLog`) receives per-shard
-        ``shard.scan`` events and the ``topology.*`` reconfiguration events;
-        ``tracer`` (an :class:`repro.obs.tracing.Tracer`) receives per-shard
-        child timers keyed by each query's breakdown object, so the hub can
-        nest shard scan spans under the query's server span.  Emission is
-        fault-isolated and thread-safe on the hooks' side; with both left
-        ``None`` the scan path is exactly the uninstrumented one.
+        ``shard.scan`` events and the ``topology.*`` reconfiguration events.
+        Per-shard costs need no hook: they travel back with every batch
+        (see :meth:`charge_many`).  Emission is fault-isolated and
+        thread-safe on the log's side; with ``None`` the scan path is
+        exactly the uninstrumented one.
         """
         self.events = events
-        self.tracer = tracer
 
     # -- live reconfiguration (the control plane's swap points) ----------------------
 

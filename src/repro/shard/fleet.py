@@ -358,9 +358,9 @@ class ReplicaGroup:
         """Append a caught-up member (the commit point of a replica add).
 
         The new member inherits the group's instrumentation: whatever event
-        log / tracer the hub wired onto member 0 at attach time follows
-        membership, so elastically added servers are as observable as
-        construction-time ones.
+        log the hub wired onto member 0 at attach time follows membership,
+        so elastically added servers are as observable as construction-time
+        ones.
         """
         if member.server_id != self.server_id:
             raise ConfigurationError(
@@ -369,9 +369,7 @@ class ReplicaGroup:
             )
         reference = self._members[0]
         member.engine.events = reference.engine.events
-        member.backend.instrument(
-            events=reference.backend.events, tracer=reference.backend.tracer
-        )
+        member.backend.instrument(events=reference.backend.events)
         self._members.append(member)
 
     def remove_member(self) -> PIRServer:

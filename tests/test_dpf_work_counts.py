@@ -18,6 +18,11 @@ often at 2 048 DPUs as at 8.  A per-DPU object or loop makes it grow with
 And a server scans its database once per batch whatever its shape: a sharded
 fleet's children only price their cut, so one batch is one ``dpxor_many`` at
 1, 4 or 16 shards.  A per-shard scan makes the count grow with the shards.
+
+Last, a whole frontend flush makes as many calls into each file of the
+protocol, cost-ledger and shard packages at 32 requests as at 8, on every
+cost path (reference, clustered IM-PIR, streamed, sharded): messages move as
+arrays and simulated cost is priced once per execution lane, not per row.
 """
 
 import cProfile
@@ -136,18 +141,32 @@ def test_a_sharded_server_scans_its_database_once_per_batch(num_shards):
     ]
 
 
-_PROTOCOL_PACKAGES = tuple(
-    str(Path(package.__file__).parent) for package in (repro.core, repro.pir, repro.dpf)
+_FLUSH_PACKAGES = tuple(
+    str(Path(package.__file__).parent)
+    for package in (repro.core, repro.pir, repro.dpf, repro.common, repro.shard)
 )
 
+#: The replica kinds a flush is counted over: every cost path of a lane.
+_FLUSH_KINDS = {
+    "reference": {},
+    "im-pir": {
+        "config": IMPIRConfig(pim=scaled_down_config(num_dpus=8, tasklets=4), num_clusters=2)
+    },
+    "im-pir-streamed": {},
+    "sharded": {"child_kind": "im-pir", "num_shards": 4},
+}
 
-def _flush_calls(batch_size: int) -> Counter:
-    """Python-level calls into each file of ``repro/core``, ``repro/pir`` and
-    ``repro/dpf`` (the scan module aside) while one ``PIRFrontend`` flush of
-    ``batch_size`` requests runs over two reference replicas."""
+
+def _flush_calls(batch_size: int, kind: str) -> Counter:
+    """Python-level calls into each file of ``repro/core``, ``repro/pir``,
+    ``repro/dpf``, ``repro/common`` and ``repro/shard`` (the scan module
+    aside) while one ``PIRFrontend`` flush of ``batch_size`` requests runs
+    over two ``kind`` replicas."""
     database = Database.random(4096, 32, seed=8)
     client = PIRClient(4096, 32, seed=9, prg=make_prg())
-    replicas = [create_server("reference", database, server_id=i, prg=make_prg()) for i in (0, 1)]
+    replicas = [
+        create_server(kind, database, server_id=i, **_FLUSH_KINDS[kind]) for i in (0, 1)
+    ]
     frontend = PIRFrontend(client, replicas, policy=BatchingPolicy(batch_size, 10.0))
     indices = list(range(5, 4096, 4096 // batch_size))[:batch_size]
 
@@ -174,17 +193,19 @@ def _flush_calls(batch_size: int) -> Counter:
     assert list(outcome.records.values()) == [database.record(index) for index in indices]
     calls = Counter()
     for (filename, _, _), (_, count, *_) in pstats.Stats(profile).stats.items():
-        if filename.startswith(_PROTOCOL_PACKAGES) and filename != _XOR_OPS:
+        if filename.startswith(_FLUSH_PACKAGES) and filename != _XOR_OPS:
             calls[Path(filename).relative_to(Path(repro.core.__file__).parents[1])] += count
     return calls
 
 
-def test_a_flush_moves_its_messages_as_arrays():
-    """Queries and answers cross every layer as one message per replica per
-    flush: no file of the client, frontend, engine or DPF makes more Python
-    calls for 32 requests than for 8.  A per-query message, key stack,
-    validation, answer object or reconstruction makes its file's count grow
-    with the batch."""
-    calls = _flush_calls(8)
+@pytest.mark.parametrize("kind", sorted(_FLUSH_KINDS))
+def test_a_flush_moves_its_messages_and_costs_as_arrays(kind):
+    """Queries, answers and simulated costs cross every layer once per
+    replica per flush: no file of the client, frontend, engine, DPF, cost
+    ledger or shard fleet makes more Python calls for 32 requests than for 8.
+    A per-query message, key stack, validation, answer object,
+    reconstruction, or a per-row cost timer, charge or fold makes its file's
+    count grow with the batch."""
+    calls = _flush_calls(8, kind)
     assert sum(calls.values()) > 0
-    assert _flush_calls(32) == calls
+    assert _flush_calls(32, kind) == calls

@@ -129,10 +129,10 @@ def _rig(
 
 
 def _run_many(ledger, layout, selectors, **kwargs):
-    """The charged pipeline over the whole batch; returns the breakdowns."""
-    breakdowns = [PhaseTimer() for _ in range(selectors.shape[0])]
-    run_dpu_pipeline_many(ledger, layout, selectors, breakdowns, **kwargs)
-    return breakdowns
+    """The charged pipeline over the whole batch; returns each row's breakdown."""
+    cost = PhaseTimer()
+    run_dpu_pipeline_many(ledger, layout, selectors, cost, **kwargs)
+    return [cost] * selectors.shape[0]
 
 
 def _run_sequential(ledger, layout, selectors, **kwargs):
@@ -289,7 +289,7 @@ class TestStreamedDbCopy:
                 ledger,
                 layout,
                 selectors,
-                [PhaseTimer(), PhaseTimer()],
+                PhaseTimer(),
                 db_bytes=layout.db_bytes_per_dpu(),
             )
 
@@ -298,16 +298,16 @@ class TestValidation:
     def test_empty_batch_rejected(self):
         _, ledger, _, layout, _, selectors = _rig(64, 16, 2, 4)
         with pytest.raises(ConfigurationError):
-            run_dpu_pipeline_many(ledger, layout, selectors[:0], [])
+            run_dpu_pipeline_many(ledger, layout, selectors[:0], PhaseTimer())
 
     def test_selector_matrix_shape_checked(self):
         _, ledger, _, layout, _, _ = _rig(64, 16, 2, 4)
         with pytest.raises(ConfigurationError):
             run_dpu_pipeline_many(
-                ledger, layout, np.zeros((2, 63), dtype=np.uint8), [PhaseTimer()] * 2
+                ledger, layout, np.zeros((2, 63), dtype=np.uint8), PhaseTimer()
             )
         with pytest.raises(ConfigurationError):
-            run_dpu_pipeline_many(ledger, layout, np.zeros(64, dtype=np.uint8), [PhaseTimer()])
+            run_dpu_pipeline_many(ledger, layout, np.zeros(64, dtype=np.uint8), PhaseTimer())
 
 
 def _hex_phases(breakdowns):
@@ -331,7 +331,7 @@ def _assert_charged_matches_executing(
     redraw = pack_selectors(rng.integers(0, 2, size=(batch, num_records), dtype=np.uint8))
     for dispatch in (selectors, redraw):
         executed = [PhaseTimer() for _ in range(batch)]
-        charged = [PhaseTimer() for _ in range(batch)]
+        charged = PhaseTimer()
         streaming = dict(db_copy_phase=PHASE_COPY_DB) if streamed else {}
         partials = _execute_pipeline(
             dpus,
@@ -351,7 +351,7 @@ def _assert_charged_matches_executing(
         )
         folded = np.bitwise_xor.reduce(np.stack(partials), axis=0)
         assert folded.tobytes() == dpxor_many(database.records, dispatch).tobytes()
-        assert _hex_phases(charged) == _hex_phases(executed)
+        assert _hex_phases([charged] * batch) == _hex_phases(executed)
     assert [seconds.hex() for seconds in ledger.busy_seconds.tolist()] == [
         dpu.busy_seconds.hex() for dpu in dpus.dpus
     ]

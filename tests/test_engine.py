@@ -313,3 +313,46 @@ class TestAnswerMetadata:
         assert isinstance(timed_answer, PIRAnswer) and isinstance(untimed_answer, PIRAnswer)
         assert timed_answer.simulated_seconds and timed_answer.simulated_seconds > 0
         assert untimed_answer.simulated_seconds is None
+
+
+_LANE_KINDS = {
+    "im-pir": {
+        "config": IMPIRConfig(pim=scaled_down_config(num_dpus=8, tasklets=4), num_clusters=2)
+    },
+    "sharded": {"child_kind": "im-pir", "num_shards": 3},
+}
+
+
+class TestLaneCosts:
+    """A batch is priced per execution lane; each row reads its own copy."""
+
+    @staticmethod
+    def _batch(kind):
+        database = Database.random(256, 16, seed=31)
+        server = create_server(kind, database, **_LANE_KINDS[kind])
+        client = PIRClient(256, 16, seed=32, prg=make_prg())
+        return server.answer_batch(client.query_batch([5 + 36 * i for i in range(7)])[0])
+
+    @pytest.mark.parametrize("kind", sorted(_LANE_KINDS))
+    def test_rows_of_a_lane_cost_the_same(self, kind):
+        batch = self._batch(kind)
+        by_lane = {}
+        for result in batch.results:
+            phases = [(phase, seconds.hex()) for phase, seconds in result.breakdown.items()]
+            by_lane.setdefault(result.cluster_id, []).append(phases)
+            assert result.answer.simulated_seconds == result.breakdown.total
+        assert sorted(by_lane) == sorted(set(batch.lanes.tolist()))
+        for rows in by_lane.values():
+            assert rows[0] and all(row == rows[0] for row in rows)
+
+    @pytest.mark.parametrize("kind", sorted(_LANE_KINDS))
+    def test_rows_are_isolated_copies(self, kind):
+        batch = self._batch(kind)
+        makespan = batch.latency_seconds
+        before = [result.breakdown.as_dict() for result in batch.results]
+        batch.results[2].breakdown.record("induced_stall", 1.0)
+        after = [result.breakdown.as_dict() for result in batch.results]
+        assert after[2] == {**before[2], "induced_stall": 1.0}
+        assert after[:2] + after[3:] == before[:2] + before[3:]
+        assert batch.latency_seconds == makespan
+        assert all("induced_stall" not in cost.durations for cost in batch.costs.values())

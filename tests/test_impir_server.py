@@ -14,6 +14,7 @@ from repro.core.results import (
     PHASE_DPXOR,
     PHASE_EVAL,
 )
+from repro.core.streaming import PHASE_COPY_DB
 from repro.dpf.prf import make_prg
 from repro.pim.config import scaled_down_config
 from repro.pir.client import PIRClient
@@ -71,6 +72,21 @@ class TestSingleQuery:
             assert result.breakdown.get(phase) > 0
         assert result.latency_seconds == pytest.approx(result.breakdown.total)
         assert result.dpu_pipeline_seconds < result.latency_seconds
+
+    def test_dpu_pipeline_is_every_phase_but_eval_and_aggregate(self):
+        # The streamed mode adds the segment copy to the DPU side of the
+        # pipeline: it counts there like the selector copy, scan and gather.
+        database = Database.random(1000, 16, seed=7)
+        server = create_server("im-pir-streamed", database)
+        client = PIRClient(1000, 16, seed=8, prg=make_prg())
+        result = server.answer(client.query(10)[0])
+        breakdown = result.breakdown
+        assert breakdown.get(PHASE_COPY_DB) > 0
+        assert result.dpu_pipeline_seconds == pytest.approx(
+            result.latency_seconds - breakdown.get(PHASE_EVAL) - breakdown.get(PHASE_AGGREGATE)
+        )
+        scan = (PHASE_COPY_IN, PHASE_DPXOR, PHASE_COPY_OUT)
+        assert result.dpu_pipeline_seconds > sum(breakdown.get(phase) for phase in scan)
 
     def test_phase_fractions_sum_to_one(self, setup):
         client, server, _ = setup

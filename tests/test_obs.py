@@ -16,8 +16,13 @@ from repro.obs import (
     Span,
     Tracer,
 )
+from repro.core.engine import create_server
+from repro.core.results import PHASE_AGGREGATE, PHASE_COPY_IN, PHASE_COPY_OUT, PHASE_DPXOR
+from repro.dpf.prf import make_prg
 from repro.obs.tracing import KIND_CACHE, KIND_PHASE, KIND_SERVER, KIND_SHARD
-from repro.pir.frontend import FlushObservation, ResultDetail
+from repro.pir.client import PIRClient
+from repro.pir.database import Database
+from repro.pir.frontend import BatchingPolicy, FlushObservation, PIRFrontend, ResultDetail
 
 
 class _RaisingSink:
@@ -299,34 +304,9 @@ class TestTracing:
             tracer.start_trace(f"req-{i}", "r").root.seconds = seconds
         assert [t.trace_id for t in tracer.slowest(2)] == ["req-1", "req-0"]
 
-    def test_shard_side_channel_pops_once_sorted(self):
-        tracer = Tracer()
-        breakdown = PhaseTimer()
-        tracer.record_shard_scan(breakdown, 2, {"dpxor": 0.2})
-        timer = PhaseTimer()
-        timer.record("dpxor", 0.1)
-        tracer.record_shard_scan(breakdown, 0, timer)
-        scans = tracer.pop_shard_scans(breakdown)
-        assert scans == [(0, {"dpxor": 0.1}), (2, {"dpxor": 0.2})]
-        assert tracer.pop_shard_scans(breakdown) == []  # popped, not peeked
-
-    def test_side_channel_misses_return_empty(self):
-        tracer = Tracer()
-        assert tracer.pop_shard_scans(PhaseTimer()) == []
-
-    def test_side_channel_is_bounded(self):
-        tracer = Tracer(max_scan_entries=2)
-        keep = [PhaseTimer() for _ in range(3)]  # keep all alive: distinct ids
-        for i, breakdown in enumerate(keep):
-            tracer.record_shard_scan(breakdown, i, {"p": 1.0})
-        assert tracer.pop_shard_scans(keep[0]) == []  # oldest entry evicted
-        assert tracer.pop_shard_scans(keep[2]) == [(2, {"p": 1.0})]
-
     def test_bounds_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             Tracer(max_traces=0)
-        with pytest.raises(ConfigurationError):
-            Tracer(max_scan_entries=0)
 
 
 def _observation(**overrides):
@@ -353,8 +333,8 @@ class _FakeReplica:
 
         class _Backend:
             @staticmethod
-            def instrument(events=None, tracer=None):
-                backend.instrumented.append((events, tracer))
+            def instrument(events=None):
+                backend.instrumented.append(events)
 
         self.backend = _Backend()
 
@@ -403,13 +383,16 @@ class TestObservabilityHub:
         for phase, seconds in (("host_eval", 0.1), ("dpxor", 0.3)):
             slow.record(phase, seconds)
         fast.record("dpxor", 0.05)
-        hub.tracer.record_shard_scan(slow, 1, {"dpxor": 0.3})
+        shard = PhaseTimer()
+        shard.record("dpxor", 0.3)
         hub.observe_flush(
             _observation(
                 scanned=((7, 42, ((0, 0), (1, 1))),),
                 batch=((7, 42),),
                 details={
-                    (0, 0): ResultDetail(breakdown=slow, simulated_seconds=slow.total),
+                    (0, 0): ResultDetail(
+                        breakdown=slow, simulated_seconds=slow.total, shards=((1, shard),)
+                    ),
                     (1, 1): ResultDetail(breakdown=fast, simulated_seconds=fast.total),
                 },
             )
@@ -421,11 +404,47 @@ class TestObservabilityHub:
         by_id = {span.labels["server_id"]: span for span in servers}
         assert by_id[0].seconds == slow.total  # float-exact
         assert by_id[0].labels["engine_seconds"] == slow.total
-        (shard,) = by_id[0].find(KIND_SHARD)
-        assert shard.labels["shard"] == 1 and shard.seconds == 0.3
+        (span,) = by_id[0].find(KIND_SHARD)
+        assert span.labels["shard"] == 1 and span.seconds == 0.3
+        assert not by_id[1].find(KIND_SHARD)
         assert by_id[1].seconds == fast.total
         # Replicas run in parallel: the request costs its slowest server.
         assert trace.root.seconds == slow.total
+
+    def test_sharded_replicas_trace_one_span_per_shard(self):
+        # The shard detail travels in each answer: every server span of a
+        # scanned request holds one span per shard, in shard order, whose
+        # phases the server's breakdown folds per-phase max.
+        database = Database.random(96, 8, seed=21)
+        replicas = [
+            create_server("sharded", database, server_id, num_shards=3, child_kind="im-pir")
+            for server_id in (0, 1)
+        ]
+        client = PIRClient(96, 8, seed=22, prg=make_prg())
+        hub = ObservabilityHub()
+        frontend = hub.attach(PIRFrontend(client, replicas, policy=BatchingPolicy(4, 1.0)))
+        indices = [3, 40, 77, 95]
+        assert frontend.retrieve_batch(indices) == [database.record(i) for i in indices]
+        shard_order = [shard.index for shard, _ in replicas[0].backend.members]
+        assert shard_order == [0, 1, 2]
+        traces = hub.tracer.traces()
+        assert len(traces) == len(indices)
+        for trace in traces:
+            servers = trace.root.find(KIND_SERVER)
+            assert [span.labels["server_id"] for span in servers] == [0, 1]
+            for server in servers:
+                shards = server.find(KIND_SHARD)
+                assert [span.labels["shard"] for span in shards] == shard_order
+                shard_phases = [
+                    {leaf.name: leaf.seconds for leaf in span.find(KIND_PHASE)} for span in shards
+                ]
+                for phases in shard_phases:
+                    assert list(phases) == [
+                        PHASE_COPY_IN, PHASE_DPXOR, PHASE_COPY_OUT, PHASE_AGGREGATE
+                    ]
+                folded = {leaf.name: leaf.seconds for leaf in server.find(KIND_PHASE)}
+                for phase in shard_phases[0]:
+                    assert folded[phase] == max(phases[phase] for phases in shard_phases)
 
     def test_breakdown_less_server_still_gets_a_total(self):
         hub = ObservabilityHub()
@@ -466,10 +485,7 @@ class TestObservabilityHub:
         hub.attach(frontend)
         assert frontend.observers == [hub]  # appended once
         assert replica.engine.events is hub.events
-        assert replica.instrumented == [
-            (hub.events, hub.tracer),
-            (hub.events, hub.tracer),
-        ]
+        assert replica.instrumented == [hub.events, hub.events]
 
     def test_report_sections(self):
         hub = ObservabilityHub()

@@ -243,9 +243,9 @@ class TestEngineSelectorMatrix:
         shapes = []
         scan = engine.backend.execute_many
 
-        def recording(selector_matrix, breakdowns, lanes):
+        def recording(selector_matrix, lanes, costs):
             shapes.append(np.shape(selector_matrix))
-            return scan(selector_matrix, breakdowns, lanes)
+            return scan(selector_matrix, lanes, costs)
 
         engine.backend.execute_many = recording
         engine.answer_many(self._queries(4))

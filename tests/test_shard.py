@@ -263,7 +263,9 @@ class TestShardedCapabilitiesAndTiming:
         backend = ShardedBackend(bare_backend_factory("reference"), num_shards=2)
         assert backend.capabilities().name == "sharded"
         with pytest.raises(ProtocolError):
-            backend.execute_many(np.zeros((1, 4), dtype=np.uint8), [PhaseTimer()], [0])
+            backend.execute_many(
+                np.zeros((1, 4), dtype=np.uint8), np.zeros(1, np.int64), {0: PhaseTimer()}
+            )
         with pytest.raises(ProtocolError):
             backend.apply_updates(Database.random(4, 4, seed=1), [0])
 
@@ -355,11 +357,11 @@ class _CountingBackend:
     def capabilities(self):
         return self._inner.capabilities()
 
-    def execute_many(self, selector_matrix, breakdowns, lanes):
-        return self._inner.execute_many(selector_matrix, breakdowns, lanes)
+    def execute_many(self, selector_matrix, lanes, costs):
+        return self._inner.execute_many(selector_matrix, lanes, costs)
 
-    def charge_many(self, selector_matrix, breakdowns, lanes):
-        return self._inner.charge_many(selector_matrix, breakdowns, lanes)
+    def charge_many(self, selector_matrix, lanes, costs):
+        return self._inner.charge_many(selector_matrix, lanes, costs)
 
     def latency_eval_seconds(self, num_records):
         return self._inner.latency_eval_seconds(num_records)
