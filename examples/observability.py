@@ -88,45 +88,47 @@ def main() -> None:
     stream = [index % database.num_records for index in skew]
 
     # --- 1. the hub, wired in one call ---------------------------------------------
-    jsonl_path = os.path.join(tempfile.mkdtemp(prefix="repro-obs-"), "events.jsonl")
-    hub = ObservabilityHub(jsonl_path=jsonl_path)
+    # The JSONL export goes to a directory removed once it has been read back.
+    with tempfile.TemporaryDirectory(prefix="repro-obs-") as export_dir:
+        jsonl_path = os.path.join(export_dir, "events.jsonl")
+        hub = ObservabilityHub(jsonl_path=jsonl_path)
 
-    # --- 2. one instrumented run, one bare run of the same stream ------------------
-    records = drive(database, stream, hub=hub)
-    hub.close()
-    bare_records = drive(database, stream, hub=None)
+        # --- 2. one instrumented run, one bare run of the same stream ------------------
+        records = drive(database, stream, hub=hub)
+        hub.close()
+        bare_records = drive(database, stream, hub=None)
 
-    # --- 3. the load-bearing properties --------------------------------------------
-    # Telemetry is strictly read-only: the instrumented data plane returns
-    # bit-identical bytes.
-    assert records == bare_records == [database.record(i) for i in stream]
+        # --- 3. the load-bearing properties --------------------------------------------
+        # Telemetry is strictly read-only: the instrumented data plane returns
+        # bit-identical bytes.
+        assert records == bare_records == [database.record(i) for i in stream]
 
-    # Span totals equal the engine's PhaseTimer totals float-exactly: both
-    # are the same left-to-right sum over the same phase values.
-    checked = 0
-    for trace in hub.tracer.traces():
-        for server in trace.root.find(KIND_SERVER):
-            engine_seconds = server.labels.get("engine_seconds")
-            if engine_seconds is None:
-                continue
-            assert server.seconds == engine_seconds, trace.trace_id
-            assert server.find(KIND_PHASE), "server spans carry phase leaves"
-            checked += 1
-    assert checked > 0, "at least one full pipeline trace was reconstructed"
-    assert len(hub.tracer.traces()) == len(stream), "one trace per request"
+        # Span totals equal the engine's PhaseTimer totals float-exactly: both
+        # are the same left-to-right sum over the same phase values.
+        checked = 0
+        for trace in hub.tracer.traces():
+            for server in trace.root.find(KIND_SERVER):
+                engine_seconds = server.labels.get("engine_seconds")
+                if engine_seconds is None:
+                    continue
+                assert server.seconds == engine_seconds, trace.trace_id
+                assert server.find(KIND_PHASE), "server spans carry phase leaves"
+                checked += 1
+        assert checked > 0, "at least one full pipeline trace was reconstructed"
+        assert len(hub.tracer.traces()) == len(stream), "one trace per request"
 
-    # The control plane is visible: rebalance passes reach the ring buffer
-    # and cache hits reach the metrics registry.
-    assert hub.ring.named("rebalance.pass")
-    assert hub.registry.get("repro_cache_hits_total").total() > 0
+        # The control plane is visible: rebalance passes reach the ring buffer
+        # and cache hits reach the metrics registry.
+        assert hub.ring.named("rebalance.pass")
+        assert hub.registry.get("repro_cache_hits_total").total() > 0
 
-    # The JSONL export holds only complete JSON lines (each line is
-    # serialised before its single write), one per exported event.
-    with open(jsonl_path, "r", encoding="utf-8") as handle:
-        lines = [json.loads(line) for line in handle]
-    assert len(lines) == hub.events.events_emitted
-    assert all("name" in line and "seq" in line and "now" in line for line in lines)
-    assert hub.events.dropped == 0
+        # The JSONL export holds only complete JSON lines (each line is
+        # serialised before its single write), one per exported event.
+        with open(jsonl_path, "r", encoding="utf-8") as handle:
+            lines = [json.loads(line) for line in handle]
+        assert len(lines) == hub.events.events_emitted
+        assert all("name" in line and "seq" in line and "now" in line for line in lines)
+        assert hub.events.dropped == 0
 
     shard_spans = sum(
         len(server.find(KIND_SHARD))
@@ -137,7 +139,7 @@ def main() -> None:
         f"{len(stream)} records bit-identical to the uninstrumented run; "
         f"{checked} server spans float-equal to their PhaseTimer totals; "
         f"{shard_spans} per-shard scan spans; "
-        f"{len(lines)} complete JSONL event lines at {jsonl_path}"
+        f"{len(lines)} complete JSONL event lines in the export"
     )
 
     # --- 4. the report --------------------------------------------------------------

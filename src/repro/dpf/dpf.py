@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.common.errors import KeyMismatchError
 from repro.common.rng import make_rng
-from repro.dpf.ggm import expand_level, gated
+from repro.dpf.ggm import corrected_children, correction_tables, gated
 from repro.dpf.prf import SEED_BYTES, LengthDoublingPRG, control_bits, make_prg
 
 MAX_OUTPUT_BITS = 64
@@ -57,10 +57,11 @@ BLOCK_BITS = 8 * SEED_BYTES
 
 #: Wire layout of a key, shared with :mod:`repro.pir.serialization` so the
 #: accounted size and the serialized size cannot drift apart: this header
-#: (magic, version, party, domain_bits, output_bits), the root seed,
-#: ``tree_depth`` correction words and the final correction block.
+#: (magic, version, party, domain_bits, output_bits), the root seed, the
+#: ``tree_depth`` 16-byte seed corrections, their ``2 * tree_depth`` control-bit
+#: corrections packed into bits (:func:`pack_control_corrections`) and the
+#: final correction block.
 KEY_HEADER = struct.Struct("<2sBBBB")
-CORRECTION_WORD_BYTES = SEED_BYTES + 2  # seed correction + two control-bit corrections
 
 
 def slot_bits(output_bits: int) -> int:
@@ -76,8 +77,25 @@ def tree_depth(domain_bits: int, output_bits: int) -> int:
 
 
 def key_wire_bytes(levels: int) -> int:
-    """Serialized size of a key carrying ``levels`` correction words."""
-    return KEY_HEADER.size + SEED_BYTES + levels * CORRECTION_WORD_BYTES + SEED_BYTES
+    """Serialized size of a key carrying ``levels`` correction words:
+    ``38 + 16 * levels + ceil(levels / 4)`` bytes."""
+    return KEY_HEADER.size + SEED_BYTES + levels * SEED_BYTES + -(-levels // 4) + SEED_BYTES
+
+
+def pack_control_corrections(cw_bits: np.ndarray) -> np.ndarray:
+    """``(..., L, 2)`` control-bit corrections as ``(..., ceil(L / 4))`` bytes.
+
+    The ``2L`` (left, right) bits go in level order, little bit order: bit
+    ``j % 8`` of byte ``j // 8`` is bit ``j`` of the flattened ``(L, 2)``
+    array, and the padding bits of the last byte are zero.
+    """
+    return np.packbits(cw_bits.reshape(cw_bits.shape[:-2] + (-1,)), axis=-1, bitorder="little")
+
+
+def unpack_control_corrections(packed: np.ndarray, levels: int) -> np.ndarray:
+    """Inverse of :func:`pack_control_corrections`: ``(..., levels, 2)`` uint8 bits."""
+    bits = np.unpackbits(packed, axis=-1, count=2 * levels, bitorder="little")
+    return bits.reshape(packed.shape[:-1] + (levels, 2))
 
 
 #: The per-row arrays of a :class:`DPFKeys`, in constructor order.
@@ -445,16 +463,20 @@ class DPF:
         level loop of full-domain evaluation: :meth:`eval_full`,
         :meth:`eval_full_many`, :meth:`eval_packed_many`, the engine's selector
         path and the :mod:`repro.dpf.traversal` strategies all read its
-        leaves.  Every level is one :func:`~repro.dpf.ggm.expand_level` call,
+        leaves.  The keys' correction words for the levels below
+        ``first_level`` are tabled once (:func:`~repro.dpf.ggm.correction_tables`),
+        and every level is one :func:`~repro.dpf.ggm.corrected_children` call,
         so the PRG sees ``B x 2^level`` seeds per level instead of
-        ``2^level`` seeds ``B`` times, and each key's correction word comes
-        straight out of ``keys.cw_seeds`` / ``keys.cw_bits``.
+        ``2^level`` seeds ``B`` times.
         """
         seeds = seeds.reshape(len(keys), -1, SEED_BYTES)
         controls = controls.reshape(len(keys), -1)
-        for level in range(first_level, self.tree_depth):
-            children, child_controls = expand_level(
-                self.prg, seeds, controls, keys.cw_seeds[:, level], keys.cw_bits[:, level]
+        levels = slice(first_level, self.tree_depth)
+        for seed_table, bit_table in zip(
+            *correction_tables(keys.cw_seeds[:, levels], keys.cw_bits[:, levels])
+        ):
+            children, child_controls = corrected_children(
+                self.prg, seeds, controls, seed_table, bit_table
             )
             seeds = children.reshape(len(keys), -1, SEED_BYTES)
             controls = child_controls.reshape(len(keys), -1)
@@ -468,8 +490,10 @@ class DPF:
         ``nodes`` are node indices at level ``depth`` (default: leaf-block
         indices).  Every path re-expands its own ancestors — ``B *
         len(nodes) * depth`` PRG expansions — which is what point evaluation
-        and the branch-parallel / memory-bounded traversals want.  Returns
-        key-major ``(B * len(nodes), 16)`` seeds and control bits.
+        and the branch-parallel / memory-bounded traversals want.  The
+        correction words of the ``depth`` levels are tabled once, as in
+        :meth:`expand_front`.  Returns key-major ``(B * len(nodes), 16)``
+        seeds and control bits.
         """
         depth = self.tree_depth if depth is None else depth
         nodes = np.asarray(nodes, dtype=np.int64)
@@ -478,9 +502,10 @@ class DPF:
         paths = np.arange(nodes.shape[0])
         seeds = np.repeat(keys.roots[:, None, :], nodes.shape[0], axis=1)
         controls = np.repeat(keys.parties[:, None], nodes.shape[0], axis=1)
-        for level in range(depth):
-            children, child_controls = expand_level(
-                self.prg, seeds, controls, keys.cw_seeds[:, level], keys.cw_bits[:, level]
+        tables = correction_tables(keys.cw_seeds[:, :depth], keys.cw_bits[:, :depth])
+        for level, (seed_table, bit_table) in enumerate(zip(*tables)):
+            children, child_controls = corrected_children(
+                self.prg, seeds, controls, seed_table, bit_table
             )
             pick = (nodes >> (depth - 1 - level)) & 1
             seeds, controls = children[:, paths, pick], child_controls[:, paths, pick]
@@ -491,7 +516,7 @@ class DPF:
     def leaf_blocks(self, keys: DPFKeys, seeds: np.ndarray, controls: np.ndarray) -> np.ndarray:
         """Convert key-major leaf nodes into corrected ``(B, M, 16)`` output blocks."""
         blocks = self.prg.convert(seeds).reshape(len(keys), -1, SEED_BYTES)
-        blocks ^= gated(controls.reshape(len(keys), -1), keys.finals, (SEED_BYTES,))
+        blocks ^= gated(controls.reshape(len(keys), -1), keys.finals)
         return blocks
 
     def slot_values(self, blocks: np.ndarray, num_points: int) -> np.ndarray:

@@ -30,7 +30,13 @@ SCHEME_NAIVE = "naive"
 
 @dataclass
 class ClientStats:
-    """Communication accounting for one client instance."""
+    """Communication accounting for one client instance.
+
+    ``upload_bytes`` counts the bodies of the queries sent (each server's
+    serialized DPF key, or its packed naive share) and ``download_bytes``
+    the answer payloads received; neither counts message headers
+    (:mod:`repro.pir.serialization`) or any per-flush framing.
+    """
 
     queries_generated: int = 0
     upload_bytes: int = 0

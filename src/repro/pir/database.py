@@ -44,12 +44,21 @@ class Database:
         record_size: int = DEFAULT_RECORD_SIZE,
         seed: Optional[int] = None,
     ) -> "Database":
-        """A database of uniformly random records (the paper's synthetic DB)."""
+        """A database of uniformly random records (the paper's synthetic DB).
+
+        One full-range 64-bit word is drawn per 8 bytes and read as
+        little-endian bytes: on the fresh generator this is exactly the byte
+        stream of ``rng.integers(0, 256, dtype=np.uint8)``, drawn in less than
+        half the time at 128 MiB.
+        """
         if num_records <= 0 or record_size <= 0:
             raise DatabaseError("num_records and record_size must be positive")
-        rng = make_rng(seed)
-        records = rng.integers(0, 256, size=(num_records, record_size), dtype=np.uint8)
-        return cls(records)
+        total = num_records * record_size
+        words = make_rng(seed).integers(
+            0, 2**64 - 1, size=-(-total // 8), dtype=np.uint64, endpoint=True
+        )
+        records = words.astype("<u8", copy=False).view(np.uint8)[:total]
+        return cls(records.reshape(num_records, record_size))
 
     @classmethod
     def from_records(cls, records: Sequence[bytes]) -> "Database":

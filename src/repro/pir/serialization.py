@@ -4,13 +4,25 @@ In a real deployment the client and the two servers are separate processes on
 separate machines; everything they exchange must cross a network.  This module
 defines a compact, versioned binary encoding for the protocol messages:
 
-* DPF keys — root seed, one correction word per expanded tree level, one
-  16-byte final correction block (wire version 2: the early-terminated
-  construction of :mod:`repro.dpf.dpf`; version-1 blobs are rejected, keys
-  are per-request and never persisted), read from and decoded into one row
-  of a :class:`~repro.dpf.dpf.DPFKeys` batch;
-* DPF/naive queries — header plus key or packed selector share;
-* answers — header plus the XOR sub-result.
+* DPF keys (wire version 3; the early-terminated construction of
+  :mod:`repro.dpf.dpf`), read from and decoded into one row of a
+  :class:`~repro.dpf.dpf.DPFKeys` batch.  A key of ``d`` expanded levels is
+  ``38 + 16 * d + ceil(d / 4)`` bytes::
+
+      6   header: magic "DK", version, party, domain_bits, output_bits
+      16  root seed
+      16d seed corrections, one per level, root first
+      ⌈d/4⌉  the 2d (left, right) control-bit corrections, level order,
+          packed little-endian into bits (zero padding)
+      16  final correction block
+
+  Version 2 spent one byte per control-bit correction (``38 + 18 * d``);
+  its blobs, like version 1's, are rejected: keys are per-request and never
+  persisted;
+* DPF/naive queries — header (magic, version, server id, u64 query id, u64
+  record count) plus key or packed selector share;
+* answers — header (magic, version, server id, u64 query id, simulated
+  nanoseconds, payload length) plus the XOR sub-result.
 
 The format is deliberately simple (fixed little-endian headers, no external
 dependencies) and round-trip tested; it also gives the communication numbers
@@ -26,28 +38,29 @@ import numpy as np
 
 from repro.common.errors import ProtocolError
 from repro.dpf.dpf import (
-    CORRECTION_WORD_BYTES,
     KEY_HEADER,
     MAX_OUTPUT_BITS,
     DPFKey,
     DPFKeys,
     key_wire_bytes,
+    pack_control_corrections,
     tree_depth,
+    unpack_control_corrections,
 )
 from repro.dpf.naive import NaiveShare
 from repro.dpf.prf import SEED_BYTES
 from repro.pir.messages import DPFQuery, NaiveQuery, PIRAnswer
 
 #: Format-version byte embedded in every message.
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
 _MAGIC_KEY = b"DK"
 _MAGIC_DPF_QUERY = b"DQ"
 _MAGIC_NAIVE_QUERY = b"NQ"
 _MAGIC_ANSWER = b"PA"
 
-_QUERY_HEADER = struct.Struct("<2sBBIQ")      # magic, version, server_id, query_id, num_records
-_ANSWER_HEADER = struct.Struct("<2sBBIQI")    # magic, version, server_id, query_id, sim_ns, payload_len
+_QUERY_HEADER = struct.Struct("<2sBBQQ")      # magic, version, server_id, query_id, num_records
+_ANSWER_HEADER = struct.Struct("<2sBBQQI")    # magic, version, server_id, query_id, sim_ns, payload_len
 
 #: A naive query body packs its selector bits most significant bit first.
 _WIRE_BIT_MASKS = np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8)
@@ -71,9 +84,15 @@ def serialize_key(key: DPFKey) -> bytes:
     """Encode a DPF key into its wire representation (``key.size_bytes`` bytes)."""
     keys, row = key.batch, key.row
     header = KEY_HEADER.pack(_MAGIC_KEY, WIRE_VERSION, key.party, key.domain_bits, key.output_bits)
-    # Each correction word is its 16-byte seed then its (left, right) bits.
-    words = np.concatenate((keys.cw_seeds[row], keys.cw_bits[row]), axis=1)
-    return header + keys.roots[row].tobytes() + words.tobytes() + keys.finals[row].tobytes()
+    return b"".join(
+        (
+            header,
+            keys.roots[row].tobytes(),
+            keys.cw_seeds[row].tobytes(),
+            pack_control_corrections(keys.cw_bits[row]).tobytes(),
+            keys.finals[row].tobytes(),
+        )
+    )
 
 
 def deserialize_key(blob: bytes) -> DPFKey:
@@ -96,14 +115,18 @@ def deserialize_key(blob: bytes) -> DPFKey:
             f"correction words for a {domain_bits}-bit domain with {output_bits}-bit outputs"
         )
     body = np.frombuffer(blob, dtype=np.uint8, offset=KEY_HEADER.size)[None]
-    words = body[:, SEED_BYTES:-SEED_BYTES].reshape(1, levels, CORRECTION_WORD_BYTES)
+    bits_start = SEED_BYTES + levels * SEED_BYTES
+    packed = body[:, bits_start:-SEED_BYTES]
+    cw_bits = unpack_control_corrections(packed, levels)
+    if not np.array_equal(pack_control_corrections(cw_bits), packed):
+        raise ProtocolError("DPF key has control-bit padding set past its last level")
     keys = DPFKeys(
         domain_bits,
         output_bits,
         roots=body[:, :SEED_BYTES],
         parties=np.asarray([party], dtype=np.uint8),
-        cw_seeds=words[..., :SEED_BYTES],
-        cw_bits=words[..., SEED_BYTES:],
+        cw_seeds=body[:, SEED_BYTES:bits_start].reshape(1, levels, SEED_BYTES),
+        cw_bits=cw_bits,
         finals=body[:, -SEED_BYTES:],
     )
     return keys[0]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import DatabaseError
+from repro.common.rng import make_rng
 from repro.pir.database import Database
 
 
@@ -16,6 +17,20 @@ class TestConstruction:
 
     def test_random_is_deterministic(self):
         assert Database.random(50, 16, seed=7) == Database.random(50, 16, seed=7)
+
+    @pytest.mark.parametrize(
+        "num_records,record_size",
+        [(65536, 32), (4096, 32), (16384, 64), (1000, 13), (7, 3), (1, 1), (3, 5)],
+    )
+    @pytest.mark.parametrize("seed", [None, 0, 7])
+    def test_random_bytes_are_the_uint8_stream(self, num_records, record_size, seed):
+        """Drawn as 64-bit words, the records are the bytes a fresh generator's
+        ``integers(0, 256, dtype=uint8)`` gives, totals off a multiple of 8
+        included (1000 x 13, 7 x 3, 1 x 1, 3 x 5)."""
+        expected = make_rng(seed).integers(
+            0, 256, size=(num_records, record_size), dtype=np.uint8
+        )
+        assert np.array_equal(Database.random(num_records, record_size, seed=seed).records, expected)
 
     def test_from_records(self):
         db = Database.from_records([b"aaaa", b"bbbb", b"cccc"])

@@ -55,7 +55,9 @@ class TestGen:
         large = DPF(domain_bits=24, seed=1).gen(3)[0].size_bytes
         assert large > small
         assert large < 4 * small  # log-scale growth (domain grew 4096x), not linear
-        assert large - small == 12 * 18  # one 18-byte correction word per doubling
+        # One 16-byte seed correction per doubling, and the two control-bit
+        # corrections of 17 levels pack into 5 bytes where 5 levels take 2.
+        assert large - small == 12 * 16 + (5 - 2)
 
     def test_alpha_out_of_domain_rejected(self):
         with pytest.raises(ValueError):

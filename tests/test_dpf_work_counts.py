@@ -19,6 +19,9 @@ And a server scans its database once per batch whatever its shape: a sharded
 fleet's children only price their cut, so one batch is one ``dpxor_many`` at
 1, 4 or 16 shards.  A per-shard scan makes the count grow with the shards.
 
+A walk also tables its keys' correction words once, whatever its depth: a
+per-level table build makes the builder's count grow with the levels.
+
 Last, a whole frontend flush makes as many calls into each file of the
 protocol, cost-ledger and shard packages at 32 requests as at 8, on every
 cost path (reference, clustered IM-PIR, streamed, sharded): messages move as
@@ -46,6 +49,7 @@ from repro.pir.frontend import BatchingPolicy, PIRFrontend
 
 _RECORDS = 1 << 16
 _PACKAGE = str(Path(repro.dpf.__file__).parent)
+_GGM = str(Path(_PACKAGE) / "ggm.py")
 
 
 def _dpf_calls(count: int) -> int:
@@ -69,6 +73,31 @@ def test_calls_into_the_dpf_package_do_not_grow_with_the_batch():
     calls = _dpf_calls(8)
     assert calls > 0
     assert _dpf_calls(32) == calls
+
+
+@pytest.mark.parametrize("domain_bits", [10, 16])
+def test_a_walk_tables_its_correction_words_once(domain_bits):
+    """``eval_packed_many`` builds its keys' correction tables once per walk,
+    not once per level: one ``correction_tables`` call and one
+    ``corrected_children`` call per level at depth 3 and at depth 9."""
+    dpf = DPF(domain_bits=domain_bits, seed=7)
+    keys = dpf.gen_many([1, 2, 3, 5]).keys
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        dpf.eval_packed_many(keys)
+    finally:
+        profile.disable()
+    calls = Counter(
+        {
+            function: count
+            for (filename, _, function), (_, count, *_) in pstats.Stats(profile).stats.items()
+            if filename == _GGM
+        }
+    )
+    assert dpf.tree_depth == domain_bits - 7
+    assert calls["correction_tables"] == 1
+    assert calls["corrected_children"] == dpf.tree_depth
 
 
 _CORE_AND_PIM = tuple(

@@ -10,6 +10,8 @@ pin what an example's printed report must show without running it again.
 
 import contextlib
 import io
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +82,14 @@ class TestExamplesRun:
         assert "== events ==" in out and "== metrics ==" in out
         assert "repro_flushes_total" in out
         assert "slowest traces" in out
+
+    def test_observability_example_removes_its_export(self, load_example):
+        """The JSONL export lives in a temporary directory that ``main``
+        removes: a run leaves no ``repro-obs-*`` directory behind."""
+        before = set(Path(tempfile.gettempdir()).glob("repro-obs-*"))
+        with contextlib.redirect_stdout(io.StringIO()):
+            load_example("observability").main()
+        assert set(Path(tempfile.gettempdir()).glob("repro-obs-*")) == before
 
     def test_autoscaler_example_shows_the_closed_loop(self, example_output):
         out = example_output("autoscaler")

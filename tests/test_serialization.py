@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ProtocolError
 from repro.core.engine import create_server
-from repro.dpf.dpf import DPF
+from repro.dpf.dpf import DPF, key_wire_bytes
 from repro.dpf.naive import NaiveShare
 from repro.pir.client import PIRClient
 from repro.pir.messages import DPFQuery, NaiveQuery, PIRAnswer
@@ -44,16 +44,20 @@ class TestKeyRoundTrip:
 
     def test_serialized_size_matches_key_estimate(self):
         """``size_bytes`` (what ``ClientStats.upload_bytes`` adds up) is the
-        wire size exactly, at every tree depth including the zero-level ones."""
+        wire size exactly, ``38 + 16 d + ceil(d / 4)`` for ``d`` levels, at
+        every tree depth including the zero-level ones."""
         for domain_bits in range(0, 21):
             for output_bits in (1, 8, 64):
                 key0, key1 = DPF(domain_bits, output_bits=output_bits, seed=domain_bits).gen(0, 1)
                 for key in (key0, key1):
-                    assert len(serialize_key(key)) == key.size_bytes
+                    depth = key.tree_depth
+                    assert len(serialize_key(key)) == key.size_bytes == key_wire_bytes(depth)
+                    assert key.size_bytes == 38 + 16 * depth + -(-depth // 4)
                     query = DPFQuery(query_id=0, server_id=key.party, key=key, num_records=1)
                     assert query.upload_bytes == key.size_bytes
-        # 6-byte header + root seed + (20 - 7) 18-byte words + 16-byte final block.
-        assert DPF(20, seed=0).gen(0)[0].size_bytes == 6 + 16 + 13 * 18 + 16
+        # 6-byte header + root seed + (20 - 7) 16-byte seed corrections + their
+        # 26 control-bit corrections in 4 bytes + 16-byte final block.
+        assert DPF(20, seed=0).gen(0)[0].size_bytes == 6 + 16 + 13 * 16 + 4 + 16
 
     def test_truncated_blob_rejected(self, dpf_key):
         blob = serialize_key(dpf_key)
@@ -62,18 +66,47 @@ class TestKeyRoundTrip:
         with pytest.raises(ProtocolError):
             deserialize_key(blob[:-3])
 
-    def test_version_1_blob_rejected(self, dpf_key):
-        """No v1 decode path: the old header (8-byte final word, one
-        correction word per domain bit) fails on its version byte."""
+    def test_version_2_blob_rejected(self, dpf_key):
+        """No v2 decode path: a v2 key (one byte per control-bit correction,
+        ``38 + 18 * d`` bytes) and a v1 key fail on their version byte."""
+        keys, row = dpf_key.batch, dpf_key.row
+        words = np.concatenate((keys.cw_seeds[row], keys.cw_bits[row]), axis=1)
+        v2_blob = (
+            struct.pack("<2sBBBB", b"DK", 2, dpf_key.party, 12, 1)
+            + keys.roots[row].tobytes()
+            + words.tobytes()
+            + keys.finals[row].tobytes()
+        )
+        assert len(v2_blob) == 38 + 18 * dpf_key.tree_depth
+        with pytest.raises(ProtocolError, match="wire version 2, expected version 3"):
+            deserialize_key(v2_blob)
         v1_header = struct.pack("<2sBBBBQ", b"DK", 1, 0, 12, 1, 1)
-        v1_blob = v1_header + bytes(16) + bytes(18) * 12
-        with pytest.raises(ProtocolError, match="wire version 1, expected version 2"):
-            deserialize_key(v1_blob)
+        with pytest.raises(ProtocolError, match="wire version 1, expected version 3"):
+            deserialize_key(v1_header + bytes(16) + bytes(18) * 12)
         relabelled = bytearray(serialize_key(dpf_key))
-        relabelled[2] = 1
-        with pytest.raises(ProtocolError, match="expected version 2"):
+        relabelled[2] = 2
+        with pytest.raises(ProtocolError, match="expected version 3"):
             deserialize_key(bytes(relabelled))
-        assert WIRE_VERSION == 2
+        assert WIRE_VERSION == 3
+
+    def test_control_bits_pack_little_endian_in_level_order(self):
+        """Bit ``2l + c`` of the packed bytes is level ``l``'s child-``c`` correction."""
+        dpf = DPF(domain_bits=16, seed=11)
+        key = dpf.gen(40000, 1)[0]
+        blob = serialize_key(key)
+        depth = key.tree_depth
+        start = 6 + 16 + 16 * depth
+        packed = np.frombuffer(blob[start : start + -(-depth // 4)], dtype=np.uint8)
+        bits = [(int(packed[j // 8]) >> (j % 8)) & 1 for j in range(8 * packed.size)]
+        assert bits[: 2 * depth] == key.batch.cw_bits[key.row].reshape(-1).tolist()
+        assert not any(bits[2 * depth :])
+
+    def test_control_bit_padding_rejected(self, dpf_key):
+        """Five levels fill 10 of 16 bits: a set padding bit is not a key."""
+        blob = bytearray(serialize_key(dpf_key))
+        blob[-16 - 1] |= 0x80
+        with pytest.raises(ProtocolError, match="padding"):
+            deserialize_key(bytes(blob))
 
     def test_level_count_must_match_tree_depth(self, dpf_key):
         blob = serialize_key(dpf_key)
@@ -134,6 +167,17 @@ class TestQueryRoundTrip:
         assert isinstance(restored, NaiveQuery)
         assert np.array_equal(restored.share.bits, bits)
 
+    def test_query_ids_past_32_bits_round_trip(self, dpf_key):
+        """Query ids are allocated as int64 without bound; the header is u64."""
+        query_id = 2**32 + 5
+        dpf_query = DPFQuery(query_id=query_id, server_id=1, key=dpf_key, num_records=4000)
+        bits = np.random.default_rng(1).integers(0, 2, 100, dtype=np.uint8)
+        naive_query = NaiveQuery(
+            query_id=query_id, server_id=1, share=NaiveShare(server_id=1, bits=bits), num_records=100
+        )
+        for query in (dpf_query, naive_query):
+            assert deserialize_query(serialize_query(query)).query_id == query_id
+
     def test_truncated_query_rejected(self, dpf_key):
         query = DPFQuery(query_id=1, server_id=1, key=dpf_key, num_records=4000)
         with pytest.raises(ProtocolError):
@@ -154,6 +198,10 @@ class TestAnswerRoundTrip:
         assert restored.server_id == 1
         assert restored.payload == b"\xab" * 32
         assert restored.simulated_seconds == pytest.approx(0.125)
+
+    def test_query_id_past_32_bits_round_trips(self):
+        answer = PIRAnswer(query_id=2**32 + 5, server_id=0, payload=b"\x01" * 8)
+        assert deserialize_answer(serialize_answer(answer)).query_id == 2**32 + 5
 
     def test_round_trip_without_timing(self):
         answer = PIRAnswer(query_id=0, server_id=0, payload=b"x")

@@ -842,6 +842,78 @@ class TestExecutingDPULint:
         )
 
 
+class TestCorrectionTableLint:
+    """A DPF walk tables its keys' correction words once, before its level loop."""
+
+    def _check(self, tmp_path, relative, source):
+        lint = _load_tool("lint")
+        path = tmp_path / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source)
+        return lint.check_file(path)
+
+    @pytest.mark.parametrize(
+        "relative,source",
+        [
+            (
+                "src/repro/dpf/dpf.py",
+                "from repro.dpf.ggm import correction_tables\n\n\n"
+                "def walk(keys, depth):\n"
+                "    for level in range(depth):\n"
+                "        tables = correction_tables(keys.cw_seeds[:, level:], cw_bits){}\n"
+                "    return tables\n",
+            ),
+            (
+                "src/repro/dpf/traversal.py",
+                "from repro.dpf import ggm\n\n\n"
+                "def walk(keys, depth):\n"
+                "    level = 0\n"
+                "    while level < depth:\n"
+                "        tables = ggm.correction_tables(keys.cw_seeds, keys.cw_bits){}\n"
+                "        level += 1\n"
+                "    return tables\n",
+            ),
+            (
+                "src/repro/dpf/dpf.py",
+                "from repro.dpf.ggm import expand_level\n\n\n"
+                "def walk(prg, keys, seeds, controls, depth):\n"
+                "    for level in range(depth):\n"
+                "        seeds, controls = expand_level(prg, seeds, controls, *keys[level]){}\n"
+                "    return seeds, controls\n",
+            ),
+        ],
+    )
+    def test_tables_built_per_iteration_flagged(self, tmp_path, relative, source):
+        flagged = self._check(tmp_path, relative, source.format(""))
+        assert [message for _, message in flagged if "correction tables" in message]
+        assert not self._check(tmp_path, relative, source.format("  # noqa"))
+
+    def test_tables_built_once_per_walk_are_legal(self, tmp_path):
+        # The loop's iterable is evaluated once; other packages and tests may
+        # build tables wherever they like.
+        once = (
+            "from repro.dpf.ggm import correction_tables, corrected_children\n\n\n"
+            "def walk(prg, keys, seeds, controls):\n"
+            "    for seed_table, bit_table in zip(*correction_tables(keys.cw_seeds, keys.cw_bits)):\n"
+            "        seeds, controls = corrected_children(prg, seeds, controls, seed_table, bit_table)\n"
+            "    return seeds, controls\n"
+        )
+        looped = (
+            "from repro.dpf.ggm import correction_tables\n\n\n"
+            "def tables(batches):\n"
+            "    for keys in batches:\n"
+            "        yield correction_tables(keys.cw_seeds, keys.cw_bits)\n"
+        )
+        assert not self._check(tmp_path, "src/repro/dpf/dpf.py", once)
+        assert not self._check(tmp_path, "tests/test_walk.py", looped)
+        assert not self._check(tmp_path, "src/repro/core/engine.py", looped)
+
+    def test_shipped_dpf_package_is_clean(self, tmp_path):
+        for shipped in sorted((REPO_ROOT / "src/repro/dpf").glob("*.py")):
+            relative = f"src/repro/dpf/{shipped.name}"
+            assert not self._check(tmp_path, relative, shipped.read_text()), relative
+
+
 class TestEventLoopClockLint:
     """``loop.time()`` is a wall clock in disguise; banned where clocks are injected."""
 
