@@ -12,11 +12,9 @@ import pytest
 
 from repro.core.engine import create_server
 from repro.dpf.dpf import DPF
-from repro.dpf.naive import NaiveXorQueryScheme
 from repro.dpf.prf import make_prg
 from repro.pir.client import PIRClient
 from repro.pir.database import Database
-from repro.pir.protocol import MultiServerPIRProtocol
 from repro.pir.xor_ops import dpxor, pack_selectors
 
 
@@ -41,15 +39,19 @@ class TestDPFKernels:
         key0, _ = dpf.gen(99, 1)
         benchmark(dpf.eval_full_bits, key0)
 
-    def test_naive_share_generation(self, benchmark):
-        scheme = NaiveXorQueryScheme(num_items=4096, seed=6)
-        benchmark(scheme.share, 1000)
-
 
 class TestEndToEnd:
     def test_reference_protocol_retrieve(self, benchmark, bench_db):
-        protocol = MultiServerPIRProtocol(bench_db, seed=7)
-        record = benchmark(protocol.retrieve, 2222)
+        client = PIRClient(bench_db.num_records, bench_db.record_size, seed=7)
+        servers = [create_server("reference", bench_db, server_id=i) for i in (0, 1)]
+
+        def retrieve(index):
+            queries = client.query(index)
+            return client.reconstruct(
+                [servers[query.server_id].answer(query).answer for query in queries]
+            )
+
+        record = benchmark(retrieve, 2222)
         assert record == bench_db.record(2222)
 
     def test_impir_preload(self, benchmark, bench_db, bench_impir_config):

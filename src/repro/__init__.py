@@ -19,7 +19,7 @@ True
 Sub-packages:
 
 * :mod:`repro.dpf` — distributed point functions (GGM tree, traversals, PRGs)
-* :mod:`repro.pir` — the multi-server PIR protocol and the server
+* :mod:`repro.pir` — the two-server PIR protocol and the server
 * :mod:`repro.pim` — the UPMEM PIM simulator (DPUs, MRAM/WRAM, kernels, timing)
 * :mod:`repro.cpu`, :mod:`repro.gpu` — the baselines' cost models
 * :mod:`repro.core` — IM-PIR itself (engine, partitioning, scheduling, backends)
@@ -38,7 +38,6 @@ from repro.pim.config import PIMConfig
 from repro.pir.client import PIRClient
 from repro.pir.database import Database
 from repro.pir.frontend import AdaptiveBatchingPolicy, BatchingPolicy, PIRFrontend
-from repro.pir.protocol import MultiServerPIRProtocol
 from repro.pir.server import PIRServer
 from repro.shard import FleetRouter, ShardPlan
 
@@ -62,7 +61,6 @@ __all__ = [
     "PIMConfig",
     "PIRClient",
     "Database",
-    "MultiServerPIRProtocol",
     "PIRServer",
     "__version__",
 ]

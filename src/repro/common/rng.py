@@ -1,13 +1,11 @@
 """Deterministic randomness helpers.
 
-All stochastic pieces of the library (database generation, workloads, seeded
-naive query shares and DPF key roots) draw from ``numpy.random.Generator``
-instances created here so experiments are reproducible run-to-run.  Client
-secrets are the exception: an unseeded :class:`~repro.dpf.dpf.DPF` takes its
-key roots from ``os.urandom`` and an unseeded
-:class:`~repro.dpf.naive.NaiveXorQueryScheme` its shares from OS entropy —
-either drawn from the fixed default below would let one server regenerate
-the other's key or share and recover the queried index.
+All stochastic pieces of the library (database generation, workloads and
+seeded DPF key roots) draw from ``numpy.random.Generator`` instances created
+here so experiments are reproducible run-to-run.  Client secrets are the
+exception: an unseeded :class:`~repro.dpf.dpf.DPF` takes its key roots from
+``os.urandom`` — roots drawn from the fixed default below would let one
+server regenerate the other's key and recover the queried index.
 """
 
 from __future__ import annotations

@@ -45,17 +45,16 @@ from repro.core.scheduler import BatchScheduler
 from repro.dpf.dpf import DPF
 from repro.dpf.prf import LengthDoublingPRG
 from repro.pir.database import Database
-from repro.pir.messages import Queries, Query, QueryBatch, query_groups
-from repro.pir.xor_ops import dpxor_many, pack_selectors, selector_bytes
+from repro.pir.messages import DPFQuery, Queries, QueryBatch
+from repro.pir.xor_ops import dpxor_many
 
 
 @dataclass(frozen=True)
 class BackendCapabilities:
     """What an execution backend can do, and how big it is.
 
-    The engine consults these to validate queries (``supports_naive``), pick
-    execution lanes and build batch schedules; the frontend consults them to
-    size batching policies.
+    The engine consults these to pick execution lanes and build batch
+    schedules; the frontend consults them to size batching policies.
     """
 
     name: str
@@ -64,8 +63,6 @@ class BackendCapabilities:
     lanes: int = 1
     #: Host threads available for per-query DPF evaluation in batch mode.
     batch_workers: int = 1
-    #: Whether dense selector-share (:class:`NaiveQuery`) queries are served.
-    supports_naive: bool = False
     #: Whether the database is resident in execution memory (vs streamed).
     preloaded: bool = True
     #: Advertised capacity bound in records, once a database is prepared
@@ -228,11 +225,12 @@ class QueryEngine:
 
     # -- shared query validation --------------------------------------------------
 
-    def validate(self, batch: QueryBatch, caps: BackendCapabilities) -> None:
-        """Reject a batch this replica must not answer (one copy of the rules);
-        a batch is checked once, and ``caps`` is read once per flush."""
-        if batch.is_naive and not caps.supports_naive:
-            raise ProtocolError(f"{caps.name} serves DPF-encoded queries")
+    def _validated(self, queries: Queries) -> QueryBatch:
+        """``queries`` as one :class:`QueryBatch` this replica may answer,
+        checked once (one copy of the rules): a flush's batch passes
+        through, and one-row queries are stacked once
+        (:meth:`QueryBatch.stack` refuses rows that do not form one batch)."""
+        batch = queries if isinstance(queries, QueryBatch) else QueryBatch.stack(queries)
         if batch.server_id != self.server_id:
             raise ProtocolError(
                 f"query addressed to server {batch.server_id}, this is server {self.server_id}"
@@ -244,66 +242,38 @@ class QueryEngine:
                 "query was generated for a database of "
                 f"{batch.num_records} records, this replica holds {self.database.num_records}"
             )
-
-    def _validated(self, queries: Queries, caps: BackendCapabilities) -> Queries:
-        """``queries`` checked, as one :class:`QueryBatch` when they form one.
-
-        A flush's batch passes through; one-row queries are stacked once per
-        kind and shape (:func:`~repro.pir.messages.query_groups`), and only a
-        mixed sequence comes back as itself.
-        """
-        groups = query_groups(queries)
-        for _, batch in groups:
-            self.validate(batch, caps)
-        return groups[0][1] if len(groups) == 1 else queries
+        return batch
 
     # -- selector generation (host-side DPF evaluation, Algorithm 1 step 2) -------
 
-    def _selectors(self, batch: QueryBatch, num_records: int) -> np.ndarray:
-        """Packed ``(B, ceil(num_records / 8))`` selector rows of one batch.
+    def selector_matrix(self, batch: QueryBatch) -> np.ndarray:
+        """Every query's selector share as one packed ``(B, ceil(N / 8))`` matrix.
 
-        Naive shares are packed with :func:`~repro.pir.xor_ops.pack_selectors`;
-        the batch's keys expand through one tree walk, read straight from its
-        :class:`~repro.dpf.dpf.DPFKeys` arrays, whose 128-bit leaf blocks are
-        the packed rows (see :meth:`~repro.dpf.dpf.DPF.eval_packed_many`).
+        The batched half of the eval stage, in the one selector format of
+        :mod:`repro.pir.xor_ops` (bit ``j % 8`` of byte ``j // 8`` selects
+        record ``j``).  The batch's keys expand through one tree walk, read
+        straight from its :class:`~repro.dpf.dpf.DPFKeys` arrays (the PRG
+        sees ``B x 2^level`` seeds per level instead of ``2^level`` seeds
+        ``B`` times), whose 128-bit leaf blocks already are packed rows: the
+        result is a view of the leaf bytes, with no copy (see
+        :meth:`~repro.dpf.dpf.DPF.eval_packed_many`).
         """
-        if batch.is_naive:
-            return pack_selectors(batch.bits)
         keys = batch.keys
         params = (keys.domain_bits, keys.output_bits)
         dpf = self._dpf_cache.get(params)
         if dpf is None:
             dpf = DPF(params[0], output_bits=params[1], prg=self._prg)
             self._dpf_cache[params] = dpf
-        return dpf.eval_packed_many(keys, num_records, stats=getattr(self.stats, "eval", None))
-
-    def selector_matrix(self, queries: Queries) -> np.ndarray:
-        """Every query's selector share as one packed ``(B, ceil(N / 8))`` matrix.
-
-        The batched half of the eval stage, in the one selector format of
-        :mod:`repro.pir.xor_ops` (bit ``j % 8`` of byte ``j // 8`` selects
-        record ``j``).  A flush's :class:`QueryBatch` of DPF keys expands
-        through one tree walk (the PRG sees ``B x 2^level`` seeds per level
-        instead of ``2^level`` seeds ``B`` times) whose 128-bit leaf blocks
-        already are packed rows: the result is a view of the leaf bytes, with
-        no copy.  Only a sequence mixing query kinds or key shapes assembles a
-        new matrix, one walk or packing per group.
-        """
-        num_records = self.database.num_records
-        groups = query_groups(queries)
-        if len(groups) == 1:
-            return self._selectors(groups[0][1], num_records)
-        matrix = np.empty((len(queries), selector_bytes(num_records)), dtype=np.uint8)
-        for positions, batch in groups:
-            matrix[positions] = self._selectors(batch, num_records)
-        return matrix
+        return dpf.eval_packed_many(
+            keys, self.database.num_records, stats=getattr(self.stats, "eval", None)
+        )
 
     # -- answering -------------------------------------------------------------------
 
     def _serve(
-        self, queries: Queries, lanes: Sequence[int], eval_seconds: float
+        self, batch: QueryBatch, lanes: Sequence[int], eval_seconds: float
     ) -> IMPIRBatchResult:
-        """Evaluate and scan checked ``queries``, row ``i`` on ``lanes[i]``.
+        """Evaluate and scan a checked ``batch``, row ``i`` on ``lanes[i]``.
 
         One :meth:`selector_matrix` eval sweep and one
         :meth:`PIRBackend.execute_many` scan serve every row, priced into
@@ -315,27 +285,23 @@ class QueryEngine:
         if eval_seconds > 0:
             for cost in costs.values():
                 cost.record(PHASE_EVAL, eval_seconds)
-        payloads, shards = self.backend.execute_many(self.selector_matrix(queries), lanes, costs)
+        payloads, shards = self.backend.execute_many(self.selector_matrix(batch), lanes, costs)
         if self.stats is not None:
             self.stats.queries_answered += len(lanes)
-        if isinstance(queries, QueryBatch):
-            query_ids = queries.query_ids
-        else:
-            query_ids = np.asarray([query.query_id for query in queries], dtype=np.int64)
         return IMPIRBatchResult(
             server_id=self.server_id,
-            query_ids=query_ids,
+            query_ids=batch.query_ids,
             payloads=payloads,
             lanes=lanes,
             costs=costs,
             shards=shards,
         )
 
-    def answer(self, query: Query, lane: int = 0) -> IMPIRQueryResult:
+    def answer(self, query: DPFQuery, lane: int = 0) -> IMPIRQueryResult:
         """Answer one query on execution lane ``lane`` (latency mode): the
         one-query form of :meth:`answer_many`'s path, priced per query."""
         caps = self.backend.capabilities()
-        batch = self._validated([query], caps)
+        batch = self._validated([query])
         if not 0 <= lane < caps.lanes:
             raise ProtocolError(f"lane {lane} out of range [0, {caps.lanes})")
         eval_seconds = self.backend.latency_eval_seconds(query.num_records)
@@ -366,7 +332,7 @@ class QueryEngine:
         if not len(queries):
             raise ProtocolError("answer_batch needs at least one query")
         caps = self.backend.capabilities()
-        queries = self._validated(queries, caps)
+        queries = self._validated(queries)
         eval_seconds = self.backend.batch_eval_seconds(self.database.num_records)
         lanes = np.arange(len(queries)) % max(1, caps.lanes)
         batch = self._serve(queries, lanes, eval_seconds)
@@ -425,7 +391,6 @@ class ReferenceBackend(PIRBackend):
             name=self._name,
             lanes=1,
             batch_workers=1,
-            supports_naive=True,
             preloaded=True,
             description="full-domain scan in host DRAM (numpy)",
         )

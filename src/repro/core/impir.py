@@ -139,7 +139,6 @@ class PIMClusterBackend(PIRBackend):
             name="im-pir",
             lanes=len(self._clusters),
             batch_workers=self.config.effective_eval_workers,
-            supports_naive=False,
             preloaded=True,
             max_records=max_records,
             description="dpXOR on preloaded UPMEM DPU clusters",
@@ -248,8 +247,6 @@ class IMPIRDeployment:
         self.client = PIRClient(
             num_records=database.num_records,
             record_size=database.record_size,
-            num_servers=2,
-            scheme="dpf",
             seed=client_seed,
         )
         self.frontend = PIRFrontend(

@@ -123,7 +123,6 @@ class StreamedPIMBackend(PIRBackend):
             name="im-pir-streamed",
             lanes=1,
             batch_workers=1,
-            supports_naive=False,
             preloaded=False,
             max_records=None,
             description="dpXOR over per-query streamed database segments",

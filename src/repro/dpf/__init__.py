@@ -2,7 +2,6 @@
 
 from repro.dpf.dpf import DPF, DPFKey, DPFKeyPairs, DPFKeys, EvalStats, verify_keys
 from repro.dpf.ggm import GGMTree, expand_level
-from repro.dpf.naive import NaiveShare, NaiveXorQueryScheme, xor_select
 from repro.dpf.prf import (
     BLOCKS_PER_EXPAND,
     SEED_BYTES,
@@ -29,9 +28,6 @@ __all__ = [
     "verify_keys",
     "GGMTree",
     "expand_level",
-    "NaiveShare",
-    "NaiveXorQueryScheme",
-    "xor_select",
     "BLOCKS_PER_EXPAND",
     "SEED_BYTES",
     "FixedKeyAESPRG",

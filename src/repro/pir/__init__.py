@@ -1,7 +1,7 @@
-"""Multi-server PIR protocol: database, messages, client, server, driver."""
+"""Two-server PIR protocol: database, messages, client, server, frontends."""
 
 from repro.pir.async_frontend import AsyncPIRFrontend
-from repro.pir.client import SCHEME_DPF, SCHEME_NAIVE, ClientStats, PIRClient
+from repro.pir.client import ClientStats, PIRClient
 from repro.pir.database import DEFAULT_RECORD_SIZE, Database
 from repro.pir.frontend import (
     AdaptiveBatchingPolicy,
@@ -10,8 +10,7 @@ from repro.pir.frontend import (
     PIRFrontend,
     RequestRouter,
 )
-from repro.pir.messages import DPFQuery, NaiveQuery, PIRAnswer, QueryBatch
-from repro.pir.protocol import MultiServerPIRProtocol, RetrievalTrace
+from repro.pir.messages import DPFQuery, PIRAnswer, QueryBatch
 from repro.pir.serialization import (
     deserialize_answer,
     deserialize_key,
@@ -30,8 +29,6 @@ from repro.pir.xor_ops import (
 
 __all__ = [
     "AsyncPIRFrontend",
-    "SCHEME_DPF",
-    "SCHEME_NAIVE",
     "ClientStats",
     "PIRClient",
     "DEFAULT_RECORD_SIZE",
@@ -42,11 +39,8 @@ __all__ = [
     "PIRFrontend",
     "RequestRouter",
     "DPFQuery",
-    "NaiveQuery",
     "PIRAnswer",
     "QueryBatch",
-    "MultiServerPIRProtocol",
-    "RetrievalTrace",
     "deserialize_answer",
     "deserialize_key",
     "deserialize_query",

@@ -20,12 +20,8 @@ import numpy as np
 
 from repro.common.errors import ProtocolError
 from repro.dpf.dpf import DPF
-from repro.dpf.naive import NaiveXorQueryScheme
 from repro.dpf.prf import LengthDoublingPRG
-from repro.pir.messages import PIRAnswer, Query, QueryBatch
-
-SCHEME_DPF = "dpf"
-SCHEME_NAIVE = "naive"
+from repro.pir.messages import DPFQuery, PIRAnswer, QueryBatch
 
 
 @dataclass
@@ -33,8 +29,8 @@ class ClientStats:
     """Communication accounting for one client instance.
 
     ``upload_bytes`` counts the bodies of the queries sent (each server's
-    serialized DPF key, or its packed naive share) and ``download_bytes``
-    the answer payloads received; neither counts message headers
+    serialized DPF key) and ``download_bytes`` the answer payloads
+    received; neither counts message headers
     (:mod:`repro.pir.serialization`) or any per-flush framing.
     """
 
@@ -45,7 +41,7 @@ class ClientStats:
 
 
 class PIRClient:
-    """Generates per-server queries for an index and reconstructs the record.
+    """Generates the two servers' queries for an index and reconstructs the record.
 
     Ownership: the RNG, the query-id counter and :attr:`stats` are
     unsynchronised, so one thread generates.  The frontends call
@@ -56,44 +52,31 @@ class PIRClient:
     ----------
     num_records, record_size:
         Shape of the replicated database (public parameters).
-    num_servers:
-        Number of non-colluding servers.  The DPF scheme supports exactly two;
-        the naive scheme supports any ``n >= 2``.
-    scheme:
-        ``"dpf"`` (default) or ``"naive"``.
     prg:
         Optional PRG backend shared with the servers (the DPF requires both
         ends to expand seeds identically).
     """
 
+    #: The DPF is a two-server construction: server ``s`` gets party ``s``'s keys.
+    num_servers = 2
+
     def __init__(
         self,
         num_records: int,
         record_size: int,
-        num_servers: int = 2,
-        scheme: str = SCHEME_DPF,
         prg: Optional[LengthDoublingPRG] = None,
         seed: Optional[int] = None,
     ) -> None:
         if num_records <= 0 or record_size <= 0:
             raise ProtocolError("num_records and record_size must be positive")
-        if num_servers < 2:
-            raise ProtocolError("multi-server PIR requires at least two servers")
-        if scheme not in (SCHEME_DPF, SCHEME_NAIVE):
-            raise ProtocolError(f"unknown scheme {scheme!r}")
-        if scheme == SCHEME_DPF and num_servers != 2:
-            raise ProtocolError("the DPF scheme is a two-server construction")
 
         self.num_records = num_records
         self.record_size = record_size
-        self.num_servers = num_servers
-        self.scheme = scheme
         self.stats = ClientStats()
         self._next_query_id = 0
 
         domain_bits = max(1, (num_records - 1).bit_length())
         self._dpf = DPF(domain_bits, output_bits=1, prg=prg, seed=seed)
-        self._naive = NaiveXorQueryScheme(num_records, num_servers=num_servers, seed=seed)
 
     @property
     def domain_bits(self) -> int:
@@ -107,7 +90,7 @@ class PIRClient:
         if not 0 <= index < self.num_records:
             raise ProtocolError(f"index {index} out of range [0, {self.num_records})")
 
-    def query(self, index: int) -> List[Query]:
+    def query(self, index: int) -> List[DPFQuery]:
         """Encode a private query for ``index``: one message per server."""
         return [batch[0] for batch in self.query_batch([index])]
 
@@ -117,9 +100,9 @@ class PIRClient:
         Every index is checked before any randomness is drawn.  The flush
         takes the next ``len(indices)`` query ids, ascending in index order,
         and server ``s``'s batch holds row ``i`` of every index: party ``s``'s
-        rows of one :meth:`~repro.dpf.dpf.DPF.gen_many` batch, taken by slice,
-        or server ``s``'s naive shares.  :class:`ClientStats` advances once,
-        by what the rows' one-query messages would have added.
+        rows of one :meth:`~repro.dpf.dpf.DPF.gen_many` batch, taken by
+        slice.  :class:`ClientStats` advances once, by what the rows'
+        one-query messages would have added.
         """
         indices = [int(index) for index in indices]
         outside = [index for index in indices if not 0 <= index < self.num_records]
@@ -127,18 +110,11 @@ class PIRClient:
             self.check_index(outside[0])
         first = self._next_query_id
         query_ids = np.arange(first, first + len(indices), dtype=np.int64)
-        if self.scheme == SCHEME_DPF:
-            keys = self._dpf.gen_many(indices, 1).keys
-            batches = [
-                QueryBatch(server_id, query_ids, self.num_records, keys=keys[server_id::2])
-                for server_id in (0, 1)
-            ]
-        else:
-            shares = self._naive.share_many(indices)
-            batches = [
-                QueryBatch(server_id, query_ids, self.num_records, bits=bits)
-                for server_id, bits in enumerate(shares)
-            ]
+        keys = self._dpf.gen_many(indices, 1).keys
+        batches = [
+            QueryBatch(server_id, query_ids, self.num_records, keys[server_id::2])
+            for server_id in range(self.num_servers)
+        ]
         self._next_query_id = first + len(indices)
         self.stats.queries_generated += len(indices)
         self.stats.upload_bytes += sum([batch.upload_bytes for batch in batches])

@@ -19,8 +19,8 @@ defines a compact, versioned binary encoding for the protocol messages:
   Version 2 spent one byte per control-bit correction (``38 + 18 * d``);
   its blobs, like version 1's, are rejected: keys are per-request and never
   persisted;
-* DPF/naive queries — header (magic, version, server id, u64 query id, u64
-  record count) plus key or packed selector share;
+* DPF queries — header (magic, version, server id, u64 query id, u64
+  record count) plus the key;
 * answers — header (magic, version, server id, u64 query id, simulated
   nanoseconds, payload length) plus the XOR sub-result.
 
@@ -32,7 +32,7 @@ reported by the examples a concrete byte layout rather than an estimate.
 from __future__ import annotations
 
 import struct
-from typing import Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
@@ -47,25 +47,18 @@ from repro.dpf.dpf import (
     tree_depth,
     unpack_control_corrections,
 )
-from repro.dpf.naive import NaiveShare
 from repro.dpf.prf import SEED_BYTES
-from repro.pir.messages import DPFQuery, NaiveQuery, PIRAnswer
+from repro.pir.messages import DPFQuery, PIRAnswer
 
 #: Format-version byte embedded in every message.
 WIRE_VERSION = 3
 
 _MAGIC_KEY = b"DK"
 _MAGIC_DPF_QUERY = b"DQ"
-_MAGIC_NAIVE_QUERY = b"NQ"
 _MAGIC_ANSWER = b"PA"
 
 _QUERY_HEADER = struct.Struct("<2sBBQQ")      # magic, version, server_id, query_id, num_records
 _ANSWER_HEADER = struct.Struct("<2sBBQQI")    # magic, version, server_id, query_id, sim_ns, payload_len
-
-#: A naive query body packs its selector bits most significant bit first.
-_WIRE_BIT_MASKS = np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8)
-
-Query = Union[DPFQuery, NaiveQuery]
 
 
 def _require_version(version: int) -> None:
@@ -137,43 +130,24 @@ def deserialize_key(blob: bytes) -> DPFKey:
 # ---------------------------------------------------------------------------
 
 
-def serialize_query(query: Query) -> bytes:
-    """Encode a DPF or naive query into its wire representation."""
-    if isinstance(query, DPFQuery):
-        header = _QUERY_HEADER.pack(
-            _MAGIC_DPF_QUERY, WIRE_VERSION, query.server_id, query.query_id, query.num_records
-        )
-        return header + serialize_key(query.key)
-    if isinstance(query, NaiveQuery):
-        header = _QUERY_HEADER.pack(
-            _MAGIC_NAIVE_QUERY, WIRE_VERSION, query.server_id, query.query_id, query.num_records
-        )
-        packed = np.packbits(query.share.bits, bitorder="big").tobytes()
-        return header + packed
-    raise ProtocolError(f"cannot serialize query of type {type(query).__name__}")
+def serialize_query(query: DPFQuery) -> bytes:
+    """Encode a DPF query into its wire representation."""
+    header = _QUERY_HEADER.pack(
+        _MAGIC_DPF_QUERY, WIRE_VERSION, query.server_id, query.query_id, query.num_records
+    )
+    return header + serialize_key(query.key)
 
 
-def deserialize_query(blob: bytes) -> Query:
+def deserialize_query(blob: bytes) -> DPFQuery:
     """Decode a query from its wire representation."""
     if len(blob) < _QUERY_HEADER.size:
         raise ProtocolError("query blob is truncated")
     magic, version, server_id, query_id, num_records = _QUERY_HEADER.unpack_from(blob)
     _require_version(version)
-    body = blob[_QUERY_HEADER.size:]
-    if magic == _MAGIC_DPF_QUERY:
-        key = deserialize_key(body)
-        return DPFQuery(query_id=query_id, server_id=server_id, key=key, num_records=num_records)
-    if magic == _MAGIC_NAIVE_QUERY:
-        expected_bytes = (num_records + 7) // 8
-        if len(body) != expected_bytes:
-            raise ProtocolError(
-                f"naive query body has {len(body)} bytes, expected {expected_bytes}"
-            )
-        packed = np.frombuffer(body, dtype=np.uint8)
-        bits = (packed[:, None] & _WIRE_BIT_MASKS != 0).view(np.uint8).reshape(-1)[:num_records]
-        share = NaiveShare(server_id=server_id, bits=bits)
-        return NaiveQuery(query_id=query_id, server_id=server_id, share=share, num_records=num_records)
-    raise ProtocolError(f"unknown query magic {magic!r}")
+    if magic != _MAGIC_DPF_QUERY:
+        raise ProtocolError(f"unknown query magic {magic!r}")
+    key = deserialize_key(blob[_QUERY_HEADER.size:])
+    return DPFQuery(query_id=query_id, server_id=server_id, key=key, num_records=num_records)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +189,6 @@ def deserialize_answer(blob: bytes) -> PIRAnswer:
     )
 
 
-def wire_sizes(query: Query, answer: PIRAnswer) -> Tuple[int, int]:
+def wire_sizes(query: DPFQuery, answer: PIRAnswer) -> Tuple[int, int]:
     """Serialized sizes of a (query, answer) pair — the real wire cost."""
     return len(serialize_query(query)), len(serialize_answer(answer))

@@ -19,7 +19,7 @@ from repro.common.events import PhaseTimer
 from repro.dpf.dpf import EvalStats
 from repro.dpf.prf import LengthDoublingPRG
 from repro.pir.database import Database
-from repro.pir.messages import Queries, Query
+from repro.pir.messages import DPFQuery, Queries
 from repro.pir.xor_ops import DpXorStats
 
 
@@ -71,7 +71,7 @@ class PIRServer:
         """Simulated cost of loading the database (not charged to queries)."""
         return self.engine.preload_report
 
-    def answer(self, query: Query):
+    def answer(self, query: DPFQuery):
         """Answer one query (latency mode): an ``IMPIRQueryResult``."""
         return self.engine.answer(query)
 

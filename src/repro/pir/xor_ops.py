@@ -14,11 +14,11 @@ It is also the one home of the selector format.  A batch of selector shares
 over ``N`` records is a ``(B, ceil(N / 8))`` uint8 matrix of *packed rows*:
 bit ``j % 8`` of byte ``j // 8`` selects record ``j`` (little bit order, the
 DPF's own leaf layout), and bits at ``j >= N`` are zero.  The DPF produces
-those bytes (:meth:`~repro.dpf.dpf.DPF.eval_packed_many`), naive shares go
-through :func:`pack_selectors`, and every consumer — the scan, the shard and
-segment splits, the per-DPU selector copy and the DPU cost charge — reads them
-through :func:`selector_patterns`, :func:`selector_range` and
-:func:`selected_counts`.
+those bytes (:meth:`~repro.dpf.dpf.DPF.eval_packed_many`), benches and
+tests pack hand-made 0/1 selectors with :func:`pack_selectors`, and every
+consumer — the scan, the shard and segment splits, the per-DPU selector copy
+and the DPU cost charge — reads them through :func:`selector_patterns`,
+:func:`selector_range` and :func:`selected_counts`.
 """
 
 from __future__ import annotations

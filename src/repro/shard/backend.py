@@ -300,9 +300,9 @@ class ShardedBackend(PIRBackend):
         """Fleet-level capabilities aggregated from the children.
 
         Lanes and batch workers take the fleet minimum (every shard must be
-        able to serve the lane the engine picks); ``supports_naive`` and
-        ``preloaded`` hold only if they hold for every member; capacity is
-        the sum of the members' advertised bounds when all are known.
+        able to serve the lane the engine picks); ``preloaded`` holds only
+        if it holds for every member; capacity is the sum of the members'
+        advertised bounds when all are known.
         """
         children = [child.capabilities() for _, child, _ in self._members]
         if not children:
@@ -326,7 +326,6 @@ class ShardedBackend(PIRBackend):
             name=self._name,
             lanes=min(caps.lanes for caps in children),
             batch_workers=min(caps.batch_workers for caps in children),
-            supports_naive=all(caps.supports_naive for caps in children),
             preloaded=all(caps.preloaded for caps in children),
             max_records=max_records,
             description=(

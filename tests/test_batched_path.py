@@ -25,13 +25,13 @@ import numpy as np
 import pytest
 from aes_oracle import OracleAESPRG
 
+from repro.common.errors import ProtocolError
 from repro.core.engine import available_backends, create_server
 from repro.dpf.dpf import DPF, EvalStats
 from repro.dpf.prf import make_prg
 from repro.pir.client import PIRClient
 from repro.pir.database import Database
-from repro.dpf.naive import NaiveShare
-from repro.pir.messages import NaiveQuery
+from repro.pir.messages import DPFQuery, QueryBatch
 
 
 def _batch(num_records, record_size, batch, *, seed=7, stride=13):
@@ -129,49 +129,32 @@ class TestEdgeShapes:
         batched = engine.answer_many(queries)
         assert [r.answer.payload for r in batched.results] == sequential
 
-    def test_all_zero_naive_share(self):
-        # An all-zero selector share is a legal additive share; the batched
-        # accumulator row must stay zero, not inherit a neighbour's XOR.
-        database = Database.random(32, 16, seed=3)
-        engine = create_server("reference", database, server_id=0).engine
-        zero = NaiveQuery(
-            query_id=0,
-            server_id=0,
-            share=NaiveShare(server_id=0, bits=np.zeros(32, dtype=np.uint8)),
-            num_records=32,
-        )
-        one_hot = np.zeros(32, dtype=np.uint8)
-        one_hot[5] = 1
-        hot = NaiveQuery(
-            query_id=1,
-            server_id=0,
-            share=NaiveShare(server_id=0, bits=one_hot),
-            num_records=32,
-        )
-        batched = engine.answer_many([zero, hot, zero])
-        payloads = [r.answer.payload for r in batched.results]
-        assert payloads[0] == bytes(16)
-        assert payloads[2] == bytes(16)
-        assert payloads[1] == database.record(5)
 
-    def test_mixed_naive_and_dpf_batch(self):
+class TestOneRowLists:
+    """``answer_batch`` given one-row queries stacks them once, or refuses."""
+
+    @pytest.mark.parametrize("backend", sorted(available_backends()))
+    def test_one_shape_list_answers_as_its_stacked_batch(self, backend):
+        database, queries = _batch(96, 16, 5)
+        server = create_server(backend, database, server_id=0)
+        from_list = server.answer_batch(queries)
+        from_batch = server.answer_batch(QueryBatch.stack(queries))
+        assert from_list.query_ids.tolist() == from_batch.query_ids.tolist()
+        assert from_list.payloads.tobytes() == from_batch.payloads.tobytes()
+
+    @pytest.mark.parametrize("foreign", ["server_id", "num_records", "key_shape"])
+    def test_rows_that_are_not_one_batch_refused(self, foreign):
         database = Database.random(64, 32, seed=4)
-        client = PIRClient(64, 32, seed=5, prg=make_prg())
-        engine = create_server("reference", database, server_id=0).engine
-        one_hot = np.zeros(64, dtype=np.uint8)
-        one_hot[9] = 1
-        naive = NaiveQuery(
-            query_id=2,
-            server_id=0,
-            share=NaiveShare(server_id=0, bits=one_hot),
-            num_records=64,
-        )
-        dpf_query = client.query(17)[0]
-        sequential = [
-            engine.answer(q).answer.payload for q in (naive, dpf_query)
-        ]
-        batched = engine.answer_many([naive, dpf_query])
-        assert [r.answer.payload for r in batched.results] == sequential
+        server = create_server("reference", database, server_id=0)
+        row, other = PIRClient(64, 32, seed=5, prg=make_prg()).query(17)
+        if foreign == "num_records":
+            other = PIRClient(40, 32, seed=6, prg=make_prg()).query(3)[0]
+        elif foreign == "key_shape":
+            # An 8-bit-domain key over the 64 records: legal on its own.
+            other = DPFQuery(99, 0, DPF(8, seed=7, prg=make_prg()).gen(9, 1)[0], 64)
+            assert server.answer(other).answer.payload
+        with pytest.raises(ProtocolError, match="one query batch needs one"):
+            server.answer_batch([row, other])
 
 
 class TestStatsRegression:

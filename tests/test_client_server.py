@@ -6,8 +6,8 @@ import pytest
 from repro.common.errors import ProtocolError
 from repro.core.engine import create_server
 from repro.dpf.prf import make_prg
-from repro.pir.client import SCHEME_DPF, SCHEME_NAIVE, PIRClient
-from repro.pir.messages import DPFQuery, NaiveQuery, PIRAnswer
+from repro.pir.client import PIRClient
+from repro.pir.messages import DPFQuery, PIRAnswer
 
 
 @pytest.fixture()
@@ -24,21 +24,12 @@ def servers(small_db):
 
 
 class TestClientConstruction:
-    def test_rejects_single_server(self, small_db):
-        with pytest.raises(ProtocolError):
-            PIRClient(small_db.num_records, 32, num_servers=1)
-
-    def test_rejects_dpf_with_three_servers(self, small_db):
-        with pytest.raises(ProtocolError):
-            PIRClient(small_db.num_records, 32, num_servers=3, scheme=SCHEME_DPF)
-
-    def test_naive_with_three_servers_allowed(self, small_db):
-        client = PIRClient(small_db.num_records, 32, num_servers=3, scheme=SCHEME_NAIVE)
-        assert len(client.query(5)) == 3
-
-    def test_unknown_scheme_rejected(self, small_db):
-        with pytest.raises(ProtocolError):
-            PIRClient(small_db.num_records, 32, scheme="fhe")
+    def test_two_servers_and_no_scheme_option(self, small_db):
+        # The DPF is a two-server construction and the only query kind.
+        assert PIRClient(small_db.num_records, 32).num_servers == 2
+        for option in ({"num_servers": 2}, {"scheme": "dpf"}):
+            with pytest.raises(TypeError):
+                PIRClient(small_db.num_records, 32, **option)
 
     def test_domain_bits_cover_database(self, client, small_db):
         assert 2**client.domain_bits >= small_db.num_records
@@ -59,11 +50,6 @@ class TestQueryGeneration:
     def test_out_of_range_index_rejected(self, client, small_db):
         with pytest.raises(ProtocolError):
             client.query(small_db.num_records)
-
-    def test_naive_queries(self, small_db):
-        client = PIRClient(small_db.num_records, 32, scheme=SCHEME_NAIVE, seed=1)
-        queries = client.query(9)
-        assert all(isinstance(q, NaiveQuery) for q in queries)
 
     def test_query_batch(self, small_db):
         # One batch per server, whose rows are the one-query messages.
@@ -114,13 +100,6 @@ class TestServerAnswering:
         queries = [client.query(i)[0] for i in range(4)]
         answers = servers[0].answer_batch(queries).answers
         assert len(answers) == 4
-
-    def test_naive_scheme_end_to_end(self, small_db):
-        client = PIRClient(small_db.num_records, 32, scheme=SCHEME_NAIVE, seed=3)
-        servers = [create_server("reference", small_db, server_id=i) for i in range(2)]
-        queries = client.query(77)
-        answers = [servers[q.server_id].answer(q).answer for q in queries]
-        assert client.reconstruct(answers) == small_db.record(77)
 
 
 class TestReconstruction:

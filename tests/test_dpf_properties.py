@@ -1,13 +1,13 @@
-"""Property-based tests (hypothesis) for the DPF and the naive sharing scheme."""
+"""Property-based tests (hypothesis) for the DPF and the dpXOR scan."""
 
 import numpy as np
 from aes_oracle import OracleAESPRG
 from hypothesis import given, settings, strategies as st
 
 from repro.dpf.dpf import DPF, EvalStats, key_batch, verify_keys
-from repro.dpf.naive import NaiveXorQueryScheme, xor_select
 from repro.dpf.prf import make_prg
 from repro.dpf.traversal import TraversalStats, make_traversal
+from repro.pir.xor_ops import dpxor, pack_selectors
 
 _SETTINGS = dict(max_examples=30, deadline=None)
 
@@ -271,32 +271,20 @@ class TestEarlyTerminatedConstruction:
         assert np.all(np.abs(frequencies[0] - frequencies[1]) <= 0.1)
 
 
-class TestNaiveSchemeProperties:
-    @settings(**_SETTINGS)
-    @given(
-        num_items=st.integers(min_value=1, max_value=512),
-        num_servers=st.integers(min_value=2, max_value=5),
-        seed=st.integers(min_value=0, max_value=2**31),
-        index_fraction=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-    )
-    def test_shares_xor_to_one_hot(self, num_items, num_servers, seed, index_fraction):
-        scheme = NaiveXorQueryScheme(num_items, num_servers=num_servers, seed=seed)
-        index = int(index_fraction * num_items)
-        shares = scheme.share(index)
-        assert scheme.recover_index(shares) == index
-
+class TestDpXorProperties:
     @settings(**_SETTINGS)
     @given(
         num_records=st.integers(min_value=1, max_value=200),
         record_size=st.integers(min_value=1, max_value=48),
         seed=st.integers(min_value=0, max_value=2**31),
     )
-    def test_xor_select_linear_in_shares(self, num_records, record_size, seed):
-        """dpXOR(v1) XOR dpXOR(v2) == the record selected by v1 XOR v2."""
+    def test_dpxor_linear_in_shares(self, num_records, record_size, seed):
+        """dpXOR(v1) XOR dpXOR(v2) == the record selected by v1 XOR v2 (§2.3)."""
         rng = np.random.default_rng(seed)
         database = rng.integers(0, 256, size=(num_records, record_size), dtype=np.uint8)
         index = int(rng.integers(0, num_records))
-        scheme = NaiveXorQueryScheme(num_records, seed=seed)
-        share0, share1 = scheme.share(index)
-        answer = xor_select(database, share0.bits) ^ xor_select(database, share1.bits)
+        share0 = rng.integers(0, 2, size=num_records, dtype=np.uint8)
+        share1 = share0.copy()
+        share1[index] ^= 1
+        answer = dpxor(database, pack_selectors(share0)) ^ dpxor(database, pack_selectors(share1))
         assert np.array_equal(answer, database[index])

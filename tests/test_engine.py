@@ -118,18 +118,6 @@ class TestSharedValidation:
             with pytest.raises(ProtocolError):
                 server.engine.answer(stale)
 
-    def test_naive_queries_only_where_supported(self, database, servers):
-        naive_client = PIRClient(128, 16, scheme="naive", seed=4)
-        query = naive_client.query(10)[0]
-        for name, server in servers.items():
-            caps = server.engine.backend.capabilities()
-            if caps.supports_naive:
-                payload = server.engine.answer(query).answer.payload
-                assert len(payload) == database.record_size
-            else:
-                with pytest.raises(ProtocolError):
-                    server.engine.answer(query)
-
     def test_empty_batch_rejected(self, servers):
         for name, server in servers.items():
             with pytest.raises(ProtocolError):

@@ -5,8 +5,7 @@ import pytest
 
 from repro.common.errors import ProtocolError
 from repro.dpf.dpf import DPF
-from repro.dpf.naive import NaiveShare
-from repro.pir.messages import DPFQuery, NaiveQuery, PIRAnswer, QueryBatch, query_groups
+from repro.pir.messages import DPFQuery, PIRAnswer, QueryBatch
 
 
 @pytest.fixture(scope="module")
@@ -36,22 +35,12 @@ class TestDPFQuery:
         with pytest.raises(ProtocolError):
             DPFQuery(query_id=1, server_id=0, key=key0, num_records=0)
 
-
-class TestNaiveQuery:
-    def test_valid_query(self):
-        share = NaiveShare(server_id=1, bits=np.zeros(64, dtype=np.uint8))
-        query = NaiveQuery(query_id=3, server_id=1, share=share, num_records=64)
-        assert query.upload_bytes == 8
-
-    def test_rejects_length_mismatch(self):
-        share = NaiveShare(server_id=0, bits=np.zeros(64, dtype=np.uint8))
-        with pytest.raises(ProtocolError):
-            NaiveQuery(query_id=3, server_id=0, share=share, num_records=100)
-
-    def test_rejects_negative_server(self):
-        share = NaiveShare(server_id=0, bits=np.zeros(4, dtype=np.uint8))
-        with pytest.raises(ProtocolError):
-            NaiveQuery(query_id=0, server_id=-1, share=share, num_records=4)
+    def test_rejects_a_key_addressed_to_the_other_server(self, dpf_keys):
+        # Server 1 answering party 0's key returns a share that reconstructs
+        # garbage; the message refuses to exist instead.
+        for key in dpf_keys:
+            with pytest.raises(ProtocolError, match="key of the other party"):
+                DPFQuery(query_id=1, server_id=1 - key.party, key=key, num_records=200)
 
 
 def _dpf_batch(server_id=0, rows=3):
@@ -61,49 +50,31 @@ def _dpf_batch(server_id=0, rows=3):
 
 def _rows(batch):
     """Comparable contents of a batch's one-row queries."""
-    if batch.is_naive:
-        return [(q.query_id, q.server_id, q.share.bits.tolist()) for q in batch]
     return [(q.query_id, q.server_id, q.key) for q in batch]
 
 
-def _naive_batch(server_id=0, rows=3):
-    bits = np.random.default_rng(4).integers(0, 2, size=(rows, 64), dtype=np.uint8)
-    return QueryBatch(server_id, np.arange(10, 10 + rows, dtype=np.int64), 64, bits=bits)
-
-
 class TestQueryBatch:
-    @pytest.mark.parametrize("make_batch", [_dpf_batch, _naive_batch], ids=["dpf", "naive"])
-    def test_stack_of_its_rows_is_the_batch(self, make_batch):
-        batch = make_batch()
+    def test_stack_of_its_rows_is_the_batch(self):
+        batch = _dpf_batch()
         stacked = QueryBatch.stack(list(batch))
         assert stacked.query_ids.tolist() == batch.query_ids.tolist()
         assert _rows(stacked) == _rows(batch)
 
-    @pytest.mark.parametrize("make_batch", [_dpf_batch, _naive_batch], ids=["dpf", "naive"])
-    def test_upload_is_every_rows_upload(self, make_batch):
-        batch = make_batch()
+    def test_upload_is_every_rows_upload(self):
+        batch = _dpf_batch()
         assert batch.upload_bytes == sum(query.upload_bytes for query in batch)
 
     def test_rows_index_like_a_sequence(self):
-        batch = _naive_batch(server_id=1)
-        assert batch[-1].query_id == batch[2].query_id == 12
-        assert np.array_equal(batch[-1].share.bits, batch.bits[2])
-        assert isinstance(batch[0], NaiveQuery) and batch[0].server_id == 1
+        batch = _dpf_batch(server_id=1)
+        assert batch[-1].query_id == batch[2].query_id == 2
+        assert batch[-1].key == batch.keys[2]
+        assert isinstance(batch[0], DPFQuery) and batch[0].server_id == 1
         with pytest.raises(IndexError):
             batch[3]
 
-    @pytest.mark.parametrize("payloads", ["both", "neither"])
-    def test_carries_exactly_one_kind_of_row(self, payloads):
-        keys = _dpf_batch().keys
-        bits = np.zeros((3, 200), dtype=np.uint8)
-        kwargs = {"keys": keys, "bits": bits} if payloads == "both" else {}
-        with pytest.raises(ProtocolError):
-            QueryBatch(0, np.arange(3, dtype=np.int64), 200, **kwargs)
-
-    def test_rejects_non_binary_shares(self):
-        bits = np.full((2, 64), 2, dtype=np.uint8)
-        with pytest.raises(ProtocolError):
-            QueryBatch(0, np.arange(2, dtype=np.int64), 64, bits=bits)
+    def test_keys_are_required(self):
+        with pytest.raises(TypeError):
+            QueryBatch(0, np.arange(3, dtype=np.int64), 200)
 
     def test_rejects_a_query_id_per_row_mismatch(self):
         keys = _dpf_batch().keys
@@ -116,14 +87,12 @@ class TestQueryBatch:
             QueryBatch(2, np.arange(3, dtype=np.int64), 200, keys=keys)
         with pytest.raises(ProtocolError):
             QueryBatch(0, np.arange(3, dtype=np.int64), 10_000, keys=keys)
-
-    def test_groups_split_one_row_queries_by_server(self):
-        rows = list(_dpf_batch(0)) + list(_dpf_batch(1))
-        rows = rows[::2] + rows[1::2]
-        groups = query_groups(rows)
-        assert [batch.server_id for _, batch in groups] == [0, 1]
-        for positions, batch in groups:
-            assert list(batch) == [rows[position] for position in positions]
+        with pytest.raises(ProtocolError, match="key of the other party"):
+            QueryBatch(1, np.arange(3, dtype=np.int64), 200, keys=keys)
+        # Party 0's rows with one party-1 row slipped in, all addressed to 0.
+        mixed = DPF(domain_bits=8, seed=5).gen_many([1, 2], 1).keys[:3]
+        with pytest.raises(ProtocolError, match="key of the other party"):
+            QueryBatch(0, np.arange(3, dtype=np.int64), 200, keys=mixed)
 
 
 class TestPIRAnswer:
@@ -141,19 +110,12 @@ class TestPIRAnswer:
         assert answer.simulated_seconds == pytest.approx(0.5)
 
     def test_dpf_query_upload_much_smaller_than_naive(self, dpf_keys):
-        """The communication advantage of DPFs: O(lambda log N) vs O(N) bits."""
+        """The communication advantage of DPFs: O(lambda log N) vs the O(N)
+        bits of a dense selector share (paper §2.3)."""
         key0, _ = dpf_keys
-        num_records = 256
-        dpf_query = DPFQuery(query_id=0, server_id=0, key=key0, num_records=num_records)
-        naive_query = NaiveQuery(
-            query_id=0,
-            server_id=0,
-            share=NaiveShare(server_id=0, bits=np.zeros(num_records, dtype=np.uint8)),
-            num_records=num_records,
-        )
+        dpf_query = DPFQuery(query_id=0, server_id=0, key=key0, num_records=256)
         # At 256 records the DPF key is bigger; the advantage appears at scale.
         big_dpf = DPF(domain_bits=24, seed=1).gen(5)[0]
         big_query = DPFQuery(query_id=0, server_id=0, key=big_dpf, num_records=1 << 24)
         assert big_query.upload_bytes < (1 << 24) // 8
-        assert naive_query.upload_bytes == num_records // 8
-        assert dpf_query.upload_bytes > 0
+        assert dpf_query.upload_bytes > 256 // 8

@@ -13,11 +13,9 @@ from hypothesis import given, settings, strategies as st
 from repro.common.errors import DatabaseError, KeyMismatchError
 from repro.core.engine import available_backends, create_server
 from repro.dpf.dpf import DPF
-from repro.dpf.naive import NaiveShare
 from repro.dpf.prf import make_prg
 from repro.pir.client import PIRClient
 from repro.pir.database import Database
-from repro.pir.messages import NaiveQuery
 from repro.pir.xor_ops import (
     GROUP_ROWS,
     dpxor_many,
@@ -220,21 +218,6 @@ class TestEngineSelectorMatrix:
         matrix = engine.selector_matrix(self._queries(5))
         assert matrix.shape == (5, selector_bytes(self.NUM_RECORDS))
         assert not _unpack(matrix, 8 * matrix.shape[1])[:, self.NUM_RECORDS :].any()
-
-    def test_mixed_flush_packs_naive_shares(self):
-        database = Database.random(self.NUM_RECORDS, self.RECORD_SIZE, seed=2)
-        engine = create_server("reference", database, server_id=0).engine
-        bits = np.random.default_rng(6).integers(0, 2, self.NUM_RECORDS, dtype=np.uint8)
-        naive = NaiveQuery(
-            query_id=99,
-            server_id=0,
-            share=NaiveShare(server_id=0, bits=bits),
-            num_records=self.NUM_RECORDS,
-        )
-        dpf_queries = self._queries(2)
-        matrix = engine.selector_matrix([dpf_queries[0], naive, dpf_queries[1]])
-        assert np.array_equal(matrix[1], pack_selectors(bits))
-        assert np.array_equal(matrix[[0, 2]], engine.selector_matrix(dpf_queries))
 
     @pytest.mark.parametrize("kind", sorted(available_backends()))
     def test_every_backend_scans_packed_rows(self, kind):

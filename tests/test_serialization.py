@@ -9,9 +9,8 @@ from hypothesis import given, settings, strategies as st
 from repro.common.errors import ProtocolError
 from repro.core.engine import create_server
 from repro.dpf.dpf import DPF, key_wire_bytes
-from repro.dpf.naive import NaiveShare
 from repro.pir.client import PIRClient
-from repro.pir.messages import DPFQuery, NaiveQuery, PIRAnswer
+from repro.pir.messages import DPFQuery, PIRAnswer
 from repro.pir.serialization import (
     WIRE_VERSION,
     deserialize_answer,
@@ -158,28 +157,24 @@ class TestQueryRoundTrip:
         assert restored.num_records == 4000
         assert restored.key == dpf_key
 
-    def test_naive_query(self):
-        bits = np.random.default_rng(0).integers(0, 2, 100, dtype=np.uint8)
-        query = NaiveQuery(
-            query_id=3, server_id=1, share=NaiveShare(server_id=1, bits=bits), num_records=100
-        )
-        restored = deserialize_query(serialize_query(query))
-        assert isinstance(restored, NaiveQuery)
-        assert np.array_equal(restored.share.bits, bits)
-
     def test_query_ids_past_32_bits_round_trip(self, dpf_key):
         """Query ids are allocated as int64 without bound; the header is u64."""
         query_id = 2**32 + 5
-        dpf_query = DPFQuery(query_id=query_id, server_id=1, key=dpf_key, num_records=4000)
-        bits = np.random.default_rng(1).integers(0, 2, 100, dtype=np.uint8)
-        naive_query = NaiveQuery(
-            query_id=query_id, server_id=1, share=NaiveShare(server_id=1, bits=bits), num_records=100
-        )
-        for query in (dpf_query, naive_query):
-            assert deserialize_query(serialize_query(query)).query_id == query_id
+        dpf_query = DPFQuery(query_id=query_id, server_id=0, key=dpf_key, num_records=4000)
+        assert deserialize_query(serialize_query(dpf_query)).query_id == query_id
+
+    def test_key_addressed_to_the_other_server_refused(self):
+        # A party-0 key relabelled for server 1 would be answered by server 1
+        # and reconstruct a wrong record; decoding refuses it instead.
+        query = PIRClient(64, 8, seed=3).query(5)[0]
+        blob = bytearray(serialize_query(query))
+        assert blob[3] == query.server_id == query.key.party == 0
+        blob[3] = 1
+        with pytest.raises(ProtocolError, match="key of the other party"):
+            deserialize_query(bytes(blob))
 
     def test_truncated_query_rejected(self, dpf_key):
-        query = DPFQuery(query_id=1, server_id=1, key=dpf_key, num_records=4000)
+        query = DPFQuery(query_id=1, server_id=0, key=dpf_key, num_records=4000)
         with pytest.raises(ProtocolError):
             deserialize_query(serialize_query(query)[:5])
 

@@ -241,7 +241,6 @@ class TestShardedEquivalence:
                 == unsharded.engine.answer(query).answer.payload
             )
         caps = sharded.engine.backend.capabilities()
-        assert not caps.supports_naive  # PIM members do not serve naive queries
         assert not caps.preloaded  # the streamed member is not resident
 
 
@@ -255,7 +254,6 @@ class TestShardedCapabilitiesAndTiming:
         assert caps.name == "sharded"
         assert caps.lanes >= 1 and caps.batch_workers >= 1
         assert caps.preloaded
-        assert not caps.supports_naive
         assert caps.max_records is not None and caps.max_records >= 64
         assert "2 shards" in caps.description
 
@@ -495,7 +493,6 @@ class TestShardedRegistry:
             "sharded", database, num_shards=3, child_kind="im-pir", block_records=4
         )
         assert server.backend.plan.num_shards == 3
-        assert not server.engine.backend.capabilities().supports_naive
         client = make_client(database, seed=18)
         reference = create_server("reference", database)
         query = client.query(47)[0]

@@ -242,7 +242,7 @@ class TestBatchedScanLint:
             f"src/repro/pir/{module}",
             "def flush(client, indices):\n    return client.query_batch(indices)\n",
         )
-        assert not self._check(tmp_path, "src/repro/pir/protocol.py", source.format(""))
+        assert not self._check(tmp_path, "src/repro/core/impir.py", source.format(""))
 
     def test_per_query_scan_hook_flagged(self, tmp_path):
         # charge_many is the one backend hook (execute_many the one scan, on
@@ -641,7 +641,7 @@ class TestUnpackbitsLint:
                 "    return unpackbits(packed)\n",
             ),
             (
-                "src/repro/dpf/naive.py",
+                "src/repro/dpf/ggm.py",
                 "import numpy\n\n\ndef bits(packed):\n    return numpy.unpackbits(packed){}\n",
             ),
         ],
@@ -772,8 +772,8 @@ class TestPerFlushMessageLint:
             "    for query_id, row in zip(ids, rows):\n"
             "        out.append(messages.PIRAnswer(query_id, 0, row)){}\n"
             "    return out\n",
-            "def shares(ids, share):\n"
-            "    return {{q: NaiveQuery(q, 1, share, 8) for q in ids}}{}\n",
+            "def rows(ids, keys):\n"
+            "    return {{q: DPFQuery(q, 1, keys[q], 8) for q in ids}}{}\n",
         ],
     )
     def test_row_message_in_a_loop_flagged(self, tmp_path, module, source):
@@ -840,6 +840,57 @@ class TestExecutingDPULint:
             "from repro.pim.dpu import DPUExecutionReport\n\n\n"
             "def report(**kwargs):\n    return DPUExecutionReport(**kwargs)\n",
         )
+
+
+class TestQueryBatchProducerLint:
+    """The client and ``QueryBatch.stack`` are the only producers of query batches."""
+
+    def _check(self, tmp_path, relative, source):
+        lint = _load_tool("lint")
+        path = tmp_path / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source)
+        return lint.check_file(path)
+
+    @pytest.mark.parametrize(
+        "relative,source",
+        [
+            (
+                "src/repro/core/engine.py",
+                "from repro.pir.messages import QueryBatch\n\n\ndef batch(ids, keys):\n"
+                "    return QueryBatch(0, ids, 8, keys){}\n",
+            ),
+            (
+                "src/repro/pir/frontend.py",
+                "from repro.pir import messages\n\n\ndef batch(ids, keys):\n"
+                "    return messages.QueryBatch(1, ids, 8, keys){}\n",
+            ),
+        ],
+    )
+    def test_query_batch_built_elsewhere_flagged(self, tmp_path, relative, source):
+        flagged = self._check(tmp_path, relative, source.format(""))
+        assert any("QueryBatch(...) built" in message for _, message in flagged)
+        assert not self._check(tmp_path, relative, source.format("  # noqa"))
+
+    def test_client_messages_stack_and_tests_are_legal(self, tmp_path):
+        built = (
+            "from repro.pir.messages import QueryBatch\n\n\ndef batch(ids, keys):\n"
+            "    return QueryBatch(0, ids, 8, keys)\n"
+        )
+        for relative in ("src/repro/pir/client.py", "src/repro/pir/messages.py", "tests/test_x.py"):
+            assert not self._check(tmp_path, relative, built)
+        stacked = (
+            "from repro.pir.messages import QueryBatch\n\n\ndef batch(rows):\n"
+            "    return QueryBatch.stack(rows)\n"
+        )
+        assert not self._check(tmp_path, "src/repro/core/engine.py", stacked)
+
+    def test_shipped_library_is_clean(self):
+        lint = _load_tool("lint")
+        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+            assert not [
+                finding for finding in lint.check_file(path) if "QueryBatch(...)" in finding[1]
+            ], path
 
 
 class TestCorrectionTableLint:

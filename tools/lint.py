@@ -71,7 +71,7 @@ AST pass instead.  It flags:
   ``src/repro/pir/async_frontend.py``) — keys are generated once per flush
   through ``client.query_batch``; a ``query`` call there is per-request key
   generation creeping back;
-* a ``DPFQuery(``, ``NaiveQuery(`` or ``PIRAnswer(`` call inside a ``for``
+* a ``DPFQuery(`` or ``PIRAnswer(`` call inside a ``for``
   loop or a comprehension in ``src/repro/pir/client.py``,
   ``src/repro/pir/frontend.py`` or ``src/repro/core/engine.py`` — queries
   and answers cross those layers as one array message per replica per flush
@@ -79,6 +79,11 @@ AST pass instead.  It flags:
   there is the per-query message layer coming back (the one-row forms are
   built by indexing a batch, in ``repro/pir/messages.py`` and
   ``repro/core/results.py``);
+* a ``QueryBatch(`` construction anywhere under ``src/repro/`` except
+  ``repro/pir/client.py`` (which builds a flush's batches from one key
+  walk) and ``repro/pir/messages.py`` (where ``QueryBatch.stack`` turns
+  one-row queries into a batch) — the DPF key is the one query kind, and a
+  second producer of batches is a second query kind coming back;
 * a method named ``execute`` defined in any class under ``src/repro/`` — the
   backend protocol has one scan hook, ``execute_many`` (a single query is a
   batch of one); an ``execute`` method is the per-query twin creeping back;
@@ -372,7 +377,7 @@ def _is_query_call(node: ast.AST) -> bool:
 #: The layers a flush crosses as arrays, and the one-row message classes
 #: none of them may build per row.
 PER_FLUSH_MESSAGE_MODULES = (("pir", "client.py"), ("pir", "frontend.py"), ("core", "engine.py"))
-ROW_MESSAGES = {"DPFQuery", "NaiveQuery", "PIRAnswer"}
+ROW_MESSAGES = {"DPFQuery", "PIRAnswer"}
 
 #: Loop and comprehension nodes: their bodies run once per element.
 _LOOP_NODES = (ast.For, ast.AsyncFor, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
@@ -527,14 +532,18 @@ def _imports_package(node: ast.AST, package: str) -> bool:
 #: The one library module that builds executing DPUs: the class itself.
 DPU_MODULE = ("repro", "pim", "dpu.py")
 
+#: The library modules that build query batches: the client (a flush's keys)
+#: and the messages module (``QueryBatch.stack``).
+QUERY_BATCH_MODULES = (("repro", "pir", "client.py"), ("repro", "pir", "messages.py"))
 
-def _is_dpu_construction(node: ast.AST) -> bool:
-    """True for ``DPU(...)`` / ``<module>.DPU(...)``."""
+
+def _is_construction(node: ast.AST, name: str) -> bool:
+    """True for ``<name>(...)`` / ``<module>.<name>(...)``."""
     if not isinstance(node, ast.Call):
         return False
     func = node.func
-    return (isinstance(func, ast.Name) and func.id == "DPU") or (
-        isinstance(func, ast.Attribute) and func.attr == "DPU"
+    return (isinstance(func, ast.Name) and func.id == name) or (
+        isinstance(func, ast.Attribute) and func.attr == name
     )
 
 
@@ -555,6 +564,7 @@ def check_file(path: Path) -> List[Tuple[int, str]]:
     per_flush_keygen_only = _is_per_flush_keygen_only(path)
     unpack_banned = _is_unpack_banned(path)
     dpu_construction_banned = library_code and path.parts[-3:] != DPU_MODULE
+    query_batch_banned = library_code and path.parts[-3:] not in QUERY_BATCH_MODULES
     cipher_banned = library_code and path.parts[-3:] != CIPHER_MODULE
     loop_free = path.parts[-3:] == LOOP_FREE_MODULE
 
@@ -748,13 +758,23 @@ def check_file(path: Path) -> List[Tuple[int, str]]:
                     "in repro/pir/async_frontend.py",
                 )
             )
-        if dpu_construction_banned and _is_dpu_construction(node):
+        if dpu_construction_banned and _is_construction(node, "DPU"):
             deprecated.append(
                 (
                     node.lineno,
                     "executing DPU(...) built in library code outside "
                     "repro/pim/dpu.py — charge a repro.pim.system.DPULedger; "
                     "only tests and benches run DPU objects",
+                )
+            )
+        if query_batch_banned and _is_construction(node, "QueryBatch"):
+            deprecated.append(
+                (
+                    node.lineno,
+                    "QueryBatch(...) built in library code outside "
+                    "repro/pir/client.py and repro/pir/messages.py — the "
+                    "client's query_batch makes a flush's batches and "
+                    "QueryBatch.stack turns one-row queries into one",
                 )
             )
         if library_code:
@@ -831,7 +851,7 @@ def check_file(path: Path) -> List[Tuple[int, str]]:
             deprecated.append(
                 (
                     lineno,
-                    "one-row message (DPFQuery / NaiveQuery / PIRAnswer) built "
+                    "one-row message (DPFQuery / PIRAnswer) built "
                     "in a loop in the client, frontend or engine — a flush "
                     "moves as one QueryBatch / IMPIRBatchResult per replica",
                 )
