@@ -142,7 +142,7 @@ class TestOneRowLists:
         assert from_list.query_ids.tolist() == from_batch.query_ids.tolist()
         assert from_list.payloads.tobytes() == from_batch.payloads.tobytes()
 
-    @pytest.mark.parametrize("foreign", ["server_id", "num_records", "key_shape"])
+    @pytest.mark.parametrize("foreign", ["server_id", "num_records", "key_shape", "output_bits"])
     def test_rows_that_are_not_one_batch_refused(self, foreign):
         database = Database.random(64, 32, seed=4)
         server = create_server("reference", database, server_id=0)
@@ -153,8 +153,19 @@ class TestOneRowLists:
             # An 8-bit-domain key over the 64 records: legal on its own.
             other = DPFQuery(99, 0, DPF(8, seed=7, prg=make_prg()).gen(9, 1)[0], 64)
             assert server.answer(other).answer.payload
+        elif foreign == "output_bits":
+            # A 6-bit-domain key, as the client's, with an 8-bit output group.
+            other = DPFQuery(99, 0, DPF(6, output_bits=8, seed=7, prg=make_prg()).gen(9, 1)[0], 64)
         with pytest.raises(ProtocolError, match="one query batch needs one"):
             server.answer_batch([row, other])
+
+    def test_a_row_that_is_not_a_query_refused(self):
+        database = Database.random(64, 32, seed=4)
+        server = create_server("reference", database, server_id=0)
+        row = PIRClient(64, 32, seed=5, prg=make_prg()).query(17)[0]
+        answer = server.answer(row).answer
+        with pytest.raises(ProtocolError, match="unsupported query type: PIRAnswer"):
+            server.answer_batch([row, answer])
 
 
 class TestStatsRegression:

@@ -31,6 +31,17 @@ class TestClientConstruction:
             with pytest.raises(TypeError):
                 PIRClient(small_db.num_records, 32, **option)
 
+    def test_seeded_clients_send_identical_keys(self, small_db):
+        # The positional-and-keyword form the end-to-end workloads build.
+        first = PIRClient(small_db.num_records, 32, prg=make_prg(), seed=3).query(77)
+        second = PIRClient(small_db.num_records, 32, prg=make_prg(), seed=3).query(77)
+        assert [q.key for q in first] == [q.key for q in second]
+
+    def test_unseeded_clients_send_different_keys(self, small_db):
+        first = PIRClient(small_db.num_records, 32).query(77)
+        second = PIRClient(small_db.num_records, 32).query(77)
+        assert all(a.key != b.key for a, b in zip(first, second))
+
     def test_domain_bits_cover_database(self, client, small_db):
         assert 2**client.domain_bits >= small_db.num_records
 
@@ -41,6 +52,15 @@ class TestQueryGeneration:
         assert [q.server_id for q in queries] == [0, 1]
         assert all(isinstance(q, DPFQuery) for q in queries)
         assert queries[0].query_id == queries[1].query_id
+
+    @pytest.mark.parametrize("num_records", [1, 2, 1000, 1024, 1025])
+    def test_each_server_gets_its_own_partys_key(self, num_records):
+        client = PIRClient(num_records, 4, seed=num_records, prg=make_prg())
+        for index in sorted({0, num_records // 2, num_records - 1}):
+            queries = client.query(index)
+            assert [q.key.party for q in queries] == [q.server_id for q in queries] == [0, 1]
+            assert all(q.num_records == num_records for q in queries)
+            assert all(q.key.domain_bits == client.domain_bits for q in queries)
 
     def test_query_ids_increment(self, client):
         first = client.query(1)[0].query_id

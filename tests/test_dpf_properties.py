@@ -1,12 +1,17 @@
-"""Property-based tests (hypothesis) for the DPF and the dpXOR scan."""
+"""Property-based tests (hypothesis) for the DPF, the two servers' selector
+shares and the dpXOR scan."""
 
 import numpy as np
 from aes_oracle import OracleAESPRG
 from hypothesis import given, settings, strategies as st
 
+from repro.core.engine import create_server
 from repro.dpf.dpf import DPF, EvalStats, key_batch, verify_keys
 from repro.dpf.prf import make_prg
 from repro.dpf.traversal import TraversalStats, make_traversal
+from repro.pir.client import PIRClient
+from repro.pir.database import Database
+from repro.pir.messages import QueryBatch
 from repro.pir.xor_ops import dpxor, pack_selectors
 
 _SETTINGS = dict(max_examples=30, deadline=None)
@@ -288,3 +293,27 @@ class TestDpXorProperties:
         share1[index] ^= 1
         answer = dpxor(database, pack_selectors(share0)) ^ dpxor(database, pack_selectors(share1))
         assert np.array_equal(answer, database[index])
+
+
+class TestTwoServerSelectors:
+    @settings(**_SETTINGS)
+    @given(
+        num_records=st.integers(min_value=1, max_value=512),
+        seed=st.integers(min_value=0, max_value=2**31),
+        index_fraction=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    )
+    def test_server_selectors_xor_to_one_hot(self, num_records, seed, index_fraction):
+        """The two servers' expanded selector shares of one client query
+        XOR to the one-hot vector of its index, over exactly N records."""
+        database = Database.random(num_records, 1, seed=seed)
+        client = PIRClient(num_records, 1, seed=seed, prg=make_prg())
+        index = int(index_fraction * num_records)
+        shares = [
+            create_server("reference", database, server_id=query.server_id).engine.selector_matrix(
+                QueryBatch.stack([query])
+            )[0]
+            for query in client.query(index)
+        ]
+        assert shares[0].shape == shares[1].shape == (-(-num_records // 8),)
+        selector = np.unpackbits(shares[0] ^ shares[1], bitorder="little")
+        assert np.flatnonzero(selector).tolist() == [index]

@@ -118,6 +118,19 @@ class TestSharedValidation:
             with pytest.raises(ProtocolError):
                 server.engine.answer(stale)
 
+    @pytest.mark.parametrize("name", available_backends())
+    def test_flush_for_the_other_server_refused(self, servers, name):
+        # A flush's batch is checked against its addressee as ``answer`` is.
+        batch_for_other = PIRClient(128, 16, seed=6, prg=make_prg()).query_batch([3, 9])[1]
+        with pytest.raises(ProtocolError, match="addressed to server 1, this is server 0"):
+            servers[name].engine.answer_many(batch_for_other)
+
+    @pytest.mark.parametrize("name", available_backends())
+    def test_flush_over_another_database_size_refused(self, servers, name):
+        stale = PIRClient(64, 16, seed=7, prg=make_prg()).query_batch([0, 63])[0]
+        with pytest.raises(ProtocolError, match="database of 64 records"):
+            servers[name].engine.answer_many(stale)
+
     def test_empty_batch_rejected(self, servers):
         for name, server in servers.items():
             with pytest.raises(ProtocolError):

@@ -60,6 +60,16 @@ class TestQueryBatch:
         assert stacked.query_ids.tolist() == batch.query_ids.tolist()
         assert _rows(stacked) == _rows(batch)
 
+    def test_stack_refuses_a_row_that_is_not_a_dpf_query(self):
+        rows = list(_dpf_batch())
+        answer = PIRAnswer(query_id=3, server_id=0, payload=b"\x00")
+        with pytest.raises(ProtocolError, match="unsupported query type: PIRAnswer"):
+            QueryBatch.stack(rows + [answer])
+
+    def test_stack_of_no_rows_refused(self):
+        with pytest.raises(ProtocolError, match="one query batch needs one"):
+            QueryBatch.stack([])
+
     def test_upload_is_every_rows_upload(self):
         batch = _dpf_batch()
         assert batch.upload_bytes == sum(query.upload_bytes for query in batch)

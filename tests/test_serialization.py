@@ -10,6 +10,7 @@ from repro.common.errors import ProtocolError
 from repro.core.engine import create_server
 from repro.dpf.dpf import DPF, key_wire_bytes
 from repro.pir.client import PIRClient
+from repro.pir.database import Database
 from repro.pir.messages import DPFQuery, PIRAnswer
 from repro.pir.serialization import (
     WIRE_VERSION,
@@ -172,6 +173,36 @@ class TestQueryRoundTrip:
         blob[3] = 1
         with pytest.raises(ProtocolError, match="key of the other party"):
             deserialize_query(bytes(blob))
+
+    def test_party_one_key_addressed_to_server_zero_refused(self):
+        query = PIRClient(64, 8, seed=3).query(5)[1]
+        blob = bytearray(serialize_query(query))
+        assert blob[3] == query.server_id == query.key.party == 1
+        blob[3] = 0
+        with pytest.raises(ProtocolError, match="key of the other party"):
+            deserialize_query(bytes(blob))
+
+    def test_dense_selector_query_tag_refused(self):
+        """DPF keys are the only query: a dense selector share under the
+        ``NQ`` tag (header, then the N selector bits) is not decoded."""
+        header = struct.pack("<2sBBQQ", b"NQ", WIRE_VERSION, 0, 1, 16)
+        selector = np.packbits(np.eye(16, dtype=np.uint8)[5]).tobytes()
+        with pytest.raises(ProtocolError, match="unknown query magic"):
+            deserialize_query(header + selector)
+
+    @pytest.mark.parametrize("num_records", [1, 2, 3, 255, 256, 257, 4096])
+    def test_client_queries_round_trip_and_reconstruct(self, num_records):
+        # Zero-level trees (one record) through deep ones, at and off powers of two.
+        database = Database.random(num_records, 8, seed=num_records)
+        client = PIRClient(num_records, 8, seed=11)
+        servers = [create_server("reference", database, server_id=i) for i in (0, 1)]
+        index = num_records - 1
+        answers = []
+        for query in client.query(index):
+            restored = deserialize_query(serialize_query(query))
+            assert restored == query
+            answers.append(servers[restored.server_id].answer(restored).answer)
+        assert client.reconstruct(answers) == database.record(index)
 
     def test_truncated_query_rejected(self, dpf_key):
         query = DPFQuery(query_id=1, server_id=0, key=dpf_key, num_records=4000)

@@ -37,6 +37,16 @@ class TestDpxor:
             dpxor(database, pack_selectors(np.zeros(5, dtype=np.uint8))), np.zeros(3, dtype=np.uint8)
         )
 
+    def test_xor_of_pair(self):
+        database = np.arange(32, dtype=np.uint8).reshape(8, 4)
+        selector = np.zeros(8, dtype=np.uint8)
+        selector[[2, 5]] = 1
+        assert np.array_equal(dpxor(database, pack_selectors(selector)), database[2] ^ database[5])
+
+    def test_one_dimensional_database_rejected(self):
+        with pytest.raises(DatabaseError, match="2-D"):
+            dpxor(np.zeros(8, dtype=np.uint8), pack_selectors(np.ones(8, dtype=np.uint8)))
+
     def test_matches_manual_reduction(self, db_and_selector):
         database, selector = db_and_selector
         expected = np.zeros(32, dtype=np.uint8)
