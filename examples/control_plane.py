@@ -78,7 +78,6 @@ def main() -> None:
         decay=0.5,  # each completed window keeps half the history
         rebalance_interval_seconds=0.4,
         cache_capacity=16,
-        admit_min_heat=1.0,  # cold-shard probes never evict hot residents
         dedup=True,  # the cache rides on dedup (trusted-aggregator caveat)
         policy=BatchingPolicy(max_batch_size=8, max_wait_seconds=10.0),
     )

@@ -67,7 +67,6 @@ def drive(database: Database, stream, hub=None):
         decay=0.5,
         rebalance_interval_seconds=0.4,
         cache_capacity=16,
-        admit_min_heat=1.0,
         dedup=True,
         policy=BatchingPolicy(max_batch_size=8, max_wait_seconds=10.0),
         hub=hub,

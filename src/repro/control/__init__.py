@@ -16,8 +16,11 @@ separate from application logic):
   versioned :class:`~repro.shard.plan.TopologyChange`
   (:meth:`~repro.shard.backend.ShardedBackend.apply_topology`) with the
   tracker's windows remapped across the change;
-* :class:`HotRecordCache` — an opt-in LRU tier with heat-informed
-  admission in front of a fleet (requires ``dedup=True``; invalidated by
+* :class:`HotRecordCache` — an opt-in LRU tier in front of a fleet with
+  TinyLFU admission (Einziger, Friedman & Manes, ACM ToS 2017): a record
+  displaces the LRU resident only when it was looked up strictly more often,
+  a tie keeps the resident, and the halving lookup counts track at most
+  ``20 x capacity`` indices (requires ``dedup=True``; invalidated by
   ``apply_updates`` dirty indices);
 * :class:`ReplicaAutoscaler` / :class:`DampingPolicy` /
   :class:`AsyncControlDriver` — the closed loop: replica-count elasticity

@@ -16,13 +16,21 @@ model — which is why :class:`~repro.pir.frontend.PIRFrontend` refuses a
 cache unless ``dedup=True`` is already on (the caveat is documented on the
 frontend constructor).
 
-Admission is LRU plus optionally *heat-informed*: given a
-:class:`~repro.control.telemetry.HeatTracker`, a record is only admitted
-while its owning shard's live heat is at least ``admit_min_heat`` — a
-one-off probe of a cold shard must not evict a resident hot record.
-Consistency comes from invalidation: ``apply_updates`` dirty indices are
-dropped (see :meth:`repro.shard.fleet.FleetRouter.apply_updates`), so a
-cached record can never go stale relative to the fleets.
+Admission is frequency-gated, after TinyLFU (Einziger, Friedman & Manes,
+"TinyLFU: A Highly Efficient Cache Admission Policy", ACM ToS 2017).
+:meth:`HotRecordCache.get` counts every lookup per index, hits and misses
+alike.  Every ``SAMPLE_PER_CAPACITY x capacity`` lookups all counts halve and
+the ones that reach zero are dropped, so the counts follow recent traffic
+and at most ``2 x SAMPLE_PER_CAPACITY x capacity`` indices are ever tracked
+(the counts sum to at most twice the sample).  A record enters a cache with
+room unconditionally; it enters a *full* cache only when its count is
+strictly greater than the count of the least recently used resident it would
+evict, so a tie keeps the resident.  A one-off probe therefore never evicts a
+record asked for twice within the current or the previous sample.  Residents
+keep LRU order among themselves.  Consistency comes from invalidation:
+``apply_updates`` dirty indices are dropped (see
+:meth:`repro.shard.fleet.FleetRouter.apply_updates`), so a cached record can
+never go stale relative to the fleets.
 """
 
 from __future__ import annotations
@@ -32,7 +40,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
 from repro.common.errors import ConfigurationError
-from repro.control.telemetry import HeatTracker
+
+#: TinyLFU's sample size per unit of capacity: all lookup counts halve every
+#: ``SAMPLE_PER_CAPACITY * capacity`` lookups.
+SAMPLE_PER_CAPACITY = 10
 
 
 @dataclass
@@ -42,7 +53,8 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     admissions: int = 0
-    #: Admissions refused because the record's shard was too cold.
+    #: Admissions refused because the record was requested no more often
+    #: than the LRU victim it would have evicted.
     rejected_cold: int = 0
     evictions: int = 0
     invalidations: int = 0
@@ -70,17 +82,14 @@ class CacheStats:
 
 @dataclass
 class HotRecordCache:
-    """An LRU record cache with optional heat-informed admission.
+    """An LRU record cache with frequency-gated admission.
 
-    ``capacity`` bounds the number of resident records; ``tracker`` (when
-    given) supplies live per-shard heat and ``admit_min_heat`` is the
-    admission floor against it.  Without a tracker every reconstructed
-    record is admissible (plain LRU).
+    ``capacity`` bounds the number of resident records.  Admission into a
+    full cache follows the module docstring's rule: the candidate must have
+    been looked up strictly more often than the LRU resident.
     """
 
     capacity: int
-    tracker: Optional[HeatTracker] = None
-    admit_min_heat: float = 0.0
     stats: CacheStats = field(default_factory=CacheStats)
     #: Optional :class:`~repro.obs.events.EventLog`; admission/eviction/
     #: invalidation emit events when set (the hub wires this).
@@ -89,9 +98,10 @@ class HotRecordCache:
     def __post_init__(self) -> None:
         if self.capacity <= 0:
             raise ConfigurationError("cache capacity must be positive")
-        if self.admit_min_heat < 0:
-            raise ConfigurationError("admit_min_heat must be non-negative")
         self._records: "OrderedDict[int, bytes]" = OrderedDict()
+        #: Decayed lookup counts per index; every tracked count is >= 1.
+        self._counts: Dict[int, int] = {}
+        self._lookups_until_halving = SAMPLE_PER_CAPACITY * self.capacity
 
     def __len__(self) -> int:
         return len(self._records)
@@ -102,7 +112,13 @@ class HotRecordCache:
     # -- the frontend-facing surface ------------------------------------------------
 
     def get(self, index: int) -> Optional[bytes]:
-        """The cached record for ``index``, or ``None``; a hit refreshes LRU order."""
+        """The cached record for ``index``, or ``None``; a hit refreshes LRU
+        order.  Every call counts one lookup of ``index``."""
+        self._counts[index] = self._counts.get(index, 0) + 1
+        self._lookups_until_halving -= 1
+        if not self._lookups_until_halving:
+            self._counts = {i: c >> 1 for i, c in self._counts.items() if c > 1}
+            self._lookups_until_halving = SAMPLE_PER_CAPACITY * self.capacity
         record = self._records.get(index)
         if record is None:
             self.stats.misses += 1
@@ -114,63 +130,36 @@ class HotRecordCache:
     def admit(self, index: int, record: bytes) -> bool:
         """Offer a freshly reconstructed record; returns whether it was kept.
 
-        Heat-informed: with a tracker attached, a record whose owning
-        shard's live heat is below ``admit_min_heat`` is declined (cold
-        probes must not churn the hot set).  Admitting past capacity evicts
-        the least recently used resident.
+        A resident is refreshed in place and a cache with room takes the
+        record.  A full cache takes it only when ``index`` was looked up
+        strictly more often than the least recently used resident, which it
+        then evicts.
         """
-        if self.tracker is not None and self.admit_min_heat > 0:
-            if self.tracker.record_heat(index) < self.admit_min_heat:
-                self.stats.rejected_cold += 1
-                if self.events is not None:
-                    self.events.emit("cache.reject_cold", index=index)
-                return False
-        self._store(index, record)
+        if index in self._records:
+            self._records[index] = record
+            self._records.move_to_end(index)
+            return True
+        victim = next(iter(self._records)) if len(self._records) >= self.capacity else None
+        if victim is not None and self._counts.get(index, 0) <= self._counts.get(victim, 0):
+            self.stats.rejected_cold += 1
+            if self.events is not None:
+                self.events.emit("cache.reject_cold", index=index)
+            return False
+        self._records[index] = record
+        self.stats.admissions += 1
+        if self.events is not None:
+            self.events.emit("cache.admit", index=index)
+        if victim is not None:
+            del self._records[victim]
+            self.stats.evictions += 1
+            if self.events is not None:
+                self.events.emit("cache.evict", index=victim)
         return True
 
     def admit_many(self, records: Dict[int, bytes]) -> None:
-        """Offer a whole flush's reconstructions at once.
-
-        Same policy as :meth:`admit`, but the live heat vector is read from
-        the tracker *once* — it cannot change mid-flush, and recomputing
-        the decayed blend per record would put O(batch x shards) redundant
-        work on the flush hot path.
-        """
-        if not records:
-            return
-        heats = None
-        plan = None
-        if self.tracker is not None and self.admit_min_heat > 0:
-            # One coherent snapshot: the plan is online-mutable now (topology
-            # split/merge), so heats and the plan they index must be read
-            # together — a heat vector of the old plan zipped against the
-            # new plan's shard indices would admit on the wrong shard's heat
-            # (or fall off the end of the vector).
-            plan = self.tracker.plan
-            heats = self.tracker.heats()
+        """Offer a whole flush's reconstructions, in order, to :meth:`admit`."""
         for index, record in records.items():
-            if heats is not None:
-                shard = plan.shard_for_record(index)
-                if heats[shard.index] < self.admit_min_heat:
-                    self.stats.rejected_cold += 1
-                    if self.events is not None:
-                        self.events.emit("cache.reject_cold", index=index)
-                    continue
-            self._store(index, record)
-
-    def _store(self, index: int, record: bytes) -> None:
-        already_resident = index in self._records
-        self._records[index] = record
-        self._records.move_to_end(index)
-        if not already_resident:
-            self.stats.admissions += 1
-            if self.events is not None:
-                self.events.emit("cache.admit", index=index)
-            if len(self._records) > self.capacity:
-                evicted, _ = self._records.popitem(last=False)
-                self.stats.evictions += 1
-                if self.events is not None:
-                    self.events.emit("cache.evict", index=evicted)
+            self.admit(index, record)
 
     def invalidate(self, indices: Iterable[int]) -> int:
         """Drop every cached record in ``indices`` (the dirty set of an

@@ -233,7 +233,6 @@ def controlled_fleet(
     decay: float = 0.5,
     rebalance_interval_seconds: Optional[float] = 1.0,
     cache_capacity: Optional[int] = None,
-    admit_min_heat: float = 0.0,
     split_heat_share: Optional[float] = None,
     merge_heat_floor: Optional[float] = None,
     min_shards: int = 1,
@@ -250,8 +249,7 @@ def controlled_fleet(
     from then on the control plane measures its own.  Pass
     ``rebalance_interval_seconds=None`` to observe without migrating, and
     ``cache_capacity`` (with ``dedup=True`` in ``router_kwargs``) to enable
-    the hot-record tier; ``admit_min_heat`` makes its admission
-    heat-informed.  ``split_heat_share``/``merge_heat_floor`` (with the
+    the hot-record tier.  ``split_heat_share``/``merge_heat_floor`` (with the
     ``min_shards``/``max_shards`` bounds) switch on the rebalancer's
     plan-shape policy: the topology itself then follows the heat — hot
     shards split at their in-shard heat median, adjacent cold shards merge
@@ -275,9 +273,7 @@ def controlled_fleet(
     tracker = HeatTracker(plan, window_seconds=window_seconds, decay=decay)
     cache = None
     if cache_capacity is not None:
-        cache = HotRecordCache(
-            capacity=cache_capacity, tracker=tracker, admit_min_heat=admit_min_heat
-        )
+        cache = HotRecordCache(capacity=cache_capacity)
     router = FleetRouter(
         client, database, plan, heats, cache=cache, **router_kwargs
     )

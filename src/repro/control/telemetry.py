@@ -216,16 +216,12 @@ class HeatTracker:
         return list(self._smoothed)
 
     def shard_heat(self, shard_index: int) -> float:
-        """The current heat estimate for one shard (cache admission helper)."""
+        """The current heat estimate for one shard."""
         if not 0 <= shard_index < self.plan.num_shards:
             raise ConfigurationError(
                 f"shard index {shard_index} out of range [0, {self.plan.num_shards})"
             )
         return self.heats()[shard_index]
-
-    def record_heat(self, record_index: int) -> float:
-        """The heat of the shard owning ``record_index``."""
-        return self.heats()[self.plan.shard_for_record(record_index).index]
 
     def range_heat(self, shard_index: int, start: int, stop: int) -> float:
         """The heat of ``[start, stop)`` within one shard, on the

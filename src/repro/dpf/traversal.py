@@ -125,7 +125,8 @@ class BranchParallelTraversal(TraversalStrategy):
 
 
 class MemoryBoundedTraversal(TraversalStrategy):
-    """Chunked traversal bounding peak memory to one chunk's leaves.
+    """Chunked traversal bounding peak memory to one chunk's leaves (besides
+    the chunk roots, one node per chunk).
 
     ``chunk_leaves`` is counted in domain points; a chunk never shrinks below
     one leaf block.
@@ -146,13 +147,14 @@ class MemoryBoundedTraversal(TraversalStrategy):
         num_chunks = -(-num_blocks // chunk_blocks)
         seeds = np.empty((num_chunks * chunk_blocks, SEED_BYTES), dtype=np.uint8)
         controls = np.empty(num_chunks * chunk_blocks, dtype=np.uint8)
+        # Descend to every chunk's subtree root in one walk (the paths are
+        # independent), then expand one subtree at a time, level by level.
+        roots, root_controls = dpf.descend(keys, np.arange(num_chunks), depth=descent_depth)
         for chunk_index in range(num_chunks):
-            # Descend to the chunk's subtree root along one path, then expand
-            # the subtree level by level.
-            root = dpf.descend(keys, [chunk_index], depth=descent_depth)
             span = slice(chunk_index * chunk_blocks, (chunk_index + 1) * chunk_blocks)
+            root = slice(chunk_index, chunk_index + 1)
             seeds[span], controls[span] = dpf.expand_front(
-                keys, *root, first_level=descent_depth
+                keys, roots[root], root_controls[root], first_level=descent_depth
             )
         return seeds, controls, chunk_blocks
 

@@ -179,7 +179,8 @@ class ObservabilityHub:
             "repro_cache_invalidations_total", "Hot-record cache records invalidated"
         )
         self._cache_rejected = metric.counter(
-            "repro_cache_rejected_cold_total", "Cache admissions refused (cold shard)"
+            "repro_cache_rejected_cold_total",
+            "Cache admissions refused (requested no more often than the LRU victim)",
         )
         self._replicas = metric.gauge(
             "repro_replicas", "Live replica members per trust domain"

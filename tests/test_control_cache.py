@@ -1,12 +1,11 @@
-"""Hot-record cache: LRU + heat admission, frontend short-circuit, invalidation."""
+"""Hot-record cache: LRU + frequency-gated admission, frontend short-circuit, invalidation."""
 
 import asyncio
 
 import pytest
 
 from repro.common.errors import ConfigurationError, ProtocolError
-from repro.control.cache import HotRecordCache
-from repro.control.telemetry import HeatTracker
+from repro.control.cache import SAMPLE_PER_CAPACITY, HotRecordCache
 from repro.core.engine import create_server
 from repro.dpf.prf import make_prg
 from repro.pir.async_frontend import AsyncPIRFrontend
@@ -15,6 +14,7 @@ from repro.pir.database import Database
 from repro.pir.frontend import BatchingPolicy, PIRFrontend
 from repro.shard.fleet import FleetRouter, heats_from_trace
 from repro.shard.plan import ShardPlan
+from repro.workloads.traces import zipf_trace
 
 
 def make_client(database, seed=31):
@@ -46,9 +46,12 @@ class CountingReplica:
 class TestLRU:
     def test_eviction_order_and_hit_refresh(self):
         cache = HotRecordCache(capacity=2)
-        cache.admit(1, b"a")
-        cache.admit(2, b"b")
+        for index, record in ((1, b"a"), (2, b"b")):
+            assert cache.get(index) is None
+            cache.admit(index, record)
         assert cache.get(1) == b"a"  # refreshes 1 to MRU
+        assert cache.get(3) is None
+        assert cache.get(3) is None  # 3 now asked for as often as 1, more than 2
         cache.admit(3, b"c")  # evicts 2, the LRU
         assert cache.get(2) is None
         assert cache.get(1) == b"a" and cache.get(3) == b"c"
@@ -76,24 +79,89 @@ class TestLRU:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             HotRecordCache(capacity=0)
-        with pytest.raises(ConfigurationError):
-            HotRecordCache(capacity=2, admit_min_heat=-1.0)
 
 
-class TestHeatInformedAdmission:
-    def test_cold_shard_records_are_declined(self):
-        plan = ShardPlan.uniform(100, 4)
-        tracker = HeatTracker(plan)
-        tracker.observe_batch([0] * 10, now=0.0)  # shard 0 hot, rest cold
-        cache = HotRecordCache(capacity=4, tracker=tracker, admit_min_heat=5.0)
-        assert cache.admit(3, b"hot")  # shard 0: heat 10 >= 5
-        assert not cache.admit(99, b"cold")  # shard 3: heat 0 < 5
-        assert cache.stats.rejected_cold == 1
-        assert 99 not in cache
+def _replay(cache, indices, round_size):
+    """The frontend's lookup pattern: each round looks up its distinct
+    indices once, then offers the misses to the cache."""
+    for start in range(0, len(indices), round_size):
+        misses = {}
+        for index in dict.fromkeys(indices[start : start + round_size]):
+            if cache.get(index) is None:
+                misses[index] = b"r"
+        cache.admit_many(misses)
 
-    def test_no_tracker_means_plain_lru(self):
-        cache = HotRecordCache(capacity=4, admit_min_heat=0.0)
-        assert cache.admit(5, b"x")
+
+class TestFrequencyGatedAdmission:
+    def test_one_off_probes_never_evict_a_twice_requested_resident(self):
+        cache = HotRecordCache(capacity=4)
+        sample = SAMPLE_PER_CAPACITY * cache.capacity
+        for index in range(4):
+            cache.get(index)
+            cache.get(index)
+            cache.admit(index, b"hot")
+        # A count of 2 outlives one halving, so for two samples of lookups
+        # every probe (count 1) at most ties a resident.
+        probes = range(100, 100 + 2 * sample - 8)
+        for probe in probes:
+            assert cache.get(probe) is None
+            assert not cache.admit(probe, b"cold")
+        assert cache.resident_indices() == [0, 1, 2, 3]
+        assert cache.stats.evictions == 0
+        assert cache.stats.rejected_cold == len(probes)
+        # Then the residents' counts have halved to nothing and a probe
+        # asked for once is the more popular record.
+        cache.get(99)
+        assert cache.admit(99, b"new")
+        assert cache.resident_indices() == [1, 2, 3, 99]
+
+    def test_a_tie_keeps_the_resident(self):
+        cache = HotRecordCache(capacity=1)
+        cache.get(1)
+        cache.admit(1, b"a")
+        cache.get(2)
+        assert not cache.admit(2, b"b")  # asked for once, like 1
+        cache.get(2)
+        assert cache.admit(2, b"b")  # now asked for more often than 1
+        assert cache.resident_indices() == [2]
+        assert cache.stats.evictions == 1
+
+    def test_a_cache_with_room_admits_unconditionally(self):
+        cache = HotRecordCache(capacity=2)
+        assert cache.admit(5, b"x")  # never looked up
+        assert cache.admit(6, b"y")
+        assert not cache.admit(7, b"z")  # full: 7 is no hotter than 5
+
+    def test_counts_halve_so_old_popularity_fades(self):
+        cache = HotRecordCache(capacity=1)
+        for _ in range(8):
+            cache.get(1)
+        cache.admit(1, b"old")
+        # Four samples of lookups halve 1's count 8 -> 4 -> 2 -> 1 -> 0.
+        for probe in range(100, 100 + 4 * SAMPLE_PER_CAPACITY - 8):
+            cache.get(probe)
+        cache.get(2)
+        cache.get(2)
+        assert cache.admit(2, b"new")
+        assert cache.resident_indices() == [2]
+
+    def test_count_table_is_bounded(self):
+        cache = HotRecordCache(capacity=8)
+        for index in range(100 * cache.capacity):
+            cache.get(index)
+            cache.admit(index, b"x")
+            assert len(cache._counts) <= 2 * SAMPLE_PER_CAPACITY * cache.capacity
+        assert len(cache) == cache.capacity
+
+    def test_zipf_replay_hit_rate(self):
+        """The frontend's lookup pattern over the ``fleet_zipf_mixed`` trace
+        shape (16 384 records, Zipf(1.1), rounds of 16, 128 residents).
+        Admitting every miss reads 0.451 here."""
+        cache = HotRecordCache(capacity=128)
+        trace = zipf_trace(16384, 1500 * 16, exponent=1.1, seed=3000)
+        _replay(cache, list(trace.indices), round_size=16)
+        assert cache.stats.hit_rate >= 0.53
+        assert len(cache._counts) <= 2 * SAMPLE_PER_CAPACITY * cache.capacity
 
 
 class TestFrontendIntegration:

@@ -79,11 +79,11 @@ class TestWindows:
         tracker.observe_batch([0], now=0.0)
         assert tracker.heats()[0] == 3.0
 
-    def test_record_and_shard_heat_helpers(self):
+    def test_shard_heat_helper(self):
         tracker = HeatTracker(make_plan())
         tracker.observe_batch([0, 1, 99], now=0.0)
         assert tracker.shard_heat(0) == 2.0
-        assert tracker.record_heat(99) == 1.0
+        assert tracker.shard_heat(3) == 1.0
         with pytest.raises(ConfigurationError):
             tracker.shard_heat(7)
 

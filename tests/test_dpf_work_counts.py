@@ -20,7 +20,9 @@ fleet's children only price their cut, so one batch is one ``dpxor_many`` at
 1, 4 or 16 shards.  A per-shard scan makes the count grow with the shards.
 
 A walk also tables its keys' correction words once, whatever its depth: a
-per-level table build makes the builder's count grow with the levels.
+per-level table build makes the builder's count grow with the levels, and a
+chunked walk that descends to each chunk's root separately builds one more
+table per chunk.
 
 Last, a whole frontend flush makes as many calls into each file of the
 protocol, cost-ledger and shard packages at 32 requests as at 8, on every
@@ -41,6 +43,7 @@ from repro.core.config import IMPIRConfig
 from repro.core.engine import available_backends, create_server
 from repro.dpf.dpf import DPF
 from repro.dpf.prf import make_prg
+from repro.dpf.traversal import LevelByLevelTraversal, MemoryBoundedTraversal, TraversalStats
 from repro.pim.config import scaled_down_config
 from repro.pir import xor_ops
 from repro.pir.client import PIRClient
@@ -75,6 +78,23 @@ def test_calls_into_the_dpf_package_do_not_grow_with_the_batch():
     assert _dpf_calls(32) == calls
 
 
+def _ggm_calls(run) -> Counter:
+    """Calls per function of ``repro/dpf/ggm.py`` while ``run()`` runs."""
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        run()
+    finally:
+        profile.disable()
+    return Counter(
+        {
+            function: count
+            for (filename, _, function), (_, count, *_) in pstats.Stats(profile).stats.items()
+            if filename == _GGM
+        }
+    )
+
+
 @pytest.mark.parametrize("domain_bits", [10, 16])
 def test_a_walk_tables_its_correction_words_once(domain_bits):
     """``eval_packed_many`` builds its keys' correction tables once per walk,
@@ -82,22 +102,26 @@ def test_a_walk_tables_its_correction_words_once(domain_bits):
     ``corrected_children`` call per level at depth 3 and at depth 9."""
     dpf = DPF(domain_bits=domain_bits, seed=7)
     keys = dpf.gen_many([1, 2, 3, 5]).keys
-    profile = cProfile.Profile()
-    profile.enable()
-    try:
-        dpf.eval_packed_many(keys)
-    finally:
-        profile.disable()
-    calls = Counter(
-        {
-            function: count
-            for (filename, _, function), (_, count, *_) in pstats.Stats(profile).stats.items()
-            if filename == _GGM
-        }
-    )
+    calls = _ggm_calls(lambda: dpf.eval_packed_many(keys))
     assert dpf.tree_depth == domain_bits - 7
     assert calls["correction_tables"] == 1
     assert calls["corrected_children"] == dpf.tree_depth
+
+
+def test_a_chunked_walk_descends_to_every_chunk_root_at_once():
+    """A memory-bounded evaluation tables the descent's correction words
+    once and each chunk's subtree once: 16 chunks of 32 leaf blocks at
+    2^16 points build 17 tables, not 32, for the same 560 PRG expansions
+    and the same outputs as a level-by-level walk."""
+    dpf = DPF(domain_bits=16, seed=7)
+    key = dpf.gen(12345)[0]
+    stats = TraversalStats()
+    bounded = MemoryBoundedTraversal(chunk_leaves=4096)
+    outputs = []
+    calls = _ggm_calls(lambda: outputs.append(bounded.eval_full(dpf, key, stats=stats)))
+    assert calls["correction_tables"] == 16 + 1
+    assert stats.prg_calls == 16 * (4 + 31)
+    np.testing.assert_array_equal(outputs[0], LevelByLevelTraversal().eval_full(dpf, key))
 
 
 _CORE_AND_PIM = tuple(

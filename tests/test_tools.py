@@ -932,6 +932,13 @@ class TestCorrectionTableLint:
                 "        seeds, controls = expand_level(prg, seeds, controls, *keys[level]){}\n"
                 "    return seeds, controls\n",
             ),
+            (
+                "src/repro/dpf/traversal.py",
+                "def leaves(dpf, keys, num_chunks, depth):\n"
+                "    for chunk in range(num_chunks):\n"
+                "        root = dpf.descend(keys, [chunk], depth=depth){}\n"
+                "        yield dpf.expand_front(keys, *root, first_level=depth)\n",
+            ),
         ],
     )
     def test_tables_built_per_iteration_flagged(self, tmp_path, relative, source):
@@ -955,7 +962,16 @@ class TestCorrectionTableLint:
             "    for keys in batches:\n"
             "        yield correction_tables(keys.cw_seeds, keys.cw_bits)\n"
         )
+        chunked = (
+            "import numpy as np\n\n\n"
+            "def leaves(dpf, keys, num_chunks, depth):\n"
+            "    roots, controls = dpf.descend(keys, np.arange(num_chunks), depth=depth)\n"
+            "    for chunk in range(num_chunks):\n"
+            "        root = slice(chunk, chunk + 1)\n"
+            "        yield dpf.expand_front(keys, roots[root], controls[root], first_level=depth)\n"
+        )
         assert not self._check(tmp_path, "src/repro/dpf/dpf.py", once)
+        assert not self._check(tmp_path, "src/repro/dpf/traversal.py", chunked)
         assert not self._check(tmp_path, "tests/test_walk.py", looped)
         assert not self._check(tmp_path, "src/repro/core/engine.py", looped)
 

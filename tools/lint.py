@@ -304,8 +304,10 @@ def _is_per_key_loop(node: ast.AST) -> bool:
 
 
 #: Calls that build correction tables (``repro/dpf/ggm.py``): a walk's, the
-#: one-level case's and a one-off correction's.
-TABLE_BUILDERS = {"correction_tables", "expand_level", "gated"}
+#: one-level case's and a one-off correction's, and ``DPF.descend``, whose
+#: paths are independent, so a per-iteration ``descend`` is always one batched
+#: call.  ``expand_front`` per chunk stays legal: that loop is the memory bound.
+TABLE_BUILDERS = {"correction_tables", "expand_level", "gated", "descend"}
 
 
 def _loop_repeated_parts(node: ast.AST) -> List[ast.AST]:
@@ -864,7 +866,8 @@ def check_file(path: Path) -> List[Tuple[int, str]]:
                     "correction tables built inside a loop under src/repro/dpf/ "
                     "— table a walk's correction words once "
                     "(ggm.correction_tables) before its level loop and expand "
-                    "with ggm.corrected_children",
+                    "with ggm.corrected_children; descend to every node in one "
+                    "DPF.descend call",
                 )
             )
     if library_code:
