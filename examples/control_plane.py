@@ -4,8 +4,9 @@
 PR 2/3 built a *static* data plane — shards are placed once, from an offline
 heat sample, and a drifting workload strands hot shards on streamed backends
 forever.  This example turns that fleet into a system that tracks its
-workload: a :class:`~repro.control.telemetry.HeatTracker` measures per-shard
-query rates in decaying windows (fed by the frontend observe hook), a
+workload: a :class:`~repro.control.telemetry.HeatTracker` measures per-record
+query rates in decaying windows (fed by the frontend observe hook) and sums
+them per shard, a
 :class:`~repro.control.rebalancer.Rebalancer` periodically re-places shards
 against the live window and migrates only the diffs, and a
 :class:`~repro.control.cache.HotRecordCache` (trusted-aggregator

@@ -15,9 +15,9 @@ heat:
    fresh children for the changed ranges off to the side, reuses the rest,
    and installs plan + members in one reference assignment — retrievals
    are bit-identical before, during and after;
-3. telemetry that survives the reshape:
-   :meth:`~repro.control.telemetry.HeatTracker.remap` divides heat by the
-   measured record rates on a split and sums it on a merge;
+3. telemetry that survives the reshape: heat is kept per record, so
+   :meth:`~repro.control.telemetry.HeatTracker.remap` only swaps the plan
+   and each new shard's heat is the sum of its records';
 4. the closed loop: a controlled fleet under a drifting Zipf stream splits
    its hot shard at the in-shard heat median, merges the shards going
    cold, and still returns records byte-identical to a static fleet.

@@ -5,8 +5,9 @@ heat sample.  This package is the layer that makes the fleet track its
 workload, without touching the PIR protocol (distribution policy stays
 separate from application logic):
 
-* :class:`HeatTracker` — per-shard query-rate telemetry in decaying
-  sliding windows, fed by the frontend observe hook (sync and async);
+* :class:`HeatTracker` — per-record query-rate telemetry in decaying
+  sliding windows, fed by the frontend observe hook (sync and async); a
+  shard's heat is the sum of its records' under the current plan;
 * :class:`Rebalancer` — periodic re-placement against the live window,
   migrating only the shards whose cheapest kind changed
   (:meth:`~repro.shard.backend.ShardedBackend.swap_child`; retrievals stay
@@ -15,7 +16,7 @@ separate from application logic):
   median, adjacent cold shards merge, applied to every fleet as one
   versioned :class:`~repro.shard.plan.TopologyChange`
   (:meth:`~repro.shard.backend.ShardedBackend.apply_topology`) with the
-  tracker's windows remapped across the change;
+  tracker following the change by swapping its plan;
 * :class:`HotRecordCache` — an opt-in LRU tier in front of a fleet with
   TinyLFU admission (Einziger, Friedman & Manes, ACM ToS 2017): a record
   displaces the LRU resident only when it was looked up strictly more often,

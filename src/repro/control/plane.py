@@ -253,7 +253,8 @@ def controlled_fleet(
     ``min_shards``/``max_shards`` bounds) switch on the rebalancer's
     plan-shape policy: the topology itself then follows the heat — hot
     shards split at their in-shard heat median, adjacent cold shards merge
-    — with telemetry remapped (not reset) across every plan version.
+    — with telemetry kept per record, so it carries (not resets) across
+    every plan version.
     ``damping`` (a :class:`~repro.control.autoscaler.DampingPolicy`) gates
     every shape change and kind migration on amortized economics plus a
     record-range cooldown; ``autoscale`` (an

@@ -28,12 +28,12 @@ first.  Both are bounded by ``min_shards``/``max_shards``.  Each transform
 is a pure :meth:`~repro.shard.plan.ShardPlan.split_shard` /
 :meth:`~repro.shard.plan.ShardPlan.merge_shards` producing a versioned
 :class:`~repro.shard.plan.TopologyChange`; the pass composes them into one
-old→final change, remaps the tracker's decaying windows through it (heat
-survives the reshape instead of resetting), re-runs ``plan_placements``
-over the **new** shard set, and installs the agreed topology on every
-replica fleet through :meth:`~repro.shard.fleet.FleetRouter.apply_topology`
-(inside the frontend's reconfigure gate, so no flush spans two plan
-versions).  The reshape's cost is the placements' transfer terms for the
+old→final change, moves the tracker onto the new plan (heat is kept per
+record, so it survives the reshape instead of resetting), re-runs
+``plan_placements`` over the **new** shard set, and installs the agreed
+topology on every replica fleet through
+:meth:`~repro.shard.fleet.FleetRouter.apply_topology` (inside the
+frontend's reconfigure gate, so no flush spans two plan versions).  The reshape's cost is the placements' transfer terms for the
 changed ranges, exactly as migrations are charged.
 
 **Cost-aware damping** (PR 8): with a
@@ -121,8 +121,8 @@ class RebalanceReport:
 
     now: float
     #: Live heats **after** any reshape (per shard of ``placements``' plan) —
-    #: remapped through the topology change, not reset, so a nonzero vector
-    #: here is the proof telemetry survived the reshape.
+    #: the per-record heat summed under the new plan, not reset, so a
+    #: nonzero vector here is the proof telemetry survived the reshape.
     heats: List[float]
     placements: List[ShardPlacement]
     migrations: List[ShardMigration] = field(default_factory=list)
@@ -288,8 +288,8 @@ class Rebalancer:
 
         Order of one pass: (1) shape — apply the split/merge policy as pure
         plan transforms, composing them into one
-        :class:`~repro.shard.plan.TopologyChange` and remapping the
-        tracker's windows through each step; (2) place — re-run
+        :class:`~repro.shard.plan.TopologyChange` and moving the
+        tracker's plan through each step; (2) place — re-run
         :func:`plan_placements` with the router's own candidates (same cost
         formulas, same machine model) **over the new shard set**;
         (3) apply — install the agreed topology on every replica fleet
@@ -321,24 +321,20 @@ class Rebalancer:
             placement.shard.index: placement.kind for placement in router.placements
         }
 
-        # Snapshot the tracker's remappable state before the shape phase
-        # mutates it: if the data-plane apply below fails, the telemetry
-        # must roll back to the plan the fleets still run, or every later
-        # pass would refuse with the divergence error above — a single
-        # failed migration permanently (and, under the async frontend's
-        # observer fault routing, silently) wedging the control plane.
-        shape_state = self.tracker.shape_state()
+        # The shape phase moves the tracker onto the new plan and notes its
+        # actions in the damper's cooldown ledger before the data plane has
+        # the plan.  If the apply below fails, both roll back: a tracker
+        # left one version ahead would make every later pass refuse with
+        # the divergence error above (under the async frontend's observer
+        # fault routing, silently wedging the control plane), and a ledger
+        # left as it is would veto, as a cooldown, actions that never ran.
+        old_plan = self.tracker.plan
+        ledger = list(self.damper._recent) if self.damper is not None else None
         change, splits, merges, suppressed = self._reshape(
             now, record_size, burning=burning
         )
         heats = self.tracker.heats()
         plan = self.tracker.plan
-        if len(heats) != plan.num_shards:
-            raise ConfigurationError(
-                f"heat vector carries {len(heats)} entries for a plan of "
-                f"{plan.num_shards} shards (version {plan.version}) — "
-                f"telemetry and topology fell out of step"
-            )
         new_placements = plan_placements(
             plan, record_size, heats, candidates=router.candidates
         )
@@ -367,7 +363,9 @@ class Rebalancer:
                 # runs the old plan.  Put the tracker back beside it so
                 # the error is attributable and the next pass genuinely
                 # recovers, instead of every pass failing on divergence.
-                self.tracker.restore_shape(shape_state)
+                self.tracker.plan = old_plan
+                if self.damper is not None:
+                    self.damper._recent = ledger
                 raise
             changed = frozenset(change.changed_new_indices())
             old_kind_by_new = {
@@ -495,15 +493,16 @@ class Rebalancer:
     ]:
         """Apply the split/merge policy to the tracker's plan (pure transforms).
 
-        Mutates only the tracker (remapping its windows through each step);
-        the composed change is applied to the data plane by the caller.
-        Splits run before merges, each loop re-reading the freshly remapped
-        heats, so decisions always see the topology they are about to
-        change.  With damping, a vetoed action's record range is excluded
-        for the rest of the pass (the threshold would keep re-proposing the
-        identical cut), and an *executed* action enters the damper's
-        cooldown ledger — so the merge loop cannot immediately undo a
-        fresh split, in this pass or the next.
+        Mutates only the tracker's plan (one swap per step) and the damper's
+        cooldown ledger; the composed change is applied to the data plane
+        by the caller.  Splits run before merges, each loop re-reading the
+        heats under the freshly swapped plan, so decisions always see the
+        topology they are about to change.  With damping, a vetoed action's
+        record range is excluded for the rest of the pass (the threshold
+        would keep re-proposing the identical cut), and an *executed*
+        action enters the damper's cooldown ledger — so the merge loop
+        cannot immediately undo a fresh split, in this pass or the next
+        (the caller rolls the ledger back if the pass's apply fails).
         """
         tracker = self.tracker
         candidates = self.router.candidates

@@ -1,4 +1,4 @@
-"""Heat telemetry: decaying per-shard query-rate windows from live traffic.
+"""Heat telemetry: decaying per-record query-rate windows from live traffic.
 
 The placement formulas in :mod:`repro.shard.fleet` price a shard by its
 *heat* — expected queries touching it per operating window.  Offline, that
@@ -10,23 +10,24 @@ forever.
 A :class:`HeatTracker` is that measurement.  It is a frontend *observer*
 (fed after every flush, like the AIMD batching policy's utilization — see
 :meth:`repro.pir.frontend.BatchingFrontend.finish_flush`), so both the
-simulated-clock and the asyncio frontends feed it for free: every flushed batch's routed
-indices are folded into the current window, and completed windows are
-blended into an exponentially decayed estimate.  ``heats()`` then returns
-per-window queries per shard — exactly the units
+simulated-clock and the asyncio frontends feed it for free: every flushed
+batch's record indices are folded into the current window, and completed
+windows are blended into an exponentially decayed estimate.  ``heats()``
+then returns per-window queries per shard — exactly the units
 :func:`repro.shard.fleet.plan_placements` expects, and (by construction,
 since :func:`repro.shard.fleet.heats_from_trace` routes through this class)
 exactly the units offline planning uses.
 
-The tracker is also topology-aware.  Alongside the per-shard vectors it
-keeps sparse *per-record* counterparts, which give the control plane
-sub-shard resolution: :meth:`HeatTracker.split_point` finds the
-block-aligned in-shard heat median an online split should cut at, and
-:meth:`HeatTracker.remap` carries both the live window and the smoothed
-estimate across a :class:`~repro.shard.plan.TopologyChange`
-(record-rate-weighted on a split, summed on a merge) — so telemetry
-survives a reshape instead of resetting, and the very next placement pass
-still sees where the load is.
+Heat is kept **per record** only, in sparse maps (records never queried
+hold no entry; cold entries are pruned at every roll).  A shard's heat is
+the sum of its records' heat under the tracker's current plan, computed
+when read.  Record indices do not move when shards are reshaped, so the
+tracker is topology-aware for free: :meth:`HeatTracker.split_point` finds
+the block-aligned in-shard heat median an online split should cut at, and
+:meth:`HeatTracker.remap` across a :class:`~repro.shard.plan.TopologyChange`
+only swaps the plan — telemetry survives a reshape instead of resetting,
+total heat is conserved, and the very next placement pass still sees where
+the load is.
 
 The control plane runs on the **simulated clock only**: ``now`` always
 comes from the caller (the sync frontend's arrival stamps, the asyncio
@@ -37,10 +38,11 @@ deterministic and unit-testable.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence
 
-from repro.common.errors import ConfigurationError, ProtocolError
-from repro.shard.plan import ShardPlan, ShardSpec, TopologyChange
+from repro.common.errors import ConfigurationError, DatabaseError, ProtocolError
+from repro.shard.plan import ShardPlan, TopologyChange
 
 #: Decayed per-record entries below this are dropped at every window roll —
 #: the per-record map must stay proportional to the *live* hot set, not grow
@@ -49,13 +51,15 @@ _PRUNE_BELOW = 1e-9
 
 
 class HeatTracker:
-    """Decaying sliding-window estimate of per-shard query heat.
+    """Decaying sliding-window estimate of per-record query heat.
 
-    Counts are kept per window of ``window_seconds`` simulated time.  When
-    a window completes, it is folded into the running estimate with an
-    exponential moving average — ``smoothed = decay * smoothed +
+    Counts are kept per record, per window of ``window_seconds`` simulated
+    time.  When a window completes, it is folded into the running estimate
+    with an exponential moving average — ``smoothed = decay * smoothed +
     (1 - decay) * window_count`` — so old hotness ages out at a rate the
     caller controls (``decay`` is the weight history keeps per window).
+    Per-shard heat is never stored: :meth:`heats` sums the records of each
+    shard of :attr:`plan`, so a reshape (:meth:`remap`) only swaps the plan.
 
     ``heats()`` reports the estimate over **completed** windows only: the
     in-progress window is deliberately excluded, because its counts start
@@ -87,16 +91,9 @@ class HeatTracker:
         self.windows_completed = 0
         #: Indices observed over the tracker's lifetime (diagnostic).
         self.observed_indices = 0
-        self._window_counts = [0.0] * plan.num_shards
-        self._smoothed: Optional[List[float]] = None
         self._window_start: Optional[float] = None
-        # Per-record counterparts of the per-shard vectors, kept sparse
-        # (records never queried hold no entry; cold entries are pruned at
-        # every roll).  They exist for the topology lifecycle: the in-shard
-        # heat median a split cuts at (:meth:`split_point`) and the
-        # record-rate weights a reshape remap divides shard heat by
-        # (:meth:`remap`) both need sub-shard resolution the per-shard
-        # vectors cannot provide.
+        # Per-record counts of the live window, and the decayed estimate
+        # over completed windows (None until the first roll).
         self._window_index: Dict[int, float] = {}
         self._smoothed_index: Optional[Dict[int, float]] = None
         #: Optional structured event log (:class:`repro.obs.events.EventLog`),
@@ -110,13 +107,22 @@ class HeatTracker:
 
         This is the frontend observer hook: ``now`` is the flush instant on
         the frontend's clock (simulated arrival stamps for the sync
-        frontend, the event loop's clock for the asyncio one).
+        frontend, the event loop's clock for the asyncio one).  A batch
+        holding an index outside ``[0, num_records)`` raises
+        :class:`~repro.common.errors.DatabaseError` before anything is
+        counted or any window rolls.
         """
+        if len(indices):
+            low, high = min(indices), max(indices)
+            if low < 0 or high >= self.plan.num_records:
+                raise DatabaseError(
+                    f"record index {low if low < 0 else high} out of range "
+                    f"[0, {self.plan.num_records})"
+                )
         self.advance(now)
-        for shard_index, routed in self.plan.route_records(indices).items():
-            self._window_counts[shard_index] += len(routed)
+        window = self._window_index
         for index in indices:
-            self._window_index[index] = self._window_index.get(index, 0.0) + 1.0
+            window[index] = window.get(index, 0.0) + 1.0
         self.observed_indices += len(indices)
 
     def advance(self, now: float) -> None:
@@ -139,20 +145,17 @@ class HeatTracker:
         # First roll folds the live counts; the remaining completed-1
         # windows are empty, and an empty-window blend is exactly
         # ``smoothed *= decay`` — applied in closed form so a long idle gap
-        # (this hook runs inside every frontend flush) costs O(shards), not
-        # O(gap / window_seconds) list allocations.
+        # (this hook runs inside every frontend flush) costs one pass over
+        # the live records, not O(gap / window_seconds) of them.
         self._roll()
         if completed > 1:
             factor = self.decay ** (completed - 1)
-            if self._smoothed is not None:
-                self._smoothed = [value * factor for value in self._smoothed]
-            if self._smoothed_index is not None:
-                self._smoothed_index = self._prune(
-                    {
-                        index: value * factor
-                        for index, value in self._smoothed_index.items()
-                    }
-                )
+            self._smoothed_index = self._prune(
+                {
+                    index: value * factor
+                    for index, value in self._smoothed_index.items()
+                }
+            )
             self.windows_completed += completed - 1
         self._window_start += completed * self.window_seconds
         if self.events is not None:
@@ -165,35 +168,19 @@ class HeatTracker:
             )
 
     def _roll(self) -> None:
-        self._smoothed = self._blend(self._smoothed, self._window_counts)
-        self._smoothed_index = self._blend_index(
-            self._smoothed_index, self._window_index
-        )
-        self._window_counts = [0.0] * self.plan.num_shards
+        smoothed, counts = self._smoothed_index, self._window_index
+        if smoothed is None:
+            self._smoothed_index = dict(counts)
+        else:
+            self._smoothed_index = self._prune(
+                {
+                    index: self.decay * smoothed.get(index, 0.0)
+                    + (1.0 - self.decay) * counts.get(index, 0.0)
+                    for index in smoothed.keys() | counts.keys()
+                }
+            )
         self._window_index = {}
         self.windows_completed += 1
-
-    def _blend(
-        self, smoothed: Optional[List[float]], counts: Sequence[float]
-    ) -> List[float]:
-        if smoothed is None:
-            return list(counts)
-        return [
-            self.decay * old + (1.0 - self.decay) * new
-            for old, new in zip(smoothed, counts)
-        ]
-
-    def _blend_index(
-        self, smoothed: Optional[Dict[int, float]], counts: Dict[int, float]
-    ) -> Dict[int, float]:
-        if smoothed is None:
-            return dict(counts)
-        blended = {
-            index: self.decay * smoothed.get(index, 0.0)
-            + (1.0 - self.decay) * counts.get(index, 0.0)
-            for index in smoothed.keys() | counts.keys()
-        }
-        return self._prune(blended)
 
     @staticmethod
     def _prune(estimate: Dict[int, float]) -> Dict[int, float]:
@@ -203,24 +190,38 @@ class HeatTracker:
 
     # -- reading ----------------------------------------------------------------
 
+    def _index_estimate(self) -> Dict[int, float]:
+        """Per-record heat on the completed-windows basis of :meth:`heats`."""
+        if self._smoothed_index is None:
+            return self._window_index
+        return self._smoothed_index
+
     def heats(self) -> List[float]:
         """Per-window queries per shard, one entry per shard of the plan.
 
         The natural input for :func:`repro.shard.fleet.plan_placements`:
-        the decayed estimate over completed windows (phase-stable — see the
-        class docstring), falling back to the raw live counts before the
-        first window completes.  State is not mutated; reading is free.
+        each shard's records summed in one pass over the per-record
+        estimate — the decayed estimate over completed windows
+        (phase-stable, see the class docstring), or the raw live counts
+        before the first window completes.  State is not mutated.
         """
-        if self._smoothed is None:
-            return list(self._window_counts)
-        return list(self._smoothed)
+        # The first shard whose stop exceeds a record owns it (an empty
+        # shard's stop never exceeds a record it shares a boundary with).
+        stops = [shard.stop for shard in self.plan.shards]
+        heats = [0.0] * len(stops)
+        for index, value in self._index_estimate().items():
+            heats[bisect_right(stops, index)] += value
+        return heats
 
-    def shard_heat(self, shard_index: int) -> float:
-        """The current heat estimate for one shard."""
+    def _check_shard(self, shard_index: int) -> None:
         if not 0 <= shard_index < self.plan.num_shards:
             raise ConfigurationError(
                 f"shard index {shard_index} out of range [0, {self.plan.num_shards})"
             )
+
+    def shard_heat(self, shard_index: int) -> float:
+        """The current heat estimate for one shard."""
+        self._check_shard(shard_index)
         return self.heats()[shard_index]
 
     def range_heat(self, shard_index: int, start: int, stop: int) -> float:
@@ -228,29 +229,23 @@ class HeatTracker:
         :meth:`heats` basis.
 
         What a cost-aware reshape policy prices a *hypothetical* split half
-        with before any plan exists for it: the shard's heat apportioned by
-        the live per-record estimate over the range (count-proportional when
-        the shard has no recorded heat — same convention as remapping).
+        with before any plan exists for it: the sum of the per-record
+        estimate over the range (clipped to the shard).
         """
-        if not 0 <= shard_index < self.plan.num_shards:
-            raise ConfigurationError(
-                f"shard index {shard_index} out of range [0, {self.plan.num_shards})"
-            )
+        self._check_shard(shard_index)
         shard = self.plan.shards[shard_index]
         start = max(start, shard.start)
         stop = min(stop, shard.stop)
-        if stop <= start:
-            return 0.0
-        weight = self._overlap_weight(shard, start, stop, self._index_estimate())
-        return self.heats()[shard_index] * weight
+        return sum(
+            (
+                value
+                for index, value in self._index_estimate().items()
+                if start <= index < stop
+            ),
+            0.0,
+        )
 
     # -- the topology lifecycle ---------------------------------------------------
-
-    def _index_estimate(self) -> Dict[int, float]:
-        """Per-record heat on the same completed-windows basis as :meth:`heats`."""
-        if self._smoothed_index is None:
-            return self._window_index
-        return self._smoothed_index
 
     def split_point(self, shard_index: int) -> Optional[int]:
         """The block-aligned in-shard heat median of one shard, or ``None``.
@@ -268,10 +263,7 @@ class HeatTracker:
         returns ``None`` when the shard spans fewer than two blocks
         (nothing to cut at).
         """
-        if not 0 <= shard_index < self.plan.num_shards:
-            raise ConfigurationError(
-                f"shard index {shard_index} out of range [0, {self.plan.num_shards})"
-            )
+        self._check_shard(shard_index)
         shard = self.plan.shards[shard_index]
         block = self.plan.block_records
         candidates = list(range(shard.start + block, shard.stop, block))
@@ -305,29 +297,18 @@ class HeatTracker:
         return best[2]
 
     def remap(self, change: TopologyChange) -> None:
-        """Carry the decaying windows across a topology change.
+        """Follow the fleet onto the plan a topology change produced.
 
-        Telemetry must *survive* a reshape, not reset: zeroing the vectors
-        would blind the next placement pass exactly when it acts (right
-        after a split the fleet would look uniformly cold).  Every old
-        shard's heat — the live window counts and the smoothed estimate
-        alike — is divided over the new shards covering its range,
-        weighted by the measured per-record rates inside each overlap
-        (**record-rate-weighted split**), falling back to record-count
-        proportions where no per-record heat was recorded; a merge's new
-        shard simply receives the **sum** of its parents (the weights of
-        whole overlaps are 1).  Total heat is conserved by construction.
+        Telemetry must *survive* a reshape, not reset: zeroing it would
+        blind the next placement pass exactly when it acts (right after a
+        split the fleet would look uniformly cold).  Heat is kept per
+        record and record indices do not move, so following the change is
+        only a plan swap — each new shard's heat is the sum of its records'
+        (a split half keeps exactly its own records' heat, a merged shard
+        the sum of its parents'), and total heat is conserved by
+        construction.
         """
         change.require_built_on(self.plan, "this tracker")
-        self._window_counts = self._remap_vector(
-            change, self._window_counts, self._window_index
-        )
-        if self._smoothed is not None:
-            self._smoothed = self._remap_vector(
-                change,
-                self._smoothed,
-                self._smoothed_index if self._smoothed_index is not None else {},
-            )
         self.plan = change.new_plan
         if self.events is not None:
             self.events.emit(
@@ -337,74 +318,6 @@ class HeatTracker:
                 shards=change.new_plan.num_shards,
                 total_heat=sum(self.heats()),
             )
-
-    def shape_state(self) -> tuple:
-        """An opaque snapshot of the remappable state (plan + shard vectors).
-
-        Taken by the rebalancer before a reshape pass so a data-plane apply
-        that fails midway can :meth:`restore_shape` the telemetry to the
-        plan the fleet still runs — without it, a failed pass would leave
-        the tracker one version ahead forever and every later pass would
-        refuse to run.  Cheap: the vectors are copied, the per-record maps
-        (which a remap never mutates) are not.
-        """
-        return (
-            self.plan,
-            list(self._window_counts),
-            list(self._smoothed) if self._smoothed is not None else None,
-        )
-
-    def restore_shape(self, state: tuple) -> None:
-        """Roll the remappable state back to a :meth:`shape_state` snapshot."""
-        plan, window_counts, smoothed = state
-        self.plan = plan
-        self._window_counts = list(window_counts)
-        self._smoothed = list(smoothed) if smoothed is not None else None
-
-    def _remap_vector(
-        self,
-        change: TopologyChange,
-        values: List[float],
-        rates: Dict[int, float],
-    ) -> List[float]:
-        """One shard vector remapped old→new (weights from ``rates``)."""
-        remapped = [0.0] * change.new_plan.num_shards
-        old_for_new = change.old_for_new
-        for new_shard in change.new_plan.shards:
-            for old_index in old_for_new[new_shard.index]:
-                old_shard = change.old_plan.shards[old_index]
-                start, stop = change.overlap_records(old_index, new_shard.index)
-                if stop <= start:
-                    continue
-                if (start, stop) == (old_shard.start, old_shard.stop):
-                    weight = 1.0  # whole overlap: merges sum their parents
-                else:
-                    weight = self._overlap_weight(old_shard, start, stop, rates)
-                remapped[new_shard.index] += values[old_index] * weight
-        return remapped
-
-    @staticmethod
-    def _overlap_weight(
-        old_shard: ShardSpec, start: int, stop: int, rates: Dict[int, float]
-    ) -> float:
-        """The fraction of ``old_shard``'s heat owned by ``[start, stop)``.
-
-        Measured per-record rates where available; a shard with no recorded
-        heat splits proportionally to record counts (there is nothing
-        better to weight by, and the vector being divided is ~0 anyway).
-        """
-        shard_total = 0.0
-        overlap_total = 0.0
-        for index, value in rates.items():
-            if old_shard.start <= index < old_shard.stop:
-                shard_total += value
-                if start <= index < stop:
-                    overlap_total += value
-        if shard_total > 0:
-            return overlap_total / shard_total
-        if old_shard.num_records == 0:
-            return 0.0
-        return (stop - start) / old_shard.num_records
 
     def __repr__(self) -> str:
         return (

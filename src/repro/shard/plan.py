@@ -314,8 +314,9 @@ class TopologyChange:
     object every layer rides a reshape through: the backend swaps children
     along it (:meth:`repro.shard.backend.ShardedBackend.apply_topology`
     reuses the children of :meth:`unchanged_pairs` and builds fresh ones for
-    :meth:`changed_new_indices`), and the heat telemetry remaps its decaying
-    windows along it (:meth:`repro.control.telemetry.HeatTracker.remap`).
+    :meth:`changed_new_indices`), and the heat telemetry, kept per record,
+    follows it by swapping its plan
+    (:meth:`repro.control.telemetry.HeatTracker.remap`).
 
     The mapping is derived purely from the two tilings (both cover
     ``[0, num_records)`` contiguously), so a composed change over several

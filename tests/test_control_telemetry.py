@@ -4,7 +4,7 @@ import asyncio
 
 import pytest
 
-from repro.common.errors import ConfigurationError, ProtocolError
+from repro.common.errors import ConfigurationError, DatabaseError, ProtocolError
 from repro.control.telemetry import HeatTracker
 from repro.core.engine import create_server
 from repro.dpf.prf import make_prg
@@ -102,6 +102,26 @@ class TestClockDiscipline:
         tracker.observe_batch([0], now=123456.75)
         assert tracker.windows_completed == 0
         assert tracker.heats()[0] == 1.0
+
+    def test_indices_outside_the_database_are_refused(self):
+        """Traces come from outside (``heats_from_trace``) as well as from
+        the frontend: an index below 0 or at N is refused, and a refused
+        batch counts nothing and rolls no window."""
+        plan = make_plan()
+        for bad in (-1, plan.num_records):
+            tracker = HeatTracker(plan, window_seconds=1.0, decay=0.5)
+            tracker.observe_batch([0] * 8, now=0.0)
+            tracker.observe_batch([99] * 4, now=1.0)
+            heats, observed = tracker.heats(), tracker.observed_indices
+            with pytest.raises(DatabaseError, match="out of range"):
+                tracker.observe_batch([0, bad, 99], now=2.0)
+            assert tracker.heats() == heats == [8.0, 0.0, 0.0, 0.0]
+            assert tracker.observed_indices == observed == 12
+            assert tracker.windows_completed == 1
+            with pytest.raises(DatabaseError, match="out of range"):
+                heats_from_trace(plan, [0, bad])
+            with pytest.raises(DatabaseError, match="out of range"):
+                heats_from_trace(plan, [0, bad], arrival_seconds=[0.0, 0.5])
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -28,6 +28,9 @@ Last, a whole frontend flush makes as many calls into each file of the
 protocol, cost-ledger and shard packages at 32 requests as at 8, on every
 cost path (reference, clustered IM-PIR, streamed, sharded): messages move as
 arrays and simulated cost is priced once per execution lane, not per row.
+The control plane's per-flush hook holds to the same rule: folding a batch
+into the heat telemetry calls into ``repro/control`` and ``repro/shard`` as
+often for 32 indices as for 8.
 """
 
 import cProfile
@@ -39,6 +42,7 @@ import numpy as np
 import pytest
 
 import repro.core
+from repro.control.plane import controlled_fleet
 from repro.core.config import IMPIRConfig
 from repro.core.engine import available_backends, create_server
 from repro.dpf.dpf import DPF
@@ -49,6 +53,7 @@ from repro.pir import xor_ops
 from repro.pir.client import PIRClient
 from repro.pir.database import Database
 from repro.pir.frontend import BatchingPolicy, PIRFrontend
+from repro.shard.plan import ShardPlan
 
 _RECORDS = 1 << 16
 _PACKAGE = str(Path(repro.dpf.__file__).parent)
@@ -262,3 +267,53 @@ def test_a_flush_moves_its_messages_and_costs_as_arrays(kind):
     calls = _flush_calls(8, kind)
     assert sum(calls.values()) > 0
     assert _flush_calls(32, kind) == calls
+
+
+_CONTROL_PACKAGES = tuple(
+    str(Path(repro.core.__file__).parents[1] / package) for package in ("control", "shard")
+)
+
+
+def _observe_calls(batch_size: int) -> Counter:
+    """Python-level calls into each file of ``repro/control`` and
+    ``repro/shard`` while one ``ControlPlane.observe_batch`` of
+    ``batch_size`` indices runs on a controlled fleet, with no rebalance
+    pass due and no heat window completing."""
+    database = Database.random(4096, 32, seed=8)
+    client = PIRClient(4096, 32, seed=9, prg=make_prg())
+    plan = ShardPlan.uniform(database.num_records, 4, block_records=8)
+    _, plane = controlled_fleet(
+        client,
+        database,
+        plan,
+        [1.0] * plan.num_shards,
+        window_seconds=1.0,
+        rebalance_interval_seconds=1.0,
+        policy=BatchingPolicy(batch_size, 10.0),
+    )
+    indices = list(range(5, 4096, 4096 // batch_size))[:batch_size]
+    plane.observe_batch(indices, 0.0)  # anchors the window and pass clocks
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        plane.observe_batch(indices, 0.5)
+    finally:
+        profile.disable()
+    assert plane.tracker.observed_indices == 2 * batch_size
+    assert not plane.reports
+    calls = Counter()
+    for (filename, _, _), (_, count, *_) in pstats.Stats(profile).stats.items():
+        if filename.startswith(_CONTROL_PACKAGES):
+            calls[Path(filename).relative_to(Path(repro.core.__file__).parents[1])] += count
+    return calls
+
+
+def test_the_control_planes_flush_hook_does_not_route_per_index():
+    """The control plane's per-flush hook folds a batch into per-record heat
+    without a Python call per index: no file of ``repro/control`` or
+    ``repro/shard`` is called more often for 32 indices than for 8.  Routing
+    each index to its shard on the hook (a plan lookup per record) makes
+    the shard plan's count grow with the batch."""
+    calls = _observe_calls(8)
+    assert sum(calls.values()) > 0
+    assert _observe_calls(32) == calls
